@@ -2,9 +2,10 @@
 constrained debiasing direction, and the exhaustive sparse signed-spiked
 covariance estimator.
 
-The lasso and the direction program are both solved by cyclic coordinate
-descent on the Gram matrix with an active-set schedule; coordinates are
-visited in ascending index order so results are deterministic.
+The lasso and the direction program share one coordinate-descent core on
+the Gram matrix: a vectorized KKT check over all coordinates picks a
+working set (the nonzero coordinates and the violators), and only that
+set is swept, in ascending index order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -50,14 +51,6 @@ def sample_cov(data: Dataset) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-def _soft(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
-
-
 def _cd_quadratic_l1(
     gram: np.ndarray,
     lin: np.ndarray,
@@ -68,58 +61,50 @@ def _cd_quadratic_l1(
 ) -> tuple[np.ndarray, bool, int]:
     """Minimize  v' G v / 2 - lin' v + sum_j pen_j |v_j|  by coordinate descent.
 
-    Full passes in ascending index order alternate with sweeps over the
-    active set until the stationarity violation drops below kkt_tol.
-    Returns (v, converged, passes).  Coordinates with G_jj = 0 are held
-    at zero (a zero column cannot move the objective's quadratic part).
+    Each round stops if the KKT violation, checked over all coordinates
+    at once, is at most kkt_tol; otherwise it sweeps the working set
+    (nonzero coordinates and violators) on its principal submatrix until
+    no scaled step exceeds kkt_tol / 100, then updates the full gradient
+    once.  Each sweep is one pass.  Returns (v, converged, passes).
+    Coordinates with G_jj = 0 are held where they start.
     """
-    p = lin.size
-    diag = np.diag(gram).copy()
-    v = beta0.copy()
-    g = gram @ v if np.any(v) else np.zeros(p)
+    diag = np.diag(gram)
     movable = diag > 0.0
-
-    def sweep(idx) -> float:
-        nonlocal g
-        delta_max = 0.0
-        for j in idx:
-            z = lin[j] - g[j] + diag[j] * v[j]
-            new = _soft(z, pen[j]) / diag[j]
-            d = new - v[j]
-            if d != 0.0:
-                g += gram[:, j] * d
-                v[j] = new
-                delta_max = max(delta_max, abs(d) * math.sqrt(diag[j]))
-        return delta_max
-
-    def kkt_violation() -> float:
-        r = lin - g
-        viol = np.where(
-            v != 0.0,
-            np.abs(r - pen * np.sign(v)),
-            np.maximum(np.abs(r) - pen, 0.0),
-        )
-        return float(np.max(viol[movable], initial=0.0))
-
-    all_idx = np.flatnonzero(movable)
+    v = beta0.copy()
+    nz = np.flatnonzero(v)
+    g = gram[:, nz] @ v[nz]
     passes = 0
-    while passes < max_passes:
-        sweep(all_idx)
-        passes += 1
-        if kkt_violation() <= kkt_tol:
+    while True:
+        r = lin - g
+        viol = np.where(v != 0.0, np.abs(r - pen * np.sign(v)), np.abs(r) - pen)
+        viol[~movable] = 0.0
+        if np.max(viol, initial=0.0) <= kkt_tol:
             return v, True, passes
-        # polish the active set before the next full pass
-        for _ in range(50):
-            if passes >= max_passes:
-                break
-            active = np.flatnonzero((v != 0.0) & movable)
-            if active.size == 0:
-                break
-            d = sweep(active)
+        if passes >= max_passes:
+            return v, False, passes
+        ws = np.flatnonzero(movable & ((v != 0.0) | (viol > kkt_tol)))
+        cols = gram.T[np.ix_(ws, ws)]  # row i is column ws[i] on the working set
+        g_ws = g[ws]
+        v_old = v[ws]
+        v_ws = v_old.tolist()
+        lin_ws, pen_ws, d_ws = lin[ws].tolist(), pen[ws].tolist(), diag[ws].tolist()
+        while passes < max_passes:
             passes += 1
-            if d <= kkt_tol * 1e-2:
+            step_max = 0.0
+            for i, d_i in enumerate(d_ws):
+                z = lin_ws[i] - float(g_ws[i]) + d_i * v_ws[i]
+                t = pen_ws[i]
+                new = (z - t if z > t else z + t if z < -t else 0.0) / d_i
+                step = new - v_ws[i]
+                if step != 0.0:
+                    g_ws += cols[i] * step
+                    v_ws[i] = new
+                    step_max = max(step_max, abs(step) * math.sqrt(d_i))
+            if step_max <= 1e-2 * kkt_tol:
                 break
-    return v, kkt_violation() <= kkt_tol, passes
+        v_new = np.array(v_ws)
+        g += gram[:, ws] @ (v_new - v_old)
+        v[ws] = v_new
 
 
 def scaled_lasso(
@@ -138,7 +123,8 @@ def scaled_lasso(
     ||X_j||_2 / sqrt(n) and penalty level sigma * sqrt(2.01 log p / n);
     the sigma-step is the exact minimizer ||Y - X beta||_2 / sqrt(n).
     Stops when sigma changes by less than rel_tol (relative) or after
-    max_outer rounds.
+    max_outer rounds; converged is False if that never happened or if
+    any beta-step ran out of its coordinate-descent pass budget.
     """
     n, p = data.n, data.p
     if n < 2:
@@ -156,11 +142,12 @@ def scaled_lasso(
     sigma = math.sqrt(yty)
     objectives = []
     converged = False
+    inner_ok = True
     it = 0
     for it in range(1, max_outer + 1):
         if sigma <= 0.0:
             break
-        beta, _, _ = _cd_quadratic_l1(
+        beta, ok, _ = _cd_quadratic_l1(
             g,
             b,
             sigma * lam0 * weights,
@@ -168,7 +155,9 @@ def scaled_lasso(
             kkt_tol=1e-10 * max(1.0, sigma),
             max_passes=2000,
         )
-        res2 = max(yty - 2.0 * float(b @ beta) + float(beta @ (g @ beta)), 0.0)
+        inner_ok = inner_ok and ok
+        nz = np.flatnonzero(beta)  # beta is sparse: form beta' G beta on its support
+        res2 = max(yty - 2.0 * float(b @ beta) + float(beta[nz] @ (g[np.ix_(nz, nz)] @ beta[nz])), 0.0)
         sigma_new = math.sqrt(res2)
         objectives.append(
             res2 / (2.0 * sigma_new) + sigma_new / 2.0 + lam0 * float(weights @ np.abs(beta))
@@ -193,7 +182,7 @@ def scaled_lasso(
         beta_hat=beta,
         sigma_hat=max(sigma, sigma_floor),
         iterations=it,
-        converged=converged,
+        converged=converged and inner_ok,
         objectives=tuple(objectives),
     )
 
@@ -210,21 +199,16 @@ def projection_direction(
 
     Solved through the equivalent l1-penalized quadratic
     min_v v'Sv/2 - xi'v + r ||v||_1, whose stationary points satisfy the
-    constrained problem's KKT system.  If no feasible point emerges
-    within the pass budget the zero-direction fallback is returned with
-    feasible = False.
+    constrained problem's KKT system.  The constraint is then checked on
+    a fresh product S u; if it fails (a coordinate with S_jj = 0 and
+    |xi_j| > r can never meet it) or the pass budget runs out, the
+    zero-direction fallback is returned with feasible = False.
     """
     p = sigma_hat.shape[0]
     xi_orig = xi.original()
     norm2 = float(np.linalg.norm(xi_orig))
     radius = c_xi * norm2 * math.sqrt(math.log(p) / n)
     tol = 1e-9 * max(norm2, 1.0)
-
-    diag = np.diag(sigma_hat)
-    dead = diag == 0.0
-    if np.any(dead & (np.abs(xi_orig) > radius + tol)):
-        return ProjectionResult(u_hat=np.zeros(p), feasible=False, radius=radius, objective=0.0)
-
     v, ok, _ = _cd_quadratic_l1(
         sigma_hat,
         xi_orig,
@@ -233,13 +217,15 @@ def projection_direction(
         kkt_tol=tol,
         max_passes=max_passes,
     )
-    if not ok or np.max(np.abs(sigma_hat @ v - xi_orig)) > radius * (1.0 + 1e-8) + tol:
+    nz = np.flatnonzero(v)
+    s_v = sigma_hat[:, nz] @ v[nz]
+    if not ok or np.max(np.abs(s_v - xi_orig)) > radius * (1.0 + 1e-8) + tol:
         return ProjectionResult(u_hat=np.zeros(p), feasible=False, radius=radius, objective=0.0)
     return ProjectionResult(
         u_hat=v,
         feasible=True,
         radius=radius,
-        objective=float(v @ (sigma_hat @ v)),
+        objective=float(v[nz] @ s_v[nz]),
     )
 
 

@@ -298,12 +298,13 @@ def run_size_power(cfg: ExperimentConfig, constants: Constants = Constants()) ->
     theta_alts = [
         null_point(xi, cfg.k, cfg.t0 + tau, cfg.beta_scale, cfg.p, cfg.noise_sd) for tau in taus
     ]
+    theta_point = null_draw_theta(cfg, xi, 0) if cfg.null_source == "point" else None
     problem = TestProblem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
 
     def worker(rep: int):
         out = []
         base = cfg.master_seed
-        theta_null = null_draw_theta(cfg, xi, rep)
+        theta_null = theta_point or null_draw_theta(cfg, xi, rep)
         data_null = generate_dataset(theta_null, cfg.n, seed=base + 1_000_003 * (rep + 1))
         for mode in modes:
             dec = run_single_test(mode, data_null, problem, constants, seed=base + rep, scan_all_m=cfg.scan_all_m)

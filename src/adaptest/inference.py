@@ -26,7 +26,7 @@ from .estimators import (
     scaled_lasso,
 )
 from .model import Dataset, LoadingVector, TestProblem, stream
-from .profiles import regime_and_cutoff, top_norm
+from .profiles import cutoff_and_regime, top_norm
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,6 @@ def debiased_ci(
     k_u: int,
     alpha: float,
     constants: Constants = Constants(),
-    gram: np.ndarray | None = None,
 ) -> ConfidenceInterval:
     """Residual-corrected interval along the projection direction.
 
@@ -201,11 +200,10 @@ def mixed_test(
     data: Dataset,
     problem: TestProblem,
     constants: Constants = Constants(),
-    degree: int = 1,
     scan_all_m: bool = False,
     m_grid_size: int = 32,
 ) -> TestDecision:
-    """Invert the mixed interval at the rate-optimal cutoff.
+    """Invert the mixed interval at the rate-optimal cutoff m_star.
 
     With scan_all_m the cutoff minimizes the realized radius over a
     log-spaced grid of cutoffs (endpoints included) instead of using the
@@ -215,7 +213,6 @@ def mixed_test(
     n, p = data.n, data.p
     gram = sample_cov(data)
     fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n, sigma_floor=constants.sigma_floor)
-    summary = regime_and_cutoff(xi, k_u, n, p, degree)
 
     if scan_all_m:
         grid = _log_grid(p, m_grid_size)
@@ -226,7 +223,7 @@ def mixed_test(
                 best = (m, ci)
         m_used, interval = best
     else:
-        m_used = min(summary.m_star, p)
+        m_used, _ = cutoff_and_regime(k_u, n, p)
         interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta, constants, gram=gram)
     return TestDecision(
         reject=not interval.covers(problem.t0),

@@ -32,15 +32,6 @@ class RankOneGaussian:
             raise ValueError("need ||r|| ||c|| < 1 for a positive definite joint")
 
 
-@dataclass(frozen=True)
-class HermiteIndex:
-    alpha: tuple
-
-    @property
-    def degree(self) -> int:
-        return sum(self.alpha)
-
-
 def hermite_moment(mu, nu, r, c=None) -> float:
     """E[h_mu(U) h_nu(V)] under the rank-one model.
 

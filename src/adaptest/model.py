@@ -9,6 +9,7 @@ theta = (beta, Sigma, sigma) together with the regularity constants
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from dataclasses import dataclass
@@ -102,6 +103,27 @@ class ModelParams:
     @property
     def p(self) -> int:
         return self.beta.size
+
+    @functools.cached_property
+    def design_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of sigma_cov, computed once per model point.
+
+        The identity is its own factor, so identity designs share their
+        covariance array instead of holding a second copy.  A factor that
+        fails is retried once with a 1e-12 relative diagonal jitter.
+        """
+        sigma = self.sigma_cov
+        if np.array_equal(sigma, np.eye(self.p)):
+            return sigma
+        try:
+            return np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError:
+            pass
+        jitter = 1e-12 * np.trace(sigma) / sigma.shape[0]
+        try:
+            return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            raise CholeskyFailure("covariance is not numerically positive definite") from exc
 
     def check(self) -> bool:
         """Eigenvalue window and noise bound, by dense eigendecomposition."""
@@ -197,29 +219,17 @@ def h_inv(theta: ModelParams) -> JointCovariance:
     return JointCovariance(sigma_z=sz)
 
 
-def _cholesky_with_jitter(sigma: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * np.trace(sigma) / sigma.shape[0]
-    try:
-        return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyFailure("covariance is not numerically positive definite") from exc
-
-
 def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     """Draw n rows X_i ~ N(0, Sigma) and Y = X beta + N(0, sigma^2 I).
 
     Bit-reproducible for fixed (seed, n, p): the design is drawn first,
-    then the noise, from a single counter-based stream.
+    then the noise, from a single counter-based stream.  The Cholesky
+    factor of Sigma is theta's cached design_factor.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = stream(seed, 0)
-    chol = _cholesky_with_jitter(theta.sigma_cov)
-    x = rng.standard_normal((n, theta.p)) @ chol.T
+    x = rng.standard_normal((n, theta.p)) @ theta.design_factor.T
     eps = theta.noise_sd * rng.standard_normal(n)
     return Dataset(x=x, y=x @ theta.beta + eps, seed=seed)
 

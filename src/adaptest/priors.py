@@ -506,14 +506,18 @@ def hypergeometric_mgf(p: int, k: int, c: float) -> float:
     k and with the log of the value, and stayed below 1e-12 for k <= 600
     and values up to 1e300.  By Hoeffding's comparison of sampling
     without and with replacement (JASA 1963), the value never exceeds the
-    binomial MGF (1 + (k/p)(p^c - 1))^k.
+    binomial MGF (1 + (k/p)(p^c - 1))^k.  A value beyond the float range
+    is returned as inf, a vacuous bound.
     """
     if k > p / 2:
         raise ValueError("need k <= p/2")
     log_base = c * math.log(p)
     log_term = math.fsum(math.log1p(-k / (p - i)) for i in range(k))
-    terms = [math.exp(log_term)]
-    for j in range(k):
-        log_term += log_base + math.log((k - j) ** 2 / ((j + 1) * (p - 2 * k + j + 1)))
-        terms.append(math.exp(log_term))
-    return math.fsum(terms)
+    try:
+        terms = [math.exp(log_term)]
+        for j in range(k):
+            log_term += log_base + math.log((k - j) ** 2 / ((j + 1) * (p - 2 * k + j + 1)))
+            terms.append(math.exp(log_term))
+        return math.fsum(terms)
+    except OverflowError:  # every term is positive, so the sum overflows too
+        return math.inf

@@ -124,20 +124,23 @@ def effective_sparsity(k_u: int, n: int, p: int, degree: int) -> int:
     return int(math.floor(min(n / lp, k_u**2 / (degree * lp))))
 
 
-def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, p: int, degree: int) -> ProfileSummary:
-    """All profile quantities for a concrete (xi, k_u, n, p, degree).
-
-    The regime boundary k_u = sqrt(n)/log p is classified as ultra-sparse.
-    """
-    if n < 2 or p < 2 or k_u < 1 or degree < 1:
-        raise ValueError("need n, p >= 2, k_u >= 1, degree >= 1")
+def cutoff_and_regime(k_u: int, n: int, p: int) -> tuple[int, str]:
+    """Rate-optimal cutoff m_star and regime: ceil(k_u^2 log p) if ultra-sparse,
+    k_u <= sqrt(n)/log p (boundary included), else ceil(n / log p); capped at p."""
+    if n < 2 or p < 2 or k_u < 1:
+        raise ValueError("need n, p >= 2, k_u >= 1")
     lp = math.log(p)
+    if k_u <= math.sqrt(n) / lp:
+        return min(int(math.ceil(k_u**2 * lp)), p), ULTRA_SPARSE
+    return min(int(math.ceil(n / lp)), p), MODERATELY_SPARSE
+
+
+def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, p: int, degree: int) -> ProfileSummary:
+    """All profile quantities for a concrete (xi, k_u, n, p, degree)."""
+    if degree < 1:
+        raise ValueError("need degree >= 1")
+    m_star, regime = cutoff_and_regime(k_u, n, p)
     zeta, lam = solve_zeta(xi, k_u)
-    ultra = k_u <= math.sqrt(n) / lp
-    if ultra:
-        m_star = min(int(math.ceil(k_u**2 * lp)), p)
-    else:
-        m_star = min(int(math.ceil(n / lp)), p)
     k_eff = effective_sparsity(k_u, n, p, degree)
     return ProfileSummary(
         zeta=zeta,
@@ -148,7 +151,7 @@ def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, p: int, degree: int) 
         k_eff=k_eff,
         nu3=top_norm(xi, k_eff),
         m_star=m_star,
-        regime=ULTRA_SPARSE if ultra else MODERATELY_SPARSE,
+        regime=regime,
     )
 
 

@@ -2,21 +2,86 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adaptest import estimators
 from adaptest.errors import BudgetExceeded, ZeroResidualDegenerate
 from adaptest.estimators import (
+    _cd_quadratic_l1,
     gamma_block,
     projection_direction,
     sample_cov,
     scaled_lasso,
     spiked_cov_estimate,
 )
-from adaptest.model import Dataset, ModelParams, generate_dataset, make_loading, stream
+from adaptest.model import Dataset, ModelParams, dataset_to_bytes, generate_dataset, make_loading, stream
 
 
 def orthonormal_design(n, p, seed):
     q, _ = np.linalg.qr(stream(seed, 0).standard_normal((n, n)))
     return q[:, :p] * math.sqrt(n)
+
+
+def random_design(seed, n, p, dead):
+    """Gaussian rows with correlated columns; the first `dead` columns are zero."""
+    rng = stream(seed, 0)
+    x = rng.standard_normal((n, p)) @ (np.eye(p) + 0.5 * rng.standard_normal((p, p)))
+    x[:, :dead] = 0.0
+    return x, rng
+
+
+class TestCoordinateDescentKKT:
+    """Certificates at the returned point: for every coordinate with
+    G_jj > 0, |lin_j - (Gv)_j - pen_j sign(v_j)| <= tol where v_j != 0 and
+    |lin_j - (Gv)_j| <= pen_j + tol where v_j = 0."""
+
+    @staticmethod
+    def kkt_violation(gram, lin, pen, v):
+        r = lin - gram @ v
+        viol = np.where(v != 0.0, np.abs(r - pen * np.sign(v)), np.abs(r) - pen)
+        return float(np.max(viol[np.diag(gram) > 0.0], initial=0.0))
+
+    @given(
+        seed=st.integers(0, 10**6),
+        p=st.integers(1, 12),
+        n=st.integers(1, 30),
+        dead=st.integers(0, 3),
+        constant_pen=st.booleans(),
+        level=st.floats(0.01, 2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_returned_point_satisfies_kkt(self, seed, p, n, dead, constant_pen, level):
+        dead = min(dead, p)
+        x, rng = random_design(seed, n, p, dead)
+        gram = sample_cov(Dataset(x=x, y=np.zeros(n)))
+        # lin in the row space of X keeps the objective bounded below
+        lin = x.T @ rng.standard_normal(n) / n
+        pen = np.full(p, level) if constant_pen else level * rng.uniform(0.1, 1.0, p)
+        tol = 1e-9
+        v, converged, passes = _cd_quadratic_l1(gram, lin, pen, np.zeros(p), kkt_tol=tol, max_passes=100_000)
+        assert converged
+        assert passes <= 100_000
+        assert np.all(v[:dead] == 0.0)
+        assert self.kkt_violation(gram, lin, pen, v) <= tol + 1e-12
+
+    def test_pass_budget_exhausted_is_reported(self):
+        x, rng = random_design(3, 40, 10, 0)
+        gram = sample_cov(Dataset(x=x, y=np.zeros(40)))
+        lin = x.T @ rng.standard_normal(40) / 40
+        v, converged, passes = _cd_quadratic_l1(gram, lin, np.full(10, 1e-3), np.zeros(10), 1e-12, 1)
+        assert not converged
+        assert passes == 1
+
+    def test_scaled_lasso_reports_inner_budget(self, monkeypatch):
+        core = estimators._cd_quadratic_l1
+        monkeypatch.setattr(
+            estimators, "_cd_quadratic_l1", lambda *a, **kw: core(*a, **{**kw, "max_passes": 1})
+        )
+        x, rng = random_design(5, 60, 15, 0)
+        y = x[:, :3] @ np.array([2.0, -1.0, 1.0]) + rng.standard_normal(60)
+        fit = scaled_lasso(Dataset(x=x, y=y))
+        assert not fit.converged
 
 
 class TestScaledLasso:
@@ -68,6 +133,22 @@ class TestScaledLasso:
         # envelope constant 1.5 on top of 1.5 sqrt(2 log p / n) = 0.184
         assert np.median(errs) <= 1.5 * 1.5 * math.sqrt(2 * math.log(p) / n)
         assert np.median(sig_errs) <= 0.15
+
+
+class TestGenerateDataset:
+    @given(seed=st.integers(0, 2**32), rho=st.sampled_from([0.0, 0.3, -0.6]))
+    @settings(max_examples=20, deadline=None)
+    def test_second_call_is_byte_identical(self, seed, rho):
+        p = 6
+        cov = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=cov, noise_sd=0.5)
+        first = dataset_to_bytes(generate_dataset(theta, 9, seed))
+        factor = theta.design_factor
+        second = dataset_to_bytes(generate_dataset(theta, 9, seed))
+        fresh = ModelParams(beta=theta.beta, sigma_cov=cov.copy(), noise_sd=0.5)
+        assert theta.design_factor is factor
+        assert first == second == dataset_to_bytes(generate_dataset(fresh, 9, seed))
+        assert np.allclose(factor @ factor.T, cov, atol=1e-14)
 
 
 class TestSampleCov:
@@ -132,6 +213,25 @@ class TestProjectionDirection:
         active = np.abs(res.u_hat) > 1e-8
         assert np.all(np.abs(slack[active] - res.radius) < 1e-6)
         assert np.max(slack) <= res.radius * (1 + 1e-8) + 1e-9
+
+    @given(
+        seed=st.integers(0, 10**6),
+        p=st.integers(2, 12),
+        n=st.integers(2, 40),
+        dead=st.integers(0, 2),
+        c_xi=st.floats(0.05, 3.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_feasible_flag_certifies_constraint(self, seed, p, n, dead, c_xi):
+        x, rng = random_design(seed, n, p, min(dead, p - 1))
+        s = sample_cov(Dataset(x=x, y=np.zeros(n)))
+        xi = make_loading(rng.standard_normal(p))
+        res = projection_direction(s, xi, c_xi, n)
+        if res.feasible:
+            tol = 1e-9 * max(float(np.linalg.norm(xi.original())), 1.0)
+            assert np.max(np.abs(s @ res.u_hat - xi.original())) <= res.radius * (1 + 1e-8) + tol
+        else:
+            assert np.all(res.u_hat == 0.0)
 
     def test_infeasible_detection(self):
         # rank-one gram cannot reproduce a generic loading at tiny radius

@@ -263,3 +263,7 @@ class TestHypergeometricMGF:
     def test_monotone_in_c(self):
         vals = [pri.hypergeometric_mgf(100, 5, c) for c in (0.01, 0.1, 0.3)]
         assert vals[0] < vals[1] < vals[2]
+
+    def test_overflow_is_infinite(self):
+        # the value lies far beyond the float range: a vacuous bound, not a crash
+        assert pri.hypergeometric_mgf(10**6, 5 * 10**5, 0.05) == math.inf
