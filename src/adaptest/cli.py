@@ -4,18 +4,19 @@
              [--seed N] [--out DIR] [--emit-plotdata]
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Every command reads a flat key = value config file (schema in the
-README), writes CSV results into the output directory, and drops a JSON
-sidecar of the resolved configuration next to them.
+Every command reads a flat key = value config file into its dataclass
+below (`harness.parse_config`; schema in the README), writes CSV results
+into the output directory, and drops a JSON sidecar of the resolved
+configuration next to them (`harness.write_outputs`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import io
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,10 @@ import numpy as np
 from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
 from .estimators import projection_direction, sample_cov, scaled_lasso, spiked_cov_estimate
+from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list
 from .inference import Constants
 from .lowdeg import ld_norm, ld_uniform_bound
-from .model import JointCovariance, dataset_from_csv, make_loading
+from .model import JointCovariance, TestProblem, dataset_from_csv, dataset_to_csv
 from .priors import (
     chi2_mixture_mc,
     chi2_pair_closed_form,
@@ -33,125 +35,117 @@ from .priors import (
     sample_nu1_prior,
     sample_nu2_prior,
 )
-from .profiles import example_profiles, nu1 as nu1_value
+from .profiles import nu1 as nu1_value
 
 
-def _parse_kv(text: str) -> dict[str, str]:
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = body.split("=", 1)
-        out[key.strip()] = raw.strip()
-    return out
+@dataclass(kw_only=True)
+class ProfileConfig(LoadingConfig):
+    n: int
+    degree: int = 1
+    hcurve_points: int = 64
 
 
-class Spec:
-    """Typed access to a key = value mapping with unknown-key detection."""
-
-    def __init__(self, kv: dict[str, str], allowed: set[str]):
-        unknown = set(kv) - allowed
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        self.kv = kv
-
-    def get(self, key: str, typ, default=None, required: bool = False):
-        if key not in self.kv:
-            if required:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        raw = self.kv[key]
-        if typ is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ConfigError(f"cannot parse boolean {key} = {raw!r}")
-        try:
-            return typ(raw)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse {key} = {raw!r}") from exc
-
-    def floats(self, key: str, default: str) -> list[float]:
-        raw = self.kv.get(key, default)
-        return [float(v) for v in raw.split(",") if v != ""]
+@dataclass(kw_only=True)
+class DataConfig(LoadingConfig):
+    data_csv: str
+    p: int | None = None  # set from data_csv; a given p must agree with it
+    sigma_floor: float = 0.0
 
 
-_LOADING_KEYS = {"loading", "loading_k", "loading_a", "loading_l", "loading_q", "loading_csv", "p", "k_u"}
+@dataclass(kw_only=True)
+class FitConfig(DataConfig):
+    c_xi: float = 2.0
+    fit_spiked: bool = False
+    gamma_star: float = 3.0
 
 
-def _loading(spec: Spec, seed: int, p: int, k_u: int):
-    csv = spec.get("loading_csv", str, "")
-    if csv:
-        raw = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=1)
-        return make_loading(raw)
-    kind = spec.get("loading", str, "regular")
-    params = {
-        "K": spec.get("loading_k", int, min(k_u, p)),
-        "a": spec.get("loading_a", float, 1.0),
-        "k_u": k_u,
-        "L": spec.get("loading_l", int, 2),
-        "q": spec.get("loading_q", float, 2.0),
-        "p": p,
-    }
-    return example_profiles(kind, params, seed)
+@dataclass(kw_only=True)
+class TestCmdConfig(DataConfig):
+    t0: float = 0.0
+    alpha: float = 0.05
+    eta: float = 0.05
+    mode: str = "mixed"
+    scan_all_m: bool = False
 
 
-def _outdir(out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+@dataclass(kw_only=True)
+class PriorConfig(LoadingConfig):
+    kind: str
+    n: int
+    draws: int = 100
+    degree: int = 1
+    sigma_star: float = 5.0
+    tau: float | None = None  # nu1; unset means (c4 c5 / 4) nu1(xi) / sqrt(n)
+    c1: float = 0.05
+    c2: float | None = None
+    c4: float = 0.1
+    c5: float = 0.5
+    c8: float = 0.05
+    c9: float | None = None
+    chi2_reps: int = 0
 
 
-def _digest(kv: dict[str, str], seed: int) -> str:
-    import hashlib
+@dataclass(kw_only=True)
+class LowdegConfig(LoadingConfig):
+    n: int
+    k_eff: int
+    k_u: int = 1
+    s1: int = 1
+    degree_max: int = 2
+    pairs: int = 20
+    c8: float = 0.4
+    c9: float = 0.05
+    sigma_star: float = 1.0
 
-    canon = json.dumps({**kv, "__seed": seed}, sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+@dataclass(kw_only=True)
+class SccaConfig(RunConfig):
+    mode: str
+    n: int
+    s: int
+    p1: int
+    p2: int
+    lam: float = 0.0
+    hypothesis: str = "null"
+    t0: float = 0.0
+    sigma_star: float = 1.0
+    c10: float = 0.1
+    big_c: float = 1.0
+    calib_reps: int = 400
+    reps: int = 200
+    lam_grid: str = "0.05,0.1,0.2"
+    level: float = 0.05
+    alpha: float = 0.05
+    eta: float = 0.05
 
 
-def _sidecar(out: Path, stem: str, kv: dict[str, str], seed: int) -> None:
-    (out / f"{stem}.json").write_text(json.dumps({**kv, "master_seed": str(seed)}, indent=2, sort_keys=True) + "\n")
+def _read_dataset(cfg: DataConfig):
+    """The dataset at cfg.data_csv, and cfg with p set to its width."""
+    with open(cfg.data_csv) as fh:
+        data = dataset_from_csv(fh)
+    if cfg.p is not None and cfg.p != data.p:
+        raise ConfigError(f"p = {cfg.p} but {cfg.data_csv} has {data.p} columns")
+    return data, replace(cfg, p=data.p)
 
 
-def cmd_profile(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) -> None:
-    spec = Spec(kv, _LOADING_KEYS | {"n", "degree", "hcurve_points"})
-    n = spec.get("n", int, required=True)
-    p = spec.get("p", int, required=True)
-    k_u = spec.get("k_u", int, required=True)
-    degree = spec.get("degree", int, 1)
-    xi = _loading(spec, seed, p, k_u)
-    s = profiles.regime_and_cutoff(xi, k_u, n, p, degree)
-    upper, lower = profiles.rate_bounds(xi, k_u, n, p)
-    out = _outdir(out_dir)
-    stem = f"profile_{_digest(kv, seed)}"
+def cmd_profile(cfg: ProfileConfig):
+    xi = build_loading(cfg)
+    s = profiles.regime_and_cutoff(xi, cfg.k_u, cfg.n, cfg.p, cfg.degree)
+    upper, lower = profiles.rate_bounds(xi, cfg.k_u, cfg.n, cfg.p)
     head = "zeta,lambda,j1,nu1,nu2,k_eff,nu3,m_star,regime,upper,lower\n"
     row = ",".join(
         [repr(s.zeta), repr(s.lam), str(s.j1), repr(s.nu1), repr(s.nu2), str(s.k_eff), repr(s.nu3), str(s.m_star), s.regime, repr(upper), repr(lower)]
     )
-    (out / f"{stem}.csv").write_text(head + row + "\n")
-    npts = spec.get("hcurve_points", int, 64)
-    tgrid = np.unique(np.geomspace(1, xi.p, num=npts).round().astype(int))
-    lines = ["t,h\n"] + [f"{t},{repr(profiles.top_norm(xi, float(t)))}\n" for t in tgrid]
-    (out / f"{stem}_hcurve.csv").write_text("".join(lines))
-    _sidecar(out, stem, kv, seed)
-    print(f"wrote {out / (stem + '.csv')}")
+    tgrid = np.unique(np.geomspace(1, xi.p, num=cfg.hcurve_points).round().astype(int))
+    hcurve = "".join(["t,h\n"] + [f"{t},{repr(profiles.top_norm(xi, float(t)))}\n" for t in tgrid])
+    return cfg, "profile", {".csv": head + row + "\n", "_hcurve.csv": hcurve}
 
 
-def cmd_fit(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) -> None:
-    spec = Spec(kv, _LOADING_KEYS | {"data_csv", "c_xi", "fit_spiked", "gamma_star", "sigma_floor"})
-    path = spec.get("data_csv", str, required=True)
-    with open(path) as fh:
-        data = dataset_from_csv(fh)
-    k_u = spec.get("k_u", int, required=True)
-    c_xi = spec.get("c_xi", float, 2.0)
-    fit = scaled_lasso(data, sigma_floor=spec.get("sigma_floor", float, 0.0))
-    xi = _loading(spec, seed, data.p, k_u)
-    proj = projection_direction(sample_cov(data), xi, c_xi, data.n)
+def cmd_fit(cfg: FitConfig):
+    data, cfg = _read_dataset(cfg)
+    xi = build_loading(cfg)
+    fit = scaled_lasso(data, sigma_floor=cfg.sigma_floor)
+    proj = projection_direction(sample_cov(data), xi, cfg.c_xi, data.n)
     support = np.flatnonzero(fit.beta_hat)
     fields = {
         "sigma_hat": repr(fit.sigma_hat),
@@ -162,261 +156,155 @@ def cmd_fit(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) ->
         "u_objective": repr(proj.objective),
         "u_feasible": str(proj.feasible),
     }
-    if spec.get("fit_spiked", bool, False):
-        spk = spiked_cov_estimate(data, k_u, spec.get("gamma_star", float, 3.0))
+    if cfg.fit_spiked:
+        spk = spiked_cov_estimate(data, cfg.k_u, cfg.gamma_star)
         fields["b_hat"] = ";".join(map(str, spk.b_hat))
         fields["fell_back_identity"] = str(spk.fell_back_identity)
-    out = _outdir(out_dir)
-    stem = f"fit_{_digest(kv, seed)}"
-    (out / f"{stem}.csv").write_text(",".join(fields) + "\n" + ",".join(fields.values()) + "\n")
-    _sidecar(out, stem, kv, seed)
-    print(f"wrote {out / (stem + '.csv')}")
+    return cfg, "fit", {".csv": ",".join(fields) + "\n" + ",".join(fields.values()) + "\n"}
 
 
-def cmd_test(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) -> None:
-    spec = Spec(kv, _LOADING_KEYS | {"data_csv", "t0", "alpha", "eta", "mode", "scan_all_m", "sigma_floor"})
-    path = spec.get("data_csv", str, required=True)
-    with open(path) as fh:
-        data = dataset_from_csv(fh)
-    k_u = spec.get("k_u", int, required=True)
-    xi = _loading(spec, seed, data.p, k_u)
-    from .model import TestProblem
-
-    problem = TestProblem(
-        xi=xi,
-        t0=spec.get("t0", float, 0.0),
-        k_u=k_u,
-        alpha=spec.get("alpha", float, 0.05),
-        eta=spec.get("eta", float, 0.05),
-    )
-    mode = spec.get("mode", str, "mixed")
-    constants = Constants(sigma_floor=spec.get("sigma_floor", float, 0.0))
-    dec = harness.run_single_test(mode, data, problem, constants, seed, spec.get("scan_all_m", bool, False))
+def cmd_test(cfg: TestCmdConfig):
+    data, cfg = _read_dataset(cfg)
+    problem = TestProblem(xi=build_loading(cfg), t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
+    constants = Constants(sigma_floor=cfg.sigma_floor)
+    dec = harness.run_single_test(cfg.mode, data, problem, constants, cfg.master_seed, cfg.scan_all_m)
     budget = ";".join(f"{k}:{repr(v)}" for k, v in dec.interval.budget.items())
-    out = _outdir(out_dir)
-    stem = f"test_{_digest(kv, seed)}"
-    (out / f"{stem}.csv").write_text(
+    table = (
         "mode,reject,center,radius,m_used,level,budget\n"
-        f"{mode},{int(dec.reject)},{repr(dec.interval.center)},{repr(dec.interval.radius)},{dec.m_used},{repr(dec.interval.level)},{budget}\n"
+        f"{cfg.mode},{int(dec.reject)},{repr(dec.interval.center)},{repr(dec.interval.radius)},{dec.m_used},{repr(dec.interval.level)},{budget}\n"
     )
-    _sidecar(out, stem, kv, seed)
-    print(f"wrote {out / (stem + '.csv')}")
+    return cfg, "test", {".csv": table}
 
 
-def cmd_prior(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) -> None:
-    spec = Spec(
-        kv,
-        _LOADING_KEYS
-        | {"kind", "draws", "n", "degree", "sigma_star", "tau", "c1", "c2", "c4", "c5", "c8", "c9", "chi2_reps"},
-    )
-    kind = spec.get("kind", str, required=True)
-    draws = spec.get("draws", int, 100)
-    n = spec.get("n", int, required=True)
-    p = spec.get("p", int, required=True)
-    k_u = spec.get("k_u", int, required=True)
-    sigma_star = spec.get("sigma_star", float, 5.0)
-    xi = _loading(spec, seed, p, k_u)
-
-    if kind == "nu2":
+def cmd_prior(cfg: PriorConfig):
+    xi = build_loading(cfg)
+    k_u, n, p, sigma_star = cfg.k_u, cfg.n, cfg.p, cfg.sigma_star
+    if cfg.kind == "nu2":
         def sampler(s):
-            return sample_nu2_prior(
-                xi, k_u, n, p, sigma_star,
-                c1=spec.get("c1", float, 0.05),
-                c2=spec.get("c2", float, None),
-                seed=s,
-            )
-    elif kind == "nu1":
-        tau = spec.get("tau", float, None)
+            return sample_nu2_prior(xi, k_u, n, p, sigma_star, c1=cfg.c1, c2=cfg.c2, seed=s)
+    elif cfg.kind == "nu1":
+        tau = cfg.tau
         if tau is None:
-            c4 = spec.get("c4", float, 0.1)
-            c5 = spec.get("c5", float, 0.5)
-            tau = (c4 * c5 / 4.0) * nu1_value(xi, k_u) / math.sqrt(n)
+            tau = (cfg.c4 * cfg.c5 / 4.0) * nu1_value(xi, k_u) / math.sqrt(n)
         def sampler(s):
-            return sample_nu1_prior(
-                xi, k_u, n, tau,
-                c4=spec.get("c4", float, 0.1),
-                c5=spec.get("c5", float, 0.5),
-                seed=s, sigma_star=sigma_star,
-            )
-    elif kind == "comp":
+            return sample_nu1_prior(xi, k_u, n, tau, c4=cfg.c4, c5=cfg.c5, seed=s, sigma_star=sigma_star)
+    elif cfg.kind == "comp":
         def sampler(s):
-            return sample_comp_prior(
-                xi, k_u, n, p, spec.get("degree", int, 1),
-                c8=spec.get("c8", float, 0.05),
-                c9=spec.get("c9", float, None),
-                seed=s, sigma_star=sigma_star,
-            )
+            return sample_comp_prior(xi, k_u, n, p, cfg.degree, c8=cfg.c8, c9=cfg.c9, seed=s, sigma_star=sigma_star)
     else:
-        raise ConfigError(f"unknown prior kind {kind!r}")
+        raise ConfigError(f"unknown prior kind {cfg.kind!r}")
 
     lines = ["draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason\n"]
-    for i in range(draws):
-        d = sampler(seed + i)
+    for i in range(cfg.draws):
+        d = sampler(cfg.master_seed + i)
         lines.append(
             f"{i},{repr(d.kappa)},{d.sparsity},{repr(d.eig_min)},{repr(d.eig_max)},"
             f"{repr(d.constraint_residual(xi))},{repr(d.noise_sd)},{int(d.valid)},{d.reason}\n"
         )
-    out = _outdir(out_dir)
-    stem = f"prior_{_digest(kv, seed)}"
-    (out / f"{stem}.csv").write_text("".join(lines))
-
-    chi2_reps = spec.get("chi2_reps", int, 0)
-    if chi2_reps >= 100:
+    tables = {".csv": "".join(lines)}
+    if cfg.chi2_reps >= 100:
         ref = JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
-        est, se = chi2_mixture_mc(sampler, ref, n, chi2_reps, seed + 10_000, valid_only=True)
-        (out / f"{stem}_chi2.csv").write_text(f"estimate,se\n{repr(est)},{repr(se)}\n")
-    _sidecar(out, stem, kv, seed)
-    print(f"wrote {out / (stem + '.csv')}")
+        est, se = chi2_mixture_mc(sampler, ref, n, cfg.chi2_reps, cfg.master_seed + 10_000, valid_only=True)
+        tables["_chi2.csv"] = f"estimate,se\n{repr(est)},{repr(se)}\n"
+    return cfg, "prior", tables
 
 
-def cmd_lowdeg(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) -> None:
-    spec = Spec(
-        kv,
-        _LOADING_KEYS | {"n", "degree_max", "pairs", "k_eff", "s1", "c8", "c9", "sigma_star"},
-    )
-    n = spec.get("n", int, required=True)
-    p = spec.get("p", int, required=True)
-    k_u = spec.get("k_u", int, 1)
-    k_eff = spec.get("k_eff", int, required=True)
-    s1 = spec.get("s1", int, 1)
-    degree_max = spec.get("degree_max", int, 2)
-    pairs = spec.get("pairs", int, 20)
-    sigma_star = spec.get("sigma_star", float, 1.0)
-    xi = _loading(spec, seed, p, k_u)
-
-    def sampler(s):
-        return sample_comp_prior(
-            xi, k_u, n, p, 1,
-            c8=spec.get("c8", float, 0.4),
-            c9=spec.get("c9", float, 0.05),
-            seed=s, sigma_star=sigma_star,
-            k_eff_override=k_eff, s1_override=s1, allow_tiny=True,
-        )
-
+def cmd_lowdeg(cfg: LowdegConfig):
+    xi = build_loading(cfg)
+    n, p, seed = cfg.n, cfg.p, cfg.master_seed
     draws = []
     s = seed
-    while len(draws) < 2 * pairs:
-        d = sampler(s)
+    while len(draws) < 2 * cfg.pairs:
+        d = sample_comp_prior(
+            xi, cfg.k_u, n, p, 1, c8=cfg.c8, c9=cfg.c9, seed=s, sigma_star=cfg.sigma_star,
+            k_eff_override=cfg.k_eff, s1_override=cfg.s1, allow_tiny=True,
+        )
         s += 1
         if d.valid:
             draws.append(d)
-        if s - seed > 100 * pairs:
+        if s - seed > 100 * cfg.pairs:
             raise AdaptestError("rejection sampling stalled; loosen the prior constants")
     pair_list = [(draws[i], draws[i + 1]) for i in range(0, len(draws) - 1, 2)]
     chi2_ref = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in pair_list])) - 1.0
     lines = ["degree,ld,chi2_ref,log_uniform_bound\n"]
-    for deg in range(degree_max + 1):
+    for deg in range(cfg.degree_max + 1):
         val = ld_norm(draws, deg, n)
         bound = ld_uniform_bound(n, p, max(deg, 1))
         lines.append(f"{deg},{repr(val)},{repr(chi2_ref)},{repr(bound)}\n")
-    out = _outdir(out_dir)
-    stem = f"lowdeg_{_digest(kv, seed)}"
-    (out / f"{stem}.csv").write_text("".join(lines))
-    _sidecar(out, stem, kv, seed)
-    print(f"wrote {out / (stem + '.csv')}")
+    return cfg, "lowdeg", {".csv": "".join(lines)}
 
 
-def cmd_scca(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) -> None:
-    spec = Spec(
-        kv,
-        {"mode", "n", "s", "p1", "p2", "lam", "hypothesis", "t0", "sigma_star", "c10",
-         "big_c", "calib_reps", "reps", "lam_grid", "level", "alpha", "eta"},
-    )
-    mode = spec.get("mode", str, required=True)
-    params = scca.SccaParams(
-        n=spec.get("n", int, required=True),
-        s=spec.get("s", int, required=True),
-        p1=spec.get("p1", int, required=True),
-        p2=spec.get("p2", int, required=True),
-        lam=spec.get("lam", float, 0.0),
-    )
-    out = _outdir(out_dir)
-    stem = f"scca_{mode}_{_digest(kv, seed)}"
-
-    if mode == "generate":
-        inst = scca.gen_scca(params, spec.get("hypothesis", str, "null"), seed)
+def cmd_scca(cfg: SccaConfig):
+    params = scca.SccaParams(n=cfg.n, s=cfg.s, p1=cfg.p1, p2=cfg.p2, lam=cfg.lam)
+    seed = cfg.master_seed
+    tables = {}
+    if cfg.mode == "generate":
+        inst = scca.gen_scca(params, cfg.hypothesis, seed)
         cols = [f"u1_{j + 1}" for j in range(params.p1)] + [f"u2_{j + 1}" for j in range(params.p2)]
         lines = [",".join(cols) + "\n"]
         for i in range(inst.rows):
             lines.append(",".join(repr(v) for v in np.concatenate((inst.u1[i], inst.u2[i]))) + "\n")
-        (out / f"{stem}.csv").write_text("".join(lines))
-    elif mode == "reduce":
-        inst = scca.gen_scca(params, spec.get("hypothesis", str, "null"), seed)
+        tables[".csv"] = "".join(lines)
+    elif cfg.mode == "reduce":
+        inst = scca.gen_scca(params, cfg.hypothesis, seed)
         ds, problem, tau_red = scca.reduce_to_lt(
-            inst,
-            spec.get("sigma_star", float, 1.0),
-            spec.get("c10", float, 0.1),
-            spec.get("t0", float, 0.0),
-            seed + 1,
-            alpha=spec.get("alpha", float, 0.05),
-            eta=spec.get("eta", float, 0.05),
+            inst, cfg.sigma_star, cfg.c10, cfg.t0, seed + 1, alpha=cfg.alpha, eta=cfg.eta
         )
-        from .model import dataset_to_csv
-
-        with open(out / f"{stem}.csv", "w") as fh:
-            dataset_to_csv(ds, fh)
-        (out / f"{stem}_problem.csv").write_text(
+        buf = io.StringIO()
+        dataset_to_csv(ds, buf)
+        tables[".csv"] = buf.getvalue()
+        tables["_problem.csv"] = (
             "t0,k_u,k_xi,tau_red,alpha,eta\n"
             f"{repr(problem.t0)},{problem.k_u},{problem.xi.k_xi},{repr(tau_red)},{repr(problem.alpha)},{repr(problem.eta)}\n"
         )
-    elif mode == "stats":
-        inst = scca.gen_scca(params, spec.get("hypothesis", str, "null"), seed)
-        thr = scca.thresholds(inst.rows, params.s, params.p1, params.p2, spec.get("big_c", float, 1.0))
+    elif cfg.mode == "stats":
+        inst = scca.gen_scca(params, cfg.hypothesis, seed)
+        thr = scca.thresholds(inst.rows, params.s, params.p1, params.p2, cfg.big_c)
         rep = scca.stat_report(inst, params.s, thr)
         lines = ["statistic,value,threshold,decision\n"]
         for k in scca.STATISTICS:
             lines.append(f"{k},{repr(rep.values[k])},{repr(rep.thresholds[k])},{int(rep.decisions[k])}\n")
-        (out / f"{stem}.csv").write_text("".join(lines))
-    elif mode == "sweep":
-        calib = spec.get("calib_reps", int, 400)
-        reps = spec.get("reps", int, 200)
-        level = spec.get("level", float, 0.05)
-        thr = scca.calibrate_thresholds(params, calib, seed, level)
+        tables[".csv"] = "".join(lines)
+    elif cfg.mode == "sweep":
+        thr = scca.calibrate_thresholds(params, cfg.calib_reps, seed, cfg.level)
         lines = ["lam,statistic,power,se\n"]
-        for lam in spec.floats("lam_grid", "0.05,0.1,0.2"):
-            pa = scca.SccaParams(n=params.n, s=params.s, p1=params.p1, p2=params.p2, lam=lam)
+        for lam in float_list(cfg.lam_grid):
+            pa = replace(params, lam=lam)
             hits = {k: 0 for k in scca.STATISTICS}
-            for i in range(reps):
+            for i in range(cfg.reps):
                 inst = scca.gen_scca(pa, "alt", seed + 10_000 + i)
                 rep = scca.stat_report(inst, params.s, thr)
                 for k in scca.STATISTICS:
                     hits[k] += int(rep.decisions[k])
             for k in scca.STATISTICS:
-                pw = hits[k] / reps
-                lines.append(f"{repr(lam)},{k},{repr(pw)},{repr(math.sqrt(max(pw * (1 - pw), 0.0) / reps))}\n")
-        (out / f"{stem}.csv").write_text("".join(lines))
+                pw = hits[k] / cfg.reps
+                lines.append(f"{repr(lam)},{k},{repr(pw)},{repr(math.sqrt(max(pw * (1 - pw), 0.0) / cfg.reps))}\n")
+        tables[".csv"] = "".join(lines)
     else:
-        raise ConfigError(f"unknown scca mode {mode!r}")
-    _sidecar(out, stem, kv, seed)
-    print(f"wrote {out / (stem + '.csv')}")
+        raise ConfigError(f"unknown scca mode {cfg.mode!r}")
+    return cfg, f"scca_{cfg.mode}", tables
 
 
-def cmd_simulate(kv: dict[str, str], out_dir: str, seed: int, emit_plotdata: bool) -> None:
-    cfg = harness.parse_config("\n".join(f"{k} = {v}" for k, v in kv.items()))
-    if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
+def cmd_simulate(cfg: ExperimentConfig, emit_plotdata: bool):
     rows = harness.run_experiment(cfg)
-    out = _outdir(out_dir)
-    digest = harness.config_digest(cfg)
-    stem = f"simulate_{cfg.kind}_{digest}"
-    (out / f"{stem}.csv").write_text(harness.rows_to_csv(rows))
-    (out / f"{stem}.json").write_text(json.dumps(asdict(cfg), indent=2, sort_keys=True) + "\n")
+    tables = {".csv": harness.rows_to_csv(rows)}
     if emit_plotdata:
         lines = ["series,x,y,se\n"]
         for series, x, y, se in harness.plotdata_rows(rows):
             lines.append(f"{series},{repr(x)},{repr(y)},{repr(se)}\n")
-        (out / f"{stem}_plotdata.csv").write_text("".join(lines))
-    print(f"wrote {out / (stem + '.csv')}")
+        tables["_plotdata.csv"] = "".join(lines)
+    return cfg, f"simulate_{cfg.kind}", tables
 
 
+# command -> (config schema, runner returning (resolved config, file prefix, {suffix: table}))
 _DISPATCH = {
-    "profile": cmd_profile,
-    "fit": cmd_fit,
-    "test": cmd_test,
-    "prior": cmd_prior,
-    "lowdeg": cmd_lowdeg,
-    "scca": cmd_scca,
-    "simulate": cmd_simulate,
+    "profile": (ProfileConfig, cmd_profile),
+    "fit": (FitConfig, cmd_fit),
+    "test": (TestCmdConfig, cmd_test),
+    "prior": (PriorConfig, cmd_prior),
+    "lowdeg": (LowdegConfig, cmd_lowdeg),
+    "scca": (SccaConfig, cmd_scca),
+    "simulate": (ExperimentConfig, cmd_simulate),
 }
 
 
@@ -428,23 +316,20 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     parser.add_argument("--emit-plotdata", action="store_true")
     args = parser.parse_args(argv)
+    schema, command = _DISPATCH[args.command]
 
     try:
+        if args.emit_plotdata and command is not cmd_simulate:
+            raise ConfigError("--emit-plotdata applies to simulate only")
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        kv = _parse_kv(text)
-        seed = args.seed
-        if seed is None:
-            seed = int(kv.get("master_seed", "0"))
-        if args.command != "simulate":
-            kv.pop("master_seed", None)
-            kv.pop("out", None)
-        out_dir = args.out
-        if out_dir is None:
-            out_dir = kv.get("out", ".") if args.command == "simulate" else "."
-        _DISPATCH[args.command](kv, out_dir, seed, args.emit_plotdata)
+        cfg = harness.parse_config(text, schema)
+        flags = {"master_seed": args.seed, "out": args.out}
+        cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+        result = cmd_simulate(cfg, args.emit_plotdata) if command is cmd_simulate else command(cfg)
+        print(f"wrote {harness.write_outputs(*result)}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

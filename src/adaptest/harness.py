@@ -2,7 +2,8 @@
 for size/power, interval-length sweeps and phase diagrams, and result
 tables.
 
-A configuration is a flat key = value text file.  Results are rows
+Every command's configuration is a flat key = value text file, parsed
+into that command's dataclass by `parse_config`.  Results are rows
 (config digest, replicate, metric, value, se); per-replicate rows carry
 no standard error, aggregate rows (replicate -1) carry a binomial or
 delta-method one.  Replicates fan out over a thread pool but each owns
@@ -19,6 +20,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -33,16 +35,45 @@ from .inference import (
     mixed_test,
     plugin_ci,
     spiked_ci,
+    split_half,
 )
 from .model import Dataset, LoadingVector, ModelParams, TestProblem, generate_dataset, make_loading
 from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior
 from .profiles import example_profiles, nu1 as nu1_value, regular_phase
 
-TEST_MODES = ("mixed", "plugin", "debiased", "known_sigma", "spiked")
+
+@dataclass(kw_only=True)
+class RunConfig:
+    """Keys every command accepts: the seed of its random streams and the
+    output directory."""
+
+    master_seed: int = 0
+    out: str = "."
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class LoadingConfig(RunConfig):
+    """Problem size and the loading spec read by `build_loading`;
+    `loading_k` defaults to min(k_u, p) once p is known."""
+
+    p: int
+    k_u: int
+    loading: str = "regular"
+    loading_k: int | None = None
+    loading_a: float = 1.0
+    loading_l: int = 2
+    loading_q: float = 2.0
+    loading_csv: str = ""
+
+    def __post_init__(self):
+        if self.loading_k is None and self.p is not None:
+            self.loading_k = min(self.k_u, self.p)
+
+
+@dataclass(kw_only=True)
+class ExperimentConfig(LoadingConfig):
+    """The `simulate` schema."""
+
     kind: str = "size_power"
     n: int = 200
     p: int = 100
@@ -52,17 +83,9 @@ class ExperimentConfig:
     alpha: float = 0.05
     eta: float = 0.05
     reps: int = 100
-    master_seed: int = 0
     threads: int = 1
-    out: str = "."
     modes: str = "mixed"
-    loading: str = "regular"
     loading_k: int = 4
-    loading_a: float = 1.0
-    loading_l: int = 2
-    loading_q: float = 2.0
-    loading_csv: str = ""
-    beta_scale: float = 1.0
     t0: float = 0.0
     tau_grid: str = "0.0"
     null_source: str = "point"
@@ -75,9 +98,6 @@ class ExperimentConfig:
     gamma_u: float = 0.3
     gamma_n: float = 0.8
 
-    def taus(self) -> list[float]:
-        return [float(v) for v in str(self.tau_grid).split(",") if v != ""]
-
     def mode_list(self) -> list[str]:
         out = [m.strip() for m in str(self.modes).split(",") if m.strip()]
         for m in out:
@@ -86,30 +106,34 @@ class ExperimentConfig:
         return out
 
 
-_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+def float_list(text: str) -> list[float]:
+    """Comma-separated floats; empty entries are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse float list {text!r}") from exc
 
 
-def _coerce(name: str, raw: str):
-    f = _FIELDS[name]
-    if f.type == "bool" or isinstance(f.default, bool):
-        low = raw.strip().lower()
+def _coerce(f: dataclasses.Field, raw: str):
+    kind = f.type.removesuffix(" | None")
+    if kind == "bool":
+        low = raw.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"cannot parse boolean {name} = {raw!r}")
+        raise ConfigError(f"cannot parse boolean {f.name} = {raw!r}")
     try:
-        if isinstance(f.default, int) and not isinstance(f.default, bool):
-            return int(raw)
-        if isinstance(f.default, float):
-            return float(raw)
+        return {"int": int, "float": float, "str": str}[kind](raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {name} = {raw!r}") from exc
-    return raw.strip()
+        raise ConfigError(f"cannot parse {f.name} = {raw!r}") from exc
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse key = value lines; '#' starts a comment, blank lines skipped."""
+def parse_config(text: str, schema: type = ExperimentConfig):
+    """Parse key = value lines into the dataclass `schema`, coercing each
+    value to its field's annotated type; '#' starts a comment, blank lines
+    are skipped, and a field without a default is a required key."""
+    known = {f.name: f for f in fields(schema)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -119,13 +143,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw.strip())
-    return ExperimentConfig(**values)
+        values[key] = _coerce(known[key], raw.strip())
+    for name, f in known.items():
+        if name not in values and f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required key {name!r}")
+    return schema(**values)
 
 
-def format_config(cfg: ExperimentConfig) -> str:
+def format_config(cfg) -> str:
     lines = []
     for f in fields(cfg):
         v = getattr(cfg, f.name)
@@ -135,7 +162,7 @@ def format_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_digest(cfg: ExperimentConfig) -> str:
+def config_digest(cfg) -> str:
     """Stable hash of the semantic fields: thread budget and output path
     do not change what is computed, so they stay out of the digest."""
     payload = dataclasses.asdict(cfg)
@@ -143,6 +170,19 @@ def config_digest(cfg: ExperimentConfig) -> str:
     payload.pop("out", None)
     canon = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def write_outputs(cfg, prefix: str, tables: dict[str, str]) -> Path:
+    """Write each table to <cfg.out>/<prefix>_<digest><suffix>, and the
+    resolved config to the .json sidecar beside them; return the path of
+    the first table."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    stem = f"{prefix}_{config_digest(cfg)}"
+    for suffix, text in tables.items():
+        (out / f"{stem}{suffix}").write_text(text)
+    (out / f"{stem}.json").write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
+    return out / f"{stem}{next(iter(tables))}"
 
 
 @dataclass(frozen=True)
@@ -169,22 +209,27 @@ def _binomial_se(mean: float, count: int) -> float:
     return math.sqrt(max(mean * (1.0 - mean), 0.0) / count)
 
 
-def build_loading(cfg: ExperimentConfig) -> LoadingVector:
+def build_loading(cfg: LoadingConfig) -> LoadingVector:
+    """The loading from cfg.loading_csv, else the named example profile;
+    its dimension must equal cfg.p."""
     if cfg.loading_csv:
-        raw = np.loadtxt(cfg.loading_csv, delimiter=",", skiprows=1, ndmin=1)
-        return make_loading(raw)
-    params = {
-        "K": cfg.loading_k,
-        "a": cfg.loading_a,
-        "k_u": cfg.k_u,
-        "L": cfg.loading_l,
-        "q": cfg.loading_q,
-        "p": cfg.p,
-    }
-    return example_profiles(cfg.loading, params, cfg.master_seed)
+        xi = make_loading(np.loadtxt(cfg.loading_csv, delimiter=",", skiprows=1, ndmin=1))
+    else:
+        params = {
+            "K": cfg.loading_k,
+            "a": cfg.loading_a,
+            "k_u": cfg.k_u,
+            "L": cfg.loading_l,
+            "q": cfg.loading_q,
+            "p": cfg.p,
+        }
+        xi = example_profiles(cfg.loading, params, cfg.master_seed)
+    if xi.p != cfg.p:
+        raise ConfigError(f"loading has dimension {xi.p} but p = {cfg.p}")
+    return xi
 
 
-def null_point(xi: LoadingVector, k: int, target: float, scale: float, p: int, noise_sd: float) -> ModelParams:
+def null_point(xi: LoadingVector, k: int, target: float, p: int, noise_sd: float) -> ModelParams:
     """Model point with support on the k largest loading coordinates and
     xi'beta equal to target exactly (beta = 0 when target = 0)."""
     beta = np.zeros(p)
@@ -203,7 +248,7 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     invalid draws fall back to the fixed null point for that replicate.
     """
     if cfg.null_source == "point":
-        return null_point(xi, cfg.k, cfg.t0, cfg.beta_scale, cfg.p, cfg.noise_sd)
+        return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
     seed = cfg.master_seed + 3_000_017 * (rep + 1)
     if cfg.null_source == "nu2":
         draw = sample_nu2_prior(xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, seed=seed)
@@ -213,7 +258,7 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     else:
         raise ConfigError(f"unknown null_source {cfg.null_source!r}")
     if not draw.valid:
-        return null_point(xi, cfg.k, cfg.t0, cfg.beta_scale, cfg.p, cfg.noise_sd)
+        return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
     return translate_draw(draw, xi, cfg.t0)
 
 
@@ -236,6 +281,34 @@ def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams
     return ModelParams(beta=beta, sigma_cov=sigma, noise_sd=draw.theta.noise_sd)
 
 
+def _plugin(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
+    fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
+    return plugin_ci(fit, problem.xi.original(), problem.k_u, data.n, data.p, problem.alpha, constants), 0
+
+
+def _debiased(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
+    gram = sample_cov(data)
+    fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / data.n, sigma_floor=constants.sigma_floor)
+    proj = projection_direction(gram, problem.xi, constants.c_xi, data.n)
+    return debiased_ci(data, fit, proj, problem.xi.original(), problem.k_u, problem.alpha, constants), data.p
+
+
+def _known_sigma(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
+    ci = known_sigma_ci(data, np.eye(data.p), problem.xi.original(), problem.k_u, problem.alpha, seed, constants)
+    return ci, data.p
+
+
+def _spiked(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
+    half1, _ = split_half(data, seed)
+    spk = spiked_cov_estimate(half1, problem.k_u)
+    return spiked_ci(data, spk, problem.xi, problem.k_u, problem.alpha, seed, constants), data.p
+
+
+# Single-interval test modes: each returns (interval, m_used).
+_INTERVAL_MODES = {"plugin": _plugin, "debiased": _debiased, "known_sigma": _known_sigma, "spiked": _spiked}
+TEST_MODES = ("mixed", *_INTERVAL_MODES)
+
+
 def run_single_test(
     mode: str,
     data: Dataset,
@@ -250,31 +323,12 @@ def run_single_test(
     the identity design covariance; spiked fits the exhaustive estimator
     on the first data half.
     """
-    xi = problem.xi
-    n, p = data.n, data.p
     if mode == "mixed":
         return mixed_test(data, problem, constants, scan_all_m=scan_all_m)
-    if mode == "plugin":
-        fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
-        ci = plugin_ci(fit, xi.original(), problem.k_u, n, p, problem.alpha, constants)
-        return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=0, t0=problem.t0)
-    if mode == "debiased":
-        gram = sample_cov(data)
-        fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n, sigma_floor=constants.sigma_floor)
-        proj = projection_direction(gram, xi, constants.c_xi, n)
-        ci = debiased_ci(data, fit, proj, xi.original(), problem.k_u, problem.alpha, constants)
-        return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=p, t0=problem.t0)
-    if mode == "known_sigma":
-        ci = known_sigma_ci(data, np.eye(p), xi.original(), problem.k_u, problem.alpha, seed, constants)
-        return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=p, t0=problem.t0)
-    if mode == "spiked":
-        from .inference import split_half
-
-        half1, _ = split_half(data, seed)
-        spk = spiked_cov_estimate(half1, problem.k_u)
-        ci = spiked_ci(data, spk, xi, problem.k_u, problem.alpha, seed, constants)
-        return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=p, t0=problem.t0)
-    raise ConfigError(f"unknown test mode {mode!r}")
+    if mode not in _INTERVAL_MODES:
+        raise ConfigError(f"unknown test mode {mode!r}")
+    ci, m_used = _INTERVAL_MODES[mode](data, problem, constants, seed)
+    return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=m_used, t0=problem.t0)
 
 
 def _map_replicates(worker, reps: int, threads: int) -> list:
@@ -291,13 +345,9 @@ def run_size_power(cfg: ExperimentConfig, constants: Constants = Constants()) ->
     alternatives, per test mode and per tau on the grid."""
     digest = config_digest(cfg)
     xi = build_loading(cfg)
-    if xi.p != cfg.p:
-        raise ConfigError("loading dimension disagrees with p")
     modes = cfg.mode_list()
-    taus = cfg.taus()
-    theta_alts = [
-        null_point(xi, cfg.k, cfg.t0 + tau, cfg.beta_scale, cfg.p, cfg.noise_sd) for tau in taus
-    ]
+    taus = float_list(cfg.tau_grid)
+    theta_alts = [null_point(xi, cfg.k, cfg.t0 + tau, cfg.p, cfg.noise_sd) for tau in taus]
     theta_point = null_draw_theta(cfg, xi, 0) if cfg.null_source == "point" else None
     problem = TestProblem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
 
@@ -361,9 +411,7 @@ def run_length_sweep(cfg: ExperimentConfig, constants: Constants = Constants()) 
     """Realized mixed-interval radii over a grid of cutoffs m."""
     digest = config_digest(cfg)
     xi = build_loading(cfg)
-    if xi.p != cfg.p:
-        raise ConfigError("loading dimension disagrees with p")
-    theta = null_point(xi, cfg.k, cfg.t0, cfg.beta_scale, cfg.p, cfg.noise_sd)
+    theta = null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
     grid = m_cutoff_grid(cfg.p, cfg.m_grid)
 
     def worker(rep: int):
@@ -392,8 +440,8 @@ def run_phase_diagram(cfg: ExperimentConfig, constants: Constants = Constants())
     p = cfg.p
     n = max(int(round(p**cfg.gamma_n)), 4)
     k_u = max(int(round(p**cfg.gamma_u)), 1)
-    g_xi = [float(v) for v in str(cfg.gamma_xi_grid).split(",") if v != ""]
-    g_tau = [float(v) for v in str(cfg.gamma_tau_grid).split(",") if v != ""]
+    g_xi = float_list(cfg.gamma_xi_grid)
+    g_tau = float_list(cfg.gamma_tau_grid)
     rows: list[ResultRow] = []
     for gxi in g_xi:
         k_xi = min(max(int(round(p**gxi)), 1), p)
@@ -401,7 +449,7 @@ def run_phase_diagram(cfg: ExperimentConfig, constants: Constants = Constants())
         for gtau in g_tau:
             tau = p**gtau / math.sqrt(n)
             label, _ = regular_phase(gxi, cfg.gamma_u, cfg.gamma_n, gtau)
-            theta_alt = null_point(xi, min(cfg.k, k_u), cfg.t0 + tau, cfg.beta_scale, p, cfg.noise_sd)
+            theta_alt = null_point(xi, min(cfg.k, k_u), cfg.t0 + tau, p, cfg.noise_sd)
             problem = TestProblem(xi=xi, t0=cfg.t0, k_u=k_u, alpha=cfg.alpha, eta=cfg.eta)
 
             def worker(rep: int):

@@ -1,13 +1,17 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptest import harness
-from adaptest.cli import main as cli_main
+from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError
 from adaptest.harness import (
+    ExperimentConfig,
     config_digest,
     format_config,
     m_cutoff_grid,
@@ -29,6 +33,17 @@ tau_grid = 0.0
 modes = mixed
 master_seed = 4
 """
+
+BOOL_SPELLINGS = {True: ("1", "true", "yes", "on"), False: ("0", "false", "no", "off")}
+BY_TYPE = {
+    "int": st.integers(-(2**63), 2**63),
+    "float": st.floats(allow_nan=False),  # nan != nan, so no equality round trip
+    "bool": st.booleans(),
+    "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
+}
+EXPERIMENT_CONFIGS = st.builds(
+    ExperimentConfig, **{f.name: BY_TYPE[f.type] for f in dataclasses.fields(ExperimentConfig)}
+)
 
 
 class TestConfig:
@@ -55,6 +70,27 @@ class TestConfig:
         assert config_digest(dataclasses.replace(cfg, master_seed=5)) != base
         assert config_digest(dataclasses.replace(cfg, threads=8)) == base
         assert config_digest(dataclasses.replace(cfg, out="/elsewhere")) == base
+
+    @settings(deadline=None, max_examples=200)
+    @given(cfg=EXPERIMENT_CONFIGS, data=st.data())
+    def test_round_trip_property(self, cfg, data):
+        text = format_config(cfg)
+        assert parse_config(text) == cfg
+        bools = {f.name for f in dataclasses.fields(cfg) if f.type == "bool"}
+        lines = []
+        for line in text.splitlines():
+            key, value = line.split(" = ", 1)
+            if key in bools:
+                word = data.draw(st.sampled_from(BOOL_SPELLINGS[getattr(cfg, key)]))
+                value = data.draw(st.sampled_from([word, word.upper(), word.title()]))
+            lines.append(f"{key} = {value}")
+        assert parse_config("\n".join(lines)) == cfg
+
+    def test_command_schema_required_key(self):
+        with pytest.raises(ConfigError, match="k_u"):
+            parse_config("n = 10\np = 5\n", ProfileConfig)
+        cfg = parse_config("n = 10\np = 5\nk_u = 9\n", ProfileConfig)
+        assert (cfg.degree, cfg.loading_k) == (1, 5)
 
 
 class TestRunners:
@@ -220,3 +256,69 @@ class TestCli:
         body = list(tmp_path.glob("scca_sweep_*.csv"))[0].read_text()
         assert body.startswith("lam,statistic,power,se")
         assert len(body.splitlines()) == 1 + 2 * 5
+
+    def _dataset(self, tmp_path, p=30):
+        from adaptest.model import ModelParams, dataset_to_csv, generate_dataset
+
+        beta = np.zeros(p)
+        beta[:2] = 1.0
+        ds = generate_dataset(ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0), 150, 5)
+        path = tmp_path / "data.csv"
+        with open(path, "w") as fh:
+            dataset_to_csv(ds, fh)
+        return path
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_wrong_length_loading_csv(self, tmp_path, command):
+        data = self._dataset(tmp_path)
+        (tmp_path / "xi.csv").write_text("xi\n1.0\n0.5\n0.2\n")
+        cfg = self._write(tmp_path, f"data_csv = {data}\nk_u = 3\nloading_csv = {tmp_path / 'xi.csv'}\n")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_mismatched_p(self, tmp_path, command, capsys):
+        data = self._dataset(tmp_path)
+        cfg = self._write(tmp_path, f"data_csv = {data}\nk_u = 3\np = 999\n")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "p = 999" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{command}_*"))
+
+    def test_emit_plotdata_outside_simulate(self, tmp_path):
+        cfg = self._write(tmp_path, "n = 1000\np = 100\nk_u = 4\n")
+        assert cli_main(["profile", "--config", cfg, "--out", str(tmp_path), "--emit-plotdata"]) == 2
+        assert not list(tmp_path.glob("profile_*"))
+
+    def test_config_out_honoured(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self._write(tmp_path, f"n = 1000\np = 100\nk_u = 4\nout = {tmp_path / 'sub'}\n")
+        assert cli_main(["profile", "--config", cfg]) == 0
+        assert len(list((tmp_path / "sub").glob("profile_*.csv"))) == 2
+        assert not list(tmp_path.glob("profile_*"))
+        # --out still wins over the config's out
+        assert cli_main(["profile", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
+        assert len(list((tmp_path / "flag").glob("profile_*.csv"))) == 2
+
+    @pytest.mark.parametrize("command", ["profile", "fit", "test", "prior", "lowdeg", "scca", "simulate"])
+    def test_unknown_key_rejected(self, tmp_path, command, capsys):
+        cfg = self._write(tmp_path, "master_seed = 1\nbogus_key = 1\n")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "bogus_key" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{command}_*"))
+
+    def test_sidecar_lists_resolved_defaults(self, tmp_path):
+        cfg = self._write(tmp_path, "n = 1000\np = 100\nk_u = 4\nmaster_seed = 3\n")
+        assert cli_main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 0
+        (sidecar,) = tmp_path.glob("profile_*.json")
+        resolved = json.loads(sidecar.read_text())
+        assert resolved["n"] == 1000 and resolved["master_seed"] == 3
+        assert resolved["degree"] == 1 and resolved["hcurve_points"] == 64
+        assert resolved["loading"] == "regular" and resolved["loading_k"] == 4
+        assert resolved["out"] == str(tmp_path)
+
+    def test_equivalent_configs_share_a_digest(self, tmp_path):
+        a = self._write(tmp_path, "n = 1000\np = 100\nk_u = 4\n")
+        assert cli_main(["profile", "--config", a, "--out", str(tmp_path / "a")]) == 0
+        b = self._write(tmp_path, "k_u=4\np = 100  # same run, spelled out\nn = 1000\ndegree = 1\nloading_k = 4\n")
+        assert cli_main(["profile", "--config", b, "--out", str(tmp_path / "b")]) == 0
+        names = [sorted(p.name for p in (tmp_path / d).iterdir()) for d in "ab"]
+        assert names[0] == names[1]
