@@ -121,8 +121,11 @@ class SccaConfig(RunConfig):
 
 def _read_dataset(cfg: DataConfig):
     """The dataset at cfg.data_csv, and cfg with p set to its width."""
-    with open(cfg.data_csv) as fh:
-        data = dataset_from_csv(fh)
+    try:
+        with open(cfg.data_csv) as fh:
+            data = dataset_from_csv(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data_csv {cfg.data_csv}: {exc}") from exc
     if cfg.p is not None and cfg.p != data.p:
         raise ConfigError(f"p = {cfg.p} but {cfg.data_csv} has {data.p} columns")
     return data, replace(cfg, p=data.p)
@@ -235,7 +238,10 @@ def cmd_lowdeg(cfg: LowdegConfig):
 
 
 def cmd_scca(cfg: SccaConfig):
-    params = scca.SccaParams(n=cfg.n, s=cfg.s, p1=cfg.p1, p2=cfg.p2, lam=cfg.lam)
+    try:
+        params = scca.SccaParams(n=cfg.n, s=cfg.s, p1=cfg.p1, p2=cfg.p2, lam=cfg.lam)
+    except ValueError as exc:
+        raise ConfigError(f"scca sizes: {exc}") from exc
     seed = cfg.master_seed
     tables = {}
     if cfg.mode == "generate":

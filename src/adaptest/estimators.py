@@ -293,12 +293,11 @@ def spiked_cov_estimate(
 
     checked = 0
 
-    def d_subsets(b_set: tuple) -> list[tuple]:
+    def d_subsets(b_set: tuple):
+        # lazily, so comb_cap is checked before a large enumeration is held
         comp = [j for j in range(p) if j not in b_set]
-        out = []
-        for d in range(1, min(k_u, len(comp)) + 1):
-            out.extend(itertools.combinations(comp, d))
-        return out
+        sizes = range(1, min(k_u, len(comp)) + 1)
+        return itertools.chain.from_iterable(itertools.combinations(comp, d) for d in sizes)
 
     eye = np.eye(p)
     for bsz in range(0, k_u + 1):

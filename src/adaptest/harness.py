@@ -213,7 +213,10 @@ def build_loading(cfg: LoadingConfig) -> LoadingVector:
     """The loading from cfg.loading_csv, else the named example profile;
     its dimension must equal cfg.p."""
     if cfg.loading_csv:
-        xi = make_loading(np.loadtxt(cfg.loading_csv, delimiter=",", skiprows=1, ndmin=1))
+        try:
+            xi = make_loading(np.loadtxt(cfg.loading_csv, delimiter=",", skiprows=1, ndmin=1))
+        except OSError as exc:
+            raise ConfigError(f"cannot read loading_csv {cfg.loading_csv}: {exc}") from exc
     else:
         params = {
             "K": cfg.loading_k,

@@ -72,10 +72,6 @@ class LoadingVector:
         tail[self.perm[m:]] = self.coords[m:]
         return head, tail
 
-    def tail_max(self, m: int) -> float:
-        """|xi_{m+1}| with the convention xi_{p+1} = 0."""
-        return float(abs(self.coords[m])) if m < self.p else 0.0
-
 
 def make_loading(raw) -> LoadingVector:
     """Sort a raw loading by decreasing magnitude, recording the permutation.
@@ -224,12 +220,15 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
 
     Bit-reproducible for fixed (seed, n, p): the design is drawn first,
     then the noise, from a single counter-based stream.  The Cholesky
-    factor of Sigma is theta's cached design_factor.
+    factor of Sigma is theta's cached design_factor; an identity design
+    (whose factor is sigma_cov itself) uses the draw as it is.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = stream(seed, 0)
-    x = rng.standard_normal((n, theta.p)) @ theta.design_factor.T
+    x = rng.standard_normal((n, theta.p))
+    if theta.design_factor is not theta.sigma_cov:
+        x = x @ theta.design_factor.T
     eps = theta.noise_sd * rng.standard_normal(n)
     return Dataset(x=x, y=x @ theta.beta + eps, seed=seed)
 

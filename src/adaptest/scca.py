@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -70,7 +70,8 @@ def _flat_support_vector(p: int, s: int, rng) -> np.ndarray:
 def gen_scca(params: SccaParams, hypothesis: str, seed: int) -> SccaInstance:
     """Sample an instance by Cholesky of the joint (p1 + p2) covariance.
 
-    Null: independent standard normals.  Alternative: planted directions
+    Null: independent standard normals, the stream's draws as they are
+    (the identity is its own factor).  Alternative: planted directions
     delta1, delta2 drawn uniformly with flat s^{-1/2} entries and joint
     cross block lambda delta1 delta2'.
     """
@@ -80,16 +81,16 @@ def gen_scca(params: SccaParams, hypothesis: str, seed: int) -> SccaInstance:
         raise NotPD("cross-correlation lambda must be below 1")
     rng = stream(seed, 0)
     p1, p2 = params.p1, params.p2
-    d1 = d2 = None
-    joint = np.eye(p1 + p2)
-    if hypothesis == "alt":
+    if hypothesis == "null":
+        d1 = d2 = None
+        z = rng.standard_normal((params.n, p1 + p2))
+    else:
         d1 = _flat_support_vector(p1, params.s, rng)
         d2 = _flat_support_vector(p2, params.s, rng)
-        cross = params.lam * np.outer(d1, d2)
-        joint[:p1, p1:] = cross
-        joint[p1:, :p1] = cross.T
-    chol = np.linalg.cholesky(joint)
-    z = rng.standard_normal((params.n, p1 + p2)) @ chol.T
+        joint = np.eye(p1 + p2)
+        joint[:p1, p1:] = params.lam * np.outer(d1, d2)
+        joint[p1:, :p1] = joint[:p1, p1:].T
+        z = rng.standard_normal((params.n, p1 + p2)) @ np.linalg.cholesky(joint).T
     return SccaInstance(
         params=params,
         u1=z[:, :p1],
@@ -102,40 +103,49 @@ def gen_scca(params: SccaParams, hypothesis: str, seed: int) -> SccaInstance:
 
 # --- test statistics ---------------------------------------------------------
 
+_SCAN_BLOCK = 1 << 16  # column-sum entries scan_stat forms at once
 
-def scan_stat(inst: SccaInstance, s: int, comb_cap: int = 10_000_000) -> float:
+
+def _cross(inst: SccaInstance | np.ndarray) -> np.ndarray:
+    """R_hat of an instance; an array is taken as R_hat (see stat_values)."""
+    return inst if isinstance(inst, np.ndarray) else inst.cross_covariance()
+
+
+def scan_stat(inst: SccaInstance | np.ndarray, s: int, comb_cap: int = 10_000_000) -> float:
     """Max averaged s x s submatrix of R_hat, exact over all supports.
 
     For a fixed row set the optimal column set is the top-s column sums,
     so the cost is C(p1, s) * p2 log p2 even though the enumerated space
-    has C(p1, s) * C(p2, s) candidates (which must fit the cap).
+    has C(p1, s) * C(p2, s) candidates (which must fit the cap).  Row sets
+    are taken in blocks, each one array operation over its column sums.
     """
-    r = inst.cross_covariance()
+    r = _cross(inst)
     p1, p2 = r.shape
     if math.comb(p1, s) * math.comb(p2, s) > comb_cap:
         raise ScanBudgetExceeded("scan enumeration exceeds the configured cap")
+    row_sets = combinations(range(p1), s)
+    block, row_set = max(1, _SCAN_BLOCK // p2), np.dtype((np.intp, s))
     best = -math.inf
-    for rows in combinations(range(p1), s):
-        colsums = r[list(rows)].sum(axis=0)
-        top = np.sort(colsums)[-s:]
-        best = max(best, float(top.sum()))
+    while (rows := np.fromiter(islice(row_sets, block), dtype=row_set)).size:
+        colsums = r[rows].sum(axis=1)
+        best = max(best, float(np.sort(colsums, axis=1)[:, -s:].sum(axis=1).max()))
     return best / (s * s)
 
 
-def entrywise_max(inst: SccaInstance) -> float:
-    return float(inst.cross_covariance().max())
+def entrywise_max(inst: SccaInstance | np.ndarray) -> float:
+    return float(_cross(inst).max())
 
 
-def max_col(inst: SccaInstance, s: int) -> float:
-    return float(inst.cross_covariance().sum(axis=0).max()) / s
+def max_col(inst: SccaInstance | np.ndarray, s: int) -> float:
+    return float(_cross(inst).sum(axis=0).max()) / s
 
 
-def max_row(inst: SccaInstance, s: int) -> float:
-    return float(inst.cross_covariance().sum(axis=1).max()) / s
+def max_row(inst: SccaInstance | np.ndarray, s: int) -> float:
+    return float(_cross(inst).sum(axis=1).max()) / s
 
 
-def global_sum(inst: SccaInstance) -> float:
-    r = inst.cross_covariance()
+def global_sum(inst: SccaInstance | np.ndarray) -> float:
+    r = _cross(inst)
     return float(r.sum()) / (r.shape[0] * r.shape[1])
 
 
@@ -178,12 +188,13 @@ def boundary_table(n: int, s: int, p1: int, p2: int) -> dict:
 
 
 def stat_values(inst: SccaInstance, s: int) -> dict:
+    r = inst.cross_covariance()
     return {
-        "scan": scan_stat(inst, s),
-        "entrywise": entrywise_max(inst),
-        "max_col": max_col(inst, s),
-        "max_row": max_row(inst, s),
-        "global_sum": global_sum(inst),
+        "scan": scan_stat(r, s),
+        "entrywise": entrywise_max(r),
+        "max_col": max_col(r, s),
+        "max_row": max_row(r, s),
+        "global_sum": global_sum(r),
     }
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +152,18 @@ class TestGenerateDataset:
         assert first == second == dataset_to_bytes(generate_dataset(fresh, 9, seed))
         assert np.allclose(factor @ factor.T, cov, atol=1e-14)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.4])
+    def test_identity_design_uses_the_draw_as_is(self, rho):
+        n, p, seed = 300, 600, 17
+        cov = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=cov, noise_sd=0.5)
+        rng = stream(seed, 0)
+        x = rng.standard_normal((n, p)) @ theta.design_factor.T  # the product an identity skips
+        expect = Dataset(x=x, y=x @ theta.beta + 0.5 * rng.standard_normal(n), seed=seed)
+        got = generate_dataset(theta, n, seed)
+        assert hashlib.sha256(dataset_to_bytes(got)).digest() == hashlib.sha256(dataset_to_bytes(expect)).digest()
+        assert (theta.design_factor is theta.sigma_cov) == (rho == 0.0)
+
 
 class TestSampleCov:
     def test_scaled_identity_design(self):
@@ -289,3 +303,17 @@ class TestSpikedCov:
         theta = ModelParams(beta=np.zeros(10), sigma_cov=np.eye(10), noise_sd=1.0)
         with pytest.raises(BudgetExceeded):
             spiked_cov_estimate(generate_dataset(theta, 100, 0), 3, comb_cap=10)
+
+    def test_budget_checked_while_streaming_subsets(self):
+        # the empty support alone has about 1.7M complement subsets at p = 80,
+        # k_u = 4; none of them may be held at once
+        theta = ModelParams(beta=np.zeros(80), sigma_cov=np.eye(80), noise_sd=1.0)
+        data = generate_dataset(theta, 200, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                spiked_cov_estimate(data, 4, comb_cap=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

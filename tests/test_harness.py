@@ -322,3 +322,20 @@ class TestCli:
         assert cli_main(["profile", "--config", b, "--out", str(tmp_path / "b")]) == 0
         names = [sorted(p.name for p in (tmp_path / d).iterdir()) for d in "ab"]
         assert names[0] == names[1]
+
+    @pytest.mark.parametrize(
+        "command, key, extra",
+        [("fit", "data_csv", "k_u = 3\n"), ("profile", "loading_csv", "n = 1000\np = 30\nk_u = 4\n")],
+        ids=["fit", "profile"],
+    )
+    def test_missing_input_file_is_config_error(self, tmp_path, command, key, extra, capsys):
+        cfg = self._write(tmp_path, f"{key} = {tmp_path / 'nonexistent.csv'}\n{extra}")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{command}_*"))
+
+    def test_scca_size_out_of_range_is_config_error(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "mode = stats\nn = 10\ns = 5\np1 = 2\np2 = 2\n")
+        assert cli_main(["scca", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "1 <= s <= min(p1, p2)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("scca_*"))

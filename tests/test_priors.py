@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -245,6 +246,90 @@ class TestChi2MixtureMC:
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert mean <= math.exp(c4**2) + 3 * se
+
+
+def _mixture_samplers():
+    """(sampler, p, n) per prior kind, sized so that many pairs overlap."""
+    xi2 = make_loading(np.linspace(2.0, 0.1, 40))
+    xi1 = make_loading(np.concatenate((np.ones(20), np.zeros(20))))
+    tau = 0.0125 * nu1_value(xi1, 10) / math.sqrt(400)
+    xic = make_loading(np.ones(40))
+
+    def comp(s):
+        return pri.sample_comp_prior(xic, 16, 400, 40, 1, seed=s, k_eff_override=26, s1_override=3, allow_tiny=True)
+
+    return {
+        "nu2": (lambda s: pri.sample_nu2_prior(xi2, 8, 500, 40, 5.0, seed=s), 40, 500),
+        "nu1": (lambda s: pri.sample_nu1_prior(xi1, 10, 400, tau, seed=s, sigma_star=5.0), 40, 400),
+        "comp": (comp, 40, 400),
+        "point_mass": (lambda s: pri.point_mass_draw(make_loading(np.ones(10)), 5.0), 10, 4),
+    }
+
+
+class TestChi2Routing:
+    """chi2_mixture_mc scores rank-one pairs against the product reference
+    in closed form; the dense determinant form stays the oracle."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"dense": 0, "closed": 0}
+        dense, closed = pri.chi2_pair_integral, pri.chi2_pair_closed_form
+
+        def count_dense(*args):
+            calls["dense"] += 1
+            return dense(*args)
+
+        def count_closed(*args):
+            calls["closed"] += 1
+            return closed(*args)
+
+        monkeypatch.setattr(pri, "chi2_pair_integral", count_dense)
+        monkeypatch.setattr(pri, "chi2_pair_closed_form", count_closed)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["nu2", "nu1", "comp", "point_mass"])
+    def test_routed_matches_dense_only(self, kind, monkeypatch):
+        sampler, p, n = _mixture_samplers()[kind]
+        ref = diag_reference(p, 5.0)
+        calls = self._count_calls(monkeypatch)
+        routed = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7, valid_only=True)
+        assert calls == {"dense": 0, "closed": 100}
+        monkeypatch.setattr(pri, "_closed_form_applies", lambda *args: False)
+        dense = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7, valid_only=True)
+        assert calls == {"dense": 100, "closed": 100}
+        if kind == "point_mass":
+            assert routed == dense == (0.0, 0.0)
+        else:
+            assert routed[0] > 0.0
+            assert routed == pytest.approx(dense, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("perturb", ["sigma_star", "diagonal", "off_diagonal"])
+    def test_non_product_reference_takes_dense_path(self, perturb, monkeypatch):
+        sampler, p, n = _mixture_samplers()["nu2"]
+        s0 = diag_reference(p, 5.0).sigma_z
+        if perturb == "sigma_star":
+            s0[0, 0] = 4.0**2
+        elif perturb == "diagonal":
+            s0[3, 3] = 1.1
+        else:
+            s0[2, 5] = s0[5, 2] = 0.05
+        draws = [sampler(s) for s in range(2)]
+        assert not pri._closed_form_applies(*draws, s0)
+        calls = self._count_calls(monkeypatch)
+        pri.chi2_mixture_mc(sampler, JointCovariance(sigma_z=s0), n, 100, seed=7, valid_only=True)
+        assert calls == {"dense": 100, "closed": 0}
+
+    def test_mismatched_or_indefinite_pairs_take_dense_path(self):
+        sampler, p, n = _mixture_samplers()["nu2"]
+        s0 = diag_reference(p, 5.0).sigma_z
+        a, b = sampler(0), sampler(1)
+        assert pri._closed_form_applies(a, b, s0)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, sigma_star=4.0), s0)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, split=b.split + 1), s0)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, kind="comp"), s0)
+        # |r||c| >= 1: the joint covariance is not positive definite
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=5.0 / np.linalg.norm(b.delta2)), s0)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=math.nan), s0)
 
 
 class TestHypergeometricMGF:

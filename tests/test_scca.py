@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -7,6 +8,7 @@ import pytest
 from adaptest import scca
 from adaptest.errors import NotPD, OddPairCount, ScanBudgetExceeded
 from adaptest.inference import mixed_test
+from adaptest.model import stream
 
 
 @dataclass
@@ -188,3 +190,61 @@ class TestCalibration:
         for k, count in fp.items():
             rate = count / reps
             assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
+
+
+def _scan_by_loop(r, s):
+    """The row-set loop scan_stat replaces: one sort per row set."""
+    best = -math.inf
+    for rows in itertools.combinations(range(r.shape[0]), s):
+        best = max(best, float(np.sort(r[list(rows)].sum(axis=0))[-s:].sum()))
+    return best / (s * s)
+
+
+def _scan_brute_force(r, s):
+    """Max over every row set and column set of the s x s block mean."""
+    p1, p2 = r.shape
+    return max(
+        float(r[np.ix_(rows, cols)].sum()) / (s * s)
+        for rows in itertools.combinations(range(p1), s)
+        for cols in itertools.combinations(range(p2), s)
+    )
+
+
+class TestSharedCrossCovariance:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_scan_matches_brute_force(self, s):
+        rng = np.random.default_rng(s)
+        for _ in range(4):
+            r = rng.standard_normal((6, 7))
+            got = scca.scan_stat(FakeInstance(r), s)
+            assert got == _scan_by_loop(r, s)
+            assert got == pytest.approx(_scan_brute_force(r, s), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("s", [2, 9])
+    def test_scan_blocks_match_one_block(self, s, monkeypatch):
+        r = np.random.default_rng(7).standard_normal((11, 12))
+        whole = scca.scan_stat(r, s)
+        monkeypatch.setattr(scca, "_SCAN_BLOCK", 5 * r.shape[1])  # row sets in blocks of 5
+        assert scca.scan_stat(r, s) == whole == _scan_by_loop(r, s)
+
+    @pytest.mark.parametrize("hypothesis", ["null", "alt"])
+    def test_stat_values_equal_public_statistics(self, hypothesis):
+        params = scca.SccaParams(n=300, s=2, p1=6, p2=9, lam=0.4)
+        for seed in range(5):
+            inst = scca.gen_scca(params, hypothesis, seed)
+            values = scca.stat_values(inst, params.s)
+            assert values == {
+                "scan": scca.scan_stat(inst, params.s),
+                "entrywise": scca.entrywise_max(inst),
+                "max_col": scca.max_col(inst, params.s),
+                "max_row": scca.max_row(inst, params.s),
+                "global_sum": scca.global_sum(inst),
+            }
+
+    def test_null_instance_is_the_raw_stream(self):
+        params = scca.SccaParams(n=50, s=2, p1=4, p2=7, lam=0.3)
+        inst = scca.gen_scca(params, "null", 13)
+        z = stream(13, 0).standard_normal((params.n, params.p1 + params.p2))
+        assert inst.u1.tobytes() == z[:, :4].tobytes()
+        assert inst.u2.tobytes() == z[:, 4:].tobytes()
+        assert inst.delta1 is None and inst.delta2 is None
