@@ -55,8 +55,7 @@ class DataConfig(LoadingConfig):
 @dataclass(kw_only=True)
 class FitConfig(DataConfig):
     c_xi: float = 2.0
-    fit_spiked: bool = False
-    gamma_star: float = 3.0
+    gamma_star: float | None = None  # set: also run the spiked-covariance fit at this gamma_star
 
 
 @dataclass(kw_only=True)
@@ -159,7 +158,7 @@ def cmd_fit(cfg: FitConfig):
         "u_objective": repr(proj.objective),
         "u_feasible": str(proj.feasible),
     }
-    if cfg.fit_spiked:
+    if cfg.gamma_star is not None:
         spk = spiked_cov_estimate(data, cfg.k_u, cfg.gamma_star)
         fields["b_hat"] = ";".join(map(str, spk.b_hat))
         fields["fell_back_identity"] = str(spk.fell_back_identity)

@@ -110,9 +110,6 @@ def _cd_quadratic_l1(
 def scaled_lasso(
     data: Dataset,
     *,
-    lam0: float | None = None,
-    max_outer: int = 500,
-    rel_tol: float = 1e-8,
     sigma_floor: float = 0.0,
     gram: np.ndarray | None = None,
     xty: np.ndarray | None = None,
@@ -122,15 +119,14 @@ def scaled_lasso(
     For fixed sigma the beta-step is a lasso with per-column weights
     ||X_j||_2 / sqrt(n) and penalty level sigma * sqrt(2.01 log p / n);
     the sigma-step is the exact minimizer ||Y - X beta||_2 / sqrt(n).
-    Stops when sigma changes by less than rel_tol (relative) or after
-    max_outer rounds; converged is False if that never happened or if
-    any beta-step ran out of its coordinate-descent pass budget.
+    Stops when sigma changes by less than 1e-8 (relative) or after 500
+    rounds; converged is False if that never happened or if any beta-step
+    ran out of its budget of 2000 coordinate-descent passes.
     """
     n, p = data.n, data.p
     if n < 2:
         raise ValueError("need at least two samples")
-    if lam0 is None:
-        lam0 = math.sqrt(2.01 * math.log(p) / n)
+    lam0 = math.sqrt(2.01 * math.log(p) / n)
     g = sample_cov(data) if gram is None else gram
     b = data.x.T @ data.y / n if xty is None else xty
     yty = float(data.y @ data.y) / n
@@ -144,7 +140,7 @@ def scaled_lasso(
     converged = False
     inner_ok = True
     it = 0
-    for it in range(1, max_outer + 1):
+    for it in range(1, 501):
         if sigma <= 0.0:
             break
         beta, ok, _ = _cd_quadratic_l1(
@@ -167,7 +163,7 @@ def scaled_lasso(
         if sigma_new == 0.0:
             sigma = 0.0
             break
-        done = abs(sigma_new / sigma - 1.0) < rel_tol
+        done = abs(sigma_new / sigma - 1.0) < 1e-8
         sigma = sigma_new
         if done:
             converged = True
@@ -192,8 +188,6 @@ def projection_direction(
     xi: LoadingVector,
     c_xi: float,
     n: int,
-    *,
-    max_passes: int = 5000,
 ) -> ProjectionResult:
     """Solve  min u' S u  s.t.  ||S u - xi||_inf <= C_xi ||xi||_2 sqrt(log p / n).
 
@@ -201,8 +195,9 @@ def projection_direction(
     min_v v'Sv/2 - xi'v + r ||v||_1, whose stationary points satisfy the
     constrained problem's KKT system.  The constraint is then checked on
     a fresh product S u; if it fails (a coordinate with S_jj = 0 and
-    |xi_j| > r can never meet it) or the pass budget runs out, the
-    zero-direction fallback is returned with feasible = False.
+    |xi_j| > r can never meet it) or the budget of 5000 coordinate-descent
+    passes runs out, the zero-direction fallback is returned with
+    feasible = False.
     """
     p = sigma_hat.shape[0]
     xi_orig = xi.original()
@@ -215,7 +210,7 @@ def projection_direction(
         np.full(p, radius),
         np.zeros(p),
         kkt_tol=tol,
-        max_passes=max_passes,
+        max_passes=5000,
     )
     nz = np.flatnonzero(v)
     s_v = sigma_hat[:, nz] @ v[nz]
@@ -269,7 +264,6 @@ def spiked_cov_estimate(
     data: Dataset,
     k_u: int,
     gamma_star: float = 3.0,
-    m1: float = 10.0,
     *,
     comb_cap: int = 5_000_000,
 ) -> SpikedCovFit:
@@ -281,7 +275,7 @@ def spiked_cov_estimate(
     near I in operator norm and the D x B cross block must be small.
     The first survivor B is kept and the estimate is identity outside
     B x B.  Eigenvalues of the kept block must stay inside
-    [1/(2 m1), 2 m1] so the inverse is well defined; if no candidate
+    [1/20, 20] (m1 = 10) so the inverse is well defined; if no candidate
     survives, the identity is returned with fell_back_identity = True.
     """
     if data.n < 2:
@@ -307,7 +301,7 @@ def spiked_cov_estimate(
             gb_norm = max(_opnorm_sym(s[np.ix_(idx, idx)]), 1.0) if bsz else 1.0
             if bsz:
                 ev = np.linalg.eigvalsh(s[np.ix_(idx, idx)])
-                if ev[0] < 1.0 / (2.0 * m1) or ev[-1] > 2.0 * m1:
+                if ev[0] < 1.0 / 20.0 or ev[-1] > 20.0:
                     continue
             ok = True
             for d_set in d_subsets(b_set):

@@ -79,7 +79,6 @@ class ExperimentConfig(LoadingConfig):
     p: int = 100
     k_u: int = 4
     k: int = 2
-    degree: int = 1
     alpha: float = 0.05
     eta: float = 0.05
     reps: int = 100

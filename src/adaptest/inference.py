@@ -201,12 +201,11 @@ def mixed_test(
     problem: TestProblem,
     constants: Constants = Constants(),
     scan_all_m: bool = False,
-    m_grid_size: int = 32,
 ) -> TestDecision:
     """Invert the mixed interval at the rate-optimal cutoff m_star.
 
     With scan_all_m the cutoff minimizes the realized radius over a
-    log-spaced grid of cutoffs (endpoints included) instead of using the
+    log-spaced grid of at most 32 cutoffs (endpoints included) instead of the
     profile cutoff m_star.
     """
     xi, k_u = problem.xi, problem.k_u
@@ -215,7 +214,7 @@ def mixed_test(
     fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n, sigma_floor=constants.sigma_floor)
 
     if scan_all_m:
-        grid = _log_grid(p, m_grid_size)
+        grid = _log_grid(p, 32)
         best = None
         for m in grid:
             ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta, constants, gram=gram)

@@ -188,7 +188,7 @@ class TestProblem:
             raise ValueError("alpha + eta must lie in (0, 1)")
 
 
-def h_map(jc: JointCovariance, m1: float = 10.0, m2: float = 10.0) -> ModelParams:
+def h_map(jc: JointCovariance) -> ModelParams:
     """Recover theta = (beta, Sigma, sigma) from a joint covariance.
 
     beta = Sigma_xx^{-1} Sigma_xy, Sigma = Sigma_xx, and sigma^2 is the
@@ -200,7 +200,7 @@ def h_map(jc: JointCovariance, m1: float = 10.0, m2: float = 10.0) -> ModelParam
     schur = jc.yy - float(xy @ beta)
     if schur <= 0.0:
         raise NotPositiveDefinite(f"Schur complement {schur!r} is not positive")
-    return ModelParams(beta=beta, sigma_cov=xx.copy(), noise_sd=float(np.sqrt(schur)), m1=m1, m2=m2)
+    return ModelParams(beta=beta, sigma_cov=xx.copy(), noise_sd=float(np.sqrt(schur)))
 
 
 def h_inv(theta: ModelParams) -> JointCovariance:

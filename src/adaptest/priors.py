@@ -120,7 +120,7 @@ class PriorDraw:
         return np.concatenate(([self.kappa / self.sigma_star], lead)), trail
 
 
-def point_mass_draw(xi: LoadingVector, sigma_star: float, m1: float = 10.0, m2: float = 10.0) -> PriorDraw:
+def point_mass_draw(xi: LoadingVector, sigma_star: float) -> PriorDraw:
     """The degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
     return PriorDraw(
         kind="nu1",
@@ -137,8 +137,6 @@ def point_mass_draw(xi: LoadingVector, sigma_star: float, m1: float = 10.0, m2: 
         sigma_star=sigma_star,
         p=xi.p,
         split=0,
-        m1=m1,
-        m2=m2,
     )
 
 
@@ -159,6 +157,50 @@ def _finish_validity(draw: PriorDraw, xi: LoadingVector, cap: int) -> PriorDraw:
     return draw
 
 
+def _coupled_draw(kind, lead, trail, lead_dot, trail_dot, tau, sigma_star) -> PriorDraw:
+    """The draw with Cov(leading, trailing x-block) = lead trail' and
+    Cov(y, trailing x-block) = kappa trail, where kappa solves xi'beta = tau.
+
+    lead_dot and trail_dot are xi's inner products with lead and trail;
+    beta = kappa (-|trail|^2 lead, trail) / (1 - |lead|^2 |trail|^2).
+    """
+    lsq = float(lead @ lead)
+    tsq = float(trail @ trail)
+    denom = 1.0 - tsq * lsq
+    coeff = (-tsq * lead_dot + trail_dot) / denom
+    if coeff <= 1e-14:
+        kappa = math.nan
+        valid, reason = False, "degenerate_constraint"
+    else:
+        kappa = tau / coeff
+        valid, reason = True, "ok"
+
+    split = lead.size
+    beta = np.zeros(split + trail.size)
+    if valid:
+        beta[:split] = -(kappa * tsq / denom) * lead
+        beta[split:] = (kappa / denom) * trail
+    cross = math.sqrt(lsq * tsq)
+    var = sigma_star**2 - ((kappa**2 * tsq / denom) if valid else 0.0)
+    delta1, delta2 = (lead, trail) if kind == "nu2" else (trail, lead)  # see PriorDraw._blocks
+    return PriorDraw(
+        kind=kind,
+        delta1=delta1,
+        delta2=delta2,
+        kappa=kappa,
+        tau=tau,
+        beta=beta,
+        noise_sd=math.sqrt(var) if var > 0 else 0.0,
+        eig_min=1.0 - cross,
+        eig_max=1.0 + cross,
+        valid=valid,
+        reason=reason,
+        sigma_star=sigma_star,
+        p=beta.size,
+        split=split,
+    )
+
+
 def sample_nu2_prior(
     xi: LoadingVector,
     k_u: int,
@@ -168,8 +210,6 @@ def sample_nu2_prior(
     c1: float = DEFAULT_C1,
     c2: float | None = None,
     seed: int = 0,
-    m1: float = 10.0,
-    m2: float = 10.0,
 ) -> PriorDraw:
     """Covariance-perturbation prior targeting tau = c2 nu2 k_u log p / n.
 
@@ -195,42 +235,9 @@ def sample_nu2_prior(
     mag = c1 * math.sqrt(math.log(p) / n)
     delta2[support] = mag * sign(coords[p1 + support])
 
-    d2sq = float(delta2 @ delta2)
-    d1sq = float(delta1 @ delta1)
-    denom = 1.0 - d2sq * d1sq
     tau = c2 * top_norm(xi, k_u) * k_u * math.log(p) / n
-    coeff = (d2sq * h_p1 + float(coords[p1:] @ delta2)) / denom
-    if coeff <= 1e-14:
-        kappa = math.nan
-        valid, reason = False, "degenerate_constraint"
-    else:
-        kappa = tau / coeff
-        valid, reason = True, "ok"
-
-    beta = np.zeros(p)
-    if valid:
-        beta[:p1] = -(kappa * d2sq / denom) * delta1
-        beta[p1:] = (kappa / denom) * delta2
-    cross = math.sqrt(d1sq * d2sq)
-    var = sigma_star**2 - ((kappa**2 * d2sq / denom) if valid else 0.0)
-    draw = PriorDraw(
-        kind="nu2",
-        delta1=delta1,
-        delta2=delta2,
-        kappa=kappa,
-        tau=tau,
-        beta=beta,
-        noise_sd=math.sqrt(var) if var > 0 else 0.0,
-        eig_min=1.0 - cross,
-        eig_max=1.0 + cross,
-        valid=valid,
-        reason=reason,
-        sigma_star=sigma_star,
-        p=p,
-        split=p1,
-        m1=m1,
-        m2=m2,
-    )
+    # xi'delta1 = -h_p1 exactly in real arithmetic, as delta1 = -xi_{1..p1} / h_p1
+    draw = _coupled_draw("nu2", delta1, delta2, -h_p1, float(coords[p1:] @ delta2), tau, sigma_star)
     return _finish_validity(draw, xi, k_u // 2)
 
 
@@ -261,8 +268,6 @@ def sample_nu1_prior(
     c5: float = DEFAULT_C5,
     seed: int = 0,
     sigma_star: float = 5.0,
-    m1: float = 10.0,
-    m2: float = 10.0,
 ) -> PriorDraw:
     """Identity-design random-sparsity prior targeting xi'beta = tau.
 
@@ -304,8 +309,6 @@ def sample_nu1_prior(
         sigma_star=sigma_star,
         p=xi.p,
         split=0,
-        m1=m1,
-        m2=m2,
     )
     return _finish_validity(draw, xi, k_u // 2)
 
@@ -334,8 +337,6 @@ def sample_comp_prior(
     seed: int = 0,
     c9: float | None = None,
     sigma_star: float = 5.0,
-    m1: float = 10.0,
-    m2: float = 10.0,
     k_eff_override: int | None = None,
     s1_override: int | None = None,
     allow_tiny: bool = False,
@@ -370,42 +371,9 @@ def sample_comp_prior(
     bern = rng.random(p3) < q
     delta2 = -(math.sqrt(p5) / k_u) * sign(coords[:p3]) * bern
 
-    d1sq = float(delta1 @ delta1)
-    d2sq = float(delta2 @ delta2)
-    denom = 1.0 - d1sq * d2sq
     tau = c9 * top_norm(xi, k_eff) * k_u * math.log(p) / n
-    coeff = (-d1sq * float(coords[:p3] @ delta2) + float(coords[p3:] @ delta1)) / denom
-    if coeff <= 1e-14:
-        kappa = math.nan
-        valid, reason = False, "degenerate_constraint"
-    else:
-        kappa = tau / coeff
-        valid, reason = True, "ok"
-
-    beta = np.zeros(p)
-    if valid:
-        beta[:p3] = -(kappa * d1sq / denom) * delta2
-        beta[p3:] = (kappa / denom) * delta1
-    cross = math.sqrt(d1sq * d2sq)
-    var = sigma_star**2 - ((kappa**2 * d1sq / denom) if valid else 0.0)
-    draw = PriorDraw(
-        kind="comp",
-        delta1=delta1,
-        delta2=delta2,
-        kappa=kappa,
-        tau=tau,
-        beta=beta,
-        noise_sd=math.sqrt(var) if var > 0 else 0.0,
-        eig_min=1.0 - cross,
-        eig_max=1.0 + cross,
-        valid=valid,
-        reason=reason,
-        sigma_star=sigma_star,
-        p=p,
-        split=p3,
-        m1=m1,
-        m2=m2,
-    )
+    lead_dot, trail_dot = float(coords[:p3] @ delta2), float(coords[p3:] @ delta1)
+    draw = _coupled_draw("comp", delta2, delta1, lead_dot, trail_dot, tau, sigma_star)
     return _finish_validity(draw, xi, k_u)
 
 
@@ -464,13 +432,12 @@ def chi2_mixture_mc(
     reps: int,
     seed: int,
     valid_only: bool = False,
-    max_tries: int = 50,
 ) -> tuple[float, float]:
     """Monte Carlo chi-square estimate: mean of pair integrals minus one.
 
     prior_sampler(seed) -> PriorDraw.  With valid_only, invalid draws are
-    rejected and redrawn (the restricted-prior convention).  Returns
-    (estimate, standard error).
+    rejected and redrawn, at most 50 tries per draw (the restricted-prior
+    convention).  Returns (estimate, standard error).
 
     Positive definite rank-one pairs of one kind against the product
     reference diag(sigma_star^2, I_p) take the O(p) closed form
@@ -486,7 +453,7 @@ def chi2_mixture_mc(
 
     def next_draw():
         nonlocal counter
-        for _ in range(max_tries):
+        for _ in range(50):
             d = prior_sampler(seed + counter)
             counter += 1
             if not valid_only or d.valid:

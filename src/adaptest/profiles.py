@@ -61,12 +61,12 @@ def _log_phi(xi: LoadingVector, zeta: float) -> float:
     )
 
 
-def solve_zeta(xi: LoadingVector, k_u: int, rel_tol: float = 1e-12) -> tuple[float, float]:
+def solve_zeta(xi: LoadingVector, k_u: int) -> tuple[float, float]:
     """Root of the profile equation phi(zeta) = k_u / 2, and lambda = sqrt(zeta_+).
 
     phi is continuous and strictly decreasing with range (0, inf), so a
     sign-changing bracket always exists; we grow one by doubling and then
-    bisect.  Tolerance is relative against |zeta| or 1.
+    bisect.  Tolerance is 1e-12 relative against |zeta| or 1.
     """
     if k_u < 1:
         raise ValueError("k_u must be at least 1")
@@ -94,7 +94,7 @@ def solve_zeta(xi: LoadingVector, k_u: int, rel_tol: float = 1e-12) -> tuple[flo
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(1.0, abs(mid)):
+        if hi - lo <= 1e-12 * max(1.0, abs(mid)):
             break
     zeta = 0.5 * (lo + hi)
     lam = math.sqrt(max(zeta, 0.0))
@@ -108,7 +108,10 @@ def j1_index(xi: LoadingVector, lam: float) -> int:
 
 def nu1(xi: LoadingVector, k_u: int) -> float:
     """lambda * k_u plus the l2 mass surviving the e^{-lambda^2/xi_j^2} damping."""
-    _, lam = solve_zeta(xi, k_u)
+    return _nu1_at(xi, k_u, solve_zeta(xi, k_u)[1])
+
+
+def _nu1_at(xi: LoadingVector, k_u: int, lam: float) -> float:
     x = np.abs(xi.coords[: xi.k_xi])
     lb = 2.0 * np.log(x) - lam**2 / x**2
     mb = lb.max()
@@ -146,7 +149,7 @@ def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, p: int, degree: int) 
         zeta=zeta,
         lam=lam,
         j1=j1_index(xi, lam),
-        nu1=nu1(xi, k_u),
+        nu1=_nu1_at(xi, k_u, lam),
         nu2=nu2(xi, k_u),
         k_eff=k_eff,
         nu3=top_norm(xi, k_eff),
@@ -280,10 +283,10 @@ def regular_profile(size: int, scale: float, p: int) -> LoadingVector:
     return make_loading(raw)
 
 
-def multiscale_profile(k_u: int, blocks: int, scale: float, p: int, c0: float = 1.0) -> LoadingVector:
-    """Equal-energy blocks of sizes ceil(k_u l^2), l = 1..blocks."""
-    if blocks**3 > c0 * k_u:
-        raise MultiscaleConstraint(f"blocks^3 = {blocks ** 3} exceeds c0 * k_u = {c0 * k_u}")
+def multiscale_profile(k_u: int, blocks: int, scale: float, p: int) -> LoadingVector:
+    """Equal-energy blocks of sizes ceil(k_u l^2), l = 1..blocks; needs blocks^3 <= k_u."""
+    if blocks**3 > k_u:
+        raise MultiscaleConstraint(f"blocks^3 = {blocks ** 3} exceeds k_u = {k_u}")
     sizes = [int(math.ceil(k_u * (l**2))) for l in range(1, blocks + 1)]
     total = sum(sizes)
     if total > p:
@@ -319,7 +322,6 @@ def example_profiles(kind: str, params: dict, seed: int = 0) -> LoadingVector:
             int(params["L"]),
             float(params["a"]),
             int(params["p"]),
-            float(params.get("c0", 1.0)),
         )
     if kind == "subweibull":
         return subweibull_profile(float(params["q"]), int(params["p"]), seed)

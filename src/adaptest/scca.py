@@ -115,13 +115,13 @@ def scan_stat(inst: SccaInstance | np.ndarray, s: int, comb_cap: int = 10_000_00
     """Max averaged s x s submatrix of R_hat, exact over all supports.
 
     For a fixed row set the optimal column set is the top-s column sums,
-    so the cost is C(p1, s) * p2 log p2 even though the enumerated space
-    has C(p1, s) * C(p2, s) candidates (which must fit the cap).  Row sets
-    are taken in blocks, each one array operation over its column sums.
+    so the work, C(p1, s) row sets of p2 column sums, must fit the cap
+    (not the C(p1, s) * C(p2, s) supports searched).  Row sets are taken
+    in blocks, each one array operation over its column sums.
     """
     r = _cross(inst)
     p1, p2 = r.shape
-    if math.comb(p1, s) * math.comb(p2, s) > comb_cap:
+    if math.comb(p1, s) * p2 > comb_cap:
         raise ScanBudgetExceeded("scan enumeration exceeds the configured cap")
     row_sets = combinations(range(p1), s)
     block, row_set = max(1, _SCAN_BLOCK // p2), np.dtype((np.intp, s))

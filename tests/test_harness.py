@@ -268,6 +268,26 @@ class TestCli:
             dataset_to_csv(ds, fh)
         return path
 
+    def test_fit_gamma_star_runs_spiked_fit(self, tmp_path):
+        data = self._dataset(tmp_path)
+        tables = {}
+        for name, extra in (("plain", ""), ("spiked", "gamma_star = 3.0\n")):
+            cfg = self._write(tmp_path, f"data_csv = {data}\nk_u = 2\n{extra}")
+            assert cli_main(["fit", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            (csv,) = (tmp_path / name).glob("fit_*.csv")
+            tables[name] = [line.split(",") for line in csv.read_text().splitlines()]
+        plain, spiked = tables["plain"], tables["spiked"]
+        assert "b_hat" not in plain[0]
+        assert spiked[0] == plain[0] + ["b_hat", "fell_back_identity"]
+        assert spiked[1][: len(plain[1])] == plain[1]
+
+    def test_fit_spiked_key_rejected(self, tmp_path, capsys):
+        data = self._dataset(tmp_path)
+        cfg = self._write(tmp_path, f"data_csv = {data}\nk_u = 2\nfit_spiked = 1\n")
+        assert cli_main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "fit_spiked" in capsys.readouterr().err
+        assert not list(tmp_path.glob("fit_*"))
+
     @pytest.mark.parametrize("command", ["fit", "test"])
     def test_wrong_length_loading_csv(self, tmp_path, command):
         data = self._dataset(tmp_path)

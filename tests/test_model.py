@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adaptest.errors import AllZeroLoading, CholeskyFailure, NotPositiveDefinite
 from adaptest import model
@@ -35,6 +38,28 @@ def random_theta(rng, p, m1=10.0, m2=10.0):
     k = rng.integers(1, p + 1)
     beta[rng.choice(p, size=k, replace=False)] = rng.standard_normal(k)
     return ModelParams(beta=beta, sigma_cov=sigma, noise_sd=float(rng.uniform(0.1, m2)))
+
+
+# every float, with the edge values drawn often: signed zeros, the smallest
+# subnormal, a mid subnormal, the largest finite value, infinities and NaN
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+)
+ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@st.composite
+def datasets(draw):
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    x = draw(arrays(np.float64, (n, p), elements=ANY_FLOAT))
+    return Dataset(x=x, y=draw(arrays(np.float64, n, elements=ANY_FLOAT)))
+
+
+def assert_same_values(a: np.ndarray, b: np.ndarray):
+    # equal as values, NaN matching NaN, and the sign of every non-NaN zero kept
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
 
 
 class TestMakeLoading:
@@ -167,6 +192,24 @@ class TestSerialization:
         back = dataset_from_bytes(dataset_to_bytes(ds))
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
+
+    @given(ds=datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_dataset_csv_round_trip_any_float(self, ds):
+        buf = io.StringIO()
+        dataset_to_csv(ds, buf)
+        buf.seek(0)
+        back = dataset_from_csv(buf)
+        assert_same_values(back.x, ds.x)
+        assert_same_values(back.y, ds.y)
+
+    @given(ds=datasets())
+    @settings(max_examples=200, deadline=None)
+    def test_dataset_binary_round_trip_any_float(self, ds):
+        back = dataset_from_bytes(dataset_to_bytes(ds))
+        assert_same_values(back.x, ds.x)
+        assert_same_values(back.y, ds.y)
+        assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()  # NaN payloads too
 
     def test_params_round_trips(self):
         rng = np.random.default_rng(8)

@@ -17,8 +17,16 @@ def diag_reference(p, sigma_star):
 class TestNu2Prior:
     xi = make_loading(np.linspace(2.0, 0.1, 40))
 
-    def test_matches_h_map(self):
-        d = pri.sample_nu2_prior(self.xi, 8, 500, 40, sigma_star=5.0, seed=3)
+    @pytest.mark.parametrize("seed", [3, 11, 27, 101])
+    @pytest.mark.parametrize("kind", ["nu2", "comp"])
+    def test_matches_h_map(self, kind, seed):
+        # the shared coupling algebra against the dense map and spectrum
+        if kind == "nu2":
+            d = pri.sample_nu2_prior(self.xi, 8, 500, 40, sigma_star=5.0, seed=seed)
+        else:
+            xi = make_loading(np.concatenate((np.linspace(2.0, 0.5, 200), np.zeros(300))))
+            d = pri.sample_comp_prior(xi, 32, 2000, 500, 1, seed=seed, sigma_star=5.0)
+        assert d.valid and d.kind == kind
         theta = h_map(d.joint_covariance())
         assert np.max(np.abs(theta.beta - d.beta)) < 1e-12
         assert abs(theta.noise_sd - d.noise_sd) < 1e-12

@@ -153,6 +153,34 @@ class TestRegimeAndCutoff:
             assert s.nu2 == pytest.approx(top_norm(xi, k_u))
             assert (s.nu3 <= s.nu2 + 1e-12) == (s.k_eff <= k_u)
 
+    def test_profile_equation_solved_once(self, monkeypatch):
+        from adaptest import profiles
+
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            xi = make_loading(rng.standard_normal(60) * (rng.random(60) < 0.5) + np.eye(60)[0])
+            k_u, n, p, degree = int(rng.integers(1, 30)), int(rng.integers(100, 10**5)), 60, int(rng.integers(1, 4))
+            zeta, lam = solve_zeta(xi, k_u)
+            m_star, regime = profiles.cutoff_and_regime(k_u, n, p)
+            k_eff = profiles.effective_sparsity(k_u, n, p, degree)
+            expect = profiles.ProfileSummary(
+                zeta=zeta,
+                lam=lam,
+                j1=profiles.j1_index(xi, lam),
+                nu1=nu1(xi, k_u),
+                nu2=nu2(xi, k_u),
+                k_eff=k_eff,
+                nu3=top_norm(xi, k_eff),
+                m_star=m_star,
+                regime=regime,
+            )
+            calls = []
+            monkeypatch.setattr(profiles, "solve_zeta", lambda *a: calls.append(a) or solve_zeta(*a))
+            got = regime_and_cutoff(xi, k_u, n, p, degree)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert got == expect  # every field bit-identical to the separate solves
+
 
 class TestRateBounds:
     def test_endpoints(self):

@@ -220,6 +220,13 @@ class TestSharedCrossCovariance:
             assert got == _scan_by_loop(r, s)
             assert got == pytest.approx(_scan_brute_force(r, s), rel=1e-12, abs=1e-15)
 
+    def test_scan_budget_counts_row_sets_times_columns(self):
+        # C(10, 5) * 200 = 50,400 column sums; C(10, 5) * C(200, 5) = 6.4e11 supports
+        r = np.random.default_rng(11).standard_normal((10, 200))
+        assert scca.scan_stat(r, 5) == _scan_by_loop(r, 5)
+        with pytest.raises(ScanBudgetExceeded):
+            scca.scan_stat(r, 5, comb_cap=math.comb(10, 5) * 200 - 1)
+
     @pytest.mark.parametrize("s", [2, 9])
     def test_scan_blocks_match_one_block(self, s, monkeypatch):
         r = np.random.default_rng(7).standard_normal((11, 12))
