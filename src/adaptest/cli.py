@@ -24,7 +24,7 @@ import numpy as np
 from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
 from .estimators import projection_direction, sample_cov, scaled_lasso, spiked_cov_estimate
-from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list
+from .harness import TEST_MODES, ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
 from .inference import Constants
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import JointCovariance, TestProblem, dataset_from_csv, dataset_to_csv
@@ -62,25 +62,25 @@ class FitConfig(DataConfig):
 class TestCmdConfig(DataConfig):
     t0: float = 0.0
     alpha: float = 0.05
-    eta: float = 0.05
-    mode: str = "mixed"
-    scan_all_m: bool = False
+    eta: float = setting(0.05, mode=("mixed",))
+    mode: str = setting("mixed", TEST_MODES)
+    scan_all_m: bool = setting(False, mode=("mixed",))
 
 
 @dataclass(kw_only=True)
 class PriorConfig(LoadingConfig):
-    kind: str
+    kind: str = setting(choices=("nu2", "nu1", "comp"))
     n: int
     draws: int = 100
-    degree: int = 1
+    degree: int = setting(1, kind=("comp",))
     sigma_star: float = 5.0
-    tau: float | None = None  # nu1; unset means (c4 c5 / 4) nu1(xi) / sqrt(n)
-    c1: float = 0.05
-    c2: float | None = None
-    c4: float = 0.1
-    c5: float = 0.5
-    c8: float = 0.05
-    c9: float | None = None
+    tau: float | None = setting(None, kind=("nu1",))  # unset means (c4 c5 / 4) nu1(xi) / sqrt(n)
+    c1: float = setting(0.05, kind=("nu2",))
+    c2: float | None = setting(None, kind=("nu2",))
+    c4: float = setting(0.1, kind=("nu1",))
+    c5: float = setting(0.5, kind=("nu1",))
+    c8: float = setting(0.05, kind=("comp",))
+    c9: float | None = setting(None, kind=("comp",))
     chi2_reps: int = 0
 
 
@@ -99,23 +99,23 @@ class LowdegConfig(LoadingConfig):
 
 @dataclass(kw_only=True)
 class SccaConfig(RunConfig):
-    mode: str
+    mode: str = setting(choices=("generate", "reduce", "stats", "sweep"))
     n: int
     s: int
     p1: int
     p2: int
-    lam: float = 0.0
-    hypothesis: str = "null"
-    t0: float = 0.0
-    sigma_star: float = 1.0
-    c10: float = 0.1
-    big_c: float = 1.0
-    calib_reps: int = 400
-    reps: int = 200
-    lam_grid: str = "0.05,0.1,0.2"
-    level: float = 0.05
-    alpha: float = 0.05
-    eta: float = 0.05
+    lam: float = setting(0.0, mode=("generate", "reduce", "stats"))
+    hypothesis: str = setting("null", ("null", "alt"), mode=("generate", "reduce", "stats"))
+    t0: float = setting(0.0, mode=("reduce",))
+    sigma_star: float = setting(1.0, mode=("reduce",))
+    c10: float = setting(0.1, mode=("reduce",))
+    big_c: float = setting(1.0, mode=("stats",))
+    calib_reps: int = setting(400, mode=("sweep",))
+    reps: int = setting(200, mode=("sweep",))
+    lam_grid: str = setting("0.05,0.1,0.2", mode=("sweep",))
+    level: float = setting(0.05, mode=("sweep",))
+    alpha: float = setting(0.05, mode=("reduce",))
+    eta: float = setting(0.05, mode=("reduce",))
 
 
 def _read_dataset(cfg: DataConfig):
@@ -190,11 +190,9 @@ def cmd_prior(cfg: PriorConfig):
             tau = (cfg.c4 * cfg.c5 / 4.0) * nu1_value(xi, k_u) / math.sqrt(n)
         def sampler(s):
             return sample_nu1_prior(xi, k_u, n, tau, c4=cfg.c4, c5=cfg.c5, seed=s, sigma_star=sigma_star)
-    elif cfg.kind == "comp":
+    else:
         def sampler(s):
             return sample_comp_prior(xi, k_u, n, p, cfg.degree, c8=cfg.c8, c9=cfg.c9, seed=s, sigma_star=sigma_star)
-    else:
-        raise ConfigError(f"unknown prior kind {cfg.kind!r}")
 
     lines = ["draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason\n"]
     for i in range(cfg.draws):
@@ -270,7 +268,7 @@ def cmd_scca(cfg: SccaConfig):
         for k in scca.STATISTICS:
             lines.append(f"{k},{repr(rep.values[k])},{repr(rep.thresholds[k])},{int(rep.decisions[k])}\n")
         tables[".csv"] = "".join(lines)
-    elif cfg.mode == "sweep":
+    else:
         thr = scca.calibrate_thresholds(params, cfg.calib_reps, seed, cfg.level)
         lines = ["lam,statistic,power,se\n"]
         for lam in float_list(cfg.lam_grid):
@@ -285,8 +283,6 @@ def cmd_scca(cfg: SccaConfig):
                 pw = hits[k] / cfg.reps
                 lines.append(f"{repr(lam)},{k},{repr(pw)},{repr(math.sqrt(max(pw * (1 - pw), 0.0) / cfg.reps))}\n")
         tables[".csv"] = "".join(lines)
-    else:
-        raise ConfigError(f"unknown scca mode {cfg.mode!r}")
     return cfg, f"scca_{cfg.mode}", tables
 
 

@@ -42,6 +42,15 @@ from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior
 from .profiles import example_profiles, nu1 as nu1_value, regular_phase
 
 
+def setting(default=dataclasses.MISSING, choices=(), **when) -> dataclasses.Field:
+    """A config field taking one of `choices`, read only while each tag key in `when` takes one of its values."""
+    return dataclasses.field(default=default, metadata={"choices": choices, "when": when})
+
+
+LOADINGS = ("regular", "multiscale", "subweibull")
+_SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
+
+
 @dataclass(kw_only=True)
 class RunConfig:
     """Keys every command accepts: the seed of its random streams and the
@@ -58,11 +67,11 @@ class LoadingConfig(RunConfig):
 
     p: int
     k_u: int
-    loading: str = "regular"
-    loading_k: int | None = None
-    loading_a: float = 1.0
-    loading_l: int = 2
-    loading_q: float = 2.0
+    loading: str = setting("regular", LOADINGS, loading_csv=("",))
+    loading_k: int | None = setting(None, loading=("regular",))
+    loading_a: float = setting(1.0, loading=("regular", "multiscale"))
+    loading_l: int = setting(2, loading=("multiscale",))
+    loading_q: float = setting(2.0, loading=("subweibull",))
     loading_csv: str = ""
 
     def __post_init__(self):
@@ -74,34 +83,39 @@ class LoadingConfig(RunConfig):
 class ExperimentConfig(LoadingConfig):
     """The `simulate` schema."""
 
-    kind: str = "size_power"
-    n: int = 200
+    kind: str = setting("size_power", ("size_power", "length_sweep", "phase_diagram"))
+    n: int = setting(200, kind=_SIMULATED)
     p: int = 100
-    k_u: int = 4
+    k_u: int = setting(4, kind=_SIMULATED)
     k: int = 2
     alpha: float = 0.05
     eta: float = 0.05
     reps: int = 100
     threads: int = 1
-    modes: str = "mixed"
-    loading_k: int = 4
+    modes: str = setting("mixed", kind=("size_power",))
+    loading: str = setting("regular", LOADINGS, kind=_SIMULATED, loading_csv=("",))
+    loading_k: int = setting(4, loading=("regular",))
+    loading_csv: str = setting("", kind=_SIMULATED)
     t0: float = 0.0
-    tau_grid: str = "0.0"
-    null_source: str = "point"
-    sigma_star: float = 5.0
+    tau_grid: str = setting("0.0", kind=("size_power",))
+    null_source: str = setting("point", ("point", "nu1", "nu2"), kind=("size_power",))
+    sigma_star: float = setting(5.0, null_source=("nu1", "nu2"))
     noise_sd: float = 1.0
-    scan_all_m: bool = False
-    m_grid: int = 16
-    gamma_xi_grid: str = "0.2,0.4,0.6"
-    gamma_tau_grid: str = "0.2,0.4,0.6"
-    gamma_u: float = 0.3
-    gamma_n: float = 0.8
+    scan_all_m: bool = setting(False, kind=("size_power",))
+    m_grid: int = setting(16, kind=("length_sweep",))
+    gamma_xi_grid: str = setting("0.2,0.4,0.6", kind=("phase_diagram",))
+    gamma_tau_grid: str = setting("0.2,0.4,0.6", kind=("phase_diagram",))
+    gamma_u: float = setting(0.3, kind=("phase_diagram",))
+    gamma_n: float = setting(0.8, kind=("phase_diagram",))
 
     def mode_list(self) -> list[str]:
+        """The test modes; `scan_all_m` and a non-default `eta` need `mixed`."""
         out = [m.strip() for m in str(self.modes).split(",") if m.strip()]
         for m in out:
             if m not in TEST_MODES:
                 raise ConfigError(f"unknown test mode {m!r}")
+        if "mixed" not in out and (self.scan_all_m or self.eta != ExperimentConfig.eta):
+            raise ConfigError(f"scan_all_m and eta apply only when modes includes mixed, not modes = {self.modes!r}")
         return out
 
 
@@ -128,10 +142,21 @@ def _coerce(f: dataclasses.Field, raw: str):
         raise ConfigError(f"cannot parse {f.name} = {raw!r}") from exc
 
 
+def _blocker(cfg, name: str) -> tuple[str, object] | None:
+    """The (tag key, value) under which key `name` of cfg is not read, or None if it is read."""
+    for tag, allowed in {f.name: f for f in fields(cfg)}[name].metadata.get("when", {}).items():
+        value = getattr(cfg, tag)
+        found = _blocker(cfg, tag) or (None if value in allowed else (tag, value))
+        if found:
+            return found
+    return None
+
+
 def parse_config(text: str, schema: type = ExperimentConfig):
     """Parse key = value lines into the dataclass `schema`, coercing each
     value to its field's annotated type; '#' starts a comment, blank lines
-    are skipped, and a field without a default is a required key."""
+    are skipped, and a field without a default is a required key.  Tag keys
+    take one of their choices; a key that the tags leave unread is an error."""
     known = {f.name: f for f in fields(schema)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -145,20 +170,23 @@ def parse_config(text: str, schema: type = ExperimentConfig):
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = _coerce(known[key], raw.strip())
+        choices = known[key].metadata.get("choices")
+        if choices and values[key] not in choices:
+            raise ConfigError(f"{key} = {values[key]!r} is not one of {', '.join(choices)}")
     for name, f in known.items():
         if name not in values and f.default is dataclasses.MISSING:
             raise ConfigError(f"missing required key {name!r}")
-    return schema(**values)
+    cfg = schema(**values)
+    for key in values:
+        if found := _blocker(cfg, key):
+            raise ConfigError(f"{key} does not apply when {found[0]} = {found[1]!r}")
+    return cfg
 
 
 def format_config(cfg) -> str:
-    lines = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    """key = value lines for the keys cfg's tags read."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg) if not _blocker(cfg, f.name)}
+    return "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n" for k, v in values.items())
 
 
 def config_digest(cfg) -> str:
@@ -203,8 +231,6 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def _binomial_se(mean: float, count: int) -> float:
-    if count <= 0:
-        return 0.0
     return math.sqrt(max(mean * (1.0 - mean), 0.0) / count)
 
 
@@ -254,11 +280,9 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     seed = cfg.master_seed + 3_000_017 * (rep + 1)
     if cfg.null_source == "nu2":
         draw = sample_nu2_prior(xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, seed=seed)
-    elif cfg.null_source == "nu1":
+    else:
         tau = 0.0125 * nu1_value(xi, cfg.k_u) / math.sqrt(cfg.n)
         draw = sample_nu1_prior(xi, cfg.k_u, cfg.n, tau, seed=seed, sigma_star=cfg.sigma_star)
-    else:
-        raise ConfigError(f"unknown null_source {cfg.null_source!r}")
     if not draw.valid:
         return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
     return translate_draw(draw, xi, cfg.t0)
@@ -327,15 +351,11 @@ def run_single_test(
     """
     if mode == "mixed":
         return mixed_test(data, problem, constants, scan_all_m=scan_all_m)
-    if mode not in _INTERVAL_MODES:
-        raise ConfigError(f"unknown test mode {mode!r}")
     ci, m_used = _INTERVAL_MODES[mode](data, problem, constants, seed)
     return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=m_used, t0=problem.t0)
 
 
 def _map_replicates(worker, reps: int, threads: int) -> list:
-    if reps == 0:
-        return []
     if threads <= 1:
         return [worker(i) for i in range(reps)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -345,9 +365,9 @@ def _map_replicates(worker, reps: int, threads: int) -> list:
 def run_size_power(cfg: ExperimentConfig, constants: Constants = Constants()) -> list[ResultRow]:
     """Empirical rejection rates under the null point and shifted
     alternatives, per test mode and per tau on the grid."""
+    modes = cfg.mode_list()
     digest = config_digest(cfg)
     xi = build_loading(cfg)
-    modes = cfg.mode_list()
     taus = float_list(cfg.tau_grid)
     theta_alts = [null_point(xi, cfg.k, cfg.t0 + tau, cfg.p, cfg.noise_sd) for tau in taus]
     theta_point = null_draw_theta(cfg, xi, 0) if cfg.null_source == "point" else None
@@ -375,11 +395,11 @@ def run_size_power(cfg: ExperimentConfig, constants: Constants = Constants()) ->
         for chunk in per_rep
         for metric, rep, value in chunk
     ]
-    rows.extend(_aggregate(digest, rows, cfg.reps))
+    rows.extend(_aggregate(digest, rows))
     return rows
 
 
-def _aggregate(digest: str, rows: list[ResultRow], reps: int) -> list[ResultRow]:
+def _aggregate(digest: str, rows: list[ResultRow]) -> list[ResultRow]:
     grouped: dict[str, list[float]] = {}
     for r in rows:
         if r.replicate >= 0:
@@ -428,7 +448,7 @@ def run_length_sweep(cfg: ExperimentConfig, constants: Constants = Constants()) 
 
     per_rep = _map_replicates(worker, cfg.reps, cfg.threads)
     rows = [ResultRow(digest, rep, metric, value) for chunk in per_rep for metric, rep, value in chunk]
-    rows.extend(_aggregate(digest, rows, cfg.reps))
+    rows.extend(_aggregate(digest, rows))
     return rows
 
 
@@ -462,7 +482,7 @@ def run_phase_diagram(cfg: ExperimentConfig, constants: Constants = Constants())
             vals = _map_replicates(worker, cfg.reps, cfg.threads)
             metric = f"reject/gxi={gxi}/gtau={gtau}/label={label}"
             rows.extend(ResultRow(digest, i, metric, v) for i, v in enumerate(vals))
-    rows.extend(_aggregate(digest, rows, cfg.reps))
+    rows.extend(_aggregate(digest, rows))
     return rows
 
 
@@ -474,8 +494,6 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, constants: Constants = Constants()) -> list[ResultRow]:
-    if cfg.kind not in RUNNERS:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     return RUNNERS[cfg.kind](cfg, constants)
 
 

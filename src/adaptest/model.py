@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,12 +42,14 @@ class LoadingVector:
 
     coords holds the entries sorted by decreasing absolute value with
     stable ties; perm maps sorted position -> original index (0-based);
-    k_xi counts the nonzero entries.
+    k_xi counts the nonzero entries; roots memoises the profile-equation
+    root (zeta, lambda) by k_u (`profiles.profile_root`).
     """
 
     coords: np.ndarray
     perm: np.ndarray
     k_xi: int
+    roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:

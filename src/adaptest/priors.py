@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DivergentIntegral, RegimeViolation
 from .model import JointCovariance, ModelParams, sign, stream
 from .model import LoadingVector
-from .profiles import effective_sparsity, j1_index, solve_zeta, top_norm
+from .profiles import effective_sparsity, j1_index, profile_root, top_norm
 
 DEFAULT_C1 = 0.05
 DEFAULT_C4 = 0.1
@@ -247,7 +247,7 @@ def nu1_weights(xi: LoadingVector, k_u: int, c4: float = DEFAULT_C4) -> tuple[np
     q_j = c4 |xi_j| e^{-lambda^2/xi_j^2} / sqrt(sum xi_i^2 e^{-lambda^2/xi_i^2})
     over the support, gamma_j = sign(xi_j) for j <= j1 and lambda/xi_j after.
     """
-    _, lam = solve_zeta(xi, k_u)
+    _, lam = profile_root(xi, k_u)
     k = xi.k_xi
     x = xi.coords[:k]
     ax = np.abs(x)

@@ -101,6 +101,13 @@ def solve_zeta(xi: LoadingVector, k_u: int) -> tuple[float, float]:
     return zeta, lam
 
 
+def profile_root(xi: LoadingVector, k_u: int) -> tuple[float, float]:
+    """solve_zeta(xi, k_u), solved once per loading and k_u (racing threads store equal roots)."""
+    if k_u not in xi.roots:
+        xi.roots[k_u] = solve_zeta(xi, k_u)
+    return xi.roots[k_u]
+
+
 def j1_index(xi: LoadingVector, lam: float) -> int:
     """Largest index j with |xi_j| >= lambda (1-based count; 0 if none)."""
     return int(np.sum(np.abs(xi.coords) >= lam))
@@ -108,7 +115,7 @@ def j1_index(xi: LoadingVector, lam: float) -> int:
 
 def nu1(xi: LoadingVector, k_u: int) -> float:
     """lambda * k_u plus the l2 mass surviving the e^{-lambda^2/xi_j^2} damping."""
-    return _nu1_at(xi, k_u, solve_zeta(xi, k_u)[1])
+    return _nu1_at(xi, k_u, profile_root(xi, k_u)[1])
 
 
 def _nu1_at(xi: LoadingVector, k_u: int, lam: float) -> float:
@@ -143,7 +150,7 @@ def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, p: int, degree: int) 
     if degree < 1:
         raise ValueError("need degree >= 1")
     m_star, regime = cutoff_and_regime(k_u, n, p)
-    zeta, lam = solve_zeta(xi, k_u)
+    zeta, lam = profile_root(xi, k_u)
     k_eff = effective_sparsity(k_u, n, p, degree)
     return ProfileSummary(
         zeta=zeta,

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptest import harness
+from adaptest import cli, harness, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError
+from adaptest.profiles import solve_zeta
 from adaptest.harness import (
     ExperimentConfig,
     config_digest,
@@ -41,9 +42,80 @@ BY_TYPE = {
     "bool": st.booleans(),
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
-EXPERIMENT_CONFIGS = st.builds(
-    ExperimentConfig, **{f.name: BY_TYPE[f.type] for f in dataclasses.fields(ExperimentConfig)}
-)
+
+
+@st.composite
+def experiment_configs(draw):
+    """An ExperimentConfig whose tag keys take allowed values and whose keys
+    those tags do not read keep their defaults."""
+    values = {
+        f.name: draw(st.sampled_from(f.metadata["choices"]) if f.metadata.get("choices") else BY_TYPE[f.type])
+        for f in dataclasses.fields(ExperimentConfig)
+    }
+    cfg = ExperimentConfig(**values)
+    unread = [f.name for f in dataclasses.fields(cfg) if harness._blocker(cfg, f.name)]
+    return dataclasses.replace(cfg, **{name: getattr(ExperimentConfig(), name) for name in unread})
+
+
+EXPERIMENT_CONFIGS = experiment_configs()
+
+
+# Base keys that make each command's config complete; the tag key comes from
+# the case.  test's data_csv need not exist: key checks run before it is read.
+BASE = {
+    "prior": "n = 1000\np = 100\nk_u = 8\nloading_k = 30\ndraws = 2\n",
+    "scca": "n = 400\ns = 2\np1 = 6\np2 = 12\n",
+    "simulate": "p = 40\nreps = 1\n",
+    "test": "data_csv = missing.csv\nk_u = 3\n",
+    "profile": "n = 1000\np = 100\nk_u = 4\n",
+}
+# (command, tag key, tag value) -> the keys that variant does not read
+UNREAD = {
+    ("prior", "kind", "nu2"): "degree tau c4 c5 c8 c9",
+    ("prior", "kind", "nu1"): "degree c1 c2 c8 c9",
+    ("prior", "kind", "comp"): "tau c1 c2 c4 c5",
+    ("scca", "mode", "generate"): "t0 sigma_star c10 big_c calib_reps reps lam_grid level alpha eta",
+    ("scca", "mode", "reduce"): "big_c calib_reps reps lam_grid level",
+    ("scca", "mode", "stats"): "t0 sigma_star c10 calib_reps reps lam_grid level alpha eta",
+    ("scca", "mode", "sweep"): "lam hypothesis t0 sigma_star c10 big_c alpha eta",
+    ("simulate", "kind", "size_power"): "m_grid gamma_xi_grid gamma_tau_grid gamma_u gamma_n",
+    ("simulate", "kind", "length_sweep"): (
+        "modes tau_grid null_source sigma_star scan_all_m gamma_xi_grid gamma_tau_grid gamma_u gamma_n"
+    ),
+    ("simulate", "kind", "phase_diagram"): (
+        "n k_u loading loading_k loading_a loading_l loading_q loading_csv "
+        "modes tau_grid null_source sigma_star scan_all_m m_grid"
+    ),
+    ("simulate", "null_source", "point"): "sigma_star",
+    **{("test", "mode", mode): "eta scan_all_m" for mode in ("plugin", "debiased", "known_sigma", "spiked")},
+    ("profile", "loading", "regular"): "loading_l loading_q",
+    ("profile", "loading", "multiscale"): "loading_k loading_q",
+    ("profile", "loading", "subweibull"): "loading_k loading_a loading_l",
+    ("profile", "loading_csv", "xi.csv"): "loading loading_k loading_a loading_l loading_q",
+    ("simulate", "loading", "subweibull"): "loading_k loading_a loading_l",
+    ("simulate", "loading_csv", "xi.csv"): "loading loading_k loading_a loading_l loading_q",
+}
+UNREAD_CASES = [(cmd, tag, val, key) for (cmd, tag, val), keys in UNREAD.items() for key in keys.split()]
+SAMPLE_VALUE = {"loading": "regular", "null_source": "nu1", "hypothesis": "null"}  # tag keys: a valid choice
+BAD_TAGS = [
+    ("prior", "kind"), ("scca", "mode"), ("simulate", "kind"), ("simulate", "null_source"),
+    ("test", "mode"), ("profile", "loading"), ("simulate", "loading"), ("scca", "hypothesis"),
+]
+# Keys read per variant, loading conditions aside (README "Config keys by command").
+KEYS_READ = [
+    (cli.PriorConfig, {"kind": "nu2"}, 17),
+    (cli.PriorConfig, {"kind": "nu1"}, 18),
+    (cli.PriorConfig, {"kind": "comp"}, 18),
+    (cli.SccaConfig, {"mode": "generate"}, 9),
+    (cli.SccaConfig, {"mode": "reduce"}, 14),
+    (cli.SccaConfig, {"mode": "stats"}, 10),
+    (cli.SccaConfig, {"mode": "sweep"}, 11),
+    (ExperimentConfig, {"kind": "size_power", "null_source": "nu1"}, 24),
+    (ExperimentConfig, {"kind": "length_sweep"}, 20),
+    (ExperimentConfig, {"kind": "phase_diagram"}, 15),
+    (cli.TestCmdConfig, {"mode": "mixed"}, 17),
+    (cli.TestCmdConfig, {"mode": "plugin"}, 15),
+]
 
 
 class TestConfig:
@@ -91,6 +163,20 @@ class TestConfig:
             parse_config("n = 10\np = 5\n", ProfileConfig)
         cfg = parse_config("n = 10\np = 5\nk_u = 9\n", ProfileConfig)
         assert (cfg.degree, cfg.loading_k) == (1, 5)
+
+    @pytest.mark.parametrize("schema, tags, count", KEYS_READ, ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_keys_read_per_variant(self, schema, tags, count):
+        required = {f.name: 1 for f in dataclasses.fields(schema) if f.default is dataclasses.MISSING}
+        cfg = schema(**{**required, **tags})
+        blockers = [harness._blocker(cfg, f.name) for f in dataclasses.fields(cfg)]
+        assert sum(b is None or b[0] in ("loading", "loading_csv") for b in blockers) == count
+
+    def test_mode_specific_keys_need_mixed(self):
+        base = "modes = plugin,debiased\nreps = 0\n"
+        assert run_experiment(parse_config(base + "eta = 0.05\n")) == []
+        for extra in ("scan_all_m = 1\n", "eta = 0.1\n"):
+            with pytest.raises(ConfigError, match="modes includes mixed"):
+                run_experiment(parse_config(base + extra))
 
 
 class TestRunners:
@@ -324,6 +410,38 @@ class TestCli:
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "bogus_key" in capsys.readouterr().err
         assert not list(tmp_path.glob(f"{command}_*"))
+
+    @pytest.mark.parametrize("command, tag, value, key", UNREAD_CASES, ids=lambda v: str(v))
+    def test_unread_key_rejected(self, tmp_path, command, tag, value, key, capsys):
+        f = {f.name: f for f in dataclasses.fields(cli._DISPATCH[command][0])}[key]
+        sample = SAMPLE_VALUE.get(key, {"int": "3", "bool": "1"}.get(f.type.removesuffix(" | None"), "0.5"))
+        cfg = self._write(tmp_path, f"{BASE[command]}{tag} = {value}\n{key} = {sample}\n")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and value in err
+        assert not list(tmp_path.glob(f"{command}_*"))
+
+    @pytest.mark.parametrize("command, tag", BAD_TAGS, ids=lambda v: str(v))
+    def test_bad_tag_value_rejected(self, tmp_path, command, tag, capsys):
+        cfg = self._write(tmp_path, f"{BASE[command]}{tag} = bogus\n")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert tag in err and "bogus" in err
+        assert not list(tmp_path.glob(f"{command}_*"))
+
+    def test_profile_equation_solved_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(profiles, "solve_zeta", lambda *a: calls.append(a) or solve_zeta(*a))
+        runs = {
+            "profile": BASE["profile"],
+            "prior": "n = 1000\np = 100\nk_u = 8\nloading_k = 30\nkind = nu1\ndraws = 50\n",
+            "simulate": "null_source = nu1\nreps = 5\nn = 150\np = 60\nk_u = 8\nloading_k = 30\n",
+        }
+        for command, text in runs.items():
+            calls.clear()
+            cfg = self._write(tmp_path, text)
+            assert cli_main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+            assert len(calls) == 1, command
 
     def test_sidecar_lists_resolved_defaults(self, tmp_path):
         cfg = self._write(tmp_path, "n = 1000\np = 100\nk_u = 4\nmaster_seed = 3\n")

@@ -158,7 +158,8 @@ class TestRegimeAndCutoff:
 
         rng = np.random.default_rng(9)
         for _ in range(20):
-            xi = make_loading(rng.standard_normal(60) * (rng.random(60) < 0.5) + np.eye(60)[0])
+            raw = rng.standard_normal(60) * (rng.random(60) < 0.5) + np.eye(60)[0]
+            xi = make_loading(raw)
             k_u, n, p, degree = int(rng.integers(1, 30)), int(rng.integers(100, 10**5)), 60, int(rng.integers(1, 4))
             zeta, lam = solve_zeta(xi, k_u)
             m_star, regime = profiles.cutoff_and_regime(k_u, n, p)
@@ -176,7 +177,8 @@ class TestRegimeAndCutoff:
             )
             calls = []
             monkeypatch.setattr(profiles, "solve_zeta", lambda *a: calls.append(a) or solve_zeta(*a))
-            got = regime_and_cutoff(xi, k_u, n, p, degree)
+            # a fresh loading: xi's memo already holds the root nu1 solved above
+            got = regime_and_cutoff(make_loading(raw), k_u, n, p, degree)
             monkeypatch.undo()
             assert len(calls) == 1
             assert got == expect  # every field bit-identical to the separate solves
