@@ -15,7 +15,6 @@ from adaptest import (
     make_loading,
     mixed_ci,
     mixed_test,
-    sample_cov,
     scaled_lasso,
 )
 from adaptest.harness import m_cutoff_grid
@@ -29,13 +28,12 @@ data = generate_dataset(theta, n, seed=21)
 
 xi = make_loading(np.concatenate((np.linspace(2.0, 0.8, 10), 0.05 * np.ones(p - 10))))
 target = float(xi.original() @ beta)
-gram = sample_cov(data)
-fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n)
+fit = scaled_lasso(data)
 print(f"scaled lasso: sigma_hat={fit.sigma_hat:.4f}, support={np.flatnonzero(fit.beta_hat)}")
 
 print("\nradius across cutoffs (debiased head + plug-in tail):")
 for m in m_cutoff_grid(p, 10):
-    ci = mixed_ci(data, fit, xi, m, k_u, 0.05, 0.05, gram=gram)
+    ci = mixed_ci(data, fit, xi, m, k_u, 0.05, 0.05)
     marker = " covers" if ci.covers(target) else " MISSES"
     print(f"  m={m:4d}  center={ci.center:+.4f}  radius={ci.radius:.4f}{marker}")
 

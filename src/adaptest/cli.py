@@ -23,7 +23,7 @@ import numpy as np
 
 from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
-from .estimators import projection_direction, sample_cov, scaled_lasso, spiked_cov_estimate
+from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from .harness import TEST_MODES, ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
 from .inference import Constants
 from .lowdeg import ld_norm, ld_uniform_bound
@@ -147,7 +147,7 @@ def cmd_fit(cfg: FitConfig):
     data, cfg = _read_dataset(cfg)
     xi = build_loading(cfg)
     fit = scaled_lasso(data, sigma_floor=cfg.sigma_floor)
-    proj = projection_direction(sample_cov(data), xi, cfg.c_xi, data.n)
+    proj = projection_direction(data, xi, cfg.c_xi, data.n)
     support = np.flatnonzero(fit.beta_hat)
     fields = {
         "sigma_hat": repr(fit.sigma_hat),

@@ -3,9 +3,9 @@ constrained debiasing direction, and the exhaustive sparse signed-spiked
 covariance estimator.
 
 The lasso and the direction program share one coordinate-descent core on
-the Gram matrix: a vectorized KKT check over all coordinates picks a
-working set (the nonzero coordinates and the violators), and only that
-set is swept, in ascending index order, so results are deterministic.
+a dataset's `Gram` (columns formed on first touch): a vectorized KKT check
+picks a working set (the nonzero coordinates and the violators), and only
+that set is swept, in ascending index order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -51,8 +51,39 @@ def sample_cov(data: Dataset) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
+class Gram:
+    """n^{-1} X'X of one dataset, column j formed on first read as its own
+    product X'X_j / n, so its bits never depend on the columns formed before
+    or beside it.  diag comes from the column norms; xty = X'y/n, yty = y'y/n."""
+
+    def __init__(self, data: Dataset):
+        self.x, self.n = data.x, data.n
+        self.diag = np.einsum("ij,ij->j", data.x, data.x) / data.n
+        self.xty, self.yty = data.x.T @ data.y / data.n, float(data.y @ data.y) / data.n
+        self.columns: dict[int, np.ndarray] = {}  # j -> column j, once formed
+
+    @classmethod
+    def of(cls, src) -> "Gram":
+        """src itself, the Gram memoised on a Dataset, or a dense symmetric matrix behind this interface."""
+        if isinstance(src, Dataset):
+            return src.memo.get("gram") or src.memo.setdefault("gram", cls(src))
+        if isinstance(src, Gram):
+            return src
+        gram = cls.__new__(cls)
+        gram.diag, gram.columns = np.diag(src), dict(enumerate(np.asarray(src).T))
+        return gram
+
+    def cols(self, idx) -> np.ndarray:
+        """Columns idx of the Gram matrix, as a p x len(idx) array."""
+        idx = np.asarray(idx, dtype=int).tolist()
+        for j in idx:
+            if j not in self.columns:
+                self.columns[j] = self.x.T @ self.x[:, j] / self.n
+        return np.array([self.columns[j] for j in idx]).reshape(len(idx), self.diag.size).T
+
+
 def _cd_quadratic_l1(
-    gram: np.ndarray,
+    gram: "Gram | np.ndarray",
     lin: np.ndarray,
     pen: np.ndarray,
     beta0: np.ndarray,
@@ -66,13 +97,14 @@ def _cd_quadratic_l1(
     (nonzero coordinates and violators) on its principal submatrix until
     no scaled step exceeds kkt_tol / 100, then updates the full gradient
     once.  Each sweep is one pass.  Returns (v, converged, passes).
-    Coordinates with G_jj = 0 are held where they start.
+    Coordinates with G_jj = 0 are held where they start.  G is anything
+    `Gram.of` accepts; only its diagonal and working-set columns are read.
     """
-    diag = np.diag(gram)
-    movable = diag > 0.0
+    gram = Gram.of(gram)
+    movable = gram.diag > 0.0
     v = beta0.copy()
     nz = np.flatnonzero(v)
-    g = gram[:, nz] @ v[nz]
+    g = gram.cols(nz) @ v[nz]
     passes = 0
     while True:
         r = lin - g
@@ -83,11 +115,12 @@ def _cd_quadratic_l1(
         if passes >= max_passes:
             return v, False, passes
         ws = np.flatnonzero(movable & ((v != 0.0) | (viol > kkt_tol)))
-        cols = gram.T[np.ix_(ws, ws)]  # row i is column ws[i] on the working set
+        ws_cols = gram.cols(ws)
+        block = ws_cols[ws].T  # row i is column ws[i] on the working set
         g_ws = g[ws]
         v_old = v[ws]
         v_ws = v_old.tolist()
-        lin_ws, pen_ws, d_ws = lin[ws].tolist(), pen[ws].tolist(), diag[ws].tolist()
+        lin_ws, pen_ws, d_ws = lin[ws].tolist(), pen[ws].tolist(), gram.diag[ws].tolist()
         while passes < max_passes:
             passes += 1
             step_max = 0.0
@@ -97,23 +130,17 @@ def _cd_quadratic_l1(
                 new = (z - t if z > t else z + t if z < -t else 0.0) / d_i
                 step = new - v_ws[i]
                 if step != 0.0:
-                    g_ws += cols[i] * step
+                    g_ws += block[i] * step
                     v_ws[i] = new
                     step_max = max(step_max, abs(step) * math.sqrt(d_i))
             if step_max <= 1e-2 * kkt_tol:
                 break
         v_new = np.array(v_ws)
-        g += gram[:, ws] @ (v_new - v_old)
+        g += ws_cols @ (v_new - v_old)
         v[ws] = v_new
 
 
-def scaled_lasso(
-    data: Dataset,
-    *,
-    sigma_floor: float = 0.0,
-    gram: np.ndarray | None = None,
-    xty: np.ndarray | None = None,
-) -> ScaledLassoFit:
+def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     """Joint estimate of (beta, sigma) by alternating minimization.
 
     For fixed sigma the beta-step is a lasso with per-column weights
@@ -127,15 +154,13 @@ def scaled_lasso(
     if n < 2:
         raise ValueError("need at least two samples")
     lam0 = math.sqrt(2.01 * math.log(p) / n)
-    g = sample_cov(data) if gram is None else gram
-    b = data.x.T @ data.y / n if xty is None else xty
-    yty = float(data.y @ data.y) / n
-    weights = np.sqrt(np.diag(g))
+    g = Gram.of(data)
+    weights = np.sqrt(g.diag)
     if np.any(weights == 0.0):
         raise ValueError("columns of X must not be identically zero")
 
     beta = np.zeros(p)
-    sigma = math.sqrt(yty)
+    sigma = math.sqrt(g.yty)
     objectives = []
     converged = False
     inner_ok = True
@@ -145,7 +170,7 @@ def scaled_lasso(
             break
         beta, ok, _ = _cd_quadratic_l1(
             g,
-            b,
+            g.xty,
             sigma * lam0 * weights,
             beta,
             kkt_tol=1e-10 * max(1.0, sigma),
@@ -153,7 +178,7 @@ def scaled_lasso(
         )
         inner_ok = inner_ok and ok
         nz = np.flatnonzero(beta)  # beta is sparse: form beta' G beta on its support
-        res2 = max(yty - 2.0 * float(b @ beta) + float(beta[nz] @ (g[np.ix_(nz, nz)] @ beta[nz])), 0.0)
+        res2 = max(g.yty - 2.0 * float(g.xty @ beta) + float(beta[nz] @ (g.cols(nz)[nz] @ beta[nz])), 0.0)
         sigma_new = math.sqrt(res2)
         objectives.append(
             res2 / (2.0 * sigma_new) + sigma_new / 2.0 + lam0 * float(weights @ np.abs(beta))
@@ -184,7 +209,7 @@ def scaled_lasso(
 
 
 def projection_direction(
-    sigma_hat: np.ndarray,
+    sigma_hat: "Dataset | Gram | np.ndarray",
     xi: LoadingVector,
     c_xi: float,
     n: int,
@@ -199,7 +224,7 @@ def projection_direction(
     passes runs out, the zero-direction fallback is returned with
     feasible = False.
     """
-    p = sigma_hat.shape[0]
+    p, sigma_hat = xi.p, Gram.of(sigma_hat)
     xi_orig = xi.original()
     norm2 = float(np.linalg.norm(xi_orig))
     radius = c_xi * norm2 * math.sqrt(math.log(p) / n)
@@ -213,7 +238,7 @@ def projection_direction(
         max_passes=5000,
     )
     nz = np.flatnonzero(v)
-    s_v = sigma_hat[:, nz] @ v[nz]
+    s_v = sigma_hat.cols(nz) @ v[nz]
     if not ok or np.max(np.abs(s_v - xi_orig)) > radius * (1.0 + 1e-8) + tol:
         return ProjectionResult(u_hat=np.zeros(p), feasible=False, radius=radius, objective=0.0)
     return ProjectionResult(

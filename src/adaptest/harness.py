@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import scaled_lasso, sample_cov, projection_direction, spiked_cov_estimate
+from .estimators import scaled_lasso, projection_direction, spiked_cov_estimate
 from .inference import (
     Constants,
     TestDecision,
@@ -108,12 +108,16 @@ class ExperimentConfig(LoadingConfig):
     gamma_u: float = setting(0.3, kind=("phase_diagram",))
     gamma_n: float = setting(0.8, kind=("phase_diagram",))
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind == "size_power":
+            self.mode_list()  # so parse_config rejects a bad modes entry before any work
+
     def mode_list(self) -> list[str]:
         """The test modes; `scan_all_m` and a non-default `eta` need `mixed`."""
         out = [m.strip() for m in str(self.modes).split(",") if m.strip()]
-        for m in out:
-            if m not in TEST_MODES:
-                raise ConfigError(f"unknown test mode {m!r}")
+        if not out or any(m not in TEST_MODES for m in out):
+            raise ConfigError(f"modes = {self.modes!r} must list one or more of {', '.join(TEST_MODES)}")
         if "mixed" not in out and (self.scan_all_m or self.eta != ExperimentConfig.eta):
             raise ConfigError(f"scan_all_m and eta apply only when modes includes mixed, not modes = {self.modes!r}")
         return out
@@ -313,9 +317,8 @@ def _plugin(data: Dataset, problem: TestProblem, constants: Constants, seed: int
 
 
 def _debiased(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
-    gram = sample_cov(data)
-    fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / data.n, sigma_floor=constants.sigma_floor)
-    proj = projection_direction(gram, problem.xi, constants.c_xi, data.n)
+    fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
+    proj = projection_direction(data, problem.xi, constants.c_xi, data.n)
     return debiased_ci(data, fit, proj, problem.xi.original(), problem.k_u, problem.alpha, constants), data.p
 
 
@@ -438,11 +441,10 @@ def run_length_sweep(cfg: ExperimentConfig, constants: Constants = Constants()) 
 
     def worker(rep: int):
         data = generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1))
-        gram = sample_cov(data)
-        fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / data.n, sigma_floor=constants.sigma_floor)
+        fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
         out = []
         for m in grid:
-            ci = mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta, constants, gram=gram)
+            ci = mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta, constants)
             out.append((f"radius/m={m}", rep, ci.radius))
         return out
 

@@ -5,7 +5,8 @@ through the l1 error of the lasso), debiased (residual correction along
 the inf-norm constrained direction), their Minkowski mixture split at a
 magnitude cutoff m, and the data-split variants for known or spiked
 design covariance.  Every interval carries an error-budget ledger; its
-nominal level is one minus the total budget.
+nominal level is one minus the total budget.  Everything computed on one
+dataset reads its memoised `Gram`, never the full X'X/n.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from scipy.special import ndtri
 
 from .errors import OddSampleSize
 from .estimators import (
+    Gram,
     ProjectionResult,
     ScaledLassoFit,
     SpikedCovFit,
     projection_direction,
-    sample_cov,
     scaled_lasso,
 )
 from .model import Dataset, LoadingVector, TestProblem, stream
@@ -132,14 +133,14 @@ def debiased_ci(
 ) -> ConfidenceInterval:
     """Residual-corrected interval along the projection direction.
 
-    Center: xi'beta_hat + u_hat' X'(Y - X beta_hat)/n.  Radius:
+    Center: xi'beta_hat + u_hat' X'(Y - X beta_hat)/n, read from the Gram as
+    X'Y/n - G[:, S] beta_hat_S on the support S of beta_hat.  Radius:
     1.1 sigma_hat [ sqrt(u'Su/n) z_{1-alpha/8} + c_beta C_xi ||xi||_2 k_u log p / n ].
     An infeasible projection degrades gracefully to u_hat = 0.
     """
     n, p = data.n, data.p
-    u = proj.u_hat
-    resid = data.y - data.x @ fit.beta_hat
-    center = float(xi_vec @ fit.beta_hat) + float(u @ (data.x.T @ resid)) / n
+    gram, s = Gram.of(data), np.flatnonzero(fit.beta_hat)
+    center = float(xi_vec @ fit.beta_hat) + float(proj.u_hat @ (gram.xty - gram.cols(s) @ fit.beta_hat[s]))
     norm2 = float(np.linalg.norm(xi_vec))
     radius = 1.1 * fit.sigma_hat * (
         math.sqrt(max(proj.objective, 0.0) / n) * z_quantile(1.0 - alpha / 8.0)
@@ -162,7 +163,6 @@ def mixed_ci(
     alpha: float,
     eta: float,
     constants: Constants = Constants(),
-    gram: np.ndarray | None = None,
 ) -> ConfidenceInterval:
     """Minkowski sum of a debiased interval on the top-m coordinates of
     xi and a plug-in interval on the rest, each at level 1 - alpha'/4
@@ -175,8 +175,7 @@ def mixed_ci(
     n, p = data.n, data.p
     a_comp = min(alpha, eta) / 4.0
     head, tail = xi.split(m)
-    g = sample_cov(data) if gram is None else gram
-    proj = projection_direction(g, _as_loading(head, xi, m), constants.c_xi, n)
+    proj = projection_direction(data, _as_loading(head, xi, m), constants.c_xi, n)
     ci_db = debiased_ci(data, fit, proj, head, k_u, a_comp, constants)
     ci_pi = plugin_ci(fit, tail, k_u, n, p, a_comp, constants)
     return ci_db + ci_pi
@@ -209,21 +208,18 @@ def mixed_test(
     profile cutoff m_star.
     """
     xi, k_u = problem.xi, problem.k_u
-    n, p = data.n, data.p
-    gram = sample_cov(data)
-    fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n, sigma_floor=constants.sigma_floor)
+    fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
 
     if scan_all_m:
-        grid = _log_grid(p, 32)
         best = None
-        for m in grid:
-            ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta, constants, gram=gram)
+        for m in _log_grid(data.p, 32):
+            ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta, constants)
             if best is None or ci.radius < best[1].radius:
                 best = (m, ci)
         m_used, interval = best
     else:
-        m_used, _ = cutoff_and_regime(k_u, n, p)
-        interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta, constants, gram=gram)
+        m_used, _ = cutoff_and_regime(k_u, data.n, data.p)
+        interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta, constants)
     return TestDecision(
         reject=not interval.covers(problem.t0),
         interval=interval,

@@ -138,6 +138,7 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     seed: int | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # e.g. estimators.Gram.of
 
     def __post_init__(self):
         if self.x.shape[0] != self.y.shape[0]:

@@ -19,7 +19,7 @@ from adaptest import lowdeg as ld
 from adaptest import priors as pri
 from adaptest import profiles as prof
 from adaptest import scca
-from adaptest.estimators import projection_direction, sample_cov, scaled_lasso, spiked_cov_estimate
+from adaptest.estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from adaptest.harness import parse_config, run_experiment, rows_to_csv
 from adaptest.model import JointCovariance, ModelParams, generate_dataset, make_loading, stream
 
@@ -70,18 +70,17 @@ def test_criterion_2_endpoint_recovery():
         theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
         data = generate_dataset(theta, n, seed=1000 + trial)
         xi = make_loading(rng.standard_normal(p))
-        gram = sample_cov(data)
-        fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n)
+        fit = scaled_lasso(data)
         alpha = eta = float(rng.uniform(0.02, 0.2))
         a_comp = min(alpha, eta) / 4.0
 
-        m0 = inf.mixed_ci(data, fit, xi, 0, k_u, alpha, eta, gram=gram)
+        m0 = inf.mixed_ci(data, fit, xi, 0, k_u, alpha, eta)
         pi = inf.plugin_ci(fit, xi.original(), k_u, n, p, a_comp)
         assert abs(m0.center - pi.center) <= 1e-12
         assert abs(m0.radius - pi.radius) <= 1e-12
 
-        mp = inf.mixed_ci(data, fit, xi, p, k_u, alpha, eta, gram=gram)
-        proj = projection_direction(gram, xi, 2.0, n)
+        mp = inf.mixed_ci(data, fit, xi, p, k_u, alpha, eta)
+        proj = projection_direction(data, xi, 2.0, n)
         db = inf.debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
         assert abs(mp.center - db.center) <= 1e-12
         assert abs(mp.radius - db.radius) <= 1e-12

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adaptest import estimators
 from adaptest.errors import BudgetExceeded, ZeroResidualDegenerate
 from adaptest.estimators import (
+    Gram,
     _cd_quadratic_l1,
     gamma_block,
     projection_direction,
@@ -33,6 +34,16 @@ def random_design(seed, n, p, dead):
     return x, rng
 
 
+KKT_CASES = dict(
+    seed=st.integers(0, 10**6),
+    p=st.integers(1, 12),
+    n=st.integers(1, 30),
+    dead=st.integers(0, 3),
+    constant_pen=st.booleans(),
+    level=st.floats(0.01, 2.0),
+)
+
+
 class TestCoordinateDescentKKT:
     """Certificates at the returned point: for every coordinate with
     G_jj > 0, |lin_j - (Gv)_j - pen_j sign(v_j)| <= tol where v_j != 0 and
@@ -44,19 +55,13 @@ class TestCoordinateDescentKKT:
         viol = np.where(v != 0.0, np.abs(r - pen * np.sign(v)), np.abs(r) - pen)
         return float(np.max(viol[np.diag(gram) > 0.0], initial=0.0))
 
-    @given(
-        seed=st.integers(0, 10**6),
-        p=st.integers(1, 12),
-        n=st.integers(1, 30),
-        dead=st.integers(0, 3),
-        constant_pen=st.booleans(),
-        level=st.floats(0.01, 2.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_returned_point_satisfies_kkt(self, seed, p, n, dead, constant_pen, level):
+    def solve_and_certify(self, seed, p, n, dead, constant_pen, level, lazy):
+        """Run the core on the dense sample_cov or on the dataset's lazy Gram,
+        and certify the point on the matrix the core read."""
         dead = min(dead, p)
         x, rng = random_design(seed, n, p, dead)
-        gram = sample_cov(Dataset(x=x, y=np.zeros(n)))
+        data = Dataset(x=x, y=np.zeros(n))
+        gram = Gram.of(data) if lazy else sample_cov(data)
         # lin in the row space of X keeps the objective bounded below
         lin = x.T @ rng.standard_normal(n) / n
         pen = np.full(p, level) if constant_pen else level * rng.uniform(0.1, 1.0, p)
@@ -65,7 +70,17 @@ class TestCoordinateDescentKKT:
         assert converged
         assert passes <= 100_000
         assert np.all(v[:dead] == 0.0)
-        assert self.kkt_violation(gram, lin, pen, v) <= tol + 1e-12
+        assert self.kkt_violation(Gram.of(gram).cols(range(p)), lin, pen, v) <= tol + 1e-12
+
+    @given(**KKT_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_returned_point_satisfies_kkt(self, seed, p, n, dead, constant_pen, level):
+        self.solve_and_certify(seed, p, n, dead, constant_pen, level, lazy=False)
+
+    @given(**KKT_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_gram_point_satisfies_kkt(self, seed, p, n, dead, constant_pen, level):
+        self.solve_and_certify(seed, p, n, dead, constant_pen, level, lazy=True)
 
     def test_pass_budget_exhausted_is_reported(self):
         x, rng = random_design(3, 40, 10, 0)
@@ -179,6 +194,45 @@ class TestSampleCov:
         x = stream(5, 0).standard_normal((30, 8))
         s = sample_cov(Dataset(x=x, y=np.zeros(30)))
         assert np.array_equal(s, s.T)
+
+
+class TestGram:
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 30), p=st.integers(1, 12), dead=st.integers(0, 3),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_columns_agree_with_sample_cov(self, seed, n, p, dead, scale, data):
+        x, rng = random_design(seed, n, p, min(dead, p))
+        ds = Dataset(x=scale * x, y=rng.standard_normal(n))
+        idx = data.draw(st.lists(st.integers(0, p - 1), max_size=2 * p))
+        full, gram = sample_cov(ds), Gram.of(ds)
+        bound = 1e-13 * float(np.max(np.sum(ds.x**2, axis=0))) / n
+        assert gram.cols(idx).shape == (p, len(idx))
+        assert np.all(np.abs(gram.cols(idx) - full[:, idx]) <= bound)
+        assert np.all(np.abs(gram.diag - np.diag(full)) <= bound)
+        assert np.array_equal(gram.xty, ds.x.T @ ds.y / n) and gram.yty == float(ds.y @ ds.y) / n
+        assert sorted(gram.columns) == sorted(set(idx))
+
+    def test_column_bits_do_not_depend_on_order(self):
+        # the criterion-3 size: long enough products for the BLAS kernels to block
+        x = stream(11, 0).standard_normal((300, 600))
+        ds = Dataset(x=x, y=np.zeros(300))
+        alone = Gram(ds).cols([7])
+        after = Gram(ds)
+        after.cols([3, 599, 0])
+        inside = Gram(ds).cols([1, 2, 7, 8, 9, 400])
+        for col in (after.cols([7]), inside[:, [2]], Gram(ds).cols([7, 7])[:, [1]]):
+            assert col.tobytes() == alone.tobytes()
+
+    def test_memoised_on_the_dataset(self):
+        x = stream(2, 0).standard_normal((20, 6))
+        ds = Dataset(x=x, y=x[:, 0])
+        assert Gram.of(ds) is Gram.of(ds) and Gram.of(Gram.of(ds)) is Gram.of(ds)
+        assert Gram.of(Dataset(x=x, y=x[:, 0])) is not Gram.of(ds)
+        scaled_lasso(ds)
+        formed = dict(Gram.of(ds).columns)
+        assert 0 < len(formed) < 6
+        projection_direction(ds, make_loading(np.eye(6)[0]), 2.0, 20)
+        assert all(Gram.of(ds).columns[j] is col for j, col in formed.items())
 
 
 class TestProjectionDirection:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from adaptest import cli, harness, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError
+from adaptest.estimators import Gram
+from adaptest.inference import Constants, mixed_test
+from adaptest.model import TestProblem as Problem, generate_dataset
 from adaptest.profiles import solve_zeta
 from adaptest.harness import (
     ExperimentConfig,
@@ -35,6 +39,10 @@ modes = mixed
 master_seed = 4
 """
 
+# The criterion-3 problem (n = 300, p = 600) with one alternative, at a size a unit test can afford.
+CRITERION3_CFG = "kind = size_power\nn = 300\np = 600\nk_u = 5\nk = 5\nt0 = 4.0\ntau_grid = 10.0\nreps = 3\nmaster_seed = 1\n"
+SUBWEIBULL = "loading = subweibull\nloading_q = 2.0\n"
+
 BOOL_SPELLINGS = {True: ("1", "true", "yes", "on"), False: ("0", "false", "no", "off")}
 BY_TYPE = {
     "int": st.integers(-(2**63), 2**63),
@@ -44,14 +52,21 @@ BY_TYPE = {
 }
 
 
+MODE_LISTS = st.lists(st.sampled_from(harness.TEST_MODES), min_size=1, unique=True).map(",".join)
+
+
 @st.composite
 def experiment_configs(draw):
-    """An ExperimentConfig whose tag keys take allowed values and whose keys
-    those tags do not read keep their defaults."""
+    """An ExperimentConfig whose tag keys take allowed values, whose modes
+    name test modes (scan_all_m and eta at their defaults without mixed) and
+    whose keys the tags do not read keep their defaults."""
     values = {
         f.name: draw(st.sampled_from(f.metadata["choices"]) if f.metadata.get("choices") else BY_TYPE[f.type])
         for f in dataclasses.fields(ExperimentConfig)
     }
+    values["modes"] = draw(MODE_LISTS)
+    if "mixed" not in values["modes"]:
+        values.update(scan_all_m=False, eta=ExperimentConfig.eta)
     cfg = ExperimentConfig(**values)
     unread = [f.name for f in dataclasses.fields(cfg) if harness._blocker(cfg, f.name)]
     return dataclasses.replace(cfg, **{name: getattr(ExperimentConfig(), name) for name in unread})
@@ -178,6 +193,21 @@ class TestConfig:
             with pytest.raises(ConfigError, match="modes includes mixed"):
                 run_experiment(parse_config(base + extra))
 
+    @pytest.mark.parametrize(
+        "extra, word",
+        [("modes = mixed,bogus\n", "bogus"), ("modes = ,\n", "one or more of mixed"),
+         ("modes = plugin\nscan_all_m = 1\n", "scan_all_m"), ("modes = plugin,debiased\neta = 0.1\n", "eta")],
+        ids=["unknown", "empty", "scan_all_m", "eta"],
+    )
+    def test_modes_checked_when_parsed(self, tmp_path, extra, word, capsys):
+        with pytest.raises(ConfigError, match=word):
+            parse_config(BASE["simulate"] + extra)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE["simulate"] + extra)
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert word in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunners:
     def test_zero_replicates_empty_table(self):
@@ -242,6 +272,45 @@ class TestRunners:
                 radii[m] = r.value
         best_m = min(radii, key=radii.get)
         assert best_m >= 5
+
+    @pytest.mark.parametrize("loading", ["loading_k = 5\n", SUBWEIBULL + "scan_all_m = 1\n"], ids=["regular", "scan"])
+    def test_criterion3_run_never_forms_the_full_gram(self, loading, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the full X'X/n was formed")
+
+        for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "adaptest"]:
+            if hasattr(mod, "sample_cov"):
+                monkeypatch.setattr(mod, "sample_cov", refuse)
+        formed = []
+
+        def counted(data, *args, **kwargs):
+            dec = mixed_test(data, *args, **kwargs)
+            formed.append(len(Gram.of(data).columns))
+            return dec
+
+        monkeypatch.setattr(harness, "mixed_test", counted)
+        rows = run_experiment(parse_config(CRITERION3_CFG + loading))
+        assert any(r.metric == "mean/reject/null/mixed" for r in rows)
+        assert len(formed) == 2 * 3
+        assert max(formed) <= 32
+
+    def test_debiased_mode_does_not_depend_on_the_modes_before_it(self):
+        # a dense loading, so the mixed head's direction and the debiased one touch different columns
+        cfg = parse_config(CRITERION3_CFG + SUBWEIBULL + "modes = mixed,debiased\n")
+        table = {(r.replicate, r.metric): repr(float(r.value)) for r in run_experiment(cfg)}
+        xi = harness.build_loading(cfg)
+        problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
+        theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
+        for rep in range(cfg.reps):
+            fresh, shared, primed = (generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1)) for _ in "abc")
+            alone = harness.run_single_test("debiased", fresh, problem, Constants(), seed=cfg.master_seed + rep)
+            assert repr(float(alone.interval.radius)) == table[rep, "radius/null/debiased"]
+            assert repr(float(alone.reject)) == table[rep, "reject/null/debiased"]
+            harness.run_single_test("mixed", shared, problem, Constants(), seed=cfg.master_seed + rep)
+            after = harness.run_single_test("debiased", shared, problem, Constants(), seed=cfg.master_seed + rep)
+            assert after == alone
+            Gram.of(primed).cols(range(cfg.p - 1, -1, -1))  # as if an earlier mode had read every column
+            assert harness.run_single_test("debiased", primed, problem, Constants(), seed=cfg.master_seed + rep) == alone
 
     def test_m_cutoff_grid(self):
         grid = m_cutoff_grid(50, 16)

@@ -11,7 +11,6 @@ from adaptest.estimators import (
     ScaledLassoFit,
     SpikedCovFit,
     projection_direction,
-    sample_cov,
     scaled_lasso,
     spiked_cov_estimate,
 )
@@ -95,9 +94,8 @@ class TestDebiasedCI:
         reps = 1000
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
-            gram = sample_cov(data)
-            fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n)
-            proj = projection_direction(gram, xi, 2.0, n)
+            fit = scaled_lasso(data)
+            proj = projection_direction(data, xi, 2.0, n)
             ci = inf.debiased_ci(data, fit, proj, xi.original(), 5, 0.05)
             hits += ci.covers(target)
         assert hits / reps >= 0.95 - 0.03
@@ -111,37 +109,36 @@ class TestMixedCI:
         theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
         data = generate_dataset(theta, n, seed + 1)
         xi = make_loading(rng.standard_normal(p))
-        gram = sample_cov(data)
-        fit = scaled_lasso(data, gram=gram, xty=data.x.T @ data.y / n)
-        return data, xi, gram, fit
+        fit = scaled_lasso(data)
+        return data, xi, fit
 
     def test_endpoints_recover_components(self):
         for seed in range(5):
-            data, xi, gram, fit = self._setup(seed)
+            data, xi, fit = self._setup(seed)
             n, p, k_u = data.n, data.p, 4
             a_comp = min(0.05, 0.05) / 4.0
-            m0 = inf.mixed_ci(data, fit, xi, 0, k_u, 0.05, 0.05, gram=gram)
+            m0 = inf.mixed_ci(data, fit, xi, 0, k_u, 0.05, 0.05)
             pi = inf.plugin_ci(fit, xi.original(), k_u, n, p, a_comp)
             assert m0.center == pytest.approx(pi.center, abs=1e-12)
             assert m0.radius == pytest.approx(pi.radius, abs=1e-12)
-            mp = inf.mixed_ci(data, fit, xi, p, k_u, 0.05, 0.05, gram=gram)
-            proj = projection_direction(gram, xi, 2.0, n)
+            mp = inf.mixed_ci(data, fit, xi, p, k_u, 0.05, 0.05)
+            proj = projection_direction(data, xi, 2.0, n)
             db = inf.debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
             assert mp.center == pytest.approx(db.center, abs=1e-12)
             assert mp.radius == pytest.approx(db.radius, abs=1e-12)
 
     def test_scan_beats_endpoints(self):
-        data, xi, gram, fit = self._setup(3)
+        data, xi, fit = self._setup(3)
         problem = problem_of(xi=xi, t0=0.0, k_u=4, alpha=0.05, eta=0.05)
         dec = inf.mixed_test(data, problem, scan_all_m=True)
-        m0 = inf.mixed_ci(data, fit, xi, 0, 4, 0.05, 0.05, gram=gram)
-        mp = inf.mixed_ci(data, fit, xi, data.p, 4, 0.05, 0.05, gram=gram)
+        m0 = inf.mixed_ci(data, fit, xi, 0, 4, 0.05, 0.05)
+        mp = inf.mixed_ci(data, fit, xi, data.p, 4, 0.05, 0.05)
         assert dec.interval.radius <= min(m0.radius, mp.radius) + 1e-12
 
     def test_decision_invariant_under_rescaling(self):
         # (xi, t0) -> (2 xi, 2 t0) leaves the decision unchanged
         for seed in range(6):
-            data, xi, _, _ = self._setup(seed, n=120, p=40)
+            data, xi, _ = self._setup(seed, n=120, p=40)
             xi2 = make_loading(2.0 * xi.original())
             t0 = 0.4
             d1 = inf.mixed_test(data, problem_of(xi=xi, t0=t0, k_u=4, alpha=0.05, eta=0.05))
