@@ -2,13 +2,14 @@
 
 Calibrates the five cross-covariance statistics on null Monte Carlo,
 contrasts their power at a signal strength between the scan and
-max-column boundaries, then maps an SCCA instance into a regression
-sample and runs the mixed test on it (with the decision inversion).
+max-column boundaries (both from R_hat drawn from its exact law), then
+maps an SCCA instance's rows into a regression sample and runs the mixed
+test on it (with the decision inversion).
 """
 
 import numpy as np
 
-from adaptest import gen_scca, mixed_test, reduce_to_lt
+from adaptest import gen_scca, mixed_test, reduce_to_lt, sample_cross_covariance
 from adaptest.scca import SccaParams, boundary_table, calibrate_thresholds, stat_report
 
 n, s, p1, p2 = 4000, 2, 10, 40
@@ -25,8 +26,8 @@ print(f"\nplanted cross-correlation lambda = {lam:.5f} (between scan and max-col
 hits = {k: 0 for k in thresholds}
 reps = 200
 for i in range(reps):
-    inst = gen_scca(SccaParams(n=n, s=s, p1=p1, p2=p2, lam=lam), "alt", 1000 + i)
-    rep = stat_report(inst, s, thresholds)
+    r_hat = sample_cross_covariance(SccaParams(n=n, s=s, p1=p1, p2=p2, lam=lam), "alt", 1000 + i)
+    rep = stat_report(r_hat, s, thresholds)
     for k in thresholds:
         hits[k] += int(rep.decisions[k])
 print("calibrated power over", reps, "replicates:")

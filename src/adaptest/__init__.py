@@ -60,6 +60,14 @@ from .priors import (
     sample_nu2_prior,
 )
 from .lowdeg import RankOneGaussian, hermite_moment, ld_norm, ld_uniform_bound
-from .scca import SccaInstance, SccaParams, boundary_table, gen_scca, reduce_to_lt, thresholds
+from .scca import (
+    SccaInstance,
+    SccaParams,
+    boundary_table,
+    gen_scca,
+    reduce_to_lt,
+    sample_cross_covariance,
+    thresholds,
+)
 
 __version__ = "0.1.0"

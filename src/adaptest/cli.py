@@ -261,9 +261,9 @@ def cmd_scca(cfg: SccaConfig):
             f"{repr(problem.t0)},{problem.k_u},{problem.xi.k_xi},{repr(tau_red)},{repr(problem.alpha)},{repr(problem.eta)}\n"
         )
     elif cfg.mode == "stats":
-        inst = scca.gen_scca(params, cfg.hypothesis, seed)
-        thr = scca.thresholds(inst.rows, params.s, params.p1, params.p2, cfg.big_c)
-        rep = scca.stat_report(inst, params.s, thr)
+        r = scca.sample_cross_covariance(params, cfg.hypothesis, seed)
+        thr = scca.thresholds(params.n, params.s, params.p1, params.p2, cfg.big_c)
+        rep = scca.stat_report(r, params.s, thr)
         lines = ["statistic,value,threshold,decision\n"]
         for k in scca.STATISTICS:
             lines.append(f"{k},{repr(rep.values[k])},{repr(rep.thresholds[k])},{int(rep.decisions[k])}\n")
@@ -275,8 +275,8 @@ def cmd_scca(cfg: SccaConfig):
             pa = replace(params, lam=lam)
             hits = {k: 0 for k in scca.STATISTICS}
             for i in range(cfg.reps):
-                inst = scca.gen_scca(pa, "alt", seed + 10_000 + i)
-                rep = scca.stat_report(inst, params.s, thr)
+                r = scca.sample_cross_covariance(pa, "alt", seed + 10_000 + i)
+                rep = scca.stat_report(r, params.s, thr)
                 for k in scca.STATISTICS:
                     hits[k] += int(rep.decisions[k])
             for k in scca.STATISTICS:

@@ -236,15 +236,22 @@ def _log_grid(p: int, size: int) -> list[int]:
 
 
 def split_half(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic random halves: parity positions of a seeded shuffle."""
-    if data.n % 2 != 0:
-        raise OddSampleSize("data splitting needs an even sample count")
-    order = stream(seed, 1).permutation(data.n)
-    first, second = order[0::2], order[1::2]
-    return (
-        Dataset(x=data.x[first], y=data.y[first]),
-        Dataset(x=data.x[second], y=data.y[second]),
-    )
+    """Deterministic random halves: parity positions of a seeded shuffle.
+
+    Memoised on the dataset by seed, so every caller gets the same two
+    halves, and with them each half's memoised Gram.
+    """
+    halves = data.memo.get(("split_half", seed))
+    if halves is None:
+        if data.n % 2 != 0:
+            raise OddSampleSize("data splitting needs an even sample count")
+        order = stream(seed, 1).permutation(data.n)
+        first, second = order[0::2], order[1::2]
+        halves = data.memo.setdefault(
+            ("split_half", seed),
+            (Dataset(x=data.x[first], y=data.y[first]), Dataset(x=data.x[second], y=data.y[second])),
+        )
+    return halves
 
 
 def known_sigma_ci(

@@ -3,11 +3,14 @@ the pairwise reduction to linear-functional testing.
 
 An instance is n paired Gaussian rows (U1, U2); under the alternative a
 hidden s x s block of the cross-covariance carries the value lambda / s.
-Five statistics of the sample cross-covariance R_hat are implemented
-with their thresholds and detection-boundary formulas; the reduction
-consumes rows two at a time and outputs a regression sample whose null
-maps to a point alternative of the linear test (decision inversion: use
-one minus the linear test's decision).
+Five statistics of the sample cross-covariance R_hat = U1'U2 / n are
+implemented with their thresholds and detection-boundary formulas.  They
+read R_hat alone, so sample_cross_covariance draws it from its exact law
+(a Bartlett factor of the Wishart U1'U1) in about p1 (p1 + 1) / 2 + p1 p2
+normals; gen_scca draws the n rows, which generation and the reduction
+need.  The reduction consumes rows two at a time and outputs a regression
+sample whose null maps to a point alternative of the linear test
+(decision inversion: use one minus the linear test's decision).
 """
 
 from __future__ import annotations
@@ -101,6 +104,51 @@ def gen_scca(params: SccaParams, hypothesis: str, seed: int) -> SccaInstance:
     )
 
 
+def _cross_from_factor(params: SccaParams, a: np.ndarray, g: np.ndarray, d1, d2) -> np.ndarray:
+    """R_hat = (A A' C + A G B') / n from a factor A of U1'U1 = A A' and G.
+
+    gen_scca's joint Cholesky factor is [[I, 0], [C', B]] with
+    C = lam d1 d2' and B = chol(I - C'C), so U2 = U1 C + E B' and
+    U1'U2 = U1'U1 C + U1'E B'; given U1, U1'E has the law of A G for
+    standard normal G.  d1 = d2 = None is the null: C = 0, B = I.
+    """
+    if d1 is None:
+        return a @ g / params.n
+    c = params.lam * np.outer(d1, d2)
+    b = np.linalg.cholesky(np.eye(params.p2) - c.T @ c)
+    return a @ (a.T @ c + g @ b.T) / params.n
+
+
+def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int) -> np.ndarray:
+    """R_hat with exactly the law of gen_scca(params, hypothesis, seed).cross_covariance().
+
+    The planted d1, d2 are drawn first on the same stream, as gen_scca
+    draws them, so a seed plants the same support.  For n > p1 the factor
+    A of U1'U1 ~ Wishart_p1(n, I) is Bartlett's: lower triangular with
+    A_ii^2 ~ chi2(n - i + 1) (i = 1..p1) and standard normals below the
+    diagonal, p1 (p1 + 1) / 2 + p1 p2 draws in all instead of n (p1 + p2);
+    otherwise it is the raw rows U1', drawn as gen_scca draws them.
+    """
+    if hypothesis not in ("null", "alt"):
+        raise ValueError("hypothesis must be 'null' or 'alt'")
+    if params.lam >= 1.0:
+        raise NotPD("cross-correlation lambda must be below 1")
+    rng = stream(seed, 0)
+    n, p1, p2 = params.n, params.p1, params.p2
+    d1 = d2 = None
+    if hypothesis == "alt":
+        d1 = _flat_support_vector(p1, params.s, rng)
+        d2 = _flat_support_vector(p2, params.s, rng)
+    if n > p1:
+        a = np.diag(np.sqrt(rng.chisquare(n - np.arange(p1))))
+        a[np.tril_indices(p1, -1)] = rng.standard_normal(p1 * (p1 - 1) // 2)
+        g = rng.standard_normal((p1, p2))
+    else:
+        z = rng.standard_normal((n, p1 + p2))
+        a, g = z[:, :p1].T, z[:, p1:]
+    return _cross_from_factor(params, a, g, d1, d2)
+
+
 # --- test statistics ---------------------------------------------------------
 
 _SCAN_BLOCK = 1 << 16  # column-sum entries scan_stat forms at once
@@ -187,8 +235,8 @@ def boundary_table(n: int, s: int, p1: int, p2: int) -> dict:
     }
 
 
-def stat_values(inst: SccaInstance, s: int) -> dict:
-    r = inst.cross_covariance()
+def stat_values(inst: SccaInstance | np.ndarray, s: int) -> dict:
+    r = _cross(inst)
     return {
         "scan": scan_stat(r, s),
         "entrywise": entrywise_max(r),
@@ -198,7 +246,7 @@ def stat_values(inst: SccaInstance, s: int) -> dict:
     }
 
 
-def stat_report(inst: SccaInstance, s: int, thresh: dict) -> StatReport:
+def stat_report(inst: SccaInstance | np.ndarray, s: int, thresh: dict) -> StatReport:
     values = stat_values(inst, s)
     return StatReport(
         values=values,
@@ -271,7 +319,7 @@ def calibrate_thresholds(
     """Null Monte Carlo thresholds: per-statistic empirical (1 - level) quantile."""
     samples = {k: np.empty(reps) for k in STATISTICS}
     for i in range(reps):
-        inst = gen_scca(params, "null", seed + i)
-        for k, v in stat_values(inst, params.s).items():
+        r = sample_cross_covariance(params, "null", seed + i)
+        for k, v in stat_values(r, params.s).items():
             samples[k][i] = v
     return {k: float(np.quantile(v, 1.0 - level, method="higher")) for k, v in samples.items()}

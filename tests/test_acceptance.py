@@ -387,8 +387,8 @@ def test_criterion_11_scca_statistic_ordering():
     hits = {"scan": 0, "max_col": 0}
     reps = 500
     for i in range(reps):
-        inst = scca.gen_scca(alt_params, "alt", 60_000 + i)
-        rep = scca.stat_report(inst, s, thresholds)
+        r = scca.sample_cross_covariance(alt_params, "alt", 60_000 + i)
+        rep = scca.stat_report(r, s, thresholds)
         hits["scan"] += int(rep.decisions["scan"])
         hits["max_col"] += int(rep.decisions["max_col"])
     scan_power = hits["scan"] / reps

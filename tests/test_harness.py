@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptest import cli, harness, profiles
+from adaptest import cli, harness, inference, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError
-from adaptest.estimators import Gram
+from adaptest.estimators import Gram, spiked_cov_estimate
 from adaptest.inference import Constants, mixed_test
-from adaptest.model import TestProblem as Problem, generate_dataset
+from adaptest.model import ModelParams, TestProblem as Problem, generate_dataset, make_loading, stream
 from adaptest.profiles import solve_zeta
 from adaptest.harness import (
     ExperimentConfig,
@@ -311,6 +311,32 @@ class TestRunners:
             assert after == alone
             Gram.of(primed).cols(range(cfg.p - 1, -1, -1))  # as if an earlier mode had read every column
             assert harness.run_single_test("debiased", primed, problem, Constants(), seed=cfg.master_seed + rep) == alone
+
+    def test_spiked_mode_splits_once(self, monkeypatch):
+        p, k_u, seed = 8, 2, 9
+        problem = Problem(xi=make_loading(np.ones(p)), t0=0.0, k_u=k_u, alpha=0.05, eta=0.05)
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=1.0)
+        data, fresh = (generate_dataset(theta, 200, 31) for _ in "ab")
+        splits, spiked_on, lasso_on = [], [], []
+
+        def counted_stream(master_seed, index=0):
+            splits.append((master_seed, index))
+            return stream(master_seed, index)
+
+        def spy(fn, seen):
+            return lambda d, *args, **kwargs: seen.append(d) or fn(d, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "stream", counted_stream)
+        monkeypatch.setattr(harness, "spiked_cov_estimate", spy(spiked_cov_estimate, spiked_on))
+        monkeypatch.setattr(inference, "scaled_lasso", spy(inference.scaled_lasso, lasso_on))
+        dec = harness.run_single_test("spiked", data, problem, Constants(), seed=seed)
+        assert splits == [(seed, 1)]
+        half1 = inference.split_half(data, seed)[0]
+        assert len(spiked_on) == len(lasso_on) == 1
+        assert spiked_on[0] is half1 and lasso_on[0] is half1
+        # the shared halves are the halves a fresh split makes
+        spk = spiked_cov_estimate(inference.split_half(fresh, seed)[0], k_u)
+        assert dec.interval == inference.spiked_ci(fresh, spk, problem.xi, k_u, problem.alpha, seed, Constants())
 
     def test_m_cutoff_grid(self):
         grid = m_cutoff_grid(50, 16)

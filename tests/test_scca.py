@@ -4,6 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from adaptest import scca
 from adaptest.errors import NotPD, OddPairCount, ScanBudgetExceeded
@@ -255,3 +258,98 @@ class TestSharedCrossCovariance:
         assert inst.u1.tobytes() == z[:, :4].tobytes()
         assert inst.u2.tobytes() == z[:, 4:].tobytes()
         assert inst.delta1 is None and inst.delta2 is None
+
+
+def _gen_scca_normals(params, hypothesis, seed):
+    """The n x (p1 + p2) standard normals gen_scca multiplies by its joint factor."""
+    rng = stream(seed, 0)
+    if hypothesis == "alt":
+        scca._flat_support_vector(params.p1, params.s, rng)
+        scca._flat_support_vector(params.p2, params.s, rng)
+    return rng.standard_normal((params.n, params.p1 + params.p2))
+
+
+@st.composite
+def small_params(draw):
+    p1, p2 = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return scca.SccaParams(
+        n=draw(st.integers(1, 60)),
+        s=draw(st.integers(1, min(p1, p2))),
+        p1=p1,
+        p2=p2,
+        lam=draw(st.floats(0.0, 0.99)),
+    )
+
+
+def _max_rel_diff(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+class TestExactLawSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(small_params(), st.sampled_from(["null", "alt"]), st.integers(0, 2**32))
+    def test_factor_formula_is_gen_scca_algebra(self, params, hypothesis, seed):
+        # A = U1' and G = E from gen_scca's own normals reproduce its R_hat
+        inst = scca.gen_scca(params, hypothesis, seed)
+        z = _gen_scca_normals(params, hypothesis, seed)
+        got = scca._cross_from_factor(params, z[:, : params.p1].T, z[:, params.p1 :], inst.delta1, inst.delta2)
+        assert got.shape == (params.p1, params.p2)
+        assert _max_rel_diff(got, inst.cross_covariance()) <= 1e-12
+
+    @pytest.mark.parametrize("hypothesis", ["null", "alt"])
+    def test_statistics_have_gen_scca_law(self, hypothesis):
+        # small n, where a wrong chi-square degree of freedom or a missing
+        # B factor moves these laws well beyond the KS noise at 2,000 draws
+        params = scca.SccaParams(n=12, s=2, p1=4, p2=6, lam=0.8)
+        draws = 2000
+        ours = [scca.stat_values(scca.sample_cross_covariance(params, hypothesis, i), 2) for i in range(draws)]
+        rows = [scca.stat_values(scca.gen_scca(params, hypothesis, 50_000 + i), 2) for i in range(draws)]
+        for k in scca.STATISTICS:
+            pvalue = ks_2samp([v[k] for v in ours], [v[k] for v in rows]).pvalue
+            assert pvalue >= 0.01, (k, pvalue)
+
+    @pytest.mark.parametrize("hypothesis", ["null", "alt"])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_few_rows_take_the_raw_rows(self, hypothesis, n):
+        # n <= p1 has no Bartlett factor: the sampler draws gen_scca's rows
+        params = scca.SccaParams(n=n, s=2, p1=5, p2=7, lam=0.6)
+        for seed in range(5):
+            want = scca.gen_scca(params, hypothesis, seed).cross_covariance()
+            assert _max_rel_diff(scca.sample_cross_covariance(params, hypothesis, seed), want) <= 1e-12
+
+    @pytest.mark.parametrize("hypothesis", ["null", "alt"])
+    def test_deterministic_per_seed(self, hypothesis):
+        params = scca.SccaParams(n=300, s=2, p1=6, p2=9, lam=0.4)
+        a = scca.sample_cross_covariance(params, hypothesis, 21)
+        assert a.tobytes() == scca.sample_cross_covariance(params, hypothesis, 21).tobytes()
+        assert a.tobytes() != scca.sample_cross_covariance(params, hypothesis, 22).tobytes()
+
+    def test_plants_gen_scca_support(self, monkeypatch):
+        params = scca.SccaParams(n=300, s=3, p1=8, p2=12, lam=0.4)
+        support, planted = scca._flat_support_vector, []
+
+        def recorded(p, s, rng):
+            planted.append(support(p, s, rng))
+            return planted[-1]
+
+        monkeypatch.setattr(scca, "_flat_support_vector", recorded)
+        for seed in range(5):
+            planted.clear()
+            scca.sample_cross_covariance(params, "alt", seed)
+            inst = scca.gen_scca(params, "alt", seed)
+            assert len(planted) == 4
+            assert np.array_equal(planted[0], inst.delta1) and np.array_equal(planted[1], inst.delta2)
+            assert np.array_equal(planted[0], planted[2]) and np.array_equal(planted[1], planted[3])
+
+    def test_same_checks_as_gen_scca(self):
+        with pytest.raises(NotPD):
+            scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=1.0), "alt", 0)
+        with pytest.raises(ValueError):
+            scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=0.1), "planted", 0)
+
+    def test_statistics_take_an_instance_or_its_cross_covariance(self):
+        params = scca.SccaParams(n=200, s=2, p1=5, p2=8, lam=0.3)
+        inst = scca.gen_scca(params, "alt", 4)
+        thr = scca.thresholds(params.n, params.s, params.p1, params.p2)
+        assert scca.stat_values(inst, 2) == scca.stat_values(inst.cross_covariance(), 2)
+        assert scca.stat_report(inst, 2, thr) == scca.stat_report(inst.cross_covariance(), 2, thr)
