@@ -275,7 +275,7 @@ def cmd_scca(cfg: SccaConfig):
             pa = replace(params, lam=lam)
             hits = {k: 0 for k in scca.STATISTICS}
             for i in range(cfg.reps):
-                r = scca.sample_cross_covariance(pa, "alt", seed + 10_000 + i)
+                r = scca.sample_cross_covariance(pa, "alt", seed, scca.ALT_STREAMS + i)
                 rep = scca.stat_report(r, params.s, thr)
                 for k in scca.STATISTICS:
                     hits[k] += int(rep.decisions[k])

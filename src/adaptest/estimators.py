@@ -140,15 +140,56 @@ def _cd_quadratic_l1(
         v[ws] = v_new
 
 
+def _fixed_point_on_support(g: Gram, beta: np.ndarray, pen0: np.ndarray, tol: float):
+    """The scaled-lasso fixed point on beta's support and signs, or None.
+
+    With support S, signs s, A = G[S, S], c = X'y/n on S and
+    d = A^{-1}(pen0_S * s), the lasso at penalty sigma * pen0 with that
+    support and those signs is beta_S(sigma) = A^{-1} c - sigma d, whose
+    residual ||Y - X beta||^2 / n is y'y/n - c'A^{-1}c + sigma^2 d'Ad.  So
+    sigma*^2 = (y'y/n - c'A^{-1}c) / (1 - d'Ad).  (beta*, sigma*) is
+    returned only if it keeps the signs s and every coordinate outside S
+    meets |X_j'(Y - X beta*)/n| <= sigma* pen0_j + tol; it reads only the
+    Gram columns of S.
+    """
+    nz = np.flatnonzero(beta)
+    s = np.sign(beta[nz])
+    cols = g.cols(nz)
+    try:
+        sol = np.linalg.solve(cols[nz], np.column_stack((g.xty[nz], pen0[nz] * s)))
+    except np.linalg.LinAlgError:
+        return None
+    num = g.yty - float(g.xty[nz] @ sol[:, 0])
+    den = 1.0 - float(pen0[nz] * s @ sol[:, 1])
+    if num <= 0.0 or den <= 0.0:
+        return None
+    sigma = math.sqrt(num / den)
+    beta_s = sol[:, 0] - sigma * sol[:, 1]
+    if np.any(beta_s * s <= 0.0):
+        return None
+    grad = g.xty - cols @ beta_s
+    grad[nz] = 0.0
+    if np.any(np.abs(grad) > sigma * pen0 + tol):
+        return None
+    out = np.zeros_like(beta)
+    out[nz] = beta_s
+    return out, sigma
+
+
 def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
-    """Joint estimate of (beta, sigma) by alternating minimization.
+    """Joint estimate of (beta, sigma): the scaled lasso's fixed point.
 
     For fixed sigma the beta-step is a lasso with per-column weights
     ||X_j||_2 / sqrt(n) and penalty level sigma * sqrt(2.01 log p / n);
     the sigma-step is the exact minimizer ||Y - X beta||_2 / sqrt(n).
-    Stops when sigma changes by less than 1e-8 (relative) or after 500
-    rounds; converged is False if that never happened or if any beta-step
-    ran out of its budget of 2000 coordinate-descent passes.
+    After each beta-step the fixed point of the two steps is solved in
+    closed form on that step's support and signs, where the lasso is
+    affine in sigma (`_fixed_point_on_support`), and taken when its KKT
+    certificate holds; the sigma-step from it then returns sigma to
+    rounding.  Otherwise the rounds alternate the two steps from the
+    new sigma.  Stops when sigma changes by less than 1e-8 (relative) or
+    after 500 rounds; converged is False if that never happened or if any
+    beta-step ran out of its budget of 2000 coordinate-descent passes.
     """
     n, p = data.n, data.p
     if n < 2:
@@ -168,15 +209,12 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     for it in range(1, 501):
         if sigma <= 0.0:
             break
-        beta, ok, _ = _cd_quadratic_l1(
-            g,
-            g.xty,
-            sigma * lam0 * weights,
-            beta,
-            kkt_tol=1e-10 * max(1.0, sigma),
-            max_passes=2000,
-        )
+        kkt_tol = 1e-10 * max(1.0, sigma)
+        beta, ok, _ = _cd_quadratic_l1(g, g.xty, sigma * lam0 * weights, beta, kkt_tol=kkt_tol, max_passes=2000)
         inner_ok = inner_ok and ok
+        fixed = _fixed_point_on_support(g, beta, lam0 * weights, kkt_tol)
+        if fixed is not None:
+            beta, sigma = fixed
         nz = np.flatnonzero(beta)  # beta is sparse: form beta' G beta on its support
         res2 = max(g.yty - 2.0 * float(g.xty @ beta) + float(beta[nz] @ (g.cols(nz)[nz] @ beta[nz])), 0.0)
         sigma_new = math.sqrt(res2)

@@ -323,7 +323,7 @@ def _debiased(data: Dataset, problem: TestProblem, constants: Constants, seed: i
 
 
 def _known_sigma(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
-    ci = known_sigma_ci(data, np.eye(data.p), problem.xi.original(), problem.k_u, problem.alpha, seed, constants)
+    ci = known_sigma_ci(data, np.ones(data.p), problem.xi.original(), problem.k_u, problem.alpha, seed, constants)
     return ci, data.p
 
 

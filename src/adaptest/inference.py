@@ -256,24 +256,26 @@ def split_half(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 
 def known_sigma_ci(
     data: Dataset,
-    sigma0: np.ndarray,
+    sigma0_diag: np.ndarray,
     xi_vec: np.ndarray,
     k_u: int,
     alpha: float,
     seed: int,
     constants: Constants = Constants(),
 ) -> ConfidenceInterval:
-    """Data-split debiased interval using the known precision Sigma0^{-1}.
+    """Data-split debiased interval using the known diagonal covariance Sigma0.
 
-    The lasso runs on half 1; the bias correction uses half 2 with the
-    oracle direction, so the radius needs no k_u term:
+    sigma0_diag is the diagonal of Sigma0, length p (the paper's known
+    covariance is diagonal).  The lasso runs on half 1; the bias correction
+    uses half 2 with the oracle direction Sigma0^{-1} xi, so the radius
+    needs no k_u term:
     1.1 (c2 + c3) ||xi||_2 sigma_hat / sqrt(n2).
     """
     half1, half2 = split_half(data, seed)
     fit = scaled_lasso(half1, sigma_floor=constants.sigma_floor)
     n2 = half2.n
     resid = half2.y - half2.x @ fit.beta_hat
-    direction = np.linalg.solve(sigma0, xi_vec)
+    direction = xi_vec / sigma0_diag
     center = float(xi_vec @ fit.beta_hat) + float(direction @ (half2.x.T @ resid)) / n2
     radius = 1.1 * (constants.c2 + constants.c3) * float(np.linalg.norm(xi_vec)) * fit.sigma_hat / math.sqrt(n2)
     return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"known_sigma": alpha})

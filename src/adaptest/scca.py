@@ -119,21 +119,29 @@ def _cross_from_factor(params: SccaParams, a: np.ndarray, g: np.ndarray, d1, d2)
     return a @ (a.T @ c + g @ b.T) / params.n
 
 
-def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int) -> np.ndarray:
+# Stream indices under one master seed: the `stats` draw is index 0, null
+# calibration draw i is NULL_STREAMS + i and sweep alternative i is
+# ALT_STREAMS + i, so no two draws of a run, or of two master seeds, share
+# a Philox key.
+NULL_STREAMS, ALT_STREAMS = 1 << 32, 2 << 32
+
+
+def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> np.ndarray:
     """R_hat with exactly the law of gen_scca(params, hypothesis, seed).cross_covariance().
 
-    The planted d1, d2 are drawn first on the same stream, as gen_scca
-    draws them, so a seed plants the same support.  For n > p1 the factor
-    A of U1'U1 ~ Wishart_p1(n, I) is Bartlett's: lower triangular with
-    A_ii^2 ~ chi2(n - i + 1) (i = 1..p1) and standard normals below the
-    diagonal, p1 (p1 + 1) / 2 + p1 p2 draws in all instead of n (p1 + p2);
-    otherwise it is the raw rows U1', drawn as gen_scca draws them.
+    Drawn on stream(seed, index).  The planted d1, d2 are drawn first, as
+    gen_scca draws them, so at index 0 a seed plants the same support.
+    For n > p1 the factor A of U1'U1 ~ Wishart_p1(n, I) is Bartlett's:
+    lower triangular with A_ii^2 ~ chi2(n - i + 1) (i = 1..p1) and
+    standard normals below the diagonal, p1 (p1 + 1) / 2 + p1 p2 draws in
+    all instead of n (p1 + p2); otherwise it is the raw rows U1', drawn as
+    gen_scca draws them.
     """
     if hypothesis not in ("null", "alt"):
         raise ValueError("hypothesis must be 'null' or 'alt'")
     if params.lam >= 1.0:
         raise NotPD("cross-correlation lambda must be below 1")
-    rng = stream(seed, 0)
+    rng = stream(seed, index)
     n, p1, p2 = params.n, params.p1, params.p2
     d1 = d2 = None
     if hypothesis == "alt":
@@ -316,10 +324,11 @@ def calibrate_thresholds(
     seed: int,
     level: float = 0.05,
 ) -> dict:
-    """Null Monte Carlo thresholds: per-statistic empirical (1 - level) quantile."""
+    """Null Monte Carlo thresholds: per-statistic empirical (1 - level)
+    quantile over reps null draws, draw i on stream(seed, NULL_STREAMS + i)."""
     samples = {k: np.empty(reps) for k in STATISTICS}
     for i in range(reps):
-        r = sample_cross_covariance(params, "null", seed + i)
+        r = sample_cross_covariance(params, "null", seed, NULL_STREAMS + i)
         for k, v in stat_values(r, params.s).items():
             samples[k][i] = v
     return {k: float(np.quantile(v, 1.0 - level, method="higher")) for k, v in samples.items()}

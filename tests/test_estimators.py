@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaptest import estimators
@@ -150,6 +150,87 @@ class TestScaledLasso:
         # envelope constant 1.5 on top of 1.5 sqrt(2 log p / n) = 0.184
         assert np.median(errs) <= 1.5 * 1.5 * math.sqrt(2 * math.log(p) / n)
         assert np.median(sig_errs) <= 0.15
+
+
+def lars_design(seed, n, extra, mix, noise, b1, b2):
+    """y = b1 x1 + b2 x2 + noise, x3 correlated (mix) with x1 + x2, `extra`
+    independent columns.  With mix near 1, x3 enters the lasso path first
+    and leaves it later, so the closed form on the first support can flip
+    the sign of beta_3; mix = 0 is a plain Gaussian design."""
+    rng = stream(seed, 0)
+    x = rng.standard_normal((n, 3 + extra))
+    x[:, 2] = mix * (x[:, 0] + x[:, 1]) / math.sqrt(2.0) + math.sqrt(1.0 - mix * mix) * x[:, 2]
+    return Dataset(x=x, y=b1 * x[:, 0] + b2 * x[:, 1] + noise * rng.standard_normal(n))
+
+
+def plain_alternation(data, rel=1e-14, rounds=500):
+    """The scaled lasso by plain alternation of its two exact steps, until
+    sigma changes by less than `rel` (relative)."""
+    g = Gram.of(data)
+    lam0 = math.sqrt(2.01 * math.log(data.p) / data.n)
+    weights = np.sqrt(g.diag)
+    beta, sigma = np.zeros(data.p), math.sqrt(g.yty)
+    for _ in range(rounds):
+        beta, ok, _ = _cd_quadratic_l1(g, g.xty, sigma * lam0 * weights, beta, kkt_tol=1e-12, max_passes=100_000)
+        assert ok
+        sigma_new = float(np.linalg.norm(data.y - data.x @ beta)) / math.sqrt(data.n)
+        if abs(sigma_new / sigma - 1.0) < rel:
+            return beta, sigma_new
+        sigma = sigma_new
+    raise AssertionError("plain alternation did not converge")
+
+
+class TestScaledLassoFixedPoint:
+    """The fit is the exact fixed point: the lasso KKT conditions at penalty
+    sigma lam0 w on every column, and sigma^2 = ||y - X beta||^2 / n."""
+
+    def test_certificate_on_both_paths(self, monkeypatch):
+        paths = {"closed_form": 0, "alternation": 0}
+        closed_form = estimators._fixed_point_on_support
+
+        def spy(*args):
+            out = closed_form(*args)
+            paths["closed_form" if out is not None else "alternation"] += 1
+            return out
+
+        monkeypatch.setattr(estimators, "_fixed_point_on_support", spy)
+
+        @given(seed=st.integers(0, 10**6), n=st.integers(10, 60), extra=st.integers(0, 12),
+               mix=st.one_of(st.just(0.0), st.floats(0.8, 0.99)), noise=st.floats(0.2, 1.0),
+               b1=st.floats(0.5, 2.0), b2=st.floats(0.5, 2.0))
+        # the first support flips a sign here (seed 9) and is certified at once (seed 2)
+        @example(seed=9, n=31, extra=4, mix=0.8545, noise=0.6825, b1=1.666, b2=1.574)
+        @example(seed=2, n=51, extra=1, mix=0.8567, noise=0.8514, b1=0.638, b2=1.400)
+        @settings(max_examples=80, deadline=None)
+        def certify(seed, n, extra, mix, noise, b1, b2):
+            data = lars_design(seed, n, extra, mix, noise, b1, b2)
+            fit = scaled_lasso(data)
+            assert fit.converged and len(fit.objectives) == fit.iterations
+            assert np.all(np.diff(fit.objectives) <= 1e-12 * fit.objectives[0])
+            beta, sigma = fit.beta_hat, fit.sigma_hat
+            resid = data.y - data.x @ beta
+            assert sigma**2 == pytest.approx(float(resid @ resid) / n, rel=1e-12)
+            weights = np.linalg.norm(data.x, axis=0) / math.sqrt(n)
+            pen = sigma * math.sqrt(2.01 * math.log(data.p) / n) * weights
+            r = data.x.T @ resid / n
+            viol = np.where(beta != 0.0, np.abs(r - pen * np.sign(beta)), np.abs(r) - pen)
+            assert np.max(viol) <= 1e-10 * max(1.0, sigma)
+
+        certify()
+        assert paths["closed_form"] > 0 and paths["alternation"] > 0
+
+    def test_agrees_with_plain_alternation(self):
+        # criterion-3 size: n = 300, p = 600, k = 5, null-like and alternative signal
+        p = 600
+        for seed in range(4):
+            for level in (0.8, 2.8):
+                beta = np.zeros(p)
+                beta[:5] = level
+                data = generate_dataset(ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0), 300, seed)
+                fit = scaled_lasso(data)
+                want_beta, want_sigma = plain_alternation(data)
+                assert abs(fit.sigma_hat / want_sigma - 1.0) <= 1e-10
+                assert np.max(np.abs(fit.beta_hat - want_beta)) <= 1e-10
 
 
 class TestGenerateDataset:

@@ -152,13 +152,13 @@ class TestKnownSigmaCI:
         theta = ModelParams(beta=np.zeros(10), sigma_cov=np.eye(10), noise_sd=1.0)
         data = generate_dataset(theta, 31, 0)
         with pytest.raises(OddSampleSize):
-            inf.known_sigma_ci(data, np.eye(10), np.ones(10), 2, 0.05, seed=0)
+            inf.known_sigma_ci(data, np.ones(10), np.ones(10), 2, 0.05, seed=0)
 
     def test_radius_independent_of_k_u(self):
         theta = ModelParams(beta=np.zeros(20), sigma_cov=np.eye(20), noise_sd=1.0)
         data = generate_dataset(theta, 80, 1)
         radii = {
-            inf.known_sigma_ci(data, np.eye(20), np.ones(20), k_u, 0.05, seed=3).radius
+            inf.known_sigma_ci(data, np.ones(20), np.ones(20), k_u, 0.05, seed=3).radius
             for k_u in (1, 3, 9)
         }
         assert len(radii) == 1
@@ -171,7 +171,7 @@ class TestKnownSigmaCI:
         centers = []
         for seed in range(2000):
             data = generate_dataset(theta, n, seed)
-            ci = inf.known_sigma_ci(data, np.eye(p), xi, 3, 0.05, seed=seed)
+            ci = inf.known_sigma_ci(data, np.ones(p), xi, 3, 0.05, seed=seed)
             centers.append(ci.center)
         target_sd = float(np.linalg.norm(xi)) / math.sqrt(n // 2)
         sd = float(np.std(centers))
@@ -189,9 +189,23 @@ class TestKnownSigmaCI:
         reps = 400
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
-            ci = inf.known_sigma_ci(data, np.eye(p), xi, 5, 0.05, seed=seed)
+            ci = inf.known_sigma_ci(data, np.ones(p), xi, 5, 0.05, seed=seed)
             hits += ci.covers(target)
         assert hits / reps >= 0.95 - 0.03
+
+    def test_diagonal_covariance_direction(self):
+        # Sigma0 = diag(d): the direction is Sigma0^{-1} xi = xi / d
+        p = 20
+        d = np.linspace(0.5, 2.0, p)
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.diag(d), noise_sd=1.0)
+        data = generate_dataset(theta, 80, 4)
+        xi = np.linspace(-1.0, 1.0, p)
+        ci = inf.known_sigma_ci(data, d, xi, 3, 0.05, seed=2)
+        half1, half2 = inf.split_half(data, 2)
+        fit = scaled_lasso(half1, sigma_floor=inf.Constants().sigma_floor)
+        resid = half2.y - half2.x @ fit.beta_hat
+        center = xi @ fit.beta_hat + np.linalg.solve(np.diag(d), xi) @ (half2.x.T @ resid) / half2.n
+        assert ci.center == pytest.approx(center, rel=1e-12, abs=1e-14)
 
 
 class TestSpikedCI:
@@ -203,7 +217,7 @@ class TestSpikedCI:
             sigma_hat_spike=np.eye(12), omega_hat=np.eye(12), b_hat=(), fell_back_identity=False
         )
         a = inf.spiked_ci(data, spk, xi, 3, 0.05, seed=5)
-        b = inf.known_sigma_ci(data, np.eye(12), xi.original(), 3, 0.05, seed=5)
+        b = inf.known_sigma_ci(data, np.ones(12), xi.original(), 3, 0.05, seed=5)
         assert a.center == pytest.approx(b.center, abs=1e-12)
 
     def test_radius_ordering_against_plugin(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from adaptest import scca
+from adaptest.cli import main as cli_main
 from adaptest.errors import NotPD, OddPairCount, ScanBudgetExceeded
 from adaptest.inference import mixed_test
 from adaptest.model import stream
@@ -193,6 +194,22 @@ class TestCalibration:
         for k, count in fp.items():
             rate = count / reps
             assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
+
+    def test_sweeps_at_adjacent_master_seeds_share_no_draw(self, monkeypatch, tmp_path):
+        sampler, drawn = scca.sample_cross_covariance, []
+
+        def recorded(*args):
+            r = sampler(*args)
+            drawn.append(r.tobytes())
+            return r
+
+        monkeypatch.setattr(scca, "sample_cross_covariance", recorded)
+        cfg = tmp_path / "sweep.txt"
+        cfg.write_text("mode = sweep\nn = 200\ns = 2\np1 = 4\np2 = 6\nlam_grid = 0.3\ncalib_reps = 30\nreps = 20\n")
+        for seed in (1, 2):
+            assert cli_main(["scca", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        assert len(drawn) == 2 * (30 + 20)
+        assert len(set(drawn)) == len(drawn)
 
 
 def _scan_by_loop(r, s):
