@@ -39,7 +39,6 @@ from .estimators import (
 )
 from .inference import (
     ConfidenceInterval,
-    Constants,
     TestDecision,
     debiased_ci,
     known_sigma_ci,

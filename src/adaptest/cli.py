@@ -25,7 +25,6 @@ from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
 from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from .harness import TEST_MODES, ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
-from .inference import Constants
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import JointCovariance, TestProblem, dataset_from_csv, dataset_to_csv
 from .priors import (
@@ -168,8 +167,7 @@ def cmd_fit(cfg: FitConfig):
 def cmd_test(cfg: TestCmdConfig):
     data, cfg = _read_dataset(cfg)
     problem = TestProblem(xi=build_loading(cfg), t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
-    constants = Constants(sigma_floor=cfg.sigma_floor)
-    dec = harness.run_single_test(cfg.mode, data, problem, constants, cfg.master_seed, cfg.scan_all_m)
+    dec = harness.run_single_test(cfg.mode, data, problem, cfg.master_seed, cfg.scan_all_m, cfg.sigma_floor)
     budget = ";".join(f"{k}:{repr(v)}" for k, v in dec.interval.budget.items())
     table = (
         "mode,reject,center,radius,m_used,level,budget\n"

@@ -25,17 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import scaled_lasso, projection_direction, spiked_cov_estimate
+from .estimators import scaled_lasso, projection_direction
 from .inference import (
-    Constants,
+    C_XI,
     TestDecision,
+    _log_grid,
     debiased_ci,
     known_sigma_ci,
     mixed_ci,
     mixed_test,
     plugin_ci,
     spiked_ci,
-    split_half,
 )
 from .model import Dataset, LoadingVector, ModelParams, TestProblem, generate_dataset, make_loading
 from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior
@@ -311,26 +311,23 @@ def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams
     return ModelParams(beta=beta, sigma_cov=sigma, noise_sd=draw.theta.noise_sd)
 
 
-def _plugin(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
-    fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
-    return plugin_ci(fit, problem.xi.original(), problem.k_u, data.n, data.p, problem.alpha, constants), 0
+def _plugin(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
+    fit = scaled_lasso(data, sigma_floor=sigma_floor)
+    return plugin_ci(fit, problem.xi.original(), problem.k_u, data.n, data.p, problem.alpha), 0
 
 
-def _debiased(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
-    fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
-    proj = projection_direction(data, problem.xi, constants.c_xi, data.n)
-    return debiased_ci(data, fit, proj, problem.xi.original(), problem.k_u, problem.alpha, constants), data.p
+def _debiased(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
+    fit = scaled_lasso(data, sigma_floor=sigma_floor)
+    proj = projection_direction(data, problem.xi, C_XI, data.n)
+    return debiased_ci(data, fit, proj, problem.xi.original(), problem.k_u, problem.alpha), data.p
 
 
-def _known_sigma(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
-    ci = known_sigma_ci(data, np.ones(data.p), problem.xi.original(), problem.k_u, problem.alpha, seed, constants)
-    return ci, data.p
+def _known_sigma(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
+    return known_sigma_ci(data, np.ones(data.p), problem.xi.original(), problem.alpha, seed, sigma_floor), data.p
 
 
-def _spiked(data: Dataset, problem: TestProblem, constants: Constants, seed: int):
-    half1, _ = split_half(data, seed)
-    spk = spiked_cov_estimate(half1, problem.k_u)
-    return spiked_ci(data, spk, problem.xi, problem.k_u, problem.alpha, seed, constants), data.p
+def _spiked(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
+    return spiked_ci(data, problem.xi, problem.k_u, problem.alpha, seed, sigma_floor), data.p
 
 
 # Single-interval test modes: each returns (interval, m_used).
@@ -342,9 +339,9 @@ def run_single_test(
     mode: str,
     data: Dataset,
     problem: TestProblem,
-    constants: Constants,
     seed: int,
     scan_all_m: bool = False,
+    sigma_floor: float = 0.0,
 ) -> TestDecision:
     """Dispatch one test mode on one dataset.
 
@@ -353,8 +350,8 @@ def run_single_test(
     on the first data half.
     """
     if mode == "mixed":
-        return mixed_test(data, problem, constants, scan_all_m=scan_all_m)
-    ci, m_used = _INTERVAL_MODES[mode](data, problem, constants, seed)
+        return mixed_test(data, problem, sigma_floor, scan_all_m)
+    ci, m_used = _INTERVAL_MODES[mode](data, problem, seed, sigma_floor)
     return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=m_used, t0=problem.t0)
 
 
@@ -365,7 +362,7 @@ def _map_replicates(worker, reps: int, threads: int) -> list:
         return list(pool.map(worker, range(reps)))
 
 
-def run_size_power(cfg: ExperimentConfig, constants: Constants = Constants()) -> list[ResultRow]:
+def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
     """Empirical rejection rates under the null point and shifted
     alternatives, per test mode and per tau on the grid."""
     modes = cfg.mode_list()
@@ -382,13 +379,13 @@ def run_size_power(cfg: ExperimentConfig, constants: Constants = Constants()) ->
         theta_null = theta_point or null_draw_theta(cfg, xi, rep)
         data_null = generate_dataset(theta_null, cfg.n, seed=base + 1_000_003 * (rep + 1))
         for mode in modes:
-            dec = run_single_test(mode, data_null, problem, constants, seed=base + rep, scan_all_m=cfg.scan_all_m)
+            dec = run_single_test(mode, data_null, problem, seed=base + rep, scan_all_m=cfg.scan_all_m)
             out.append((f"reject/null/{mode}", rep, float(dec.reject)))
             out.append((f"radius/null/{mode}", rep, float(dec.interval.radius)))
         for tau, theta_alt in zip(taus, theta_alts):
             data_alt = generate_dataset(theta_alt, cfg.n, seed=base + 2_000_003 * (rep + 1))
             for mode in modes:
-                dec = run_single_test(mode, data_alt, problem, constants, seed=base + rep, scan_all_m=cfg.scan_all_m)
+                dec = run_single_test(mode, data_alt, problem, seed=base + rep, scan_all_m=cfg.scan_all_m)
                 out.append((f"reject/alt/{mode}/tau={repr(float(tau))}", rep, float(dec.reject)))
         return out
 
@@ -426,13 +423,13 @@ def m_cutoff_grid(p: int, size: int) -> list[int]:
     want = min(size, p + 1)
     num = max(size - 2, 1)
     while True:
-        grid = sorted({0, p} | {int(round(v)) for v in np.geomspace(1, p, num=num)})
+        grid = _log_grid(p, num + 2)
         if len(grid) >= want or num > 4 * (p + 1):
             return grid
         num *= 2
 
 
-def run_length_sweep(cfg: ExperimentConfig, constants: Constants = Constants()) -> list[ResultRow]:
+def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Realized mixed-interval radii over a grid of cutoffs m."""
     digest = config_digest(cfg)
     xi = build_loading(cfg)
@@ -441,10 +438,10 @@ def run_length_sweep(cfg: ExperimentConfig, constants: Constants = Constants()) 
 
     def worker(rep: int):
         data = generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1))
-        fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
+        fit = scaled_lasso(data)
         out = []
         for m in grid:
-            ci = mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta, constants)
+            ci = mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta)
             out.append((f"radius/m={m}", rep, ci.radius))
         return out
 
@@ -454,7 +451,7 @@ def run_length_sweep(cfg: ExperimentConfig, constants: Constants = Constants()) 
     return rows
 
 
-def run_phase_diagram(cfg: ExperimentConfig, constants: Constants = Constants()) -> list[ResultRow]:
+def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
     """Power of the mixed test over a (gamma_xi, gamma_tau) grid.
 
     Sizes follow the exponent parametrization n = p^gamma_n and
@@ -478,7 +475,7 @@ def run_phase_diagram(cfg: ExperimentConfig, constants: Constants = Constants())
 
             def worker(rep: int):
                 data = generate_dataset(theta_alt, n, seed=cfg.master_seed + 1_000_003 * (rep + 1))
-                dec = mixed_test(data, problem, constants)
+                dec = mixed_test(data, problem)
                 return float(dec.reject)
 
             vals = _map_replicates(worker, cfg.reps, cfg.threads)
@@ -495,8 +492,8 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, constants: Constants = Constants()) -> list[ResultRow]:
-    return RUNNERS[cfg.kind](cfg, constants)
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+    return RUNNERS[cfg.kind](cfg)
 
 
 def plotdata_rows(rows: list[ResultRow]) -> list[tuple[str, float, float, float]]:

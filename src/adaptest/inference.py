@@ -5,8 +5,10 @@ through the l1 error of the lasso), debiased (residual correction along
 the inf-norm constrained direction), their Minkowski mixture split at a
 magnitude cutoff m, and the data-split variants for known or spiked
 design covariance.  Every interval carries an error-budget ledger; its
-nominal level is one minus the total budget.  Everything computed on one
-dataset reads its memoised `Gram`, never the full X'X/n.
+nominal level is one minus the total budget.  Every interval reads data
+only through a memoised `Gram`: the debiased one on the dataset's, the
+data-split ones on half 2's.  Radius constants are fixed; sigma_floor
+(for the lasso fits) is the only value a caller sets.
 """
 
 from __future__ import annotations
@@ -22,36 +24,19 @@ from .estimators import (
     Gram,
     ProjectionResult,
     ScaledLassoFit,
-    SpikedCovFit,
     projection_direction,
     scaled_lasso,
+    spiked_cov_estimate,
 )
 from .model import Dataset, LoadingVector, TestProblem, stream
 from .profiles import cutoff_and_regime, top_norm
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Tuning constants for interval radii.
-
-    The feasibility and bias constants are only required to be "large
-    enough"; defaults follow the convention c_pi = 1.1 * c_beta.  The
-    data-split constants (c2, c3) and the spiked-radius constants are
-    calibration knobs, defaulting to 1.
-    """
-
-    c_beta: float = 4.0
-    c_xi: float = 2.0
-    c_pi: float | None = None
-    c2: float = 1.0
-    c3: float = 1.0
-    c_spike: float = 1.0
-    c_spike_tail: float = 1.0
-    sigma_floor: float = 0.0
-
-    @property
-    def plugin_constant(self) -> float:
-        return 1.1 * self.c_beta if self.c_pi is None else self.c_pi
+# Radius constants: the feasibility and bias constants need only be "large
+# enough"; the plug-in constant follows the convention c_pi = 1.1 * c_beta.
+C_BETA = 4.0
+C_XI = 2.0
+C_PI = 1.1 * C_BETA
 
 
 @dataclass(frozen=True)
@@ -92,11 +77,6 @@ class TestDecision:
     t0: float
 
 
-def z_quantile(q: float) -> float:
-    """Standard normal quantile (scipy's rational approximation of ndtri)."""
-    return float(ndtri(q))
-
-
 def plugin_ci(
     fit: ScaledLassoFit,
     xi_vec: np.ndarray,
@@ -104,7 +84,6 @@ def plugin_ci(
     n: int,
     p: int,
     alpha: float,
-    constants: Constants = Constants(),
 ) -> ConfidenceInterval:
     """Interval centered at xi'beta_hat with the l1-bias radius.
 
@@ -113,13 +92,20 @@ def plugin_ci(
     error event.
     """
     xi_inf = float(np.max(np.abs(xi_vec))) if xi_vec.size else 0.0
-    radius = constants.plugin_constant * fit.sigma_hat * xi_inf * k_u * math.sqrt(math.log(p) / n)
+    radius = C_PI * fit.sigma_hat * xi_inf * k_u * math.sqrt(math.log(p) / n)
     return ConfidenceInterval(
         center=float(xi_vec @ fit.beta_hat),
         radius=radius,
         level=1.0 - alpha,
         budget={"plugin": alpha},
     )
+
+
+def _corrected_center(gram: Gram, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
+    """xi'beta_hat + d'X'(Y - X beta_hat)/n along direction d, read from the
+    Gram as X'Y/n - G[:, S] beta_hat_S on the support S of beta_hat."""
+    s = np.flatnonzero(beta_hat)
+    return float(xi_vec @ beta_hat) + float(direction @ (gram.xty - gram.cols(s) @ beta_hat[s]))
 
 
 def debiased_ci(
@@ -129,22 +115,19 @@ def debiased_ci(
     xi_vec: np.ndarray,
     k_u: int,
     alpha: float,
-    constants: Constants = Constants(),
 ) -> ConfidenceInterval:
     """Residual-corrected interval along the projection direction.
 
-    Center: xi'beta_hat + u_hat' X'(Y - X beta_hat)/n, read from the Gram as
-    X'Y/n - G[:, S] beta_hat_S on the support S of beta_hat.  Radius:
+    Center: the corrected center along u_hat on the dataset's Gram.  Radius:
     1.1 sigma_hat [ sqrt(u'Su/n) z_{1-alpha/8} + c_beta C_xi ||xi||_2 k_u log p / n ].
     An infeasible projection degrades gracefully to u_hat = 0.
     """
     n, p = data.n, data.p
-    gram, s = Gram.of(data), np.flatnonzero(fit.beta_hat)
-    center = float(xi_vec @ fit.beta_hat) + float(proj.u_hat @ (gram.xty - gram.cols(s) @ fit.beta_hat[s]))
+    center = _corrected_center(Gram.of(data), fit.beta_hat, xi_vec, proj.u_hat)
     norm2 = float(np.linalg.norm(xi_vec))
     radius = 1.1 * fit.sigma_hat * (
-        math.sqrt(max(proj.objective, 0.0) / n) * z_quantile(1.0 - alpha / 8.0)
-        + constants.c_beta * constants.c_xi * norm2 * k_u * math.log(p) / n
+        math.sqrt(max(proj.objective, 0.0) / n) * float(ndtri(1.0 - alpha / 8.0))
+        + C_BETA * C_XI * norm2 * k_u * math.log(p) / n
     )
     return ConfidenceInterval(
         center=center,
@@ -162,7 +145,6 @@ def mixed_ci(
     k_u: int,
     alpha: float,
     eta: float,
-    constants: Constants = Constants(),
 ) -> ConfidenceInterval:
     """Minkowski sum of a debiased interval on the top-m coordinates of
     xi and a plug-in interval on the rest, each at level 1 - alpha'/4
@@ -175,9 +157,9 @@ def mixed_ci(
     n, p = data.n, data.p
     a_comp = min(alpha, eta) / 4.0
     head, tail = xi.split(m)
-    proj = projection_direction(data, _as_loading(head, xi, m), constants.c_xi, n)
-    ci_db = debiased_ci(data, fit, proj, head, k_u, a_comp, constants)
-    ci_pi = plugin_ci(fit, tail, k_u, n, p, a_comp, constants)
+    proj = projection_direction(data, _as_loading(head, xi, m), C_XI, n)
+    ci_db = debiased_ci(data, fit, proj, head, k_u, a_comp)
+    ci_pi = plugin_ci(fit, tail, k_u, n, p, a_comp)
     return ci_db + ci_pi
 
 
@@ -198,7 +180,7 @@ def _as_loading(vec: np.ndarray, xi: LoadingVector, m: int) -> LoadingVector:
 def mixed_test(
     data: Dataset,
     problem: TestProblem,
-    constants: Constants = Constants(),
+    sigma_floor: float = 0.0,
     scan_all_m: bool = False,
 ) -> TestDecision:
     """Invert the mixed interval at the rate-optimal cutoff m_star.
@@ -208,18 +190,18 @@ def mixed_test(
     profile cutoff m_star.
     """
     xi, k_u = problem.xi, problem.k_u
-    fit = scaled_lasso(data, sigma_floor=constants.sigma_floor)
+    fit = scaled_lasso(data, sigma_floor=sigma_floor)
 
     if scan_all_m:
         best = None
         for m in _log_grid(data.p, 32):
-            ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta, constants)
+            ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta)
             if best is None or ci.radius < best[1].radius:
                 best = (m, ci)
         m_used, interval = best
     else:
         m_used, _ = cutoff_and_regime(k_u, data.n, data.p)
-        interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta, constants)
+        interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta)
     return TestDecision(
         reject=not interval.covers(problem.t0),
         interval=interval,
@@ -229,6 +211,7 @@ def mixed_test(
 
 
 def _log_grid(p: int, size: int) -> list[int]:
+    """At most `size` distinct cutoffs in 0..p, log-spaced with both endpoints."""
     pts = {0, p}
     for t in np.geomspace(1, max(p, 1), num=max(size - 2, 1)):
         pts.add(int(round(t)))
@@ -254,56 +237,54 @@ def split_half(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     return halves
 
 
+def _split_half_center(data: Dataset, seed: int, sigma_floor: float, xi_vec: np.ndarray, direction):
+    """(fit, center): the lasso fit on half 1 of split_half(data, seed), and the
+    corrected center on half 2's Gram along direction(half1)."""
+    half1, half2 = split_half(data, seed)
+    fit = scaled_lasso(half1, sigma_floor=sigma_floor)
+    return fit, _corrected_center(Gram.of(half2), fit.beta_hat, xi_vec, direction(half1))
+
+
 def known_sigma_ci(
     data: Dataset,
     sigma0_diag: np.ndarray,
     xi_vec: np.ndarray,
-    k_u: int,
     alpha: float,
     seed: int,
-    constants: Constants = Constants(),
+    sigma_floor: float = 0.0,
 ) -> ConfidenceInterval:
     """Data-split debiased interval using the known diagonal covariance Sigma0.
 
     sigma0_diag is the diagonal of Sigma0, length p (the paper's known
-    covariance is diagonal).  The lasso runs on half 1; the bias correction
-    uses half 2 with the oracle direction Sigma0^{-1} xi, so the radius
-    needs no k_u term:
-    1.1 (c2 + c3) ||xi||_2 sigma_hat / sqrt(n2).
+    covariance is diagonal).  The correction on half 2 runs along the oracle
+    direction Sigma0^{-1} xi, so the radius needs no k_u term:
+    1.1 (c2 + c3) ||xi||_2 sigma_hat / sqrt(n2) with c2 = c3 = 1.
     """
-    half1, half2 = split_half(data, seed)
-    fit = scaled_lasso(half1, sigma_floor=constants.sigma_floor)
-    n2 = half2.n
-    resid = half2.y - half2.x @ fit.beta_hat
-    direction = xi_vec / sigma0_diag
-    center = float(xi_vec @ fit.beta_hat) + float(direction @ (half2.x.T @ resid)) / n2
-    radius = 1.1 * (constants.c2 + constants.c3) * float(np.linalg.norm(xi_vec)) * fit.sigma_hat / math.sqrt(n2)
+    fit, center = _split_half_center(data, seed, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
+    radius = 2.2 * float(np.linalg.norm(xi_vec)) * fit.sigma_hat / math.sqrt(data.n // 2)
     return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"known_sigma": alpha})
 
 
 def spiked_ci(
     data: Dataset,
-    spiked_fit: SpikedCovFit,
     xi: LoadingVector,
     k_u: int,
     alpha: float,
     seed: int,
-    constants: Constants = Constants(),
+    sigma_floor: float = 0.0,
 ) -> ConfidenceInterval:
     """Data-split debiased interval with the spiked precision estimate.
 
-    spiked_fit must come from half 1 of split_half(data, seed).  The
-    radius keeps the parametric term plus a top-k_u tail term:
-    sigma_hat [ C ||xi||_2 / sqrt(n) + C' H(k_u) k_u log p / n ].
+    The spiked estimator runs on half 1 beside the lasso, and the correction
+    on half 2 runs along omega_hat xi.  The radius keeps the parametric term
+    plus a top-k_u tail term:
+    sigma_hat [ ||xi||_2 / sqrt(n) + H(k_u) k_u log p / n ].
     """
-    half1, half2 = split_half(data, seed)
-    fit = scaled_lasso(half1, sigma_floor=constants.sigma_floor)
-    n2, p = half2.n, data.p
     xi_vec = xi.original()
-    resid = half2.y - half2.x @ fit.beta_hat
-    center = float(xi_vec @ fit.beta_hat) + float((spiked_fit.omega_hat @ xi_vec) @ (half2.x.T @ resid)) / n2
+    fit, center = _split_half_center(
+        data, seed, sigma_floor, xi_vec, lambda half1: spiked_cov_estimate(half1, k_u).omega_hat @ xi_vec
+    )
     radius = fit.sigma_hat * (
-        constants.c_spike * float(np.linalg.norm(xi_vec)) / math.sqrt(data.n)
-        + constants.c_spike_tail * top_norm(xi, k_u) * k_u * math.log(p) / data.n
+        float(np.linalg.norm(xi_vec)) / math.sqrt(data.n) + top_norm(xi, k_u) * k_u * math.log(data.p) / data.n
     )
     return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"spiked": alpha})

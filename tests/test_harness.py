@@ -12,7 +12,7 @@ from adaptest import cli, harness, inference, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError
 from adaptest.estimators import Gram, spiked_cov_estimate
-from adaptest.inference import Constants, mixed_test
+from adaptest.inference import mixed_test
 from adaptest.model import ModelParams, TestProblem as Problem, generate_dataset, make_loading, stream
 from adaptest.profiles import solve_zeta
 from adaptest.harness import (
@@ -303,14 +303,14 @@ class TestRunners:
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
         for rep in range(cfg.reps):
             fresh, shared, primed = (generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1)) for _ in "abc")
-            alone = harness.run_single_test("debiased", fresh, problem, Constants(), seed=cfg.master_seed + rep)
+            alone = harness.run_single_test("debiased", fresh, problem, seed=cfg.master_seed + rep)
             assert repr(float(alone.interval.radius)) == table[rep, "radius/null/debiased"]
             assert repr(float(alone.reject)) == table[rep, "reject/null/debiased"]
-            harness.run_single_test("mixed", shared, problem, Constants(), seed=cfg.master_seed + rep)
-            after = harness.run_single_test("debiased", shared, problem, Constants(), seed=cfg.master_seed + rep)
+            harness.run_single_test("mixed", shared, problem, seed=cfg.master_seed + rep)
+            after = harness.run_single_test("debiased", shared, problem, seed=cfg.master_seed + rep)
             assert after == alone
             Gram.of(primed).cols(range(cfg.p - 1, -1, -1))  # as if an earlier mode had read every column
-            assert harness.run_single_test("debiased", primed, problem, Constants(), seed=cfg.master_seed + rep) == alone
+            assert harness.run_single_test("debiased", primed, problem, seed=cfg.master_seed + rep) == alone
 
     def test_spiked_mode_splits_once(self, monkeypatch):
         p, k_u, seed = 8, 2, 9
@@ -327,16 +327,36 @@ class TestRunners:
             return lambda d, *args, **kwargs: seen.append(d) or fn(d, *args, **kwargs)
 
         monkeypatch.setattr(inference, "stream", counted_stream)
-        monkeypatch.setattr(harness, "spiked_cov_estimate", spy(spiked_cov_estimate, spiked_on))
+        monkeypatch.setattr(inference, "spiked_cov_estimate", spy(spiked_cov_estimate, spiked_on))
         monkeypatch.setattr(inference, "scaled_lasso", spy(inference.scaled_lasso, lasso_on))
-        dec = harness.run_single_test("spiked", data, problem, Constants(), seed=seed)
+        dec = harness.run_single_test("spiked", data, problem, seed=seed)
         assert splits == [(seed, 1)]
         half1 = inference.split_half(data, seed)[0]
         assert len(spiked_on) == len(lasso_on) == 1
         assert spiked_on[0] is half1 and lasso_on[0] is half1
         # the shared halves are the halves a fresh split makes
-        spk = spiked_cov_estimate(inference.split_half(fresh, seed)[0], k_u)
-        assert dec.interval == inference.spiked_ci(fresh, spk, problem.xi, k_u, problem.alpha, seed, Constants())
+        assert dec.interval == inference.spiked_ci(fresh, problem.xi, k_u, problem.alpha, seed)
+
+    def test_spiked_rows_do_not_depend_on_known_sigma_before_them(self):
+        # both split-half modes read half 2's memoised Gram; sharing it moves no spiked byte
+        cfg = dataclasses.replace(parse_config(SIZE_CFG), p=8, k_u=2, reps=6, tau_grid="0.0,1.5")
+
+        def spiked_rows(modes):
+            rows = run_experiment(dataclasses.replace(cfg, modes=modes))
+            return [(r.replicate, r.metric, repr(r.value), repr(r.se)) for r in rows if "spiked" in r.metric]
+
+        alone = spiked_rows("spiked")
+        assert len(alone) == 6 * 4 + 4  # reject and radius under the null, reject at two alternatives
+        assert spiked_rows("known_sigma,spiked") == alone
+        # the whole interval, center included, on datasets where known_sigma ran first
+        xi = harness.build_loading(cfg)
+        problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
+        theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
+        for rep in range(cfg.reps):
+            fresh, shared = (generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1)) for _ in "ab")
+            harness.run_single_test("known_sigma", shared, problem, seed=cfg.master_seed + rep)
+            after = harness.run_single_test("spiked", shared, problem, seed=cfg.master_seed + rep)
+            assert after == harness.run_single_test("spiked", fresh, problem, seed=cfg.master_seed + rep)
 
     def test_m_cutoff_grid(self):
         grid = m_cutoff_grid(50, 16)

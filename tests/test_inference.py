@@ -9,7 +9,6 @@ from adaptest import inference as inf
 from adaptest.errors import OddSampleSize
 from adaptest.estimators import (
     ScaledLassoFit,
-    SpikedCovFit,
     projection_direction,
     scaled_lasso,
     spiked_cov_estimate,
@@ -77,8 +76,7 @@ class TestDebiasedCI:
         proj = ProjectionResult(u_hat=np.zeros(30), feasible=False, radius=0.1, objective=0.0)
         xi = np.ones(30)
         ci = inf.debiased_ci(data, fit, proj, xi, 4, 0.05)
-        consts = inf.Constants()
-        expect = 1.1 * fit.sigma_hat * consts.c_beta * consts.c_xi * math.sqrt(30.0) * 4 * math.log(30) / 60
+        expect = 1.1 * fit.sigma_hat * inf.C_BETA * inf.C_XI * math.sqrt(30.0) * 4 * math.log(30) / 60
         assert ci.radius == pytest.approx(expect, rel=1e-12)
         assert ci.center == pytest.approx(float(xi @ fit.beta_hat))
 
@@ -152,16 +150,16 @@ class TestKnownSigmaCI:
         theta = ModelParams(beta=np.zeros(10), sigma_cov=np.eye(10), noise_sd=1.0)
         data = generate_dataset(theta, 31, 0)
         with pytest.raises(OddSampleSize):
-            inf.known_sigma_ci(data, np.ones(10), np.ones(10), 2, 0.05, seed=0)
+            inf.known_sigma_ci(data, np.ones(10), np.ones(10), 0.05, seed=0)
 
-    def test_radius_independent_of_k_u(self):
+    def test_radius_from_half1_fit(self):
+        # 1.1 (c2 + c3) ||xi||_2 sigma_hat / sqrt(n2) at c2 = c3 = 1, sigma_hat from the half-1 lasso
         theta = ModelParams(beta=np.zeros(20), sigma_cov=np.eye(20), noise_sd=1.0)
         data = generate_dataset(theta, 80, 1)
-        radii = {
-            inf.known_sigma_ci(data, np.ones(20), np.ones(20), k_u, 0.05, seed=3).radius
-            for k_u in (1, 3, 9)
-        }
-        assert len(radii) == 1
+        xi = np.linspace(-1.0, 2.0, 20)
+        ci = inf.known_sigma_ci(data, np.ones(20), xi, 0.05, seed=3)
+        fit = scaled_lasso(inf.split_half(data, 3)[0])
+        assert ci.radius == 2.2 * float(np.linalg.norm(xi)) * fit.sigma_hat / math.sqrt(40)
 
     def test_center_distribution(self):
         # beta = 0, Sigma = I: the center is nearly N(0, |xi|^2 sigma^2 / n2)
@@ -171,7 +169,7 @@ class TestKnownSigmaCI:
         centers = []
         for seed in range(2000):
             data = generate_dataset(theta, n, seed)
-            ci = inf.known_sigma_ci(data, np.ones(p), xi, 3, 0.05, seed=seed)
+            ci = inf.known_sigma_ci(data, np.ones(p), xi, 0.05, seed=seed)
             centers.append(ci.center)
         target_sd = float(np.linalg.norm(xi)) / math.sqrt(n // 2)
         sd = float(np.std(centers))
@@ -189,7 +187,7 @@ class TestKnownSigmaCI:
         reps = 400
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
-            ci = inf.known_sigma_ci(data, np.ones(p), xi, 5, 0.05, seed=seed)
+            ci = inf.known_sigma_ci(data, np.ones(p), xi, 0.05, seed=seed)
             hits += ci.covers(target)
         assert hits / reps >= 0.95 - 0.03
 
@@ -200,9 +198,9 @@ class TestKnownSigmaCI:
         theta = ModelParams(beta=np.zeros(p), sigma_cov=np.diag(d), noise_sd=1.0)
         data = generate_dataset(theta, 80, 4)
         xi = np.linspace(-1.0, 1.0, p)
-        ci = inf.known_sigma_ci(data, d, xi, 3, 0.05, seed=2)
+        ci = inf.known_sigma_ci(data, d, xi, 0.05, seed=2)
         half1, half2 = inf.split_half(data, 2)
-        fit = scaled_lasso(half1, sigma_floor=inf.Constants().sigma_floor)
+        fit = scaled_lasso(half1)
         resid = half2.y - half2.x @ fit.beta_hat
         center = xi @ fit.beta_hat + np.linalg.solve(np.diag(d), xi) @ (half2.x.T @ resid) / half2.n
         assert ci.center == pytest.approx(center, rel=1e-12, abs=1e-14)
@@ -213,12 +211,28 @@ class TestSpikedCI:
         theta = ModelParams(beta=np.zeros(12), sigma_cov=np.eye(12), noise_sd=1.0)
         data = generate_dataset(theta, 100, 2)
         xi = make_loading(np.ones(12))
-        spk = SpikedCovFit(
-            sigma_hat_spike=np.eye(12), omega_hat=np.eye(12), b_hat=(), fell_back_identity=False
-        )
-        a = inf.spiked_ci(data, spk, xi, 3, 0.05, seed=5)
-        b = inf.known_sigma_ci(data, np.ones(12), xi.original(), 3, 0.05, seed=5)
+        assert spiked_cov_estimate(inf.split_half(data, 5)[0], 3).b_hat == ()  # so omega_hat = I
+        a = inf.spiked_ci(data, xi, 3, 0.05, seed=5)
+        b = inf.known_sigma_ci(data, np.ones(12), xi.original(), 0.05, seed=5)
         assert a.center == pytest.approx(b.center, abs=1e-12)
+
+    def test_center_matches_rows_formula(self):
+        # xi'beta_hat + (omega_hat xi)' X2'(y2 - X2 beta_hat) / n2, with a planted spike and signal
+        p, k_u = 8, 2
+        v = np.zeros(p)
+        v[:2] = 1.0 / math.sqrt(2)
+        beta = np.zeros(p)
+        beta[:2] = [0.8, -0.4]
+        theta = ModelParams(beta=beta, sigma_cov=np.eye(p) + 2.0 * np.outer(v, v), noise_sd=1.0)
+        data = generate_dataset(theta, 800, 6)
+        xi = make_loading(np.linspace(-1.0, 1.5, p))
+        ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=7)
+        half1, half2 = inf.split_half(data, 7)
+        fit, spk = scaled_lasso(half1), spiked_cov_estimate(half1, k_u)
+        assert spk.b_hat and np.any(fit.beta_hat)
+        resid = half2.y - half2.x @ fit.beta_hat
+        center = xi.original() @ fit.beta_hat + (spk.omega_hat @ xi.original()) @ (half2.x.T @ resid) / half2.n
+        assert ci.center == pytest.approx(center, rel=1e-12)
 
     def test_radius_ordering_against_plugin(self):
         # when H(k_u) sqrt(log p) is small next to |xi|_inf k_u, the spiked
@@ -227,11 +241,8 @@ class TestSpikedCI:
         xi = make_loading(np.concatenate(([1.0], 0.05 * np.ones(p - 1))))
         from adaptest.profiles import top_norm
 
-        consts = inf.Constants()
-        r_spiked = consts.c_spike * float(np.linalg.norm(xi.coords)) / math.sqrt(n) + (
-            consts.c_spike_tail * top_norm(xi, k_u) * k_u * math.log(p) / n
-        )
-        r_plugin = consts.plugin_constant * 1.0 * k_u * math.sqrt(math.log(p) / n)
+        r_spiked = float(np.linalg.norm(xi.coords)) / math.sqrt(n) + top_norm(xi, k_u) * k_u * math.log(p) / n
+        r_plugin = inf.C_PI * 1.0 * k_u * math.sqrt(math.log(p) / n)
         assert r_spiked <= r_plugin
 
     def test_coverage_with_planted_spike(self):
@@ -244,17 +255,14 @@ class TestSpikedCI:
             math.sqrt(2.0) * k_u * math.log(p) / n
         )
 
-        # pilot null calibration of the radius multiplier (stored in Constants)
+        # pilot null calibration of the radius multiplier; at unit multipliers the radius is sigma_hat * unit
         theta0 = ModelParams(beta=np.zeros(p), sigma_cov=sigma, noise_sd=1.0)
         pilot = []
         for seed in range(200):
             data = generate_dataset(theta0, n, 50_000 + seed)
-            half1, _ = inf.split_half(data, seed)
-            spk = spiked_cov_estimate(half1, k_u)
-            ci = inf.spiked_ci(data, spk, xi, k_u, 0.05, seed=seed)
+            ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=seed)
             pilot.append(abs(ci.center) / unit)
         c_cal = 1.15 * float(np.quantile(pilot, 0.975))
-        consts = inf.Constants(c_spike=c_cal, c_spike_tail=c_cal)
 
         beta = np.zeros(p)
         beta[:2] = [0.8, -0.4]
@@ -264,8 +272,6 @@ class TestSpikedCI:
         reps = 1000
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
-            half1, _ = inf.split_half(data, seed)
-            spk = spiked_cov_estimate(half1, k_u)
-            ci = inf.spiked_ci(data, spk, xi, k_u, 0.05, seed=seed, constants=consts)
-            hits += ci.covers(target)
+            ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=seed)
+            hits += abs(ci.center - target) <= c_cal * ci.radius
         assert hits / reps >= 0.95 - 0.05
