@@ -24,7 +24,8 @@ import numpy as np
 from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
 from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
-from .harness import TEST_MODES, ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
+from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
+from .inference import TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import JointCovariance, TestProblem, dataset_from_csv, dataset_to_csv
 from .priors import (
@@ -146,7 +147,7 @@ def cmd_fit(cfg: FitConfig):
     data, cfg = _read_dataset(cfg)
     xi = build_loading(cfg)
     fit = scaled_lasso(data, sigma_floor=cfg.sigma_floor)
-    proj = projection_direction(data, xi, cfg.c_xi, data.n)
+    proj = projection_direction(data, xi.original(), cfg.c_xi, data.n)
     support = np.flatnonzero(fit.beta_hat)
     fields = {
         "sigma_hat": repr(fit.sigma_hat),
@@ -167,7 +168,7 @@ def cmd_fit(cfg: FitConfig):
 def cmd_test(cfg: TestCmdConfig):
     data, cfg = _read_dataset(cfg)
     problem = TestProblem(xi=build_loading(cfg), t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
-    dec = harness.run_single_test(cfg.mode, data, problem, cfg.master_seed, cfg.scan_all_m, cfg.sigma_floor)
+    dec = run_single_test(cfg.mode, data, problem, cfg.master_seed, cfg.scan_all_m, cfg.sigma_floor)
     budget = ";".join(f"{k}:{repr(v)}" for k, v in dec.interval.budget.items())
     table = (
         "mode,reject,center,radius,m_used,level,budget\n"

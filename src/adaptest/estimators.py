@@ -6,6 +6,7 @@ The lasso and the direction program share one coordinate-descent core on
 a dataset's `Gram` (columns formed on first touch): a vectorized KKT check
 picks a working set (the nonzero coordinates and the violators), and only
 that set is swept, in ascending index order, so results are deterministic.
+The scaled-lasso fit is memoised on its dataset, like the `Gram`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, ZeroResidualDegenerate
-from .model import Dataset, LoadingVector
+from .model import Dataset
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,12 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     new sigma.  Stops when sigma changes by less than 1e-8 (relative) or
     after 500 rounds; converged is False if that never happened or if any
     beta-step ran out of its budget of 2000 coordinate-descent passes.
+
+    Memoised on the dataset by sigma_floor; the fit's beta_hat is read-only.
     """
+    key = ("scaled_lasso", sigma_floor)
+    if key in data.memo:
+        return data.memo[key]
     n, p = data.n, data.p
     if n < 2:
         raise ValueError("need at least two samples")
@@ -237,23 +243,25 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
             converged = True
         else:
             raise ZeroResidualDegenerate("zero residual: sigma_hat is undefined")
-    return ScaledLassoFit(
+    beta.setflags(write=False)
+    return data.memo.setdefault(key, ScaledLassoFit(
         beta_hat=beta,
         sigma_hat=max(sigma, sigma_floor),
         iterations=it,
         converged=converged and inner_ok,
         objectives=tuple(objectives),
-    )
+    ))
 
 
 def projection_direction(
-    sigma_hat: "Dataset | Gram | np.ndarray",
-    xi: LoadingVector,
+    src: "Dataset | Gram | np.ndarray",
+    xi_vec: np.ndarray,
     c_xi: float,
     n: int,
 ) -> ProjectionResult:
     """Solve  min u' S u  s.t.  ||S u - xi||_inf <= C_xi ||xi||_2 sqrt(log p / n).
 
+    S is `Gram.of(src)` and xi_vec the loading in original coordinates.
     Solved through the equivalent l1-penalized quadratic
     min_v v'Sv/2 - xi'v + r ||v||_1, whose stationary points satisfy the
     constrained problem's KKT system.  The constraint is then checked on
@@ -262,22 +270,21 @@ def projection_direction(
     passes runs out, the zero-direction fallback is returned with
     feasible = False.
     """
-    p, sigma_hat = xi.p, Gram.of(sigma_hat)
-    xi_orig = xi.original()
-    norm2 = float(np.linalg.norm(xi_orig))
+    p, gram = xi_vec.size, Gram.of(src)
+    norm2 = float(np.linalg.norm(xi_vec))
     radius = c_xi * norm2 * math.sqrt(math.log(p) / n)
     tol = 1e-9 * max(norm2, 1.0)
     v, ok, _ = _cd_quadratic_l1(
-        sigma_hat,
-        xi_orig,
+        gram,
+        xi_vec,
         np.full(p, radius),
         np.zeros(p),
         kkt_tol=tol,
         max_passes=5000,
     )
     nz = np.flatnonzero(v)
-    s_v = sigma_hat.cols(nz) @ v[nz]
-    if not ok or np.max(np.abs(s_v - xi_orig)) > radius * (1.0 + 1e-8) + tol:
+    s_v = gram.cols(nz) @ v[nz]
+    if not ok or np.max(np.abs(s_v - xi_vec)) > radius * (1.0 + 1e-8) + tol:
         return ProjectionResult(u_hat=np.zeros(p), feasible=False, radius=radius, objective=0.0)
     return ProjectionResult(
         u_hat=v,

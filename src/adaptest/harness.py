@@ -1,6 +1,7 @@
 """Experiment orchestration: configuration parsing, Monte Carlo drivers
 for size/power, interval-length sweeps and phase diagrams, and result
-tables.
+tables.  A dataset becomes a test decision in `inference.run_single_test`;
+this module builds the problems and datasets and collects the rows.
 
 Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
@@ -25,19 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import scaled_lasso, projection_direction
-from .inference import (
-    C_XI,
-    TestDecision,
-    _log_grid,
-    debiased_ci,
-    known_sigma_ci,
-    mixed_ci,
-    mixed_test,
-    plugin_ci,
-    spiked_ci,
-)
-from .model import Dataset, LoadingVector, ModelParams, TestProblem, generate_dataset, make_loading
+from .estimators import scaled_lasso
+from .inference import TEST_MODES, _log_grid, mixed_ci, mixed_test, run_single_test
+from .model import LoadingVector, ModelParams, TestProblem, generate_dataset, make_loading
 from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior
 from .profiles import example_profiles, nu1 as nu1_value, regular_phase
 
@@ -309,50 +300,6 @@ def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams
     sigma = np.empty_like(sigma_s)
     sigma[np.ix_(xi.perm, xi.perm)] = sigma_s
     return ModelParams(beta=beta, sigma_cov=sigma, noise_sd=draw.theta.noise_sd)
-
-
-def _plugin(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
-    fit = scaled_lasso(data, sigma_floor=sigma_floor)
-    return plugin_ci(fit, problem.xi.original(), problem.k_u, data.n, data.p, problem.alpha), 0
-
-
-def _debiased(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
-    fit = scaled_lasso(data, sigma_floor=sigma_floor)
-    proj = projection_direction(data, problem.xi, C_XI, data.n)
-    return debiased_ci(data, fit, proj, problem.xi.original(), problem.k_u, problem.alpha), data.p
-
-
-def _known_sigma(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
-    return known_sigma_ci(data, np.ones(data.p), problem.xi.original(), problem.alpha, seed, sigma_floor), data.p
-
-
-def _spiked(data: Dataset, problem: TestProblem, seed: int, sigma_floor: float):
-    return spiked_ci(data, problem.xi, problem.k_u, problem.alpha, seed, sigma_floor), data.p
-
-
-# Single-interval test modes: each returns (interval, m_used).
-_INTERVAL_MODES = {"plugin": _plugin, "debiased": _debiased, "known_sigma": _known_sigma, "spiked": _spiked}
-TEST_MODES = ("mixed", *_INTERVAL_MODES)
-
-
-def run_single_test(
-    mode: str,
-    data: Dataset,
-    problem: TestProblem,
-    seed: int,
-    scan_all_m: bool = False,
-    sigma_floor: float = 0.0,
-) -> TestDecision:
-    """Dispatch one test mode on one dataset.
-
-    plugin / debiased are the single-interval endpoints; known_sigma uses
-    the identity design covariance; spiked fits the exhaustive estimator
-    on the first data half.
-    """
-    if mode == "mixed":
-        return mixed_test(data, problem, sigma_floor, scan_all_m)
-    ci, m_used = _INTERVAL_MODES[mode](data, problem, seed, sigma_floor)
-    return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=m_used, t0=problem.t0)
 
 
 def _map_replicates(worker, reps: int, threads: int) -> list:

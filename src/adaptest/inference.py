@@ -9,6 +9,9 @@ nominal level is one minus the total budget.  Every interval reads data
 only through a memoised `Gram`: the debiased one on the dataset's, the
 data-split ones on half 2's.  Radius constants are fixed; sigma_floor
 (for the lasso fits) is the only value a caller sets.
+
+`run_single_test` runs any of the `TEST_MODES` on a dataset; the modes
+share one memoised lasso fit per dataset (on half 1 when data-split).
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ class TestDecision:
     reject: bool
     interval: ConfidenceInterval
     m_used: int
-    t0: float
 
 
 def plugin_ci(
@@ -157,24 +159,10 @@ def mixed_ci(
     n, p = data.n, data.p
     a_comp = min(alpha, eta) / 4.0
     head, tail = xi.split(m)
-    proj = projection_direction(data, _as_loading(head, xi, m), C_XI, n)
+    proj = projection_direction(data, head, C_XI, n)
     ci_db = debiased_ci(data, fit, proj, head, k_u, a_comp)
     ci_pi = plugin_ci(fit, tail, k_u, n, p, a_comp)
     return ci_db + ci_pi
-
-
-def _as_loading(vec: np.ndarray, xi: LoadingVector, m: int) -> LoadingVector:
-    """View the split piece as a LoadingVector without re-sorting.
-
-    The top-m piece in original coordinates is already magnitude-sorted
-    by xi's permutation, so reuse it; an all-zero piece keeps the parent
-    ordering (its norms are all zero anyway).
-    """
-    return LoadingVector(
-        coords=np.concatenate((xi.coords[:m], np.zeros(xi.p - m))),
-        perm=xi.perm,
-        k_xi=int(np.count_nonzero(vec)),
-    )
 
 
 def mixed_test(
@@ -193,21 +181,47 @@ def mixed_test(
     fit = scaled_lasso(data, sigma_floor=sigma_floor)
 
     if scan_all_m:
-        best = None
-        for m in _log_grid(data.p, 32):
-            ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta)
-            if best is None or ci.radius < best[1].radius:
-                best = (m, ci)
-        m_used, interval = best
+        scan = ((m, mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta)) for m in _log_grid(data.p, 32))
+        m_used, interval = min(scan, key=lambda pair: pair[1].radius)  # the first of equal radii
     else:
         m_used, _ = cutoff_and_regime(k_u, data.n, data.p)
         interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta)
-    return TestDecision(
-        reject=not interval.covers(problem.t0),
-        interval=interval,
-        m_used=m_used,
-        t0=problem.t0,
-    )
+    return TestDecision(reject=not interval.covers(problem.t0), interval=interval, m_used=m_used)
+
+
+TEST_MODES = ("mixed", "plugin", "debiased", "known_sigma", "spiked")
+
+
+def run_single_test(
+    mode: str,
+    data: Dataset,
+    problem: TestProblem,
+    seed: int,
+    scan_all_m: bool = False,
+    sigma_floor: float = 0.0,
+) -> TestDecision:
+    """Invert the interval of one of the TEST_MODES on one dataset.
+
+    mixed is `mixed_test`; plugin and debiased are the two intervals it
+    mixes, each at level 1 - alpha; known_sigma uses the identity design
+    covariance and spiked the exhaustive estimator, both on the halves
+    split_half(data, seed).
+    """
+    if mode == "mixed":
+        return mixed_test(data, problem, sigma_floor, scan_all_m)
+    xi_vec, k_u, alpha = problem.xi.original(), problem.k_u, problem.alpha
+    if mode == "plugin":
+        ci = plugin_ci(scaled_lasso(data, sigma_floor=sigma_floor), xi_vec, k_u, data.n, data.p, alpha)
+    elif mode == "debiased":
+        fit = scaled_lasso(data, sigma_floor=sigma_floor)
+        ci = debiased_ci(data, fit, projection_direction(data, xi_vec, C_XI, data.n), xi_vec, k_u, alpha)
+    elif mode == "known_sigma":
+        ci = known_sigma_ci(data, np.ones(data.p), xi_vec, alpha, seed, sigma_floor)
+    elif mode == "spiked":
+        ci = spiked_ci(data, problem.xi, k_u, alpha, seed, sigma_floor)
+    else:
+        raise ValueError(f"unknown test mode {mode!r}: expected one of {', '.join(TEST_MODES)}")
+    return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=0 if mode == "plugin" else data.p)
 
 
 def _log_grid(p: int, size: int) -> list[int]:

@@ -80,7 +80,7 @@ def test_criterion_2_endpoint_recovery():
         assert abs(m0.radius - pi.radius) <= 1e-12
 
         mp = inf.mixed_ci(data, fit, xi, p, k_u, alpha, eta)
-        proj = projection_direction(data, xi, 2.0, n)
+        proj = projection_direction(data, xi.original(), 2.0, n)
         db = inf.debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
         assert abs(mp.center - db.center) <= 1e-12
         assert abs(mp.radius - db.radius) <= 1e-12

@@ -113,6 +113,16 @@ class TestScaledLasso:
         assert fit.sigma_hat == 1e-6
         assert np.allclose(fit.beta_hat, 0.0)
 
+    def test_fit_memoised_per_floor_and_read_only(self):
+        x, rng = random_design(7, 40, 10, 0)
+        ds = Dataset(x=x, y=x[:, 0] + rng.standard_normal(40))
+        fit = scaled_lasso(ds)
+        assert scaled_lasso(ds) is fit and scaled_lasso(ds, sigma_floor=2.0) is not fit
+        refit = scaled_lasso(Dataset(x=x, y=ds.y))  # a fresh dataset refits, to the same bits
+        assert refit is not fit and refit.beta_hat.tobytes() == fit.beta_hat.tobytes()
+        with pytest.raises(ValueError):
+            fit.beta_hat[0] = 1.0
+
     def test_orthonormal_design_soft_threshold(self):
         n, p = 64, 16
         x = orthonormal_design(n, p, 42)
@@ -312,7 +322,7 @@ class TestGram:
         scaled_lasso(ds)
         formed = dict(Gram.of(ds).columns)
         assert 0 < len(formed) < 6
-        projection_direction(ds, make_loading(np.eye(6)[0]), 2.0, 20)
+        projection_direction(ds, np.eye(6)[0], 2.0, 20)
         assert all(Gram.of(ds).columns[j] is col for j, col in formed.items())
 
 
@@ -325,7 +335,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(0.3, xi.original(), n)
-        res = projection_direction(np.eye(3), xi, c_xi, n)
+        res = projection_direction(np.eye(3), xi.original(), c_xi, n)
         assert res.feasible
         assert np.allclose(res.u_hat, [0.7, 0.0, 0.0], atol=1e-9)
 
@@ -333,7 +343,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(1.5, xi.original(), n)
-        res = projection_direction(np.eye(3), xi, c_xi, n)
+        res = projection_direction(np.eye(3), xi.original(), c_xi, n)
         assert res.feasible
         assert np.allclose(res.u_hat, 0.0)
         assert res.objective == 0.0
@@ -345,7 +355,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p)) @ np.linalg.cholesky(np.eye(p) + 0.3).T
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(s, xi, 2.0, n)
+        res = projection_direction(s, xi.original(), 2.0, n)
         oracle = np.linalg.solve(s, xi.original())
         assert res.feasible
         assert res.objective <= float(oracle @ (s @ oracle)) + 1e-9
@@ -356,7 +366,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(s, xi, 1.0, n)
+        res = projection_direction(s, xi.original(), 1.0, n)
         assert res.feasible
         slack = np.abs(s @ res.u_hat - xi.original())
         active = np.abs(res.u_hat) > 1e-8
@@ -375,7 +385,7 @@ class TestProjectionDirection:
         x, rng = random_design(seed, n, p, min(dead, p - 1))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(s, xi, c_xi, n)
+        res = projection_direction(s, xi.original(), c_xi, n)
         if res.feasible:
             tol = 1e-9 * max(float(np.linalg.norm(xi.original())), 1.0)
             assert np.max(np.abs(s @ res.u_hat - xi.original())) <= res.radius * (1 + 1e-8) + tol
@@ -387,7 +397,7 @@ class TestProjectionDirection:
         v = np.array([1.0, 0.0, 0.0])
         s = np.outer(v, v)
         xi = make_loading([0.0, 1.0, 0.0])
-        res = projection_direction(s, xi, 0.01, 10**6)
+        res = projection_direction(s, xi.original(), 0.01, 10**6)
         assert not res.feasible
         assert np.allclose(res.u_hat, 0.0)
 

@@ -42,6 +42,7 @@ master_seed = 4
 # The criterion-3 problem (n = 300, p = 600) with one alternative, at a size a unit test can afford.
 CRITERION3_CFG = "kind = size_power\nn = 300\np = 600\nk_u = 5\nk = 5\nt0 = 4.0\ntau_grid = 10.0\nreps = 3\nmaster_seed = 1\n"
 SUBWEIBULL = "loading = subweibull\nloading_q = 2.0\n"
+ALL_MODES = "mixed,plugin,debiased,known_sigma,spiked"
 
 BOOL_SPELLINGS = {True: ("1", "true", "yes", "on"), False: ("0", "false", "no", "off")}
 BY_TYPE = {
@@ -52,7 +53,7 @@ BY_TYPE = {
 }
 
 
-MODE_LISTS = st.lists(st.sampled_from(harness.TEST_MODES), min_size=1, unique=True).map(",".join)
+MODE_LISTS = st.lists(st.sampled_from(inference.TEST_MODES), min_size=1, unique=True).map(",".join)
 
 
 @st.composite
@@ -288,7 +289,7 @@ class TestRunners:
             formed.append(len(Gram.of(data).columns))
             return dec
 
-        monkeypatch.setattr(harness, "mixed_test", counted)
+        monkeypatch.setattr(inference, "mixed_test", counted)
         rows = run_experiment(parse_config(CRITERION3_CFG + loading))
         assert any(r.metric == "mean/reject/null/mixed" for r in rows)
         assert len(formed) == 2 * 3
@@ -303,14 +304,14 @@ class TestRunners:
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
         for rep in range(cfg.reps):
             fresh, shared, primed = (generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1)) for _ in "abc")
-            alone = harness.run_single_test("debiased", fresh, problem, seed=cfg.master_seed + rep)
+            alone = inference.run_single_test("debiased", fresh, problem, seed=cfg.master_seed + rep)
             assert repr(float(alone.interval.radius)) == table[rep, "radius/null/debiased"]
             assert repr(float(alone.reject)) == table[rep, "reject/null/debiased"]
-            harness.run_single_test("mixed", shared, problem, seed=cfg.master_seed + rep)
-            after = harness.run_single_test("debiased", shared, problem, seed=cfg.master_seed + rep)
+            inference.run_single_test("mixed", shared, problem, seed=cfg.master_seed + rep)
+            after = inference.run_single_test("debiased", shared, problem, seed=cfg.master_seed + rep)
             assert after == alone
             Gram.of(primed).cols(range(cfg.p - 1, -1, -1))  # as if an earlier mode had read every column
-            assert harness.run_single_test("debiased", primed, problem, seed=cfg.master_seed + rep) == alone
+            assert inference.run_single_test("debiased", primed, problem, seed=cfg.master_seed + rep) == alone
 
     def test_spiked_mode_splits_once(self, monkeypatch):
         p, k_u, seed = 8, 2, 9
@@ -329,7 +330,7 @@ class TestRunners:
         monkeypatch.setattr(inference, "stream", counted_stream)
         monkeypatch.setattr(inference, "spiked_cov_estimate", spy(spiked_cov_estimate, spiked_on))
         monkeypatch.setattr(inference, "scaled_lasso", spy(inference.scaled_lasso, lasso_on))
-        dec = harness.run_single_test("spiked", data, problem, seed=seed)
+        dec = inference.run_single_test("spiked", data, problem, seed=seed)
         assert splits == [(seed, 1)]
         half1 = inference.split_half(data, seed)[0]
         assert len(spiked_on) == len(lasso_on) == 1
@@ -354,9 +355,31 @@ class TestRunners:
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
         for rep in range(cfg.reps):
             fresh, shared = (generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1)) for _ in "ab")
-            harness.run_single_test("known_sigma", shared, problem, seed=cfg.master_seed + rep)
-            after = harness.run_single_test("spiked", shared, problem, seed=cfg.master_seed + rep)
-            assert after == harness.run_single_test("spiked", fresh, problem, seed=cfg.master_seed + rep)
+            inference.run_single_test("known_sigma", shared, problem, seed=cfg.master_seed + rep)
+            after = inference.run_single_test("spiked", shared, problem, seed=cfg.master_seed + rep)
+            assert after == inference.run_single_test("spiked", fresh, problem, seed=cfg.master_seed + rep)
+
+    def test_one_lasso_fit_per_dataset_across_modes(self, monkeypatch):
+        # mixed, plugin and debiased share the fit on the dataset, known_sigma and spiked the fit on half 1
+        cfg = dataclasses.replace(parse_config(SIZE_CFG), p=10, reps=4, modes=ALL_MODES, tau_grid="1.0")
+        fits, lasso = [], inference.scaled_lasso
+        for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "adaptest"]:
+            if hasattr(mod, "scaled_lasso"):
+                monkeypatch.setattr(mod, "scaled_lasso", lambda data, **kw: fits.append(lasso(data, **kw)) or fits[-1])
+        run_experiment(cfg)
+        assert len({id(fit) for fit in fits}) == 4 * 2 * 2
+        assert not any(fit.beta_hat.flags.writeable for fit in fits)
+
+    def test_mixed_rows_do_not_depend_on_the_modes_beside_them(self):
+        cfg = dataclasses.replace(parse_config(SIZE_CFG), p=10, reps=4, tau_grid="0.0,1.0")
+
+        def mixed_rows(modes):
+            rows = run_experiment(dataclasses.replace(cfg, modes=modes))
+            return [(r.replicate, r.metric, repr(r.value), repr(r.se)) for r in rows if "mixed" in r.metric.split("/")]
+
+        alone = mixed_rows("mixed")
+        assert len(alone) == 4 * 4 + 4  # reject and radius under the null, reject at two alternatives
+        assert mixed_rows(ALL_MODES) == alone
 
     def test_m_cutoff_grid(self):
         grid = m_cutoff_grid(50, 16)

@@ -93,7 +93,7 @@ class TestDebiasedCI:
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
             fit = scaled_lasso(data)
-            proj = projection_direction(data, xi, 2.0, n)
+            proj = projection_direction(data, xi.original(), 2.0, n)
             ci = inf.debiased_ci(data, fit, proj, xi.original(), 5, 0.05)
             hits += ci.covers(target)
         assert hits / reps >= 0.95 - 0.03
@@ -120,7 +120,7 @@ class TestMixedCI:
             assert m0.center == pytest.approx(pi.center, abs=1e-12)
             assert m0.radius == pytest.approx(pi.radius, abs=1e-12)
             mp = inf.mixed_ci(data, fit, xi, p, k_u, 0.05, 0.05)
-            proj = projection_direction(data, xi, 2.0, n)
+            proj = projection_direction(data, xi.original(), 2.0, n)
             db = inf.debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
             assert mp.center == pytest.approx(db.center, abs=1e-12)
             assert mp.radius == pytest.approx(db.radius, abs=1e-12)
@@ -275,3 +275,13 @@ class TestSpikedCI:
             ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=seed)
             hits += abs(ci.center - target) <= c_cal * ci.radius
         assert hits / reps >= 0.95 - 0.05
+
+
+class TestRunSingleTest:
+    def test_unknown_mode_names_the_mode_and_the_modes(self):
+        theta = ModelParams(beta=np.zeros(6), sigma_cov=np.eye(6), noise_sd=1.0)
+        data = generate_dataset(theta, 40, 0)
+        problem = problem_of(xi=make_loading(np.ones(6)), t0=0.0, k_u=2, alpha=0.05, eta=0.05)
+        with pytest.raises(ValueError, match="'bogus'") as err:
+            inf.run_single_test("bogus", data, problem, seed=0)
+        assert all(mode in str(err.value) for mode in inf.TEST_MODES)
