@@ -81,7 +81,12 @@ class PriorConfig(LoadingConfig):
     c5: float = setting(0.5, kind=("nu1",))
     c8: float = setting(0.05, kind=("comp",))
     c9: float | None = setting(None, kind=("comp",))
-    chi2_reps: int = 0
+    chi2_reps: int = 0  # pair replicates of the chi-square estimate; 0 is off
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.chi2_reps != 0 and self.chi2_reps < 100:
+            raise ConfigError(f"chi2_reps = {self.chi2_reps} must be 0 (off) or at least 100")
 
 
 @dataclass(kw_only=True)
@@ -201,7 +206,7 @@ def cmd_prior(cfg: PriorConfig):
             f"{repr(d.constraint_residual(xi))},{repr(d.noise_sd)},{int(d.valid)},{d.reason}\n"
         )
     tables = {".csv": "".join(lines)}
-    if cfg.chi2_reps >= 100:
+    if cfg.chi2_reps:
         ref = JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
         est, se = chi2_mixture_mc(sampler, ref, n, cfg.chi2_reps, cfg.master_seed + 10_000, valid_only=True)
         tables["_chi2.csv"] = f"estimate,se\n{repr(est)},{repr(se)}\n"

@@ -45,10 +45,6 @@ class DivergentIntegral(AdaptestError):
     """The pairwise Gaussian integral does not converge."""
 
 
-class SizeBudget(AdaptestError):
-    """Multi-index enumeration would exceed the configured cap."""
-
-
 class NotPD(AdaptestError):
     """Joint covariance of the paired-sample model is not positive definite."""
 

@@ -367,12 +367,12 @@ def spiked_cov_estimate(
     for bsz in range(0, k_u + 1):
         for b_set in itertools.combinations(range(p), bsz):
             idx = np.array(b_set, dtype=int)
-            gb = gamma_block(s, b_set)
-            gb_norm = max(_opnorm_sym(s[np.ix_(idx, idx)]), 1.0) if bsz else 1.0
+            gb_norm = 1.0
             if bsz:
                 ev = np.linalg.eigvalsh(s[np.ix_(idx, idx)])
                 if ev[0] < 1.0 / 20.0 or ev[-1] > 20.0:
                     continue
+                gb_norm = max(float(np.max(np.abs(ev))), 1.0)
             ok = True
             for d_set in d_subsets(b_set):
                 checked += 1
@@ -393,7 +393,7 @@ def spiked_cov_estimate(
                 if bsz:
                     omega[np.ix_(idx, idx)] = np.linalg.inv(s[np.ix_(idx, idx)])
                 return SpikedCovFit(
-                    sigma_hat_spike=gb,
+                    sigma_hat_spike=gamma_block(s, b_set),
                     omega_hat=omega,
                     b_hat=b_set,
                     fell_back_identity=False,

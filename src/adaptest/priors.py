@@ -402,11 +402,16 @@ def chi2_pair_integral(sz1, sz2, sz0, n: int) -> float:
     return math.exp(-0.5 * n * logdet)
 
 
-def chi2_pair_closed_form(draw1: PriorDraw, draw2: PriorDraw, n: int) -> float:
-    """Rank-one closed form [1 - (r1'r2)(c1'c2)]^{-n} from the coupling factors."""
+def rank_one_overlap(draw1: PriorDraw, draw2: PriorDraw) -> float:
+    """x = (r1'r2)(c1'c2) from the two draws' rank-one coupling factors."""
     r1, c1 = draw1.rank_one_factors()
     r2, c2 = draw2.rank_one_factors()
-    x = float(r1 @ r2) * float(c1 @ c2)
+    return float(r1 @ r2) * float(c1 @ c2)
+
+
+def chi2_pair_closed_form(draw1: PriorDraw, draw2: PriorDraw, n: int) -> float:
+    """Rank-one closed form [1 - x]^{-n} in the rank-one overlap x."""
+    x = rank_one_overlap(draw1, draw2)
     if x >= 1.0:
         raise DivergentIntegral("rank-one overlap too large")
     return (1.0 - x) ** (-n)

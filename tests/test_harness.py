@@ -512,6 +512,18 @@ class TestCli:
         assert "fit_spiked" in capsys.readouterr().err
         assert not list(tmp_path.glob("fit_*"))
 
+    @pytest.mark.parametrize("reps", [0, 50, -1])
+    def test_prior_chi2_reps_is_off_or_at_least_100(self, tmp_path, capsys, reps):
+        cfg = self._write(tmp_path, f"kind = nu2\nn = 100\np = 20\nk_u = 4\ndraws = 3\nchi2_reps = {reps}\n")
+        rc = cli_main(["prior", "--config", cfg, "--out", str(tmp_path)])
+        if reps == 0:
+            assert rc == 0
+            assert not list(tmp_path.glob("prior_*_chi2.csv"))
+        else:
+            assert rc == 2
+            assert "chi2_reps" in capsys.readouterr().err
+            assert not list(tmp_path.glob("prior_*"))
+
     @pytest.mark.parametrize("command", ["fit", "test"])
     def test_wrong_length_loading_csv(self, tmp_path, command):
         data = self._dataset(tmp_path)

@@ -1,11 +1,15 @@
 import math
+from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptest import lowdeg as ld
 from adaptest import priors as pri
-from adaptest.errors import SizeBudget
+from adaptest.cli import main as cli_main
 from adaptest.model import make_loading, stream
 
 
@@ -15,6 +19,55 @@ def tiny_comp_sampler(xi, seed, c8=0.4, c9=0.05):
         c8=c8, c9=c9, seed=seed, sigma_star=1.0,
         k_eff_override=2, s1_override=1, allow_tiny=True,
     )
+
+
+def indices_up_to(width: int, degree: int):
+    """All multi-indices over `width` slots with total degree <= degree."""
+    for d in range(degree + 1):
+        for slots in combinations_with_replacement(range(width), d):
+            alpha = [0] * width
+            for s in slots:
+                alpha[s] += 1
+            yield tuple(alpha)
+
+
+def brute_force_ld_pair(draw1, draw2, degree: int, n: int) -> float:
+    """LD(degree) of one pair by enumeration: per-row Hermite moments summed
+    by degree, then the coefficients of (sum_d t[d] z^d)^n up to degree."""
+    r1, c1 = draw1.rank_one_factors()
+    r2, c2 = draw2.rank_one_factors()
+    t = np.zeros(degree + 1)
+    for alpha in indices_up_to(r1.size + c1.size, degree):
+        mu, nu = alpha[: r1.size], alpha[r1.size :]
+        t[sum(alpha)] += ld.hermite_moment(mu, nu, r1, c1) * ld.hermite_moment(mu, nu, r2, c2)
+    total = np.zeros(degree + 1)
+    total[0] = 1.0
+    for _ in range(n):
+        total = np.convolve(total, t)[: degree + 1]
+    return float(total.sum())
+
+
+@dataclass
+class Factors:
+    """A stand-in draw exposing only its rank-one coupling factors."""
+
+    r: np.ndarray
+    c: np.ndarray
+
+    def rank_one_factors(self):
+        return self.r, self.c
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two draws sharing widths 1-3; entries in [-1/2, 1/2] keep ||r|| ||c|| <= 3/4."""
+    wu, wv = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coord = st.floats(-0.5, 0.5, allow_subnormal=False)
+
+    def vec(w):
+        return np.array(draw(st.lists(coord, min_size=w, max_size=w)))
+
+    return Factors(vec(wu), vec(wv)), Factors(vec(wu), vec(wv))
 
 
 def valid_draws(xi, count, start=0):
@@ -100,16 +153,48 @@ class TestLdNorm:
         d1, d2 = valid_draws(self.xi, 2)
         r1, c1 = d1.rank_one_factors()
         r2, c2 = d2.rank_one_factors()
-        for alpha in ld._indices_up_to(r1.size + c1.size, 3):
+        for alpha in indices_up_to(r1.size + c1.size, 3):
             mu, nu = alpha[: r1.size], alpha[r1.size :]
             f1 = ld.hermite_moment(mu, nu, r1, c1)
             f2 = ld.hermite_moment(mu, nu, r2, c2)
             assert f1 * f2 >= 0.0
 
-    def test_size_budget(self):
-        draws = valid_draws(self.xi, 2)
-        with pytest.raises(SizeBudget):
-            ld.ld_norm(draws, 4, 2, index_cap=10)
+    @given(pair=factor_pairs(), n=st.integers(1, 4), degree=st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_matches_hermite_enumeration(self, pair, n, degree):
+        a, b = pair
+        fast = ld.ld_pair_value(a, b, degree, n)
+        slow = brute_force_ld_pair(a, b, degree, n)
+        # relative to the series' absolute sum, which bounds |fast| and
+        # stays the scale of the rounding when a negative overlap cancels
+        x = pri.rank_one_overlap(a, b)
+        scale = sum(math.comb(n + m - 1, m) * abs(x) ** m for m in range(degree // 2 + 1))
+        assert abs(fast - slow) <= 1e-13 * scale
+
+    def test_odd_degree_adds_nothing(self):
+        draws = valid_draws(self.xi, 8)
+        for m in range(3):
+            assert ld.ld_norm(draws, 2 * m + 1, 2) == ld.ld_norm(draws, 2 * m, 2)
+
+
+class TestLowdegCli:
+    def test_paper_size_instance(self, tmp_path):
+        # the paper's sizes; at master_seed 1 some draw pairs' couplings
+        # overlap (x > 0), so LD(2) > 1 and the series does real work
+        cfg = tmp_path / "lowdeg.cfg"
+        cfg.write_text(
+            "n = 1000\np = 200\nk_u = 16\nk_eff = 48\ns1 = 4\nloading = regular\n"
+            "loading_k = 100\ndegree_max = 4\npairs = 20\nmaster_seed = 1\n"
+        )
+        assert cli_main(["lowdeg", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        (csv,) = tmp_path.glob("lowdeg_*.csv")
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        lds = [float(r[1]) for r in rows]
+        chi2_ref = float(rows[0][2])
+        assert len(lds) == 5 and lds[0] == 1.0
+        assert all(a <= b + 1e-13 * (d + 1) for d, (a, b) in enumerate(zip(lds, lds[1:])))
+        assert all(v <= 1.0 + chi2_ref + 1e-12 for v in lds)
+        assert chi2_ref > 0.0 and lds[2] > 1.0
 
 
 class TestUniformBound:
