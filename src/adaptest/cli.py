@@ -27,7 +27,7 @@ from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
 from .inference import TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
-from .model import JointCovariance, TestProblem, dataset_from_csv, dataset_to_csv
+from .model import JointCovariance, TestProblem, csv_text, dataset_from_csv, dataset_to_csv
 from .priors import (
     chi2_mixture_mc,
     chi2_pair_closed_form,
@@ -35,7 +35,6 @@ from .priors import (
     sample_nu1_prior,
     sample_nu2_prior,
 )
-from .profiles import nu1 as nu1_value
 
 
 @dataclass(kw_only=True)
@@ -128,7 +127,7 @@ def _read_dataset(cfg: DataConfig):
     try:
         with open(cfg.data_csv) as fh:
             data = dataset_from_csv(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read data_csv {cfg.data_csv}: {exc}") from exc
     if cfg.p is not None and cfg.p != data.p:
         raise ConfigError(f"p = {cfg.p} but {cfg.data_csv} has {data.p} columns")
@@ -139,13 +138,12 @@ def cmd_profile(cfg: ProfileConfig):
     xi = build_loading(cfg)
     s = profiles.regime_and_cutoff(xi, cfg.k_u, cfg.n, cfg.p, cfg.degree)
     upper, lower = profiles.rate_bounds(xi, cfg.k_u, cfg.n, cfg.p)
-    head = "zeta,lambda,j1,nu1,nu2,k_eff,nu3,m_star,regime,upper,lower\n"
-    row = ",".join(
-        [repr(s.zeta), repr(s.lam), str(s.j1), repr(s.nu1), repr(s.nu2), str(s.k_eff), repr(s.nu3), str(s.m_star), s.regime, repr(upper), repr(lower)]
-    )
+    row = [s.zeta, s.lam, s.j1, s.nu1, s.nu2, s.k_eff, s.nu3, s.m_star, s.regime, upper, lower]
     tgrid = np.unique(np.geomspace(1, xi.p, num=cfg.hcurve_points).round().astype(int))
-    hcurve = "".join(["t,h\n"] + [f"{t},{repr(profiles.top_norm(xi, float(t)))}\n" for t in tgrid])
-    return cfg, "profile", {".csv": head + row + "\n", "_hcurve.csv": hcurve}
+    return cfg, "profile", {
+        ".csv": csv_text("zeta,lambda,j1,nu1,nu2,k_eff,nu3,m_star,regime,upper,lower", [row]),
+        "_hcurve.csv": csv_text("t,h", [(t, profiles.top_norm(xi, float(t))) for t in tgrid]),
+    }
 
 
 def cmd_fit(cfg: FitConfig):
@@ -155,31 +153,28 @@ def cmd_fit(cfg: FitConfig):
     proj = projection_direction(data, xi.original(), cfg.c_xi, data.n)
     support = np.flatnonzero(fit.beta_hat)
     fields = {
-        "sigma_hat": repr(fit.sigma_hat),
-        "nnz": str(support.size),
-        "support": ";".join(map(str, support)),
-        "u_l1": repr(float(np.abs(proj.u_hat).sum())),
-        "u_l2": repr(float(np.linalg.norm(proj.u_hat))),
-        "u_objective": repr(proj.objective),
-        "u_feasible": str(proj.feasible),
+        "sigma_hat": fit.sigma_hat,
+        "nnz": support.size,
+        "support": support,
+        "u_l1": np.abs(proj.u_hat).sum(),
+        "u_l2": np.linalg.norm(proj.u_hat),
+        "u_objective": proj.objective,
+        "u_feasible": proj.feasible,
     }
     if cfg.gamma_star is not None:
         spk = spiked_cov_estimate(data, cfg.k_u, cfg.gamma_star)
-        fields["b_hat"] = ";".join(map(str, spk.b_hat))
-        fields["fell_back_identity"] = str(spk.fell_back_identity)
-    return cfg, "fit", {".csv": ",".join(fields) + "\n" + ",".join(fields.values()) + "\n"}
+        fields["b_hat"] = spk.b_hat
+        fields["fell_back_identity"] = spk.fell_back_identity
+    return cfg, "fit", {".csv": csv_text(",".join(fields), [fields.values()])}
 
 
 def cmd_test(cfg: TestCmdConfig):
     data, cfg = _read_dataset(cfg)
     problem = TestProblem(xi=build_loading(cfg), t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
     dec = run_single_test(cfg.mode, data, problem, cfg.master_seed, cfg.scan_all_m, cfg.sigma_floor)
-    budget = ";".join(f"{k}:{repr(v)}" for k, v in dec.interval.budget.items())
-    table = (
-        "mode,reject,center,radius,m_used,level,budget\n"
-        f"{cfg.mode},{int(dec.reject)},{repr(dec.interval.center)},{repr(dec.interval.radius)},{dec.m_used},{repr(dec.interval.level)},{budget}\n"
-    )
-    return cfg, "test", {".csv": table}
+    ci = dec.interval
+    row = [cfg.mode, int(dec.reject), ci.center, ci.radius, dec.m_used, ci.level, ci.budget]
+    return cfg, "test", {".csv": csv_text("mode,reject,center,radius,m_used,level,budget", [row])}
 
 
 def cmd_prior(cfg: PriorConfig):
@@ -189,27 +184,22 @@ def cmd_prior(cfg: PriorConfig):
         def sampler(s):
             return sample_nu2_prior(xi, k_u, n, p, sigma_star, c1=cfg.c1, c2=cfg.c2, seed=s)
     elif cfg.kind == "nu1":
-        tau = cfg.tau
-        if tau is None:
-            tau = (cfg.c4 * cfg.c5 / 4.0) * nu1_value(xi, k_u) / math.sqrt(n)
         def sampler(s):
-            return sample_nu1_prior(xi, k_u, n, tau, c4=cfg.c4, c5=cfg.c5, seed=s, sigma_star=sigma_star)
+            return sample_nu1_prior(xi, k_u, n, cfg.tau, c4=cfg.c4, c5=cfg.c5, seed=s, sigma_star=sigma_star)
     else:
         def sampler(s):
             return sample_comp_prior(xi, k_u, n, p, cfg.degree, c8=cfg.c8, c9=cfg.c9, seed=s, sigma_star=sigma_star)
 
-    lines = ["draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason\n"]
+    rows = []
     for i in range(cfg.draws):
         d = sampler(cfg.master_seed + i)
-        lines.append(
-            f"{i},{repr(d.kappa)},{d.sparsity},{repr(d.eig_min)},{repr(d.eig_max)},"
-            f"{repr(d.constraint_residual(xi))},{repr(d.noise_sd)},{int(d.valid)},{d.reason}\n"
-        )
-    tables = {".csv": "".join(lines)}
+        residual = d.constraint_residual(xi)
+        rows.append([i, d.kappa, d.sparsity, d.eig_min, d.eig_max, residual, d.noise_sd, int(d.valid), d.reason])
+    tables = {".csv": csv_text("draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason", rows)}
     if cfg.chi2_reps:
         ref = JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
-        est, se = chi2_mixture_mc(sampler, ref, n, cfg.chi2_reps, cfg.master_seed + 10_000, valid_only=True)
-        tables["_chi2.csv"] = f"estimate,se\n{repr(est)},{repr(se)}\n"
+        est_se = chi2_mixture_mc(sampler, ref, n, cfg.chi2_reps, cfg.master_seed + 10_000, valid_only=True)
+        tables["_chi2.csv"] = csv_text("estimate,se", [est_se])
     return cfg, "prior", tables
 
 
@@ -230,12 +220,11 @@ def cmd_lowdeg(cfg: LowdegConfig):
             raise AdaptestError("rejection sampling stalled; loosen the prior constants")
     pair_list = [(draws[i], draws[i + 1]) for i in range(0, len(draws) - 1, 2)]
     chi2_ref = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in pair_list])) - 1.0
-    lines = ["degree,ld,chi2_ref,log_uniform_bound\n"]
-    for deg in range(cfg.degree_max + 1):
-        val = ld_norm(draws, deg, n)
-        bound = ld_uniform_bound(n, p, max(deg, 1))
-        lines.append(f"{deg},{repr(val)},{repr(chi2_ref)},{repr(bound)}\n")
-    return cfg, "lowdeg", {".csv": "".join(lines)}
+    rows = [
+        (deg, ld_norm(draws, deg, n), chi2_ref, ld_uniform_bound(n, p, max(deg, 1)))
+        for deg in range(cfg.degree_max + 1)
+    ]
+    return cfg, "lowdeg", {".csv": csv_text("degree,ld,chi2_ref,log_uniform_bound", rows)}
 
 
 def cmd_scca(cfg: SccaConfig):
@@ -248,10 +237,7 @@ def cmd_scca(cfg: SccaConfig):
     if cfg.mode == "generate":
         inst = scca.gen_scca(params, cfg.hypothesis, seed)
         cols = [f"u1_{j + 1}" for j in range(params.p1)] + [f"u2_{j + 1}" for j in range(params.p2)]
-        lines = [",".join(cols) + "\n"]
-        for i in range(inst.rows):
-            lines.append(",".join(repr(v) for v in np.concatenate((inst.u1[i], inst.u2[i]))) + "\n")
-        tables[".csv"] = "".join(lines)
+        tables[".csv"] = csv_text(",".join(cols), np.hstack((inst.u1, inst.u2)).tolist())
     elif cfg.mode == "reduce":
         inst = scca.gen_scca(params, cfg.hypothesis, seed)
         ds, problem, tau_red = scca.reduce_to_lt(
@@ -260,21 +246,17 @@ def cmd_scca(cfg: SccaConfig):
         buf = io.StringIO()
         dataset_to_csv(ds, buf)
         tables[".csv"] = buf.getvalue()
-        tables["_problem.csv"] = (
-            "t0,k_u,k_xi,tau_red,alpha,eta\n"
-            f"{repr(problem.t0)},{problem.k_u},{problem.xi.k_xi},{repr(tau_red)},{repr(problem.alpha)},{repr(problem.eta)}\n"
-        )
+        row = [problem.t0, problem.k_u, problem.xi.k_xi, tau_red, problem.alpha, problem.eta]
+        tables["_problem.csv"] = csv_text("t0,k_u,k_xi,tau_red,alpha,eta", [row])
     elif cfg.mode == "stats":
         r = scca.sample_cross_covariance(params, cfg.hypothesis, seed)
         thr = scca.thresholds(params.n, params.s, params.p1, params.p2, cfg.big_c)
         rep = scca.stat_report(r, params.s, thr)
-        lines = ["statistic,value,threshold,decision\n"]
-        for k in scca.STATISTICS:
-            lines.append(f"{k},{repr(rep.values[k])},{repr(rep.thresholds[k])},{int(rep.decisions[k])}\n")
-        tables[".csv"] = "".join(lines)
+        rows = [(k, rep.values[k], rep.thresholds[k], int(rep.decisions[k])) for k in scca.STATISTICS]
+        tables[".csv"] = csv_text("statistic,value,threshold,decision", rows)
     else:
         thr = scca.calibrate_thresholds(params, cfg.calib_reps, seed, cfg.level)
-        lines = ["lam,statistic,power,se\n"]
+        rows = []
         for lam in float_list(cfg.lam_grid):
             pa = replace(params, lam=lam)
             hits = {k: 0 for k in scca.STATISTICS}
@@ -285,8 +267,8 @@ def cmd_scca(cfg: SccaConfig):
                     hits[k] += int(rep.decisions[k])
             for k in scca.STATISTICS:
                 pw = hits[k] / cfg.reps
-                lines.append(f"{repr(lam)},{k},{repr(pw)},{repr(math.sqrt(max(pw * (1 - pw), 0.0) / cfg.reps))}\n")
-        tables[".csv"] = "".join(lines)
+                rows.append((lam, k, pw, math.sqrt(max(pw * (1 - pw), 0.0) / cfg.reps)))
+        tables[".csv"] = csv_text("lam,statistic,power,se", rows)
     return cfg, f"scca_{cfg.mode}", tables
 
 
@@ -294,10 +276,7 @@ def cmd_simulate(cfg: ExperimentConfig, emit_plotdata: bool):
     rows = harness.run_experiment(cfg)
     tables = {".csv": harness.rows_to_csv(rows)}
     if emit_plotdata:
-        lines = ["series,x,y,se\n"]
-        for series, x, y, se in harness.plotdata_rows(rows):
-            lines.append(f"{series},{repr(x)},{repr(y)},{repr(se)}\n")
-        tables["_plotdata.csv"] = "".join(lines)
+        tables["_plotdata.csv"] = csv_text("series,x,y,se", harness.plotdata_rows(rows))
     return cfg, f"simulate_{cfg.kind}", tables
 
 

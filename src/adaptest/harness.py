@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -28,9 +27,9 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import scaled_lasso
 from .inference import TEST_MODES, _log_grid, mixed_ci, mixed_test, run_single_test
-from .model import LoadingVector, ModelParams, TestProblem, generate_dataset, make_loading
+from .model import LoadingVector, ModelParams, TestProblem, csv_cell, csv_text, generate_dataset, make_loading
 from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior
-from .profiles import example_profiles, nu1 as nu1_value, regular_phase
+from .profiles import example_profiles, regular_phase
 
 
 def setting(default=dataclasses.MISSING, choices=(), **when) -> dataclasses.Field:
@@ -181,7 +180,7 @@ def parse_config(text: str, schema: type = ExperimentConfig):
 def format_config(cfg) -> str:
     """key = value lines for the keys cfg's tags read."""
     values = {f.name: getattr(cfg, f.name) for f in fields(cfg) if not _blocker(cfg, f.name)}
-    return "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n" for k, v in values.items())
+    return "".join(f"{k} = {csv_cell(v)}\n" for k, v in values.items())
 
 
 def config_digest(cfg) -> str:
@@ -217,12 +216,8 @@ class ResultRow:
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    buf.write("digest,replicate,metric,value,se\n")
-    for r in rows:
-        se = "" if r.se is None else repr(float(r.se))
-        buf.write(f"{r.digest},{r.replicate},{r.metric},{repr(float(r.value))},{se}\n")
-    return buf.getvalue()
+    cells = ((r.digest, r.replicate, r.metric, r.value, r.se) for r in rows)
+    return csv_text("digest,replicate,metric,value,se", cells)
 
 
 def _binomial_se(mean: float, count: int) -> float:
@@ -235,7 +230,7 @@ def build_loading(cfg: LoadingConfig) -> LoadingVector:
     if cfg.loading_csv:
         try:
             xi = make_loading(np.loadtxt(cfg.loading_csv, delimiter=",", skiprows=1, ndmin=1))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read loading_csv {cfg.loading_csv}: {exc}") from exc
     else:
         params = {
@@ -276,8 +271,7 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     if cfg.null_source == "nu2":
         draw = sample_nu2_prior(xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, seed=seed)
     else:
-        tau = 0.0125 * nu1_value(xi, cfg.k_u) / math.sqrt(cfg.n)
-        draw = sample_nu1_prior(xi, cfg.k_u, cfg.n, tau, seed=seed, sigma_star=cfg.sigma_star)
+        draw = sample_nu1_prior(xi, cfg.k_u, cfg.n, seed=seed, sigma_star=cfg.sigma_star)
     if not draw.valid:
         return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
     return translate_draw(draw, xi, cfg.t0)
@@ -333,7 +327,7 @@ def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
             data_alt = generate_dataset(theta_alt, cfg.n, seed=base + 2_000_003 * (rep + 1))
             for mode in modes:
                 dec = run_single_test(mode, data_alt, problem, seed=base + rep, scan_all_m=cfg.scan_all_m)
-                out.append((f"reject/alt/{mode}/tau={repr(float(tau))}", rep, float(dec.reject)))
+                out.append((f"reject/alt/{mode}/tau={csv_cell(tau)}", rep, float(dec.reject)))
         return out
 
     per_rep = _map_replicates(worker, cfg.reps, cfg.threads)
@@ -426,7 +420,7 @@ def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
                 return float(dec.reject)
 
             vals = _map_replicates(worker, cfg.reps, cfg.threads)
-            metric = f"reject/gxi={gxi}/gtau={gtau}/label={label}"
+            metric = f"reject/gxi={csv_cell(gxi)}/gtau={csv_cell(gtau)}/label={label}"
             rows.extend(ResultRow(digest, i, metric, v) for i, v in enumerate(vals))
     rows.extend(_aggregate(digest, rows))
     return rows
@@ -450,18 +444,13 @@ def plotdata_rows(rows: list[ResultRow]) -> list[tuple[str, float, float, float]
     for r in rows:
         if r.replicate != -1:
             continue
-        parts = r.metric.split("/")
-        x = math.nan
-        series_parts = []
-        for part in parts:
-            if "=" in part:
-                key, val = part.split("=", 1)
-                try:
-                    x = float(val)
-                    series_parts.append(key)
-                    continue
-                except ValueError:
-                    pass
-            series_parts.append(part)
-        out.append(("/".join(series_parts), x, r.value, 0.0 if r.se is None else r.se))
+        x, series = math.nan, []
+        for part in r.metric.split("/"):
+            key, _, val = part.partition("=")
+            try:
+                x = float(val)
+                series.append(key)
+            except ValueError:
+                series.append(part)
+        out.append(("/".join(series), x, r.value, 0.0 if r.se is None else r.se))
     return out

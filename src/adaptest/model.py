@@ -237,31 +237,54 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV (one header row, round-trip floats) and a small
+# Serialization: CSV tables (one header row, round-trip floats) and a small
 # column-major binary container.
 
 _MAGIC = b"ADTB"
 _VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def csv_cell(v) -> str:
+    """The one cell rule of every CSV table: a float is its round-trip repr,
+    None is empty, a mapping is its key:value pairs and a list, tuple or
+    array its items, both joined by ';', and anything else is str(v)."""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if v is None:
+        return ""
+    if isinstance(v, dict):
+        return ";".join(f"{k}:{csv_cell(x)}" for k, x in v.items())
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return ";".join(map(csv_cell, v))
+    return str(v)
+
+
+def csv_text(header: str, rows) -> str:
+    """A table as CSV text: the comma-separated header line, then one line
+    per row of values, each cell written by `csv_cell`."""
+    return "".join([header, "\n"] + [",".join(map(csv_cell, row)) + "\n" for row in rows])
 
 
 def dataset_to_csv(ds: Dataset, fh: io.TextIOBase) -> None:
-    cols = ["y"] + [f"x{j + 1}" for j in range(ds.p)]
-    fh.write(",".join(cols) + "\n")
-    for i in range(ds.n):
-        fh.write(",".join([_fmt(ds.y[i])] + [_fmt(v) for v in ds.x[i]]) + "\n")
+    header = ",".join(["y"] + [f"x{j + 1}" for j in range(ds.p)])
+    fh.write(csv_text(header, np.column_stack((ds.y, ds.x)).tolist()))
+
+
+def _csv_body(fh: io.TextIOBase, what: str) -> np.ndarray:
+    """The numbers under a CSV's header line.  A row whose width differs
+    from the header's, a cell that is not a number or a file without rows
+    is a ValueError."""
+    width = len(fh.readline().split(","))
+    rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{what} CSV has no rows")
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"ragged {what} CSV")
+    return np.array([[float(v) for v in row] for row in rows])
 
 
 def dataset_from_csv(fh: io.TextIOBase) -> Dataset:
-    header = fh.readline().strip().split(",")
-    p = len(header) - 1
-    rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
-    if data.shape[1] != p + 1:
-        raise ValueError("ragged dataset CSV")
+    data = _csv_body(fh, "dataset")
     return Dataset(x=data[:, 1:].copy(), y=data[:, 0].copy())
 
 
@@ -289,35 +312,17 @@ def dataset_from_bytes(raw: bytes) -> Dataset:
 
 def params_to_csv(theta: ModelParams, fh: io.TextIOBase) -> None:
     """One row per coordinate; scalar fields are replicated down the rows."""
-    p = theta.p
-    cols = ["beta", "noise_sd", "m1", "m2"] + [f"cov{j + 1}" for j in range(p)]
-    fh.write(",".join(cols) + "\n")
-    for j in range(p):
-        row = [
-            _fmt(theta.beta[j]),
-            _fmt(theta.noise_sd),
-            _fmt(theta.m1),
-            _fmt(theta.m2),
-        ] + [_fmt(v) for v in theta.sigma_cov[j]]
-        fh.write(",".join(row) + "\n")
+    header = ",".join(["beta", "noise_sd", "m1", "m2"] + [f"cov{j + 1}" for j in range(theta.p)])
+    scalars = [theta.noise_sd, theta.m1, theta.m2]
+    fh.write(csv_text(header, ([b, *scalars, *cov] for b, cov in zip(theta.beta, theta.sigma_cov))))
 
 
 def params_from_csv(fh: io.TextIOBase) -> ModelParams:
-    fh.readline()
-    rows = [line.strip().split(",") for line in fh if line.strip()]
-    p = len(rows)
-    beta = np.array([float(r[0]) for r in rows])
-    cov = np.array([[float(v) for v in r[4:]] for r in rows])
-    if cov.shape != (p, p):
-        raise ValueError("ragged params CSV")
-    first = rows[0]
-    return ModelParams(
-        beta=beta,
-        sigma_cov=cov,
-        noise_sd=float(first[1]),
-        m1=float(first[2]),
-        m2=float(first[3]),
-    )
+    data = _csv_body(fh, "params")
+    if data.shape[1] != data.shape[0] + 4:
+        raise ValueError("params CSV needs p + 4 columns for p rows")
+    noise_sd, m1, m2 = data[0, 1:4].tolist()
+    return ModelParams(beta=data[:, 0].copy(), sigma_cov=data[:, 4:].copy(), noise_sd=noise_sd, m1=m1, m2=m2)
 
 
 def params_to_bytes(theta: ModelParams) -> bytes:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DivergentIntegral, RegimeViolation
 from .model import JointCovariance, ModelParams, sign, stream
 from .model import LoadingVector
-from .profiles import effective_sparsity, j1_index, profile_root, top_norm
+from .profiles import effective_sparsity, j1_index, nu1, profile_root, top_norm
 
 DEFAULT_C1 = 0.05
 DEFAULT_C4 = 0.1
@@ -263,7 +263,7 @@ def sample_nu1_prior(
     xi: LoadingVector,
     k_u: int,
     n: int,
-    tau: float,
+    tau: float | None = None,
     c4: float = DEFAULT_C4,
     c5: float = DEFAULT_C5,
     seed: int = 0,
@@ -271,10 +271,13 @@ def sample_nu1_prior(
 ) -> PriorDraw:
     """Identity-design random-sparsity prior targeting xi'beta = tau.
 
-    kappa = tau / (xi'delta) when delta lands in the admissible set
-    (enough signal, sparsity within k_u/2, bounded length); otherwise
-    kappa = 0 and the draw is flagged degenerate.
+    tau = None means the default (c4 c5 / 4) nu1(xi) / sqrt(n).  kappa =
+    tau / (xi'delta) when delta lands in the admissible set (enough
+    signal, sparsity within k_u/2, bounded length); otherwise kappa = 0
+    and the draw is flagged degenerate.
     """
+    if tau is None:
+        tau = (c4 * c5 / 4.0) * nu1(xi, k_u) / math.sqrt(n)
     if tau <= 0:
         raise ValueError("tau must be positive")
     rng = stream(seed, 0)

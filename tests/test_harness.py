@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -117,6 +118,43 @@ BAD_TAGS = [
     ("prior", "kind"), ("scca", "mode"), ("simulate", "kind"), ("simulate", "null_source"),
     ("test", "mode"), ("profile", "loading"), ("simulate", "loading"), ("scca", "hypothesis"),
 ]
+# Every command once on a tiny input: each scca mode, test in every mode and
+# each simulate kind (run with --emit-plotdata).  {data} and {xi} are input files.
+EVERY_COMMAND = [
+    ("profile", "n = 1000\np = 100\nk_u = 4\nhcurve_points = 8\n"),
+    ("fit", "data_csv = {data}\nk_u = 2\ngamma_star = 3.0\n"),
+    *[("test", f"data_csv = {{data}}\nk_u = 3\nt0 = 0.5\nmode = {mode}\n") for mode in inference.TEST_MODES],
+    ("test", "data_csv = {data}\nk_u = 3\nscan_all_m = 1\n"),
+    *[("prior", f"kind = {kind}\nn = 100\np = 20\nk_u = 4\ndraws = 3\n") for kind in ("nu1", "nu2")],
+    ("prior", "kind = comp\nn = 2000\np = 500\nk_u = 32\nloading_k = 200\ndraws = 3\nchi2_reps = 100\n"),
+    ("lowdeg", "n = 2\np = 3\nk_u = 1\nk_eff = 2\nloading_csv = {xi}\npairs = 4\n"),
+    ("scca", "mode = generate\nn = 6\ns = 2\np1 = 3\np2 = 4\nlam = 0.3\nhypothesis = alt\n"),
+    ("scca", "mode = reduce\nn = 40\ns = 2\np1 = 3\np2 = 4\nlam = 0.3\n"),
+    ("scca", "mode = stats\nn = 40\ns = 2\np1 = 3\np2 = 4\n"),
+    ("scca", "mode = sweep\nn = 40\ns = 2\np1 = 3\np2 = 4\nlam_grid = 0.1,0.3\ncalib_reps = 20\nreps = 5\n"),
+    ("simulate", f"n = 60\np = 20\nk_u = 2\nreps = 2\ntau_grid = 0.0,1.0\nmodes = {ALL_MODES}\n"),
+    ("simulate", "kind = length_sweep\nn = 60\np = 20\nk_u = 2\nreps = 2\nm_grid = 4\n"),
+    ("simulate", "kind = phase_diagram\np = 30\nreps = 2\ngamma_xi_grid = 0.2,0.5\ngamma_tau_grid = 0.3\n"),
+]
+LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def written_as_the_cell_rule_writes(column: str, cell: str) -> bool:
+    """Empty, an int, a label word or a round-trip float; the parts of a
+    composite cell (support lists, budgets, metric paths) are checked one by one."""
+    if column == "digest":
+        return re.fullmatch(r"[0-9a-f]{16}", cell) is not None
+    for part in re.split(r"[;:/=]", cell):
+        if part == "" or LABEL.fullmatch(part) or re.fullmatch(r"-?[0-9]+", part):
+            continue
+        try:
+            if repr(float(part)) != part:
+                return False
+        except ValueError:
+            return False
+    return True
+
+
 # Keys read per variant, loading conditions aside (README "Config keys by command").
 KEYS_READ = [
     (cli.PriorConfig, {"kind": "nu2"}, 17),
@@ -627,3 +665,40 @@ class TestCli:
         assert cli_main(["scca", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "1 <= s <= min(p1, p2)" in capsys.readouterr().err
         assert not list(tmp_path.glob("scca_*"))
+
+    def _malformed(self, tmp_path, command, key, body, extra, capsys):
+        (tmp_path / "in.csv").write_text(body)
+        cfg = self._write(tmp_path, f"{key} = {tmp_path / 'in.csv'}\n{extra}")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"cannot read {key} {tmp_path / 'in.csv'}" in capsys.readouterr().err
+        assert not list(tmp_path.glob(f"{command}_*"))
+
+    def test_data_csv_non_numeric_cell_is_config_error(self, tmp_path, capsys):
+        self._malformed(tmp_path, "fit", "data_csv", "y,x1,x2\n1.0,2.0,3.0\n0.5,abc,1.0\n", "k_u = 1\n", capsys)
+
+    def test_data_csv_short_row_is_config_error(self, tmp_path, capsys):
+        self._malformed(tmp_path, "fit", "data_csv", "y,x1,x2\n1.0,2.0,3.0\n0.5,1.0\n", "k_u = 1\n", capsys)
+
+    def test_data_csv_header_only_is_config_error(self, tmp_path, capsys):
+        self._malformed(tmp_path, "fit", "data_csv", "y,x1,x2\n", "k_u = 1\n", capsys)
+
+    def test_loading_csv_non_numeric_is_config_error(self, tmp_path, capsys):
+        self._malformed(tmp_path, "profile", "loading_csv", "xi\n1.0\nabc\n", "n = 1000\np = 2\nk_u = 1\n", capsys)
+
+    def test_every_table_cell_follows_the_cell_rule(self, tmp_path):
+        data = self._dataset(tmp_path)
+        (tmp_path / "xi.csv").write_text("xi\n1.0\n0.9\n0.8\n")
+        for i, (command, text) in enumerate(EVERY_COMMAND):
+            cfg = self._write(tmp_path, text.format(data=data, xi=tmp_path / "xi.csv"))
+            out = tmp_path / f"run{i}"
+            flags = ["--emit-plotdata"] if command == "simulate" else []
+            assert cli_main([command, "--config", cfg, "--out", str(out), *flags]) == 0, text
+            tables = list(out.glob("*.csv"))
+            assert len(tables) == {"profile": 2, "simulate": 2}.get(command, 1) + ("reduce" in text or "chi2" in text)
+            for table in tables:
+                header, *rows = [line.split(",") for line in table.read_text().splitlines()]
+                assert rows, table.name
+                for row in rows:
+                    assert len(row) == len(header), table.name
+                    bad = [c for col, c in zip(header, row) if not written_as_the_cell_rule_writes(col, c)]
+                    assert not bad, (table.name, bad[:3])

@@ -77,6 +77,14 @@ class TestNu1Prior:
         assert np.array_equal(d.theta.sigma_cov, np.eye(200))
         assert d.eig_min == d.eig_max == 1.0
 
+    @pytest.mark.parametrize("c4, c5", [(0.1, 0.5), (0.2, 0.3)])
+    def test_unset_tau_is_the_default_formula(self, c4, c5):
+        tau = (c4 * c5 / 4.0) * nu1_value(self.xi, 10) / math.sqrt(400)
+        for seed in range(5):
+            d = pri.sample_nu1_prior(self.xi, 10, 400, c4=c4, c5=c5, seed=seed)
+            e = pri.sample_nu1_prior(self.xi, 10, 400, tau, c4=c4, c5=c5, seed=seed)
+            assert d.tau == tau and np.array_equal(d.beta, e.beta) and d.valid == e.valid
+
     def test_bernoulli_rate_sum_at_positive_lambda(self):
         # flat support of 100 with k_u = 10 has 2 sqrt(K)/k_u = 2 > 1: lambda > 0
         q, gamma, lam = pri.nu1_weights(self.xi, 10, c4=0.1)
