@@ -49,7 +49,7 @@ for name, sampler in {
 print("\n=== chi-square of the nu2 mixture vs the hypergeometric bound ===")
 ref = JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
 est, se = chi2_mixture_mc(
-    lambda s: sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=s), ref, n, 200, seed=9, valid_only=True
+    lambda s: sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=s), ref, n, 200, seed=9
 )
 c1 = 0.05
 c3 = 2.0 * (1.0 / sigma_star**2 + 1.0)

@@ -9,11 +9,13 @@ ingredients of the closed form: the rank-one Hermite moments, which
 vanish unless degree-balanced and whose degree-1 products sum to x.
 """
 
+from itertools import islice
+
 import numpy as np
 
 from adaptest import make_loading
 from adaptest.lowdeg import hermite_moment, ld_norm, ld_uniform_bound
-from adaptest.priors import chi2_pair_closed_form, rank_one_overlap, sample_comp_prior
+from adaptest.priors import chi2_pair_closed_form, rank_one_overlap, sample_comp_prior, valid_draws
 
 n, p = 2, 3
 xi = make_loading([1.0, 0.9, 0.8])
@@ -22,16 +24,11 @@ xi = make_loading([1.0, 0.9, 0.8])
 def sampler(seed):
     return sample_comp_prior(
         xi, 1, n, p, 1, c8=0.4, c9=0.05, seed=seed, sigma_star=1.0,
-        k_eff_override=2, s1_override=1, allow_tiny=True,
+        k_eff_override=2, s1_override=1,
     )
 
 
-draws, s = [], 0
-while len(draws) < 60:
-    d = sampler(s)
-    s += 1
-    if d.valid:
-        draws.append(d)
+draws = list(islice(valid_draws(sampler, 0), 60))
 
 pairs = [(draws[i], draws[i + 1]) for i in range(0, len(draws) - 1, 2)]
 chi2 = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in pairs])) - 1.0

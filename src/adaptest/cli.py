@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -34,6 +35,7 @@ from .priors import (
     sample_comp_prior,
     sample_nu1_prior,
     sample_nu2_prior,
+    valid_draws,
 )
 
 
@@ -198,26 +200,22 @@ def cmd_prior(cfg: PriorConfig):
     tables = {".csv": csv_text("draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason", rows)}
     if cfg.chi2_reps:
         ref = JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
-        est_se = chi2_mixture_mc(sampler, ref, n, cfg.chi2_reps, cfg.master_seed + 10_000, valid_only=True)
+        est_se = chi2_mixture_mc(sampler, ref, n, cfg.chi2_reps, cfg.master_seed + 10_000)
         tables["_chi2.csv"] = csv_text("estimate,se", [est_se])
     return cfg, "prior", tables
 
 
 def cmd_lowdeg(cfg: LowdegConfig):
     xi = build_loading(cfg)
-    n, p, seed = cfg.n, cfg.p, cfg.master_seed
-    draws = []
-    s = seed
-    while len(draws) < 2 * cfg.pairs:
-        d = sample_comp_prior(
+    n, p = cfg.n, cfg.p
+
+    def sampler(s):
+        return sample_comp_prior(
             xi, cfg.k_u, n, p, 1, c8=cfg.c8, c9=cfg.c9, seed=s, sigma_star=cfg.sigma_star,
-            k_eff_override=cfg.k_eff, s1_override=cfg.s1, allow_tiny=True,
+            k_eff_override=cfg.k_eff, s1_override=cfg.s1,
         )
-        s += 1
-        if d.valid:
-            draws.append(d)
-        if s - seed > 100 * cfg.pairs:
-            raise AdaptestError("rejection sampling stalled; loosen the prior constants")
+
+    draws = list(itertools.islice(valid_draws(sampler, cfg.master_seed), 2 * cfg.pairs))
     pair_list = [(draws[i], draws[i + 1]) for i in range(0, len(draws) - 1, 2)]
     chi2_ref = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in pair_list])) - 1.0
     rows = [

@@ -20,7 +20,7 @@ mixture estimates, with the hypergeometric MGF as the exact yardstick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,13 +47,18 @@ def default_c9(c8: float = DEFAULT_C8) -> float:
     return c8**2 / 150.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PriorDraw:
-    """One sampled null parameter with its analytic validity evidence."""
+    """One sampled null parameter with its analytic validity evidence.
+
+    The draw couples the leading x-block (width split) to the trailing
+    one: Cov(leading, trailing x-block) = lead trail' and Cov(y, trailing
+    x-block) = kappa trail.  The identity-design prior has an empty lead.
+    """
 
     kind: str
-    delta1: np.ndarray | None
-    delta2: np.ndarray | None
+    lead: np.ndarray
+    trail: np.ndarray
     kappa: float
     tau: float
     beta: np.ndarray
@@ -63,10 +68,16 @@ class PriorDraw:
     valid: bool
     reason: str
     sigma_star: float
-    p: int
-    split: int  # leading-block width of the coupling (0 for identity design)
     m1: float = 10.0
     m2: float = 10.0
+
+    @property
+    def split(self) -> int:
+        return self.lead.size
+
+    @property
+    def p(self) -> int:
+        return self.lead.size + self.trail.size
 
     @property
     def sparsity(self) -> int:
@@ -86,19 +97,9 @@ class PriorDraw:
             m2=self.m2,
         )
 
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a, b) with Cov(leading x-block, trailing x-block) = a b' and
-        Cov(y, trailing x-block) = kappa b; nu1 has no leading block."""
-        if self.kind == "nu1":
-            return np.zeros(0), np.asarray(self.delta1)
-        if self.kind == "nu2":  # the leading block carries the fixed unit vector delta1
-            return np.asarray(self.delta1), np.asarray(self.delta2)
-        return np.asarray(self.delta2), np.asarray(self.delta1)
-
     def _sigma(self) -> np.ndarray:
         s = np.eye(self.p)
-        lead, trail = self._blocks()
-        s[: self.split, self.split :] = np.outer(lead, trail)
+        s[: self.split, self.split :] = np.outer(self.lead, self.trail)
         s[self.split :, : self.split] = s[: self.split, self.split :].T
         return s
 
@@ -107,7 +108,7 @@ class PriorDraw:
         sz = np.zeros((self.p + 1, self.p + 1))
         sz[0, 0] = self.sigma_star**2
         sz[1:, 1:] = self._sigma()
-        sz[0, 1 + self.split :] = sz[1 + self.split :, 0] = self.kappa * self._blocks()[1]
+        sz[0, 1 + self.split :] = sz[1 + self.split :, 0] = self.kappa * self.trail
         return JointCovariance(sigma_z=sz)
 
     def rank_one_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -116,89 +117,74 @@ class PriorDraw:
         U stacks (y / sigma_star, leading x-block) and V is the trailing
         x-block; for the identity-design prior U is the scalar y alone.
         """
-        lead, trail = self._blocks()
-        return np.concatenate(([self.kappa / self.sigma_star], lead)), trail
+        return np.concatenate(([self.kappa / self.sigma_star], self.lead)), self.trail
 
 
 def point_mass_draw(xi: LoadingVector, sigma_star: float) -> PriorDraw:
     """The degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
-    return PriorDraw(
-        kind="nu1",
-        delta1=np.zeros(xi.p),
-        delta2=None,
-        kappa=0.0,
-        tau=0.0,
-        beta=np.zeros(xi.p),
-        noise_sd=sigma_star,
-        eig_min=1.0,
-        eig_max=1.0,
-        valid=True,
-        reason="point_mass",
-        sigma_star=sigma_star,
-        p=xi.p,
-        split=0,
-    )
+    zero = np.zeros(xi.p)
+    return PriorDraw("nu1", np.zeros(0), zero, 0.0, 0.0, zero, sigma_star, 1.0, 1.0, True, "point_mass", sigma_star)
 
 
-def _finish_validity(draw: PriorDraw, xi: LoadingVector, cap: int) -> PriorDraw:
-    if not draw.valid:
-        return draw
-    resid = abs(draw.constraint_residual(xi))
-    if not (0.0 < draw.kappa <= 1.0):
-        draw.valid, draw.reason = False, "kappa_out_of_range"
-    elif draw.sparsity > cap:
-        draw.valid, draw.reason = False, "sparsity_cap"
-    elif not (1.0 / draw.m1 <= draw.eig_min and draw.eig_max <= draw.m1):
-        draw.valid, draw.reason = False, "eigenvalue_window"
-    elif not (0.0 < draw.noise_sd <= draw.m2):
-        draw.valid, draw.reason = False, "noise_bound"
-    elif resid > 1e-10 * max(abs(draw.tau), 1.0):
-        draw.valid, draw.reason = False, "constraint_residual"
-    return draw
-
-
-def _coupled_draw(kind, lead, trail, lead_dot, trail_dot, tau, sigma_star) -> PriorDraw:
+def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, admissible=True) -> PriorDraw:
     """The draw with Cov(leading, trailing x-block) = lead trail' and
-    Cov(y, trailing x-block) = kappa trail, where kappa solves xi'beta = tau.
+    Cov(y, trailing x-block) = kappa trail, where kappa solves xi'beta = tau,
+    checked against the sparsity cap, the eigenvalue window, the noise
+    bound and the constraint residual.
 
-    lead_dot and trail_dot are xi's inner products with lead and trail;
-    beta = kappa (-|trail|^2 lead, trail) / (1 - |lead|^2 |trail|^2).
+    lead_dot is xi'lead (computed when None); beta = kappa (-|trail|^2
+    lead, trail) / (1 - |lead|^2 |trail|^2).  A draw outside the sampler's
+    admissible set gets kappa = 0 and is invalid.
     """
+    split = lead.size
+    if lead_dot is None:
+        lead_dot = float(xi.coords[:split] @ lead)
     lsq = float(lead @ lead)
     tsq = float(trail @ trail)
     denom = 1.0 - tsq * lsq
-    coeff = (-tsq * lead_dot + trail_dot) / denom
-    if coeff <= 1e-14:
-        kappa = math.nan
-        valid, reason = False, "degenerate_constraint"
+    coeff = (-tsq * lead_dot + float(xi.coords[split:] @ trail)) / denom
+    if not admissible:
+        kappa, reason = 0.0, "kappa_zero_degenerate"
+    elif coeff <= 1e-14:
+        kappa, reason = math.nan, "degenerate_constraint"
     else:
-        kappa = tau / coeff
-        valid, reason = True, "ok"
+        kappa, reason = tau / coeff, "ok"
 
-    split = lead.size
     beta = np.zeros(split + trail.size)
-    if valid:
+    var = sigma_star**2
+    if not math.isnan(kappa):
         beta[:split] = -(kappa * tsq / denom) * lead
         beta[split:] = (kappa / denom) * trail
+        var -= kappa**2 * tsq / denom
     cross = math.sqrt(lsq * tsq)
-    var = sigma_star**2 - ((kappa**2 * tsq / denom) if valid else 0.0)
-    delta1, delta2 = (lead, trail) if kind == "nu2" else (trail, lead)  # see PriorDraw._blocks
-    return PriorDraw(
-        kind=kind,
-        delta1=delta1,
-        delta2=delta2,
-        kappa=kappa,
-        tau=tau,
-        beta=beta,
-        noise_sd=math.sqrt(var) if var > 0 else 0.0,
-        eig_min=1.0 - cross,
-        eig_max=1.0 + cross,
-        valid=valid,
-        reason=reason,
-        sigma_star=sigma_star,
-        p=beta.size,
-        split=split,
+    noise_sd = math.sqrt(var) if var > 0 else 0.0
+    draw = PriorDraw(
+        kind, lead, trail, kappa, tau, beta, noise_sd, 1.0 - cross, 1.0 + cross, reason == "ok", reason, sigma_star
     )
+    if not draw.valid:
+        return draw
+    checks = {
+        "kappa_out_of_range": 0.0 < kappa <= 1.0,
+        "sparsity_cap": draw.sparsity <= cap,
+        "eigenvalue_window": 1.0 / draw.m1 <= draw.eig_min and draw.eig_max <= draw.m1,
+        "noise_bound": 0.0 < noise_sd <= draw.m2,
+        "constraint_residual": not abs(draw.constraint_residual(xi)) > 1e-10 * max(abs(tau), 1.0),
+    }
+    failed = [why for why, ok in checks.items() if not ok]
+    return replace(draw, valid=False, reason=failed[0]) if failed else draw
+
+
+def valid_draws(sampler, seed: int):
+    """The valid draws of sampler(seed), sampler(seed + 1), ... in order;
+    RegimeViolation after 50 invalid draws in a row."""
+    misses = 0
+    while misses < 50:
+        draw = sampler(seed)
+        seed += 1
+        misses = 0 if draw.valid else misses + 1
+        if draw.valid:
+            yield draw
+    raise RegimeViolation("rejection sampling failed to find a valid draw")
 
 
 def sample_nu2_prior(
@@ -213,7 +199,7 @@ def sample_nu2_prior(
 ) -> PriorDraw:
     """Covariance-perturbation prior targeting tau = c2 nu2 k_u log p / n.
 
-    delta1 is the fixed unit vector along the top-p1 loading block; delta2
+    lead is the fixed unit vector along the top-p1 loading block; trail
     picks a uniform size-p1 support in the complement with entries
     c1 sign(xi) sqrt(log p / n); kappa solves the null constraint.
     """
@@ -229,16 +215,14 @@ def sample_nu2_prior(
     coords = xi.coords
 
     h_p1 = top_norm(xi, p1)
-    delta1 = -coords[:p1] / h_p1
+    lead = -coords[:p1] / h_p1
     support = np.sort(rng.choice(p2, size=p1, replace=False))
-    delta2 = np.zeros(p2)
-    mag = c1 * math.sqrt(math.log(p) / n)
-    delta2[support] = mag * sign(coords[p1 + support])
+    trail = np.zeros(p2)
+    trail[support] = c1 * math.sqrt(math.log(p) / n) * sign(coords[p1 + support])
 
     tau = c2 * top_norm(xi, k_u) * k_u * math.log(p) / n
-    # xi'delta1 = -h_p1 exactly in real arithmetic, as delta1 = -xi_{1..p1} / h_p1
-    draw = _coupled_draw("nu2", delta1, delta2, -h_p1, float(coords[p1:] @ delta2), tau, sigma_star)
-    return _finish_validity(draw, xi, k_u // 2)
+    # xi'lead = -h_p1 exactly in real arithmetic, as lead = -xi_{1..p1} / h_p1
+    return _coupled_draw("nu2", xi, k_u // 2, lead, trail, tau, sigma_star, lead_dot=-h_p1)
 
 
 def nu1_weights(xi: LoadingVector, k_u: int, c4: float = DEFAULT_C4) -> tuple[np.ndarray, np.ndarray, float]:
@@ -288,32 +272,13 @@ def sample_nu1_prior(
     delta[:k] = (c5 / math.sqrt(n)) * bern * gamma
 
     xi_dot = float(xi.coords @ delta)
-    d_norm2 = float(delta @ delta)
     in_set = (
         xi_dot >= tau
         and np.count_nonzero(delta) <= k_u / 2
-        and d_norm2 <= xi_dot**2 * sigma_star**2 / (2.0 * tau**2)
+        and float(delta @ delta) <= xi_dot**2 * sigma_star**2 / (2.0 * tau**2)
     )
-    kappa = tau / xi_dot if in_set else 0.0
-    beta = kappa * delta
-    var = sigma_star**2 - kappa**2 * d_norm2
-    draw = PriorDraw(
-        kind="nu1",
-        delta1=delta,
-        delta2=None,
-        kappa=kappa,
-        tau=tau,
-        beta=beta,
-        noise_sd=math.sqrt(var) if var > 0 else 0.0,
-        eig_min=1.0,
-        eig_max=1.0,
-        valid=in_set,
-        reason="ok" if in_set else "kappa_zero_degenerate",
-        sigma_star=sigma_star,
-        p=xi.p,
-        split=0,
-    )
-    return _finish_validity(draw, xi, k_u // 2)
+    # with an empty lead, kappa = tau / (xi'delta) and beta = kappa delta exactly
+    return _coupled_draw("nu1", xi, k_u // 2, np.zeros(0), delta, tau, sigma_star, admissible=in_set)
 
 
 def comp_prior_weights(xi: LoadingVector, k_u: int, k_eff: int) -> np.ndarray:
@@ -342,18 +307,18 @@ def sample_comp_prior(
     sigma_star: float = 5.0,
     k_eff_override: int | None = None,
     s1_override: int | None = None,
-    allow_tiny: bool = False,
 ) -> PriorDraw:
     """Computational prior targeting tau = c9 nu3 k_u log p / n.
 
-    delta2 lives on the band (k_u, k_eff] with Bernoulli support and
-    entries -(sqrt(p5)/k_u) sign(xi_j); delta1 picks a uniform support of
+    lead lives on the band (k_u, k_eff] with Bernoulli support and
+    entries -(sqrt(p5)/k_u) sign(xi_j); trail picks a uniform support of
     size floor(k_u/4) beyond k_eff with entries c8 sign(xi) sqrt(log p/n).
     The override knobs exist for desk-scale instances where the
-    asymptotic regime condition cannot hold; defaults enforce it.
+    asymptotic regime condition cannot hold, so that condition is checked
+    only when k_eff follows from degree.
     """
     k_eff = effective_sparsity(k_u, n, p, degree) if k_eff_override is None else int(k_eff_override)
-    if not allow_tiny and not 8 <= 2 * k_u < k_eff:
+    if k_eff_override is None and not 8 <= 2 * k_u < k_eff:
         raise RegimeViolation(f"need 8 <= 2 k_u < k_eff, got k_u={k_u}, k_eff={k_eff}")
     if not k_u < k_eff < p:
         raise RegimeViolation(f"need k_u < k_eff < p, got k_u={k_u}, k_eff={k_eff}, p={p}")
@@ -367,17 +332,15 @@ def sample_comp_prior(
         raise RegimeViolation(f"delta1 support size {s1} out of range for p4={p4}")
 
     support = np.sort(rng.choice(p4, size=s1, replace=False))
-    delta1 = np.zeros(p4)
-    delta1[support] = c8 * math.sqrt(math.log(p) / n) * sign(coords[p3 + support])
+    trail = np.zeros(p4)
+    trail[support] = c8 * math.sqrt(math.log(p) / n) * sign(coords[p3 + support])
 
     q = comp_prior_weights(xi, k_u, k_eff)
     bern = rng.random(p3) < q
-    delta2 = -(math.sqrt(p5) / k_u) * sign(coords[:p3]) * bern
+    lead = -(math.sqrt(p5) / k_u) * sign(coords[:p3]) * bern
 
     tau = c9 * top_norm(xi, k_eff) * k_u * math.log(p) / n
-    lead_dot, trail_dot = float(coords[:p3] @ delta2), float(coords[p3:] @ delta1)
-    draw = _coupled_draw("comp", delta2, delta1, lead_dot, trail_dot, tau, sigma_star)
-    return _finish_validity(draw, xi, k_u)
+    return _coupled_draw("comp", xi, k_u, lead, trail, tau, sigma_star)
 
 
 # --- chi-square machinery ----------------------------------------------------
@@ -439,13 +402,12 @@ def chi2_mixture_mc(
     n: int,
     reps: int,
     seed: int,
-    valid_only: bool = False,
 ) -> tuple[float, float]:
     """Monte Carlo chi-square estimate: mean of pair integrals minus one.
 
-    prior_sampler(seed) -> PriorDraw.  With valid_only, invalid draws are
-    rejected and redrawn, at most 50 tries per draw (the restricted-prior
-    convention).  Returns (estimate, standard error).
+    prior_sampler(seed) -> PriorDraw.  The pairs are consecutive draws of
+    valid_draws(prior_sampler, seed), the restricted-prior convention.
+    Returns (estimate, standard error).
 
     Positive definite rank-one pairs of one kind against the product
     reference diag(sigma_star^2, I_p) take the O(p) closed form
@@ -457,20 +419,9 @@ def chi2_mixture_mc(
         raise ValueError("need at least 100 pair replicates")
     s0 = _as_matrix(theta_star)
     values = np.empty(reps)
-    counter = 0
-
-    def next_draw():
-        nonlocal counter
-        for _ in range(50):
-            d = prior_sampler(seed + counter)
-            counter += 1
-            if not valid_only or d.valid:
-                return d
-        raise RegimeViolation("rejection sampling failed to find a valid draw")
-
+    draws = valid_draws(prior_sampler, seed)
     for i in range(reps):
-        d1 = next_draw()
-        d2 = next_draw()
+        d1, d2 = next(draws), next(draws)
         if _closed_form_applies(d1, d2, s0):
             values[i] = chi2_pair_closed_form(d1, d2, n)
         else:

@@ -8,6 +8,7 @@ Monte Carlo envelopes) before asserting.
 
 import math
 import time
+from itertools import islice
 from dataclasses import replace
 from fractions import Fraction
 
@@ -328,22 +329,17 @@ def test_criterion_9_ld_sandwich():
     def sampler(seed):
         return pri.sample_comp_prior(
             xi, 1, n, p, 1, c8=0.4, c9=0.05, seed=seed, sigma_star=1.0,
-            k_eff_override=2, s1_override=1, allow_tiny=True,
+            k_eff_override=2, s1_override=1,
         )
 
     ref = JointCovariance(sigma_z=np.eye(p + 1))
     for instance in range(5):
         base = 50_000 * (instance + 1)
-        draws, s = [], base
-        while len(draws) < 40:
-            d = sampler(s)
-            s += 1
-            if d.valid:
-                draws.append(d)
+        draws = list(islice(pri.valid_draws(sampler, base), 40))
         vals = {deg: ld.ld_norm(draws, deg, n) for deg in (0, 1, 2)}
         assert vals[0] == 1.0
         assert vals[0] <= vals[1] + 1e-13 <= vals[2] + 2e-13
-        est, se = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=base + 7_000, valid_only=True)
+        est, se = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=base + 7_000)
         assert vals[2] <= 1.0 + est + 3 * se
     _report(9, "low-degree sandwich on tiny instances")
 

@@ -1,6 +1,6 @@
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ def tiny_comp_sampler(xi, seed, c8=0.4, c9=0.05):
     return pri.sample_comp_prior(
         xi, 1, 2, 3, 1,
         c8=c8, c9=c9, seed=seed, sigma_star=1.0,
-        k_eff_override=2, s1_override=1, allow_tiny=True,
+        k_eff_override=2, s1_override=1,
     )
 
 
@@ -71,13 +71,7 @@ def factor_pairs(draw):
 
 
 def valid_draws(xi, count, start=0):
-    out, s = [], start
-    while len(out) < count:
-        d = tiny_comp_sampler(xi, s)
-        s += 1
-        if d.valid:
-            out.append(d)
-    return out
+    return list(islice(pri.valid_draws(lambda s: tiny_comp_sampler(xi, s), start), count))
 
 
 class TestHermiteMoment:

@@ -38,9 +38,9 @@ class TestNu2Prior:
         n, p, k_u, c1 = 500, 40, 8, 0.05
         d1 = pri.sample_nu2_prior(self.xi, k_u, n, p, 5.0, c1=c1, seed=1)
         d2 = pri.sample_nu2_prior(self.xi, k_u, n, p, 5.0, c1=c1, seed=2)
-        overlap = np.sum((d1.delta2 != 0) & (d2.delta2 != 0))
+        overlap = np.sum((d1.trail != 0) & (d2.trail != 0))
         expect = c1**2 * (math.log(p) / n) * overlap
-        assert float(d1.delta2 @ d2.delta2) == pytest.approx(expect, rel=1e-12)
+        assert float(d1.trail @ d2.trail) == pytest.approx(expect, rel=1e-12)
 
     def test_validity_battery(self):
         worst = 0.0
@@ -116,7 +116,7 @@ class TestNu1Prior:
 
 class TestCompPrior:
     def test_rate_bound_and_sparsity(self):
-        # k_u = 64 with a wide flat band: delta2 support stays below k_u/4
+        # k_u = 64 with a wide flat band: the lead's support stays below k_u/4
         p, k_u, n = 2000, 64, 20_000
         xi = make_loading(np.concatenate((np.ones(600), np.zeros(p - 600))))
         from adaptest.profiles import effective_sparsity
@@ -135,14 +135,14 @@ class TestCompPrior:
                 ok += 1
         assert ok / draws >= 0.99
 
-    def test_delta1_overlap_identity(self):
+    def test_delta1_overlap_identity(self):  # the paper's delta1 is the trailing factor
         p, k_u, n = 500, 32, 2000
         xi = make_loading(np.ones(p))
         d1 = pri.sample_comp_prior(xi, k_u, n, p, 1, seed=0)
         d2 = pri.sample_comp_prior(xi, k_u, n, p, 1, seed=1)
-        overlap = np.sum((d1.delta1 != 0) & (d2.delta1 != 0))
+        overlap = np.sum((d1.trail != 0) & (d2.trail != 0))
         expect = 0.05**2 * (math.log(p) / n) * overlap
-        assert float(d1.delta1 @ d2.delta1) == pytest.approx(expect, rel=1e-12)
+        assert float(d1.trail @ d2.trail) == pytest.approx(expect, rel=1e-12)
 
     def test_regime_violation(self):
         xi = make_loading(np.ones(100))
@@ -161,6 +161,25 @@ class TestCompPrior:
                 assert abs(d.constraint_residual(xi)) <= 1e-10 * max(abs(d.tau), 1.0)
                 assert 1.0 / 10 <= d.eig_min <= d.eig_max <= 10.0
         assert n_val >= 0.95 * 500
+
+
+class TestValidDraws:
+    def test_seed_order_and_fifty_misses_in_a_row(self):
+        base = pri.point_mass_draw(make_loading(np.ones(3)), 1.0)
+
+        def sampler(s):  # valid at even seeds below 10 and at 58: 49 misses, then 50
+            return dataclasses.replace(base, tau=float(s), valid=(s < 10 and s % 2 == 0) or s == 58)
+
+        draws = pri.valid_draws(sampler, 0)
+        assert [next(draws).tau for _ in range(6)] == [0.0, 2.0, 4.0, 6.0, 8.0, 58.0]
+        with pytest.raises(RegimeViolation):
+            next(draws)
+
+    def test_draws_are_frozen(self):
+        d = pri.sample_nu2_prior(make_loading(np.linspace(2.0, 0.1, 40)), 8, 500, 40, 5.0, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.valid = False
+        assert (d.split, d.p) == (d.lead.size, 40)
 
 
 class TestChi2Integral:
@@ -242,7 +261,7 @@ class TestChi2MixtureMC:
         sigma_star = 5.0
         sampler = lambda s: pri.sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=s)
         ref = diag_reference(p, sigma_star)
-        est, se = pri.chi2_mixture_mc(sampler, ref, n, 150, seed=3, valid_only=True)
+        est, se = pri.chi2_mixture_mc(sampler, ref, n, 150, seed=3)
         assert est <= 0.5
         c3 = 2.0 * (1.0 / sigma_star**2 + 1.0)
         bound = pri.hypergeometric_mgf(p - k_u // 4, k_u // 4, c3 * 0.05**2) - 1.0
@@ -258,7 +277,7 @@ class TestChi2MixtureMC:
         for i in range(500):
             d1 = pri.sample_nu1_prior(xi, k_u, n, tau, c4=c4, seed=2 * i, sigma_star=sigma_star)
             d2 = pri.sample_nu1_prior(xi, k_u, n, tau, c4=c4, seed=2 * i + 1, sigma_star=sigma_star)
-            vals.append(math.exp(c7 * n * float(d1.delta1 @ d2.delta1)))
+            vals.append(math.exp(c7 * n * float(d1.trail @ d2.trail)))
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
         assert mean <= math.exp(c4**2) + 3 * se
@@ -272,7 +291,7 @@ def _mixture_samplers():
     xic = make_loading(np.ones(40))
 
     def comp(s):
-        return pri.sample_comp_prior(xic, 16, 400, 40, 1, seed=s, k_eff_override=26, s1_override=3, allow_tiny=True)
+        return pri.sample_comp_prior(xic, 16, 400, 40, 1, seed=s, k_eff_override=26, s1_override=3)
 
     return {
         "nu2": (lambda s: pri.sample_nu2_prior(xi2, 8, 500, 40, 5.0, seed=s), 40, 500),
@@ -308,10 +327,10 @@ class TestChi2Routing:
         sampler, p, n = _mixture_samplers()[kind]
         ref = diag_reference(p, 5.0)
         calls = self._count_calls(monkeypatch)
-        routed = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7, valid_only=True)
+        routed = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7)
         assert calls == {"dense": 0, "closed": 100}
         monkeypatch.setattr(pri, "_closed_form_applies", lambda *args: False)
-        dense = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7, valid_only=True)
+        dense = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7)
         assert calls == {"dense": 100, "closed": 100}
         if kind == "point_mass":
             assert routed == dense == (0.0, 0.0)
@@ -332,7 +351,7 @@ class TestChi2Routing:
         draws = [sampler(s) for s in range(2)]
         assert not pri._closed_form_applies(*draws, s0)
         calls = self._count_calls(monkeypatch)
-        pri.chi2_mixture_mc(sampler, JointCovariance(sigma_z=s0), n, 100, seed=7, valid_only=True)
+        pri.chi2_mixture_mc(sampler, JointCovariance(sigma_z=s0), n, 100, seed=7)
         assert calls == {"dense": 100, "closed": 0}
 
     def test_mismatched_or_indefinite_pairs_take_dense_path(self):
@@ -341,10 +360,10 @@ class TestChi2Routing:
         a, b = sampler(0), sampler(1)
         assert pri._closed_form_applies(a, b, s0)
         assert not pri._closed_form_applies(a, dataclasses.replace(b, sigma_star=4.0), s0)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, split=b.split + 1), s0)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, lead=np.append(b.lead, 0.0), trail=b.trail[1:]), s0)
         assert not pri._closed_form_applies(a, dataclasses.replace(b, kind="comp"), s0)
         # |r||c| >= 1: the joint covariance is not positive definite
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=5.0 / np.linalg.norm(b.delta2)), s0)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=5.0 / np.linalg.norm(b.trail)), s0)
         assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=math.nan), s0)
 
 
