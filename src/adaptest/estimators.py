@@ -34,7 +34,6 @@ class ScaledLassoFit:
 class ProjectionResult:
     u_hat: np.ndarray
     feasible: bool
-    radius: float
     objective: float
 
 
@@ -285,13 +284,8 @@ def projection_direction(
     nz = np.flatnonzero(v)
     s_v = gram.cols(nz) @ v[nz]
     if not ok or np.max(np.abs(s_v - xi_vec)) > radius * (1.0 + 1e-8) + tol:
-        return ProjectionResult(u_hat=np.zeros(p), feasible=False, radius=radius, objective=0.0)
-    return ProjectionResult(
-        u_hat=v,
-        feasible=True,
-        radius=radius,
-        objective=float(v[nz] @ s_v[nz]),
-    )
+        return ProjectionResult(u_hat=np.zeros(p), feasible=False, objective=0.0)
+    return ProjectionResult(u_hat=v, feasible=True, objective=float(v[nz] @ s_v[nz]))
 
 
 # --- exhaustive sparse signed-spiked covariance estimation -------------------

@@ -7,9 +7,9 @@ Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
 (config digest, replicate, metric, value, se); per-replicate rows carry
 no standard error, aggregate rows (replicate -1) carry a binomial or
-delta-method one.  Replicates fan out over a thread pool but each owns
-the stream (master_seed, replicate), and aggregation reduces in
-replicate order, so tables are bit-identical for any thread count.
+delta-method one.  Replicates fan out over a thread pool, but each draw
+of a replicate has its own seed (`replicate_seed`) and aggregation reduces
+in replicate order, so tables are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import scaled_lasso
 from .inference import TEST_MODES, _log_grid, mixed_ci, mixed_test, run_single_test
-from .model import LoadingVector, ModelParams, TestProblem, csv_cell, csv_text, generate_dataset, make_loading
+from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, generate_dataset
+from .model import make_loading
 from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior
 from .profiles import example_profiles, regular_phase
 
@@ -123,6 +124,8 @@ def float_list(text: str) -> list[float]:
 
 def _coerce(f: dataclasses.Field, raw: str):
     kind = f.type.removesuffix(" | None")
+    if raw == "" and kind != f.type:  # an optional key written unset by format_config
+        return None
     if kind == "bool":
         low = raw.lower()
         if low in ("1", "true", "yes", "on"):
@@ -229,7 +232,11 @@ def build_loading(cfg: LoadingConfig) -> LoadingVector:
     its dimension must equal cfg.p."""
     if cfg.loading_csv:
         try:
-            xi = make_loading(np.loadtxt(cfg.loading_csv, delimiter=",", skiprows=1, ndmin=1))
+            with open(cfg.loading_csv) as fh:
+                body = _csv_body(fh, "loading")
+            if body.shape[1] != 1:
+                raise ValueError(f"loading CSV has {body.shape[1]} columns, not 1")
+            xi = make_loading(body[:, 0])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read loading_csv {cfg.loading_csv}: {exc}") from exc
     else:
@@ -267,7 +274,7 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     """
     if cfg.null_source == "point":
         return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
-    seed = cfg.master_seed + 3_000_017 * (rep + 1)
+    seed = replicate_seed(cfg.master_seed, rep, "prior")
     if cfg.null_source == "nu2":
         draw = sample_nu2_prior(xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, seed=seed)
     else:
@@ -296,6 +303,16 @@ def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams
     return ModelParams(beta=beta, sigma_cov=sigma, noise_sd=draw.theta.noise_sd)
 
 
+_SEED_ROLES = ("null", "alt", "split", "prior")
+
+
+def replicate_seed(master_seed: int, rep: int, role: str) -> int:
+    """Seed of replicate rep's null or alternative dataset, split-half
+    permutation or prior null draw: master_seed + ((4 rep + i + 1) << 32)
+    with i the role's index, distinct for all master seeds in [0, 2^32)."""
+    return master_seed + ((4 * rep + _SEED_ROLES.index(role) + 1) << 32)
+
+
 def _map_replicates(worker, reps: int, threads: int) -> list:
     if threads <= 1:
         return [worker(i) for i in range(reps)]
@@ -316,17 +333,17 @@ def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
 
     def worker(rep: int):
         out = []
-        base = cfg.master_seed
+        split = replicate_seed(cfg.master_seed, rep, "split")
         theta_null = theta_point or null_draw_theta(cfg, xi, rep)
-        data_null = generate_dataset(theta_null, cfg.n, seed=base + 1_000_003 * (rep + 1))
+        data_null = generate_dataset(theta_null, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
         for mode in modes:
-            dec = run_single_test(mode, data_null, problem, seed=base + rep, scan_all_m=cfg.scan_all_m)
+            dec = run_single_test(mode, data_null, problem, seed=split, scan_all_m=cfg.scan_all_m)
             out.append((f"reject/null/{mode}", rep, float(dec.reject)))
             out.append((f"radius/null/{mode}", rep, float(dec.interval.radius)))
         for tau, theta_alt in zip(taus, theta_alts):
-            data_alt = generate_dataset(theta_alt, cfg.n, seed=base + 2_000_003 * (rep + 1))
+            data_alt = generate_dataset(theta_alt, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
             for mode in modes:
-                dec = run_single_test(mode, data_alt, problem, seed=base + rep, scan_all_m=cfg.scan_all_m)
+                dec = run_single_test(mode, data_alt, problem, seed=split, scan_all_m=cfg.scan_all_m)
                 out.append((f"reject/alt/{mode}/tau={csv_cell(tau)}", rep, float(dec.reject)))
         return out
 
@@ -378,7 +395,7 @@ def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     grid = m_cutoff_grid(cfg.p, cfg.m_grid)
 
     def worker(rep: int):
-        data = generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1))
+        data = generate_dataset(theta, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
         fit = scaled_lasso(data)
         out = []
         for m in grid:
@@ -415,7 +432,7 @@ def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
             problem = TestProblem(xi=xi, t0=cfg.t0, k_u=k_u, alpha=cfg.alpha, eta=cfg.eta)
 
             def worker(rep: int):
-                data = generate_dataset(theta_alt, n, seed=cfg.master_seed + 1_000_003 * (rep + 1))
+                data = generate_dataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
                 dec = mixed_test(data, problem)
                 return float(dec.reject)
 

@@ -123,21 +123,11 @@ class ModelParams:
         except np.linalg.LinAlgError as exc:
             raise CholeskyFailure("covariance is not numerically positive definite") from exc
 
-    def check(self) -> bool:
-        """Eigenvalue window and noise bound, by dense eigendecomposition."""
-        ev = np.linalg.eigvalsh(self.sigma_cov)
-        return bool(
-            ev[0] >= 1.0 / self.m1 - 1e-12
-            and ev[-1] <= self.m1 + 1e-12
-            and 0.0 < self.noise_sd <= self.m2
-        )
-
 
 @dataclass(frozen=True)
 class Dataset:
     x: np.ndarray
     y: np.ndarray
-    seed: int | None = None
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # e.g. estimators.Gram.of
 
     def __post_init__(self):
@@ -233,7 +223,7 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     if theta.design_factor is not theta.sigma_cov:
         x = x @ theta.design_factor.T
     eps = theta.noise_sd * rng.standard_normal(n)
-    return Dataset(x=x, y=x @ theta.beta + eps, seed=seed)
+    return Dataset(x=x, y=x @ theta.beta + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,10 @@ class PriorDraw:
 
 def point_mass_draw(xi: LoadingVector, sigma_star: float) -> PriorDraw:
     """The degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
-    zero = np.zeros(xi.p)
-    return PriorDraw("nu1", np.zeros(0), zero, 0.0, 0.0, zero, sigma_star, 1.0, 1.0, True, "point_mass", sigma_star)
+    return PriorDraw(
+        kind="nu1", lead=np.zeros(0), trail=np.zeros(xi.p), kappa=0.0, tau=0.0, beta=np.zeros(xi.p),
+        noise_sd=sigma_star, eig_min=1.0, eig_max=1.0, valid=True, reason="point_mass", sigma_star=sigma_star,
+    )
 
 
 def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, admissible=True) -> PriorDraw:
@@ -152,14 +154,15 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
 
     beta = np.zeros(split + trail.size)
     var = sigma_star**2
-    if not math.isnan(kappa):
+    if not math.isnan(kappa):  # kappa = 0 (outside the admissible set) gives beta = 0
         beta[:split] = -(kappa * tsq / denom) * lead
         beta[split:] = (kappa / denom) * trail
         var -= kappa**2 * tsq / denom
     cross = math.sqrt(lsq * tsq)
     noise_sd = math.sqrt(var) if var > 0 else 0.0
     draw = PriorDraw(
-        kind, lead, trail, kappa, tau, beta, noise_sd, 1.0 - cross, 1.0 + cross, reason == "ok", reason, sigma_star
+        kind=kind, lead=lead, trail=trail, kappa=kappa, tau=tau, beta=beta, noise_sd=noise_sd,
+        eig_min=1.0 - cross, eig_max=1.0 + cross, valid=reason == "ok", reason=reason, sigma_star=sigma_star,
     )
     if not draw.valid:
         return draw

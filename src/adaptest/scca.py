@@ -315,7 +315,7 @@ def reduce_to_lt(
 
     xi = make_loading(np.concatenate((np.ones(p6), np.zeros(p7))))
     problem = TestProblem(xi=xi, t0=t0, k_u=4 * s, alpha=alpha, eta=eta)
-    return Dataset(x=x, y=y, seed=seed), problem, tau_red
+    return Dataset(x=x, y=y), problem, tau_red
 
 
 def calibrate_thresholds(

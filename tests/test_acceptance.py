@@ -8,9 +8,9 @@ Monte Carlo envelopes) before asserting.
 
 import math
 import time
-from itertools import islice
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest

@@ -265,7 +265,7 @@ class TestGenerateDataset:
         theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=cov, noise_sd=0.5)
         rng = stream(seed, 0)
         x = rng.standard_normal((n, p)) @ theta.design_factor.T  # the product an identity skips
-        expect = Dataset(x=x, y=x @ theta.beta + 0.5 * rng.standard_normal(n), seed=seed)
+        expect = Dataset(x=x, y=x @ theta.beta + 0.5 * rng.standard_normal(n))
         got = generate_dataset(theta, n, seed)
         assert hashlib.sha256(dataset_to_bytes(got)).digest() == hashlib.sha256(dataset_to_bytes(expect)).digest()
         assert (theta.design_factor is theta.sigma_cov) == (rho == 0.0)
@@ -331,6 +331,11 @@ class TestProjectionDirection:
         p = xi_vec.size
         return target / (float(np.linalg.norm(xi_vec)) * math.sqrt(math.log(p) / n))
 
+    @staticmethod
+    def radius(c_xi, xi_vec, n):
+        """The constraint radius C_xi ||xi||_2 sqrt(log p / n)."""
+        return c_xi * float(np.linalg.norm(xi_vec)) * math.sqrt(math.log(xi_vec.size) / n)
+
     def test_identity_soft_threshold(self):
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
@@ -370,8 +375,9 @@ class TestProjectionDirection:
         assert res.feasible
         slack = np.abs(s @ res.u_hat - xi.original())
         active = np.abs(res.u_hat) > 1e-8
-        assert np.all(np.abs(slack[active] - res.radius) < 1e-6)
-        assert np.max(slack) <= res.radius * (1 + 1e-8) + 1e-9
+        radius = self.radius(1.0, xi.original(), n)
+        assert np.all(np.abs(slack[active] - radius) < 1e-6)
+        assert np.max(slack) <= radius * (1 + 1e-8) + 1e-9
 
     @given(
         seed=st.integers(0, 10**6),
@@ -388,7 +394,8 @@ class TestProjectionDirection:
         res = projection_direction(s, xi.original(), c_xi, n)
         if res.feasible:
             tol = 1e-9 * max(float(np.linalg.norm(xi.original())), 1.0)
-            assert np.max(np.abs(s @ res.u_hat - xi.original())) <= res.radius * (1 + 1e-8) + tol
+            radius = self.radius(c_xi, xi.original(), n)
+            assert np.max(np.abs(s @ res.u_hat - xi.original())) <= radius * (1 + 1e-8) + tol
         else:
             assert np.all(res.u_hat == 0.0)
 

@@ -118,6 +118,16 @@ BAD_TAGS = [
     ("prior", "kind"), ("scca", "mode"), ("simulate", "kind"), ("simulate", "null_source"),
     ("test", "mode"), ("profile", "loading"), ("simulate", "loading"), ("scca", "hypothesis"),
 ]
+# Required keys of every command but its required tag keys, and every (command, tag key, choice).
+ROUND_TRIP_BASE = {
+    **BASE, "prior": "n = 1000\np = 100\nk_u = 8\n", "fit": BASE["test"], "lowdeg": "n = 2\np = 3\nk_eff = 2\n"
+}
+TAG_VALUES = [
+    (command, f.name, value)
+    for command, (schema, _) in cli._DISPATCH.items()
+    for f in dataclasses.fields(schema)
+    for value in f.metadata.get("choices", ())
+]
 # Every command once on a tiny input: each scca mode, test in every mode and
 # each simulate kind (run with --emit-plotdata).  {data} and {xi} are input files.
 EVERY_COMMAND = [
@@ -176,6 +186,15 @@ class TestConfig:
     def test_round_trip(self):
         cfg = parse_config(SIZE_CFG)
         assert parse_config(format_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("command, tag, value", TAG_VALUES)
+    def test_every_schema_round_trips_at_each_tag_value(self, command, tag, value):
+        schema = cli._DISPATCH[command][0]
+        required = [f for f in dataclasses.fields(schema) if f.default is dataclasses.MISSING]
+        tags = {f.name: f.metadata["choices"][0] for f in required if f.metadata.get("choices")}
+        text = ROUND_TRIP_BASE[command] + "".join(f"{k} = {v}\n" for k, v in {**tags, tag: value}.items())
+        cfg = parse_config(text, schema)
+        assert parse_config(format_config(cfg), schema) == cfg
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -285,6 +304,26 @@ class TestRunners:
             rows = run_experiment(cfg)
             assert any(r.metric == "mean/reject/null/mixed" for r in rows)
 
+    def test_replicate_seeds_differ_across_nearby_master_seeds(self, monkeypatch):
+        # every dataset, split and prior-null seed of four runs at master seeds s..s+3
+        seen = []
+
+        def spy(fn):
+            return lambda *args, seed, **kwargs: seen.append(seed) or fn(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_dataset", spy(harness.generate_dataset))
+        monkeypatch.setattr(harness, "run_single_test", spy(harness.run_single_test))
+        monkeypatch.setattr(harness, "sample_nu2_prior", spy(harness.sample_nu2_prior))
+        cfg = dataclasses.replace(
+            parse_config(SIZE_CFG), n=40, p=12, k_u=4, reps=4, null_source="nu2", tau_grid="1.0", modes="plugin"
+        )
+        runs = []
+        for s in range(5, 9):
+            run_experiment(dataclasses.replace(cfg, master_seed=s))
+            runs.append(set(seen))  # the null and alternative tests of a replicate share its split
+            seen.clear()
+        assert [len(r) for r in runs] == [4 * 4] * 4 and len(set().union(*runs)) == 4 * 4 * 4
+
     def test_length_sweep_contract(self):
         cfg = parse_config(
             "kind = length_sweep\nn = 100\np = 50\nk_u = 3\nk = 2\nreps = 3\n"
@@ -341,15 +380,16 @@ class TestRunners:
         problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
         for rep in range(cfg.reps):
-            fresh, shared, primed = (generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1)) for _ in "abc")
-            alone = inference.run_single_test("debiased", fresh, problem, seed=cfg.master_seed + rep)
+            seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
+            fresh, shared, primed = (generate_dataset(theta, cfg.n, seed=seed) for _ in "abc")
+            alone = inference.run_single_test("debiased", fresh, problem, seed=split)
             assert repr(float(alone.interval.radius)) == table[rep, "radius/null/debiased"]
             assert repr(float(alone.reject)) == table[rep, "reject/null/debiased"]
-            inference.run_single_test("mixed", shared, problem, seed=cfg.master_seed + rep)
-            after = inference.run_single_test("debiased", shared, problem, seed=cfg.master_seed + rep)
+            inference.run_single_test("mixed", shared, problem, seed=split)
+            after = inference.run_single_test("debiased", shared, problem, seed=split)
             assert after == alone
             Gram.of(primed).cols(range(cfg.p - 1, -1, -1))  # as if an earlier mode had read every column
-            assert inference.run_single_test("debiased", primed, problem, seed=cfg.master_seed + rep) == alone
+            assert inference.run_single_test("debiased", primed, problem, seed=split) == alone
 
     def test_spiked_mode_splits_once(self, monkeypatch):
         p, k_u, seed = 8, 2, 9
@@ -392,10 +432,11 @@ class TestRunners:
         problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
         for rep in range(cfg.reps):
-            fresh, shared = (generate_dataset(theta, cfg.n, seed=cfg.master_seed + 1_000_003 * (rep + 1)) for _ in "ab")
-            inference.run_single_test("known_sigma", shared, problem, seed=cfg.master_seed + rep)
-            after = inference.run_single_test("spiked", shared, problem, seed=cfg.master_seed + rep)
-            assert after == inference.run_single_test("spiked", fresh, problem, seed=cfg.master_seed + rep)
+            seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
+            fresh, shared = (generate_dataset(theta, cfg.n, seed=seed) for _ in "ab")
+            inference.run_single_test("known_sigma", shared, problem, seed=split)
+            after = inference.run_single_test("spiked", shared, problem, seed=split)
+            assert after == inference.run_single_test("spiked", fresh, problem, seed=split)
 
     def test_one_lasso_fit_per_dataset_across_modes(self, monkeypatch):
         # mixed, plugin and debiased share the fit on the dataset, known_sigma and spiked the fit on half 1
@@ -684,6 +725,10 @@ class TestCli:
 
     def test_loading_csv_non_numeric_is_config_error(self, tmp_path, capsys):
         self._malformed(tmp_path, "profile", "loading_csv", "xi\n1.0\nabc\n", "n = 1000\np = 2\nk_u = 1\n", capsys)
+
+    @pytest.mark.parametrize("body", ["xi\n", "xi,w\n1.0,2.0\n0.5,1.0\n"], ids=["header_only", "two_columns"])
+    def test_loading_csv_without_one_column_of_rows_is_config_error(self, tmp_path, body, capsys):
+        self._malformed(tmp_path, "profile", "loading_csv", body, "n = 1000\np = 2\nk_u = 1\n", capsys)
 
     def test_every_table_cell_follows_the_cell_rule(self, tmp_path):
         data = self._dataset(tmp_path)

@@ -73,7 +73,7 @@ class TestDebiasedCI:
         fit = scaled_lasso(data)
         from adaptest.estimators import ProjectionResult
 
-        proj = ProjectionResult(u_hat=np.zeros(30), feasible=False, radius=0.1, objective=0.0)
+        proj = ProjectionResult(u_hat=np.zeros(30), feasible=False, objective=0.0)
         xi = np.ones(30)
         ci = inf.debiased_ci(data, fit, proj, xi, 4, 0.05)
         expect = 1.1 * fit.sigma_hat * inf.C_BETA * inf.C_XI * math.sqrt(30.0) * 4 * math.log(30) / 60

@@ -190,6 +190,15 @@ class TestLowdegCli:
         assert all(v <= 1.0 + chi2_ref + 1e-12 for v in lds)
         assert chi2_ref > 0.0 and lds[2] > 1.0
 
+    def test_stalled_sampling_is_a_numerical_failure(self, tmp_path, capsys):
+        # c9 = 100 puts every kappa above 1, so no draw is valid
+        (tmp_path / "xi.csv").write_text("xi\n1.0\n0.9\n0.8\n")
+        cfg = tmp_path / "lowdeg.cfg"
+        cfg.write_text(f"n = 2\np = 3\nk_u = 1\nk_eff = 2\nc9 = 100.0\nloading_csv = {tmp_path / 'xi.csv'}\n")
+        assert cli_main(["lowdeg", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "rejection sampling" in capsys.readouterr().err
+        assert not list(tmp_path.glob("lowdeg_*"))
+
 
 class TestUniformBound:
     def test_hand_value(self):

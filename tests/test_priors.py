@@ -360,7 +360,8 @@ class TestChi2Routing:
         a, b = sampler(0), sampler(1)
         assert pri._closed_form_applies(a, b, s0)
         assert not pri._closed_form_applies(a, dataclasses.replace(b, sigma_star=4.0), s0)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, lead=np.append(b.lead, 0.0), trail=b.trail[1:]), s0)
+        longer_lead = dataclasses.replace(b, lead=np.append(b.lead, 0.0), trail=b.trail[1:])  # same p, split + 1
+        assert not pri._closed_form_applies(a, longer_lead, s0)
         assert not pri._closed_form_applies(a, dataclasses.replace(b, kind="comp"), s0)
         # |r||c| >= 1: the joint covariance is not positive definite
         assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=5.0 / np.linalg.norm(b.trail)), s0)
