@@ -332,7 +332,7 @@ def sample_comp_prior(
     p3, p4, p5 = k_eff, p - k_eff, k_eff - k_u
     s1 = (k_u // 4) if s1_override is None else int(s1_override)
     if not 1 <= s1 <= p4:
-        raise RegimeViolation(f"delta1 support size {s1} out of range for p4={p4}")
+        raise RegimeViolation(f"trail support size s1 = {s1} out of range for p4={p4}")
 
     support = np.sort(rng.choice(p4, size=s1, replace=False))
     trail = np.zeros(p4)
