@@ -29,7 +29,7 @@ from .estimators import scaled_lasso
 from .inference import TEST_MODES, _log_grid, mixed_ci, mixed_test, run_single_test
 from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, generate_dataset
 from .model import make_loading
-from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior
+from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior, valid_draws
 from .profiles import example_profiles, regular_phase
 
 
@@ -269,18 +269,19 @@ def null_point(xi: LoadingVector, k: int, target: float, p: int, noise_sd: float
 def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> ModelParams:
     """Null model point for one replicate, per cfg.null_source.
 
-    Prior sources re-anchor a least-favorable draw to t0; degenerate or
-    invalid draws fall back to the fixed null point for that replicate.
+    Prior sources re-anchor to t0 the first valid draw of the restricted
+    prior from the replicate's seed (`valid_draws`); 50 invalid draws in a
+    row raise RegimeViolation.
     """
     if cfg.null_source == "point":
         return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
-    seed = replicate_seed(cfg.master_seed, rep, "prior")
     if cfg.null_source == "nu2":
-        draw = sample_nu2_prior(xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, seed=seed)
+        def sampler(s):
+            return sample_nu2_prior(xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, seed=s)
     else:
-        draw = sample_nu1_prior(xi, cfg.k_u, cfg.n, seed=seed, sigma_star=cfg.sigma_star)
-    if not draw.valid:
-        return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
+        def sampler(s):
+            return sample_nu1_prior(xi, cfg.k_u, cfg.n, seed=s, sigma_star=cfg.sigma_star)
+    draw = next(valid_draws(sampler, replicate_seed(cfg.master_seed, rep, "prior")))
     return translate_draw(draw, xi, cfg.t0)
 
 

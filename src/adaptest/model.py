@@ -3,15 +3,14 @@ between joint covariances and regression parameters.
 
 The observation model is Y = X beta + eps with Gaussian rows
 X_i ~ N(0, Sigma) and eps ~ N(0, sigma^2 I).  A model point is
-theta = (beta, Sigma, sigma) together with the regularity constants
-(m1, m2) bounding the spectrum of Sigma and the noise level.
+theta = (beta, Sigma, sigma); the parameter space bounds the spectrum of
+Sigma to [1/M1, M1] and the noise level to (0, M2].
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,9 @@ import numpy as np
 from .errors import AllZeroLoading, CholeskyFailure, NotPositiveDefinite
 
 _MASK64 = (1 << 64) - 1
+
+M1 = 10.0  # eigenvalues of Sigma lie in [1/M1, M1]
+M2 = 10.0  # the noise level lies in (0, M2]
 
 
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
@@ -90,13 +92,12 @@ def make_loading(raw) -> LoadingVector:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One model point theta = (beta, Sigma, sigma) with regularity bounds."""
+    """One model point theta = (beta, Sigma, sigma); the parameter space's
+    regularity bounds are the module constants M1 and M2."""
 
     beta: np.ndarray
     sigma_cov: np.ndarray
     noise_sd: float
-    m1: float = 10.0
-    m2: float = 10.0
 
     @property
     def p(self) -> int:
@@ -227,11 +228,7 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV tables (one header row, round-trip floats) and a small
-# column-major binary container.
-
-_MAGIC = b"ADTB"
-_VERSION = 1
+# Serialization: CSV tables (one header row, round-trip floats).
 
 
 def csv_cell(v) -> str:
@@ -276,64 +273,3 @@ def _csv_body(fh: io.TextIOBase, what: str) -> np.ndarray:
 def dataset_from_csv(fh: io.TextIOBase) -> Dataset:
     data = _csv_body(fh, "dataset")
     return Dataset(x=data[:, 1:].copy(), y=data[:, 0].copy())
-
-
-def dataset_to_bytes(ds: Dataset) -> bytes:
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<IQQ", _VERSION, ds.n, ds.p))
-    buf.write(np.ascontiguousarray(ds.y, dtype="<f8").tobytes())
-    buf.write(np.asfortranarray(ds.x.astype("<f8")).tobytes(order="F"))
-    return buf.getvalue()
-
-
-def dataset_from_bytes(raw: bytes) -> Dataset:
-    if raw[:4] != _MAGIC:
-        raise ValueError("bad container magic")
-    version, n, p = struct.unpack("<IQQ", raw[4:24])
-    if version != _VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    off = 24
-    y = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
-    off += 8 * n
-    x = np.frombuffer(raw, dtype="<f8", count=n * p, offset=off).reshape((n, p), order="F").copy()
-    return Dataset(x=x, y=y)
-
-
-def params_to_csv(theta: ModelParams, fh: io.TextIOBase) -> None:
-    """One row per coordinate; scalar fields are replicated down the rows."""
-    header = ",".join(["beta", "noise_sd", "m1", "m2"] + [f"cov{j + 1}" for j in range(theta.p)])
-    scalars = [theta.noise_sd, theta.m1, theta.m2]
-    fh.write(csv_text(header, ([b, *scalars, *cov] for b, cov in zip(theta.beta, theta.sigma_cov))))
-
-
-def params_from_csv(fh: io.TextIOBase) -> ModelParams:
-    data = _csv_body(fh, "params")
-    if data.shape[1] != data.shape[0] + 4:
-        raise ValueError("params CSV needs p + 4 columns for p rows")
-    noise_sd, m1, m2 = data[0, 1:4].tolist()
-    return ModelParams(beta=data[:, 0].copy(), sigma_cov=data[:, 4:].copy(), noise_sd=noise_sd, m1=m1, m2=m2)
-
-
-def params_to_bytes(theta: ModelParams) -> bytes:
-    buf = io.BytesIO()
-    buf.write(b"ADTP")
-    buf.write(struct.pack("<IQ", _VERSION, theta.p))
-    buf.write(struct.pack("<ddd", theta.noise_sd, theta.m1, theta.m2))
-    buf.write(np.ascontiguousarray(theta.beta, dtype="<f8").tobytes())
-    buf.write(np.asfortranarray(theta.sigma_cov.astype("<f8")).tobytes(order="F"))
-    return buf.getvalue()
-
-
-def params_from_bytes(raw: bytes) -> ModelParams:
-    if raw[:4] != b"ADTP":
-        raise ValueError("bad container magic")
-    version, p = struct.unpack("<IQ", raw[4:16])
-    if version != _VERSION:
-        raise ValueError(f"unsupported container version {version}")
-    noise_sd, m1, m2 = struct.unpack("<ddd", raw[16:40])
-    off = 40
-    beta = np.frombuffer(raw, dtype="<f8", count=p, offset=off).copy()
-    off += 8 * p
-    cov = np.frombuffer(raw, dtype="<f8", count=p * p, offset=off).reshape((p, p), order="F").copy()
-    return ModelParams(beta=beta, sigma_cov=cov, noise_sd=noise_sd, m1=m1, m2=m2)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DivergentIntegral, RegimeViolation
-from .model import JointCovariance, ModelParams, sign, stream
+from .model import M1, M2, JointCovariance, ModelParams, sign, stream
 from .model import LoadingVector
 from .profiles import effective_sparsity, j1_index, nu1, profile_root, top_norm
 
@@ -68,8 +68,6 @@ class PriorDraw:
     valid: bool
     reason: str
     sigma_star: float
-    m1: float = 10.0
-    m2: float = 10.0
 
     @property
     def split(self) -> int:
@@ -89,13 +87,7 @@ class PriorDraw:
     @cached_property
     def theta(self) -> ModelParams:
         """Materialize (beta, Sigma, sigma); Sigma is dense p x p."""
-        return ModelParams(
-            beta=self.beta,
-            sigma_cov=self._sigma(),
-            noise_sd=self.noise_sd,
-            m1=self.m1,
-            m2=self.m2,
-        )
+        return ModelParams(beta=self.beta, sigma_cov=self._sigma(), noise_sd=self.noise_sd)
 
     def _sigma(self) -> np.ndarray:
         s = np.eye(self.p)
@@ -169,8 +161,8 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
     checks = {
         "kappa_out_of_range": 0.0 < kappa <= 1.0,
         "sparsity_cap": draw.sparsity <= cap,
-        "eigenvalue_window": 1.0 / draw.m1 <= draw.eig_min and draw.eig_max <= draw.m1,
-        "noise_bound": 0.0 < noise_sd <= draw.m2,
+        "eigenvalue_window": 1.0 / M1 <= draw.eig_min and draw.eig_max <= M1,
+        "noise_bound": 0.0 < noise_sd <= M2,
         "constraint_residual": not abs(draw.constraint_residual(xi)) > 1e-10 * max(abs(tau), 1.0),
     }
     failed = [why for why, ok in checks.items() if not ok]

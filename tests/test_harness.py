@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from adaptest import cli, harness, inference, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
-from adaptest.errors import ConfigError
+from adaptest.errors import ConfigError, RegimeViolation
 from adaptest.estimators import Gram, spiked_cov_estimate
 from adaptest.inference import mixed_test
 from adaptest.model import ModelParams, TestProblem as Problem, generate_dataset, make_loading, stream
@@ -303,6 +303,31 @@ class TestRunners:
             )
             rows = run_experiment(cfg)
             assert any(r.metric == "mean/reject/null/mixed" for r in rows)
+
+    def test_every_replicate_null_is_a_valid_draw(self, monkeypatch):
+        # each replicate's null is the first valid draw from its prior seed on, never the point null
+        drawn, nulls = [], []
+        for name in ("sample_nu1_prior", "sample_nu2_prior"):
+            fn = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, fn=fn, **kw: drawn.append(fn(*a, **kw)) or drawn[-1])
+        translate = harness.translate_draw
+        monkeypatch.setattr(harness, "translate_draw", lambda draw, *a: nulls.append(draw) or translate(draw, *a))
+        for src in ("nu1", "nu2"):
+            cfg = dataclasses.replace(
+                parse_config(SIZE_CFG), reps=6, null_source=src, k_u=8, loading_k=30, p=60, n=150
+            )
+            run_experiment(cfg)
+            assert len(nulls) == cfg.reps and all(d.valid and d.kind == src for d in nulls)
+            assert [id(d) for d in drawn if d.valid] == list(map(id, nulls)) and drawn[-1].valid
+            assert (src == "nu1") == any(not d.valid for d in drawn)  # nu1 redraws here, nu2 never
+            drawn.clear()
+            nulls.clear()
+
+    def test_stalled_prior_null_is_a_numerical_failure(self):
+        # at the criterion-3 problem 297 of 300 nu2 draws have kappa > 1
+        cfg = dataclasses.replace(parse_config(CRITERION3_CFG), null_source="nu2", loading_k=5, master_seed=303)
+        with pytest.raises(RegimeViolation):
+            run_experiment(cfg)
 
     def test_replicate_seeds_differ_across_nearby_master_seeds(self, monkeypatch):
         # every dataset, split and prior-null seed of four runs at master seeds s..s+3

@@ -13,18 +13,12 @@ from adaptest.model import (
     Dataset,
     JointCovariance,
     ModelParams,
-    dataset_from_bytes,
     dataset_from_csv,
-    dataset_to_bytes,
     dataset_to_csv,
     generate_dataset,
     h_inv,
     h_map,
     make_loading,
-    params_from_bytes,
-    params_from_csv,
-    params_to_bytes,
-    params_to_csv,
     stream,
 )
 
@@ -186,13 +180,6 @@ class TestSerialization:
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y, ds.y)
 
-    def test_dataset_binary_round_trip(self):
-        theta = ModelParams(beta=np.ones(4), sigma_cov=np.eye(4), noise_sd=2.0)
-        ds = generate_dataset(theta, 9, seed=6)
-        back = dataset_from_bytes(dataset_to_bytes(ds))
-        assert np.array_equal(back.x, ds.x)
-        assert np.array_equal(back.y, ds.y)
-
     @given(ds=datasets())
     @settings(max_examples=200, deadline=None)
     def test_dataset_csv_round_trip_any_float(self, ds):
@@ -202,27 +189,6 @@ class TestSerialization:
         back = dataset_from_csv(buf)
         assert_same_values(back.x, ds.x)
         assert_same_values(back.y, ds.y)
-
-    @given(ds=datasets())
-    @settings(max_examples=200, deadline=None)
-    def test_dataset_binary_round_trip_any_float(self, ds):
-        back = dataset_from_bytes(dataset_to_bytes(ds))
-        assert_same_values(back.x, ds.x)
-        assert_same_values(back.y, ds.y)
-        assert back.x.tobytes() == ds.x.tobytes() and back.y.tobytes() == ds.y.tobytes()  # NaN payloads too
-
-    def test_params_round_trips(self):
-        rng = np.random.default_rng(8)
-        theta = random_theta(rng, 5)
-        buf = io.StringIO()
-        params_to_csv(theta, buf)
-        buf.seek(0)
-        back = params_from_csv(buf)
-        assert np.array_equal(back.beta, theta.beta)
-        assert np.array_equal(back.sigma_cov, theta.sigma_cov)
-        assert back.noise_sd == theta.noise_sd
-        back2 = params_from_bytes(params_to_bytes(theta))
-        assert np.array_equal(back2.sigma_cov, theta.sigma_cov)
 
 
 class TestProblemInvariants:

@@ -6,7 +6,7 @@ import pytest
 
 from adaptest import priors as pri
 from adaptest.errors import DivergentIntegral, RegimeViolation
-from adaptest.model import JointCovariance, h_map, make_loading, stream
+from adaptest.model import M1, M2, JointCovariance, h_map, make_loading, stream
 from adaptest.profiles import nu1 as nu1_value
 
 
@@ -180,6 +180,37 @@ class TestValidDraws:
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.valid = False
         assert (d.split, d.p) == (d.lead.size, 40)
+
+
+class TestValidityBounds:
+    """The constructor's eigenvalue window [1/M1, M1] and noise bound M2,
+    each just inside and just outside."""
+
+    xi = make_loading(np.full(4, 0.5))
+
+    def draw(self, cross, sigma_star):
+        # |lead| = |trail| = sqrt(cross), so the spectrum is 1 -/+ cross and kappa = 0.1 (1 + cross) / (0.5 sqrt(cross))
+        a = math.sqrt(cross)
+        return pri._coupled_draw("nu2", self.xi, 4, np.array([a]), np.array([a, 0.0, 0.0]), 0.1, sigma_star)
+
+    @pytest.mark.parametrize("side, reason", [(-1.0, "ok"), (1.0, "eigenvalue_window")])
+    def test_eigenvalue_window(self, side, reason):
+        # eig_max = 2 - eig_min < M1, so the window binds at its lower end 1/M1
+        d = self.draw((1.0 - 1.0 / M1) * (1.0 + side * 1e-9), 2.0)
+        assert (d.eig_min < 1.0 / M1) == (side > 0)
+        assert d.eig_max < M1
+        assert (d.valid, d.reason) == (reason == "ok", reason)
+
+    @pytest.mark.parametrize(
+        "noise_var, reason",
+        [((M2 * (1 - 1e-9)) ** 2, "ok"), ((M2 * (1 + 1e-9)) ** 2, "noise_bound"), (-0.01, "noise_bound")],
+    )
+    def test_noise_bound(self, noise_var, reason):
+        # the noise variance is sigma_star^2 less a part the factors and kappa fix
+        explained = 1.0 - self.draw(0.25, 1.0).noise_sd ** 2
+        d = self.draw(0.25, math.sqrt(noise_var + explained))
+        assert (d.noise_sd > M2) == (noise_var > M2**2) and (d.noise_sd == 0.0) == (noise_var < 0)
+        assert (d.valid, d.reason) == (reason == "ok", reason)
 
 
 class TestChi2Integral:
