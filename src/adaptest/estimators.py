@@ -6,19 +6,24 @@ The lasso and the direction program share one coordinate-descent core on
 a dataset's `Gram` (columns formed on first touch): a vectorized KKT check
 picks a working set (the nonzero coordinates and the violators), and only
 that set is swept, in ascending index order, so results are deterministic.
-The scaled-lasso fit is memoised on its dataset, like the `Gram`.
+The scaled-lasso fit is memoised on its dataset, like the `Gram`.  An
+identity-design dataset can be drawn as its Gram alone (`CoordinateDataset`).
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BudgetExceeded, ZeroResidualDegenerate
-from .model import Dataset
+from .model import Dataset, ModelParams, stream
+
+_log = logging.getLogger("adaptest")
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,9 @@ class SpikedCovFit:
 
 
 def sample_cov(data: Dataset) -> np.ndarray:
-    """n^{-1} X'X, symmetrized so the result is bitwise symmetric."""
-    g = data.x.T @ data.x / data.n
+    """n^{-1} X'X, symmetrized so the result is bitwise symmetric; a
+    `CoordinateDataset` reads every column from its coordinates."""
+    g = data.cols(range(data.p)) if isinstance(data, CoordinateDataset) else data.x.T @ data.x / data.n
     return (g + g.T) / 2.0
 
 
@@ -78,8 +84,86 @@ class Gram:
         idx = np.asarray(idx, dtype=int).tolist()
         for j in idx:
             if j not in self.columns:
-                self.columns[j] = self.x.T @ self.x[:, j] / self.n
+                self.columns[j] = self._column(j)
         return np.array([self.columns[j] for j in idx]).reshape(len(idx), self.diag.size).T
+
+    def _column(self, j: int) -> np.ndarray:
+        return self.x.T @ self.x[:, j] / self.n
+
+
+class GaussianSource:
+    """Coordinates of X with iid N(0, 1) entries and of the noise N(0, sd^2 I_n),
+    one basis vector of R^n per call, from their exact law.  Outside the d
+    basis vectors an untouched column is isotropic with squared norm rho[j]
+    (chi2_n at the start), its direction independent of its norm (Muirhead
+    1982, ch. 3): its squared share on a new vector is u = g^2 / (g^2 + R),
+    g ~ N(0, 1), R ~ chi2_{n-d-1} (chi2_0 = 0)."""
+
+    def __init__(self, theta: ModelParams, n: int, rng: np.random.Generator):
+        self.n, self.d, self.rng, self.sd = n, 0, rng, theta.noise_sd
+        self.support = np.flatnonzero(theta.beta)
+        self.beta = theta.beta[self.support]
+        self.rho = rng.chisquare(n, theta.p)
+        self.norms2 = self.rho.copy()
+
+    def direction(self, j: int | None) -> np.ndarray:
+        """Every column's coordinate on the next basis vector, column j's (the
+        noise's if j is None) outside part: one row, none once R^n is spanned."""
+        if self.d == self.n:
+            return np.empty((0, self.rho.size))
+        g = self.rng.standard_normal(self.rho.size)
+        u = g * g / (g * g + 2.0 * self.rng.standard_gamma((self.n - self.d - 1) / 2.0, self.rho.size))
+        if j is not None:
+            u[j] = 1.0  # column j lies in the span from now on
+        row = np.copysign(np.sqrt(self.rho * u), g)
+        self.rho *= 1.0 - u
+        self.d += 1
+        return row
+
+    def response(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y's coordinates once the noise's outside part (squared norm
+        sd^2 chi2_{n-d}) joins the basis, and that `direction`."""
+        y = coords[:, self.support] @ self.beta + self.sd * self.rng.standard_normal(self.d)
+        outside = [self.sd * math.sqrt(self.rng.chisquare(self.n - self.d))] if self.d < self.n else []
+        return np.append(y, outside), self.direction(None)
+
+
+class CoordinateDataset(Gram):
+    """n rows Y = X beta + eps of the identity-design theta held only as their
+    Gram, so reading x or y raises.  Row i of coords holds every column's
+    coordinate on the i-th vector of a basis of R^n grown in touch order:
+    forming column j makes its outside part the next vector, whose row the
+    source gives (a `GaussianSource` on stream(seed, index) by default).  beta's
+    support is formed first and the noise joins next, so y lies in the span
+    and diag, xty, yty and each formed column coords' coords[:, j] / n are exact."""
+
+    def __init__(self, theta: ModelParams, n: int, seed: int, index: int = 0, source=None):
+        if theta.design_factor is not theta.sigma_cov:
+            raise ValueError("Gram coordinates need an identity design covariance")
+        self.theta, self.n, self.p, self.seed, self.index, self.memo = theta, n, theta.p, seed, index, {}
+        self.source = source or GaussianSource(theta, n, stream(seed, index))
+        self.diag, self.coords, self.columns = self.source.norms2 / n, np.zeros((0, theta.p)), {}
+        self.cols(np.flatnonzero(theta.beta))
+        y, row = self.source.response(self.coords)
+        self.coords = np.vstack((self.coords, row))
+        self.xty, self.yty = self.coords.T @ y / n, float(y @ y) / n
+
+    @property
+    def x(self):
+        raise TypeError("a coordinate dataset holds no rows, only its Gram")
+
+    y = x
+
+    def _column(self, j: int) -> np.ndarray:
+        self.coords = np.vstack((self.coords, self.source.direction(j)))
+        return self.coords.T @ self.coords[:, j] / self.n
+
+    def fork(self) -> "CoordinateDataset":
+        """A copy whose later reads leave this one as it is.  It shares the
+        memoised fits and halves; `inference` reads a half through its own fork."""
+        out = copy.copy(self)
+        out.columns, out.source, out.memo = dict(self.columns), copy.deepcopy(self.source), dict(self.memo)
+        return out
 
 
 def _cd_quadratic_l1(
@@ -243,13 +327,9 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
         else:
             raise ZeroResidualDegenerate("zero residual: sigma_hat is undefined")
     beta.setflags(write=False)
-    return data.memo.setdefault(key, ScaledLassoFit(
-        beta_hat=beta,
-        sigma_hat=max(sigma, sigma_floor),
-        iterations=it,
-        converged=converged and inner_ok,
-        objectives=tuple(objectives),
-    ))
+    fit = ScaledLassoFit(beta_hat=beta, sigma_hat=max(sigma, sigma_floor), iterations=it,
+                         converged=converged and inner_ok, objectives=tuple(objectives))
+    return data.memo.setdefault(key, fit)
 
 
 def projection_direction(
@@ -267,23 +347,17 @@ def projection_direction(
     a fresh product S u; if it fails (a coordinate with S_jj = 0 and
     |xi_j| > r can never meet it) or the budget of 5000 coordinate-descent
     passes runs out, the zero-direction fallback is returned with
-    feasible = False.
+    feasible = False and a WARNING on the adaptest logger.
     """
     p, gram = xi_vec.size, Gram.of(src)
     norm2 = float(np.linalg.norm(xi_vec))
     radius = c_xi * norm2 * math.sqrt(math.log(p) / n)
     tol = 1e-9 * max(norm2, 1.0)
-    v, ok, _ = _cd_quadratic_l1(
-        gram,
-        xi_vec,
-        np.full(p, radius),
-        np.zeros(p),
-        kkt_tol=tol,
-        max_passes=5000,
-    )
+    v, ok, _ = _cd_quadratic_l1(gram, xi_vec, np.full(p, radius), np.zeros(p), kkt_tol=tol, max_passes=5000)
     nz = np.flatnonzero(v)
     s_v = gram.cols(nz) @ v[nz]
     if not ok or np.max(np.abs(s_v - xi_vec)) > radius * (1.0 + 1e-8) + tol:
+        _log.warning("no feasible projection direction (radius %.3g, converged %s): falling back to u = 0", radius, ok)
         return ProjectionResult(u_hat=np.zeros(p), feasible=False, objective=0.0)
     return ProjectionResult(u_hat=v, feasible=True, objective=float(v[nz] @ s_v[nz]))
 
@@ -387,14 +461,6 @@ def spiked_cov_estimate(
                 if bsz:
                     omega[np.ix_(idx, idx)] = np.linalg.inv(s[np.ix_(idx, idx)])
                 return SpikedCovFit(
-                    sigma_hat_spike=gamma_block(s, b_set),
-                    omega_hat=omega,
-                    b_hat=b_set,
-                    fell_back_identity=False,
+                    sigma_hat_spike=gamma_block(s, b_set), omega_hat=omega, b_hat=b_set, fell_back_identity=False
                 )
-    return SpikedCovFit(
-        sigma_hat_spike=np.eye(p),
-        omega_hat=np.eye(p),
-        b_hat=(),
-        fell_back_identity=True,
-    )
+    return SpikedCovFit(sigma_hat_spike=np.eye(p), omega_hat=np.eye(p), b_hat=(), fell_back_identity=True)

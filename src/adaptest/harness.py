@@ -1,7 +1,10 @@
 """Experiment orchestration: configuration parsing, Monte Carlo drivers
 for size/power, interval-length sweeps and phase diagrams, and result
 tables.  A dataset becomes a test decision in `inference.run_single_test`;
-this module builds the problems and datasets and collects the rows.
+this module builds the problems and datasets and collects the rows.  An
+identity-design dataset is drawn as its Gram coordinates, from their exact
+law; only nu2 nulls, whose design is not the identity, draw rows
+(`draw_dataset`).
 
 Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
@@ -25,10 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import scaled_lasso
-from .inference import TEST_MODES, _log_grid, mixed_ci, mixed_test, run_single_test
+from .estimators import CoordinateDataset
+from .inference import TEST_MODES, _lasso, _log_grid, mixed_ci, mixed_test, run_single_test
 from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, generate_dataset
-from .model import make_loading
+from .model import Dataset, make_loading
 from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior, valid_draws
 from .profiles import example_profiles, regular_phase
 
@@ -314,6 +317,14 @@ def replicate_seed(master_seed: int, rep: int, role: str) -> int:
     return master_seed + ((4 * rep + _SEED_ROLES.index(role) + 1) << 32)
 
 
+def draw_dataset(theta: ModelParams, n: int, seed: int) -> Dataset | CoordinateDataset:
+    """n observations of theta from seed: for an identity design their Gram
+    coordinates from the exact law (`CoordinateDataset`), else n rows."""
+    if theta.design_factor is theta.sigma_cov:
+        return CoordinateDataset(theta, n, seed=seed)
+    return generate_dataset(theta, n, seed=seed)
+
+
 def _map_replicates(worker, reps: int, threads: int) -> list:
     if threads <= 1:
         return [worker(i) for i in range(reps)]
@@ -336,13 +347,13 @@ def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
         out = []
         split = replicate_seed(cfg.master_seed, rep, "split")
         theta_null = theta_point or null_draw_theta(cfg, xi, rep)
-        data_null = generate_dataset(theta_null, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
+        data_null = draw_dataset(theta_null, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
         for mode in modes:
             dec = run_single_test(mode, data_null, problem, seed=split, scan_all_m=cfg.scan_all_m)
             out.append((f"reject/null/{mode}", rep, float(dec.reject)))
             out.append((f"radius/null/{mode}", rep, float(dec.interval.radius)))
         for tau, theta_alt in zip(taus, theta_alts):
-            data_alt = generate_dataset(theta_alt, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
+            data_alt = draw_dataset(theta_alt, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
             for mode in modes:
                 dec = run_single_test(mode, data_alt, problem, seed=split, scan_all_m=cfg.scan_all_m)
                 out.append((f"reject/alt/{mode}/tau={csv_cell(tau)}", rep, float(dec.reject)))
@@ -396,8 +407,8 @@ def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     grid = m_cutoff_grid(cfg.p, cfg.m_grid)
 
     def worker(rep: int):
-        data = generate_dataset(theta, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
-        fit = scaled_lasso(data)
+        data = draw_dataset(theta, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
+        fit = _lasso(data, 0.0)
         out = []
         for m in grid:
             ci = mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta)
@@ -433,7 +444,7 @@ def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
             problem = TestProblem(xi=xi, t0=cfg.t0, k_u=k_u, alpha=cfg.alpha, eta=cfg.eta)
 
             def worker(rep: int):
-                data = generate_dataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
+                data = draw_dataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
                 dec = mixed_test(data, problem)
                 return float(dec.reject)
 

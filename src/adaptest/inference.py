@@ -16,6 +16,7 @@ share one memoised lasso fit per dataset (on half 1 when data-split).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,7 @@ from scipy.special import ndtri
 
 from .errors import OddSampleSize
 from .estimators import (
+    CoordinateDataset,
     Gram,
     ProjectionResult,
     ScaledLassoFit,
@@ -40,6 +42,8 @@ from .profiles import cutoff_and_regime, top_norm
 C_BETA = 4.0
 C_XI = 2.0
 C_PI = 1.1 * C_BETA
+
+_log = logging.getLogger("adaptest")
 
 
 @dataclass(frozen=True)
@@ -79,14 +83,7 @@ class TestDecision:
     m_used: int
 
 
-def plugin_ci(
-    fit: ScaledLassoFit,
-    xi_vec: np.ndarray,
-    k_u: int,
-    n: int,
-    p: int,
-    alpha: float,
-) -> ConfidenceInterval:
+def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, p: int, alpha: float) -> ConfidenceInterval:
     """Interval centered at xi'beta_hat with the l1-bias radius.
 
     The radius C_pi * sigma_hat * ||xi||_inf * k_u * sqrt(log p / n) has
@@ -95,12 +92,16 @@ def plugin_ci(
     """
     xi_inf = float(np.max(np.abs(xi_vec))) if xi_vec.size else 0.0
     radius = C_PI * fit.sigma_hat * xi_inf * k_u * math.sqrt(math.log(p) / n)
-    return ConfidenceInterval(
-        center=float(xi_vec @ fit.beta_hat),
-        radius=radius,
-        level=1.0 - alpha,
-        budget={"plugin": alpha},
-    )
+    center = float(xi_vec @ fit.beta_hat)
+    return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"plugin": alpha})
+
+
+def _lasso(data: Dataset, sigma_floor: float) -> ScaledLassoFit:
+    """The memoised scaled-lasso fit, logged as a WARNING if it did not converge."""
+    fit = scaled_lasso(data, sigma_floor=sigma_floor)
+    if not fit.converged:
+        _log.warning("the scaled lasso on %d x %d data did not converge in %d rounds", data.n, data.p, fit.iterations)
+    return fit
 
 
 def _corrected_center(gram: Gram, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
@@ -111,12 +112,7 @@ def _corrected_center(gram: Gram, beta_hat: np.ndarray, xi_vec: np.ndarray, dire
 
 
 def debiased_ci(
-    data: Dataset,
-    fit: ScaledLassoFit,
-    proj: ProjectionResult,
-    xi_vec: np.ndarray,
-    k_u: int,
-    alpha: float,
+    data: Dataset, fit: ScaledLassoFit, proj: ProjectionResult, xi_vec: np.ndarray, k_u: int, alpha: float
 ) -> ConfidenceInterval:
     """Residual-corrected interval along the projection direction.
 
@@ -131,22 +127,11 @@ def debiased_ci(
         math.sqrt(max(proj.objective, 0.0) / n) * float(ndtri(1.0 - alpha / 8.0))
         + C_BETA * C_XI * norm2 * k_u * math.log(p) / n
     )
-    return ConfidenceInterval(
-        center=center,
-        radius=radius,
-        level=1.0 - alpha,
-        budget={"debiased": alpha},
-    )
+    return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"debiased": alpha})
 
 
 def mixed_ci(
-    data: Dataset,
-    fit: ScaledLassoFit,
-    xi: LoadingVector,
-    m: int,
-    k_u: int,
-    alpha: float,
-    eta: float,
+    data: Dataset, fit: ScaledLassoFit, xi: LoadingVector, m: int, k_u: int, alpha: float, eta: float
 ) -> ConfidenceInterval:
     """Minkowski sum of a debiased interval on the top-m coordinates of
     xi and a plug-in interval on the rest, each at level 1 - alpha'/4
@@ -175,10 +160,11 @@ def mixed_test(
 
     With scan_all_m the cutoff minimizes the realized radius over a
     log-spaced grid of at most 32 cutoffs (endpoints included) instead of the
-    profile cutoff m_star.
+    profile cutoff m_star.  Everything after the fit reads `data.fork()`.
     """
     xi, k_u = problem.xi, problem.k_u
-    fit = scaled_lasso(data, sigma_floor=sigma_floor)
+    fit = _lasso(data, sigma_floor)
+    data = data.fork()
 
     if scan_all_m:
         scan = ((m, mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta)) for m in _log_grid(data.p, 32))
@@ -205,16 +191,18 @@ def run_single_test(
     mixed is `mixed_test`; plugin and debiased are the two intervals it
     mixes, each at level 1 - alpha; known_sigma uses the identity design
     covariance and spiked the exhaustive estimator, both on the halves
-    split_half(data, seed).
+    split_half(data, seed).  Each mode fits (or reuses) the one memoised
+    lasso and reads everything else on a fork taken after it, so on a
+    `CoordinateDataset` its result does not depend on the modes run before it.
     """
     if mode == "mixed":
         return mixed_test(data, problem, sigma_floor, scan_all_m)
     xi_vec, k_u, alpha = problem.xi.original(), problem.k_u, problem.alpha
     if mode == "plugin":
-        ci = plugin_ci(scaled_lasso(data, sigma_floor=sigma_floor), xi_vec, k_u, data.n, data.p, alpha)
+        ci = plugin_ci(_lasso(data, sigma_floor), xi_vec, k_u, data.n, data.p, alpha)
     elif mode == "debiased":
-        fit = scaled_lasso(data, sigma_floor=sigma_floor)
-        ci = debiased_ci(data, fit, projection_direction(data, xi_vec, C_XI, data.n), xi_vec, k_u, alpha)
+        fit, view = _lasso(data, sigma_floor), data.fork()
+        ci = debiased_ci(view, fit, projection_direction(view, xi_vec, C_XI, data.n), xi_vec, k_u, alpha)
     elif mode == "known_sigma":
         ci = known_sigma_ci(data, np.ones(data.p), xi_vec, alpha, seed, sigma_floor)
     elif mode == "spiked":
@@ -236,27 +224,30 @@ def split_half(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic random halves: parity positions of a seeded shuffle.
 
     Memoised on the dataset by seed, so every caller gets the same two
-    halves, and with them each half's memoised Gram.
+    halves, and with them each half's memoised Gram.  A `CoordinateDataset`
+    has no rows to split: its halves are two independent n/2-row draws from
+    its own seed, which with iid rows have the law of a seeded split.
     """
     halves = data.memo.get(("split_half", seed))
     if halves is None:
         if data.n % 2 != 0:
             raise OddSampleSize("data splitting needs an even sample count")
-        order = stream(seed, 1).permutation(data.n)
-        first, second = order[0::2], order[1::2]
-        halves = data.memo.setdefault(
-            ("split_half", seed),
-            (Dataset(x=data.x[first], y=data.y[first]), Dataset(x=data.x[second], y=data.y[second])),
-        )
+        if isinstance(data, CoordinateDataset):
+            halves = tuple(CoordinateDataset(data.theta, data.n // 2, data.seed, 2 * data.index + i) for i in (1, 2))
+        else:
+            order = stream(seed, 1).permutation(data.n)
+            first, second = order[0::2], order[1::2]
+            halves = (Dataset(x=data.x[first], y=data.y[first]), Dataset(x=data.x[second], y=data.y[second]))
+        halves = data.memo.setdefault(("split_half", seed), halves)
     return halves
 
 
 def _split_half_center(data: Dataset, seed: int, sigma_floor: float, xi_vec: np.ndarray, direction):
     """(fit, center): the lasso fit on half 1 of split_half(data, seed), and the
-    corrected center on half 2's Gram along direction(half1)."""
+    corrected center on half 2's Gram along direction(half1), both read on forks."""
     half1, half2 = split_half(data, seed)
-    fit = scaled_lasso(half1, sigma_floor=sigma_floor)
-    return fit, _corrected_center(Gram.of(half2), fit.beta_hat, xi_vec, direction(half1))
+    fit = _lasso(half1, sigma_floor)
+    return fit, _corrected_center(Gram.of(half2.fork()), fit.beta_hat, xi_vec, direction(half1.fork()))
 
 
 def known_sigma_ci(

@@ -135,6 +135,10 @@ class Dataset:
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError("row counts of x and y disagree")
 
+    def fork(self) -> "Dataset":
+        """Rows never change, so a row dataset is its own fork (`estimators.CoordinateDataset.fork`)."""
+        return self
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -215,7 +219,9 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     Bit-reproducible for fixed (seed, n, p): the design is drawn first,
     then the noise, from a single counter-based stream.  The Cholesky
     factor of Sigma is theta's cached design_factor; an identity design
-    (whose factor is sigma_cov itself) uses the draw as it is.
+    (whose factor is sigma_cov itself) uses the draw as it is.  `simulate`
+    draws rows only for its nu2 nulls (identity designs are drawn as their
+    Gram, `harness.draw_dataset`); the tests use rows as the oracle.
     """
     if n < 1:
         raise ValueError("need at least one sample")

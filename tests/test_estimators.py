@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import tracemalloc
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from adaptest import estimators
 from adaptest.errors import BudgetExceeded, ZeroResidualDegenerate
 from adaptest.estimators import (
+    CoordinateDataset,
     Gram,
     _cd_quadratic_l1,
     gamma_block,
@@ -330,6 +333,87 @@ class TestGram:
         assert all(Gram.of(ds).columns[j] is col for j, col in formed.items())
 
 
+class RowSource:
+    """The `GaussianSource` interface on given rows x, y: each new basis vector
+    is the touched column's (or y's) residual by Gram-Schmidt, run twice."""
+
+    def __init__(self, x, y):
+        self.x, self.y, self.n = x, y, x.shape[0]
+        self.norms2 = np.einsum("ij,ij->j", x, x)
+        self.basis = np.zeros((self.n, 0))
+
+    def direction(self, j):
+        if self.basis.shape[1] == self.n:
+            return np.empty((0, self.x.shape[1]))
+        v = self.y if j is None else self.x[:, j]
+        for _ in range(2):
+            v = v - self.basis @ (self.basis.T @ v)
+        self.basis = np.column_stack((self.basis, v / np.linalg.norm(v)))
+        return self.x.T @ self.basis[:, -1]
+
+    def response(self, coords):
+        row = self.direction(None)
+        return self.basis.T @ self.y, row
+
+
+class TestCoordinateDataset:
+    @pytest.mark.parametrize("n, p, support", [(40, 25, (4, 9)), (12, 30, (4, 9)), (3, 6, (0, 2, 4, 5))],
+                             ids=["p<n", "p>n", "support>n"])
+    def test_gram_schmidt_source_reproduces_the_products(self, n, p, support):
+        rng = stream(5, 0)
+        x = rng.standard_normal((n, p))
+        beta = np.zeros(p)
+        beta[list(support)] = rng.uniform(-2.0, 2.0, len(support))
+        y = x @ beta + rng.standard_normal(n)
+        for order in ([p - 1, 0, 3], range(p), range(p - 1, -1, -1)):
+            theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
+            gram = CoordinateDataset(theta, n, seed=0, source=RowSource(x, y))
+            order = list(order)
+            assert np.max(np.abs(gram.cols(order) - x.T @ x[:, order] / n)) <= 1e-12
+            assert np.max(np.abs(gram.xty - x.T @ y / n)) <= 1e-12 and abs(gram.yty - y @ y / n) <= 1e-12
+            assert np.max(np.abs(gram.diag - np.sum(x * x, axis=0) / n)) <= 1e-12
+        assert gram.coords.shape[0] == min(n, p + 1)  # with every column touched a p > n basis fills up
+
+    @pytest.mark.parametrize("n, p", [(20, 6), (4, 7)], ids=["p<n", "p>n"])
+    def test_law_of_the_drawn_gram(self, n, p):
+        reps = 2000
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=2.0)
+        grams, yty = [], []
+        for seed in range(reps):
+            gram = CoordinateDataset(theta, n, seed)
+            order = np.roll(np.arange(p), seed)  # touch orders differ across datasets
+            gram.cols(order)
+            grams.append(gram.cols(range(p)))
+            yty.append(gram.yty)
+            if p > n:
+                assert np.linalg.matrix_rank(grams[-1]) == n
+        grams = np.array(grams)
+        off = grams[:, ~np.eye(p, dtype=bool)]
+        se = np.where(np.eye(p, dtype=bool), math.sqrt(2.0 / n), math.sqrt(1.0 / n)) / math.sqrt(reps)
+        assert np.all(np.abs(grams.mean(axis=0) - np.eye(p)) <= 4.5 * se)  # E G = I
+        assert abs(off.var() * n - 1.0) <= 0.05  # Var G_jk = 1/n off the diagonal
+        assert stats.kstest(n * grams[:, range(p), range(p)].ravel(), stats.chi2(n).cdf).pvalue > 1e-3
+        assert stats.kstest(n * np.array(yty) / 4.0, stats.chi2(n).cdf).pvalue > 1e-3
+
+    def test_coordinate_dataset_holds_no_rows_and_forks_apart(self):
+        p = 12
+        theta = ModelParams(beta=np.eye(p)[2], sigma_cov=np.eye(p), noise_sd=1.0)
+        data = CoordinateDataset(theta, 30, 4)
+        for rows in ("x", "y"):
+            with pytest.raises(TypeError, match="no rows"):
+                getattr(data, rows)
+        fit = scaled_lasso(data)
+        formed = dict(Gram.of(data).columns)
+        first, second = data.fork(), data.fork()
+        assert scaled_lasso(first) is fit
+        cov = sample_cov(first)  # every column, read from the fork's coordinates
+        assert np.array_equal(cov, cov.T) and np.allclose(np.diag(cov), Gram.of(data).diag, rtol=1e-12, atol=0.0)
+        assert Gram.of(data).columns.keys() == formed.keys() and len(Gram.of(first).columns) == p
+        assert np.array_equal(Gram.of(second).cols(range(p)), Gram.of(first).cols(range(p)))
+        with pytest.raises(ValueError, match="identity"):
+            CoordinateDataset(ModelParams(beta=np.zeros(p), sigma_cov=2.0 * np.eye(p), noise_sd=1.0), 30, 4)
+
+
 class TestProjectionDirection:
     def radius_to_cxi(self, target, xi_vec, n):
         p = xi_vec.size
@@ -411,6 +495,15 @@ class TestProjectionDirection:
         res = projection_direction(s, xi.original(), 0.01, 10**6)
         assert not res.feasible
         assert np.allclose(res.u_hat, 0.0)
+
+    def test_fallback_is_logged(self, caplog):
+        # S_11 = 0 and |xi_1| = 1 > r: no direction meets the constraint
+        s, xi = np.diag([1.0, 0.0, 2.0]), np.array([0.5, 1.0, 0.0])
+        with caplog.at_level(logging.WARNING, logger="adaptest"):
+            res = projection_direction(s, xi, 0.5, 400)
+        assert not res.feasible
+        assert [(r.name, r.levelno) for r in caplog.records] == [("adaptest", logging.WARNING)]
+        assert "u = 0" in caplog.records[0].getMessage()
 
 
 class TestSpikedCov:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from adaptest import cli, harness, inference, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError, RegimeViolation
-from adaptest.estimators import Gram, spiked_cov_estimate
+from adaptest.estimators import CoordinateDataset, Gram, scaled_lasso, spiked_cov_estimate
 from adaptest.inference import mixed_test
 from adaptest.model import ModelParams, TestProblem as Problem, generate_dataset, make_loading, stream
 from adaptest.profiles import solve_zeta
@@ -43,6 +43,9 @@ master_seed = 4
 # The criterion-3 problem (n = 300, p = 600) with one alternative, at a size a unit test can afford.
 CRITERION3_CFG = "kind = size_power\nn = 300\np = 600\nk_u = 5\nk = 5\nt0 = 4.0\ntau_grid = 10.0\nreps = 3\nmaster_seed = 1\n"
 SUBWEIBULL = "loading = subweibull\nloading_q = 2.0\n"
+# A spiky loading: with beta on its top coordinate (k = 1) the debiased direction and the
+# mixed head read columns the fit did not, in different orders.  On SUBWEIBULL neither does.
+SPIKY = "loading = subweibull\nloading_q = 0.5\n"
 ALL_MODES = "mixed,plugin,debiased,known_sigma,spiked"
 
 BOOL_SPELLINGS = {True: ("1", "true", "yes", "on"), False: ("0", "false", "no", "off")}
@@ -337,6 +340,7 @@ class TestRunners:
             return lambda *args, seed, **kwargs: seen.append(seed) or fn(*args, seed=seed, **kwargs)
 
         monkeypatch.setattr(harness, "generate_dataset", spy(harness.generate_dataset))
+        monkeypatch.setattr(harness, "CoordinateDataset", spy(harness.CoordinateDataset))
         monkeypatch.setattr(harness, "run_single_test", spy(harness.run_single_test))
         monkeypatch.setattr(harness, "sample_nu2_prior", spy(harness.sample_nu2_prior))
         cfg = dataclasses.replace(
@@ -384,11 +388,12 @@ class TestRunners:
         for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "adaptest"]:
             if hasattr(mod, "sample_cov"):
                 monkeypatch.setattr(mod, "sample_cov", refuse)
-        formed = []
+        formed, forks, fork = [], [], CoordinateDataset.fork
+        monkeypatch.setattr(CoordinateDataset, "fork", lambda self: forks.append(fork(self)) or forks[-1])
 
         def counted(data, *args, **kwargs):
             dec = mixed_test(data, *args, **kwargs)
-            formed.append(len(Gram.of(data).columns))
+            formed.append(len(Gram.of(forks[-1]).columns))  # every column read: the fit's, then the fork's after it
             return dec
 
         monkeypatch.setattr(inference, "mixed_test", counted)
@@ -398,23 +403,36 @@ class TestRunners:
         assert max(formed) <= 32
 
     def test_debiased_mode_does_not_depend_on_the_modes_before_it(self):
-        # a dense loading, so the mixed head's direction and the debiased one touch different columns
-        cfg = parse_config(CRITERION3_CFG + SUBWEIBULL + "modes = mixed,debiased\n")
+        cfg = dataclasses.replace(parse_config(CRITERION3_CFG + SPIKY + "modes = mixed,debiased\n"), k=1)
         table = {(r.replicate, r.metric): repr(float(r.value)) for r in run_experiment(cfg)}
         xi = harness.build_loading(cfg)
         problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
         for rep in range(cfg.reps):
             seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
-            fresh, shared, primed = (generate_dataset(theta, cfg.n, seed=seed) for _ in "abc")
+            fresh, shared, primed = (harness.draw_dataset(theta, cfg.n, seed=seed) for _ in "abc")
+            assert isinstance(fresh, CoordinateDataset)  # the identity design is drawn in Gram coordinates
             alone = inference.run_single_test("debiased", fresh, problem, seed=split)
             assert repr(float(alone.interval.radius)) == table[rep, "radius/null/debiased"]
             assert repr(float(alone.reject)) == table[rep, "reject/null/debiased"]
             inference.run_single_test("mixed", shared, problem, seed=split)
             after = inference.run_single_test("debiased", shared, problem, seed=split)
             assert after == alone
-            Gram.of(primed).cols(range(cfg.p - 1, -1, -1))  # as if an earlier mode had read every column
+            # as if an earlier mode had read every column: on its own fork, taken after the shared fit
+            scaled_lasso(primed)
+            Gram.of(primed.fork()).cols(range(cfg.p - 1, -1, -1))
             assert inference.run_single_test("debiased", primed, problem, seed=split) == alone
+
+    def test_mixed_rows_do_not_depend_on_a_debiased_mode_before_them(self):
+        cfg = dataclasses.replace(parse_config(CRITERION3_CFG + SPIKY), k=1)
+
+        def mixed_rows(modes):
+            rows = run_experiment(dataclasses.replace(cfg, modes=modes))
+            return [(r.replicate, r.metric, repr(r.value), repr(r.se)) for r in rows if "mixed" in r.metric.split("/")]
+
+        alone = mixed_rows("mixed")
+        assert len(alone) == 3 * 3 + 3
+        assert mixed_rows("debiased,mixed") == alone
 
     def test_spiked_mode_splits_once(self, monkeypatch):
         p, k_u, seed = 8, 2, 9
@@ -490,6 +508,22 @@ class TestRunners:
         assert len(grid) >= 16
         assert grid[0] == 0 and grid[-1] == 50
         assert grid == sorted(set(grid))
+
+    @given(
+        text=st.sampled_from([
+            "kind = size_power\nn = 40\np = 20\nk_u = 2\nloading_k = 2\ntau_grid = 0.0,1.0\nmodes = mixed,known_sigma\n",
+            "kind = length_sweep\nn = 40\np = 20\nk_u = 2\nloading_k = 2\nm_grid = 4\n",
+            "kind = phase_diagram\np = 16\ngamma_xi_grid = 0.5\ngamma_tau_grid = 0.3,0.6\n",
+        ]),
+        master_seed=st.integers(0, 2**32 - 1),
+        reps=st.integers(1, 5),
+        threads=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_tables_do_not_depend_on_the_worker_count(self, text, master_seed, reps, threads):
+        cfg = dataclasses.replace(parse_config(text), master_seed=master_seed, reps=reps)
+        serial = rows_to_csv(run_experiment(cfg)).encode()
+        assert rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=threads))).encode() == serial
 
     def test_phase_diagram_labels_and_monotone_power(self):
         cfg = parse_config(

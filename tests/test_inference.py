@@ -1,20 +1,26 @@
+import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from adaptest import inference as inf
 from adaptest.errors import OddSampleSize
 from adaptest.estimators import (
+    CoordinateDataset,
     ScaledLassoFit,
     projection_direction,
     scaled_lasso,
     spiked_cov_estimate,
 )
 from adaptest import model
+from adaptest.harness import null_point
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
+from adaptest.profiles import example_profiles
 
 # alias keeps pytest from trying to collect the imported dataclass
 problem_of = model.TestProblem
@@ -278,6 +284,18 @@ class TestSpikedCI:
 
 
 class TestRunSingleTest:
+    def test_unconverged_lasso_is_logged(self, monkeypatch, caplog):
+        theta = ModelParams(beta=np.zeros(6), sigma_cov=np.eye(6), noise_sd=1.0)
+        problem = problem_of(xi=make_loading(np.ones(6)), t0=0.0, k_u=2, alpha=0.05, eta=0.05)
+        lasso = inf.scaled_lasso
+        monkeypatch.setattr(inf, "scaled_lasso", lambda *a, **kw: dataclasses.replace(lasso(*a, **kw), converged=False))
+        for mode in inf.TEST_MODES:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="adaptest"):
+                inf.run_single_test(mode, generate_dataset(theta, 40, 0), problem, seed=0)
+            assert [(r.name, r.levelno) for r in caplog.records] == [("adaptest", logging.WARNING)], mode
+            assert "did not converge" in caplog.records[0].getMessage()
+
     def test_unknown_mode_names_the_mode_and_the_modes(self):
         theta = ModelParams(beta=np.zeros(6), sigma_cov=np.eye(6), noise_sd=1.0)
         data = generate_dataset(theta, 40, 0)
@@ -285,3 +303,25 @@ class TestRunSingleTest:
         with pytest.raises(ValueError, match="'bogus'") as err:
             inf.run_single_test("bogus", data, problem, seed=0)
         assert all(mode in str(err.value) for mode in inf.TEST_MODES)
+
+
+def test_coordinate_datasets_match_rows_in_law():
+    """Two-sample KS tests of the scan_all_m mixed test's statistics on Gram-coordinate
+    datasets against row datasets, under the null and one alternative, at a reduced
+    criterion-3 problem (500 datasets per sampler and hypothesis).  Both points put
+    beta on three coordinates, about 1 and 2.4 each, so the lasso center varies."""
+    n, p, k_u, reps = 60, 120, 3, 500
+    xi = example_profiles("subweibull", {"q": 2.0, "p": p, "k_u": k_u}, 1)
+    problem = problem_of(xi=xi, t0=8.0, k_u=k_u, alpha=0.05, eta=0.05)
+    for offset, tau in ((0, 0.0), (reps, 12.0)):
+        theta = null_point(xi, k_u, problem.t0 + tau, p, 1.0)
+        arms = []
+        for draw, base in ((CoordinateDataset, 0), (generate_dataset, 10**6)):
+            rows = []
+            for seed in range(base + offset, base + offset + reps):
+                data = draw(theta, n, seed)
+                dec = inf.mixed_test(data, problem, scan_all_m=True)
+                rows.append((scaled_lasso(data).sigma_hat, dec.interval.radius, dec.interval.center, dec.m_used))
+            arms.append(np.array(rows))
+        for col, name in enumerate(("sigma_hat", "radius", "center", "m_used")):
+            assert stats.ks_2samp(arms[0][:, col], arms[1][:, col]).pvalue > 1e-3, (tau, name)
