@@ -34,7 +34,7 @@ class BudgetExceeded(AdaptestError):
 
 
 class OddSampleSize(AdaptestError):
-    """An even sample count is required for the data split."""
+    """An even row count is required."""
 
 
 class RegimeViolation(AdaptestError):
@@ -43,18 +43,6 @@ class RegimeViolation(AdaptestError):
 
 class DivergentIntegral(AdaptestError):
     """The pairwise Gaussian integral does not converge."""
-
-
-class NotPD(AdaptestError):
-    """Joint covariance of the paired-sample model is not positive definite."""
-
-
-class OddPairCount(AdaptestError):
-    """Pairwise reduction needs an even number of input rows."""
-
-
-class ScanBudgetExceeded(AdaptestError):
-    """Exhaustive scan would enumerate too many submatrices."""
 
 
 class ConfigError(AdaptestError):

@@ -10,9 +10,9 @@ Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
 (config digest, replicate, metric, value, se); per-replicate rows carry
 no standard error, aggregate rows (replicate -1) carry a binomial or
-delta-method one.  Replicates fan out over a thread pool, but each draw
-of a replicate has its own seed (`replicate_seed`) and aggregation reduces
-in replicate order, so tables are bit-identical for any thread count.
+sample one.  Replicates, or phase_diagram's (cell, replicate) pairs, share
+one worker pool per run; each draw has its own seed (`replicate_seed`)
+and rows reduce in order, so tables are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -48,10 +48,17 @@ _SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
 @dataclass(kw_only=True)
 class RunConfig:
     """Keys every command accepts: the seed of its random streams and the
-    output directory."""
+    output directory; k_u, reps and alpha + eta are checked where present."""
 
     master_seed: int = 0
     out: str = "."
+
+    def __post_init__(self):
+        for key in ("k_u", "reps"):
+            if getattr(self, key, 1) < 1:
+                raise ConfigError(f"{key} = {getattr(self, key)} must be at least 1")
+        if hasattr(self, "alpha") and not 0.0 < self.alpha + self.eta < 1.0:
+            raise ConfigError(f"alpha + eta = {self.alpha} + {self.eta} must lie in (0, 1)")
 
 
 @dataclass(kw_only=True)
@@ -69,6 +76,7 @@ class LoadingConfig(RunConfig):
     loading_csv: str = ""
 
     def __post_init__(self):
+        super().__post_init__()
         if self.loading_k is None and self.p is not None:
             self.loading_k = min(self.k_u, self.p)
 
@@ -222,12 +230,7 @@ class ResultRow:
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    cells = ((r.digest, r.replicate, r.metric, r.value, r.se) for r in rows)
-    return csv_text("digest,replicate,metric,value,se", cells)
-
-
-def _binomial_se(mean: float, count: int) -> float:
-    return math.sqrt(max(mean * (1.0 - mean), 0.0) / count)
+    return csv_text("digest,replicate,metric,value,se", map(dataclasses.astuple, rows))
 
 
 def build_loading(cfg: LoadingConfig) -> LoadingVector:
@@ -299,12 +302,9 @@ def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams
     j0 = int(np.flatnonzero(xi.coords)[0])
     beta_s = draw.beta.copy()
     beta_s[j0] += (t0 - draw.tau) / float(xi.coords[j0])
-    sigma_s = draw.theta.sigma_cov
-    beta = np.empty_like(beta_s)
-    beta[xi.perm] = beta_s
-    sigma = np.empty_like(sigma_s)
-    sigma[np.ix_(xi.perm, xi.perm)] = sigma_s
-    return ModelParams(beta=beta, sigma_cov=sigma, noise_sd=draw.theta.noise_sd)
+    inv = np.argsort(xi.perm)  # the sorted position of each original coordinate
+    sigma = draw.theta.sigma_cov[np.ix_(inv, inv)]
+    return ModelParams(beta=beta_s[inv], sigma_cov=sigma, noise_sd=draw.theta.noise_sd)
 
 
 _SEED_ROLES = ("null", "alt", "split", "prior")
@@ -325,18 +325,33 @@ def draw_dataset(theta: ModelParams, n: int, seed: int) -> Dataset | CoordinateD
     return generate_dataset(theta, n, seed=seed)
 
 
-def _map_replicates(worker, reps: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(i) for i in range(reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(reps)))
+def _table(cfg: ExperimentConfig, items, worker) -> list[ResultRow]:
+    """Rows of worker's (metric, replicate, value) triples per item, in item order, then one mean/
+    row per metric; items run serially, or on one pool of cfg.threads workers if above 1."""
+    if cfg.threads <= 1:
+        chunks = [worker(item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            chunks = list(pool.map(worker, items))
+    digest = config_digest(cfg)
+    rows = [ResultRow(digest, rep, metric, value) for chunk in chunks for metric, rep, value in chunk]
+    grouped: dict[str, list[float]] = {}
+    for r in rows:
+        grouped.setdefault(r.metric, []).append(r.value)
+    for metric, vals in sorted(grouped.items()):
+        mean = math.fsum(vals) / len(vals)
+        if metric.startswith("reject/"):
+            var = max(mean * (1.0 - mean), 0.0)
+        else:
+            var = math.fsum((v - mean) ** 2 for v in vals) / max(len(vals) - 1, 1)
+        rows.append(ResultRow(digest, -1, "mean/" + metric, mean, math.sqrt(var / len(vals))))
+    return rows
 
 
 def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
     """Empirical rejection rates under the null point and shifted
     alternatives, per test mode and per tau on the grid."""
     modes = cfg.mode_list()
-    digest = config_digest(cfg)
     xi = build_loading(cfg)
     taus = float_list(cfg.tau_grid)
     theta_alts = [null_point(xi, cfg.k, cfg.t0 + tau, cfg.p, cfg.noise_sd) for tau in taus]
@@ -359,32 +374,7 @@ def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
                 out.append((f"reject/alt/{mode}/tau={csv_cell(tau)}", rep, float(dec.reject)))
         return out
 
-    per_rep = _map_replicates(worker, cfg.reps, cfg.threads)
-    rows = [
-        ResultRow(digest, rep, metric, value)
-        for chunk in per_rep
-        for metric, rep, value in chunk
-    ]
-    rows.extend(_aggregate(digest, rows))
-    return rows
-
-
-def _aggregate(digest: str, rows: list[ResultRow]) -> list[ResultRow]:
-    grouped: dict[str, list[float]] = {}
-    for r in rows:
-        if r.replicate >= 0:
-            grouped.setdefault(r.metric, []).append(r.value)
-    out = []
-    for metric in sorted(grouped):
-        vals = grouped[metric]
-        mean = math.fsum(vals) / len(vals)
-        if metric.startswith("reject/"):
-            se = _binomial_se(mean, len(vals))
-        else:
-            var = math.fsum((v - mean) ** 2 for v in vals) / max(len(vals) - 1, 1)
-            se = math.sqrt(var / len(vals))
-        out.append(ResultRow(digest, -1, "mean/" + metric, mean, se))
-    return out
+    return _table(cfg, range(cfg.reps), worker)
 
 
 def m_cutoff_grid(p: int, size: int) -> list[int]:
@@ -401,7 +391,6 @@ def m_cutoff_grid(p: int, size: int) -> list[int]:
 
 def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """Realized mixed-interval radii over a grid of cutoffs m."""
-    digest = config_digest(cfg)
     xi = build_loading(cfg)
     theta = null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
     grid = m_cutoff_grid(cfg.p, cfg.m_grid)
@@ -409,16 +398,11 @@ def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     def worker(rep: int):
         data = draw_dataset(theta, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
         fit = _lasso(data, 0.0)
-        out = []
-        for m in grid:
-            ci = mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta)
-            out.append((f"radius/m={m}", rep, ci.radius))
-        return out
+        return [
+            (f"radius/m={m}", rep, mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta).radius) for m in grid
+        ]
 
-    per_rep = _map_replicates(worker, cfg.reps, cfg.threads)
-    rows = [ResultRow(digest, rep, metric, value) for chunk in per_rep for metric, rep, value in chunk]
-    rows.extend(_aggregate(digest, rows))
-    return rows
+    return _table(cfg, range(cfg.reps), worker)
 
 
 def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -427,43 +411,34 @@ def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
     Sizes follow the exponent parametrization n = p^gamma_n and
     k_u = p^gamma_u; each cell's metric name carries its phase label.
     """
-    digest = config_digest(cfg)
     p = cfg.p
     n = max(int(round(p**cfg.gamma_n)), 4)
     k_u = max(int(round(p**cfg.gamma_u)), 1)
-    g_xi = float_list(cfg.gamma_xi_grid)
-    g_tau = float_list(cfg.gamma_tau_grid)
-    rows: list[ResultRow] = []
-    for gxi in g_xi:
+    cells = []
+    for gxi in float_list(cfg.gamma_xi_grid):
         k_xi = min(max(int(round(p**gxi)), 1), p)
         xi = make_loading(np.concatenate((np.ones(k_xi), np.zeros(p - k_xi))))
-        for gtau in g_tau:
+        problem = TestProblem(xi=xi, t0=cfg.t0, k_u=k_u, alpha=cfg.alpha, eta=cfg.eta)
+        for gtau in float_list(cfg.gamma_tau_grid):
             tau = p**gtau / math.sqrt(n)
             label, _ = regular_phase(gxi, cfg.gamma_u, cfg.gamma_n, gtau)
             theta_alt = null_point(xi, min(cfg.k, k_u), cfg.t0 + tau, p, cfg.noise_sd)
-            problem = TestProblem(xi=xi, t0=cfg.t0, k_u=k_u, alpha=cfg.alpha, eta=cfg.eta)
+            cells.append((f"reject/gxi={csv_cell(gxi)}/gtau={csv_cell(gtau)}/label={label}", problem, theta_alt))
 
-            def worker(rep: int):
-                data = draw_dataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
-                dec = mixed_test(data, problem)
-                return float(dec.reject)
+    def worker(item):
+        (metric, problem, theta_alt), rep = item
+        data = draw_dataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
+        return [(metric, rep, float(mixed_test(data, problem).reject))]
 
-            vals = _map_replicates(worker, cfg.reps, cfg.threads)
-            metric = f"reject/gxi={csv_cell(gxi)}/gtau={csv_cell(gtau)}/label={label}"
-            rows.extend(ResultRow(digest, i, metric, v) for i, v in enumerate(vals))
-    rows.extend(_aggregate(digest, rows))
-    return rows
-
-
-RUNNERS = {
-    "size_power": run_size_power,
-    "length_sweep": run_length_sweep,
-    "phase_diagram": run_phase_diagram,
-}
+    return _table(cfg, [(cell, rep) for cell in cells for rep in range(cfg.reps)], worker)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    return RUNNERS[cfg.kind](cfg)
+    if cfg.kind == "size_power":
+        return run_size_power(cfg)
+    if cfg.kind == "length_sweep":
+        return run_length_sweep(cfg)
+    return run_phase_diagram(cfg)
 
 
 def plotdata_rows(rows: list[ResultRow]) -> list[tuple[str, float, float, float]]:

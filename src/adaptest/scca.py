@@ -21,7 +21,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import NotPD, OddPairCount, ScanBudgetExceeded
+from .errors import BudgetExceeded, NotPositiveDefinite, OddSampleSize
 from .model import Dataset, TestProblem, make_loading, stream
 
 STATISTICS = ("scan", "entrywise", "max_col", "max_row", "global_sum")
@@ -81,7 +81,7 @@ def gen_scca(params: SccaParams, hypothesis: str, seed: int) -> SccaInstance:
     if hypothesis not in ("null", "alt"):
         raise ValueError("hypothesis must be 'null' or 'alt'")
     if params.lam >= 1.0:
-        raise NotPD("cross-correlation lambda must be below 1")
+        raise NotPositiveDefinite("cross-correlation lambda must be below 1")
     rng = stream(seed, 0)
     p1, p2 = params.p1, params.p2
     if hypothesis == "null":
@@ -140,7 +140,7 @@ def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, inde
     if hypothesis not in ("null", "alt"):
         raise ValueError("hypothesis must be 'null' or 'alt'")
     if params.lam >= 1.0:
-        raise NotPD("cross-correlation lambda must be below 1")
+        raise NotPositiveDefinite("cross-correlation lambda must be below 1")
     rng = stream(seed, index)
     n, p1, p2 = params.n, params.p1, params.p2
     d1 = d2 = None
@@ -178,7 +178,7 @@ def scan_stat(inst: SccaInstance | np.ndarray, s: int, comb_cap: int = 10_000_00
     r = _cross(inst)
     p1, p2 = r.shape
     if math.comb(p1, s) * p2 > comb_cap:
-        raise ScanBudgetExceeded("scan enumeration exceeds the configured cap")
+        raise BudgetExceeded("scan enumeration exceeds the configured cap")
     row_sets = combinations(range(p1), s)
     block, row_set = max(1, _SCAN_BLOCK // p2), np.dtype((np.intp, s))
     best = -math.inf
@@ -293,7 +293,7 @@ def reduce_to_lt(
     if not 0.0 < c10 < 1.0:
         raise ValueError("need 0 < c10 < 1")
     if inst.rows % 2 != 0:
-        raise OddPairCount("reduction consumes rows two at a time")
+        raise OddSampleSize("reduction consumes rows two at a time")
     rng = stream(seed, 0)
     p6, p7 = inst.params.p1, inst.params.p2
     s = inst.params.s

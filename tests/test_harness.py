@@ -55,6 +55,13 @@ BY_TYPE = {
     "bool": st.booleans(),
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
+# Keys whose domain is narrower than their type's: k_u, reps >= 1 and alpha + eta in (0, 1).
+IN_DOMAIN = {
+    "k_u": st.integers(1, 2**63),
+    "reps": st.integers(1, 2**63),
+    "alpha": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    "eta": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+}
 
 
 MODE_LISTS = st.lists(st.sampled_from(inference.TEST_MODES), min_size=1, unique=True).map(",".join)
@@ -63,10 +70,14 @@ MODE_LISTS = st.lists(st.sampled_from(inference.TEST_MODES), min_size=1, unique=
 @st.composite
 def experiment_configs(draw):
     """An ExperimentConfig whose tag keys take allowed values, whose modes
-    name test modes (scan_all_m and eta at their defaults without mixed) and
-    whose keys the tags do not read keep their defaults."""
+    name test modes (scan_all_m and eta at their defaults without mixed),
+    whose bounded keys lie in their domain and whose keys the tags do not
+    read keep their defaults."""
     values = {
-        f.name: draw(st.sampled_from(f.metadata["choices"]) if f.metadata.get("choices") else BY_TYPE[f.type])
+        f.name: draw(
+            st.sampled_from(f.metadata["choices"]) if f.metadata.get("choices")
+            else IN_DOMAIN.get(f.name, BY_TYPE[f.type])
+        )
         for f in dataclasses.fields(ExperimentConfig)
     }
     values["modes"] = draw(MODE_LISTS)
@@ -248,8 +259,9 @@ class TestConfig:
         assert sum(b is None or b[0] in ("loading", "loading_csv") for b in blockers) == count
 
     def test_mode_specific_keys_need_mixed(self):
-        base = "modes = plugin,debiased\nreps = 0\n"
-        assert run_experiment(parse_config(base + "eta = 0.05\n")) == []
+        base = "modes = plugin,debiased\nreps = 1\n"
+        rows = run_experiment(parse_config(base + "eta = 0.05\n"))
+        assert {"mean/reject/null/plugin", "mean/reject/null/debiased"} <= {r.metric for r in rows}
         for extra in ("scan_all_m = 1\n", "eta = 0.1\n"):
             with pytest.raises(ConfigError, match="modes includes mixed"):
                 run_experiment(parse_config(base + extra))
@@ -271,9 +283,9 @@ class TestConfig:
 
 
 class TestRunners:
-    def test_zero_replicates_empty_table(self):
-        cfg = dataclasses.replace(parse_config(SIZE_CFG), reps=0)
-        assert run_experiment(cfg) == []
+    def test_zero_replicates_rejected(self):
+        with pytest.raises(ConfigError, match="reps = 0 must be at least 1"):
+            dataclasses.replace(parse_config(SIZE_CFG), reps=0)
 
     def test_thread_count_invariance(self):
         cfg = parse_config(SIZE_CFG)
@@ -525,6 +537,19 @@ class TestRunners:
         serial = rows_to_csv(run_experiment(cfg)).encode()
         assert rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=threads))).encode() == serial
 
+    @pytest.mark.parametrize(
+        "text",
+        ["kind = phase_diagram\np = 16\n", "kind = length_sweep\nn = 40\np = 20\nk_u = 2\nm_grid = 4\n"],
+        ids=["phase_diagram", "length_sweep"],
+    )
+    def test_one_worker_pool_per_run(self, text, monkeypatch):
+        # the phase diagram's default 3 x 3 grid runs all its (cell, replicate) pairs on one pool
+        pools, pool = [], harness.ThreadPoolExecutor
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", lambda *a, **kw: pools.append(pool(*a, **kw)) or pools[-1])
+        rows = run_experiment(parse_config(text + "reps = 2\nthreads = 2\n"))
+        assert len(pools) == 1 and len([r for r in rows if r.replicate >= 0]) >= 2 * 4
+        assert rows == run_experiment(parse_config(text + "reps = 2\n")) and len(pools) == 1  # serial: no pool
+
     def test_phase_diagram_labels_and_monotone_power(self):
         cfg = parse_config(
             "kind = phase_diagram\np = 64\nreps = 30\nk = 2\n"
@@ -759,6 +784,32 @@ class TestCli:
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
         assert not list(tmp_path.glob(f"{command}_*"))
+
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("simulate", BASE["simulate"] + "alpha = 0.96\n", "alpha + eta"),
+            ("simulate", BASE["simulate"] + "alpha = 0.0\neta = 0.0\n", "alpha + eta"),
+            ("simulate", "kind = length_sweep\n" + BASE["simulate"] + "alpha = 0.99\n", "alpha + eta"),
+            ("test", BASE["test"] + "alpha = 0.5\neta = 0.5\n", "alpha + eta"),
+            ("scca", "mode = reduce\n" + BASE["scca"] + "alpha = 0.96\n", "alpha + eta"),
+            ("simulate", BASE["simulate"] + "k_u = 0\n", "k_u"),
+            ("test", BASE["test"].replace("k_u = 3", "k_u = 0"), "k_u"),
+            ("profile", BASE["profile"].replace("k_u = 4", "k_u = 0"), "k_u"),
+            ("simulate", "p = 40\nreps = 0\n", "reps"),
+            ("simulate", "p = 40\nreps = -3\n", "reps"),
+            ("scca", "mode = sweep\n" + BASE["scca"] + "reps = 0\n", "reps"),
+        ],
+        ids=[
+            "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
+            "simulate-k_u", "test-k_u", "profile-k_u", "simulate-reps-0", "simulate-reps-negative", "scca-reps",
+        ],
+    )
+    def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):
+        cfg = self._write(tmp_path, text)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key} = " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_scca_size_out_of_range_is_config_error(self, tmp_path, capsys):
         cfg = self._write(tmp_path, "mode = stats\nn = 10\ns = 5\np1 = 2\np2 = 2\n")

@@ -10,7 +10,7 @@ from scipy.stats import ks_2samp
 
 from adaptest import scca
 from adaptest.cli import main as cli_main
-from adaptest.errors import NotPD, OddPairCount, ScanBudgetExceeded
+from adaptest.errors import BudgetExceeded, NotPositiveDefinite, OddSampleSize
 from adaptest.inference import mixed_test
 from adaptest.model import stream
 
@@ -43,13 +43,13 @@ class TestStatistics:
 
     def test_scan_budget(self):
         inst = FakeInstance(np.zeros((30, 30)))
-        with pytest.raises(ScanBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             scca.scan_stat(inst, 10, comb_cap=1000)
 
 
 class TestGeneration:
     def test_not_pd(self):
-        with pytest.raises(NotPD):
+        with pytest.raises(NotPositiveDefinite):
             scca.gen_scca(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=1.0), "alt", 0)
 
     def test_null_cross_covariance_envelope(self):
@@ -117,7 +117,7 @@ class TestReduction:
     def test_odd_pair_count(self):
         params = scca.SccaParams(n=11, s=1, p1=2, p2=3, lam=0.0)
         inst = scca.gen_scca(params, "null", 0)
-        with pytest.raises(OddPairCount):
+        with pytest.raises(OddSampleSize):
             scca.reduce_to_lt(inst, 1.0, 0.1, 0.0, 0)
 
     def test_null_moments(self):
@@ -244,7 +244,7 @@ class TestSharedCrossCovariance:
         # C(10, 5) * 200 = 50,400 column sums; C(10, 5) * C(200, 5) = 6.4e11 supports
         r = np.random.default_rng(11).standard_normal((10, 200))
         assert scca.scan_stat(r, 5) == _scan_by_loop(r, 5)
-        with pytest.raises(ScanBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             scca.scan_stat(r, 5, comb_cap=math.comb(10, 5) * 200 - 1)
 
     @pytest.mark.parametrize("s", [2, 9])
@@ -359,7 +359,7 @@ class TestExactLawSampler:
             assert np.array_equal(planted[0], planted[2]) and np.array_equal(planted[1], planted[3])
 
     def test_same_checks_as_gen_scca(self):
-        with pytest.raises(NotPD):
+        with pytest.raises(NotPositiveDefinite):
             scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=1.0), "alt", 0)
         with pytest.raises(ValueError):
             scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=0.1), "planted", 0)
