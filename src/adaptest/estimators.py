@@ -347,7 +347,8 @@ def projection_direction(
     a fresh product S u; if it fails (a coordinate with S_jj = 0 and
     |xi_j| > r can never meet it) or the budget of 5000 coordinate-descent
     passes runs out, the zero-direction fallback is returned with
-    feasible = False and a WARNING on the adaptest logger.
+    feasible = False and a WARNING on the adaptest logger.  When r >= ||xi||_inf,
+    u = 0 is instead the exact optimum: feasible, objective 0, no pass, no WARNING.
     """
     p, gram = xi_vec.size, Gram.of(src)
     norm2 = float(np.linalg.norm(xi_vec))

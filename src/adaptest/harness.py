@@ -48,17 +48,19 @@ _SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
 @dataclass(kw_only=True)
 class RunConfig:
     """Keys every command accepts: the seed of its random streams and the
-    output directory; k_u, reps and alpha + eta are checked where present."""
+    output directory; the counts, level and alpha + eta are checked where present."""
 
     master_seed: int = 0
     out: str = "."
 
     def __post_init__(self):
-        for key in ("k_u", "reps"):
+        for key in ("k_u", "reps", "threads", "draws", "pairs", "calib_reps"):
             if getattr(self, key, 1) < 1:
                 raise ConfigError(f"{key} = {getattr(self, key)} must be at least 1")
         if hasattr(self, "alpha") and not 0.0 < self.alpha + self.eta < 1.0:
             raise ConfigError(f"alpha + eta = {self.alpha} + {self.eta} must lie in (0, 1)")
+        if not 0.0 < getattr(self, "level", 0.5) < 1.0:
+            raise ConfigError(f"level = {self.level} must lie in (0, 1)")
 
 
 @dataclass(kw_only=True)

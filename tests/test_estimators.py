@@ -22,6 +22,7 @@ from adaptest.estimators import (
     spiked_cov_estimate,
 )
 from adaptest.model import Dataset, ModelParams, generate_dataset, make_loading, stream
+from adaptest.profiles import cutoff_and_regime, example_profiles
 
 
 def orthonormal_design(n, p, seed):
@@ -495,6 +496,21 @@ class TestProjectionDirection:
         res = projection_direction(s, xi.original(), 0.01, 10**6)
         assert not res.feasible
         assert np.allclose(res.u_hat, 0.0)
+
+    def test_zero_direction_can_be_the_exact_optimum(self, caplog):
+        # the criterion-3 sub-Weibull loading's m_star head: r >= ||head||_inf, so u = 0
+        # is feasible with objective 0 and is returned as the optimum, not as the fallback
+        n, p, k_u = 300, 600, 5
+        xi = example_profiles("subweibull", {"q": 2.0, "p": p}, 3)
+        head, _ = xi.split(cutoff_and_regime(k_u, n, p)[0])
+        assert self.radius(2.0, head, n) >= np.max(np.abs(head))
+        data = CoordinateDataset(ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=1.0), n, 3)
+        formed = len(data.columns)
+        with caplog.at_level(logging.WARNING, logger="adaptest"):
+            res = projection_direction(data, head, 2.0, n)
+        assert res.feasible and res.objective == 0.0 and np.all(res.u_hat == 0.0)
+        assert len(data.columns) == formed  # no coordinate-descent pass read a column
+        assert caplog.records == []
 
     def test_fallback_is_logged(self, caplog):
         # S_11 = 0 and |xi_1| = 1 > r: no direction meets the constraint

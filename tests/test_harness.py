@@ -55,10 +55,11 @@ BY_TYPE = {
     "bool": st.booleans(),
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
-# Keys whose domain is narrower than their type's: k_u, reps >= 1 and alpha + eta in (0, 1).
+# Keys whose domain is narrower than their type's: k_u, reps, threads >= 1 and alpha + eta in (0, 1).
 IN_DOMAIN = {
     "k_u": st.integers(1, 2**63),
     "reps": st.integers(1, 2**63),
+    "threads": st.integers(1, 2**63),
     "alpha": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     "eta": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
 }
@@ -799,10 +800,19 @@ class TestCli:
             ("simulate", "p = 40\nreps = 0\n", "reps"),
             ("simulate", "p = 40\nreps = -3\n", "reps"),
             ("scca", "mode = sweep\n" + BASE["scca"] + "reps = 0\n", "reps"),
+            ("scca", "mode = sweep\n" + BASE["scca"] + "calib_reps = 0\n", "calib_reps"),
+            ("scca", "mode = sweep\n" + BASE["scca"] + "level = 1.5\n", "level"),
+            ("scca", "mode = sweep\n" + BASE["scca"] + "level = 0.0\n", "level"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "pairs = 0\n", "pairs"),
+            ("prior", "kind = nu2\n" + BASE["prior"].replace("draws = 2", "draws = 0"), "draws"),
+            ("simulate", BASE["simulate"] + "threads = -3\n", "threads"),
+            ("simulate", BASE["simulate"] + "threads = 0\n", "threads"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
             "simulate-k_u", "test-k_u", "profile-k_u", "simulate-reps-0", "simulate-reps-negative", "scca-reps",
+            "scca-calib_reps", "scca-level-above-one", "scca-level-zero", "lowdeg-pairs", "prior-draws",
+            "simulate-threads-negative", "simulate-threads-0",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):

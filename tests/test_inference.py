@@ -18,7 +18,7 @@ from adaptest.estimators import (
     spiked_cov_estimate,
 )
 from adaptest import model
-from adaptest.harness import null_point
+from adaptest.harness import draw_dataset, null_point
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
 from adaptest.profiles import example_profiles
 
@@ -149,6 +149,67 @@ class TestMixedCI:
             d2 = inf.mixed_test(data, problem_of(xi=xi2, t0=2 * t0, k_u=4, alpha=0.05, eta=0.05))
             assert d1.reject == d2.reject
             assert d2.interval.radius == pytest.approx(2 * d1.interval.radius, rel=1e-9)
+
+
+@st.composite
+def scan_cases(draw):
+    """(problem, theta, n, seed) over sizes, seeds, null and alternative, and the
+    three example loadings: regular with a small loading_k, multiscale and sub-Weibull."""
+    n, p, seed = draw(st.integers(20, 200)), draw(st.integers(6, 120)), draw(st.integers(0, 10**6))
+    k_u = min(draw(st.integers(1, 10)), p)
+    kind = draw(st.sampled_from(["regular", "multiscale", "subweibull"]))
+    params = {
+        "K": draw(st.integers(1, 5)), "a": 1.0, "k_u": k_u, "p": p,
+        "L": 2 if 8 <= k_u and 5 * k_u <= p else 1, "q": draw(st.sampled_from([0.5, 1.0, 2.0])),
+    }
+    xi = example_profiles(kind, params, seed)
+    problem = problem_of(xi=xi, t0=0.0, k_u=k_u, alpha=0.05, eta=0.05)
+    return problem, null_point(xi, k_u, draw(st.sampled_from([0.0, 3.0])), p, 1.0), n, seed
+
+
+class TestScanAllM:
+    """The scan stops early, yet picks what the exhaustive scan over the whole grid picks."""
+
+    @staticmethod
+    def exhaustive(data, problem):
+        fit, view = scaled_lasso(data), data.fork()
+        cis = [(m, inf.mixed_ci(view, fit, problem.xi, m, problem.k_u, problem.alpha, problem.eta))
+               for m in inf._log_grid(data.p, 32)]
+        return fit, cis, min(cis, key=lambda pair: pair[1].radius)
+
+    @given(case=scan_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_exhaustive_scan(self, case):
+        problem, theta, n, seed = case
+        for draw in (CoordinateDataset, generate_dataset):
+            data = draw(theta, n, seed)
+            dec = inf.mixed_test(data, problem, scan_all_m=True)
+            _, _, (m, ci) = self.exhaustive(data, problem)
+            assert (dec.m_used, dec.interval.center, dec.interval.radius) == (m, ci.center, ci.radius), draw
+            assert dec.interval.budget == ci.budget
+
+    @given(case=scan_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_floor_bounds_every_radius(self, case):
+        problem, theta, n, seed = case
+        data = CoordinateDataset(theta, n, seed)
+        fit, cis, _ = self.exhaustive(data, problem)
+        floors = inf.radius_floors(problem.xi, [m for m, _ in cis], fit.sigma_hat, problem.k_u, n)
+        # where u = 0 the floor is the radius itself, summed in another order
+        assert np.all(floors <= np.array([ci.radius for _, ci in cis]) * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("loading, most", [({"q": 2.0}, 1), ({"K": 5, "a": 1.0}, 6)], ids=["subweibull", "regular"])
+    def test_solves_few_cutoffs(self, monkeypatch, loading, most):
+        # the exhaustive scan builds 28 intervals on the sub-Weibull loading and 24 on the regular one
+        n, p, k_u = 300, 600, 5
+        mixed_ci, calls = inf.mixed_ci, []
+        monkeypatch.setattr(inf, "mixed_ci", lambda *a: calls.append(a[3]) or mixed_ci(*a))
+        for seed in range(3):
+            xi = example_profiles("subweibull" if "q" in loading else "regular", {**loading, "p": p}, seed)
+            problem = problem_of(xi=xi, t0=4.0, k_u=k_u, alpha=0.05, eta=0.05)
+            calls.clear()
+            inf.mixed_test(draw_dataset(null_point(xi, 5, 4.0, p, 1.0), n, seed), problem, scan_all_m=True)
+            assert 1 <= len(calls) <= most, calls
 
 
 class TestKnownSigmaCI:
