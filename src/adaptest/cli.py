@@ -29,14 +29,8 @@ from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, 
 from .inference import TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import JointCovariance, TestProblem, csv_text, dataset_from_csv, dataset_to_csv
-from .priors import (
-    chi2_mixture_mc,
-    chi2_pair_closed_form,
-    sample_comp_prior,
-    sample_nu1_prior,
-    sample_nu2_prior,
-    valid_draws,
-)
+from .priors import chi2_mixture_mc, chi2_pair_closed_form, sample_comp_prior, sample_nu1_prior, sample_nu2_prior
+from .priors import valid_draws
 
 
 @dataclass(kw_only=True)

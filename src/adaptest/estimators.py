@@ -159,10 +159,13 @@ class CoordinateDataset(Gram):
         return self.coords.T @ self.coords[:, j] / self.n
 
     def fork(self) -> "CoordinateDataset":
-        """A copy whose later reads leave this one as it is.  It shares the
-        memoised fits and halves; `inference` reads a half through its own fork."""
-        out = copy.copy(self)
-        out.columns, out.source, out.memo = dict(self.columns), copy.deepcopy(self.source), dict(self.memo)
+        """A copy whose later reads leave this one as it is: its own column dict
+        and memo, and a shallow copy of the source with its own rho and generator
+        state, all a draw changes.  It shares the memoised fits and halves;
+        `inference` reads a half through its own fork."""
+        out, source = copy.copy(self), copy.copy(self.source)
+        source.rho, source.rng = source.rho.copy(), np.random.Generator(copy.copy(source.rng.bit_generator))
+        out.columns, out.source, out.memo = dict(self.columns), source, dict(self.memo)
         return out
 
 

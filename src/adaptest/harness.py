@@ -48,7 +48,7 @@ _SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
 @dataclass(kw_only=True)
 class RunConfig:
     """Keys every command accepts: the seed of its random streams and the
-    output directory; the counts, level and alpha + eta are checked where present."""
+    output directory; the counts, level, alpha, eta and alpha + eta are checked where present."""
 
     master_seed: int = 0
     out: str = "."
@@ -59,8 +59,9 @@ class RunConfig:
                 raise ConfigError(f"{key} = {getattr(self, key)} must be at least 1")
         if hasattr(self, "alpha") and not 0.0 < self.alpha + self.eta < 1.0:
             raise ConfigError(f"alpha + eta = {self.alpha} + {self.eta} must lie in (0, 1)")
-        if not 0.0 < getattr(self, "level", 0.5) < 1.0:
-            raise ConfigError(f"level = {self.level} must lie in (0, 1)")
+        for key in ("alpha", "eta", "level"):
+            if not 0.0 < getattr(self, key, 0.5) < 1.0:
+                raise ConfigError(f"{key} = {getattr(self, key)} must lie in (0, 1)")
 
 
 @dataclass(kw_only=True)
@@ -114,6 +115,13 @@ class ExperimentConfig(LoadingConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.n < 2:
+            raise ConfigError(f"n = {self.n} must be at least 2")
+        if not 0.0 < self.noise_sd < math.inf:
+            raise ConfigError(f"noise_sd = {self.noise_sd} must be positive and finite")
+        for key in ("t0", "tau_grid"):
+            if not all(map(math.isfinite, float_list(str(getattr(self, key))))):
+                raise ConfigError(f"{key} = {getattr(self, key)} must be finite")
         if self.kind == "size_power":
             self.mode_list()  # so parse_config rejects a bad modes entry before any work
 
@@ -263,15 +271,15 @@ def build_loading(cfg: LoadingConfig) -> LoadingVector:
 
 
 def null_point(xi: LoadingVector, k: int, target: float, p: int, noise_sd: float) -> ModelParams:
-    """Model point with support on the k largest loading coordinates and
-    xi'beta equal to target exactly (beta = 0 when target = 0)."""
+    """Identity-design model point (sigma_cov None) with support on the k largest
+    loading coordinates and xi'beta equal to target exactly (beta = 0 when target = 0)."""
     beta = np.zeros(p)
     if target != 0.0:
         denom = float(np.sum(xi.coords[:k]))
         if denom == 0.0:
             raise ConfigError("loading has no mass on the first k coordinates")
         beta[xi.perm[:k]] = target / denom
-    return ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=noise_sd)
+    return ModelParams(beta=beta, sigma_cov=None, noise_sd=noise_sd)
 
 
 def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> ModelParams:
@@ -299,14 +307,14 @@ def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams
 
     Prior draws live in the magnitude-sorted coordinate system; the
     result is permuted back to original coordinates so it can feed the
-    estimators directly.
+    estimators directly.  An identity-design draw (split 0) gets sigma_cov None.
     """
     j0 = int(np.flatnonzero(xi.coords)[0])
     beta_s = draw.beta.copy()
     beta_s[j0] += (t0 - draw.tau) / float(xi.coords[j0])
     inv = np.argsort(xi.perm)  # the sorted position of each original coordinate
-    sigma = draw.theta.sigma_cov[np.ix_(inv, inv)]
-    return ModelParams(beta=beta_s[inv], sigma_cov=sigma, noise_sd=draw.theta.noise_sd)
+    sigma = draw.theta.sigma_cov[np.ix_(inv, inv)] if draw.split else None
+    return ModelParams(beta=beta_s[inv], sigma_cov=sigma, noise_sd=draw.noise_sd)
 
 
 _SEED_ROLES = ("null", "alt", "split", "prior")

@@ -24,15 +24,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import OddSampleSize
-from .estimators import (
-    CoordinateDataset,
-    Gram,
-    ProjectionResult,
-    ScaledLassoFit,
-    projection_direction,
-    scaled_lasso,
-    spiked_cov_estimate,
-)
+from .estimators import CoordinateDataset, Gram, ProjectionResult, ScaledLassoFit, projection_direction, scaled_lasso
+from .estimators import spiked_cov_estimate
 from .model import Dataset, LoadingVector, TestProblem, stream
 from .profiles import cutoff_and_regime, top_norm
 

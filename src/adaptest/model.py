@@ -92,11 +92,11 @@ def make_loading(raw) -> LoadingVector:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One model point theta = (beta, Sigma, sigma); the parameter space's
-    regularity bounds are the module constants M1 and M2."""
+    """One model point theta = (beta, Sigma, sigma), sigma_cov None meaning Sigma = I, not
+    stored (`simulate`'s points); the regularity bounds are the module constants M1 and M2."""
 
     beta: np.ndarray
-    sigma_cov: np.ndarray
+    sigma_cov: np.ndarray | None
     noise_sd: float
 
     @property
@@ -104,15 +104,16 @@ class ModelParams:
         return self.beta.size
 
     @functools.cached_property
-    def design_factor(self) -> np.ndarray:
+    def design_factor(self) -> np.ndarray | None:
         """Lower Cholesky factor of sigma_cov, computed once per model point.
 
-        The identity is its own factor, so identity designs share their
-        covariance array instead of holding a second copy.  A factor that
-        fails is retried once with a 1e-12 relative diagonal jitter.
+        The identity is its own factor: for None, or a p x p array equal to
+        np.eye(p) (p nonzero entries, all on a diagonal of exact ones; told
+        without building eye), this is sigma_cov itself.  A factor that fails
+        is retried once with a 1e-12 relative diagonal jitter.
         """
         sigma = self.sigma_cov
-        if np.array_equal(sigma, np.eye(self.p)):
+        if sigma is None or np.count_nonzero(sigma) == self.p == np.count_nonzero(sigma.diagonal() == 1.0):
             return sigma
         try:
             return np.linalg.cholesky(sigma)
@@ -202,14 +203,15 @@ def h_map(jc: JointCovariance) -> ModelParams:
 
 
 def h_inv(theta: ModelParams) -> JointCovariance:
-    """Joint covariance of (y, x) induced by theta."""
+    """Joint covariance of (y, x) induced by theta (sigma_cov None is the identity)."""
     p = theta.p
-    sb = theta.sigma_cov @ theta.beta
+    sigma = np.eye(p) if theta.sigma_cov is None else theta.sigma_cov
+    sb = sigma @ theta.beta
     sz = np.empty((p + 1, p + 1))
     sz[0, 0] = float(theta.beta @ sb) + theta.noise_sd**2
     sz[0, 1:] = sb
     sz[1:, 0] = sb
-    sz[1:, 1:] = theta.sigma_cov
+    sz[1:, 1:] = sigma
     return JointCovariance(sigma_z=sz)
 
 
@@ -218,10 +220,10 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
 
     Bit-reproducible for fixed (seed, n, p): the design is drawn first,
     then the noise, from a single counter-based stream.  The Cholesky
-    factor of Sigma is theta's cached design_factor; an identity design
-    (whose factor is sigma_cov itself) uses the draw as it is.  `simulate`
-    draws rows only for its nu2 nulls (identity designs are drawn as their
-    Gram, `harness.draw_dataset`); the tests use rows as the oracle.
+    factor of Sigma is theta's cached design_factor; an identity design (None
+    or eye, its own factor) uses the draw as it is.  `simulate` draws rows only
+    for its nu2 nulls (identity designs are drawn as their Gram,
+    `harness.draw_dataset`); the tests use rows as the oracle.
     """
     if n < 1:
         raise ValueError("need at least one sample")

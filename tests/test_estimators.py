@@ -415,6 +415,23 @@ class TestCoordinateDataset:
             CoordinateDataset(ModelParams(beta=np.zeros(p), sigma_cov=2.0 * np.eye(p), noise_sd=1.0), 30, 4)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([8, 30]), st.integers(0, 2**32),
+        st.lists(st.integers(0, 11), max_size=4), st.lists(st.integers(0, 11), min_size=1, max_size=12),
+    )
+    def test_fork_reads_what_the_original_would_and_leaves_it_alone(self, n, seed, before, read):
+        theta = ModelParams(beta=np.eye(12)[2], sigma_cov=None, noise_sd=1.0)
+        data = CoordinateDataset(theta, n, seed)
+        data.cols(before)
+        fork = data.fork()
+        state = (data.coords.copy(), data.source.rho.copy(), repr(data.source.rng.bit_generator.state))
+        got = Gram.of(fork).cols(read)
+        assert np.array_equal(data.coords, state[0]) and np.array_equal(data.source.rho, state[1])
+        assert repr(data.source.rng.bit_generator.state) == state[2]
+        assert np.array_equal(got, data.cols(read))
+
+
 class TestProjectionDirection:
     def radius_to_cxi(self, target, xi_vec, n):
         p = xi_vec.size

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -55,13 +56,19 @@ BY_TYPE = {
     "bool": st.booleans(),
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
-# Keys whose domain is narrower than their type's: k_u, reps, threads >= 1 and alpha + eta in (0, 1).
+# Keys whose domain is narrower than their type's: k_u, reps, threads >= 1, n >= 2, alpha + eta
+# in (0, 1), noise_sd positive and finite, and t0 and the tau_grid entries finite.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 IN_DOMAIN = {
     "k_u": st.integers(1, 2**63),
     "reps": st.integers(1, 2**63),
     "threads": st.integers(1, 2**63),
+    "n": st.integers(2, 2**63),
     "alpha": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     "eta": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    "noise_sd": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "t0": FINITE,
+    "tau_grid": st.lists(FINITE, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
 }
 
 
@@ -283,7 +290,38 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
+# A small simulate table per null source, with one alternative, three modes and the cutoff scan.
+GOLDEN_CFG = (
+    "n = 60\np = 20\nk_u = 2\nk = 2\nreps = 3\nt0 = 0.5\ntau_grid = 1.5\n"
+    "modes = mixed,debiased,known_sigma\nscan_all_m = 1\nmaster_seed = 7\n"
+)
+GOLDEN_SHA256 = {
+    "point": "e05200147b3e15c7cbe8fa28b48d02f0c12a94d03ab08d61989063c3efe8c8f6",
+    "nu1": "657871e0806c2129608ad04ebd1f37daf0a7bb10e26fb1a6eeb52e16cba1e966",
+}
+
+
 class TestRunners:
+    @pytest.mark.parametrize("null_source", sorted(GOLDEN_SHA256))
+    def test_golden_table(self, null_source):
+        # Pinned with numpy 2.4 on OpenBLAS; a refactor that keeps the sampler keeps these bytes.
+        text = rows_to_csv(run_experiment(parse_config(GOLDEN_CFG + f"null_source = {null_source}\n")))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[null_source]
+
+    def test_null_point_stores_no_identity(self):
+        xi = make_loading(np.arange(6.0, 0.0, -1.0))
+        theta = harness.null_point(xi, 2, 1.5, 6, 1.0)
+        assert theta.sigma_cov is None and theta.design_factor is None
+        assert isinstance(harness.draw_dataset(theta, 30, seed=2), CoordinateDataset)
+        assert float(xi.original() @ theta.beta) == 1.5
+
+    def test_identity_prior_null_stores_no_identity(self):
+        cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu1", k_u=8, loading_k=30, p=60, n=150)
+        xi = harness.build_loading(cfg)
+        for rep in range(3):
+            theta = harness.null_draw_theta(cfg, xi, rep)
+            assert theta.sigma_cov is None and float(xi.original() @ theta.beta) == pytest.approx(cfg.t0, abs=1e-12)
+
     def test_zero_replicates_rejected(self):
         with pytest.raises(ConfigError, match="reps = 0 must be at least 1"):
             dataclasses.replace(parse_config(SIZE_CFG), reps=0)
@@ -807,12 +845,26 @@ class TestCli:
             ("prior", "kind = nu2\n" + BASE["prior"].replace("draws = 2", "draws = 0"), "draws"),
             ("simulate", BASE["simulate"] + "threads = -3\n", "threads"),
             ("simulate", BASE["simulate"] + "threads = 0\n", "threads"),
+            ("simulate", BASE["simulate"] + "eta = -0.01\n", "eta"),
+            ("simulate", BASE["simulate"] + "alpha = -0.01\n", "alpha"),
+            ("test", BASE["test"] + "alpha = -0.01\n", "alpha"),
+            ("simulate", BASE["simulate"] + "n = 1\n", "n"),
+            ("simulate", BASE["simulate"] + "noise_sd = -1\n", "noise_sd"),
+            ("simulate", BASE["simulate"] + "noise_sd = 0\n", "noise_sd"),
+            ("simulate", BASE["simulate"] + "noise_sd = inf\n", "noise_sd"),
+            ("simulate", BASE["simulate"] + "t0 = inf\n", "t0"),
+            ("simulate", BASE["simulate"] + "t0 = nan\n", "t0"),
+            ("simulate", BASE["simulate"] + "tau_grid = 0.0,inf\n", "tau_grid"),
+            ("simulate", BASE["simulate"] + "tau_grid = nan\n", "tau_grid"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
             "simulate-k_u", "test-k_u", "profile-k_u", "simulate-reps-0", "simulate-reps-negative", "scca-reps",
             "scca-calib_reps", "scca-level-above-one", "scca-level-zero", "lowdeg-pairs", "prior-draws",
-            "simulate-threads-negative", "simulate-threads-0",
+            "simulate-threads-negative", "simulate-threads-0", "simulate-eta-negative", "simulate-alpha-negative",
+            "test-alpha-negative", "simulate-n-1", "simulate-noise_sd-negative", "simulate-noise_sd-0",
+            "simulate-noise_sd-inf", "simulate-t0-inf", "simulate-t0-nan", "simulate-tau_grid-inf",
+            "simulate-tau_grid-nan",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):

@@ -1,9 +1,11 @@
+import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -54,6 +56,29 @@ def assert_same_values(a: np.ndarray, b: np.ndarray):
     assert a.shape == b.shape
     assert np.array_equal(a, b, equal_nan=True)
     assert np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
+
+
+ONE_ULP = [float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0))]
+# entries that sit next to the identity's: signed zeros, 1 +- 1 ulp, tiny and non-finite values
+NEAR_IDENTITY_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, *ONE_ULP, 5e-324, -5e-324, 1e-300, math.nan, math.inf]), st.floats()
+)
+
+
+@st.composite
+def near_identities(draw):
+    """np.eye(p) with up to three entries overwritten, on or off the diagonal."""
+    p = draw(st.integers(1, 5))
+    sigma = np.eye(p)
+    for _ in range(draw(st.integers(0, 3))):
+        sigma[draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))] = draw(NEAR_IDENTITY_ENTRY)
+    return sigma
+
+
+def _with_entry(p, i, j, value):
+    sigma = np.eye(p)
+    sigma[i, j] = value
+    return sigma
 
 
 class TestMakeLoading:
@@ -109,6 +134,11 @@ class TestHMap:
         theta = ModelParams(beta=np.array([1.0]), sigma_cov=np.array([[1.0]]), noise_sd=1.0)
         assert np.allclose(h_inv(theta).sigma_z, [[2.0, 1.0], [1.0, 1.0]])
 
+    def test_h_inv_of_an_unstored_identity(self):
+        beta = np.array([0.5, 0.0, -2.0])
+        explicit = h_inv(ModelParams(beta=beta, sigma_cov=np.eye(3), noise_sd=0.7)).sigma_z
+        assert np.array_equal(h_inv(ModelParams(beta=beta, sigma_cov=None, noise_sd=0.7)).sigma_z, explicit)
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -122,6 +152,33 @@ class TestHMap:
         sz = np.array([[0.5, 1.0], [1.0, 1.0]])  # Schur = 0.5 - 1 < 0
         with pytest.raises(NotPositiveDefinite):
             h_map(JointCovariance(sigma_z=sz))
+
+
+class TestDesignFactor:
+    @settings(max_examples=300, deadline=None)
+    @given(near_identities())
+    @example(_with_entry(3, 0, 1, -0.0))
+    @example(_with_entry(3, 2, 0, math.nan))
+    @example(_with_entry(3, 1, 1, math.nan))
+    @example(_with_entry(3, 1, 1, ONE_ULP[0]))
+    @example(_with_entry(3, 0, 0, ONE_ULP[1]))
+    @example(_with_entry(3, 0, 2, 5e-324))
+    @example(_with_entry(3, 1, 0, -1e-300))
+    def test_identity_is_its_own_factor_exactly_when_equal_to_eye(self, sigma):
+        theta = ModelParams(beta=np.zeros(sigma.shape[0]), sigma_cov=sigma, noise_sd=1.0)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # a non-finite or indefinite sigma may warn or fail to factor
+            try:
+                shared = theta.design_factor is sigma
+            except CholeskyFailure:
+                shared = False
+        assert shared == np.array_equal(sigma, np.eye(sigma.shape[0]))
+
+    def test_unstored_identity_is_its_own_factor(self):
+        theta = ModelParams(beta=np.ones(4), sigma_cov=None, noise_sd=1.0)
+        assert theta.design_factor is None
+        x = generate_dataset(theta, 20, seed=3).x
+        assert np.array_equal(x, generate_dataset(dataclasses.replace(theta, sigma_cov=np.eye(4)), 20, seed=3).x)
 
 
 class TestGenerateDataset:
