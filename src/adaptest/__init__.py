@@ -1,6 +1,6 @@
 """Adaptive testing of linear functionals in sparse Gaussian regression.
 
-A numpy/scipy toolbox covering the full pipeline: loading-profile rate
+A numpy toolbox covering the full pipeline: loading-profile rate
 functionals, scaled-lasso and debiasing estimators, mixed confidence
 intervals and tests, least-favorable prior samplers with chi-square
 oracles, Hermite low-degree norms, sparse-CCA statistics and the

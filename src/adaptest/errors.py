@@ -14,7 +14,7 @@ class NotPositiveDefinite(AdaptestError):
 
 
 class CholeskyFailure(AdaptestError):
-    """Cholesky failed even after the jitter retry."""
+    """A design covariance block has no Cholesky factor: it is not numerically positive definite."""
 
 
 class BracketFailure(AdaptestError):

@@ -6,8 +6,8 @@ The lasso and the direction program share one coordinate-descent core on
 a dataset's `Gram` (columns formed on first touch): a vectorized KKT check
 picks a working set (the nonzero coordinates and the violators), and only
 that set is swept, in ascending index order, so results are deterministic.
-The scaled-lasso fit is memoised on its dataset, like the `Gram`.  An
-identity-design dataset can be drawn as its Gram alone (`CoordinateDataset`).
+The scaled-lasso fit is memoised on its dataset, like the `Gram`.  A
+dataset can be drawn as its Gram alone (`CoordinateDataset`).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class Gram:
 
 
 class GaussianSource:
-    """Coordinates of X with iid N(0, 1) entries and of the noise N(0, sd^2 I_n),
+    """Coordinates of Z with iid N(0, 1) entries and of the noise N(0, sd^2 I_n),
     one basis vector of R^n per call, from their exact law.  Outside the d
     basis vectors an untouched column is isotropic with squared norm rho[j]
     (chi2_n at the start), its direction independent of its norm (Muirhead
@@ -121,31 +121,31 @@ class GaussianSource:
         return row
 
     def response(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y's coordinates once the noise's outside part (squared norm
-        sd^2 chi2_{n-d}) joins the basis, and that `direction`."""
+        """y's coordinates from the design's coords, once the noise's outside part
+        (squared norm sd^2 chi2_{n-d}) joins the basis, and that `direction`."""
         y = coords[:, self.support] @ self.beta + self.sd * self.rng.standard_normal(self.d)
         outside = [self.sd * math.sqrt(self.rng.chisquare(self.n - self.d))] if self.d < self.n else []
         return np.append(y, outside), self.direction(None)
 
 
 class CoordinateDataset(Gram):
-    """n rows Y = X beta + eps of the identity-design theta held only as their
-    Gram, so reading x or y raises.  Row i of coords holds every column's
-    coordinate on the i-th vector of a basis of R^n grown in touch order:
-    forming column j makes its outside part the next vector, whose row the
-    source gives (a `GaussianSource` on stream(seed, index) by default).  beta's
-    support is formed first and the noise joins next, so y lies in the span
-    and diag, xty, yty and each formed column coords' coords[:, j] / n are exact."""
+    """n rows Y = X beta + eps, X = Z L' with Z standard and (S, L) theta's design_factor,
+    held only as their Gram, so reading x or y raises.  Row i of coords holds each X
+    column's coordinate on the i-th vector of a basis of R^n grown in touch order:
+    forming column j makes Z_j's outside part the next vector, whose Z-coordinates the
+    source gives (a `GaussianSource` on stream(seed, index) by default) and L maps on S.
+    S is formed first, then beta's support, and the noise joins next, so y lies in the
+    span and diag, xty, yty and each formed column coords' coords[:, j] / n are exact."""
 
     def __init__(self, theta: ModelParams, n: int, seed: int, index: int = 0, source=None):
-        if theta.design_factor is not theta.sigma_cov:
-            raise ValueError("Gram coordinates need an identity design covariance")
         self.theta, self.n, self.p, self.seed, self.index, self.memo = theta, n, theta.p, seed, index, {}
         self.source = source or GaussianSource(theta, n, stream(seed, index))
+        self.block, self.factor = theta.design_factor
         self.diag, self.coords, self.columns = self.source.norms2 / n, np.zeros((0, theta.p)), {}
+        self.diag[self.block] = self.cols(self.block)[self.block, range(self.block.size)]  # S first, X's norms
         self.cols(np.flatnonzero(theta.beta))
         y, row = self.source.response(self.coords)
-        self.coords = np.vstack((self.coords, row))
+        self._append(row)
         self.xty, self.yty = self.coords.T @ y / n, float(y @ y) / n
 
     @property
@@ -154,8 +154,13 @@ class CoordinateDataset(Gram):
 
     y = x
 
+    def _append(self, row: np.ndarray) -> None:
+        if self.block.size:  # Z's coordinates to X's
+            row[..., self.block] = row[..., self.block] @ self.factor.T
+        self.coords = np.vstack((self.coords, row))
+
     def _column(self, j: int) -> np.ndarray:
-        self.coords = np.vstack((self.coords, self.source.direction(j)))
+        self._append(self.source.direction(j))
         return self.coords.T @ self.coords[:, j] / self.n
 
     def fork(self) -> "CoordinateDataset":

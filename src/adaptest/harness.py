@@ -1,10 +1,9 @@
 """Experiment orchestration: configuration parsing, Monte Carlo drivers
 for size/power, interval-length sweeps and phase diagrams, and result
 tables.  A dataset becomes a test decision in `inference.run_single_test`;
-this module builds the problems and datasets and collects the rows.  An
-identity-design dataset is drawn as its Gram coordinates, from their exact
-law; only nu2 nulls, whose design is not the identity, draw rows
-(`draw_dataset`).
+this module builds the problems and datasets and collects the rows.  Every
+dataset is drawn as its Gram coordinates, from their exact law
+(`estimators.CoordinateDataset`); a nu2 null's design mixes only its block.
 
 Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
@@ -30,8 +29,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import CoordinateDataset
 from .inference import TEST_MODES, _lasso, _log_grid, mixed_ci, mixed_test, run_single_test
-from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, generate_dataset
-from .model import Dataset, make_loading
+from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, make_loading
 from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior, valid_draws
 from .profiles import example_profiles, regular_phase
 
@@ -47,16 +45,17 @@ _SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
 
 @dataclass(kw_only=True)
 class RunConfig:
-    """Keys every command accepts: the seed of its random streams and the
-    output directory; the counts, level, alpha, eta and alpha + eta are checked where present."""
+    """Keys every command accepts: the seed of its random streams and the output directory.  Keys
+    in `minima`, level, alpha, eta and alpha + eta are checked where present."""
 
     master_seed: int = 0
     out: str = "."
+    minima = {"k_u": 1, "reps": 1, "threads": 1, "draws": 1, "pairs": 1, "calib_reps": 1}  # not a field
 
     def __post_init__(self):
-        for key in ("k_u", "reps", "threads", "draws", "pairs", "calib_reps"):
-            if getattr(self, key, 1) < 1:
-                raise ConfigError(f"{key} = {getattr(self, key)} must be at least 1")
+        for key, least in self.minima.items():
+            if getattr(self, key, least) < least:
+                raise ConfigError(f"{key} = {getattr(self, key)} must be at least {least}")
         if hasattr(self, "alpha") and not 0.0 < self.alpha + self.eta < 1.0:
             raise ConfigError(f"alpha + eta = {self.alpha} + {self.eta} must lie in (0, 1)")
         for key in ("alpha", "eta", "level"):
@@ -112,11 +111,10 @@ class ExperimentConfig(LoadingConfig):
     gamma_tau_grid: str = setting("0.2,0.4,0.6", kind=("phase_diagram",))
     gamma_u: float = setting(0.3, kind=("phase_diagram",))
     gamma_n: float = setting(0.8, kind=("phase_diagram",))
+    minima = {**RunConfig.minima, "n": 2}
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n < 2:
-            raise ConfigError(f"n = {self.n} must be at least 2")
         if not 0.0 < self.noise_sd < math.inf:
             raise ConfigError(f"noise_sd = {self.noise_sd} must be positive and finite")
         for key in ("t0", "tau_grid"):
@@ -307,14 +305,22 @@ def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams
 
     Prior draws live in the magnitude-sorted coordinate system; the
     result is permuted back to original coordinates so it can feed the
-    estimators directly.  An identity-design draw (split 0) gets sigma_cov None.
+    estimators directly.  An identity-design draw (split 0) gets sigma_cov None,
+    a nu2 draw the block (S, Sigma_SS) of its lead block and trail support.
     """
     j0 = int(np.flatnonzero(xi.coords)[0])
     beta_s = draw.beta.copy()
     beta_s[j0] += (t0 - draw.tau) / float(xi.coords[j0])
-    inv = np.argsort(xi.perm)  # the sorted position of each original coordinate
-    sigma = draw.theta.sigma_cov[np.ix_(inv, inv)] if draw.split else None
-    return ModelParams(beta=beta_s[inv], sigma_cov=sigma, noise_sd=draw.noise_sd)
+    sigma = None
+    if draw.split:
+        trail = np.flatnonzero(draw.trail)
+        block = np.eye(draw.split + trail.size)
+        block[: draw.split, draw.split :] = np.outer(draw.lead, draw.trail[trail])
+        block[draw.split :, : draw.split] = block[: draw.split, draw.split :].T
+        idx = xi.perm[np.concatenate((np.arange(draw.split), draw.split + trail))]
+        order = np.argsort(idx)
+        sigma = (idx[order], block[np.ix_(order, order)])
+    return ModelParams(beta=beta_s[np.argsort(xi.perm)], sigma_cov=sigma, noise_sd=draw.noise_sd)
 
 
 _SEED_ROLES = ("null", "alt", "split", "prior")
@@ -325,14 +331,6 @@ def replicate_seed(master_seed: int, rep: int, role: str) -> int:
     permutation or prior null draw: master_seed + ((4 rep + i + 1) << 32)
     with i the role's index, distinct for all master seeds in [0, 2^32)."""
     return master_seed + ((4 * rep + _SEED_ROLES.index(role) + 1) << 32)
-
-
-def draw_dataset(theta: ModelParams, n: int, seed: int) -> Dataset | CoordinateDataset:
-    """n observations of theta from seed: for an identity design their Gram
-    coordinates from the exact law (`CoordinateDataset`), else n rows."""
-    if theta.design_factor is theta.sigma_cov:
-        return CoordinateDataset(theta, n, seed=seed)
-    return generate_dataset(theta, n, seed=seed)
 
 
 def _table(cfg: ExperimentConfig, items, worker) -> list[ResultRow]:
@@ -372,13 +370,13 @@ def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
         out = []
         split = replicate_seed(cfg.master_seed, rep, "split")
         theta_null = theta_point or null_draw_theta(cfg, xi, rep)
-        data_null = draw_dataset(theta_null, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
+        data_null = CoordinateDataset(theta_null, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
         for mode in modes:
             dec = run_single_test(mode, data_null, problem, seed=split, scan_all_m=cfg.scan_all_m)
             out.append((f"reject/null/{mode}", rep, float(dec.reject)))
             out.append((f"radius/null/{mode}", rep, float(dec.interval.radius)))
         for tau, theta_alt in zip(taus, theta_alts):
-            data_alt = draw_dataset(theta_alt, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
+            data_alt = CoordinateDataset(theta_alt, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
             for mode in modes:
                 dec = run_single_test(mode, data_alt, problem, seed=split, scan_all_m=cfg.scan_all_m)
                 out.append((f"reject/alt/{mode}/tau={csv_cell(tau)}", rep, float(dec.reject)))
@@ -406,7 +404,7 @@ def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     grid = m_cutoff_grid(cfg.p, cfg.m_grid)
 
     def worker(rep: int):
-        data = draw_dataset(theta, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
+        data = CoordinateDataset(theta, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
         fit = _lasso(data, 0.0)
         return [
             (f"radius/m={m}", rep, mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta).radius) for m in grid
@@ -437,7 +435,7 @@ def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
 
     def worker(item):
         (metric, problem, theta_alt), rep = item
-        data = draw_dataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
+        data = CoordinateDataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
         return [(metric, rep, float(mixed_test(data, problem).reject))]
 
     return _table(cfg, [(cell, rep) for cell in cells for rep in range(cfg.reps)], worker)

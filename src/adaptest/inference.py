@@ -19,9 +19,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import OddSampleSize
 from .estimators import CoordinateDataset, Gram, ProjectionResult, ScaledLassoFit, projection_direction, scaled_lasso
@@ -110,14 +110,15 @@ def debiased_ci(
     """Residual-corrected interval along the projection direction.
 
     Center: the corrected center along u_hat on the dataset's Gram.  Radius:
-    1.1 sigma_hat [ sqrt(u'Su/n) z_{1-alpha/8} + c_beta C_xi ||xi||_2 k_u log p / n ].
-    An infeasible projection degrades gracefully to u_hat = 0.
+    1.1 sigma_hat [ sqrt(u'Su/n) z_{1-alpha/8} + c_beta C_xi ||xi||_2 k_u log p / n ],
+    z by AS241 (`statistics.NormalDist`).  An infeasible projection degrades to u_hat = 0.
     """
     n, p = data.n, data.p
     center = _corrected_center(Gram.of(data), fit.beta_hat, xi_vec, proj.u_hat)
     norm2 = float(np.linalg.norm(xi_vec))
+    q = 1.0 - alpha / 8.0  # rounds to 1 at alpha <= 2^-51, where z is inf
     radius = 1.1 * fit.sigma_hat * (
-        math.sqrt(max(proj.objective, 0.0) / n) * float(ndtri(1.0 - alpha / 8.0))
+        math.sqrt(max(proj.objective, 0.0) / n) * (NormalDist().inv_cdf(q) if q < 1.0 else math.inf)
         + C_BETA * C_XI * norm2 * k_u * math.log(p) / n
     )
     return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"debiased": alpha})

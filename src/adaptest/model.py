@@ -92,11 +92,11 @@ def make_loading(raw) -> LoadingVector:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One model point theta = (beta, Sigma, sigma), sigma_cov None meaning Sigma = I, not
-    stored (`simulate`'s points); the regularity bounds are the module constants M1 and M2."""
+    """One model point theta = (beta, Sigma, sigma); sigma_cov is a p x p Sigma, None for I, or a
+    block (S, Sigma_SS), I outside S x S.  The regularity bounds are the constants M1 and M2."""
 
     beta: np.ndarray
-    sigma_cov: np.ndarray | None
+    sigma_cov: np.ndarray | tuple[np.ndarray, np.ndarray] | None
     noise_sd: float
 
     @property
@@ -104,24 +104,22 @@ class ModelParams:
         return self.beta.size
 
     @functools.cached_property
-    def design_factor(self) -> np.ndarray | None:
-        """Lower Cholesky factor of sigma_cov, computed once per model point.
-
-        The identity is its own factor: for None, or a p x p array equal to
-        np.eye(p) (p nonzero entries, all on a diagonal of exact ones; told
-        without building eye), this is sigma_cov itself.  A factor that fails
-        is retried once with a 1e-12 relative diagonal jitter.
+    def design_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, L) with Sigma = I outside S x S and L the lower Cholesky factor of
+        Sigma_SS, computed once per model point; Sigma's factor is I outside S x S
+        and L inside.  S is empty for the identity: None, or an array equal to
+        np.eye(p), told without building eye.  An array's S is, ascending, every
+        coordinate whose row or column differs from I's.
         """
         sigma = self.sigma_cov
-        if sigma is None or np.count_nonzero(sigma) == self.p == np.count_nonzero(sigma.diagonal() == 1.0):
-            return sigma
+        if isinstance(sigma, np.ndarray):
+            off = sigma != 0.0
+            np.fill_diagonal(off, sigma.diagonal() != 1.0)
+            idx = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+            sigma = (idx, sigma[np.ix_(idx, idx)])
+        idx, block = sigma or (np.zeros(0, dtype=int), np.zeros((0, 0)))
         try:
-            return np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            pass
-        jitter = 1e-12 * np.trace(sigma) / sigma.shape[0]
-        try:
-            return np.linalg.cholesky(sigma + jitter * np.eye(sigma.shape[0]))
+            return idx, np.linalg.cholesky(block)
         except np.linalg.LinAlgError as exc:
             raise CholeskyFailure("covariance is not numerically positive definite") from exc
 
@@ -203,9 +201,12 @@ def h_map(jc: JointCovariance) -> ModelParams:
 
 
 def h_inv(theta: ModelParams) -> JointCovariance:
-    """Joint covariance of (y, x) induced by theta (sigma_cov None is the identity)."""
-    p = theta.p
-    sigma = np.eye(p) if theta.sigma_cov is None else theta.sigma_cov
+    """Joint covariance of (y, x) induced by theta (sigma_cov None or a block included)."""
+    p, sigma = theta.p, theta.sigma_cov
+    if not isinstance(sigma, np.ndarray):
+        idx, block = sigma or ([], [])
+        sigma = np.eye(p)
+        sigma[np.ix_(idx, idx)] = block
     sb = sigma @ theta.beta
     sz = np.empty((p + 1, p + 1))
     sz[0, 0] = float(theta.beta @ sb) + theta.noise_sd**2
@@ -219,18 +220,18 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     """Draw n rows X_i ~ N(0, Sigma) and Y = X beta + N(0, sigma^2 I).
 
     Bit-reproducible for fixed (seed, n, p): the design is drawn first,
-    then the noise, from a single counter-based stream.  The Cholesky
-    factor of Sigma is theta's cached design_factor; an identity design (None
-    or eye, its own factor) uses the draw as it is.  `simulate` draws rows only
-    for its nu2 nulls (identity designs are drawn as their Gram,
-    `harness.draw_dataset`); the tests use rows as the oracle.
+    then the noise, from a single counter-based stream.  X = Z L' with Z
+    standard and L theta's cached design_factor, so only the columns in its
+    block S are mixed (none for an identity design).  `simulate` draws every
+    dataset as its Gram (`estimators.CoordinateDataset`); the tests use rows
+    as the oracle.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     rng = stream(seed, 0)
     x = rng.standard_normal((n, theta.p))
-    if theta.design_factor is not theta.sigma_cov:
-        x = x @ theta.design_factor.T
+    idx, factor = theta.design_factor
+    x[:, idx] = x[:, idx] @ factor.T
     eps = theta.noise_sd * rng.standard_normal(n)
     return Dataset(x=x, y=x @ theta.beta + eps)
 

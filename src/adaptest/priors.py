@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DivergentIntegral, RegimeViolation
-from .model import M1, M2, JointCovariance, ModelParams, sign, stream
+from .model import M1, M2, JointCovariance, sign, stream
 from .model import LoadingVector
 from .profiles import effective_sparsity, j1_index, nu1, profile_root, top_norm
 
@@ -84,22 +83,14 @@ class PriorDraw:
     def constraint_residual(self, xi: LoadingVector) -> float:
         return float(xi.coords @ self.beta) - self.tau
 
-    @cached_property
-    def theta(self) -> ModelParams:
-        """Materialize (beta, Sigma, sigma); Sigma is dense p x p."""
-        return ModelParams(beta=self.beta, sigma_cov=self._sigma(), noise_sd=self.noise_sd)
-
-    def _sigma(self) -> np.ndarray:
-        s = np.eye(self.p)
-        s[: self.split, self.split :] = np.outer(self.lead, self.trail)
-        s[self.split :, : self.split] = s[: self.split, self.split :].T
-        return s
-
     def joint_covariance(self) -> JointCovariance:
         """Covariance of (y, x) for this draw (y listed first)."""
         sz = np.zeros((self.p + 1, self.p + 1))
         sz[0, 0] = self.sigma_star**2
-        sz[1:, 1:] = self._sigma()
+        xx = sz[1:, 1:]  # a view: Sigma is I but for lead trail' and its transpose
+        np.fill_diagonal(xx, 1.0)
+        xx[: self.split, self.split :] = np.outer(self.lead, self.trail)
+        xx[self.split :, : self.split] = xx[: self.split, self.split :].T
         sz[0, 1 + self.split :] = sz[1 + self.split :, 0] = self.kappa * self.trail
         return JointCovariance(sigma_z=sz)
 
@@ -171,15 +162,16 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
 
 def valid_draws(sampler, seed: int):
     """The valid draws of sampler(seed), sampler(seed + 1), ... in order;
-    RegimeViolation after 50 invalid draws in a row."""
-    misses = 0
-    while misses < 50:
+    RegimeViolation, naming their most frequent reason, after 50 invalid draws in a row."""
+    misses: list[str] = []
+    while len(misses) < 50:
         draw = sampler(seed)
         seed += 1
-        misses = 0 if draw.valid else misses + 1
+        misses = [] if draw.valid else misses + [draw.reason]
         if draw.valid:
             yield draw
-    raise RegimeViolation("rejection sampling failed to find a valid draw")
+    why = max(misses, key=misses.count)
+    raise RegimeViolation(f"rejection sampling found no valid draw: 50 invalid in a row, {misses.count(why)} {why}")
 
 
 def sample_nu2_prior(

@@ -264,7 +264,10 @@ class TestGenerateDataset:
         fresh = ModelParams(beta=theta.beta, sigma_cov=cov.copy(), noise_sd=0.5)
         assert theta.design_factor is factor
         assert first == second == dataset_bits(generate_dataset(fresh, 9, seed))
-        assert np.allclose(factor @ factor.T, cov, atol=1e-14)
+        idx, low = factor
+        embedded = np.eye(p)
+        embedded[np.ix_(idx, idx)] = low
+        assert np.allclose(embedded @ embedded.T, cov, atol=1e-14)
 
     @pytest.mark.parametrize("rho", [0.0, 0.4])
     def test_identity_design_uses_the_draw_as_is(self, rho):
@@ -272,11 +275,16 @@ class TestGenerateDataset:
         cov = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
         theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=cov, noise_sd=0.5)
         rng = stream(seed, 0)
-        x = rng.standard_normal((n, p)) @ theta.design_factor.T  # the product an identity skips
-        expect = Dataset(x=x, y=x @ theta.beta + 0.5 * rng.standard_normal(n))
+        z = rng.standard_normal((n, p))
+        eps = 0.5 * rng.standard_normal(n)
         got = generate_dataset(theta, n, seed)
-        assert hashlib.sha256(dataset_bits(got)).digest() == hashlib.sha256(dataset_bits(expect)).digest()
-        assert (theta.design_factor is theta.sigma_cov) == (rho == 0.0)
+        assert (theta.design_factor[0].size == 0) == (rho == 0.0)
+        if rho == 0.0:  # the draw as it is, with no product
+            expect = Dataset(x=z, y=z @ theta.beta + eps)
+            assert hashlib.sha256(dataset_bits(got)).digest() == hashlib.sha256(dataset_bits(expect)).digest()
+        else:  # the dense factor's product
+            assert np.allclose(got.x, z @ np.linalg.cholesky(cov).T, rtol=0.0, atol=1e-12)
+            assert np.allclose(got.y, got.x @ theta.beta + eps, rtol=0.0, atol=1e-12)
 
 
 class TestSampleCov:
@@ -375,6 +383,28 @@ class TestCoordinateDataset:
             assert np.max(np.abs(gram.diag - np.sum(x * x, axis=0) / n)) <= 1e-12
         assert gram.coords.shape[0] == min(n, p + 1)  # with every column touched a p > n basis fills up
 
+    @pytest.mark.parametrize("n, p, block", [(40, 25, (3, 7, 12)), (12, 30, (20, 4, 9)), (3, 6, (1, 2, 4, 5))],
+                             ids=["p<n", "p>n", "block>n"])
+    def test_block_design_reproduces_the_products(self, n, p, block):
+        # X = Z L' mixes only the block's columns; the source hands out Z's coordinates
+        rng = stream(6, 0)
+        z = rng.standard_normal((n, p))
+        idx = np.array(block)
+        a = rng.standard_normal((idx.size, idx.size))
+        sigma_ss = np.eye(idx.size) + 0.3 * a @ a.T
+        x = z.copy()
+        x[:, idx] = z[:, idx] @ np.linalg.cholesky(sigma_ss).T
+        beta = np.zeros(p)
+        beta[[idx[0], 0, p - 1]] = rng.uniform(-2.0, 2.0, 3)
+        y = x @ beta + rng.standard_normal(n)
+        theta = ModelParams(beta=beta, sigma_cov=(idx, sigma_ss), noise_sd=1.0)
+        for order in ([p - 1, 0, 3], range(p)):
+            gram = CoordinateDataset(theta, n, seed=0, source=RowSource(z, y))
+            order = list(order)
+            assert np.max(np.abs(gram.cols(order) - x.T @ x[:, order] / n)) <= 1e-12
+            assert np.max(np.abs(gram.xty - x.T @ y / n)) <= 1e-12 and abs(gram.yty - y @ y / n) <= 1e-12
+            assert np.max(np.abs(gram.diag - np.sum(x * x, axis=0) / n)) <= 1e-12
+
     @pytest.mark.parametrize("n, p", [(20, 6), (4, 7)], ids=["p<n", "p>n"])
     def test_law_of_the_drawn_gram(self, n, p):
         reps = 2000
@@ -411,8 +441,6 @@ class TestCoordinateDataset:
         assert np.array_equal(cov, cov.T) and np.allclose(np.diag(cov), Gram.of(data).diag, rtol=1e-12, atol=0.0)
         assert Gram.of(data).columns.keys() == formed.keys() and len(Gram.of(first).columns) == p
         assert np.array_equal(Gram.of(second).cols(range(p)), Gram.of(first).cols(range(p)))
-        with pytest.raises(ValueError, match="identity"):
-            CoordinateDataset(ModelParams(beta=np.zeros(p), sigma_cov=2.0 * np.eye(p), noise_sd=1.0), 30, 4)
 
 
     @settings(max_examples=40, deadline=None)

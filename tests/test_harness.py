@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,30 +291,70 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
 
-# A small simulate table per null source, with one alternative, three modes and the cutoff scan.
+# A small simulate table per null source, with one alternative, three modes and the cutoff scan;
+# nu2 nulls need k_u >= 4 and a loading that reaches past the lead block.  At master_seed = 3 four
+# radii move in their last digit with the normal quantile's implementation, so that table pins it.
 GOLDEN_CFG = (
     "n = 60\np = 20\nk_u = 2\nk = 2\nreps = 3\nt0 = 0.5\ntau_grid = 1.5\n"
     "modes = mixed,debiased,known_sigma\nscan_all_m = 1\nmaster_seed = 7\n"
 )
+GOLDEN_CASES = {
+    "point": GOLDEN_CFG + "null_source = point\n",
+    "nu1": GOLDEN_CFG + "null_source = nu1\n",
+    "nu2": GOLDEN_CFG.replace("k_u = 2", "k_u = 4") + "null_source = nu2\nloading_k = 20\n",
+    "quantile": GOLDEN_CFG.replace("master_seed = 7", "master_seed = 3"),
+}
 GOLDEN_SHA256 = {
     "point": "e05200147b3e15c7cbe8fa28b48d02f0c12a94d03ab08d61989063c3efe8c8f6",
     "nu1": "657871e0806c2129608ad04ebd1f37daf0a7bb10e26fb1a6eeb52e16cba1e966",
+    "nu2": "dfc59e2c58947bd1dc47484949b18ece85d3185d2236e9b91f406d42f86c40c9",
+    "quantile": "3a9f40f88f270095bd561770ad41e2299a765b12d1230365167981374417b231",
 }
 
 
 class TestRunners:
-    @pytest.mark.parametrize("null_source", sorted(GOLDEN_SHA256))
-    def test_golden_table(self, null_source):
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+    def test_golden_table(self, case):
         # Pinned with numpy 2.4 on OpenBLAS; a refactor that keeps the sampler keeps these bytes.
-        text = rows_to_csv(run_experiment(parse_config(GOLDEN_CFG + f"null_source = {null_source}\n")))
-        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[null_source]
+        text = rows_to_csv(run_experiment(parse_config(GOLDEN_CASES[case])))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[case]
 
     def test_null_point_stores_no_identity(self):
         xi = make_loading(np.arange(6.0, 0.0, -1.0))
         theta = harness.null_point(xi, 2, 1.5, 6, 1.0)
-        assert theta.sigma_cov is None and theta.design_factor is None
-        assert isinstance(harness.draw_dataset(theta, 30, seed=2), CoordinateDataset)
+        assert theta.sigma_cov is None and theta.design_factor[0].size == 0
         assert float(xi.original() @ theta.beta) == 1.5
+
+    def test_nu2_run_builds_no_p_by_p_array(self, monkeypatch):
+        # each nu2 null mixes the design on |S| = 2 floor(k_u / 4) = 4 coordinates, drawn in Gram coordinates
+        p = 2000
+        cfg = parse_config(f"n = 100\np = {p}\nk_u = 8\nreps = 2\nloading_k = {p}\nnull_source = nu2\n")
+        shapes, cholesky = [], np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        tracemalloc.start()
+        try:
+            rows = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(r.metric == "mean/reject/null/mixed" for r in rows)
+        assert peak < p * p  # below the bytes of a p x p bool array; the parent peaked at 64 MiB
+        assert (4, 4) in shapes and max(shapes) <= (4, 4)
+
+    def test_nu2_null_carries_its_block(self):
+        # translate_draw's block is the dense covariance's, permuted to original coordinates
+        cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu2", k_u=8, loading_k=60, p=60, n=150)
+        xi = harness.build_loading(cfg)
+        for rep in range(3):
+            seed = harness.replicate_seed(cfg.master_seed, rep, "prior")
+            draw = next(harness.valid_draws(lambda s: harness.sample_nu2_prior(xi, 8, 150, 60, 5.0, seed=s), seed))
+            theta = harness.translate_draw(draw, xi, cfg.t0)
+            inv = np.argsort(xi.perm)
+            dense = ModelParams(beta=theta.beta, sigma_cov=draw.joint_covariance().xx[np.ix_(inv, inv)], noise_sd=1.0)
+            idx, block = theta.sigma_cov
+            assert idx.size == 4 and np.array_equal(idx, dense.design_factor[0])
+            assert np.array_equal(block, dense.sigma_cov[np.ix_(idx, idx)])
+            assert np.array_equal(theta.design_factor[1], dense.design_factor[1])
 
     def test_identity_prior_null_stores_no_identity(self):
         cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu1", k_u=8, loading_k=30, p=60, n=150)
@@ -380,7 +421,7 @@ class TestRunners:
     def test_stalled_prior_null_is_a_numerical_failure(self):
         # at the criterion-3 problem 297 of 300 nu2 draws have kappa > 1
         cfg = dataclasses.replace(parse_config(CRITERION3_CFG), null_source="nu2", loading_k=5, master_seed=303)
-        with pytest.raises(RegimeViolation):
+        with pytest.raises(RegimeViolation, match=r"50 invalid in a row, \d+ kappa_out_of_range$"):
             run_experiment(cfg)
 
     def test_replicate_seeds_differ_across_nearby_master_seeds(self, monkeypatch):
@@ -390,7 +431,6 @@ class TestRunners:
         def spy(fn):
             return lambda *args, seed, **kwargs: seen.append(seed) or fn(*args, seed=seed, **kwargs)
 
-        monkeypatch.setattr(harness, "generate_dataset", spy(harness.generate_dataset))
         monkeypatch.setattr(harness, "CoordinateDataset", spy(harness.CoordinateDataset))
         monkeypatch.setattr(harness, "run_single_test", spy(harness.run_single_test))
         monkeypatch.setattr(harness, "sample_nu2_prior", spy(harness.sample_nu2_prior))
@@ -461,8 +501,7 @@ class TestRunners:
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
         for rep in range(cfg.reps):
             seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
-            fresh, shared, primed = (harness.draw_dataset(theta, cfg.n, seed=seed) for _ in "abc")
-            assert isinstance(fresh, CoordinateDataset)  # the identity design is drawn in Gram coordinates
+            fresh, shared, primed = (CoordinateDataset(theta, cfg.n, seed=seed) for _ in "abc")
             alone = inference.run_single_test("debiased", fresh, problem, seed=split)
             assert repr(float(alone.interval.radius)) == table[rep, "radius/null/debiased"]
             assert repr(float(alone.reject)) == table[rep, "reject/null/debiased"]
@@ -856,6 +895,8 @@ class TestCli:
             ("simulate", BASE["simulate"] + "t0 = nan\n", "t0"),
             ("simulate", BASE["simulate"] + "tau_grid = 0.0,inf\n", "tau_grid"),
             ("simulate", BASE["simulate"] + "tau_grid = nan\n", "tau_grid"),
+            ("profile", BASE["profile"].replace("n = 1000", "n = 1"), "n"),
+            ("profile", BASE["profile"].replace("p = 100", "p = 1"), "p"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
@@ -864,7 +905,7 @@ class TestCli:
             "simulate-threads-negative", "simulate-threads-0", "simulate-eta-negative", "simulate-alpha-negative",
             "test-alpha-negative", "simulate-n-1", "simulate-noise_sd-negative", "simulate-noise_sd-0",
             "simulate-noise_sd-inf", "simulate-t0-inf", "simulate-t0-nan", "simulate-tau_grid-inf",
-            "simulate-tau_grid-nan",
+            "simulate-tau_grid-nan", "profile-n-1", "profile-p-1",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):

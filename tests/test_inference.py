@@ -1,25 +1,34 @@
 import dataclasses
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
 from adaptest import inference as inf
 from adaptest.errors import OddSampleSize
 from adaptest.estimators import (
     CoordinateDataset,
+    Gram,
+    ProjectionResult,
     ScaledLassoFit,
     projection_direction,
     scaled_lasso,
     spiked_cov_estimate,
 )
 from adaptest import model
-from adaptest.harness import draw_dataset, null_point
+from adaptest.harness import null_point, translate_draw
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
+from adaptest.priors import sample_nu2_prior, valid_draws
 from adaptest.profiles import example_profiles
 
 # alias keeps pytest from trying to collect the imported dataclass
@@ -85,6 +94,32 @@ class TestDebiasedCI:
         expect = 1.1 * fit.sigma_hat * inf.C_BETA * inf.C_XI * math.sqrt(30.0) * 4 * math.log(30) / 60
         assert ci.radius == pytest.approx(expect, rel=1e-12)
         assert ci.center == pytest.approx(float(xi @ fit.beta_hat))
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(min_value=2.0**-50, max_value=1.0, exclude_max=True))
+    @example(0.05)
+    @example(0.05 / 4.0)
+    def test_quantile_within_8_ulp_of_ndtri(self, alpha):
+        # debiased_ci's z_{1 - alpha/8}, by AS241 in the standard library, against scipy's Cephes ndtri;
+        # at alpha <= 2^-51, 1 - alpha/8 rounds to 1, which has no finite quantile
+        q = 1.0 - alpha / 8.0
+        ours, ref = NormalDist().inv_cdf(q), float(ndtri(q))
+        assert abs(ours - ref) <= 8 * math.ulp(ref), (ours, ref)
+
+    def test_quantile_of_one_is_infinite(self):
+        # at alpha <= 2^-51 the radius is infinite, as scipy's ndtri(1) = inf made it
+        theta = ModelParams(beta=np.zeros(30), sigma_cov=None, noise_sd=1.0)
+        data = generate_dataset(theta, 60, 3)
+        proj = ProjectionResult(u_hat=np.ones(30), feasible=True, objective=1.0)
+        assert inf.debiased_ci(data, scaled_lasso(data), proj, np.ones(30), 4, 2.0**-51).radius == math.inf
+        assert math.isfinite(inf.debiased_ci(data, scaled_lasso(data), proj, np.ones(30), 4, 2.0**-49).radius)
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        src = str(Path(inf.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, adaptest.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_coverage_known_truth(self):
         # moderately hard regime; budget alpha = 0.05 allows 3% slack
@@ -208,7 +243,7 @@ class TestScanAllM:
             xi = example_profiles("subweibull" if "q" in loading else "regular", {**loading, "p": p}, seed)
             problem = problem_of(xi=xi, t0=4.0, k_u=k_u, alpha=0.05, eta=0.05)
             calls.clear()
-            inf.mixed_test(draw_dataset(null_point(xi, 5, 4.0, p, 1.0), n, seed), problem, scan_all_m=True)
+            inf.mixed_test(CoordinateDataset(null_point(xi, 5, 4.0, p, 1.0), n, seed), problem, scan_all_m=True)
             assert 1 <= len(calls) <= most, calls
 
 
@@ -368,21 +403,30 @@ class TestRunSingleTest:
 
 def test_coordinate_datasets_match_rows_in_law():
     """Two-sample KS tests of the scan_all_m mixed test's statistics on Gram-coordinate
-    datasets against row datasets, under the null and one alternative, at a reduced
-    criterion-3 problem (500 datasets per sampler and hypothesis).  Both points put
-    beta on three coordinates, about 1 and 2.4 each, so the lasso center varies."""
+    datasets against row datasets at a reduced criterion-3 problem, 500 datasets per
+    sampler and model point.  Two identity-design points, the null and one alternative,
+    put beta on three coordinates, about 1 and 2.4 each, so the lasso center varies.  A
+    nu2 prior null (k_u = 8) mixes the design on a block S of 4 coordinates; there the
+    Gram's S-block entries are compared too."""
     n, p, k_u, reps = 60, 120, 3, 500
     xi = example_profiles("subweibull", {"q": 2.0, "p": p, "k_u": k_u}, 1)
     problem = problem_of(xi=xi, t0=8.0, k_u=k_u, alpha=0.05, eta=0.05)
-    for offset, tau in ((0, 0.0), (reps, 12.0)):
-        theta = null_point(xi, k_u, problem.t0 + tau, p, 1.0)
+    nu2 = next(valid_draws(lambda s: sample_nu2_prior(xi, 8, n, p, 5.0, seed=s), 0))
+    points = (null_point(xi, k_u, 8.0, p, 1.0), null_point(xi, k_u, 20.0, p, 1.0), translate_draw(nu2, xi, 8.0))
+    assert [theta.design_factor[0].size for theta in points] == [0, 0, 4]
+    for offset, theta in enumerate(points):
+        idx = theta.design_factor[0]
+        upper = np.triu_indices(idx.size)
         arms = []
         for draw, base in ((CoordinateDataset, 0), (generate_dataset, 10**6)):
             rows = []
-            for seed in range(base + offset, base + offset + reps):
+            for seed in range(base + offset * reps, base + (offset + 1) * reps):
                 data = draw(theta, n, seed)
                 dec = inf.mixed_test(data, problem, scan_all_m=True)
-                rows.append((scaled_lasso(data).sigma_hat, dec.interval.radius, dec.interval.center, dec.m_used))
+                block = Gram.of(data).cols(idx)[idx][upper]
+                ci = dec.interval
+                rows.append((scaled_lasso(data).sigma_hat, ci.radius, ci.center, dec.m_used, *block))
             arms.append(np.array(rows))
-        for col, name in enumerate(("sigma_hat", "radius", "center", "m_used")):
-            assert stats.ks_2samp(arms[0][:, col], arms[1][:, col]).pvalue > 1e-3, (tau, name)
+        names = ["sigma_hat", "radius", "center", "m_used"] + [f"G[{idx[i]},{idx[j]}]" for i, j in zip(*upper)]
+        for col, name in enumerate(names):
+            assert stats.ks_2samp(arms[0][:, col], arms[1][:, col]).pvalue > 1e-3, (offset, name)

@@ -164,21 +164,41 @@ class TestDesignFactor:
     @example(_with_entry(3, 0, 0, ONE_ULP[1]))
     @example(_with_entry(3, 0, 2, 5e-324))
     @example(_with_entry(3, 1, 0, -1e-300))
-    def test_identity_is_its_own_factor_exactly_when_equal_to_eye(self, sigma):
+    def test_identity_has_an_empty_block_exactly_when_equal_to_eye(self, sigma):
         theta = ModelParams(beta=np.zeros(sigma.shape[0]), sigma_cov=sigma, noise_sd=1.0)
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")  # a non-finite or indefinite sigma may warn or fail to factor
             try:
-                shared = theta.design_factor is sigma
+                empty = theta.design_factor[0].size == 0
             except CholeskyFailure:
-                shared = False
-        assert shared == np.array_equal(sigma, np.eye(sigma.shape[0]))
+                empty = False
+        assert empty == np.array_equal(sigma, np.eye(sigma.shape[0]))
 
-    def test_unstored_identity_is_its_own_factor(self):
+    def test_unstored_identity_has_an_empty_block(self):
         theta = ModelParams(beta=np.ones(4), sigma_cov=None, noise_sd=1.0)
-        assert theta.design_factor is None
+        idx, low = theta.design_factor
+        assert idx.size == 0 and low.shape == (0, 0)
         x = generate_dataset(theta, 20, seed=3).x
         assert np.array_equal(x, generate_dataset(dataclasses.replace(theta, sigma_cov=np.eye(4)), 20, seed=3).x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9), st.integers(0, 2**32))
+    def test_block_factor_is_the_dense_factor(self, p, seed):
+        # Sigma = I outside S x S: its Cholesky factor is I outside S x S and chol(Sigma_SS) inside
+        rng = stream(seed, 0)
+        idx = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+        a = rng.standard_normal((idx.size, idx.size))
+        sigma = np.eye(p)
+        sigma[np.ix_(idx, idx)] = np.eye(idx.size) + a @ a.T
+        dense = ModelParams(beta=np.zeros(p), sigma_cov=sigma, noise_sd=1.0)
+        block = ModelParams(beta=np.zeros(p), sigma_cov=(idx, sigma[np.ix_(idx, idx)]), noise_sd=1.0)
+        assert np.array_equal(dense.design_factor[0], idx)
+        assert np.array_equal(dense.design_factor[1], block.design_factor[1])
+        embedded = np.eye(p)
+        embedded[np.ix_(idx, idx)] = block.design_factor[1]
+        assert np.allclose(embedded, np.linalg.cholesky(sigma), rtol=0.0, atol=1e-12)
+        assert np.array_equal(generate_dataset(dense, 7, seed).x, generate_dataset(block, 7, seed).x)
+        assert np.array_equal(h_inv(dense).sigma_z, h_inv(block).sigma_z)
 
 
 class TestGenerateDataset:

@@ -30,7 +30,7 @@ class TestNu2Prior:
         theta = h_map(d.joint_covariance())
         assert np.max(np.abs(theta.beta - d.beta)) < 1e-12
         assert abs(theta.noise_sd - d.noise_sd) < 1e-12
-        ev = np.linalg.eigvalsh(d.theta.sigma_cov)
+        ev = np.linalg.eigvalsh(theta.sigma_cov)
         assert ev[0] == pytest.approx(d.eig_min, abs=1e-12)
         assert ev[-1] == pytest.approx(d.eig_max, abs=1e-12)
 
@@ -74,7 +74,7 @@ class TestNu1Prior:
     def test_identity_design(self):
         tau = 0.0125 * nu1_value(self.xi, 10) / math.sqrt(400)
         d = pri.sample_nu1_prior(self.xi, 10, 400, tau, seed=0)
-        assert np.array_equal(d.theta.sigma_cov, np.eye(200))
+        assert np.array_equal(d.joint_covariance().xx, np.eye(200))
         assert d.eig_min == d.eig_max == 1.0
 
     @pytest.mark.parametrize("c4, c5", [(0.1, 0.5), (0.2, 0.3)])
@@ -173,6 +173,18 @@ class TestValidDraws:
         draws = pri.valid_draws(sampler, 0)
         assert [next(draws).tau for _ in range(6)] == [0.0, 2.0, 4.0, 6.0, 8.0, 58.0]
         with pytest.raises(RegimeViolation):
+            next(draws)
+
+    def test_stall_names_the_most_frequent_reason(self):
+        base = pri.point_mass_draw(make_loading(np.ones(3)), 1.0)
+
+        def sampler(s):  # valid at 3; of the 50 misses after it (seeds 4-53) 40 are noise_bound
+            why = "eigenvalue_window" if s < 3 else "noise_bound" if s % 5 else "sparsity_cap"
+            return dataclasses.replace(base, valid=s == 3, reason="point_mass" if s == 3 else why)
+
+        draws = pri.valid_draws(sampler, 0)
+        assert next(draws).reason == "point_mass"
+        with pytest.raises(RegimeViolation, match="50 invalid in a row, 40 noise_bound$"):
             next(draws)
 
     def test_draws_are_frozen(self):
