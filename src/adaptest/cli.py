@@ -38,7 +38,8 @@ class ProfileConfig(LoadingConfig):
     n: int
     degree: int = 1
     hcurve_points: int = 64
-    minima = {**RunConfig.minima, "n": 2, "p": 2}  # prior, lowdeg and scca run with n = 1
+    # n and p here only: prior, lowdeg and scca run with n = 1
+    minima = {**RunConfig.minima, "n": 2, "p": 2, "degree": 1, "hcurve_points": 1}
 
 
 @dataclass(kw_only=True)

@@ -13,10 +13,10 @@ dataset can be drawn as its Gram alone (`CoordinateDataset`).
 from __future__ import annotations
 
 import copy
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -384,27 +384,7 @@ def gamma_block(a: np.ndarray, b_set) -> np.ndarray:
     return out
 
 
-def _opnorm_sym(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-
-
-def _opnorm(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def _diag_bound(d: int, n: int, logp: float, gamma_star: float) -> float:
-    s = math.sqrt(d / n) + math.sqrt(gamma_star * d * logp / n)
-    return 2.0 * s + s * s
-
-
-def _cross_bound(d: int, bsz: int, n: int, logp: float, gamma_star: float, gb_norm: float) -> float:
-    return math.sqrt(gb_norm) * (
-        math.sqrt(d / n) + math.sqrt(bsz / n) + math.sqrt(gamma_star * d * logp / n)
-    )
+_SCAN_BLOCK = 1 << 16  # block entries the D-screen gathers at once
 
 
 def spiked_cov_estimate(
@@ -420,6 +400,11 @@ def spiked_cov_estimate(
     (|B|, lexicographic) order, by requiring every D in the complement
     with |D| <= k_u to look like pure identity noise: the D-block must be
     near I in operator norm and the D x B cross block must be small.
+    The D are walked in ascending (|D|, lexicographic) order and tested in
+    stacks of blocks, one stacked eigvalsh (and svd) per stack, and a
+    candidate's walk stops at its first failing D.  comb_cap bounds the D
+    blocks counted over all candidates, each walk up to and including
+    that first failing block.
     The first survivor B is kept and the estimate is identity outside
     B x B.  Eigenvalues of the kept block must stay inside
     [1/20, 20] (m1 = 10) so the inverse is well defined; if no candidate
@@ -433,16 +418,8 @@ def spiked_cov_estimate(
     logp = math.log(p)
 
     checked = 0
-
-    def d_subsets(b_set: tuple):
-        # lazily, so comb_cap is checked before a large enumeration is held
-        comp = [j for j in range(p) if j not in b_set]
-        sizes = range(1, min(k_u, len(comp)) + 1)
-        return itertools.chain.from_iterable(itertools.combinations(comp, d) for d in sizes)
-
-    eye = np.eye(p)
     for bsz in range(0, k_u + 1):
-        for b_set in itertools.combinations(range(p), bsz):
+        for b_set in combinations(range(p), bsz):
             idx = np.array(b_set, dtype=int)
             gb_norm = 1.0
             if bsz:
@@ -450,21 +427,25 @@ def spiked_cov_estimate(
                 if ev[0] < 1.0 / 20.0 or ev[-1] > 20.0:
                     continue
                 gb_norm = max(float(np.max(np.abs(ev))), 1.0)
+            comp = [j for j in range(p) if j not in b_set]
             ok = True
-            for d_set in d_subsets(b_set):
-                checked += 1
-                if checked > comb_cap:
-                    raise BudgetExceeded(f"enumeration exceeded cap {comb_cap}")
-                didx = np.array(d_set, dtype=int)
-                block = s[np.ix_(didx, didx)] - eye[np.ix_(didx, didx)]
-                if _opnorm_sym(block) > _diag_bound(len(d_set), n, logp, gamma_star):
-                    ok = False
-                    break
-                if bsz and _opnorm(s[np.ix_(didx, idx)]) > _cross_bound(
-                    len(d_set), bsz, n, logp, gamma_star, gb_norm
-                ):
-                    ok = False
-                    break
+            for d in range(1, min(k_u, p - bsz) + 1):
+                root_d = math.sqrt(d / n)
+                root_log = math.sqrt(gamma_star * d * logp / n)
+                diag_bound = 2.0 * (root_d + root_log) + (root_d + root_log) * (root_d + root_log)
+                cross_bound = math.sqrt(gb_norm) * (root_d + math.sqrt(bsz / n) + root_log)
+                walk = combinations(comp, d)
+                # a block gathers d x (d + |B|) entries; a stack stops at the block that would exceed comb_cap
+                block = max(1, _SCAN_BLOCK // (d * (d + bsz)))
+                while ok and (rows := np.fromiter(islice(walk, min(block, comb_cap + 1 - checked)), (np.intp, d))).size:
+                    diag = s[rows[:, :, None], rows[:, None, :]] - np.eye(d)
+                    fail = np.max(np.abs(np.linalg.eigvalsh(diag)), axis=1) > diag_bound
+                    if bsz:
+                        fail |= np.linalg.svd(s[rows[:, :, None], idx], compute_uv=False)[:, 0] > cross_bound
+                    ok = not fail.any()
+                    checked += fail.size if ok else int(fail.argmax()) + 1
+                    if checked > comb_cap:
+                        raise BudgetExceeded(f"enumeration exceeded cap {comb_cap}")
             if ok:
                 omega = np.eye(p)
                 if bsz:

@@ -46,7 +46,8 @@ _SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
 @dataclass(kw_only=True)
 class RunConfig:
     """Keys every command accepts: the seed of its random streams and the output directory.  Keys
-    in `minima`, level, alpha, eta and alpha + eta are checked where present."""
+    in `minima`, level, alpha, eta and alpha + eta are checked where present; alpha and eta must
+    leave 1 - v/32, the least level mixed_ci takes a normal quantile at, below 1."""
 
     master_seed: int = 0
     out: str = "."
@@ -61,6 +62,8 @@ class RunConfig:
         for key in ("alpha", "eta", "level"):
             if not 0.0 < getattr(self, key, 0.5) < 1.0:
                 raise ConfigError(f"{key} = {getattr(self, key)} must lie in (0, 1)")
+            if key != "level" and 1.0 - getattr(self, key, 0.5) / 32.0 == 1.0:
+                raise ConfigError(f"{key} = {getattr(self, key)} is too small: z at 1 - {key}/32 would be infinite")
 
 
 @dataclass(kw_only=True)
@@ -120,6 +123,9 @@ class ExperimentConfig(LoadingConfig):
         for key in ("t0", "tau_grid"):
             if not all(map(math.isfinite, float_list(str(getattr(self, key))))):
                 raise ConfigError(f"{key} = {getattr(self, key)} must be finite")
+        for key in ("gamma_xi_grid", "gamma_u", "gamma_n"):  # the exponents profiles.regular_phase takes
+            if not all(0.0 <= g <= 1.0 for g in float_list(str(getattr(self, key)))):
+                raise ConfigError(f"{key} = {getattr(self, key)} must lie in [0, 1]")
         if self.kind == "size_power":
             self.mode_list()  # so parse_config rejects a bad modes entry before any work
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import logging
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from adaptest.errors import BudgetExceeded, ZeroResidualDegenerate
 from adaptest.estimators import (
     CoordinateDataset,
     Gram,
+    SpikedCovFit,
     _cd_quadratic_l1,
     gamma_block,
     projection_direction,
@@ -567,6 +569,94 @@ class TestProjectionDirection:
         assert "u = 0" in caplog.records[0].getMessage()
 
 
+# The per-block D-screen that spiked_cov_estimate's stacked walk replaced, kept verbatim as its oracle.
+def _opnorm_sym(a: np.ndarray) -> float:
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+
+
+def _opnorm(a: np.ndarray) -> float:
+    if a.size == 0:
+        return 0.0
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _diag_bound(d: int, n: int, logp: float, gamma_star: float) -> float:
+    s = math.sqrt(d / n) + math.sqrt(gamma_star * d * logp / n)
+    return 2.0 * s + s * s
+
+
+def _cross_bound(d: int, bsz: int, n: int, logp: float, gamma_star: float, gb_norm: float) -> float:
+    return math.sqrt(gb_norm) * (
+        math.sqrt(d / n) + math.sqrt(bsz / n) + math.sqrt(gamma_star * d * logp / n)
+    )
+
+
+def per_block_spiked_cov_estimate(
+    data: Dataset,
+    k_u: int,
+    gamma_star: float = 3.0,
+    *,
+    comb_cap: int = 5_000_000,
+) -> SpikedCovFit:
+    if data.n < 2:
+        raise ValueError("need at least two samples")
+    n = data.n
+    p = data.p
+    s = sample_cov(data)
+    logp = math.log(p)
+
+    checked = 0
+
+    def d_subsets(b_set: tuple):
+        # lazily, so comb_cap is checked before a large enumeration is held
+        comp = [j for j in range(p) if j not in b_set]
+        sizes = range(1, min(k_u, len(comp)) + 1)
+        return itertools.chain.from_iterable(itertools.combinations(comp, d) for d in sizes)
+
+    eye = np.eye(p)
+    for bsz in range(0, k_u + 1):
+        for b_set in itertools.combinations(range(p), bsz):
+            idx = np.array(b_set, dtype=int)
+            gb_norm = 1.0
+            if bsz:
+                ev = np.linalg.eigvalsh(s[np.ix_(idx, idx)])
+                if ev[0] < 1.0 / 20.0 or ev[-1] > 20.0:
+                    continue
+                gb_norm = max(float(np.max(np.abs(ev))), 1.0)
+            ok = True
+            for d_set in d_subsets(b_set):
+                checked += 1
+                if checked > comb_cap:
+                    raise BudgetExceeded(f"enumeration exceeded cap {comb_cap}")
+                didx = np.array(d_set, dtype=int)
+                block = s[np.ix_(didx, didx)] - eye[np.ix_(didx, didx)]
+                if _opnorm_sym(block) > _diag_bound(len(d_set), n, logp, gamma_star):
+                    ok = False
+                    break
+                if bsz and _opnorm(s[np.ix_(didx, idx)]) > _cross_bound(
+                    len(d_set), bsz, n, logp, gamma_star, gb_norm
+                ):
+                    ok = False
+                    break
+            if ok:
+                omega = np.eye(p)
+                if bsz:
+                    omega[np.ix_(idx, idx)] = np.linalg.inv(s[np.ix_(idx, idx)])
+                return SpikedCovFit(
+                    sigma_hat_spike=gamma_block(s, b_set), omega_hat=omega, b_hat=b_set, fell_back_identity=False
+                )
+    return SpikedCovFit(sigma_hat_spike=np.eye(p), omega_hat=np.eye(p), b_hat=(), fell_back_identity=True)
+
+
+def _spiked_or_budget(fit, data, k_u, cap):
+    try:
+        return fit(data, k_u, comb_cap=cap)
+    except BudgetExceeded:
+        return None
+
+
 class TestSpikedCov:
     def planted(self, p=6, lam=0.5):
         v = np.zeros(p)
@@ -627,3 +717,29 @@ class TestSpikedCov:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @given(seed=st.integers(0, 10**6), p=st.integers(3, 13), n=st.integers(4, 39), k_u=st.integers(1, 3),
+           spike=st.integers(0, 3), lam=st.sampled_from([2.0, 6.0, 15.0]), cap=st.sampled_from([5, 50, 500, 5_000_000]))
+    @settings(max_examples=150, deadline=None)
+    def test_stacked_walk_matches_per_block_walk(self, seed, p, n, k_u, spike, lam, cap):
+        # a planted spike on `spike` random coordinates makes |B| >= 1 and the cross test run
+        rng = stream(seed, 0)
+        v = np.zeros(p)
+        v[rng.choice(p, min(spike, p), replace=False)] = rng.choice([-1.0, 1.0], min(spike, p))
+        factor = np.linalg.cholesky(np.eye(p) + lam * np.outer(v, v) / max(spike, 1))
+        data = Dataset(x=rng.standard_normal((n, p)) @ factor.T, y=np.zeros(n))
+        got = _spiked_or_budget(spiked_cov_estimate, data, k_u, cap)
+        want = _spiked_or_budget(per_block_spiked_cov_estimate, data, k_u, cap)
+        assert (got is None) == (want is None)  # BudgetExceeded on the same inputs
+        if want is not None:
+            assert got.b_hat == want.b_hat and got.fell_back_identity == want.fell_back_identity
+            assert np.array_equal(got.omega_hat, want.omega_hat)
+            assert np.array_equal(got.sigma_hat_spike, want.sigma_hat_spike)
+
+    def test_stacked_walk_calls_eigvalsh_per_stack(self, monkeypatch):
+        # the per-block walk made one eigvalsh call per D: 60 + 1,770 + 34,220 = 36,050 for B = {}
+        theta = ModelParams(beta=np.zeros(60), sigma_cov=np.eye(60), noise_sd=1.0)
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        assert spiked_cov_estimate(generate_dataset(theta, 75, 0), 3).b_hat == ()
+        assert len(calls) <= 36

@@ -58,18 +58,23 @@ BY_TYPE = {
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
 # Keys whose domain is narrower than their type's: k_u, reps, threads >= 1, n >= 2, alpha + eta
-# in (0, 1), noise_sd positive and finite, and t0 and the tau_grid entries finite.
+# in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd positive and finite, t0 and the
+# tau_grid entries finite, and the phase-diagram exponents in [0, 1].
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXPONENT = st.floats(0.0, 1.0)
 IN_DOMAIN = {
     "k_u": st.integers(1, 2**63),
     "reps": st.integers(1, 2**63),
     "threads": st.integers(1, 2**63),
     "n": st.integers(2, 2**63),
-    "alpha": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-    "eta": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    "alpha": st.floats(2.0**-48, 0.5, exclude_max=True),
+    "eta": st.floats(2.0**-48, 0.5, exclude_max=True),
     "noise_sd": st.floats(0.0, exclude_min=True, allow_infinity=False),
     "t0": FINITE,
     "tau_grid": st.lists(FINITE, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
+    "gamma_xi_grid": st.lists(EXPONENT, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
+    "gamma_u": EXPONENT,
+    "gamma_n": EXPONENT,
 }
 
 
@@ -219,6 +224,13 @@ class TestConfig:
         cfg = parse_config(text, schema)
         assert parse_config(format_config(cfg), schema) == cfg
 
+    def test_least_level_keeps_a_finite_quantile(self):
+        # mixed_ci takes z at 1 - v/32: below 1 down to v = 2^-48, and exactly 1 from v = 2^-49 down
+        for key in ("alpha", "eta"):
+            assert getattr(parse_config(f"{key} = {2.0**-48!r}\n"), key) == 2.0**-48
+            with pytest.raises(ConfigError, match=f"{key} = "):
+                parse_config(f"{key} = {2.0**-49!r}\n")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("bogus = 1")
@@ -294,6 +306,7 @@ class TestConfig:
 # A small simulate table per null source, with one alternative, three modes and the cutoff scan;
 # nu2 nulls need k_u >= 4 and a loading that reaches past the lead block.  At master_seed = 3 four
 # radii move in their last digit with the normal quantile's implementation, so that table pins it.
+# The spiked table runs the nu2 case through the exhaustive covariance screen (its fits keep B = {}).
 GOLDEN_CFG = (
     "n = 60\np = 20\nk_u = 2\nk = 2\nreps = 3\nt0 = 0.5\ntau_grid = 1.5\n"
     "modes = mixed,debiased,known_sigma\nscan_all_m = 1\nmaster_seed = 7\n"
@@ -304,11 +317,15 @@ GOLDEN_CASES = {
     "nu2": GOLDEN_CFG.replace("k_u = 2", "k_u = 4") + "null_source = nu2\nloading_k = 20\n",
     "quantile": GOLDEN_CFG.replace("master_seed = 7", "master_seed = 3"),
 }
+GOLDEN_CASES["spiked"] = GOLDEN_CASES["nu2"].replace(
+    "modes = mixed,debiased,known_sigma\nscan_all_m = 1", "modes = spiked"
+)
 GOLDEN_SHA256 = {
     "point": "e05200147b3e15c7cbe8fa28b48d02f0c12a94d03ab08d61989063c3efe8c8f6",
     "nu1": "657871e0806c2129608ad04ebd1f37daf0a7bb10e26fb1a6eeb52e16cba1e966",
     "nu2": "dfc59e2c58947bd1dc47484949b18ece85d3185d2236e9b91f406d42f86c40c9",
     "quantile": "3a9f40f88f270095bd561770ad41e2299a765b12d1230365167981374417b231",
+    "spiked": "037231deddfe69ee0c29e42e590b484e6a0bf36dfb5bba9c7d6edce1e72c2f51",
 }
 
 
@@ -897,6 +914,14 @@ class TestCli:
             ("simulate", BASE["simulate"] + "tau_grid = nan\n", "tau_grid"),
             ("profile", BASE["profile"].replace("n = 1000", "n = 1"), "n"),
             ("profile", BASE["profile"].replace("p = 100", "p = 1"), "p"),
+            ("simulate", BASE["simulate"] + "alpha = 1e-17\n", "alpha"),
+            ("simulate", BASE["simulate"] + "eta = 1e-16\n", "eta"),
+            ("test", BASE["test"] + "alpha = 1e-17\nmode = debiased\n", "alpha"),
+            ("profile", BASE["profile"] + "degree = 0\n", "degree"),
+            ("profile", BASE["profile"] + "hcurve_points = -1\n", "hcurve_points"),
+            ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_xi_grid = 0.5,1.5\n", "gamma_xi_grid"),
+            ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_u = 2\n", "gamma_u"),
+            ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_n = -0.1\n", "gamma_n"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
@@ -905,7 +930,10 @@ class TestCli:
             "simulate-threads-negative", "simulate-threads-0", "simulate-eta-negative", "simulate-alpha-negative",
             "test-alpha-negative", "simulate-n-1", "simulate-noise_sd-negative", "simulate-noise_sd-0",
             "simulate-noise_sd-inf", "simulate-t0-inf", "simulate-t0-nan", "simulate-tau_grid-inf",
-            "simulate-tau_grid-nan", "profile-n-1", "profile-p-1",
+            "simulate-tau_grid-nan", "profile-n-1", "profile-p-1", "simulate-alpha-infinite-quantile",
+            "simulate-eta-infinite-quantile", "test-debiased-alpha-infinite-quantile", "profile-degree-0",
+            "profile-hcurve_points-negative", "phase_diagram-gamma_xi_grid", "phase_diagram-gamma_u",
+            "phase_diagram-gamma_n",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):
