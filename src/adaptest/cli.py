@@ -26,11 +26,11 @@ from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
 from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
-from .inference import TEST_MODES, run_single_test
+from .inference import C_XI, TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import JointCovariance, TestProblem, csv_text, dataset_from_csv, dataset_to_csv
 from .priors import chi2_mixture_mc, chi2_pair_closed_form, sample_comp_prior, sample_nu1_prior, sample_nu2_prior
-from .priors import valid_draws
+from .priors import DEFAULT_C1, DEFAULT_C4, DEFAULT_C5, DEFAULT_C8, valid_draws
 
 
 @dataclass(kw_only=True)
@@ -38,8 +38,8 @@ class ProfileConfig(LoadingConfig):
     n: int
     degree: int = 1
     hcurve_points: int = 64
-    # n and p here only: prior, lowdeg and scca run with n = 1
-    minima = {**RunConfig.minima, "n": 2, "p": 2, "degree": 1, "hcurve_points": 1}
+    # n and p at least 2 here only: prior, lowdeg and scca run with n = 1
+    minima = {**RunConfig.minima, "n": 2, "p": 2, "hcurve_points": 1}
 
 
 @dataclass(kw_only=True)
@@ -51,7 +51,7 @@ class DataConfig(LoadingConfig):
 
 @dataclass(kw_only=True)
 class FitConfig(DataConfig):
-    c_xi: float = 2.0
+    c_xi: float = C_XI
     gamma_star: float | None = None  # set: also run the spiked-covariance fit at this gamma_star
 
 
@@ -72,11 +72,11 @@ class PriorConfig(LoadingConfig):
     degree: int = setting(1, kind=("comp",))
     sigma_star: float = 5.0
     tau: float | None = setting(None, kind=("nu1",))  # unset means (c4 c5 / 4) nu1(xi) / sqrt(n)
-    c1: float = setting(0.05, kind=("nu2",))
+    c1: float = setting(DEFAULT_C1, kind=("nu2",))
     c2: float | None = setting(None, kind=("nu2",))
-    c4: float = setting(0.1, kind=("nu1",))
-    c5: float = setting(0.5, kind=("nu1",))
-    c8: float = setting(0.05, kind=("comp",))
+    c4: float = setting(DEFAULT_C4, kind=("nu1",))
+    c5: float = setting(DEFAULT_C5, kind=("nu1",))
+    c8: float = setting(DEFAULT_C8, kind=("comp",))
     c9: float | None = setting(None, kind=("comp",))
     chi2_reps: int = 0  # pair replicates of the chi-square estimate; 0 is off
 
@@ -252,15 +252,9 @@ def cmd_scca(cfg: SccaConfig):
         thr = scca.calibrate_thresholds(params, cfg.calib_reps, seed, cfg.level)
         rows = []
         for lam in float_list(cfg.lam_grid):
-            pa = replace(params, lam=lam)
-            hits = {k: 0 for k in scca.STATISTICS}
-            for i in range(cfg.reps):
-                r = scca.sample_cross_covariance(pa, "alt", seed, scca.ALT_STREAMS + i)
-                rep = scca.stat_report(r, params.s, thr)
-                for k in scca.STATISTICS:
-                    hits[k] += int(rep.decisions[k])
+            samples = scca.stat_samples(replace(params, lam=lam), "alt", seed, scca.ALT_STREAMS, cfg.reps)
             for k in scca.STATISTICS:
-                pw = hits[k] / cfg.reps
+                pw = int(np.count_nonzero(samples[k] > thr[k])) / cfg.reps
                 rows.append((lam, k, pw, math.sqrt(max(pw * (1 - pw), 0.0) / cfg.reps)))
         tables[".csv"] = csv_text("lam,statistic,power,se", rows)
     return cfg, f"scca_{cfg.mode}", tables

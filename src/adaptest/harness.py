@@ -51,7 +51,9 @@ class RunConfig:
 
     master_seed: int = 0
     out: str = "."
-    minima = {"k_u": 1, "reps": 1, "threads": 1, "draws": 1, "pairs": 1, "calib_reps": 1}  # not a field
+    minima = {  # not a field
+        "k_u": 1, "reps": 1, "threads": 1, "draws": 1, "pairs": 1, "calib_reps": 1, "n": 1, "degree": 1, "degree_max": 0
+    }
 
     def __post_init__(self):
         for key, least in self.minima.items():
@@ -82,6 +84,8 @@ class LoadingConfig(RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if not 0.0 < self.loading_q < math.inf:
+            raise ConfigError(f"loading_q = {self.loading_q} must be positive and finite")
         if self.loading_k is None and self.p is not None:
             self.loading_k = min(self.k_u, self.p)
 

@@ -5,12 +5,13 @@ An instance is n paired Gaussian rows (U1, U2); under the alternative a
 hidden s x s block of the cross-covariance carries the value lambda / s.
 Five statistics of the sample cross-covariance R_hat = U1'U2 / n are
 implemented with their thresholds and detection-boundary formulas.  They
-read R_hat alone, so sample_cross_covariance draws it from its exact law
-(a Bartlett factor of the Wishart U1'U1) in about p1 (p1 + 1) / 2 + p1 p2
-normals; gen_scca draws the n rows, which generation and the reduction
-need.  The reduction consumes rows two at a time and outputs a regression
-sample whose null maps to a point alternative of the linear test
-(decision inversion: use one minus the linear test's decision).
+take R_hat alone, so for n > p1 sample_cross_covariance draws it from its
+exact law (a Bartlett factor of the Wishart U1'U1) in about
+p1 (p1 + 1) / 2 + p1 p2 normals; for n <= p1 it is gen_scca's own R_hat.
+stat_samples is the one draw-and-score loop of null calibration and the
+power sweep.  The reduction consumes rows two at a time and outputs a
+regression sample whose null maps to a point alternative of the linear
+test (decision inversion: use one minus the linear test's decision).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class SccaInstance:
     params: SccaParams
     u1: np.ndarray
     u2: np.ndarray
-    hypothesis: str
     delta1: np.ndarray | None = None
     delta2: np.ndarray | None = None
 
@@ -70,38 +70,35 @@ def _flat_support_vector(p: int, s: int, rng) -> np.ndarray:
     return v
 
 
-def gen_scca(params: SccaParams, hypothesis: str, seed: int) -> SccaInstance:
-    """Sample an instance by Cholesky of the joint (p1 + p2) covariance.
+def _planted(params: SccaParams, hypothesis: str, rng) -> tuple:
+    """Check hypothesis and lam, then draw the planted (d1, d2) from rng; (None, None) under the null."""
+    if hypothesis not in ("null", "alt"):
+        raise ValueError("hypothesis must be 'null' or 'alt'")
+    if params.lam >= 1.0:
+        raise NotPositiveDefinite("cross-correlation lambda must be below 1")
+    if hypothesis == "null":
+        return None, None
+    return _flat_support_vector(params.p1, params.s, rng), _flat_support_vector(params.p2, params.s, rng)
+
+
+def gen_scca(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> SccaInstance:
+    """Sample an instance on stream(seed, index) by Cholesky of the joint (p1 + p2) covariance.
 
     Null: independent standard normals, the stream's draws as they are
     (the identity is its own factor).  Alternative: planted directions
     delta1, delta2 drawn uniformly with flat s^{-1/2} entries and joint
     cross block lambda delta1 delta2'.
     """
-    if hypothesis not in ("null", "alt"):
-        raise ValueError("hypothesis must be 'null' or 'alt'")
-    if params.lam >= 1.0:
-        raise NotPositiveDefinite("cross-correlation lambda must be below 1")
-    rng = stream(seed, 0)
+    rng = stream(seed, index)
     p1, p2 = params.p1, params.p2
-    if hypothesis == "null":
-        d1 = d2 = None
-        z = rng.standard_normal((params.n, p1 + p2))
-    else:
-        d1 = _flat_support_vector(p1, params.s, rng)
-        d2 = _flat_support_vector(p2, params.s, rng)
+    d1, d2 = _planted(params, hypothesis, rng)
+    z = rng.standard_normal((params.n, p1 + p2))
+    if d1 is not None:
         joint = np.eye(p1 + p2)
         joint[:p1, p1:] = params.lam * np.outer(d1, d2)
         joint[p1:, :p1] = joint[:p1, p1:].T
-        z = rng.standard_normal((params.n, p1 + p2)) @ np.linalg.cholesky(joint).T
-    return SccaInstance(
-        params=params,
-        u1=z[:, :p1],
-        u2=z[:, p1:],
-        hypothesis=hypothesis,
-        delta1=d1,
-        delta2=d2,
-    )
+        z = z @ np.linalg.cholesky(joint).T
+    return SccaInstance(params=params, u1=z[:, :p1], u2=z[:, p1:], delta1=d1, delta2=d2)
 
 
 def _cross_from_factor(params: SccaParams, a: np.ndarray, g: np.ndarray, d1, d2) -> np.ndarray:
@@ -127,34 +124,23 @@ NULL_STREAMS, ALT_STREAMS = 1 << 32, 2 << 32
 
 
 def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> np.ndarray:
-    """R_hat with exactly the law of gen_scca(params, hypothesis, seed).cross_covariance().
+    """R_hat with exactly the law of gen_scca(params, hypothesis, seed, index).cross_covariance().
 
     Drawn on stream(seed, index).  The planted d1, d2 are drawn first, as
-    gen_scca draws them, so at index 0 a seed plants the same support.
+    gen_scca draws them, so a seed and index plant the same support.
     For n > p1 the factor A of U1'U1 ~ Wishart_p1(n, I) is Bartlett's:
     lower triangular with A_ii^2 ~ chi2(n - i + 1) (i = 1..p1) and
     standard normals below the diagonal, p1 (p1 + 1) / 2 + p1 p2 draws in
-    all instead of n (p1 + p2); otherwise it is the raw rows U1', drawn as
-    gen_scca draws them.
+    all instead of n (p1 + p2); otherwise R_hat is gen_scca's own.
     """
-    if hypothesis not in ("null", "alt"):
-        raise ValueError("hypothesis must be 'null' or 'alt'")
-    if params.lam >= 1.0:
-        raise NotPositiveDefinite("cross-correlation lambda must be below 1")
-    rng = stream(seed, index)
     n, p1, p2 = params.n, params.p1, params.p2
-    d1 = d2 = None
-    if hypothesis == "alt":
-        d1 = _flat_support_vector(p1, params.s, rng)
-        d2 = _flat_support_vector(p2, params.s, rng)
-    if n > p1:
-        a = np.diag(np.sqrt(rng.chisquare(n - np.arange(p1))))
-        a[np.tril_indices(p1, -1)] = rng.standard_normal(p1 * (p1 - 1) // 2)
-        g = rng.standard_normal((p1, p2))
-    else:
-        z = rng.standard_normal((n, p1 + p2))
-        a, g = z[:, :p1].T, z[:, p1:]
-    return _cross_from_factor(params, a, g, d1, d2)
+    if n <= p1:
+        return gen_scca(params, hypothesis, seed, index).cross_covariance()
+    rng = stream(seed, index)
+    d1, d2 = _planted(params, hypothesis, rng)
+    a = np.diag(np.sqrt(rng.chisquare(n - np.arange(p1))))
+    a[np.tril_indices(p1, -1)] = rng.standard_normal(p1 * (p1 - 1) // 2)
+    return _cross_from_factor(params, a, rng.standard_normal((p1, p2)), d1, d2)
 
 
 # --- test statistics ---------------------------------------------------------
@@ -162,12 +148,7 @@ def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, inde
 _SCAN_BLOCK = 1 << 16  # column-sum entries scan_stat forms at once
 
 
-def _cross(inst: SccaInstance | np.ndarray) -> np.ndarray:
-    """R_hat of an instance; an array is taken as R_hat (see stat_values)."""
-    return inst if isinstance(inst, np.ndarray) else inst.cross_covariance()
-
-
-def scan_stat(inst: SccaInstance | np.ndarray, s: int, comb_cap: int = 10_000_000) -> float:
+def scan_stat(r: np.ndarray, s: int, comb_cap: int = 10_000_000) -> float:
     """Max averaged s x s submatrix of R_hat, exact over all supports.
 
     For a fixed row set the optimal column set is the top-s column sums,
@@ -175,7 +156,6 @@ def scan_stat(inst: SccaInstance | np.ndarray, s: int, comb_cap: int = 10_000_00
     (not the C(p1, s) * C(p2, s) supports searched).  Row sets are taken
     in blocks, each one array operation over its column sums.
     """
-    r = _cross(inst)
     p1, p2 = r.shape
     if math.comb(p1, s) * p2 > comb_cap:
         raise BudgetExceeded("scan enumeration exceeds the configured cap")
@@ -188,20 +168,19 @@ def scan_stat(inst: SccaInstance | np.ndarray, s: int, comb_cap: int = 10_000_00
     return best / (s * s)
 
 
-def entrywise_max(inst: SccaInstance | np.ndarray) -> float:
-    return float(_cross(inst).max())
+def entrywise_max(r: np.ndarray) -> float:
+    return float(r.max())
 
 
-def max_col(inst: SccaInstance | np.ndarray, s: int) -> float:
-    return float(_cross(inst).sum(axis=0).max()) / s
+def max_col(r: np.ndarray, s: int) -> float:
+    return float(r.sum(axis=0).max()) / s
 
 
-def max_row(inst: SccaInstance | np.ndarray, s: int) -> float:
-    return float(_cross(inst).sum(axis=1).max()) / s
+def max_row(r: np.ndarray, s: int) -> float:
+    return float(r.sum(axis=1).max()) / s
 
 
-def global_sum(inst: SccaInstance | np.ndarray) -> float:
-    r = _cross(inst)
+def global_sum(r: np.ndarray) -> float:
     return float(r.sum()) / (r.shape[0] * r.shape[1])
 
 
@@ -243,8 +222,7 @@ def boundary_table(n: int, s: int, p1: int, p2: int) -> dict:
     }
 
 
-def stat_values(inst: SccaInstance | np.ndarray, s: int) -> dict:
-    r = _cross(inst)
+def stat_values(r: np.ndarray, s: int) -> dict:
     return {
         "scan": scan_stat(r, s),
         "entrywise": entrywise_max(r),
@@ -254,8 +232,8 @@ def stat_values(inst: SccaInstance | np.ndarray, s: int) -> dict:
     }
 
 
-def stat_report(inst: SccaInstance | np.ndarray, s: int, thresh: dict) -> StatReport:
-    values = stat_values(inst, s)
+def stat_report(r: np.ndarray, s: int, thresh: dict) -> StatReport:
+    values = stat_values(r, s)
     return StatReport(
         values=values,
         thresholds=dict(thresh),
@@ -318,6 +296,15 @@ def reduce_to_lt(
     return Dataset(x=x, y=y), problem, tau_red
 
 
+def stat_samples(params: SccaParams, hypothesis: str, seed: int, first: int, reps: int) -> dict:
+    """Each statistic's values over reps draws of R_hat, draw i on stream(seed, first + i)."""
+    samples = {k: np.empty(reps) for k in STATISTICS}
+    for i in range(reps):
+        for k, v in stat_values(sample_cross_covariance(params, hypothesis, seed, first + i), params.s).items():
+            samples[k][i] = v
+    return samples
+
+
 def calibrate_thresholds(
     params: SccaParams,
     reps: int,
@@ -326,9 +313,5 @@ def calibrate_thresholds(
 ) -> dict:
     """Null Monte Carlo thresholds: per-statistic empirical (1 - level)
     quantile over reps null draws, draw i on stream(seed, NULL_STREAMS + i)."""
-    samples = {k: np.empty(reps) for k in STATISTICS}
-    for i in range(reps):
-        r = sample_cross_covariance(params, "null", seed, NULL_STREAMS + i)
-        for k, v in stat_values(r, params.s).items():
-            samples[k][i] = v
+    samples = stat_samples(params, "null", seed, NULL_STREAMS, reps)
     return {k: float(np.quantile(v, 1.0 - level, method="higher")) for k, v in samples.items()}

@@ -58,8 +58,8 @@ BY_TYPE = {
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
 # Keys whose domain is narrower than their type's: k_u, reps, threads >= 1, n >= 2, alpha + eta
-# in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd positive and finite, t0 and the
-# tau_grid entries finite, and the phase-diagram exponents in [0, 1].
+# in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd and loading_q positive and finite,
+# t0 and the tau_grid entries finite, and the phase-diagram exponents in [0, 1].
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXPONENT = st.floats(0.0, 1.0)
 IN_DOMAIN = {
@@ -70,6 +70,7 @@ IN_DOMAIN = {
     "alpha": st.floats(2.0**-48, 0.5, exclude_max=True),
     "eta": st.floats(2.0**-48, 0.5, exclude_max=True),
     "noise_sd": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "loading_q": st.floats(0.0, exclude_min=True, allow_infinity=False),
     "t0": FINITE,
     "tau_grid": st.lists(FINITE, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
     "gamma_xi_grid": st.lists(EXPONENT, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
@@ -922,6 +923,17 @@ class TestCli:
             ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_xi_grid = 0.5,1.5\n", "gamma_xi_grid"),
             ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_u = 2\n", "gamma_u"),
             ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_n = -0.1\n", "gamma_n"),
+            ("prior", "kind = nu2\n" + BASE["prior"].replace("n = 1000", "n = 0"), "n"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"].replace("n = 2", "n = 0"), "n"),
+            ("scca", "mode = stats\n" + BASE["scca"].replace("n = 400", "n = 0"), "n"),
+            ("scca", "mode = generate\n" + BASE["scca"].replace("n = 400", "n = 0"), "n"),
+            ("prior", "kind = comp\n" + BASE["prior"] + "degree = 0\n", "degree"),
+            ("prior", "kind = comp\n" + BASE["prior"] + "degree = -2\n", "degree"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "degree_max = -1\n", "degree_max"),
+            *[
+                ("profile", BASE["profile"] + f"loading = subweibull\nloading_q = {q}\n", "loading_q")
+                for q in ("0", "-1", "inf", "nan")
+            ],
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
@@ -933,7 +945,9 @@ class TestCli:
             "simulate-tau_grid-nan", "profile-n-1", "profile-p-1", "simulate-alpha-infinite-quantile",
             "simulate-eta-infinite-quantile", "test-debiased-alpha-infinite-quantile", "profile-degree-0",
             "profile-hcurve_points-negative", "phase_diagram-gamma_xi_grid", "phase_diagram-gamma_u",
-            "phase_diagram-gamma_n",
+            "phase_diagram-gamma_n", "prior-n-0", "lowdeg-n-0", "scca-stats-n-0", "scca-generate-n-0",
+            "prior-comp-degree-0", "prior-comp-degree-negative", "lowdeg-degree_max-negative", "profile-loading_q-0",
+            "profile-loading_q-negative", "profile-loading_q-inf", "profile-loading_q-nan",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):

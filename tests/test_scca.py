@@ -1,6 +1,6 @@
+import hashlib
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,42 +9,33 @@ from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from adaptest import scca
+from adaptest.cli import SccaConfig, cmd_scca
 from adaptest.cli import main as cli_main
 from adaptest.errors import BudgetExceeded, NotPositiveDefinite, OddSampleSize
+from adaptest.harness import parse_config
 from adaptest.inference import mixed_test
 from adaptest.model import stream
-
-
-@dataclass
-class FakeInstance:
-    r: np.ndarray
-    rows: int = 1
-
-    def cross_covariance(self):
-        return self.r
 
 
 class TestStatistics:
     def test_single_entry_matrix(self):
         r = np.zeros((3, 4))
         r[1, 2] = 1.0
-        inst = FakeInstance(r)
-        assert scca.scan_stat(inst, 2) == pytest.approx(0.25)
-        assert scca.entrywise_max(inst) == 1.0
-        assert scca.max_col(inst, 2) == pytest.approx(0.5)
+        assert scca.scan_stat(r, 2) == pytest.approx(0.25)
+        assert scca.entrywise_max(r) == 1.0
+        assert scca.max_col(r, 2) == pytest.approx(0.5)
 
     def test_all_ones_global_sum(self):
-        assert scca.global_sum(FakeInstance(np.ones((2, 2)))) == 1.0
+        assert scca.global_sum(np.ones((2, 2))) == 1.0
 
     def test_scan_equals_entrywise_at_s1(self):
         rng = np.random.default_rng(0)
-        inst = FakeInstance(rng.standard_normal((5, 7)))
-        assert scca.scan_stat(inst, 1) == pytest.approx(scca.entrywise_max(inst))
+        r = rng.standard_normal((5, 7))
+        assert scca.scan_stat(r, 1) == pytest.approx(scca.entrywise_max(r))
 
     def test_scan_budget(self):
-        inst = FakeInstance(np.zeros((30, 30)))
         with pytest.raises(BudgetExceeded):
-            scca.scan_stat(inst, 10, comb_cap=1000)
+            scca.scan_stat(np.zeros((30, 30)), 10, comb_cap=1000)
 
 
 class TestGeneration:
@@ -187,8 +178,8 @@ class TestCalibration:
         fp = {k: 0 for k in scca.STATISTICS}
         reps = 300
         for i in range(reps):
-            inst = scca.gen_scca(params, "null", 10_000 + i)
-            rep = scca.stat_report(inst, params.s, thr)
+            r = scca.gen_scca(params, "null", 10_000 + i).cross_covariance()
+            rep = scca.stat_report(r, params.s, thr)
             for k in scca.STATISTICS:
                 fp[k] += rep.decisions[k]
         for k, count in fp.items():
@@ -236,7 +227,7 @@ class TestSharedCrossCovariance:
         rng = np.random.default_rng(s)
         for _ in range(4):
             r = rng.standard_normal((6, 7))
-            got = scca.scan_stat(FakeInstance(r), s)
+            got = scca.scan_stat(r, s)
             assert got == _scan_by_loop(r, s)
             assert got == pytest.approx(_scan_brute_force(r, s), rel=1e-12, abs=1e-15)
 
@@ -258,14 +249,14 @@ class TestSharedCrossCovariance:
     def test_stat_values_equal_public_statistics(self, hypothesis):
         params = scca.SccaParams(n=300, s=2, p1=6, p2=9, lam=0.4)
         for seed in range(5):
-            inst = scca.gen_scca(params, hypothesis, seed)
-            values = scca.stat_values(inst, params.s)
+            r = scca.gen_scca(params, hypothesis, seed).cross_covariance()
+            values = scca.stat_values(r, params.s)
             assert values == {
-                "scan": scca.scan_stat(inst, params.s),
-                "entrywise": scca.entrywise_max(inst),
-                "max_col": scca.max_col(inst, params.s),
-                "max_row": scca.max_row(inst, params.s),
-                "global_sum": scca.global_sum(inst),
+                "scan": scca.scan_stat(r, params.s),
+                "entrywise": scca.entrywise_max(r),
+                "max_col": scca.max_col(r, params.s),
+                "max_row": scca.max_row(r, params.s),
+                "global_sum": scca.global_sum(r),
             }
 
     def test_null_instance_is_the_raw_stream(self):
@@ -302,6 +293,33 @@ def _max_rel_diff(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
+# scca outputs at master_seed = 7: the sweep at the bench's lower_bound instance, stats under the
+# alternative at n > p1 and under the null at n <= p1, and the row-drawing modes.
+GOLDEN_SCCA_CASES = {
+    "sweep": "mode = sweep\nn = 4000\ns = 2\np1 = 10\np2 = 40\ncalib_reps = 400\nreps = 200\nlam_grid = 0.1\n",
+    "stats_alt": "mode = stats\nn = 300\ns = 2\np1 = 6\np2 = 9\nlam = 0.4\nhypothesis = alt\n",
+    "stats_null_few_rows": "mode = stats\nn = 5\ns = 2\np1 = 6\np2 = 9\n",
+    "generate": "mode = generate\nn = 40\ns = 2\np1 = 6\np2 = 9\nlam = 0.4\nhypothesis = alt\n",
+    "reduce": "mode = reduce\nn = 40\ns = 2\np1 = 6\np2 = 9\nlam = 0.4\nhypothesis = alt\n",
+}
+GOLDEN_SCCA_SHA256 = {
+    "sweep": "4365b0b44a8c0147d7227e7f0ebc33d3608a7839c73cf8cab30e0904ad9a407f",
+    "stats_alt": "f2d208c4c7368a279d47d56c0536fdeccc0e7f95759b9cb1b96c860ba8180658",
+    "stats_null_few_rows": "d55e733638151783b481adc28bafa12ed3aa9245ea55a7acdd6cd1e4d60b420b",
+    "generate": "71173b1d9a256282c6fb6061a7af5d06e2d0e7786bed41ca35252d0b08112452",
+    "reduce": "9efe0ee249cda47506386583e2196a8b38664b95ef099037c3d3dcc804f2d470",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SCCA_SHA256))
+def test_golden_scca_tables(case):
+    # Pinned with numpy 2.4 on OpenBLAS: every table, in suffix order, of one scca run
+    cfg = parse_config(GOLDEN_SCCA_CASES[case] + "master_seed = 7\n", SccaConfig)
+    _, _, tables = cmd_scca(cfg)
+    text = "".join(tables[k] for k in sorted(tables))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SCCA_SHA256[case]
+
+
 class TestExactLawSampler:
     @settings(max_examples=150, deadline=None)
     @given(small_params(), st.sampled_from(["null", "alt"]), st.integers(0, 2**32))
@@ -320,10 +338,26 @@ class TestExactLawSampler:
         params = scca.SccaParams(n=12, s=2, p1=4, p2=6, lam=0.8)
         draws = 2000
         ours = [scca.stat_values(scca.sample_cross_covariance(params, hypothesis, i), 2) for i in range(draws)]
-        rows = [scca.stat_values(scca.gen_scca(params, hypothesis, 50_000 + i), 2) for i in range(draws)]
+        rows = [
+            scca.stat_values(scca.gen_scca(params, hypothesis, 50_000 + i).cross_covariance(), 2) for i in range(draws)
+        ]
         for k in scca.STATISTICS:
             pvalue = ks_2samp([v[k] for v in ours], [v[k] for v in rows]).pvalue
             assert pvalue >= 0.01, (k, pvalue)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_params().filter(lambda params: params.n <= params.p1),
+        st.sampled_from(["null", "alt"]),
+        st.integers(0, 2**32),
+        st.sampled_from([0, scca.NULL_STREAMS, scca.ALT_STREAMS]),
+        st.integers(0, 999),
+    )
+    def test_few_rows_are_gen_scca_cross_covariance(self, params, hypothesis, seed, base, i):
+        # n <= p1 has no Bartlett factor: the sampler returns gen_scca's own R_hat, bit for bit
+        index = base + i if base else 0
+        want = scca.gen_scca(params, hypothesis, seed, index).cross_covariance()
+        assert np.array_equal(scca.sample_cross_covariance(params, hypothesis, seed, index), want)
 
     @pytest.mark.parametrize("hypothesis", ["null", "alt"])
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -363,10 +397,3 @@ class TestExactLawSampler:
             scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=1.0), "alt", 0)
         with pytest.raises(ValueError):
             scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=0.1), "planted", 0)
-
-    def test_statistics_take_an_instance_or_its_cross_covariance(self):
-        params = scca.SccaParams(n=200, s=2, p1=5, p2=8, lam=0.3)
-        inst = scca.gen_scca(params, "alt", 4)
-        thr = scca.thresholds(params.n, params.s, params.p1, params.p2)
-        assert scca.stat_values(inst, 2) == scca.stat_values(inst.cross_covariance(), 2)
-        assert scca.stat_report(inst, 2, thr) == scca.stat_report(inst.cross_covariance(), 2, thr)
