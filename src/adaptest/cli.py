@@ -98,6 +98,11 @@ class LowdegConfig(LoadingConfig):
     c9: float = 0.05
     sigma_star: float = 1.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.k_eff < self.p and not 1 <= self.s1 <= self.p - self.k_eff:  # the trail support lies past k_eff
+            raise ConfigError(f"s1 = {self.s1} must lie in 1..p - k_eff = 1..{self.p - self.k_eff}")
+
 
 @dataclass(kw_only=True)
 class SccaConfig(RunConfig):
@@ -118,6 +123,11 @@ class SccaConfig(RunConfig):
     level: float = setting(0.05, mode=("sweep",))
     alpha: float = setting(0.05, mode=("reduce",))
     eta: float = setting(0.05, mode=("reduce",))
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.mode == "reduce" and self.n % 2:
+            raise ConfigError(f"n = {self.n} must be even: the reduction consumes rows two at a time")
 
 
 def _read_dataset(cfg: DataConfig):

@@ -141,7 +141,7 @@ class CoordinateDataset(Gram):
         self.theta, self.n, self.p, self.seed, self.index, self.memo = theta, n, theta.p, seed, index, {}
         self.source = source or GaussianSource(theta, n, stream(seed, index))
         self.block, self.factor = theta.design_factor
-        self.diag, self.coords, self.columns = self.source.norms2 / n, np.zeros((0, theta.p)), {}
+        self.diag, self.coords, self.columns = self.source.norms2 / n, np.empty((8, theta.p))[:0], {}
         self.diag[self.block] = self.cols(self.block)[self.block, range(self.block.size)]  # S first, X's norms
         self.cols(np.flatnonzero(theta.beta))
         y, row = self.source.response(self.coords)
@@ -155,22 +155,28 @@ class CoordinateDataset(Gram):
     y = x
 
     def _append(self, row: np.ndarray) -> None:
+        if not row.size:  # R^n is spanned
+            return
         if self.block.size:  # Z's coordinates to X's
-            row[..., self.block] = row[..., self.block] @ self.factor.T
-        self.coords = np.vstack((self.coords, row))
+            row[self.block] = row[self.block] @ self.factor.T
+        buf, d = self.coords.base, len(self.coords)  # coords: the first d rows of buf, doubled when full
+        buf = buf if d < len(buf) else np.concatenate((buf, np.empty_like(buf)))
+        buf[d] = row
+        self.coords = buf[: d + 1]
 
     def _column(self, j: int) -> np.ndarray:
         self._append(self.source.direction(j))
         return self.coords.T @ self.coords[:, j] / self.n
 
     def fork(self) -> "CoordinateDataset":
-        """A copy whose later reads leave this one as it is: its own column dict
-        and memo, and a shallow copy of the source with its own rho and generator
-        state, all a draw changes.  It shares the memoised fits and halves;
-        `inference` reads a half through its own fork."""
+        """A copy whose later reads leave this one as it is: its own column dict,
+        memo and coordinate buffer, and a shallow copy of the source with its
+        own rho and generator state, all a draw changes.  It shares the
+        memoised fits and halves; `inference` reads a half through its own fork."""
         out, source = copy.copy(self), copy.copy(self.source)
         source.rho, source.rng = source.rho.copy(), np.random.Generator(copy.copy(source.rng.bit_generator))
         out.columns, out.source, out.memo = dict(self.columns), source, dict(self.memo)
+        out.coords = self.coords.base.copy()[: len(self.coords)]
         return out
 
 

@@ -9,9 +9,10 @@ Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
 (config digest, replicate, metric, value, se); per-replicate rows carry
 no standard error, aggregate rows (replicate -1) carry a binomial or
-sample one.  Replicates, or phase_diagram's (cell, replicate) pairs, share
-one worker pool per run; each draw has its own seed (`replicate_seed`)
-and rows reduce in order, so tables are bit-identical for any thread count.
+sample one.  A run's items (replicates, or phase_diagram's (cell, replicate)
+pairs) run serially, or on one process pool when each worker gets at least
+MIN_ITEMS_PER_WORKER; each draw has its own seed (`replicate_seed`) and rows
+reduce in item order, so tables are byte-identical on either path.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -41,6 +42,7 @@ def setting(default=dataclasses.MISSING, choices=(), **when) -> dataclasses.Fiel
 
 LOADINGS = ("regular", "multiscale", "subweibull")
 _SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
+MIN_ITEMS_PER_WORKER = 32  # a 2-process pool breaks even with the serial loop at about 16 items
 
 
 @dataclass(kw_only=True)
@@ -343,14 +345,26 @@ def replicate_seed(master_seed: int, rep: int, role: str) -> int:
     return master_seed + ((4 * rep + _SEED_ROLES.index(role) + 1) << 32)
 
 
-def _table(cfg: ExperimentConfig, items, worker) -> list[ResultRow]:
-    """Rows of worker's (metric, replicate, value) triples per item, in item order, then one mean/
-    row per metric; items run serially, or on one pool of cfg.threads workers if above 1."""
-    if cfg.threads <= 1:
+def _run_chunk(cfg: ExperimentConfig, start: int, step: int) -> list:
+    """One worker process's share of a run: items start, start + step, ... of the plan rebuilt from cfg."""
+    items, worker = _PLANS[cfg.kind](cfg)
+    return [worker(items[i]) for i in range(start, len(items), step)]
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Rows of the (metric, replicate, value) triples that the plan's worker gives per item, in item
+    order, then one mean/ row per metric; the items run serially, or on one process pool of `workers`."""
+    items, worker = _PLANS[cfg.kind](cfg)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cfg.threads, cpus, len(items) // MIN_ITEMS_PER_WORKER)
+    if workers <= 1:
         chunks = [worker(item) for item in items]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(worker, items))
+        from concurrent.futures import ProcessPoolExecutor  # not at the top: it would slow every import
+        chunks = [None] * len(items)
+        with ProcessPoolExecutor(workers) as pool:
+            for start, part in enumerate(pool.map(_run_chunk, [cfg] * workers, range(workers), [workers] * workers)):
+                chunks[start::workers] = part
     digest = config_digest(cfg)
     rows = [ResultRow(digest, rep, metric, value) for chunk in chunks for metric, rep, value in chunk]
     grouped: dict[str, list[float]] = {}
@@ -366,8 +380,8 @@ def _table(cfg: ExperimentConfig, items, worker) -> list[ResultRow]:
     return rows
 
 
-def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Empirical rejection rates under the null point and shifted
+def _size_power(cfg: ExperimentConfig):
+    """Plan of empirical rejection rates under the null point and shifted
     alternatives, per test mode and per tau on the grid."""
     modes = cfg.mode_list()
     xi = build_loading(cfg)
@@ -392,7 +406,7 @@ def run_size_power(cfg: ExperimentConfig) -> list[ResultRow]:
                 out.append((f"reject/alt/{mode}/tau={csv_cell(tau)}", rep, float(dec.reject)))
         return out
 
-    return _table(cfg, range(cfg.reps), worker)
+    return range(cfg.reps), worker
 
 
 def m_cutoff_grid(p: int, size: int) -> list[int]:
@@ -407,8 +421,8 @@ def m_cutoff_grid(p: int, size: int) -> list[int]:
         num *= 2
 
 
-def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Realized mixed-interval radii over a grid of cutoffs m."""
+def _length_sweep(cfg: ExperimentConfig):
+    """Plan of realized mixed-interval radii over a grid of cutoffs m."""
     xi = build_loading(cfg)
     theta = null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
     grid = m_cutoff_grid(cfg.p, cfg.m_grid)
@@ -420,11 +434,11 @@ def run_length_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
             (f"radius/m={m}", rep, mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta).radius) for m in grid
         ]
 
-    return _table(cfg, range(cfg.reps), worker)
+    return range(cfg.reps), worker
 
 
-def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Power of the mixed test over a (gamma_xi, gamma_tau) grid.
+def _phase_diagram(cfg: ExperimentConfig):
+    """Plan of the mixed test's power over a (gamma_xi, gamma_tau) grid.
 
     Sizes follow the exponent parametrization n = p^gamma_n and
     k_u = p^gamma_u; each cell's metric name carries its phase label.
@@ -448,15 +462,10 @@ def run_phase_diagram(cfg: ExperimentConfig) -> list[ResultRow]:
         data = CoordinateDataset(theta_alt, n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
         return [(metric, rep, float(mixed_test(data, problem).reject))]
 
-    return _table(cfg, [(cell, rep) for cell in cells for rep in range(cfg.reps)], worker)
+    return [(cell, rep) for cell in cells for rep in range(cfg.reps)], worker
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    if cfg.kind == "size_power":
-        return run_size_power(cfg)
-    if cfg.kind == "length_sweep":
-        return run_length_sweep(cfg)
-    return run_phase_diagram(cfg)
+_PLANS = {"size_power": _size_power, "length_sweep": _length_sweep, "phase_diagram": _phase_diagram}
 
 
 def plotdata_rows(rows: list[ResultRow]) -> list[tuple[str, float, float, float]]:

@@ -461,6 +461,16 @@ class TestCoordinateDataset:
         assert repr(data.source.rng.bit_generator.state) == state[2]
         assert np.array_equal(got, data.cols(read))
 
+    def test_fork_and_original_grow_separate_coordinates(self):
+        # both write their next basis vector to row d: one shared buffer would let either overwrite the other
+        theta = ModelParams(beta=np.eye(12)[2], sigma_cov=None, noise_sd=1.0)
+        data = CoordinateDataset(theta, 30, 5)
+        fork = data.fork()
+        fork.cols([3, 4])
+        seen = fork.coords.copy()
+        data.cols([0, 1])
+        assert np.array_equal(fork.coords, seen) and not np.array_equal(data.coords[: len(seen)], seen)
+
 
 class TestProjectionDirection:
     def radius_to_cxi(self, target, xi_vec, n):

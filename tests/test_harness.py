@@ -1,14 +1,21 @@
+import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from adaptest import cli, harness, inference, profiles
@@ -49,6 +56,29 @@ SUBWEIBULL = "loading = subweibull\nloading_q = 2.0\n"
 # mixed head read columns the fit did not, in different orders.  On SUBWEIBULL neither does.
 SPIKY = "loading = subweibull\nloading_q = 0.5\n"
 ALL_MODES = "mixed,plugin,debiased,known_sigma,spiked"
+# Each simulate kind at a size cheap enough to run a hundred items on a process pool.
+PROCESS_PATH_CFGS = [
+    "kind = size_power\nn = 40\np = 20\nk_u = 2\nloading_k = 2\ntau_grid = 0.0,1.0\n"
+    "modes = mixed,known_sigma\n",
+    "kind = length_sweep\nn = 40\np = 20\nk_u = 2\nloading_k = 2\nm_grid = 4\n",
+    "kind = phase_diagram\np = 20\ngamma_xi_grid = 0.5\ngamma_tau_grid = 0.3,0.6\n",
+]
+
+
+@contextlib.contextmanager
+def process_pools(method: str = "fork", cpus: int = 4):
+    """Within it, harness's process pools start `method` processes, as on a host with `cpus`
+    usable CPUs; yields the list of the worker counts of the pools made."""
+    made, pool = [], concurrent.futures.ProcessPoolExecutor
+
+    def make(workers):
+        made.append(workers)
+        return pool(workers, mp_context=multiprocessing.get_context(method))
+
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", make):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            yield made
+
 
 BOOL_SPELLINGS = {True: ("1", "true", "yes", "on"), False: ("0", "false", "no", "off")}
 BY_TYPE = {
@@ -275,7 +305,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("schema, tags, count", KEYS_READ, ids=lambda v: getattr(v, "__name__", str(v)))
     def test_keys_read_per_variant(self, schema, tags, count):
-        required = {f.name: 1 for f in dataclasses.fields(schema) if f.default is dataclasses.MISSING}
+        # 2, not 1: scca's reduce mode needs an even n
+        required = {f.name: 2 for f in dataclasses.fields(schema) if f.default is dataclasses.MISSING}
         cfg = schema(**{**required, **tags})
         blockers = [harness._blocker(cfg, f.name) for f in dataclasses.fields(cfg)]
         assert sum(b is None or b[0] in ("loading", "loading_csv") for b in blockers) == count
@@ -633,18 +664,74 @@ class TestRunners:
         serial = rows_to_csv(run_experiment(cfg)).encode()
         assert rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=threads))).encode() == serial
 
+    @given(
+        text=st.sampled_from(PROCESS_PATH_CFGS),
+        master_seed=st.integers(0, 2**32 - 1),
+        reps=st.integers(3 * harness.MIN_ITEMS_PER_WORKER, 3 * harness.MIN_ITEMS_PER_WORKER + 24),
+        threads=st.sampled_from([2, 3]),
+    )
+    # no shrink phase: every example starts a process pool, so shrinking a failure would take minutes
+    @settings(max_examples=4, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_process_pool_tables_match_serial(self, method, text, master_seed, reps, threads):
+        cfg = dataclasses.replace(parse_config(text), master_seed=master_seed, reps=reps)
+        serial = rows_to_csv(run_experiment(cfg)).encode()
+        with process_pools(method) as made:
+            assert rows_to_csv(run_experiment(dataclasses.replace(cfg, threads=threads))).encode() == serial
+        assert made == [threads]
+
     @pytest.mark.parametrize(
-        "text",
-        ["kind = phase_diagram\np = 16\n", "kind = length_sweep\nn = 40\np = 20\nk_u = 2\nm_grid = 4\n"],
+        "text, reps",
+        [("kind = phase_diagram\np = 16\n", 8), ("kind = length_sweep\nn = 40\np = 20\nk_u = 2\nm_grid = 4\n", 64)],
         ids=["phase_diagram", "length_sweep"],
     )
-    def test_one_worker_pool_per_run(self, text, monkeypatch):
-        # the phase diagram's default 3 x 3 grid runs all its (cell, replicate) pairs on one pool
-        pools, pool = [], harness.ThreadPoolExecutor
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", lambda *a, **kw: pools.append(pool(*a, **kw)) or pools[-1])
-        rows = run_experiment(parse_config(text + "reps = 2\nthreads = 2\n"))
-        assert len(pools) == 1 and len([r for r in rows if r.replicate >= 0]) >= 2 * 4
-        assert rows == run_experiment(parse_config(text + "reps = 2\n")) and len(pools) == 1  # serial: no pool
+    def test_one_worker_pool_per_run(self, text, reps):
+        # at 2 workers the threshold is 64 items: the phase diagram's default 3 x 3 grid has 9 per replicate
+        with process_pools() as made:
+            rows = run_experiment(parse_config(text + f"reps = {reps}\nthreads = 2\n"))
+            assert made == [2] and len([r for r in rows if r.replicate >= 0]) >= 64
+            assert rows == run_experiment(parse_config(text + f"reps = {reps}\n")) and made == [2]  # serial
+            run_experiment(parse_config(text + f"reps = {reps - 1}\nthreads = 2\n"))
+            assert made == [2]  # below the threshold: serial, no pool
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_stalled_prior_null_stops_a_process_pool_run(self, method):
+        cfg = dataclasses.replace(
+            parse_config(CRITERION3_CFG), null_source="nu2", loading_k=5, master_seed=303, reps=64, threads=2
+        )
+        with process_pools(method) as made:
+            with pytest.raises(RegimeViolation, match=r"50 invalid in a row, \d+ kappa_out_of_range$"):
+                run_experiment(cfg)
+        assert made == [2]
+
+    def test_no_worker_process_outlives_its_run(self):
+        with process_pools() as made:
+            run_experiment(parse_config("kind = phase_diagram\np = 16\nreps = 8\nthreads = 2\n"))
+        assert made == [2] and multiprocessing.active_children() == []
+
+    def test_worker_count_is_capped_by_the_usable_cpus(self):
+        # 90,000 items and threads = 2**20 ask for one worker per usable CPU; the stub starts none
+        asked = []
+
+        def record(workers):
+            asked.append(workers)
+            raise InterruptedError
+
+        cfg = parse_config(f"kind = phase_diagram\np = 16\nreps = 10000\nthreads = {2**20}\n")
+        with process_pools(cpus=3), mock.patch.object(concurrent.futures, "ProcessPoolExecutor", record):
+            with pytest.raises(InterruptedError):
+                run_experiment(cfg)
+        assert asked == [3]
+
+    def test_importing_the_cli_loads_no_multiprocessing(self):
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import sys, adaptest.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing' or m.endswith('.process')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_phase_diagram_labels_and_monotone_power(self):
         cfg = parse_config(
@@ -930,6 +1017,9 @@ class TestCli:
             ("prior", "kind = comp\n" + BASE["prior"] + "degree = 0\n", "degree"),
             ("prior", "kind = comp\n" + BASE["prior"] + "degree = -2\n", "degree"),
             ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "degree_max = -1\n", "degree_max"),
+            ("scca", "mode = reduce\n" + BASE["scca"].replace("n = 400", "n = 401"), "n"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "s1 = 0\n", "s1"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "s1 = 2\n", "s1"),  # p - k_eff = 1
             *[
                 ("profile", BASE["profile"] + f"loading = subweibull\nloading_q = {q}\n", "loading_q")
                 for q in ("0", "-1", "inf", "nan")
@@ -946,7 +1036,8 @@ class TestCli:
             "simulate-eta-infinite-quantile", "test-debiased-alpha-infinite-quantile", "profile-degree-0",
             "profile-hcurve_points-negative", "phase_diagram-gamma_xi_grid", "phase_diagram-gamma_u",
             "phase_diagram-gamma_n", "prior-n-0", "lowdeg-n-0", "scca-stats-n-0", "scca-generate-n-0",
-            "prior-comp-degree-0", "prior-comp-degree-negative", "lowdeg-degree_max-negative", "profile-loading_q-0",
+            "prior-comp-degree-0", "prior-comp-degree-negative", "lowdeg-degree_max-negative", "scca-reduce-n-odd",
+            "lowdeg-s1-0", "lowdeg-s1-past-p", "profile-loading_q-0",
             "profile-loading_q-negative", "profile-loading_q-inf", "profile-loading_q-nan",
         ],
     )
