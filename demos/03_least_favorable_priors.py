@@ -10,47 +10,39 @@ import math
 
 import numpy as np
 
-from adaptest import make_loading
 from adaptest.model import JointCovariance
-from adaptest.priors import (
-    chi2_mixture_mc,
-    hypergeometric_mgf,
-    sample_comp_prior,
-    sample_nu1_prior,
-    sample_nu2_prior,
-)
-from adaptest.profiles import nu1 as nu1_value
+from adaptest.priors import chi2_mixture_mc, hypergeometric_mgf, prior_sampler
+from adaptest.profiles import nu1 as nu1_value, regular_profile
 
 p, k_u, n = 400, 16, 1200
 sigma_star = 5.0
-xi = make_loading(np.concatenate((np.ones(150), np.zeros(p - 150))))
+xi = regular_profile(150, 1.0, p)
+tau1 = 0.0125 * nu1_value(xi, k_u) / math.sqrt(n)
+samplers = {
+    "nu2": prior_sampler("nu2", xi, k_u, n, p, sigma_star),
+    "nu1": prior_sampler("nu1", xi, k_u, n, p, sigma_star, tau=tau1),
+    "comp": prior_sampler("comp", xi, k_u, n, p, sigma_star, degree=1),
+}
 
 print("=== one draw from each prior ===")
-d2 = sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=1)
+d2 = samplers["nu2"](1)
 print(f"nu2:  kappa={d2.kappa:.5f} sparsity={d2.sparsity} eigs=[{d2.eig_min:.4f},{d2.eig_max:.4f}] "
       f"residual={d2.constraint_residual(xi):.1e} valid={d2.valid}")
-tau1 = 0.0125 * nu1_value(xi, k_u) / math.sqrt(n)
-d1 = sample_nu1_prior(xi, k_u, n, tau1, seed=1, sigma_star=sigma_star)
+d1 = samplers["nu1"](1)
 print(f"nu1:  kappa={d1.kappa:.5f} sparsity={d1.sparsity} Sigma=I "
       f"residual={d1.constraint_residual(xi):.1e} valid={d1.valid}")
-dc = sample_comp_prior(xi, k_u, n, p, 1, seed=1, sigma_star=sigma_star)
+dc = samplers["comp"](1)
 print(f"comp: kappa={dc.kappa:.5f} sparsity={dc.sparsity} eigs=[{dc.eig_min:.4f},{dc.eig_max:.4f}] "
       f"valid={dc.valid}")
 
 print("\n=== validity rates over 2000 draws ===")
-for name, sampler in {
-    "nu2": lambda s: sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=s),
-    "nu1": lambda s: sample_nu1_prior(xi, k_u, n, tau1, seed=s, sigma_star=sigma_star),
-    "comp": lambda s: sample_comp_prior(xi, k_u, n, p, 1, seed=s, sigma_star=sigma_star),
-}.items():
+for name, sampler in samplers.items():
     valid = sum(sampler(s).valid for s in range(2000))
     print(f"  {name}: {valid / 2000:.3f}")
 
 print("\n=== chi-square of the nu2 mixture vs the hypergeometric bound ===")
 ref = JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
-est, se = chi2_mixture_mc(
-    lambda s: sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=s), ref, n, 200, seed=9
-)
+est, se = chi2_mixture_mc(samplers["nu2"], ref, n, 200, seed=9)
 c1 = 0.05
 c3 = 2.0 * (1.0 / sigma_star**2 + 1.0)
 bound = hypergeometric_mgf(p - k_u // 4, k_u // 4, c3 * c1**2) - 1.0

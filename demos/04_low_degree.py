@@ -15,22 +15,14 @@ import numpy as np
 
 from adaptest import make_loading
 from adaptest.lowdeg import hermite_moment, ld_norm, ld_uniform_bound
-from adaptest.priors import chi2_pair_closed_form, rank_one_overlap, sample_comp_prior, valid_draws
+from adaptest.priors import chi2_pair_closed_form, draw_pairs, prior_sampler, rank_one_overlap, valid_draws
 
 n, p = 2, 3
 xi = make_loading([1.0, 0.9, 0.8])
-
-
-def sampler(seed):
-    return sample_comp_prior(
-        xi, 1, n, p, 1, c8=0.4, c9=0.05, seed=seed, sigma_star=1.0,
-        k_eff_override=2, s1_override=1,
-    )
-
-
+sampler = prior_sampler("comp", xi, 1, n, p, 1.0, degree=1, c8=0.4, c9=0.05, k_eff_override=2, s1_override=1)
 draws = list(islice(valid_draws(sampler, 0), 60))
 
-pairs = [(draws[i], draws[i + 1]) for i in range(0, len(draws) - 1, 2)]
+pairs = list(draw_pairs(draws))
 chi2 = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in pairs])) - 1.0
 print(f"reference 1 + chi^2 over {len(pairs)} pairs: {1 + chi2:.10f}")
 print(f"{'D':>3} {'LD(D)':>14} {'log uniform bound':>20}")

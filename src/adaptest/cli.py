@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, 
 from .inference import C_XI, TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import JointCovariance, TestProblem, csv_text, dataset_from_csv, dataset_to_csv
-from .priors import chi2_mixture_mc, chi2_pair_closed_form, sample_comp_prior, sample_nu1_prior, sample_nu2_prior
-from .priors import DEFAULT_C1, DEFAULT_C4, DEFAULT_C5, DEFAULT_C8, valid_draws
+from .priors import DEFAULT_C1, DEFAULT_C4, DEFAULT_C5, DEFAULT_C8, chi2_mixture_mc, chi2_pair_closed_form, draw_pairs
+from .priors import prior_sampler, valid_draws
 
 
 @dataclass(kw_only=True)
@@ -160,7 +160,7 @@ def cmd_fit(cfg: FitConfig):
     fit = scaled_lasso(data, sigma_floor=cfg.sigma_floor)
     proj = projection_direction(data, xi.original(), cfg.c_xi, data.n)
     support = np.flatnonzero(fit.beta_hat)
-    fields = {
+    cols = {
         "sigma_hat": fit.sigma_hat,
         "nnz": support.size,
         "support": support,
@@ -171,9 +171,9 @@ def cmd_fit(cfg: FitConfig):
     }
     if cfg.gamma_star is not None:
         spk = spiked_cov_estimate(data, cfg.k_u, cfg.gamma_star)
-        fields["b_hat"] = spk.b_hat
-        fields["fell_back_identity"] = spk.fell_back_identity
-    return cfg, "fit", {".csv": csv_text(",".join(fields), [fields.values()])}
+        cols["b_hat"] = spk.b_hat
+        cols["fell_back_identity"] = spk.fell_back_identity
+    return cfg, "fit", {".csv": csv_text(",".join(cols), [cols.values()])}
 
 
 def cmd_test(cfg: TestCmdConfig):
@@ -187,17 +187,11 @@ def cmd_test(cfg: TestCmdConfig):
 
 def cmd_prior(cfg: PriorConfig):
     xi = build_loading(cfg)
-    k_u, n, p, sigma_star = cfg.k_u, cfg.n, cfg.p, cfg.sigma_star
-    if cfg.kind == "nu2":
-        def sampler(s):
-            return sample_nu2_prior(xi, k_u, n, p, sigma_star, c1=cfg.c1, c2=cfg.c2, seed=s)
-    elif cfg.kind == "nu1":
-        def sampler(s):
-            return sample_nu1_prior(xi, k_u, n, cfg.tau, c4=cfg.c4, c5=cfg.c5, seed=s, sigma_star=sigma_star)
-    else:
-        def sampler(s):
-            return sample_comp_prior(xi, k_u, n, p, cfg.degree, c8=cfg.c8, c9=cfg.c9, seed=s, sigma_star=sigma_star)
-
+    # the keys read only under this kind are its sampler's keyword constants
+    consts = {
+        f.name: getattr(cfg, f.name) for f in fields(cfg) if cfg.kind in f.metadata.get("when", {}).get("kind", ())
+    }
+    sampler = prior_sampler(cfg.kind, xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, **consts)
     rows = []
     for i in range(cfg.draws):
         d = sampler(cfg.master_seed + i)
@@ -205,8 +199,8 @@ def cmd_prior(cfg: PriorConfig):
         rows.append([i, d.kappa, d.sparsity, d.eig_min, d.eig_max, residual, d.noise_sd, int(d.valid), d.reason])
     tables = {".csv": csv_text("draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason", rows)}
     if cfg.chi2_reps:
-        ref = JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
-        est_se = chi2_mixture_mc(sampler, ref, n, cfg.chi2_reps, cfg.master_seed + 10_000)
+        ref = JointCovariance(sigma_z=np.diag(np.concatenate(([cfg.sigma_star**2], np.ones(cfg.p)))))
+        est_se = chi2_mixture_mc(sampler, ref, cfg.n, cfg.chi2_reps, cfg.master_seed + 10_000)
         tables["_chi2.csv"] = csv_text("estimate,se", [est_se])
     return cfg, "prior", tables
 
@@ -214,16 +208,12 @@ def cmd_prior(cfg: PriorConfig):
 def cmd_lowdeg(cfg: LowdegConfig):
     xi = build_loading(cfg)
     n, p = cfg.n, cfg.p
-
-    def sampler(s):
-        return sample_comp_prior(
-            xi, cfg.k_u, n, p, 1, c8=cfg.c8, c9=cfg.c9, seed=s, sigma_star=cfg.sigma_star,
-            k_eff_override=cfg.k_eff, s1_override=cfg.s1,
-        )
-
-    draws = list(itertools.islice(valid_draws(sampler, cfg.master_seed), 2 * cfg.pairs))
-    pair_list = [(draws[i], draws[i + 1]) for i in range(0, len(draws) - 1, 2)]
-    chi2_ref = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in pair_list])) - 1.0
+    sampler = prior_sampler(
+        "comp", xi, cfg.k_u, n, p, cfg.sigma_star, degree=1, c8=cfg.c8, c9=cfg.c9, k_eff_override=cfg.k_eff,
+        s1_override=cfg.s1,
+    )
+    draws = list(islice(valid_draws(sampler, cfg.master_seed), 2 * cfg.pairs))
+    chi2_ref = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in draw_pairs(draws)])) - 1.0
     rows = [
         (deg, ld_norm(draws, deg, n), chi2_ref, ld_uniform_bound(n, p, max(deg, 1)))
         for deg in range(cfg.degree_max + 1)

@@ -1,9 +1,11 @@
 """Experiment orchestration: configuration parsing, Monte Carlo drivers
 for size/power, interval-length sweeps and phase diagrams, and result
-tables.  A dataset becomes a test decision in `inference.run_single_test`;
-this module builds the problems and datasets and collects the rows.  Every
-dataset is drawn as its Gram coordinates, from their exact law
-(`estimators.CoordinateDataset`); a nu2 null's design mixes only its block.
+tables.  A dataset becomes a test decision in `inference.run_single_test`,
+and a prior null's model point comes from `priors` (`prior_sampler`,
+`valid_draws`, `PriorDraw.model_point`); this module builds the problems
+and datasets and collects the rows.  Every dataset is drawn as its Gram
+coordinates, from their exact law (`estimators.CoordinateDataset`); a nu2
+null's design mixes only its block.
 
 Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
@@ -31,8 +33,8 @@ from .errors import ConfigError
 from .estimators import CoordinateDataset
 from .inference import TEST_MODES, _lasso, _log_grid, mixed_ci, mixed_test, run_single_test
 from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, make_loading
-from .priors import PriorDraw, sample_nu1_prior, sample_nu2_prior, valid_draws
-from .profiles import example_profiles, regular_phase
+from .priors import prior_sampler, valid_draws
+from .profiles import example_profiles, regular_phase, regular_profile
 
 
 def setting(default=dataclasses.MISSING, choices=(), **when) -> dataclasses.Field:
@@ -301,38 +303,8 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     """
     if cfg.null_source == "point":
         return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
-    if cfg.null_source == "nu2":
-        def sampler(s):
-            return sample_nu2_prior(xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, seed=s)
-    else:
-        def sampler(s):
-            return sample_nu1_prior(xi, cfg.k_u, cfg.n, seed=s, sigma_star=cfg.sigma_star)
-    draw = next(valid_draws(sampler, replicate_seed(cfg.master_seed, rep, "prior")))
-    return translate_draw(draw, xi, cfg.t0)
-
-
-def translate_draw(draw: PriorDraw, xi: LoadingVector, t0: float) -> ModelParams:
-    """Re-anchor a prior draw so that xi'beta = t0; adds at most one
-    support coordinate (the first support coordinate of xi).
-
-    Prior draws live in the magnitude-sorted coordinate system; the
-    result is permuted back to original coordinates so it can feed the
-    estimators directly.  An identity-design draw (split 0) gets sigma_cov None,
-    a nu2 draw the block (S, Sigma_SS) of its lead block and trail support.
-    """
-    j0 = int(np.flatnonzero(xi.coords)[0])
-    beta_s = draw.beta.copy()
-    beta_s[j0] += (t0 - draw.tau) / float(xi.coords[j0])
-    sigma = None
-    if draw.split:
-        trail = np.flatnonzero(draw.trail)
-        block = np.eye(draw.split + trail.size)
-        block[: draw.split, draw.split :] = np.outer(draw.lead, draw.trail[trail])
-        block[draw.split :, : draw.split] = block[: draw.split, draw.split :].T
-        idx = xi.perm[np.concatenate((np.arange(draw.split), draw.split + trail))]
-        order = np.argsort(idx)
-        sigma = (idx[order], block[np.ix_(order, order)])
-    return ModelParams(beta=beta_s[np.argsort(xi.perm)], sigma_cov=sigma, noise_sd=draw.noise_sd)
+    sampler = prior_sampler(cfg.null_source, xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star)
+    return next(valid_draws(sampler, replicate_seed(cfg.master_seed, rep, "prior"))).model_point(xi, cfg.t0)
 
 
 _SEED_ROLES = ("null", "alt", "split", "prior")
@@ -449,7 +421,7 @@ def _phase_diagram(cfg: ExperimentConfig):
     cells = []
     for gxi in float_list(cfg.gamma_xi_grid):
         k_xi = min(max(int(round(p**gxi)), 1), p)
-        xi = make_loading(np.concatenate((np.ones(k_xi), np.zeros(p - k_xi))))
+        xi = regular_profile(k_xi, 1.0, p)
         problem = TestProblem(xi=xi, t0=cfg.t0, k_u=k_u, alpha=cfg.alpha, eta=cfg.eta)
         for gtau in float_list(cfg.gamma_tau_grid):
             tau = p**gtau / math.sqrt(n)

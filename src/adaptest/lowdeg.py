@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .priors import PriorDraw, rank_one_overlap
+from .priors import PriorDraw, draw_pairs, rank_one_overlap
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,15 @@ def ld_pair_value(draw1: PriorDraw, draw2: PriorDraw, degree: int, n: int) -> fl
 
 
 def ld_norm(prior_draws, degree: int, n: int) -> float:
-    """Estimate LD(degree): average of ld_pair_value over consecutive pairs.
+    """Estimate LD(degree): average of ld_pair_value over the draw_pairs of prior_draws.
 
     Draws must be rescaled to unit diagonal (their joint covariance has
     sigma_star on the y entry; the rank-one factors normalize it away).
     """
-    draws = list(prior_draws)
-    if len(draws) < 2:
+    values = [ld_pair_value(a, b, degree, n) for a, b in draw_pairs(prior_draws)]
+    if not values:
         raise ValueError("need at least two draws")
-    pairs = [(draws[i], draws[i + 1]) for i in range(0, len(draws) - 1, 2)]
-    return float(np.mean([ld_pair_value(a, b, degree, n) for a, b in pairs]))
+    return float(np.mean(values))
 
 
 def ld_uniform_bound(n: int, p: int, degree: int) -> float:

@@ -1,7 +1,9 @@
-"""Least-favorable prior samplers and chi-square divergence oracles.
+"""Least-favorable priors: `prior_sampler` picks a kind's sampler, `valid_draws`
+keeps its valid draws, `PriorDraw.model_point` turns one into a model point, and
+`draw_pairs` pairs them for the chi-square oracles below and `lowdeg`.
 
-Three samplers produce null-constrained model points built from sparse
-rank-one couplings in the joint covariance of (y, x):
+Three samplers produce null-constrained draws built from sparse rank-one
+couplings in the joint covariance of (y, x):
 
 * the covariance-perturbation prior (kind "nu2"): a fixed unit vector on
   the leading block coupled to a random sparse vector on the rest;
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .errors import DivergentIntegral, RegimeViolation
-from .model import M1, M2, JointCovariance, sign, stream
-from .model import LoadingVector
+from .model import M1, M2, JointCovariance, LoadingVector, ModelParams, sign, stream
 from .profiles import effective_sparsity, j1_index, nu1, profile_root, top_norm
 
 DEFAULT_C1 = 0.05
@@ -83,16 +85,35 @@ class PriorDraw:
     def constraint_residual(self, xi: LoadingVector) -> float:
         return float(xi.coords @ self.beta) - self.tau
 
+    def coupled_block(self, cols=slice(None)) -> np.ndarray:
+        """I + lead t' + t lead' with t = trail[cols]: Sigma on the leading block and those trailing coordinates."""
+        t = self.trail[cols]
+        block = np.eye(self.split + t.size)
+        block[: self.split, self.split :] = np.outer(self.lead, t)
+        block[self.split :, : self.split] = block[: self.split, self.split :].T
+        return block
+
     def joint_covariance(self) -> JointCovariance:
         """Covariance of (y, x) for this draw (y listed first)."""
         sz = np.zeros((self.p + 1, self.p + 1))
         sz[0, 0] = self.sigma_star**2
-        xx = sz[1:, 1:]  # a view: Sigma is I but for lead trail' and its transpose
-        np.fill_diagonal(xx, 1.0)
-        xx[: self.split, self.split :] = np.outer(self.lead, self.trail)
-        xx[self.split :, : self.split] = xx[: self.split, self.split :].T
+        sz[1:, 1:] = self.coupled_block()
         sz[0, 1 + self.split :] = sz[1 + self.split :, 0] = self.kappa * self.trail
         return JointCovariance(sigma_z=sz)
+
+    def model_point(self, xi: LoadingVector, t0: float) -> ModelParams:
+        """This draw, shifted on xi's largest coordinate to xi'beta = t0, in original coordinates.  An
+        identity-design draw (split 0) gets sigma_cov None, a coupled one the block (S, Sigma_SS) of
+        its lead block and trail support."""
+        beta_s = self.beta.copy()
+        beta_s[0] += (t0 - self.tau) / float(xi.coords[0])
+        sigma = None
+        if self.split:
+            cols = np.flatnonzero(self.trail)
+            idx = xi.perm[np.concatenate((np.arange(self.split), self.split + cols))]
+            order = np.argsort(idx)
+            sigma = (idx[order], self.coupled_block(cols)[np.ix_(order, order)])
+        return ModelParams(beta=beta_s[np.argsort(xi.perm)], sigma_cov=sigma, noise_sd=self.noise_sd)
 
     def rank_one_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """(r, c) with Cov(U, V) = r c' after rescaling y by sigma_star.
@@ -160,6 +181,19 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
     return replace(draw, valid=False, reason=failed[0]) if failed else draw
 
 
+def prior_sampler(kind: str, xi: LoadingVector, k_u: int, n: int, p: int, sigma_star: float, **consts):
+    """seed -> PriorDraw of the prior `kind` (nu2, nu1 or comp) at this problem; consts are the
+    sampler's keyword constants.  The sampler is looked up by name at each call, so a rebinding
+    of the module attribute (a tracer or a test spy) sees every draw."""
+    if kind == "nu2":
+        return lambda seed: sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=seed, **consts)
+    if kind == "nu1":
+        return lambda seed: sample_nu1_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
+    if kind == "comp":
+        return lambda seed: sample_comp_prior(xi, k_u, n, p, seed=seed, sigma_star=sigma_star, **consts)
+    raise ValueError(f"unknown prior kind {kind!r}")
+
+
 def valid_draws(sampler, seed: int):
     """The valid draws of sampler(seed), sampler(seed + 1), ... in order;
     RegimeViolation, naming their most frequent reason, after 50 invalid draws in a row."""
@@ -172,6 +206,12 @@ def valid_draws(sampler, seed: int):
             yield draw
     why = max(misses, key=misses.count)
     raise RegimeViolation(f"rejection sampling found no valid draw: 50 invalid in a row, {misses.count(why)} {why}")
+
+
+def draw_pairs(draws):
+    """Consecutive disjoint pairs (d0, d1), (d2, d3), ... of draws, taken lazily as valid_draws never ends."""
+    it = iter(draws)
+    return zip(it, it)
 
 
 def sample_nu2_prior(
@@ -370,17 +410,20 @@ def chi2_pair_closed_form(draw1: PriorDraw, draw2: PriorDraw, n: int) -> float:
     return (1.0 - x) ** (-n)
 
 
-def _closed_form_applies(draw1: PriorDraw, draw2: PriorDraw, s0: np.ndarray) -> bool:
-    """Whether chi2_pair_closed_form gives the pair's integral against s0: both
-    draws couple the same blocks, both joint covariances are positive definite
-    (|r||c| < 1), and s0 is the product reference diag(sigma_star^2, I_p)."""
-    if (draw1.kind, draw1.split, draw1.p, draw1.sigma_star) != (draw2.kind, draw2.split, draw2.p, draw2.sigma_star):
+def _product_reference(s0: np.ndarray) -> tuple[float, int] | None:
+    """(sigma_star^2, p) when s0 is the product reference diag(sigma_star^2, I_p), else None."""
+    ref = (float(s0[0, 0]), s0.shape[0] - 1)
+    return ref if np.array_equal(s0, np.diag(np.r_[ref[0], np.ones(ref[1])])) else None
+
+
+def _closed_form_applies(draw1: PriorDraw, draw2: PriorDraw, ref: tuple[float, int] | None) -> bool:
+    """Whether chi2_pair_closed_form gives the pair's integral against the reference whose
+    `_product_reference` is ref: both draws couple the same blocks, both joint covariances are
+    positive definite (|r||c| < 1), and the reference is diag(sigma_star^2, I_p)."""
+    same = (draw1.kind, draw1.split, draw1.p, draw1.sigma_star) == (draw2.kind, draw2.split, draw2.p, draw2.sigma_star)
+    if not same or ref != (draw1.sigma_star**2, draw1.p):
         return False
-    for d in (draw1, draw2):
-        r, c = d.rank_one_factors()
-        if not float(r @ r) * float(c @ c) < 1.0:
-            return False
-    return np.array_equal(s0, np.diag(np.r_[draw1.sigma_star**2, np.ones(draw1.p)]))
+    return all(float(r @ r) * float(c @ c) < 1.0 for r, c in (d.rank_one_factors() for d in (draw1, draw2)))
 
 
 def chi2_mixture_mc(
@@ -392,7 +435,7 @@ def chi2_mixture_mc(
 ) -> tuple[float, float]:
     """Monte Carlo chi-square estimate: mean of pair integrals minus one.
 
-    prior_sampler(seed) -> PriorDraw.  The pairs are consecutive draws of
+    prior_sampler(seed) -> PriorDraw.  The pairs are draw_pairs of
     valid_draws(prior_sampler, seed), the restricted-prior convention.
     Returns (estimate, standard error).
 
@@ -405,11 +448,10 @@ def chi2_mixture_mc(
     if reps < 100:
         raise ValueError("need at least 100 pair replicates")
     s0 = _as_matrix(theta_star)
+    ref = _product_reference(s0)
     values = np.empty(reps)
-    draws = valid_draws(prior_sampler, seed)
-    for i in range(reps):
-        d1, d2 = next(draws), next(draws)
-        if _closed_form_applies(d1, d2, s0):
+    for i, (d1, d2) in enumerate(islice(draw_pairs(valid_draws(prior_sampler, seed)), reps)):
+        if _closed_form_applies(d1, d2, ref):
             values[i] = chi2_pair_closed_form(d1, d2, n)
         else:
             values[i] = chi2_pair_integral(d1.joint_covariance(), d2.joint_covariance(), s0, n)

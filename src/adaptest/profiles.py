@@ -186,11 +186,6 @@ def rate_bounds(xi: LoadingVector, k_u: int, n: int, p: int) -> tuple[float, flo
     return upper, lower
 
 
-def best_cutoff(xi: LoadingVector, k_u: int, n: int, p: int) -> int:
-    """Smallest m attaining the minimum of the cutoff objective."""
-    return int(np.argmin(upper_objective(xi, k_u, n, p)))
-
-
 # --- phase diagram for flat-on-support ("regular") loadings -----------------
 
 EASY_L2 = "easy_l2"

@@ -23,7 +23,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import BudgetExceeded, NotPositiveDefinite, OddSampleSize
-from .model import Dataset, TestProblem, make_loading, stream
+from .model import Dataset, TestProblem, stream
+from .profiles import regular_profile
 
 STATISTICS = ("scan", "entrywise", "max_col", "max_row", "global_sum")
 
@@ -291,7 +292,7 @@ def reduce_to_lt(
     beta0[0] = t0 - tau_red
     y = v1 + x @ beta0
 
-    xi = make_loading(np.concatenate((np.ones(p6), np.zeros(p7))))
+    xi = regular_profile(p6, 1.0, p6 + p7)
     problem = TestProblem(xi=xi, t0=t0, k_u=4 * s, alpha=alpha, eta=eta)
     return Dataset(x=x, y=y), problem, tau_red
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from adaptest import cli, harness, inference, profiles
+from adaptest import cli, harness, inference, priors, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError, RegimeViolation
 from adaptest.estimators import CoordinateDataset, Gram, scaled_lasso, spiked_cov_estimate
@@ -352,12 +352,41 @@ GOLDEN_CASES = {
 GOLDEN_CASES["spiked"] = GOLDEN_CASES["nu2"].replace(
     "modes = mixed,debiased,known_sigma\nscan_all_m = 1", "modes = spiked"
 )
+GOLDEN_CASES["length_sweep"] = (
+    "kind = length_sweep\nn = 60\np = 20\nk_u = 2\nloading_k = 3\nm_grid = 6\nreps = 3\nmaster_seed = 7\n"
+)
+GOLDEN_CASES["phase_diagram"] = (
+    "kind = phase_diagram\np = 30\ngamma_xi_grid = 0.3,0.7\ngamma_tau_grid = 0.3,0.6\nreps = 3\nmaster_seed = 7\n"
+)
 GOLDEN_SHA256 = {
     "point": "e05200147b3e15c7cbe8fa28b48d02f0c12a94d03ab08d61989063c3efe8c8f6",
     "nu1": "657871e0806c2129608ad04ebd1f37daf0a7bb10e26fb1a6eeb52e16cba1e966",
     "nu2": "dfc59e2c58947bd1dc47484949b18ece85d3185d2236e9b91f406d42f86c40c9",
     "quantile": "3a9f40f88f270095bd561770ad41e2299a765b12d1230365167981374417b231",
     "spiked": "037231deddfe69ee0c29e42e590b484e6a0bf36dfb5bba9c7d6edce1e72c2f51",
+    "length_sweep": "7e834e31debb8c5d7fae46e5f9bbcb22001650e5be3755fb84db6b1f66736847",
+    "phase_diagram": "b02e99bd90a71bf3f831729f11be35f1a864df61abaacd00cf074f4f77a150ac",
+}
+# The other commands' tables at master_seed = 7: prior at each kind, with its chi-square table,
+# lowdeg on the criterion-9 instance ({xi} is its loading CSV) and profile.  A digest covers a
+# command's tables in the order it writes them; file names are left out, as theirs hash the config.
+COMMAND_GOLDEN_CASES = {
+    "prior_nu2": ("prior", "kind = nu2\nn = 1000\np = 200\nk_u = 16\nloading_k = 100\ndraws = 20\nchi2_reps = 100\n"),
+    "prior_nu1": ("prior", "kind = nu1\nn = 1000\np = 100\nk_u = 8\nloading_k = 30\ndraws = 20\nchi2_reps = 100\n"),
+    "prior_comp": ("prior", "kind = comp\nn = 2000\np = 500\nk_u = 32\nloading_k = 200\ndraws = 20\nchi2_reps = 100\n"),
+    "lowdeg": (
+        "lowdeg",
+        "n = 2\np = 3\nk_u = 1\nk_eff = 2\ns1 = 1\nc8 = 0.4\nc9 = 0.05\nsigma_star = 1.0\ndegree_max = 4\n"
+        "pairs = 40\nloading_csv = {xi}\n",
+    ),
+    "profile": ("profile", "n = 1000\np = 100\nk_u = 4\nloading = subweibull\n"),
+}
+COMMAND_GOLDEN_SHA256 = {
+    "prior_nu2": "b632fd1fad79ffd5171d6b5967c770f2dccbed748b46682358a860214209d81e",
+    "prior_nu1": "a8079c355d6c5ccee69f43132d2e8afcdd952cc1968dee8ae224de4fe05e7b7b",
+    "prior_comp": "1cf23c12c188cc15da943967100dcdcf8a37c57f83acc9e827aac2be41753255",
+    "lowdeg": "799d3e05e94b4011bd924febbc1ae6769ff045a8caa4d41350d31a2682590cb3",
+    "profile": "32d707aded1b1d8dec7fc84421f3d0bdc87e03caa0da8549f069074eede8b1fb",
 }
 
 
@@ -367,6 +396,15 @@ class TestRunners:
         # Pinned with numpy 2.4 on OpenBLAS; a refactor that keeps the sampler keeps these bytes.
         text = rows_to_csv(run_experiment(parse_config(GOLDEN_CASES[case])))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[case]
+
+    @pytest.mark.parametrize("case", sorted(COMMAND_GOLDEN_SHA256))
+    def test_golden_command_tables(self, case, tmp_path):
+        command, text = COMMAND_GOLDEN_CASES[case]
+        (tmp_path / "xi.csv").write_text("xi\n1.0\n0.9\n0.8\n")
+        schema, run = cli._DISPATCH[command]
+        _, _, tables = run(parse_config(text.format(xi=tmp_path / "xi.csv") + "master_seed = 7\n", schema))
+        body = "".join(f"{suffix}\n{table}" for suffix, table in tables.items())
+        assert hashlib.sha256(body.encode()).hexdigest() == COMMAND_GOLDEN_SHA256[case]
 
     def test_null_point_stores_no_identity(self):
         xi = make_loading(np.arange(6.0, 0.0, -1.0))
@@ -391,13 +429,13 @@ class TestRunners:
         assert (4, 4) in shapes and max(shapes) <= (4, 4)
 
     def test_nu2_null_carries_its_block(self):
-        # translate_draw's block is the dense covariance's, permuted to original coordinates
+        # model_point's block is the dense covariance's, permuted to original coordinates
         cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu2", k_u=8, loading_k=60, p=60, n=150)
         xi = harness.build_loading(cfg)
         for rep in range(3):
             seed = harness.replicate_seed(cfg.master_seed, rep, "prior")
-            draw = next(harness.valid_draws(lambda s: harness.sample_nu2_prior(xi, 8, 150, 60, 5.0, seed=s), seed))
-            theta = harness.translate_draw(draw, xi, cfg.t0)
+            draw = next(priors.valid_draws(lambda s: priors.sample_nu2_prior(xi, 8, 150, 60, 5.0, seed=s), seed))
+            theta = draw.model_point(xi, cfg.t0)
             inv = np.argsort(xi.perm)
             dense = ModelParams(beta=theta.beta, sigma_cov=draw.joint_covariance().xx[np.ix_(inv, inv)], noise_sd=1.0)
             idx, block = theta.sigma_cov
@@ -452,10 +490,10 @@ class TestRunners:
         # each replicate's null is the first valid draw from its prior seed on, never the point null
         drawn, nulls = [], []
         for name in ("sample_nu1_prior", "sample_nu2_prior"):
-            fn = getattr(harness, name)
-            monkeypatch.setattr(harness, name, lambda *a, fn=fn, **kw: drawn.append(fn(*a, **kw)) or drawn[-1])
-        translate = harness.translate_draw
-        monkeypatch.setattr(harness, "translate_draw", lambda draw, *a: nulls.append(draw) or translate(draw, *a))
+            fn = getattr(priors, name)
+            monkeypatch.setattr(priors, name, lambda *a, fn=fn, **kw: drawn.append(fn(*a, **kw)) or drawn[-1])
+        model_point = priors.PriorDraw.model_point
+        monkeypatch.setattr(priors.PriorDraw, "model_point", lambda d, *a: nulls.append(d) or model_point(d, *a))
         for src in ("nu1", "nu2"):
             cfg = dataclasses.replace(
                 parse_config(SIZE_CFG), reps=6, null_source=src, k_u=8, loading_k=30, p=60, n=150
@@ -482,7 +520,7 @@ class TestRunners:
 
         monkeypatch.setattr(harness, "CoordinateDataset", spy(harness.CoordinateDataset))
         monkeypatch.setattr(harness, "run_single_test", spy(harness.run_single_test))
-        monkeypatch.setattr(harness, "sample_nu2_prior", spy(harness.sample_nu2_prior))
+        monkeypatch.setattr(priors, "sample_nu2_prior", spy(priors.sample_nu2_prior))
         cfg = dataclasses.replace(
             parse_config(SIZE_CFG), n=40, p=12, k_u=4, reps=4, null_source="nu2", tau_grid="1.0", modes="plugin"
         )

@@ -26,7 +26,7 @@ from adaptest.estimators import (
     spiked_cov_estimate,
 )
 from adaptest import model
-from adaptest.harness import null_point, translate_draw
+from adaptest.harness import null_point
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
 from adaptest.priors import sample_nu2_prior, valid_draws
 from adaptest.profiles import example_profiles
@@ -412,7 +412,7 @@ def test_coordinate_datasets_match_rows_in_law():
     xi = example_profiles("subweibull", {"q": 2.0, "p": p, "k_u": k_u}, 1)
     problem = problem_of(xi=xi, t0=8.0, k_u=k_u, alpha=0.05, eta=0.05)
     nu2 = next(valid_draws(lambda s: sample_nu2_prior(xi, 8, n, p, 5.0, seed=s), 0))
-    points = (null_point(xi, k_u, 8.0, p, 1.0), null_point(xi, k_u, 20.0, p, 1.0), translate_draw(nu2, xi, 8.0))
+    points = (null_point(xi, k_u, 8.0, p, 1.0), null_point(xi, k_u, 20.0, p, 1.0), nu2.model_point(xi, 8.0))
     assert [theta.design_factor[0].size for theta in points] == [0, 0, 4]
     for offset, theta in enumerate(points):
         idx = theta.design_factor[0]

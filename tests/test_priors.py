@@ -392,7 +392,7 @@ class TestChi2Routing:
         else:
             s0[2, 5] = s0[5, 2] = 0.05
         draws = [sampler(s) for s in range(2)]
-        assert not pri._closed_form_applies(*draws, s0)
+        assert not pri._closed_form_applies(*draws, pri._product_reference(s0))
         calls = self._count_calls(monkeypatch)
         pri.chi2_mixture_mc(sampler, JointCovariance(sigma_z=s0), n, 100, seed=7)
         assert calls == {"dense": 100, "closed": 0}
@@ -401,14 +401,15 @@ class TestChi2Routing:
         sampler, p, n = _mixture_samplers()["nu2"]
         s0 = diag_reference(p, 5.0).sigma_z
         a, b = sampler(0), sampler(1)
-        assert pri._closed_form_applies(a, b, s0)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, sigma_star=4.0), s0)
+        ref = pri._product_reference(s0)
+        assert pri._closed_form_applies(a, b, ref)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, sigma_star=4.0), ref)
         longer_lead = dataclasses.replace(b, lead=np.append(b.lead, 0.0), trail=b.trail[1:])  # same p, split + 1
-        assert not pri._closed_form_applies(a, longer_lead, s0)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, kind="comp"), s0)
+        assert not pri._closed_form_applies(a, longer_lead, ref)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, kind="comp"), ref)
         # |r||c| >= 1: the joint covariance is not positive definite
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=5.0 / np.linalg.norm(b.trail)), s0)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=math.nan), s0)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=5.0 / np.linalg.norm(b.trail)), ref)
+        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=math.nan), ref)
 
 
 class TestHypergeometricMGF:

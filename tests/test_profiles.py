@@ -14,7 +14,6 @@ from adaptest.profiles import (
     SPARSE_LOADING_L2_INFLATED,
     STATISTICALLY_IMPOSSIBLE,
     _log_phi,
-    best_cutoff,
     example_profiles,
     flat_closed_form,
     multiscale_profile,
@@ -224,12 +223,6 @@ class TestRateBounds:
             xi = regular_profile(size, 1.3, p)
             upper, lower = rate_bounds(xi, k_u, n, p)
             assert 0.01 <= lower / upper <= 1.0
-
-    def test_best_cutoff_is_argmin(self):
-        xi = make_loading(np.linspace(2, 0.1, 40))
-        obj = upper_objective(xi, 5, 3000, 40)
-        m = best_cutoff(xi, 5, 3000, 40)
-        assert obj[m] == obj.min()
 
 
 class TestRegularPhase:
