@@ -28,7 +28,7 @@ from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
 from .inference import C_XI, TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
-from .model import JointCovariance, TestProblem, csv_text, dataset_from_csv, dataset_to_csv
+from .model import TestProblem, csv_text, dataset_from_csv, dataset_to_csv
 from .priors import DEFAULT_C1, DEFAULT_C4, DEFAULT_C5, DEFAULT_C8, chi2_mixture_mc, chi2_pair_closed_form, draw_pairs
 from .priors import prior_sampler, valid_draws
 
@@ -100,7 +100,9 @@ class LowdegConfig(LoadingConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.k_eff < self.p and not 1 <= self.s1 <= self.p - self.k_eff:  # the trail support lies past k_eff
+        if not self.k_u < self.k_eff < self.p:  # the comp prior's lead band (k_u, k_eff] leaves a trail
+            raise ConfigError(f"k_eff = {self.k_eff} must lie in k_u + 1..p - 1 = {self.k_u + 1}..{self.p - 1}")
+        if not 1 <= self.s1 <= self.p - self.k_eff:  # the trail support lies past k_eff
             raise ConfigError(f"s1 = {self.s1} must lie in 1..p - k_eff = 1..{self.p - self.k_eff}")
 
 
@@ -199,8 +201,7 @@ def cmd_prior(cfg: PriorConfig):
         rows.append([i, d.kappa, d.sparsity, d.eig_min, d.eig_max, residual, d.noise_sd, int(d.valid), d.reason])
     tables = {".csv": csv_text("draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason", rows)}
     if cfg.chi2_reps:
-        ref = JointCovariance(sigma_z=np.diag(np.concatenate(([cfg.sigma_star**2], np.ones(cfg.p)))))
-        est_se = chi2_mixture_mc(sampler, ref, cfg.n, cfg.chi2_reps, cfg.master_seed + 10_000)
+        est_se = chi2_mixture_mc(sampler, cfg.n, cfg.chi2_reps, cfg.master_seed + 10_000)
         tables["_chi2.csv"] = csv_text("estimate,se", [est_se])
     return cfg, "prior", tables
 

@@ -332,14 +332,13 @@ def test_criterion_9_ld_sandwich():
             k_eff_override=2, s1_override=1,
         )
 
-    ref = JointCovariance(sigma_z=np.eye(p + 1))
     for instance in range(5):
         base = 50_000 * (instance + 1)
         draws = list(islice(pri.valid_draws(sampler, base), 40))
         vals = {deg: ld.ld_norm(draws, deg, n) for deg in (0, 1, 2)}
         assert vals[0] == 1.0
         assert vals[0] <= vals[1] + 1e-13 <= vals[2] + 2e-13
-        est, se = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=base + 7_000)
+        est, se = pri.chi2_mixture_mc(sampler, n, 100, seed=base + 7_000)
         assert vals[2] <= 1.0 + est + 3 * se
     _report(9, "low-degree sandwich on tiny instances")
 

@@ -428,6 +428,19 @@ class TestRunners:
         assert peak < p * p  # below the bytes of a p x p bool array; the parent peaked at 64 MiB
         assert (4, 4) in shapes and max(shapes) <= (4, 4)
 
+    def test_prior_chi2_builds_no_dense_reference(self):
+        # the chi-square reference diag(sigma_star^2, I_p) is implicit: a (p+1) x (p+1) float array is 30.5 MiB here
+        text = "kind = nu2\nn = 1000\np = 2000\nk_u = 16\nloading_k = 100\ndraws = 1\nchi2_reps = 100\n"
+        cfg = parse_config(text, cli.PriorConfig)
+        tracemalloc.start()
+        try:
+            _, _, tables = cli.cmd_prior(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "_chi2.csv" in tables
+        assert peak < 8 * 2**20  # 65.6 MiB with the dense reference; under 1 MiB without
+
     def test_nu2_null_carries_its_block(self):
         # model_point's block is the dense covariance's, permuted to original coordinates
         cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu2", k_u=8, loading_k=60, p=60, n=150)
@@ -1058,6 +1071,8 @@ class TestCli:
             ("scca", "mode = reduce\n" + BASE["scca"].replace("n = 400", "n = 401"), "n"),
             ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "s1 = 0\n", "s1"),
             ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "s1 = 2\n", "s1"),  # p - k_eff = 1
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"].replace("k_eff = 2", "k_eff = 1"), "k_eff"),  # k_u = 1
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"].replace("k_eff = 2", "k_eff = 3"), "k_eff"),  # p = 3
             *[
                 ("profile", BASE["profile"] + f"loading = subweibull\nloading_q = {q}\n", "loading_q")
                 for q in ("0", "-1", "inf", "nan")
@@ -1075,7 +1090,7 @@ class TestCli:
             "profile-hcurve_points-negative", "phase_diagram-gamma_xi_grid", "phase_diagram-gamma_u",
             "phase_diagram-gamma_n", "prior-n-0", "lowdeg-n-0", "scca-stats-n-0", "scca-generate-n-0",
             "prior-comp-degree-0", "prior-comp-degree-negative", "lowdeg-degree_max-negative", "scca-reduce-n-odd",
-            "lowdeg-s1-0", "lowdeg-s1-past-p", "profile-loading_q-0",
+            "lowdeg-s1-0", "lowdeg-s1-past-p", "lowdeg-k_eff-at-k_u", "lowdeg-k_eff-at-p", "profile-loading_q-0",
             "profile-loading_q-negative", "profile-loading_q-inf", "profile-loading_q-nan",
         ],
     )

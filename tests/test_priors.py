@@ -1,8 +1,11 @@
 import dataclasses
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptest import priors as pri
 from adaptest.errors import DivergentIntegral, RegimeViolation
@@ -292,9 +295,8 @@ class TestChi2Integral:
 class TestChi2MixtureMC:
     def test_point_mass_is_zero(self):
         xi = make_loading(np.ones(10))
-        ref = diag_reference(10, 5.0)
         sampler = lambda s: pri.point_mass_draw(xi, 5.0)
-        est, se = pri.chi2_mixture_mc(sampler, ref, 4, 100, seed=0)
+        est, se = pri.chi2_mixture_mc(sampler, 4, 100, seed=0)
         assert est == 0.0
         assert se == 0.0
 
@@ -303,8 +305,7 @@ class TestChi2MixtureMC:
         xi = make_loading(np.ones(p))
         sigma_star = 5.0
         sampler = lambda s: pri.sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=s)
-        ref = diag_reference(p, sigma_star)
-        est, se = pri.chi2_mixture_mc(sampler, ref, n, 150, seed=3)
+        est, se = pri.chi2_mixture_mc(sampler, n, 150, seed=3)
         assert est <= 0.5
         c3 = 2.0 * (1.0 / sigma_star**2 + 1.0)
         bound = pri.hypergeometric_mgf(p - k_u // 4, k_u // 4, c3 * 0.05**2) - 1.0
@@ -344,72 +345,77 @@ def _mixture_samplers():
     }
 
 
+# per kind at p = 40: (loading, k_u, fixed keywords, strategies of n and of the kind's constants,
+# from the defaults' scale up to values where the validity checks bite)
+PRIOR_CASES = {
+    "nu2": (
+        np.linspace(2.0, 0.1, 40), 8, {},
+        {"n": st.sampled_from([10, 50, 500]), "c1": st.floats(0.01, 1.0), "c2": st.none() | st.floats(1e-4, 5.0)},
+    ),
+    "nu1": (
+        np.r_[np.ones(20), np.zeros(20)], 10, {},
+        {"n": st.just(400), "tau": st.none() | st.floats(1e-4, 0.1), "c4": st.floats(0.05, 1.0),
+         "c5": st.floats(0.1, 10.0)},
+    ),
+    "comp": (
+        np.ones(40), 16, {"degree": 1, "k_eff_override": 26, "s1_override": 3},
+        {"n": st.just(400), "c8": st.floats(0.05, 10.0), "c9": st.none() | st.floats(1e-4, 5.0)},
+    ),
+}
+
+
+@given(
+    kind=st.sampled_from([*PRIOR_CASES, "point_mass"]),
+    seed=st.integers(0, 10**6),
+    sigma_star=st.floats(0.5, 5.0),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_every_valid_draw_has_rank_one_norm_below_one(kind, seed, sigma_star, data):
+    # |r||c| < 1 on each valid draw, so by Cauchy-Schwarz every pair of valid draws has overlap x < 1
+    if kind == "point_mass":
+        draws = [pri.point_mass_draw(make_loading(np.ones(10)), sigma_star)]
+    else:
+        coords, k_u, fixed, strategies = PRIOR_CASES[kind]
+        consts = {key: data.draw(strategy, label=key) for key, strategy in strategies.items()}
+        n = consts.pop("n")
+        sampler = pri.prior_sampler(kind, make_loading(coords), k_u, n, 40, sigma_star, **fixed, **consts)
+        draws = [sampler(s) for s in range(seed, seed + 4)]
+    for r, c in (d.rank_one_factors() for d in draws if d.valid):
+        assert np.linalg.norm(r) * np.linalg.norm(c) < 1.0
+
+
 class TestChi2Routing:
-    """chi2_mixture_mc scores rank-one pairs against the product reference
-    in closed form; the dense determinant form stays the oracle."""
-
-    @staticmethod
-    def _count_calls(monkeypatch):
-        calls = {"dense": 0, "closed": 0}
-        dense, closed = pri.chi2_pair_integral, pri.chi2_pair_closed_form
-
-        def count_dense(*args):
-            calls["dense"] += 1
-            return dense(*args)
-
-        def count_closed(*args):
-            calls["closed"] += 1
-            return closed(*args)
-
-        monkeypatch.setattr(pri, "chi2_pair_integral", count_dense)
-        monkeypatch.setattr(pri, "chi2_pair_closed_form", count_closed)
-        return calls
+    """chi2_mixture_mc routes every pair to the closed form against the implicit
+    reference diag(sigma_star^2, I_p); the dense determinant form is the oracle."""
 
     @pytest.mark.parametrize("kind", ["nu2", "nu1", "comp", "point_mass"])
     def test_routed_matches_dense_only(self, kind, monkeypatch):
         sampler, p, n = _mixture_samplers()[kind]
         ref = diag_reference(p, 5.0)
-        calls = self._count_calls(monkeypatch)
-        routed = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7)
-        assert calls == {"dense": 0, "closed": 100}
-        monkeypatch.setattr(pri, "_closed_form_applies", lambda *args: False)
-        dense = pri.chi2_mixture_mc(sampler, ref, n, 100, seed=7)
-        assert calls == {"dense": 100, "closed": 100}
+        pairs = islice(pri.draw_pairs(pri.valid_draws(sampler, 7)), 100)
+        dense = np.array([pri.chi2_pair_integral(a.joint_covariance(), b.joint_covariance(), ref, n) for a, b in pairs])
+        oracle = (float(np.mean(dense)) - 1.0, float(np.std(dense, ddof=1) / math.sqrt(100)))
+        calls, closed = [], pri.chi2_pair_closed_form
+        monkeypatch.setattr(pri, "chi2_pair_closed_form", lambda *args: calls.append(1) or closed(*args))
+        est = pri.chi2_mixture_mc(sampler, n, 100, seed=7)
+        assert len(calls) == 100
         if kind == "point_mass":
-            assert routed == dense == (0.0, 0.0)
+            assert est == oracle == (0.0, 0.0)
         else:
-            assert routed[0] > 0.0
-            assert routed == pytest.approx(dense, rel=1e-10, abs=0.0)
+            assert est[0] > 0.0
+            assert est == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("perturb", ["sigma_star", "diagonal", "off_diagonal"])
-    def test_non_product_reference_takes_dense_path(self, perturb, monkeypatch):
-        sampler, p, n = _mixture_samplers()["nu2"]
-        s0 = diag_reference(p, 5.0).sigma_z
-        if perturb == "sigma_star":
-            s0[0, 0] = 4.0**2
-        elif perturb == "diagonal":
-            s0[3, 3] = 1.1
-        else:
-            s0[2, 5] = s0[5, 2] = 0.05
-        draws = [sampler(s) for s in range(2)]
-        assert not pri._closed_form_applies(*draws, pri._product_reference(s0))
-        calls = self._count_calls(monkeypatch)
-        pri.chi2_mixture_mc(sampler, JointCovariance(sigma_z=s0), n, 100, seed=7)
-        assert calls == {"dense": 100, "closed": 0}
-
-    def test_mismatched_or_indefinite_pairs_take_dense_path(self):
-        sampler, p, n = _mixture_samplers()["nu2"]
-        s0 = diag_reference(p, 5.0).sigma_z
-        a, b = sampler(0), sampler(1)
-        ref = pri._product_reference(s0)
-        assert pri._closed_form_applies(a, b, ref)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, sigma_star=4.0), ref)
-        longer_lead = dataclasses.replace(b, lead=np.append(b.lead, 0.0), trail=b.trail[1:])  # same p, split + 1
-        assert not pri._closed_form_applies(a, longer_lead, ref)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, kind="comp"), ref)
-        # |r||c| >= 1: the joint covariance is not positive definite
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=5.0 / np.linalg.norm(b.trail)), ref)
-        assert not pri._closed_form_applies(a, dataclasses.replace(b, kappa=math.nan), ref)
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_closed_form_diverges_at_overlap_one(self, kappa):
+        # r = (kappa / sigma_star) and c = e_1, so a draw's overlap with itself is kappa^2
+        base = pri.point_mass_draw(make_loading(np.ones(4)), 1.0)
+        d = dataclasses.replace(base, kappa=kappa, trail=np.eye(4)[0])
+        assert pri.rank_one_overlap(d, d) == kappa**2
+        with pytest.raises(DivergentIntegral):
+            pri.chi2_pair_closed_form(d, d, 3)
+        below = dataclasses.replace(d, kappa=0.5)
+        assert pri.chi2_pair_closed_form(below, below, 3) == 0.75**-3
 
 
 class TestHypergeometricMGF:
