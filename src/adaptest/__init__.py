@@ -9,7 +9,6 @@ reduction, plus a Monte Carlo experiment harness and batch CLI.
 
 from .model import (
     Dataset,
-    JointCovariance,
     LoadingVector,
     ModelParams,
     TestProblem,
@@ -58,7 +57,7 @@ from .priors import (
     sample_nu1_prior,
     sample_nu2_prior,
 )
-from .lowdeg import RankOneGaussian, hermite_moment, ld_norm, ld_uniform_bound
+from .lowdeg import hermite_moment, ld_norm, ld_uniform_bound
 from .scca import (
     SccaInstance,
     SccaParams,

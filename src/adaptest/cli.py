@@ -84,6 +84,8 @@ class PriorConfig(LoadingConfig):
         super().__post_init__()
         if self.chi2_reps != 0 and self.chi2_reps < 100:
             raise ConfigError(f"chi2_reps = {self.chi2_reps} must be 0 (off) or at least 100")
+        if self.tau is not None and not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau = {self.tau} must be positive and finite")
 
 
 @dataclass(kw_only=True)
@@ -130,6 +132,11 @@ class SccaConfig(RunConfig):
         super().__post_init__()
         if self.mode == "reduce" and self.n % 2:
             raise ConfigError(f"n = {self.n} must be even: the reduction consumes rows two at a time")
+        if not 0.0 < self.c10 < 1.0:
+            raise ConfigError(f"c10 = {self.c10} must lie in (0, 1)")
+        for key in ("lam", "lam_grid"):  # a valid joint covariance needs |lambda| < 1
+            if not all(-1.0 < v < 1.0 for v in float_list(str(getattr(self, key)))):
+                raise ConfigError(f"{key} = {getattr(self, key)} must lie in (-1, 1)")
 
 
 def _read_dataset(cfg: DataConfig):

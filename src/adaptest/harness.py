@@ -1,7 +1,7 @@
 """Experiment orchestration: configuration parsing, Monte Carlo drivers
 for size/power, interval-length sweeps and phase diagrams, and result
-tables.  A dataset becomes a test decision in `inference.run_single_test`,
-and a prior null's model point comes from `priors` (`prior_sampler`,
+tables.  `inference` turns a dataset into a decision (`run_single_test`, or
+`mixed_test` and `mixed_ci` directly), and a prior null's model point comes from `priors` (`prior_sampler`,
 `valid_draws`, `PriorDraw.model_point`); this module builds the problems
 and datasets and collects the rows.  Every dataset is drawn as its Gram
 coordinates, from their exact law (`estimators.CoordinateDataset`); a nu2
@@ -50,8 +50,9 @@ MIN_ITEMS_PER_WORKER = 32  # a 2-process pool breaks even with the serial loop a
 @dataclass(kw_only=True)
 class RunConfig:
     """Keys every command accepts: the seed of its random streams and the output directory.  Keys
-    in `minima`, level, alpha, eta and alpha + eta are checked where present; alpha and eta must
-    leave 1 - v/32, the least level mixed_ci takes a normal quantile at, below 1."""
+    in `minima`, level, alpha, eta, alpha + eta, noise_sd, loading_q and sigma_star are checked
+    where present; alpha and eta must leave 1 - v/32, the least level mixed_ci takes a normal
+    quantile at, below 1, and the last three must be positive and finite."""
 
     master_seed: int = 0
     out: str = "."
@@ -70,12 +71,15 @@ class RunConfig:
                 raise ConfigError(f"{key} = {getattr(self, key)} must lie in (0, 1)")
             if key != "level" and 1.0 - getattr(self, key, 0.5) / 32.0 == 1.0:
                 raise ConfigError(f"{key} = {getattr(self, key)} is too small: z at 1 - {key}/32 would be infinite")
+        for key in ("noise_sd", "loading_q", "sigma_star"):
+            if not 0.0 < getattr(self, key, 1.0) < math.inf:
+                raise ConfigError(f"{key} = {getattr(self, key)} must be positive and finite")
 
 
 @dataclass(kw_only=True)
 class LoadingConfig(RunConfig):
-    """Problem size and the loading spec read by `build_loading`;
-    `loading_k` defaults to min(k_u, p) once p is known."""
+    """Problem size and the loading spec read by `build_loading`; `loading_k` defaults to
+    min(k_u, p) once p is known and must then be at least 1, and `loading_a` is finite and nonzero."""
 
     p: int
     k_u: int
@@ -88,10 +92,12 @@ class LoadingConfig(RunConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.loading_q < math.inf:
-            raise ConfigError(f"loading_q = {self.loading_q} must be positive and finite")
         if self.loading_k is None and self.p is not None:
             self.loading_k = min(self.k_u, self.p)
+        if self.loading_k is not None and self.loading_k < 1:
+            raise ConfigError(f"loading_k = {self.loading_k} must be at least 1")
+        if not 0.0 < abs(self.loading_a) < math.inf:
+            raise ConfigError(f"loading_a = {self.loading_a} must be finite and nonzero")
 
 
 @dataclass(kw_only=True)
@@ -122,13 +128,11 @@ class ExperimentConfig(LoadingConfig):
     gamma_tau_grid: str = setting("0.2,0.4,0.6", kind=("phase_diagram",))
     gamma_u: float = setting(0.3, kind=("phase_diagram",))
     gamma_n: float = setting(0.8, kind=("phase_diagram",))
-    minima = {**RunConfig.minima, "n": 2}
+    minima = {**RunConfig.minima, "n": 2, "k": 1}
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.noise_sd < math.inf:
-            raise ConfigError(f"noise_sd = {self.noise_sd} must be positive and finite")
-        for key in ("t0", "tau_grid"):
+        for key in ("t0", "tau_grid", "gamma_tau_grid"):
             if not all(map(math.isfinite, float_list(str(getattr(self, key))))):
                 raise ConfigError(f"{key} = {getattr(self, key)} must be finite")
         for key in ("gamma_xi_grid", "gamma_u", "gamma_n"):  # the exponents profiles.regular_phase takes

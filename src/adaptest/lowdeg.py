@@ -5,8 +5,8 @@ LD(D) of a prior mixture against the product reference is, for each draw
 pair with Cov(U, V) = r1 c1' and r2 c2', the sum of products of moments
 over n-row multi-indices of degree <= D.  It has a closed form:
 
-1. moment identity: E[h_mu(U) h_nu(V)] = m!/sqrt(mu! nu!) r^mu c^nu when
-   |mu| = |nu| = m, and 0 otherwise;
+1. moment identity (`hermite_moment`): E[h_mu(U) h_nu(V)] = m!/sqrt(mu! nu!)
+   r^mu c^nu when |mu| = |nu| = m, and 0 otherwise;
 2. multinomial collapse: summed over |mu| = |nu| = m, the product of two
    draws' moments is x^m with x = (r1'r2)(c1'c2);
 3. n-row series: one row contributes degree 2m with weight x^m, so the n
@@ -17,34 +17,16 @@ over n-row multi-indices of degree <= D.  It has a closed form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .priors import PriorDraw, draw_pairs, rank_one_overlap
 
 
-@dataclass(frozen=True)
-class RankOneGaussian:
-    """Centered Gaussian (U, V) with identity marginals and Cov(U, V) = r c'."""
-
-    r: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        if np.linalg.norm(self.r) * np.linalg.norm(self.c) >= 1.0:
-            raise ValueError("need ||r|| ||c|| < 1 for a positive definite joint")
-
-
-def hermite_moment(mu, nu, r, c=None) -> float:
-    """E[h_mu(U) h_nu(V)] under the rank-one model.
-
-    Accepts either a RankOneGaussian as third argument or the pair of
-    factor vectors (r, c).  Factorials run in log space; the sign is
-    carried separately so odd powers of negative factors survive.
-    """
-    if isinstance(r, RankOneGaussian):
-        r, c = r.r, r.c
+def hermite_moment(mu, nu, r, c) -> float:
+    """E[h_mu(U) h_nu(V)] for the centered Gaussian (U, V) with identity marginals and
+    Cov(U, V) = r c', ||r|| ||c|| < 1.  Factorials run in log space; the sign is carried
+    separately so odd powers of negative factors survive."""
     mu = np.asarray(mu, dtype=int)
     nu = np.asarray(nu, dtype=int)
     m = int(mu.sum())

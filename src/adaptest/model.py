@@ -1,5 +1,5 @@
 """Core data model: loading vectors, model points, datasets, and the map
-between joint covariances and regression parameters.
+between regression parameters and the (p+1) x (p+1) covariance of (y, x).
 
 The observation model is Y = X beta + eps with Gaussian rows
 X_i ~ N(0, Sigma) and eps ~ N(0, sigma^2 I).  A model point is
@@ -148,29 +148,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class JointCovariance:
-    """Covariance of one observation z = (y, x) stacked as (p+1) x (p+1)."""
-
-    sigma_z: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return self.sigma_z.shape[0] - 1
-
-    @property
-    def yy(self) -> float:
-        return float(self.sigma_z[0, 0])
-
-    @property
-    def xy(self) -> np.ndarray:
-        return self.sigma_z[1:, 0]
-
-    @property
-    def xx(self) -> np.ndarray:
-        return self.sigma_z[1:, 1:]
-
-
-@dataclass(frozen=True)
 class TestProblem:
     xi: LoadingVector
     t0: float
@@ -185,23 +162,23 @@ class TestProblem:
             raise ValueError("alpha + eta must lie in (0, 1)")
 
 
-def h_map(jc: JointCovariance) -> ModelParams:
-    """Recover theta = (beta, Sigma, sigma) from a joint covariance.
+def h_map(sigma_z: np.ndarray) -> ModelParams:
+    """Recover theta = (beta, Sigma, sigma) from the joint covariance of (y, x), y first.
 
     beta = Sigma_xx^{-1} Sigma_xy, Sigma = Sigma_xx, and sigma^2 is the
     Schur complement of the x-block.
     """
-    xx = jc.xx
-    xy = jc.xy
+    xx = sigma_z[1:, 1:]
+    xy = sigma_z[1:, 0]
     beta = np.linalg.solve(xx, xy)
-    schur = jc.yy - float(xy @ beta)
+    schur = float(sigma_z[0, 0]) - float(xy @ beta)
     if schur <= 0.0:
         raise NotPositiveDefinite(f"Schur complement {schur!r} is not positive")
     return ModelParams(beta=beta, sigma_cov=xx.copy(), noise_sd=float(np.sqrt(schur)))
 
 
-def h_inv(theta: ModelParams) -> JointCovariance:
-    """Joint covariance of (y, x) induced by theta (sigma_cov None or a block included)."""
+def h_inv(theta: ModelParams) -> np.ndarray:
+    """Joint covariance of (y, x), y first, induced by theta (sigma_cov None or a block included)."""
     p, sigma = theta.p, theta.sigma_cov
     if not isinstance(sigma, np.ndarray):
         idx, block = sigma or ([], [])
@@ -213,7 +190,7 @@ def h_inv(theta: ModelParams) -> JointCovariance:
     sz[0, 1:] = sb
     sz[1:, 0] = sb
     sz[1:, 1:] = sigma
-    return JointCovariance(sigma_z=sz)
+    return sz
 
 
 def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:

@@ -16,8 +16,9 @@ Each draw enforces the null constraint xi'beta = tau exactly through the
 scalar kappa and records analytic validity checks (sparsity cap,
 eigenvalue window, noise bound).  Pairs of draws are scored in the O(p)
 rank-one closed form against the reference point beta = 0, Sigma = I,
-noise sigma_star; the dense determinant form is its oracle, and the
-hypergeometric MGF the exact yardstick.
+noise sigma_star; the dense determinant form, on (p+1) x (p+1) joint
+covariance arrays with y first, is its oracle, and the hypergeometric MGF
+the exact yardstick.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DivergentIntegral, RegimeViolation
-from .model import M1, M2, JointCovariance, LoadingVector, ModelParams, sign, stream
+from .model import M1, M2, LoadingVector, ModelParams, sign, stream
 from .profiles import effective_sparsity, j1_index, nu1, profile_root, top_norm
 
 DEFAULT_C1 = 0.05
@@ -94,13 +95,13 @@ class PriorDraw:
         block[self.split :, : self.split] = block[: self.split, self.split :].T
         return block
 
-    def joint_covariance(self) -> JointCovariance:
-        """Covariance of (y, x) for this draw (y listed first)."""
+    def joint_covariance(self) -> np.ndarray:
+        """(p+1) x (p+1) covariance of (y, x) for this draw, y first."""
         sz = np.zeros((self.p + 1, self.p + 1))
         sz[0, 0] = self.sigma_star**2
         sz[1:, 1:] = self.coupled_block()
         sz[0, 1 + self.split :] = sz[1 + self.split :, 0] = self.kappa * self.trail
-        return JointCovariance(sigma_z=sz)
+        return sz
 
     def model_point(self, xi: LoadingVector, t0: float) -> ModelParams:
         """This draw, shifted on xi's largest coordinate to xi'beta = t0, in original coordinates.  An
@@ -123,14 +124,6 @@ class PriorDraw:
         x-block; for the identity-design prior U is the scalar y alone.
         """
         return np.concatenate(([self.kappa / self.sigma_star], self.lead)), self.trail
-
-
-def point_mass_draw(xi: LoadingVector, sigma_star: float) -> PriorDraw:
-    """The degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
-    return PriorDraw(
-        kind="nu1", lead=np.zeros(0), trail=np.zeros(xi.p), kappa=0.0, tau=0.0, beta=np.zeros(xi.p),
-        noise_sd=sigma_star, eig_min=1.0, eig_max=1.0, valid=True, reason="point_mass", sigma_star=sigma_star,
-    )
 
 
 def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, admissible=True) -> PriorDraw:
@@ -374,22 +367,17 @@ def sample_comp_prior(
 # --- chi-square machinery ----------------------------------------------------
 
 
-def _as_matrix(sz) -> np.ndarray:
-    return sz.sigma_z if isinstance(sz, JointCovariance) else np.asarray(sz, dtype=float)
-
-
 def chi2_pair_integral(sz1, sz2, sz0, n: int) -> float:
-    """Pairwise Gaussian integral (int g1 g2 / g0)^n in determinant form.
+    """Pairwise Gaussian integral (int g1 g2 / g0)^n of joint covariance arrays S1 = sz1, S2 = sz2, S0 = sz0.
 
     Equals det(I - S0^{-1}(S1 - S0) S0^{-1}(S2 - S0))^{-n/2}.  Divergence
     of the underlying integral is detected through the quadratic form
     S1^{-1} + S2^{-1} - S0^{-1}, which must be positive definite.
     """
-    s0, s1, s2 = _as_matrix(sz0), _as_matrix(sz1), _as_matrix(sz2)
-    quad = np.linalg.inv(s1) + np.linalg.inv(s2) - np.linalg.inv(s0)
+    quad = np.linalg.inv(sz1) + np.linalg.inv(sz2) - np.linalg.inv(sz0)
     if np.linalg.eigvalsh((quad + quad.T) / 2.0)[0] <= 0.0:
         raise DivergentIntegral("pairwise integral does not converge")
-    m = np.eye(s0.shape[0]) - np.linalg.solve(s0, s1 - s0) @ np.linalg.solve(s0, s2 - s0)
+    m = np.eye(sz0.shape[0]) - np.linalg.solve(sz0, sz1 - sz0) @ np.linalg.solve(sz0, sz2 - sz0)
     det_sign, logdet = np.linalg.slogdet(m)
     if det_sign <= 0.0:
         raise DivergentIntegral("determinant argument is not positive")

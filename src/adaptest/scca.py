@@ -75,8 +75,8 @@ def _planted(params: SccaParams, hypothesis: str, rng) -> tuple:
     """Check hypothesis and lam, then draw the planted (d1, d2) from rng; (None, None) under the null."""
     if hypothesis not in ("null", "alt"):
         raise ValueError("hypothesis must be 'null' or 'alt'")
-    if params.lam >= 1.0:
-        raise NotPositiveDefinite("cross-correlation lambda must be below 1")
+    if not -1.0 < params.lam < 1.0:
+        raise NotPositiveDefinite("cross-correlation lambda must lie in (-1, 1)")
     if hypothesis == "null":
         return None, None
     return _flat_support_vector(params.p1, params.s, rng), _flat_support_vector(params.p2, params.s, rng)

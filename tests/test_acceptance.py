@@ -22,7 +22,7 @@ from adaptest import profiles as prof
 from adaptest import scca
 from adaptest.estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from adaptest.harness import parse_config, run_experiment, rows_to_csv
-from adaptest.model import JointCovariance, ModelParams, generate_dataset, make_loading, stream
+from adaptest.model import ModelParams, generate_dataset, make_loading, stream
 
 
 def _report(num, name, ok=True, extra=""):
@@ -178,7 +178,7 @@ def test_criterion_6_chi2_oracles():
     # (a) determinant machinery vs the rank-one closed form on prior pairs
     p, k_u, n = 60, 8, 50
     xi = make_loading(np.linspace(3.0, 0.05, p))
-    ref = JointCovariance(sigma_z=np.diag(np.concatenate(([25.0], np.ones(p)))))
+    ref = np.diag(np.concatenate(([25.0], np.ones(p))))
     for i in range(100):
         d1 = pri.sample_nu2_prior(xi, k_u, n, p, 5.0, seed=2 * i)
         d2 = pri.sample_nu2_prior(xi, k_u, n, p, 5.0, seed=2 * i + 1)

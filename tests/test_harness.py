@@ -87,22 +87,29 @@ BY_TYPE = {
     "bool": st.booleans(),
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
-# Keys whose domain is narrower than their type's: k_u, reps, threads >= 1, n >= 2, alpha + eta
-# in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd and loading_q positive and finite,
-# t0 and the tau_grid entries finite, and the phase-diagram exponents in [0, 1].
+# Keys whose domain is narrower than their type's: k_u, k, loading_k, reps, threads >= 1, n >= 2,
+# alpha + eta in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd, loading_q and
+# sigma_star positive and finite, loading_a finite and nonzero, t0 and the tau_grid and
+# gamma_tau_grid entries finite, and the other phase-diagram exponents in [0, 1].
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 EXPONENT = st.floats(0.0, 1.0)
 IN_DOMAIN = {
     "k_u": st.integers(1, 2**63),
+    "k": st.integers(1, 2**63),
+    "loading_k": st.integers(1, 2**63),
     "reps": st.integers(1, 2**63),
     "threads": st.integers(1, 2**63),
     "n": st.integers(2, 2**63),
     "alpha": st.floats(2.0**-48, 0.5, exclude_max=True),
     "eta": st.floats(2.0**-48, 0.5, exclude_max=True),
-    "noise_sd": st.floats(0.0, exclude_min=True, allow_infinity=False),
-    "loading_q": st.floats(0.0, exclude_min=True, allow_infinity=False),
+    "noise_sd": POSITIVE,
+    "loading_q": POSITIVE,
+    "sigma_star": POSITIVE,
+    "loading_a": FINITE.filter(bool),
     "t0": FINITE,
     "tau_grid": st.lists(FINITE, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
+    "gamma_tau_grid": st.lists(FINITE, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
     "gamma_xi_grid": st.lists(EXPONENT, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
     "gamma_u": EXPONENT,
     "gamma_n": EXPONENT,
@@ -450,7 +457,8 @@ class TestRunners:
             draw = next(priors.valid_draws(lambda s: priors.sample_nu2_prior(xi, 8, 150, 60, 5.0, seed=s), seed))
             theta = draw.model_point(xi, cfg.t0)
             inv = np.argsort(xi.perm)
-            dense = ModelParams(beta=theta.beta, sigma_cov=draw.joint_covariance().xx[np.ix_(inv, inv)], noise_sd=1.0)
+            sigma = draw.joint_covariance()[1:, 1:]
+            dense = ModelParams(beta=theta.beta, sigma_cov=sigma[np.ix_(inv, inv)], noise_sd=1.0)
             idx, block = theta.sigma_cov
             assert idx.size == 4 and np.array_equal(idx, dense.design_factor[0])
             assert np.array_equal(block, dense.sigma_cov[np.ix_(idx, idx)])
@@ -1077,6 +1085,24 @@ class TestCli:
                 ("profile", BASE["profile"] + f"loading = subweibull\nloading_q = {q}\n", "loading_q")
                 for q in ("0", "-1", "inf", "nan")
             ],
+            ("simulate", BASE["simulate"] + "k = -1\n", "k"),
+            ("simulate", BASE["simulate"] + "loading_k = -3\n", "loading_k"),
+            ("profile", BASE["profile"] + "loading_k = 0\n", "loading_k"),
+            ("simulate", BASE["simulate"] + "loading_a = inf\n", "loading_a"),
+            ("profile", BASE["profile"] + "loading_a = nan\n", "loading_a"),
+            ("profile", BASE["profile"] + "loading = multiscale\nloading_a = 0\n", "loading_a"),
+            ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_tau_grid = nan\n", "gamma_tau_grid"),
+            ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_tau_grid = 0.3,inf\n", "gamma_tau_grid"),
+            ("prior", "kind = nu1\n" + BASE["prior"] + "tau = -1\n", "tau"),
+            ("prior", "kind = nu1\n" + BASE["prior"] + "tau = inf\n", "tau"),
+            ("scca", "mode = reduce\n" + BASE["scca"] + "c10 = 1.5\n", "c10"),
+            ("scca", "mode = stats\n" + BASE["scca"] + "lam = 1.5\n", "lam"),
+            ("scca", "mode = generate\n" + BASE["scca"] + "lam = -1.0\nhypothesis = alt\n", "lam"),
+            ("scca", "mode = sweep\n" + BASE["scca"] + "lam_grid = 0.1,1.5\n", "lam_grid"),
+            ("prior", "kind = nu2\n" + BASE["prior"] + "sigma_star = -5\n", "sigma_star"),
+            ("simulate", BASE["simulate"] + "null_source = nu1\nsigma_star = inf\n", "sigma_star"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "sigma_star = 0\n", "sigma_star"),
+            ("scca", "mode = reduce\n" + BASE["scca"] + "sigma_star = -5\n", "sigma_star"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
@@ -1091,7 +1117,12 @@ class TestCli:
             "phase_diagram-gamma_n", "prior-n-0", "lowdeg-n-0", "scca-stats-n-0", "scca-generate-n-0",
             "prior-comp-degree-0", "prior-comp-degree-negative", "lowdeg-degree_max-negative", "scca-reduce-n-odd",
             "lowdeg-s1-0", "lowdeg-s1-past-p", "lowdeg-k_eff-at-k_u", "lowdeg-k_eff-at-p", "profile-loading_q-0",
-            "profile-loading_q-negative", "profile-loading_q-inf", "profile-loading_q-nan",
+            "profile-loading_q-negative", "profile-loading_q-inf", "profile-loading_q-nan", "simulate-k-negative",
+            "simulate-loading_k-negative", "profile-loading_k-0", "simulate-loading_a-inf", "profile-loading_a-nan",
+            "profile-multiscale-loading_a-0", "phase_diagram-gamma_tau_grid-nan", "phase_diagram-gamma_tau_grid-inf",
+            "prior-nu1-tau-negative", "prior-nu1-tau-inf", "scca-reduce-c10-above-one", "scca-stats-lam-above-one",
+            "scca-generate-alt-lam-minus-one", "scca-sweep-lam_grid-above-one", "prior-sigma_star-negative",
+            "simulate-nu1-sigma_star-inf", "lowdeg-sigma_star-0", "scca-reduce-sigma_star-negative",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):

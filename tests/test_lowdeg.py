@@ -74,6 +74,14 @@ def valid_draws(xi, count, start=0):
     return list(islice(pri.valid_draws(lambda s: tiny_comp_sampler(xi, s), start), count))
 
 
+def point_mass_draw(xi, sigma_star):
+    """The degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
+    return pri.PriorDraw(
+        kind="nu1", lead=np.zeros(0), trail=np.zeros(xi.p), kappa=0.0, tau=0.0, beta=np.zeros(xi.p),
+        noise_sd=sigma_star, eig_min=1.0, eig_max=1.0, valid=True, reason="point_mass", sigma_star=sigma_star,
+    )
+
+
 class TestHermiteMoment:
     def test_linear_case(self):
         assert ld.hermite_moment([1], [1], np.array([0.3]), np.array([1.0])) == pytest.approx(0.3)
@@ -112,10 +120,6 @@ class TestHermiteMoment:
         formula = ld.hermite_moment([1, 1], [2], r, c)
         assert abs(float(np.mean(samples)) - formula) <= 3 * se
 
-    def test_rank_one_gaussian_invariant(self):
-        with pytest.raises(ValueError):
-            ld.RankOneGaussian(r=np.array([2.0]), c=np.array([0.6]))
-
 
 class TestLdNorm:
     xi = make_loading([1.0, 0.9, 0.8])
@@ -125,7 +129,7 @@ class TestLdNorm:
         assert ld.ld_norm(draws, 0, 2) == 1.0
 
     def test_point_mass_is_one(self):
-        draws = [pri.point_mass_draw(self.xi, 1.0) for _ in range(4)]
+        draws = [point_mass_draw(self.xi, 1.0) for _ in range(4)]
         for deg in (0, 1, 2, 3):
             assert ld.ld_norm(draws, deg, 2) == 1.0
 

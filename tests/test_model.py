@@ -13,7 +13,6 @@ from adaptest.errors import AllZeroLoading, CholeskyFailure, NotPositiveDefinite
 from adaptest import model
 from adaptest.model import (
     Dataset,
-    JointCovariance,
     ModelParams,
     dataset_from_csv,
     dataset_to_csv,
@@ -116,8 +115,7 @@ class TestMakeLoading:
 
 class TestHMap:
     def test_hand_example_p1(self):
-        jc = JointCovariance(sigma_z=np.array([[2.0, 1.0], [1.0, 1.0]]))
-        theta = h_map(jc)
+        theta = h_map(np.array([[2.0, 1.0], [1.0, 1.0]]))
         assert theta.beta == pytest.approx([1.0])
         assert theta.sigma_cov[0, 0] == pytest.approx(1.0)
         assert theta.noise_sd == pytest.approx(1.0)
@@ -125,19 +123,19 @@ class TestHMap:
     def test_block_diagonal(self):
         p, s = 4, 0.7
         sz = np.diag(np.concatenate(([s**2], np.ones(p))))
-        theta = h_map(JointCovariance(sigma_z=sz))
+        theta = h_map(sz)
         assert np.allclose(theta.beta, 0.0)
         assert np.allclose(theta.sigma_cov, np.eye(p))
         assert theta.noise_sd == pytest.approx(s)
 
     def test_h_inv_hand_example(self):
         theta = ModelParams(beta=np.array([1.0]), sigma_cov=np.array([[1.0]]), noise_sd=1.0)
-        assert np.allclose(h_inv(theta).sigma_z, [[2.0, 1.0], [1.0, 1.0]])
+        assert np.allclose(h_inv(theta), [[2.0, 1.0], [1.0, 1.0]])
 
     def test_h_inv_of_an_unstored_identity(self):
         beta = np.array([0.5, 0.0, -2.0])
-        explicit = h_inv(ModelParams(beta=beta, sigma_cov=np.eye(3), noise_sd=0.7)).sigma_z
-        assert np.array_equal(h_inv(ModelParams(beta=beta, sigma_cov=None, noise_sd=0.7)).sigma_z, explicit)
+        explicit = h_inv(ModelParams(beta=beta, sigma_cov=np.eye(3), noise_sd=0.7))
+        assert np.array_equal(h_inv(ModelParams(beta=beta, sigma_cov=None, noise_sd=0.7)), explicit)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
@@ -151,7 +149,7 @@ class TestHMap:
     def test_bad_schur_raises(self):
         sz = np.array([[0.5, 1.0], [1.0, 1.0]])  # Schur = 0.5 - 1 < 0
         with pytest.raises(NotPositiveDefinite):
-            h_map(JointCovariance(sigma_z=sz))
+            h_map(sz)
 
 
 class TestDesignFactor:
@@ -198,7 +196,7 @@ class TestDesignFactor:
         embedded[np.ix_(idx, idx)] = block.design_factor[1]
         assert np.allclose(embedded, np.linalg.cholesky(sigma), rtol=0.0, atol=1e-12)
         assert np.array_equal(generate_dataset(dense, 7, seed).x, generate_dataset(block, 7, seed).x)
-        assert np.array_equal(h_inv(dense).sigma_z, h_inv(block).sigma_z)
+        assert np.array_equal(h_inv(dense), h_inv(block))
 
 
 class TestGenerateDataset:

@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 
 from adaptest import priors as pri
 from adaptest.errors import DivergentIntegral, RegimeViolation
-from adaptest.model import M1, M2, JointCovariance, h_map, make_loading, stream
+from adaptest.model import M1, M2, h_map, make_loading, stream
 from adaptest.profiles import nu1 as nu1_value
 
 
 def diag_reference(p, sigma_star):
-    return JointCovariance(sigma_z=np.diag(np.concatenate(([sigma_star**2], np.ones(p)))))
+    return np.diag(np.concatenate(([sigma_star**2], np.ones(p))))
+
+
+def point_mass_draw(xi, sigma_star):
+    """The degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
+    return pri.PriorDraw(
+        kind="nu1", lead=np.zeros(0), trail=np.zeros(xi.p), kappa=0.0, tau=0.0, beta=np.zeros(xi.p),
+        noise_sd=sigma_star, eig_min=1.0, eig_max=1.0, valid=True, reason="point_mass", sigma_star=sigma_star,
+    )
 
 
 class TestNu2Prior:
@@ -77,7 +85,7 @@ class TestNu1Prior:
     def test_identity_design(self):
         tau = 0.0125 * nu1_value(self.xi, 10) / math.sqrt(400)
         d = pri.sample_nu1_prior(self.xi, 10, 400, tau, seed=0)
-        assert np.array_equal(d.joint_covariance().xx, np.eye(200))
+        assert np.array_equal(d.joint_covariance()[1:, 1:], np.eye(200))
         assert d.eig_min == d.eig_max == 1.0
 
     @pytest.mark.parametrize("c4, c5", [(0.1, 0.5), (0.2, 0.3)])
@@ -168,7 +176,7 @@ class TestCompPrior:
 
 class TestValidDraws:
     def test_seed_order_and_fifty_misses_in_a_row(self):
-        base = pri.point_mass_draw(make_loading(np.ones(3)), 1.0)
+        base = point_mass_draw(make_loading(np.ones(3)), 1.0)
 
         def sampler(s):  # valid at even seeds below 10 and at 58: 49 misses, then 50
             return dataclasses.replace(base, tau=float(s), valid=(s < 10 and s % 2 == 0) or s == 58)
@@ -179,7 +187,7 @@ class TestValidDraws:
             next(draws)
 
     def test_stall_names_the_most_frequent_reason(self):
-        base = pri.point_mass_draw(make_loading(np.ones(3)), 1.0)
+        base = point_mass_draw(make_loading(np.ones(3)), 1.0)
 
         def sampler(s):  # valid at 3; of the 50 misses after it (seeds 4-53) 40 are noise_bound
             why = "eigenvalue_window" if s < 3 else "noise_bound" if s % 5 else "sparsity_cap"
@@ -244,7 +252,7 @@ class TestChi2Integral:
             sz = np.eye(p1 + p2 + 1)
             sz[1 : 1 + p1, 1 + p1 :] = np.outer(delta1, d2)
             sz[1 + p1 :, 1 : 1 + p1] = np.outer(d2, delta1)
-            return JointCovariance(sigma_z=sz)
+            return sz
         ref = diag_reference(p1 + p2, 1.0)
         val = pri.chi2_pair_integral(build(d2a), build(d2b), ref, 2)
         assert val == pytest.approx((1 - 0.1) ** -2, rel=1e-10)
@@ -264,9 +272,7 @@ class TestChi2Integral:
         strong = np.diag([2.5, 1.0, 1.0])
         ref = diag_reference(2, 1.0)
         with pytest.raises(DivergentIntegral):
-            pri.chi2_pair_integral(
-                JointCovariance(sigma_z=strong), JointCovariance(sigma_z=strong), ref, 3
-            )
+            pri.chi2_pair_integral(strong, strong, ref, 3)
 
     def test_quadrature_oracle(self):
         # brute-force grid integration of int g1 g2 / g0 on three 3d triples
@@ -295,7 +301,7 @@ class TestChi2Integral:
 class TestChi2MixtureMC:
     def test_point_mass_is_zero(self):
         xi = make_loading(np.ones(10))
-        sampler = lambda s: pri.point_mass_draw(xi, 5.0)
+        sampler = lambda s: point_mass_draw(xi, 5.0)
         est, se = pri.chi2_mixture_mc(sampler, 4, 100, seed=0)
         assert est == 0.0
         assert se == 0.0
@@ -341,7 +347,7 @@ def _mixture_samplers():
         "nu2": (lambda s: pri.sample_nu2_prior(xi2, 8, 500, 40, 5.0, seed=s), 40, 500),
         "nu1": (lambda s: pri.sample_nu1_prior(xi1, 10, 400, tau, seed=s, sigma_star=5.0), 40, 400),
         "comp": (comp, 40, 400),
-        "point_mass": (lambda s: pri.point_mass_draw(make_loading(np.ones(10)), 5.0), 10, 4),
+        "point_mass": (lambda s: point_mass_draw(make_loading(np.ones(10)), 5.0), 10, 4),
     }
 
 
@@ -374,7 +380,7 @@ PRIOR_CASES = {
 def test_every_valid_draw_has_rank_one_norm_below_one(kind, seed, sigma_star, data):
     # |r||c| < 1 on each valid draw, so by Cauchy-Schwarz every pair of valid draws has overlap x < 1
     if kind == "point_mass":
-        draws = [pri.point_mass_draw(make_loading(np.ones(10)), sigma_star)]
+        draws = [point_mass_draw(make_loading(np.ones(10)), sigma_star)]
     else:
         coords, k_u, fixed, strategies = PRIOR_CASES[kind]
         consts = {key: data.draw(strategy, label=key) for key, strategy in strategies.items()}
@@ -409,7 +415,7 @@ class TestChi2Routing:
     @pytest.mark.parametrize("kappa", [1.0, 2.0])
     def test_closed_form_diverges_at_overlap_one(self, kappa):
         # r = (kappa / sigma_star) and c = e_1, so a draw's overlap with itself is kappa^2
-        base = pri.point_mass_draw(make_loading(np.ones(4)), 1.0)
+        base = point_mass_draw(make_loading(np.ones(4)), 1.0)
         d = dataclasses.replace(base, kappa=kappa, trail=np.eye(4)[0])
         assert pri.rank_one_overlap(d, d) == kappa**2
         with pytest.raises(DivergentIntegral):

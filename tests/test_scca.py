@@ -40,8 +40,9 @@ class TestStatistics:
 
 class TestGeneration:
     def test_not_pd(self):
-        with pytest.raises(NotPositiveDefinite):
-            scca.gen_scca(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=1.0), "alt", 0)
+        for lam in (1.0, -1.0):
+            with pytest.raises(NotPositiveDefinite):
+                scca.gen_scca(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=lam), "alt", 0)
 
     def test_null_cross_covariance_envelope(self):
         params = scca.SccaParams(n=5000, s=2, p1=10, p2=40, lam=0.0)
