@@ -3,11 +3,11 @@ constrained debiasing direction, and the exhaustive sparse signed-spiked
 covariance estimator.
 
 The lasso and the direction program share one coordinate-descent core on
-a dataset's `Gram` (columns formed on first touch): a vectorized KKT check
-picks a working set (the nonzero coordinates and the violators), and only
-that set is swept, in ascending index order, so results are deterministic.
-The scaled-lasso fit is memoised on its dataset, like the `Gram`.  A
-dataset can be drawn as its Gram alone (`CoordinateDataset`).
+a dataset's Gram (`model.Dataset`, columns formed on first touch): a
+vectorized KKT check picks a working set (the nonzero coordinates and the
+violators), and only that set is swept, in ascending index order, so
+results are deterministic.  The scaled-lasso fit is memoised on its
+dataset.  A dataset can be drawn as its Gram alone (`CoordinateDataset`).
 """
 
 from __future__ import annotations
@@ -57,40 +57,6 @@ def sample_cov(data: Dataset) -> np.ndarray:
     return (g + g.T) / 2.0
 
 
-class Gram:
-    """n^{-1} X'X of one dataset, column j formed on first read as its own
-    product X'X_j / n, so its bits never depend on the columns formed before
-    or beside it.  diag comes from the column norms; xty = X'y/n, yty = y'y/n."""
-
-    def __init__(self, data: Dataset):
-        self.x, self.n = data.x, data.n
-        self.diag = np.einsum("ij,ij->j", data.x, data.x) / data.n
-        self.xty, self.yty = data.x.T @ data.y / data.n, float(data.y @ data.y) / data.n
-        self.columns: dict[int, np.ndarray] = {}  # j -> column j, once formed
-
-    @classmethod
-    def of(cls, src) -> "Gram":
-        """src itself, the Gram memoised on a Dataset, or a dense symmetric matrix behind this interface."""
-        if isinstance(src, Dataset):
-            return src.memo.get("gram") or src.memo.setdefault("gram", cls(src))
-        if isinstance(src, Gram):
-            return src
-        gram = cls.__new__(cls)
-        gram.diag, gram.columns = np.diag(src), dict(enumerate(np.asarray(src).T))
-        return gram
-
-    def cols(self, idx) -> np.ndarray:
-        """Columns idx of the Gram matrix, as a p x len(idx) array."""
-        idx = np.asarray(idx, dtype=int).tolist()
-        for j in idx:
-            if j not in self.columns:
-                self.columns[j] = self._column(j)
-        return np.array([self.columns[j] for j in idx]).reshape(len(idx), self.diag.size).T
-
-    def _column(self, j: int) -> np.ndarray:
-        return self.x.T @ self.x[:, j] / self.n
-
-
 class GaussianSource:
     """Coordinates of Z with iid N(0, 1) entries and of the noise N(0, sd^2 I_n),
     one basis vector of R^n per call, from their exact law.  Outside the d
@@ -128,7 +94,7 @@ class GaussianSource:
         return np.append(y, outside), self.direction(None)
 
 
-class CoordinateDataset(Gram):
+class CoordinateDataset(Dataset):
     """n rows Y = X beta + eps, X = Z L' with Z standard and (S, L) theta's design_factor,
     held only as their Gram, so reading x or y raises.  Row i of coords holds each X
     column's coordinate on the i-th vector of a basis of R^n grown in touch order:
@@ -181,7 +147,7 @@ class CoordinateDataset(Gram):
 
 
 def _cd_quadratic_l1(
-    gram: "Gram | np.ndarray",
+    gram: Dataset,
     lin: np.ndarray,
     pen: np.ndarray,
     beta0: np.ndarray,
@@ -195,10 +161,9 @@ def _cd_quadratic_l1(
     (nonzero coordinates and violators) on its principal submatrix until
     no scaled step exceeds kkt_tol / 100, then updates the full gradient
     once.  Each sweep is one pass.  Returns (v, converged, passes).
-    Coordinates with G_jj = 0 are held where they start.  G is anything
-    `Gram.of` accepts; only its diagonal and working-set columns are read.
+    Coordinates with G_jj = 0 are held where they start.  G is the
+    dataset's Gram; only its diagonal and working-set columns are read.
     """
-    gram = Gram.of(gram)
     movable = gram.diag > 0.0
     v = beta0.copy()
     nz = np.flatnonzero(v)
@@ -238,7 +203,7 @@ def _cd_quadratic_l1(
         v[ws] = v_new
 
 
-def _fixed_point_on_support(g: Gram, beta: np.ndarray, pen0: np.ndarray, tol: float):
+def _fixed_point_on_support(g: Dataset, beta: np.ndarray, pen0: np.ndarray, tol: float):
     """The scaled-lasso fixed point on beta's support and signs, or None.
 
     With support S, signs s, A = G[S, S], c = X'y/n on S and
@@ -298,13 +263,12 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     if n < 2:
         raise ValueError("need at least two samples")
     lam0 = math.sqrt(2.01 * math.log(p) / n)
-    g = Gram.of(data)
-    weights = np.sqrt(g.diag)
+    weights = np.sqrt(data.diag)
     if np.any(weights == 0.0):
         raise ValueError("columns of X must not be identically zero")
 
     beta = np.zeros(p)
-    sigma = math.sqrt(g.yty)
+    sigma = math.sqrt(data.yty)
     objectives = []
     converged = False
     inner_ok = True
@@ -313,13 +277,13 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
         if sigma <= 0.0:
             break
         kkt_tol = 1e-10 * max(1.0, sigma)
-        beta, ok, _ = _cd_quadratic_l1(g, g.xty, sigma * lam0 * weights, beta, kkt_tol=kkt_tol, max_passes=2000)
+        beta, ok, _ = _cd_quadratic_l1(data, data.xty, sigma * lam0 * weights, beta, kkt_tol=kkt_tol, max_passes=2000)
         inner_ok = inner_ok and ok
-        fixed = _fixed_point_on_support(g, beta, lam0 * weights, kkt_tol)
+        fixed = _fixed_point_on_support(data, beta, lam0 * weights, kkt_tol)
         if fixed is not None:
             beta, sigma = fixed
         nz = np.flatnonzero(beta)  # beta is sparse: form beta' G beta on its support
-        res2 = max(g.yty - 2.0 * float(g.xty @ beta) + float(beta[nz] @ (g.cols(nz)[nz] @ beta[nz])), 0.0)
+        res2 = max(data.yty - 2.0 * float(data.xty @ beta) + float(beta[nz] @ (data.cols(nz)[nz] @ beta[nz])), 0.0)
         sigma_new = math.sqrt(res2)
         objectives.append(
             res2 / (2.0 * sigma_new) + sigma_new / 2.0 + lam0 * float(weights @ np.abs(beta))
@@ -347,14 +311,14 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
 
 
 def projection_direction(
-    src: "Dataset | Gram | np.ndarray",
+    data: Dataset,
     xi_vec: np.ndarray,
     c_xi: float,
     n: int,
 ) -> ProjectionResult:
     """Solve  min u' S u  s.t.  ||S u - xi||_inf <= C_xi ||xi||_2 sqrt(log p / n).
 
-    S is `Gram.of(src)` and xi_vec the loading in original coordinates.
+    S is the dataset's Gram and xi_vec the loading in original coordinates.
     Solved through the equivalent l1-penalized quadratic
     min_v v'Sv/2 - xi'v + r ||v||_1, whose stationary points satisfy the
     constrained problem's KKT system.  The constraint is then checked on
@@ -364,13 +328,13 @@ def projection_direction(
     feasible = False and a WARNING on the adaptest logger.  When r >= ||xi||_inf,
     u = 0 is instead the exact optimum: feasible, objective 0, no pass, no WARNING.
     """
-    p, gram = xi_vec.size, Gram.of(src)
+    p = xi_vec.size
     norm2 = float(np.linalg.norm(xi_vec))
     radius = c_xi * norm2 * math.sqrt(math.log(p) / n)
     tol = 1e-9 * max(norm2, 1.0)
-    v, ok, _ = _cd_quadratic_l1(gram, xi_vec, np.full(p, radius), np.zeros(p), kkt_tol=tol, max_passes=5000)
+    v, ok, _ = _cd_quadratic_l1(data, xi_vec, np.full(p, radius), np.zeros(p), kkt_tol=tol, max_passes=5000)
     nz = np.flatnonzero(v)
-    s_v = gram.cols(nz) @ v[nz]
+    s_v = data.cols(nz) @ v[nz]
     if not ok or np.max(np.abs(s_v - xi_vec)) > radius * (1.0 + 1e-8) + tol:
         _log.warning("no feasible projection direction (radius %.3g, converged %s): falling back to u = 0", radius, ok)
         return ProjectionResult(u_hat=np.zeros(p), feasible=False, objective=0.0)

@@ -31,10 +31,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import CoordinateDataset
-from .inference import TEST_MODES, _lasso, _log_grid, mixed_ci, mixed_test, run_single_test
+from .inference import TEST_MODES, _lasso, mixed_ci, mixed_test, run_single_test
 from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, make_loading
 from .priors import prior_sampler, valid_draws
-from .profiles import example_profiles, regular_phase, regular_profile
+from .profiles import example_profiles, log_grid, regular_phase, regular_profile
 
 
 def setting(default=dataclasses.MISSING, choices=(), **when) -> dataclasses.Field:
@@ -52,7 +52,7 @@ class RunConfig:
     """Keys every command accepts: the seed of its random streams and the output directory.  Keys
     in `minima`, level, alpha, eta, alpha + eta, noise_sd, loading_q and sigma_star are checked
     where present; alpha and eta must leave 1 - v/32, the least level mixed_ci takes a normal
-    quantile at, below 1, and the last three must be positive and finite."""
+    quantile at, below 1, the last three must be positive and finite, and each grid read nonempty."""
 
     master_seed: int = 0
     out: str = "."
@@ -74,6 +74,9 @@ class RunConfig:
         for key in ("noise_sd", "loading_q", "sigma_star"):
             if not 0.0 < getattr(self, key, 1.0) < math.inf:
                 raise ConfigError(f"{key} = {getattr(self, key)} must be positive and finite")
+        for key in ("lam_grid", "gamma_xi_grid", "gamma_tau_grid"):
+            if hasattr(self, key) and not _blocker(self, key) and not float_list(str(getattr(self, key))):
+                raise ConfigError(f"{key} = {getattr(self, key)!r} must list at least one value")
 
 
 @dataclass(kw_only=True)
@@ -128,7 +131,7 @@ class ExperimentConfig(LoadingConfig):
     gamma_tau_grid: str = setting("0.2,0.4,0.6", kind=("phase_diagram",))
     gamma_u: float = setting(0.3, kind=("phase_diagram",))
     gamma_n: float = setting(0.8, kind=("phase_diagram",))
-    minima = {**RunConfig.minima, "n": 2, "k": 1}
+    minima = {**RunConfig.minima, "n": 2, "k": 1, "m_grid": 3}  # below 3, m_grid gives the cutoffs {0, 1, p} of 3
 
     def __post_init__(self):
         super().__post_init__()
@@ -391,7 +394,7 @@ def m_cutoff_grid(p: int, size: int) -> list[int]:
     want = min(size, p + 1)
     num = max(size - 2, 1)
     while True:
-        grid = _log_grid(p, num + 2)
+        grid = log_grid(p, num + 2)
         if len(grid) >= want or num > 4 * (p + 1):
             return grid
         num *= 2

@@ -6,8 +6,8 @@ the inf-norm constrained direction), their Minkowski mixture split at a
 magnitude cutoff m, and the data-split variants for known or spiked
 design covariance.  Every interval carries an error-budget ledger; its
 nominal level is one minus the total budget.  Every interval reads data
-only through a memoised `Gram`: the debiased one on the dataset's, the
-data-split ones on half 2's.  Radius constants are fixed; sigma_floor
+only through its Gram (`model.Dataset`): the debiased one the dataset's,
+the data-split ones half 2's.  Radius constants are fixed; sigma_floor
 (for the lasso fits) is the only value a caller sets.
 
 `run_single_test` runs any of the `TEST_MODES` on a dataset; the modes
@@ -24,10 +24,10 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import OddSampleSize
-from .estimators import CoordinateDataset, Gram, ProjectionResult, ScaledLassoFit, projection_direction, scaled_lasso
+from .estimators import CoordinateDataset, ProjectionResult, ScaledLassoFit, projection_direction, scaled_lasso
 from .estimators import spiked_cov_estimate
 from .model import Dataset, LoadingVector, TestProblem, stream
-from .profiles import cutoff_and_regime, top_norm
+from .profiles import cutoff_and_regime, cutoff_prefixes, log_grid, top_norm
 
 
 # Radius constants: the feasibility and bias constants need only be "large
@@ -97,11 +97,11 @@ def _lasso(data: Dataset, sigma_floor: float) -> ScaledLassoFit:
     return fit
 
 
-def _corrected_center(gram: Gram, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
+def _corrected_center(data: Dataset, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
     """xi'beta_hat + d'X'(Y - X beta_hat)/n along direction d, read from the
     Gram as X'Y/n - G[:, S] beta_hat_S on the support S of beta_hat."""
     s = np.flatnonzero(beta_hat)
-    return float(xi_vec @ beta_hat) + float(direction @ (gram.xty - gram.cols(s) @ beta_hat[s]))
+    return float(xi_vec @ beta_hat) + float(direction @ (data.xty - data.cols(s) @ beta_hat[s]))
 
 
 def debiased_ci(
@@ -114,7 +114,7 @@ def debiased_ci(
     z by AS241 (`statistics.NormalDist`).  An infeasible projection degrades to u_hat = 0.
     """
     n, p = data.n, data.p
-    center = _corrected_center(Gram.of(data), fit.beta_hat, xi_vec, proj.u_hat)
+    center = _corrected_center(data, fit.beta_hat, xi_vec, proj.u_hat)
     norm2 = float(np.linalg.norm(xi_vec))
     q = 1.0 - alpha / 8.0  # rounds to 1 at alpha <= 2^-51, where z is inf
     radius = 1.1 * fit.sigma_hat * (
@@ -146,8 +146,7 @@ def mixed_ci(
 
 def radius_floors(xi: LoadingVector, grid, sigma_hat: float, k_u: int, n: int) -> np.ndarray:
     """Each grid cutoff's `mixed_ci` radius at u'Su = 0, a floor for it: u'Su >= 0, 0 in the fallback."""
-    head = np.sqrt(np.concatenate(([0.0], np.cumsum(xi.coords**2)))[grid])
-    tail = np.abs(np.append(xi.coords, 0.0)[grid])
+    head, tail = (prefix[grid] for prefix in cutoff_prefixes(xi))
     logp = math.log(xi.p)
     return sigma_hat * k_u * (1.1 * C_BETA * C_XI * head * logp / n + C_PI * tail * math.sqrt(logp / n))
 
@@ -174,7 +173,7 @@ def mixed_test(
     m_used = 0 if scan_all_m else cutoff_and_regime(k_u, data.n, data.p)[0]
     interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta)
     if scan_all_m:  # past the first cutoff >= k_xi every head is xi and every interval repeats
-        grid = _log_grid(data.p, 32)
+        grid = log_grid(data.p, 32)
         grid = grid[: int(np.searchsorted(grid, xi.k_xi)) + 1]
         rest = np.minimum.accumulate(radius_floors(xi, grid, fit.sigma_hat, k_u, data.n)[::-1])[::-1]
         for m, floor in zip(grid[1:], rest[1:]):  # grid[0] = 0
@@ -223,19 +222,11 @@ def run_single_test(
     return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=0 if mode == "plugin" else data.p)
 
 
-def _log_grid(p: int, size: int) -> list[int]:
-    """At most `size` distinct cutoffs in 0..p, log-spaced with both endpoints."""
-    pts = {0, p}
-    for t in np.geomspace(1, max(p, 1), num=max(size - 2, 1)):
-        pts.add(int(round(t)))
-    return sorted(pts)
-
-
 def split_half(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic random halves: parity positions of a seeded shuffle.
 
     Memoised on the dataset by seed, so every caller gets the same two
-    halves, and with them each half's memoised Gram.  A `CoordinateDataset`
+    halves, and with them each half's Gram columns.  A `CoordinateDataset`
     has no rows to split: its halves are two independent n/2-row draws from
     its own seed, which with iid rows have the law of a seeded split.
     """
@@ -258,7 +249,7 @@ def _split_half_center(data: Dataset, seed: int, sigma_floor: float, xi_vec: np.
     corrected center on half 2's Gram along direction(half1), both read on forks."""
     half1, half2 = split_half(data, seed)
     fit = _lasso(half1, sigma_floor)
-    return fit, _corrected_center(Gram.of(half2.fork()), fit.beta_hat, xi_vec, direction(half1.fork()))
+    return fit, _corrected_center(half2.fork(), fit.beta_hat, xi_vec, direction(half1.fork()))
 
 
 def known_sigma_ci(

@@ -1,4 +1,4 @@
-"""Core data model: loading vectors, model points, datasets, and the map
+"""Core data model: loading vectors, model points, datasets (each its own lazily formed Gram), and the map
 between regression parameters and the (p+1) x (p+1) covariance of (y, x).
 
 The observation model is Y = X beta + eps with Gaussian rows
@@ -124,27 +124,44 @@ class ModelParams:
             raise CholeskyFailure("covariance is not numerically positive definite") from exc
 
 
-@dataclass(frozen=True)
 class Dataset:
-    x: np.ndarray
-    y: np.ndarray
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # e.g. estimators.Gram.of
+    """n rows (x, y), read by the solvers only through its Gram G = X'X/n: column j
+    formed on first read as its own product X'X_j / n, so its bits never depend on the
+    columns formed before or beside it; diag, xty = X'y/n and yty = y'y/n on first read.
+    memo holds the fits and halves computed on it."""
 
-    def __post_init__(self):
-        if self.x.shape[0] != self.y.shape[0]:
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        if x.shape[0] != y.shape[0]:
             raise ValueError("row counts of x and y disagree")
+        self.x, self.y, (self.n, self.p) = x, y, x.shape
+        self.memo, self.columns = {}, {}  # columns: j -> column j, once formed
 
     def fork(self) -> "Dataset":
         """Rows never change, so a row dataset is its own fork (`estimators.CoordinateDataset.fork`)."""
         return self
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
+    @functools.cached_property
+    def diag(self) -> np.ndarray:
+        return np.einsum("ij,ij->j", self.x, self.x) / self.n
 
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
+    @functools.cached_property
+    def xty(self) -> np.ndarray:
+        return self.x.T @ self.y / self.n
+
+    @functools.cached_property
+    def yty(self) -> float:
+        return float(self.y @ self.y) / self.n
+
+    def cols(self, idx) -> np.ndarray:
+        """Columns idx of the Gram matrix, as a p x len(idx) array."""
+        idx = np.asarray(idx, dtype=int).tolist()
+        for j in idx:
+            if j not in self.columns:
+                self.columns[j] = self._column(j)
+        return np.array([self.columns[j] for j in idx]).reshape(len(idx), self.p).T
+
+    def _column(self, j: int) -> np.ndarray:
+        return self.x.T @ self.x[:, j] / self.n
 
 
 @dataclass(frozen=True)

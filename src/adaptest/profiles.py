@@ -165,12 +165,25 @@ def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, p: int, degree: int) 
     )
 
 
+def cutoff_prefixes(xi: LoadingVector) -> tuple[np.ndarray, np.ndarray]:
+    """(H(m), |xi_{m+1}|) for every cutoff m in 0..p, by prefix sums: the norm of the top m
+    coordinates and the largest magnitude past them, 0 at m = p."""
+    return np.sqrt(np.concatenate(([0.0], np.cumsum(xi.coords**2)))), np.append(np.abs(xi.coords), 0.0)
+
+
+def log_grid(p: int, size: int) -> list[int]:
+    """At most `size` distinct cutoffs in 0..p, log-spaced with both endpoints."""
+    pts = {0, p}
+    for t in np.geomspace(1, max(p, 1), num=max(size - 2, 1)):
+        pts.add(int(round(t)))
+    return sorted(pts)
+
+
 def upper_objective(xi: LoadingVector, k_u: int, n: int, p: int) -> np.ndarray:
     """The cutoff objective H(m)(1/sqrt(n) + k_u log p / n) + |xi_{m+1}| k_u sqrt(log p / n)
-    for every m in 0..p, via prefix sums."""
+    for every m in 0..p (`cutoff_prefixes`)."""
     lp = math.log(p)
-    h = np.sqrt(np.concatenate(([0.0], np.cumsum(xi.coords**2))))
-    tail = np.concatenate((np.abs(xi.coords), [0.0]))
+    h, tail = cutoff_prefixes(xi)
     return h * (1.0 / math.sqrt(n) + k_u * lp / n) + tail * k_u * math.sqrt(lp / n)
 
 

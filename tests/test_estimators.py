@@ -14,7 +14,6 @@ from adaptest import estimators
 from adaptest.errors import BudgetExceeded, ZeroResidualDegenerate
 from adaptest.estimators import (
     CoordinateDataset,
-    Gram,
     SpikedCovFit,
     _cd_quadratic_l1,
     gamma_block,
@@ -30,6 +29,17 @@ from adaptest.profiles import cutoff_and_regime, example_profiles
 def orthonormal_design(n, p, seed):
     q, _ = np.linalg.qr(stream(seed, 0).standard_normal((n, n)))
     return q[:, :p] * math.sqrt(n)
+
+
+class DenseGram:
+    """A dense symmetric matrix behind the part of the dataset interface the solvers read
+    on a Gram: its diagonal and its columns."""
+
+    def __init__(self, g):
+        self.g, self.diag = g, np.diag(g)
+
+    def cols(self, idx):
+        return self.g[:, np.asarray(idx, dtype=int)]
 
 
 def random_design(seed, n, p, dead):
@@ -67,7 +77,7 @@ class TestCoordinateDescentKKT:
         dead = min(dead, p)
         x, rng = random_design(seed, n, p, dead)
         data = Dataset(x=x, y=np.zeros(n))
-        gram = Gram.of(data) if lazy else sample_cov(data)
+        gram = data if lazy else DenseGram(sample_cov(data))
         # lin in the row space of X keeps the objective bounded below
         lin = x.T @ rng.standard_normal(n) / n
         pen = np.full(p, level) if constant_pen else level * rng.uniform(0.1, 1.0, p)
@@ -76,7 +86,7 @@ class TestCoordinateDescentKKT:
         assert converged
         assert passes <= 100_000
         assert np.all(v[:dead] == 0.0)
-        assert self.kkt_violation(Gram.of(gram).cols(range(p)), lin, pen, v) <= tol + 1e-12
+        assert self.kkt_violation(gram.cols(range(p)), lin, pen, v) <= tol + 1e-12
 
     @given(**KKT_CASES)
     @settings(max_examples=60, deadline=None)
@@ -90,7 +100,7 @@ class TestCoordinateDescentKKT:
 
     def test_pass_budget_exhausted_is_reported(self):
         x, rng = random_design(3, 40, 10, 0)
-        gram = sample_cov(Dataset(x=x, y=np.zeros(40)))
+        gram = DenseGram(sample_cov(Dataset(x=x, y=np.zeros(40))))
         lin = x.T @ rng.standard_normal(40) / 40
         v, converged, passes = _cd_quadratic_l1(gram, lin, np.full(10, 1e-3), np.zeros(10), 1e-12, 1)
         assert not converged
@@ -182,12 +192,11 @@ def lars_design(seed, n, extra, mix, noise, b1, b2):
 def plain_alternation(data, rel=1e-14, rounds=500):
     """The scaled lasso by plain alternation of its two exact steps, until
     sigma changes by less than `rel` (relative)."""
-    g = Gram.of(data)
     lam0 = math.sqrt(2.01 * math.log(data.p) / data.n)
-    weights = np.sqrt(g.diag)
-    beta, sigma = np.zeros(data.p), math.sqrt(g.yty)
+    weights = np.sqrt(data.diag)
+    beta, sigma = np.zeros(data.p), math.sqrt(data.yty)
     for _ in range(rounds):
-        beta, ok, _ = _cd_quadratic_l1(g, g.xty, sigma * lam0 * weights, beta, kkt_tol=1e-12, max_passes=100_000)
+        beta, ok, _ = _cd_quadratic_l1(data, data.xty, sigma * lam0 * weights, beta, kkt_tol=1e-12, max_passes=100_000)
         assert ok
         sigma_new = float(np.linalg.norm(data.y - data.x @ beta)) / math.sqrt(data.n)
         if abs(sigma_new / sigma - 1.0) < rel:
@@ -313,35 +322,35 @@ class TestGram:
         x, rng = random_design(seed, n, p, min(dead, p))
         ds = Dataset(x=scale * x, y=rng.standard_normal(n))
         idx = data.draw(st.lists(st.integers(0, p - 1), max_size=2 * p))
-        full, gram = sample_cov(ds), Gram.of(ds)
+        full = sample_cov(ds)
         bound = 1e-13 * float(np.max(np.sum(ds.x**2, axis=0))) / n
-        assert gram.cols(idx).shape == (p, len(idx))
-        assert np.all(np.abs(gram.cols(idx) - full[:, idx]) <= bound)
-        assert np.all(np.abs(gram.diag - np.diag(full)) <= bound)
-        assert np.array_equal(gram.xty, ds.x.T @ ds.y / n) and gram.yty == float(ds.y @ ds.y) / n
-        assert sorted(gram.columns) == sorted(set(idx))
+        assert ds.cols(idx).shape == (p, len(idx))
+        assert np.all(np.abs(ds.cols(idx) - full[:, idx]) <= bound)
+        assert np.all(np.abs(ds.diag - np.diag(full)) <= bound)
+        assert np.array_equal(ds.xty, ds.x.T @ ds.y / n) and ds.yty == float(ds.y @ ds.y) / n
+        assert sorted(ds.columns) == sorted(set(idx))
 
     def test_column_bits_do_not_depend_on_order(self):
         # the criterion-3 size: long enough products for the BLAS kernels to block
         x = stream(11, 0).standard_normal((300, 600))
         ds = Dataset(x=x, y=np.zeros(300))
-        alone = Gram(ds).cols([7])
-        after = Gram(ds)
+        alone = Dataset(x=ds.x, y=ds.y).cols([7])
+        after = Dataset(x=ds.x, y=ds.y)
         after.cols([3, 599, 0])
-        inside = Gram(ds).cols([1, 2, 7, 8, 9, 400])
-        for col in (after.cols([7]), inside[:, [2]], Gram(ds).cols([7, 7])[:, [1]]):
+        inside = Dataset(x=ds.x, y=ds.y).cols([1, 2, 7, 8, 9, 400])
+        for col in (after.cols([7]), inside[:, [2]], Dataset(x=ds.x, y=ds.y).cols([7, 7])[:, [1]]):
             assert col.tobytes() == alone.tobytes()
 
     def test_memoised_on_the_dataset(self):
         x = stream(2, 0).standard_normal((20, 6))
         ds = Dataset(x=x, y=x[:, 0])
-        assert Gram.of(ds) is Gram.of(ds) and Gram.of(Gram.of(ds)) is Gram.of(ds)
-        assert Gram.of(Dataset(x=x, y=x[:, 0])) is not Gram.of(ds)
+        assert ds.diag is ds.diag and ds.xty is ds.xty
+        assert Dataset(x=x, y=x[:, 0]).diag is not ds.diag
         scaled_lasso(ds)
-        formed = dict(Gram.of(ds).columns)
+        formed = dict(ds.columns)
         assert 0 < len(formed) < 6
         projection_direction(ds, np.eye(6)[0], 2.0, 20)
-        assert all(Gram.of(ds).columns[j] is col for j, col in formed.items())
+        assert all(ds.columns[j] is col for j, col in formed.items())
 
 
 class RowSource:
@@ -436,13 +445,13 @@ class TestCoordinateDataset:
             with pytest.raises(TypeError, match="no rows"):
                 getattr(data, rows)
         fit = scaled_lasso(data)
-        formed = dict(Gram.of(data).columns)
+        formed = dict(data.columns)
         first, second = data.fork(), data.fork()
         assert scaled_lasso(first) is fit
         cov = sample_cov(first)  # every column, read from the fork's coordinates
-        assert np.array_equal(cov, cov.T) and np.allclose(np.diag(cov), Gram.of(data).diag, rtol=1e-12, atol=0.0)
-        assert Gram.of(data).columns.keys() == formed.keys() and len(Gram.of(first).columns) == p
-        assert np.array_equal(Gram.of(second).cols(range(p)), Gram.of(first).cols(range(p)))
+        assert np.array_equal(cov, cov.T) and np.allclose(np.diag(cov), data.diag, rtol=1e-12, atol=0.0)
+        assert data.columns.keys() == formed.keys() and len(first.columns) == p
+        assert np.array_equal(second.cols(range(p)), first.cols(range(p)))
 
 
     @settings(max_examples=40, deadline=None)
@@ -456,7 +465,7 @@ class TestCoordinateDataset:
         data.cols(before)
         fork = data.fork()
         state = (data.coords.copy(), data.source.rho.copy(), repr(data.source.rng.bit_generator.state))
-        got = Gram.of(fork).cols(read)
+        got = fork.cols(read)
         assert np.array_equal(data.coords, state[0]) and np.array_equal(data.source.rho, state[1])
         assert repr(data.source.rng.bit_generator.state) == state[2]
         assert np.array_equal(got, data.cols(read))
@@ -486,7 +495,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(0.3, xi.original(), n)
-        res = projection_direction(np.eye(3), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(np.eye(3)), xi.original(), c_xi, n)
         assert res.feasible
         assert np.allclose(res.u_hat, [0.7, 0.0, 0.0], atol=1e-9)
 
@@ -494,7 +503,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(1.5, xi.original(), n)
-        res = projection_direction(np.eye(3), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(np.eye(3)), xi.original(), c_xi, n)
         assert res.feasible
         assert np.allclose(res.u_hat, 0.0)
         assert res.objective == 0.0
@@ -506,7 +515,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p)) @ np.linalg.cholesky(np.eye(p) + 0.3).T
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(s, xi.original(), 2.0, n)
+        res = projection_direction(DenseGram(s), xi.original(), 2.0, n)
         oracle = np.linalg.solve(s, xi.original())
         assert res.feasible
         assert res.objective <= float(oracle @ (s @ oracle)) + 1e-9
@@ -517,7 +526,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(s, xi.original(), 1.0, n)
+        res = projection_direction(DenseGram(s), xi.original(), 1.0, n)
         assert res.feasible
         slack = np.abs(s @ res.u_hat - xi.original())
         active = np.abs(res.u_hat) > 1e-8
@@ -537,7 +546,7 @@ class TestProjectionDirection:
         x, rng = random_design(seed, n, p, min(dead, p - 1))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(s, xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(s), xi.original(), c_xi, n)
         if res.feasible:
             tol = 1e-9 * max(float(np.linalg.norm(xi.original())), 1.0)
             radius = self.radius(c_xi, xi.original(), n)
@@ -550,7 +559,7 @@ class TestProjectionDirection:
         v = np.array([1.0, 0.0, 0.0])
         s = np.outer(v, v)
         xi = make_loading([0.0, 1.0, 0.0])
-        res = projection_direction(s, xi.original(), 0.01, 10**6)
+        res = projection_direction(DenseGram(s), xi.original(), 0.01, 10**6)
         assert not res.feasible
         assert np.allclose(res.u_hat, 0.0)
 
@@ -573,7 +582,7 @@ class TestProjectionDirection:
         # S_11 = 0 and |xi_1| = 1 > r: no direction meets the constraint
         s, xi = np.diag([1.0, 0.0, 2.0]), np.array([0.5, 1.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="adaptest"):
-            res = projection_direction(s, xi, 0.5, 400)
+            res = projection_direction(DenseGram(s), xi, 0.5, 400)
         assert not res.feasible
         assert [(r.name, r.levelno) for r in caplog.records] == [("adaptest", logging.WARNING)]
         assert "u = 0" in caplog.records[0].getMessage()

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from adaptest import cli, harness, inference, priors, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError, RegimeViolation
-from adaptest.estimators import CoordinateDataset, Gram, scaled_lasso, spiked_cov_estimate
+from adaptest.estimators import CoordinateDataset, scaled_lasso, spiked_cov_estimate
 from adaptest.inference import mixed_test
-from adaptest.model import ModelParams, TestProblem as Problem, generate_dataset, make_loading, stream
+from adaptest.model import ModelParams, TestProblem as Problem, dataset_to_csv, generate_dataset, make_loading, stream
 from adaptest.profiles import solve_zeta
 from adaptest.harness import (
     ExperimentConfig,
@@ -88,9 +88,10 @@ BY_TYPE = {
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
 # Keys whose domain is narrower than their type's: k_u, k, loading_k, reps, threads >= 1, n >= 2,
-# alpha + eta in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd, loading_q and
-# sigma_star positive and finite, loading_a finite and nonzero, t0 and the tau_grid and
-# gamma_tau_grid entries finite, and the other phase-diagram exponents in [0, 1].
+# m_grid >= 3, alpha + eta in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd,
+# loading_q and sigma_star positive and finite, loading_a finite and nonzero, t0 and the tau_grid
+# and gamma_tau_grid entries finite, the two gamma grids nonempty, and the other phase-diagram
+# exponents in [0, 1].
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 EXPONENT = st.floats(0.0, 1.0)
@@ -101,6 +102,7 @@ IN_DOMAIN = {
     "reps": st.integers(1, 2**63),
     "threads": st.integers(1, 2**63),
     "n": st.integers(2, 2**63),
+    "m_grid": st.integers(3, 2**63),
     "alpha": st.floats(2.0**-48, 0.5, exclude_max=True),
     "eta": st.floats(2.0**-48, 0.5, exclude_max=True),
     "noise_sd": POSITIVE,
@@ -375,7 +377,8 @@ GOLDEN_SHA256 = {
     "phase_diagram": "b02e99bd90a71bf3f831729f11be35f1a864df61abaacd00cf074f4f77a150ac",
 }
 # The other commands' tables at master_seed = 7: prior at each kind, with its chi-square table,
-# lowdeg on the criterion-9 instance ({xi} is its loading CSV) and profile.  A digest covers a
+# lowdeg on the criterion-9 instance ({xi} is its loading CSV), profile, and fit and test in every
+# mode on one row dataset ({data}, `golden_dataset`).  A digest covers a
 # command's tables in the order it writes them; file names are left out, as theirs hash the config.
 COMMAND_GOLDEN_CASES = {
     "prior_nu2": ("prior", "kind = nu2\nn = 1000\np = 200\nk_u = 16\nloading_k = 100\ndraws = 20\nchi2_reps = 100\n"),
@@ -387,6 +390,12 @@ COMMAND_GOLDEN_CASES = {
         "pairs = 40\nloading_csv = {xi}\n",
     ),
     "profile": ("profile", "n = 1000\np = 100\nk_u = 4\nloading = subweibull\n"),
+    "fit": ("fit", "data_csv = {data}\nk_u = 2\ngamma_star = 3.0\n"),
+    **{
+        f"test_{mode}": ("test", f"data_csv = {{data}}\nk_u = 3\nt0 = 0.5\nmode = {mode}\n")
+        for mode in inference.TEST_MODES
+    },
+    "test_mixed_scan": ("test", "data_csv = {data}\nk_u = 3\nt0 = 0.5\nmode = mixed\nscan_all_m = 1\n"),
 }
 COMMAND_GOLDEN_SHA256 = {
     "prior_nu2": "b632fd1fad79ffd5171d6b5967c770f2dccbed748b46682358a860214209d81e",
@@ -394,7 +403,25 @@ COMMAND_GOLDEN_SHA256 = {
     "prior_comp": "1cf23c12c188cc15da943967100dcdcf8a37c57f83acc9e827aac2be41753255",
     "lowdeg": "799d3e05e94b4011bd924febbc1ae6769ff045a8caa4d41350d31a2682590cb3",
     "profile": "32d707aded1b1d8dec7fc84421f3d0bdc87e03caa0da8549f069074eede8b1fb",
+    "fit": "beb9b0a476549f7145b4baecf179df304f3771751c51972a894f254d4fe5e225",
+    "test_mixed": "8812b82e6592699071ced25ba220599b2f1ee31c2c3dc8822142310edcc46136",
+    "test_plugin": "325f69b30c398cada874b271f90f7f6c4940e27fee494256df1322a547c4b0df",
+    "test_debiased": "c5f197d323147524eb6ffd46b1efa65b32d9844b42eebb122cff22a3a3c72719",
+    "test_known_sigma": "ff8d01c09f03c278d62f335c4319a53f1946358536199292f15d2419a59c5f71",
+    "test_spiked": "633d1bfceed9f9b5066510381312f62e5898f984fcc820d1e08b5ae1bf431ea0",
+    "test_mixed_scan": "405af80c9826732fe9faf1e108f852d64d3dfea9a99c15da2315dcd1f178293c",
 }
+
+
+def golden_dataset(path: Path) -> Path:
+    """Write the golden fit and test cases' dataset: n = 120 rows (even, so known_sigma and spiked
+    can split it), p = 30, beta on three coordinates, and a design mixed on coordinates 0 and 1."""
+    beta = np.zeros(30)
+    beta[[0, 3, 7]] = (1.0, -0.5, 0.25)
+    theta = ModelParams(beta=beta, sigma_cov=(np.array([0, 1]), np.array([[3.0, 1.0], [1.0, 3.0]])), noise_sd=1.0)
+    with open(path, "w") as fh:
+        dataset_to_csv(generate_dataset(theta, 120, 11), fh)
+    return path
 
 
 class TestRunners:
@@ -408,8 +435,9 @@ class TestRunners:
     def test_golden_command_tables(self, case, tmp_path):
         command, text = COMMAND_GOLDEN_CASES[case]
         (tmp_path / "xi.csv").write_text("xi\n1.0\n0.9\n0.8\n")
+        files = {"xi": tmp_path / "xi.csv", "data": golden_dataset(tmp_path / "data.csv")}
         schema, run = cli._DISPATCH[command]
-        _, _, tables = run(parse_config(text.format(xi=tmp_path / "xi.csv") + "master_seed = 7\n", schema))
+        _, _, tables = run(parse_config(text.format(**files) + "master_seed = 7\n", schema))
         body = "".join(f"{suffix}\n{table}" for suffix, table in tables.items())
         assert hashlib.sha256(body.encode()).hexdigest() == COMMAND_GOLDEN_SHA256[case]
 
@@ -592,7 +620,7 @@ class TestRunners:
 
         def counted(data, *args, **kwargs):
             dec = mixed_test(data, *args, **kwargs)
-            formed.append(len(Gram.of(forks[-1]).columns))  # every column read: the fit's, then the fork's after it
+            formed.append(len(forks[-1].columns))  # every column read: the fit's, then the fork's after it
             return dec
 
         monkeypatch.setattr(inference, "mixed_test", counted)
@@ -618,7 +646,7 @@ class TestRunners:
             assert after == alone
             # as if an earlier mode had read every column: on its own fork, taken after the shared fit
             scaled_lasso(primed)
-            Gram.of(primed.fork()).cols(range(cfg.p - 1, -1, -1))
+            primed.fork().cols(range(cfg.p - 1, -1, -1))
             assert inference.run_single_test("debiased", primed, problem, seed=split) == alone
 
     def test_mixed_rows_do_not_depend_on_a_debiased_mode_before_them(self):
@@ -1103,6 +1131,10 @@ class TestCli:
             ("simulate", BASE["simulate"] + "null_source = nu1\nsigma_star = inf\n", "sigma_star"),
             ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "sigma_star = 0\n", "sigma_star"),
             ("scca", "mode = reduce\n" + BASE["scca"] + "sigma_star = -5\n", "sigma_star"),
+            ("scca", "mode = sweep\n" + BASE["scca"] + "lam_grid =\n", "lam_grid"),
+            ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_xi_grid =\n", "gamma_xi_grid"),
+            ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_tau_grid =\n", "gamma_tau_grid"),
+            ("simulate", "kind = length_sweep\n" + BASE["simulate"] + "m_grid = 2\n", "m_grid"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
@@ -1123,6 +1155,8 @@ class TestCli:
             "prior-nu1-tau-negative", "prior-nu1-tau-inf", "scca-reduce-c10-above-one", "scca-stats-lam-above-one",
             "scca-generate-alt-lam-minus-one", "scca-sweep-lam_grid-above-one", "prior-sigma_star-negative",
             "simulate-nu1-sigma_star-inf", "lowdeg-sigma_star-0", "scca-reduce-sigma_star-negative",
+            "scca-sweep-lam_grid-empty", "phase_diagram-gamma_xi_grid-empty", "phase_diagram-gamma_tau_grid-empty",
+            "length_sweep-m_grid-2",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):

@@ -18,7 +18,6 @@ from adaptest import inference as inf
 from adaptest.errors import OddSampleSize
 from adaptest.estimators import (
     CoordinateDataset,
-    Gram,
     ProjectionResult,
     ScaledLassoFit,
     projection_direction,
@@ -29,7 +28,7 @@ from adaptest import model
 from adaptest.harness import null_point
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
 from adaptest.priors import sample_nu2_prior, valid_draws
-from adaptest.profiles import example_profiles
+from adaptest.profiles import example_profiles, log_grid
 
 # alias keeps pytest from trying to collect the imported dataclass
 problem_of = model.TestProblem
@@ -209,7 +208,7 @@ class TestScanAllM:
     def exhaustive(data, problem):
         fit, view = scaled_lasso(data), data.fork()
         cis = [(m, inf.mixed_ci(view, fit, problem.xi, m, problem.k_u, problem.alpha, problem.eta))
-               for m in inf._log_grid(data.p, 32)]
+               for m in log_grid(data.p, 32)]
         return fit, cis, min(cis, key=lambda pair: pair[1].radius)
 
     @given(case=scan_cases())
@@ -423,7 +422,7 @@ def test_coordinate_datasets_match_rows_in_law():
             for seed in range(base + offset * reps, base + (offset + 1) * reps):
                 data = draw(theta, n, seed)
                 dec = inf.mixed_test(data, problem, scan_all_m=True)
-                block = Gram.of(data).cols(idx)[idx][upper]
+                block = data.cols(idx)[idx][upper]
                 ci = dec.interval
                 rows.append((scaled_lasso(data).sigma_hat, ci.radius, ci.center, dec.m_used, *block))
             arms.append(np.array(rows))

@@ -14,8 +14,10 @@ from adaptest.profiles import (
     SPARSE_LOADING_L2_INFLATED,
     STATISTICALLY_IMPOSSIBLE,
     _log_phi,
+    cutoff_prefixes,
     example_profiles,
     flat_closed_form,
+    log_grid,
     multiscale_profile,
     nu1,
     nu2,
@@ -191,6 +193,18 @@ class TestRateBounds:
         lp = math.log(p)
         assert obj[0] == pytest.approx(abs(xi.coords[0]) * k_u * math.sqrt(lp / n))
         assert obj[p] == pytest.approx(float(np.linalg.norm(xi.coords)) * (1 / math.sqrt(n) + k_u * lp / n))
+
+    def test_cutoff_prefixes_are_top_norm_and_next_magnitude(self):
+        xi = make_loading([0.5, -3.0, 0.0, 2.0, -1.0])
+        head, tail = cutoff_prefixes(xi)
+        assert head.tolist() == [top_norm(xi, m) for m in range(6)]
+        assert tail.tolist() == [3.0, 2.0, 1.0, 0.5, 0.0, 0.0]
+
+    def test_log_grid_has_both_endpoints_and_at_most_size_cutoffs(self):
+        assert log_grid(1000, 3) == [0, 1, 1000]
+        for p, size in ((1, 5), (7, 4), (600, 32), (10**6, 40)):
+            grid = log_grid(p, size)
+            assert grid[0] == 0 and grid[-1] == p and len(grid) <= size and grid == sorted(set(grid))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
