@@ -25,7 +25,8 @@ import numpy as np
 from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
 from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
-from .harness import ExperimentConfig, LoadingConfig, RunConfig, build_loading, float_list, setting
+from .harness import CORRELATION, FINITE, LEVEL, NONNEGATIVE, POSITIVE, UNIT, ExperimentConfig, LoadingConfig, RunConfig
+from .harness import at_least, build_loading, float_list, setting
 from .inference import C_XI, TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import TestProblem, csv_text, dataset_from_csv, dataset_to_csv
@@ -35,31 +36,29 @@ from .priors import prior_sampler, valid_draws
 
 @dataclass(kw_only=True)
 class ProfileConfig(LoadingConfig):
-    n: int
-    degree: int = 1
-    hcurve_points: int = 64
-    # n and p at least 2 here only: prior, lowdeg and scca run with n = 1
-    minima = {**RunConfig.minima, "n": 2, "p": 2, "hcurve_points": 1}
+    n: int = setting(domain=at_least(2))  # at least 2 here only: prior, lowdeg and scca run with n = 1
+    degree: int = setting(1, domain=at_least(1))
+    hcurve_points: int = setting(64, domain=at_least(1))
 
 
 @dataclass(kw_only=True)
 class DataConfig(LoadingConfig):
     data_csv: str
-    p: int | None = None  # set from data_csv; a given p must agree with it
-    sigma_floor: float = 0.0
+    p: int | None = setting(None, domain=at_least(2))  # set from data_csv; a given p must agree with it
+    sigma_floor: float = setting(0.0, domain=NONNEGATIVE)
 
 
 @dataclass(kw_only=True)
 class FitConfig(DataConfig):
-    c_xi: float = C_XI
-    gamma_star: float | None = None  # set: also run the spiked-covariance fit at this gamma_star
+    c_xi: float = setting(C_XI, domain=POSITIVE)
+    gamma_star: float | None = setting(None, domain=POSITIVE)  # set: also run the spiked-covariance fit at it
 
 
 @dataclass(kw_only=True)
 class TestCmdConfig(DataConfig):
-    t0: float = 0.0
-    alpha: float = 0.05
-    eta: float = setting(0.05, mode=("mixed",))
+    t0: float = setting(0.0, domain=FINITE)
+    alpha: float = setting(0.05, domain=LEVEL)
+    eta: float = setting(0.05, domain=LEVEL, mode=("mixed",))
     mode: str = setting("mixed", TEST_MODES)
     scan_all_m: bool = setting(False, mode=("mixed",))
 
@@ -67,38 +66,32 @@ class TestCmdConfig(DataConfig):
 @dataclass(kw_only=True)
 class PriorConfig(LoadingConfig):
     kind: str = setting(choices=("nu2", "nu1", "comp"))
-    n: int
-    draws: int = 100
-    degree: int = setting(1, kind=("comp",))
-    sigma_star: float = 5.0
-    tau: float | None = setting(None, kind=("nu1",))  # unset means (c4 c5 / 4) nu1(xi) / sqrt(n)
-    c1: float = setting(DEFAULT_C1, kind=("nu2",))
-    c2: float | None = setting(None, kind=("nu2",))
-    c4: float = setting(DEFAULT_C4, kind=("nu1",))
-    c5: float = setting(DEFAULT_C5, kind=("nu1",))
-    c8: float = setting(DEFAULT_C8, kind=("comp",))
-    c9: float | None = setting(None, kind=("comp",))
-    chi2_reps: int = 0  # pair replicates of the chi-square estimate; 0 is off
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.chi2_reps != 0 and self.chi2_reps < 100:
-            raise ConfigError(f"chi2_reps = {self.chi2_reps} must be 0 (off) or at least 100")
-        if self.tau is not None and not 0.0 < self.tau < math.inf:
-            raise ConfigError(f"tau = {self.tau} must be positive and finite")
+    n: int = setting(domain=at_least(1))
+    draws: int = setting(100, domain=at_least(1))
+    degree: int = setting(1, domain=at_least(1), kind=("comp",))
+    sigma_star: float = setting(5.0, domain=POSITIVE)
+    tau: float | None = setting(None, domain=POSITIVE, kind=("nu1",))  # unset means (c4 c5 / 4) nu1(xi) / sqrt(n)
+    c1: float = setting(DEFAULT_C1, domain=POSITIVE, kind=("nu2",))
+    c2: float | None = setting(None, domain=POSITIVE, kind=("nu2",))
+    c4: float = setting(DEFAULT_C4, domain=POSITIVE, kind=("nu1",))
+    c5: float = setting(DEFAULT_C5, domain=POSITIVE, kind=("nu1",))
+    c8: float = setting(DEFAULT_C8, domain=POSITIVE, kind=("comp",))
+    c9: float | None = setting(None, domain=POSITIVE, kind=("comp",))
+    # pair replicates of the chi-square estimate; 0 is off
+    chi2_reps: int = setting(0, domain=("be 0 (off) or at least 100", lambda v: v == 0 or v >= 100))
 
 
 @dataclass(kw_only=True)
 class LowdegConfig(LoadingConfig):
-    n: int
+    n: int = setting(domain=at_least(1))
     k_eff: int
-    k_u: int = 1
+    k_u: int = setting(1, domain=at_least(1))
     s1: int = 1
-    degree_max: int = 2
-    pairs: int = 20
-    c8: float = 0.4
-    c9: float = 0.05
-    sigma_star: float = 1.0
+    degree_max: int = setting(2, domain=at_least(0))
+    pairs: int = setting(20, domain=at_least(1))
+    c8: float = setting(0.4, domain=POSITIVE)
+    c9: float = setting(0.05, domain=POSITIVE)
+    sigma_star: float = setting(1.0, domain=POSITIVE)
 
     def __post_init__(self):
         super().__post_init__()
@@ -111,32 +104,27 @@ class LowdegConfig(LoadingConfig):
 @dataclass(kw_only=True)
 class SccaConfig(RunConfig):
     mode: str = setting(choices=("generate", "reduce", "stats", "sweep"))
-    n: int
+    n: int = setting(domain=at_least(1))
     s: int
     p1: int
     p2: int
-    lam: float = setting(0.0, mode=("generate", "reduce", "stats"))
+    lam: float = setting(0.0, domain=CORRELATION, mode=("generate", "reduce", "stats"))
     hypothesis: str = setting("null", ("null", "alt"), mode=("generate", "reduce", "stats"))
-    t0: float = setting(0.0, mode=("reduce",))
-    sigma_star: float = setting(1.0, mode=("reduce",))
-    c10: float = setting(0.1, mode=("reduce",))
-    big_c: float = setting(1.0, mode=("stats",))
-    calib_reps: int = setting(400, mode=("sweep",))
-    reps: int = setting(200, mode=("sweep",))
-    lam_grid: str = setting("0.05,0.1,0.2", mode=("sweep",))
-    level: float = setting(0.05, mode=("sweep",))
-    alpha: float = setting(0.05, mode=("reduce",))
-    eta: float = setting(0.05, mode=("reduce",))
+    t0: float = setting(0.0, domain=FINITE, mode=("reduce",))
+    sigma_star: float = setting(1.0, domain=POSITIVE, mode=("reduce",))
+    c10: float = setting(0.1, domain=UNIT, mode=("reduce",))
+    big_c: float = setting(1.0, domain=POSITIVE, mode=("stats",))
+    calib_reps: int = setting(400, domain=at_least(1), mode=("sweep",))
+    reps: int = setting(200, domain=at_least(1), mode=("sweep",))
+    lam_grid: str = setting("0.05,0.1,0.2", domain=CORRELATION, nonempty=True, mode=("sweep",))
+    level: float = setting(0.05, domain=UNIT, mode=("sweep",))
+    alpha: float = setting(0.05, domain=LEVEL, mode=("reduce",))
+    eta: float = setting(0.05, domain=LEVEL, mode=("reduce",))
 
     def __post_init__(self):
         super().__post_init__()
         if self.mode == "reduce" and self.n % 2:
             raise ConfigError(f"n = {self.n} must be even: the reduction consumes rows two at a time")
-        if not 0.0 < self.c10 < 1.0:
-            raise ConfigError(f"c10 = {self.c10} must lie in (0, 1)")
-        for key in ("lam", "lam_grid"):  # a valid joint covariance needs |lambda| < 1
-            if not all(-1.0 < v < 1.0 for v in float_list(str(getattr(self, key)))):
-                raise ConfigError(f"{key} = {getattr(self, key)} must lie in (-1, 1)")
 
 
 def _read_dataset(cfg: DataConfig):

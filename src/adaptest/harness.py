@@ -37,10 +37,28 @@ from .priors import prior_sampler, valid_draws
 from .profiles import example_profiles, log_grid, regular_phase, regular_profile
 
 
-def setting(default=dataclasses.MISSING, choices=(), **when) -> dataclasses.Field:
-    """A config field taking one of `choices`, read only while each tag key in `when` takes one of its values."""
-    return dataclasses.field(default=default, metadata={"choices": choices, "when": when})
+def setting(default=dataclasses.MISSING, choices=(), domain=None, nonempty=False, **when) -> dataclasses.Field:
+    """A config field taking one of `choices`, read only while each tag key in `when` takes one of its values.
+    A `domain` is a (rule, predicate) pair that the value, or each entry of a comma-list `str` value, must
+    satisfy (an unset optional value is not checked); a `nonempty` list must have an entry whenever it is read."""
+    return dataclasses.field(
+        default=default, metadata={"choices": choices, "domain": domain, "nonempty": nonempty, "when": when}
+    )
 
+
+def at_least(least: int) -> tuple:
+    return f"be at least {least}", lambda v: v >= least
+
+
+UNIT = "lie in (0, 1)", lambda v: 0.0 < v < 1.0
+# mixed_ci reads the normal quantile at 1 - v/32, which is infinite once that rounds to 1
+LEVEL = "lie in (0, 1) and leave 1 - v/32 below 1", lambda v: 0.0 < v < 1.0 and 1.0 - v / 32.0 < 1.0
+POSITIVE = "be positive and finite", lambda v: 0.0 < v < math.inf
+NONNEGATIVE = "be nonnegative and finite", lambda v: 0.0 <= v < math.inf
+NONZERO = "be finite and nonzero", lambda v: 0.0 < abs(v) < math.inf
+FINITE = "be finite", math.isfinite
+EXPONENT = "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0  # as the exponents profiles.regular_phase takes do
+CORRELATION = "lie in (-1, 1)", lambda v: -1.0 < v < 1.0  # a planted SCCA pair's joint covariance is PD only here
 
 LOADINGS = ("regular", "multiscale", "subweibull")
 _SIMULATED = ("size_power", "length_sweep")  # the kinds that build a loading
@@ -49,58 +67,47 @@ MIN_ITEMS_PER_WORKER = 32  # a 2-process pool breaks even with the serial loop a
 
 @dataclass(kw_only=True)
 class RunConfig:
-    """Keys every command accepts: the seed of its random streams and the output directory.  Keys
-    in `minima`, level, alpha, eta, alpha + eta, noise_sd, loading_q and sigma_star are checked
-    where present; alpha and eta must leave 1 - v/32, the least level mixed_ci takes a normal
-    quantile at, below 1, the last three must be positive and finite, and each grid read nonempty."""
+    """Keys every command accepts: the seed of its random streams and the output directory.  Checks
+    alpha + eta in (0, 1) where the schema has alpha, then each field's `setting` domain."""
 
     master_seed: int = 0
     out: str = "."
-    minima = {  # not a field
-        "k_u": 1, "reps": 1, "threads": 1, "draws": 1, "pairs": 1, "calib_reps": 1, "n": 1, "degree": 1, "degree_max": 0
-    }
 
     def __post_init__(self):
-        for key, least in self.minima.items():
-            if getattr(self, key, least) < least:
-                raise ConfigError(f"{key} = {getattr(self, key)} must be at least {least}")
         if hasattr(self, "alpha") and not 0.0 < self.alpha + self.eta < 1.0:
             raise ConfigError(f"alpha + eta = {self.alpha} + {self.eta} must lie in (0, 1)")
-        for key in ("alpha", "eta", "level"):
-            if not 0.0 < getattr(self, key, 0.5) < 1.0:
-                raise ConfigError(f"{key} = {getattr(self, key)} must lie in (0, 1)")
-            if key != "level" and 1.0 - getattr(self, key, 0.5) / 32.0 == 1.0:
-                raise ConfigError(f"{key} = {getattr(self, key)} is too small: z at 1 - {key}/32 would be infinite")
-        for key in ("noise_sd", "loading_q", "sigma_star"):
-            if not 0.0 < getattr(self, key, 1.0) < math.inf:
-                raise ConfigError(f"{key} = {getattr(self, key)} must be positive and finite")
-        for key in ("lam_grid", "gamma_xi_grid", "gamma_tau_grid"):
-            if hasattr(self, key) and not _blocker(self, key) and not float_list(str(getattr(self, key))):
-                raise ConfigError(f"{key} = {getattr(self, key)!r} must list at least one value")
+        for f in fields(self):
+            value, domain = getattr(self, f.name), f.metadata.get("domain")
+            if domain is None or value is None:
+                continue
+            rule, ok = domain
+            values = float_list(value) if f.type == "str" else [value]
+            if not all(map(ok, values)):
+                raise ConfigError(f"{f.name} = {value} must {rule}")
+            if not values and f.metadata["nonempty"] and not _blocker(self, f.name):
+                raise ConfigError(f"{f.name} = {value!r} must list at least one value")
 
 
 @dataclass(kw_only=True)
 class LoadingConfig(RunConfig):
     """Problem size and the loading spec read by `build_loading`; `loading_k` defaults to
-    min(k_u, p) once p is known and must then be at least 1, and `loading_a` is finite and nonzero."""
+    min(k_u, p) once p is known, and must not exceed p where it is read."""
 
-    p: int
-    k_u: int
+    p: int = setting(domain=at_least(2))  # every rate reads log p
+    k_u: int = setting(domain=at_least(1))
     loading: str = setting("regular", LOADINGS, loading_csv=("",))
-    loading_k: int | None = setting(None, loading=("regular",))
-    loading_a: float = setting(1.0, loading=("regular", "multiscale"))
-    loading_l: int = setting(2, loading=("multiscale",))
-    loading_q: float = setting(2.0, loading=("subweibull",))
+    loading_k: int | None = setting(None, domain=at_least(1), loading=("regular",))
+    loading_a: float = setting(1.0, domain=NONZERO, loading=("regular", "multiscale"))
+    loading_l: int = setting(2, domain=at_least(1), loading=("multiscale",))
+    loading_q: float = setting(2.0, domain=POSITIVE, loading=("subweibull",))
     loading_csv: str = ""
 
     def __post_init__(self):
         super().__post_init__()
         if self.loading_k is None and self.p is not None:
             self.loading_k = min(self.k_u, self.p)
-        if self.loading_k is not None and self.loading_k < 1:
-            raise ConfigError(f"loading_k = {self.loading_k} must be at least 1")
-        if not 0.0 < abs(self.loading_a) < math.inf:
-            raise ConfigError(f"loading_a = {self.loading_a} must be finite and nonzero")
+        if self.p is not None and self.loading_k > self.p and not _blocker(self, "loading_k"):
+            raise ConfigError(f"loading_k = {self.loading_k} must be at most p = {self.p}")
 
 
 @dataclass(kw_only=True)
@@ -108,39 +115,32 @@ class ExperimentConfig(LoadingConfig):
     """The `simulate` schema."""
 
     kind: str = setting("size_power", ("size_power", "length_sweep", "phase_diagram"))
-    n: int = setting(200, kind=_SIMULATED)
-    p: int = 100
-    k_u: int = setting(4, kind=_SIMULATED)
-    k: int = 2
-    alpha: float = 0.05
-    eta: float = 0.05
-    reps: int = 100
-    threads: int = 1
+    n: int = setting(200, domain=at_least(2), kind=_SIMULATED)
+    p: int = setting(100, domain=at_least(2))
+    k_u: int = setting(4, domain=at_least(1), kind=_SIMULATED)
+    k: int = setting(2, domain=at_least(1))
+    alpha: float = setting(0.05, domain=LEVEL)
+    eta: float = setting(0.05, domain=LEVEL)
+    reps: int = setting(100, domain=at_least(1))
+    threads: int = setting(1, domain=at_least(1))
     modes: str = setting("mixed", kind=("size_power",))
     loading: str = setting("regular", LOADINGS, kind=_SIMULATED, loading_csv=("",))
-    loading_k: int = setting(4, loading=("regular",))
+    loading_k: int = setting(4, domain=at_least(1), loading=("regular",))
     loading_csv: str = setting("", kind=_SIMULATED)
-    t0: float = 0.0
-    tau_grid: str = setting("0.0", kind=("size_power",))
+    t0: float = setting(0.0, domain=FINITE)
+    tau_grid: str = setting("0.0", domain=FINITE, kind=("size_power",))  # empty: a size-only run
     null_source: str = setting("point", ("point", "nu1", "nu2"), kind=("size_power",))
-    sigma_star: float = setting(5.0, null_source=("nu1", "nu2"))
-    noise_sd: float = 1.0
+    sigma_star: float = setting(5.0, domain=POSITIVE, null_source=("nu1", "nu2"))
+    noise_sd: float = setting(1.0, domain=POSITIVE)
     scan_all_m: bool = setting(False, kind=("size_power",))
-    m_grid: int = setting(16, kind=("length_sweep",))
-    gamma_xi_grid: str = setting("0.2,0.4,0.6", kind=("phase_diagram",))
-    gamma_tau_grid: str = setting("0.2,0.4,0.6", kind=("phase_diagram",))
-    gamma_u: float = setting(0.3, kind=("phase_diagram",))
-    gamma_n: float = setting(0.8, kind=("phase_diagram",))
-    minima = {**RunConfig.minima, "n": 2, "k": 1, "m_grid": 3}  # below 3, m_grid gives the cutoffs {0, 1, p} of 3
+    m_grid: int = setting(16, domain=at_least(3), kind=("length_sweep",))  # below 3 the cutoffs are {0, 1, p}, as at 3
+    gamma_xi_grid: str = setting("0.2,0.4,0.6", domain=EXPONENT, nonempty=True, kind=("phase_diagram",))
+    gamma_tau_grid: str = setting("0.2,0.4,0.6", domain=FINITE, nonempty=True, kind=("phase_diagram",))
+    gamma_u: float = setting(0.3, domain=EXPONENT, kind=("phase_diagram",))
+    gamma_n: float = setting(0.8, domain=EXPONENT, kind=("phase_diagram",))
 
     def __post_init__(self):
         super().__post_init__()
-        for key in ("t0", "tau_grid", "gamma_tau_grid"):
-            if not all(map(math.isfinite, float_list(str(getattr(self, key))))):
-                raise ConfigError(f"{key} = {getattr(self, key)} must be finite")
-        for key in ("gamma_xi_grid", "gamma_u", "gamma_n"):  # the exponents profiles.regular_phase takes
-            if not all(0.0 <= g <= 1.0 for g in float_list(str(getattr(self, key)))):
-                raise ConfigError(f"{key} = {getattr(self, key)} must lie in [0, 1]")
         if self.kind == "size_power":
             self.mode_list()  # so parse_config rejects a bad modes entry before any work
 

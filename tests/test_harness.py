@@ -87,21 +87,22 @@ BY_TYPE = {
     "bool": st.booleans(),
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
-# Keys whose domain is narrower than their type's: k_u, k, loading_k, reps, threads >= 1, n >= 2,
-# m_grid >= 3, alpha + eta in (0, 1) with alpha, eta >= 2^-48 (a finite quantile), noise_sd,
-# loading_q and sigma_star positive and finite, loading_a finite and nonzero, t0 and the tau_grid
-# and gamma_tau_grid entries finite, the two gamma grids nonempty, and the other phase-diagram
-# exponents in [0, 1].
+# Keys whose domain is narrower than their type's: k_u, k, reps, threads, loading_l >= 1, n, p >= 2,
+# loading_k in 1..p, m_grid >= 3, alpha + eta in (0, 1) with alpha, eta >= 2^-48 (a finite quantile),
+# noise_sd, loading_q and sigma_star positive and finite, loading_a finite and nonzero, t0 and the
+# tau_grid and gamma_tau_grid entries finite, the two gamma grids nonempty, and the other
+# phase-diagram exponents in [0, 1].
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 EXPONENT = st.floats(0.0, 1.0)
 IN_DOMAIN = {
     "k_u": st.integers(1, 2**63),
     "k": st.integers(1, 2**63),
-    "loading_k": st.integers(1, 2**63),
+    "loading_l": st.integers(1, 2**63),
     "reps": st.integers(1, 2**63),
     "threads": st.integers(1, 2**63),
     "n": st.integers(2, 2**63),
+    "p": st.integers(2, 2**63),
     "m_grid": st.integers(3, 2**63),
     "alpha": st.floats(2.0**-48, 0.5, exclude_max=True),
     "eta": st.floats(2.0**-48, 0.5, exclude_max=True),
@@ -134,6 +135,7 @@ def experiment_configs(draw):
         )
         for f in dataclasses.fields(ExperimentConfig)
     }
+    values["loading_k"] = draw(st.integers(1, values["p"]))
     values["modes"] = draw(MODE_LISTS)
     if "mixed" not in values["modes"]:
         values.update(scan_all_m=False, eta=ExperimentConfig.eta)
@@ -1135,6 +1137,30 @@ class TestCli:
             ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_xi_grid =\n", "gamma_xi_grid"),
             ("simulate", "kind = phase_diagram\n" + BASE["simulate"] + "gamma_tau_grid =\n", "gamma_tau_grid"),
             ("simulate", "kind = length_sweep\n" + BASE["simulate"] + "m_grid = 2\n", "m_grid"),
+            *[("simulate", f"p = {p}\nreps = 1\n", "p") for p in (1, 0, -3)],
+            ("prior", "kind = comp\n" + BASE["prior"].replace("p = 100", "p = 1"), "p"),
+            ("test", BASE["test"] + "p = 1\n", "p"),
+            ("simulate", BASE["simulate"] + "loading_k = 500\n", "loading_k"),
+            ("profile", BASE["profile"] + "loading_k = 101\n", "loading_k"),
+            ("test", BASE["test"] + "t0 = nan\n", "t0"),
+            ("test", BASE["test"] + "t0 = inf\n", "t0"),
+            ("scca", "mode = reduce\n" + BASE["scca"] + "t0 = nan\n", "t0"),
+            ("test", BASE["test"] + "sigma_floor = -1\n", "sigma_floor"),
+            ("fit", BASE["test"] + "sigma_floor = inf\n", "sigma_floor"),
+            ("fit", BASE["test"] + "c_xi = -1\n", "c_xi"),
+            ("fit", BASE["test"] + "c_xi = nan\n", "c_xi"),
+            ("fit", BASE["test"] + "gamma_star = -1\n", "gamma_star"),
+            ("fit", BASE["test"] + "gamma_star = nan\n", "gamma_star"),
+            ("scca", "mode = stats\n" + BASE["scca"] + "big_c = -1\n", "big_c"),
+            ("profile", BASE["profile"] + "loading = multiscale\nloading_l = 0\n", "loading_l"),
+            ("prior", "kind = nu2\n" + BASE["prior"] + "c1 = nan\n", "c1"),
+            ("prior", "kind = nu2\n" + BASE["prior"] + "c2 = -1\n", "c2"),
+            ("prior", "kind = nu1\n" + BASE["prior"] + "c4 = 0\n", "c4"),
+            ("prior", "kind = nu1\n" + BASE["prior"] + "c5 = inf\n", "c5"),
+            ("prior", "kind = comp\n" + BASE["prior"] + "c8 = -1\n", "c8"),
+            ("prior", "kind = comp\n" + BASE["prior"] + "c9 = nan\n", "c9"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "c8 = -0.4\n", "c8"),
+            ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "c9 = inf\n", "c9"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
@@ -1156,11 +1182,32 @@ class TestCli:
             "scca-generate-alt-lam-minus-one", "scca-sweep-lam_grid-above-one", "prior-sigma_star-negative",
             "simulate-nu1-sigma_star-inf", "lowdeg-sigma_star-0", "scca-reduce-sigma_star-negative",
             "scca-sweep-lam_grid-empty", "phase_diagram-gamma_xi_grid-empty", "phase_diagram-gamma_tau_grid-empty",
-            "length_sweep-m_grid-2",
+            "length_sweep-m_grid-2", "simulate-p-1", "simulate-p-0", "simulate-p-negative", "prior-comp-p-1",
+            "test-p-1", "simulate-loading_k-above-p", "profile-loading_k-above-p", "test-t0-nan", "test-t0-inf",
+            "scca-reduce-t0-nan", "test-sigma_floor-negative", "fit-sigma_floor-inf", "fit-c_xi-negative",
+            "fit-c_xi-nan", "fit-gamma_star-negative", "fit-gamma_star-nan", "scca-stats-big_c-negative",
+            "profile-multiscale-loading_l-0", "prior-nu2-c1-nan", "prior-nu2-c2-negative", "prior-nu1-c4-0",
+            "prior-nu1-c5-inf", "prior-comp-c8-negative", "prior-comp-c9-nan", "lowdeg-c8-negative", "lowdeg-c9-inf",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):
         cfg = self._write(tmp_path, text)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {key} = " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, p, extra, key",
+        [
+            ("fit", 1, "", "p"),
+            ("test", 1, "mode = mixed\n", "p"),
+            ("test", 1, "mode = plugin\n", "p"),
+            ("test", 3, "loading_k = 4\n", "loading_k"),
+        ],
+        ids=["fit-one-column", "test-mixed-one-column", "test-plugin-one-column", "test-loading_k-above-p"],
+    )
+    def test_dataset_width_out_of_domain_is_config_error(self, tmp_path, command, p, extra, key, capsys):
+        cfg = self._write(tmp_path, f"data_csv = {self._dataset(tmp_path, p)}\nk_u = 1\n{extra}")
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"config error: {key} = " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
