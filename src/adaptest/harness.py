@@ -108,6 +108,11 @@ class LoadingConfig(RunConfig):
             self.loading_k = min(self.k_u, self.p)
         if self.p is not None and self.loading_k > self.p and not _blocker(self, "loading_k"):
             raise ConfigError(f"loading_k = {self.loading_k} must be at most p = {self.p}")
+        if not _blocker(self, "loading_l") and self.loading_l**3 > self.k_u:  # profiles.multiscale_profile
+            raise ConfigError(f"loading_l = {self.loading_l} must be at most the cube root of k_u = {self.k_u}")
+        nu2 = [tag for tag in ("kind", "null_source") if getattr(self, tag, "") == "nu2" and not _blocker(self, tag)]
+        if nu2 and self.k_u < 4:  # priors.sample_nu2_prior
+            raise ConfigError(f"k_u = {self.k_u} must be at least 4 when {nu2[0]} = 'nu2'")
 
 
 @dataclass(kw_only=True)

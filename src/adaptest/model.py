@@ -44,14 +44,22 @@ class LoadingVector:
 
     coords holds the entries sorted by decreasing absolute value with
     stable ties; perm maps sorted position -> original index (0-based);
-    k_xi counts the nonzero entries; roots memoises the profile-equation
-    root (zeta, lambda) by k_u (`profiles.profile_root`).
+    k_xi counts the nonzero entries; memo holds what `memoised` computes
+    once per loading: the profile-equation root per k_u and the prior
+    samplers' constants, so a prior draw pays only for its random part.
     """
 
     coords: np.ndarray
     perm: np.ndarray
     k_xi: int
-    roots: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memoised(self, fn, *args):
+        """fn(self, *args), computed on first use and kept in memo (racing threads store equal values)."""
+        key = (fn, *args)
+        if key not in self.memo:
+            self.memo[key] = fn(self, *args)
+        return self.memo[key]
 
     @property
     def p(self) -> int:

@@ -224,26 +224,27 @@ def sample_nu2_prior(
     picks a uniform size-p1 support in the complement with entries
     c1 sign(xi) sqrt(log p / n); kappa solves the null constraint.
     """
+    lead, h_p1, entries, tau = xi.memoised(_nu2_constants, k_u, n, p, c1, c2)
+    rng = stream(seed, 0)
+    trail = np.zeros(entries.size)
+    support = np.sort(rng.choice(entries.size, size=lead.size, replace=False))
+    trail[support] = entries[support]
+    # xi'lead = -h_p1 exactly in real arithmetic, as lead = -xi_{1..p1} / h_p1; each draw gets its own
+    # copy of the memoised lead, as of every other array it holds
+    return _coupled_draw("nu2", xi, k_u // 2, lead.copy(), trail, tau, sigma_star, lead_dot=-h_p1)
+
+
+def _nu2_constants(xi: LoadingVector, k_u: int, n: int, p: int, c1: float, c2: float | None) -> tuple:
+    """(lead, H(p1), the trail entry at every complement coordinate, tau) of sample_nu2_prior."""
     if k_u < 4:
         raise RegimeViolation("nu2 prior needs k_u >= 4")
-    if c2 is None:
-        c2 = default_c2(c1)
     p1 = k_u // 4
-    p2 = p - p1
-    if p2 < p1:
+    if p - p1 < p1:
         raise RegimeViolation("nu2 prior needs p - floor(k_u/4) >= floor(k_u/4)")
-    rng = stream(seed, 0)
-    coords = xi.coords
-
+    c2 = default_c2(c1) if c2 is None else c2
     h_p1 = top_norm(xi, p1)
-    lead = -coords[:p1] / h_p1
-    support = np.sort(rng.choice(p2, size=p1, replace=False))
-    trail = np.zeros(p2)
-    trail[support] = c1 * math.sqrt(math.log(p) / n) * sign(coords[p1 + support])
-
     tau = c2 * top_norm(xi, k_u) * k_u * math.log(p) / n
-    # xi'lead = -h_p1 exactly in real arithmetic, as lead = -xi_{1..p1} / h_p1
-    return _coupled_draw("nu2", xi, k_u // 2, lead, trail, tau, sigma_star, lead_dot=-h_p1)
+    return -xi.coords[:p1] / h_p1, h_p1, c1 * math.sqrt(math.log(p) / n) * sign(xi.coords[p1:p]), tau
 
 
 def nu1_weights(xi: LoadingVector, k_u: int, c4: float = DEFAULT_C4) -> tuple[np.ndarray, np.ndarray, float]:
@@ -282,11 +283,11 @@ def sample_nu1_prior(
     and the draw is flagged degenerate.
     """
     if tau is None:
-        tau = (c4 * c5 / 4.0) * nu1(xi, k_u) / math.sqrt(n)
+        tau = (c4 * c5 / 4.0) * xi.memoised(nu1, k_u) / math.sqrt(n)
     if tau <= 0:
         raise ValueError("tau must be positive")
     rng = stream(seed, 0)
-    q, gamma, _ = nu1_weights(xi, k_u, c4)
+    q, gamma, _ = xi.memoised(nu1_weights, k_u, c4)
     k = xi.k_xi
     bern = rng.random(k) < q
     delta = np.zeros(xi.p)
@@ -338,30 +339,32 @@ def sample_comp_prior(
     asymptotic regime condition cannot hold, so that condition is checked
     only when k_eff follows from degree.
     """
+    s1, entries, q, lead_entries, tau = xi.memoised(
+        _comp_constants, k_u, n, p, degree, c8, c9, k_eff_override, s1_override
+    )
+    rng = stream(seed, 0)
+    trail = np.zeros(entries.size)
+    support = np.sort(rng.choice(entries.size, size=s1, replace=False))
+    trail[support] = entries[support]
+    lead = lead_entries * (rng.random(q.size) < q)
+    return _coupled_draw("comp", xi, k_u, lead, trail, tau, sigma_star)
+
+
+def _comp_constants(xi: LoadingVector, k_u, n, p, degree, c8, c9, k_eff_override, s1_override) -> tuple:
+    """(s1, the trail entry past k_eff, q, the lead entry before it, tau) of sample_comp_prior."""
     k_eff = effective_sparsity(k_u, n, p, degree) if k_eff_override is None else int(k_eff_override)
     if k_eff_override is None and not 8 <= 2 * k_u < k_eff:
         raise RegimeViolation(f"need 8 <= 2 k_u < k_eff, got k_u={k_u}, k_eff={k_eff}")
     if not k_u < k_eff < p:
         raise RegimeViolation(f"need k_u < k_eff < p, got k_u={k_u}, k_eff={k_eff}, p={p}")
-    if c9 is None:
-        c9 = default_c9(c8)
-    rng = stream(seed, 0)
-    coords = xi.coords
-    p3, p4, p5 = k_eff, p - k_eff, k_eff - k_u
     s1 = (k_u // 4) if s1_override is None else int(s1_override)
-    if not 1 <= s1 <= p4:
-        raise RegimeViolation(f"trail support size s1 = {s1} out of range for p4={p4}")
-
-    support = np.sort(rng.choice(p4, size=s1, replace=False))
-    trail = np.zeros(p4)
-    trail[support] = c8 * math.sqrt(math.log(p) / n) * sign(coords[p3 + support])
-
-    q = comp_prior_weights(xi, k_u, k_eff)
-    bern = rng.random(p3) < q
-    lead = -(math.sqrt(p5) / k_u) * sign(coords[:p3]) * bern
-
+    if not 1 <= s1 <= p - k_eff:
+        raise RegimeViolation(f"trail support size s1 = {s1} out of range for p4={p - k_eff}")
+    c9 = default_c9(c8) if c9 is None else c9
     tau = c9 * top_norm(xi, k_eff) * k_u * math.log(p) / n
-    return _coupled_draw("comp", xi, k_u, lead, trail, tau, sigma_star)
+    entries = c8 * math.sqrt(math.log(p) / n) * sign(xi.coords[k_eff:p])
+    lead_entries = -(math.sqrt(k_eff - k_u) / k_u) * sign(xi.coords[:k_eff])
+    return s1, entries, comp_prior_weights(xi, k_u, k_eff), lead_entries, tau
 
 
 # --- chi-square machinery ----------------------------------------------------

@@ -102,10 +102,8 @@ def solve_zeta(xi: LoadingVector, k_u: int) -> tuple[float, float]:
 
 
 def profile_root(xi: LoadingVector, k_u: int) -> tuple[float, float]:
-    """solve_zeta(xi, k_u), solved once per loading and k_u (racing threads store equal roots)."""
-    if k_u not in xi.roots:
-        xi.roots[k_u] = solve_zeta(xi, k_u)
-    return xi.roots[k_u]
+    """solve_zeta(xi, k_u), solved once per loading and k_u (`LoadingVector.memoised`)."""
+    return xi.memoised(solve_zeta, k_u)
 
 
 def j1_index(xi: LoadingVector, lam: float) -> int:

@@ -8,8 +8,10 @@ implemented with their thresholds and detection-boundary formulas.  They
 take R_hat alone, so for n > p1 sample_cross_covariance draws it from its
 exact law (a Bartlett factor of the Wishart U1'U1) in about
 p1 (p1 + 1) / 2 + p1 p2 normals; for n <= p1 it is gen_scca's own R_hat.
-stat_samples is the one draw-and-score loop of null calibration and the
-power sweep.  The reduction consumes rows two at a time and outputs a
+Every statistic works on the last two axes: stat_values scores one matrix
+or a stack.  stat_samples, the one draw-and-score loop of null calibration
+and the power sweep, draws each R_hat on its own stream and scores the
+draws in stacks.  The reduction consumes rows two at a time and outputs a
 regression sample whose null maps to a point alternative of the linear
 test (decision inversion: use one minus the linear test's decision).
 """
@@ -140,49 +142,49 @@ def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, inde
     rng = stream(seed, index)
     d1, d2 = _planted(params, hypothesis, rng)
     a = np.diag(np.sqrt(rng.chisquare(n - np.arange(p1))))
-    a[np.tril_indices(p1, -1)] = rng.standard_normal(p1 * (p1 - 1) // 2)
+    a[np.tri(p1, k=-1, dtype=bool)] = rng.standard_normal(p1 * (p1 - 1) // 2)  # strict lower triangle, row by row
     return _cross_from_factor(params, a, rng.standard_normal((p1, p2)), d1, d2)
 
 
 # --- test statistics ---------------------------------------------------------
 
-_SCAN_BLOCK = 1 << 16  # column-sum entries scan_stat forms at once
+_SCAN_BLOCK = 1 << 16  # entries of a stack of draws or a block of its column sums, read at each call
 
 
-def scan_stat(r: np.ndarray, s: int, comb_cap: int = 10_000_000) -> float:
-    """Max averaged s x s submatrix of R_hat, exact over all supports.
+def scan_stat(r: np.ndarray, s: int, comb_cap: int = 10_000_000):
+    """Max averaged s x s submatrix of R_hat, or of each matrix in a stack, exact over all supports.
 
     For a fixed row set the optimal column set is the top-s column sums,
     so the work, C(p1, s) row sets of p2 column sums, must fit the cap
     (not the C(p1, s) * C(p2, s) supports searched).  Row sets are taken
-    in blocks, each one array operation over its column sums.
+    in blocks, each one array operation over the stack's column sums.
     """
-    p1, p2 = r.shape
+    p1, p2 = r.shape[-2:]
     if math.comb(p1, s) * p2 > comb_cap:
         raise BudgetExceeded("scan enumeration exceeds the configured cap")
     row_sets = combinations(range(p1), s)
-    block, row_set = max(1, _SCAN_BLOCK // p2), np.dtype((np.intp, s))
-    best = -math.inf
+    block, row_set = max(1, _SCAN_BLOCK // (r.size // p1)), np.dtype((np.intp, s))
+    best = np.full(r.shape[:-2], -math.inf)
     while (rows := np.fromiter(islice(row_sets, block), dtype=row_set)).size:
-        colsums = r[rows].sum(axis=1)
-        best = max(best, float(np.sort(colsums, axis=1)[:, -s:].sum(axis=1).max()))
+        colsums = r[..., rows, :].sum(axis=-2)
+        best = np.maximum(best, np.sort(colsums, axis=-1)[..., -s:].sum(axis=-1).max(axis=-1))
     return best / (s * s)
 
 
-def entrywise_max(r: np.ndarray) -> float:
-    return float(r.max())
+def entrywise_max(r: np.ndarray):
+    return r.max(axis=(-2, -1))
 
 
-def max_col(r: np.ndarray, s: int) -> float:
-    return float(r.sum(axis=0).max()) / s
+def max_col(r: np.ndarray, s: int):
+    return r.sum(axis=-2).max(axis=-1) / s
 
 
-def max_row(r: np.ndarray, s: int) -> float:
-    return float(r.sum(axis=1).max()) / s
+def max_row(r: np.ndarray, s: int):
+    return r.sum(axis=-1).max(axis=-1) / s
 
 
-def global_sum(r: np.ndarray) -> float:
-    return float(r.sum()) / (r.shape[0] * r.shape[1])
+def global_sum(r: np.ndarray):
+    return r.sum(axis=(-2, -1)) / (r.shape[-2] * r.shape[-1])
 
 
 def log_n_scan(p1: int, p2: int, s: int) -> float:
@@ -224,6 +226,7 @@ def boundary_table(n: int, s: int, p1: int, p2: int) -> dict:
 
 
 def stat_values(r: np.ndarray, s: int) -> dict:
+    """The five statistics of R_hat, or of each matrix in a stack r (..., p1, p2)."""
     return {
         "scan": scan_stat(r, s),
         "entrywise": entrywise_max(r),
@@ -298,11 +301,14 @@ def reduce_to_lt(
 
 
 def stat_samples(params: SccaParams, hypothesis: str, seed: int, first: int, reps: int) -> dict:
-    """Each statistic's values over reps draws of R_hat, draw i on stream(seed, first + i)."""
+    """Each statistic's values over reps draws of R_hat, draw i on stream(seed, first + i), scored in stacks."""
     samples = {k: np.empty(reps) for k in STATISTICS}
-    for i in range(reps):
-        for k, v in stat_values(sample_cross_covariance(params, hypothesis, seed, first + i), params.s).items():
-            samples[k][i] = v
+    per = max(1, _SCAN_BLOCK // (params.p1 * params.p2))
+    for start in range(0, reps, per):
+        stop = min(start + per, reps)
+        stack = np.array([sample_cross_covariance(params, hypothesis, seed, first + i) for i in range(start, stop)])
+        for k, v in stat_values(stack, params.s).items():
+            samples[k][start:stop] = v
     return samples
 
 

@@ -87,8 +87,9 @@ BY_TYPE = {
     "bool": st.booleans(),
     "str": st.text(alphabet="abcxyzABCXYZ0123456789_.,/-", max_size=12),
 }
-# Keys whose domain is narrower than their type's: k_u, k, reps, threads, loading_l >= 1, n, p >= 2,
-# loading_k in 1..p, m_grid >= 3, alpha + eta in (0, 1) with alpha, eta >= 2^-48 (a finite quantile),
+# Keys whose domain is narrower than their type's: k, reps, threads >= 1, n, p >= 2, loading_k in 1..p,
+# m_grid >= 3, loading_l >= 1 with k_u >= loading_l^3 and k_u >= 4 under a nu2 null (k_u_loading_l),
+# alpha + eta in (0, 1) with alpha, eta >= 2^-48 (a finite quantile),
 # noise_sd, loading_q and sigma_star positive and finite, loading_a finite and nonzero, t0 and the
 # tau_grid and gamma_tau_grid entries finite, the two gamma grids nonempty, and the other
 # phase-diagram exponents in [0, 1].
@@ -96,9 +97,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(0.0, exclude_min=True, allow_infinity=False)
 EXPONENT = st.floats(0.0, 1.0)
 IN_DOMAIN = {
-    "k_u": st.integers(1, 2**63),
     "k": st.integers(1, 2**63),
-    "loading_l": st.integers(1, 2**63),
     "reps": st.integers(1, 2**63),
     "threads": st.integers(1, 2**63),
     "n": st.integers(2, 2**63),
@@ -119,6 +118,12 @@ IN_DOMAIN = {
 }
 
 
+def k_u_loading_l(least: int):
+    """(k_u, loading_l) drawn together: a multiscale loading needs loading_l^3 <= k_u, and k_u >= least
+    (4 under a nu2 null, 1 otherwise)."""
+    return st.integers(1, 2**21).flatmap(lambda l: st.tuples(st.integers(max(l**3, least), 2**63), st.just(l)))
+
+
 MODE_LISTS = st.lists(st.sampled_from(inference.TEST_MODES), min_size=1, unique=True).map(",".join)
 
 
@@ -136,6 +141,7 @@ def experiment_configs(draw):
         for f in dataclasses.fields(ExperimentConfig)
     }
     values["loading_k"] = draw(st.integers(1, values["p"]))
+    values["k_u"], values["loading_l"] = draw(k_u_loading_l(4 if values["null_source"] == "nu2" else 1))
     values["modes"] = draw(MODE_LISTS)
     if "mixed" not in values["modes"]:
         values.update(scan_all_m=False, eta=ExperimentConfig.eta)
@@ -154,7 +160,7 @@ BASE = {
     "scca": "n = 400\ns = 2\np1 = 6\np2 = 12\n",
     "simulate": "p = 40\nreps = 1\n",
     "test": "data_csv = missing.csv\nk_u = 3\n",
-    "profile": "n = 1000\np = 100\nk_u = 4\n",
+    "profile": "n = 1000\np = 100\nk_u = 8\n",  # 8: a multiscale loading at the default loading_l = 2 needs k_u >= 8
 }
 # (command, tag key, tag value) -> the keys that variant does not read
 UNREAD = {
@@ -263,6 +269,7 @@ class TestConfig:
         required = [f for f in dataclasses.fields(schema) if f.default is dataclasses.MISSING]
         tags = {f.name: f.metadata["choices"][0] for f in required if f.metadata.get("choices")}
         text = ROUND_TRIP_BASE[command] + "".join(f"{k} = {v}\n" for k, v in {**tags, tag: value}.items())
+        text += "loading_l = 1\n" if value == "multiscale" else ""  # the default loading_l = 2 needs k_u >= 8
         cfg = parse_config(text, schema)
         assert parse_config(format_config(cfg), schema) == cfg
 
@@ -316,8 +323,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("schema, tags, count", KEYS_READ, ids=lambda v: getattr(v, "__name__", str(v)))
     def test_keys_read_per_variant(self, schema, tags, count):
-        # 2, not 1: scca's reduce mode needs an even n
-        required = {f.name: 2 for f in dataclasses.fields(schema) if f.default is dataclasses.MISSING}
+        # 4, not 1: scca's reduce mode needs an even n and the nu2 prior k_u >= 4
+        required = {f.name: 4 for f in dataclasses.fields(schema) if f.default is dataclasses.MISSING}
         cfg = schema(**{**required, **tags})
         blockers = [harness._blocker(cfg, f.name) for f in dataclasses.fields(cfg)]
         assert sum(b is None or b[0] in ("loading", "loading_csv") for b in blockers) == count
@@ -862,10 +869,10 @@ class TestCli:
         assert cli_main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
     def test_numerical_error_exit_code(self, tmp_path):
-        # multiscale constraint violation surfaces as a numerical failure
+        # a multiscale profile longer than p (9 + 36 coordinates) surfaces as a numerical failure
         cfg = self._write(
             tmp_path,
-            "n = 100\np = 500\nk_u = 9\nloading = multiscale\nloading_l = 5\n",
+            "n = 100\np = 40\nk_u = 9\nloading = multiscale\nloading_l = 2\n",
         )
         assert cli_main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 3
 
@@ -1067,7 +1074,7 @@ class TestCli:
             ("scca", "mode = reduce\n" + BASE["scca"] + "alpha = 0.96\n", "alpha + eta"),
             ("simulate", BASE["simulate"] + "k_u = 0\n", "k_u"),
             ("test", BASE["test"].replace("k_u = 3", "k_u = 0"), "k_u"),
-            ("profile", BASE["profile"].replace("k_u = 4", "k_u = 0"), "k_u"),
+            ("profile", BASE["profile"].replace("k_u = 8", "k_u = 0"), "k_u"),
             ("simulate", "p = 40\nreps = 0\n", "reps"),
             ("simulate", "p = 40\nreps = -3\n", "reps"),
             ("scca", "mode = sweep\n" + BASE["scca"] + "reps = 0\n", "reps"),
@@ -1161,6 +1168,10 @@ class TestCli:
             ("prior", "kind = comp\n" + BASE["prior"] + "c9 = nan\n", "c9"),
             ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "c8 = -0.4\n", "c8"),
             ("lowdeg", ROUND_TRIP_BASE["lowdeg"] + "c9 = inf\n", "c9"),
+            ("prior", "kind = nu2\n" + BASE["prior"].replace("k_u = 8", "k_u = 3"), "k_u"),
+            ("simulate", BASE["simulate"] + "null_source = nu2\nk_u = 3\n", "k_u"),
+            ("profile", BASE["profile"] + "loading = multiscale\nloading_l = 3\n", "loading_l"),  # 3^3 > k_u = 8
+            ("simulate", BASE["simulate"] + "loading = multiscale\nk_u = 26\nloading_l = 3\n", "loading_l"),
         ],
         ids=[
             "simulate-alpha", "simulate-level-zero", "length_sweep-alpha", "test-alpha", "scca-alpha",
@@ -1188,6 +1199,8 @@ class TestCli:
             "fit-c_xi-nan", "fit-gamma_star-negative", "fit-gamma_star-nan", "scca-stats-big_c-negative",
             "profile-multiscale-loading_l-0", "prior-nu2-c1-nan", "prior-nu2-c2-negative", "prior-nu1-c4-0",
             "prior-nu1-c5-inf", "prior-comp-c8-negative", "prior-comp-c9-nan", "lowdeg-c8-negative", "lowdeg-c9-inf",
+            "prior-nu2-k_u-3", "simulate-nu2-k_u-3", "profile-multiscale-loading_l-cubed-above-k_u",
+            "simulate-multiscale-loading_l-cubed-above-k_u",
         ],
     )
     def test_out_of_domain_value_is_config_error(self, tmp_path, command, text, key, capsys):

@@ -444,3 +444,38 @@ class TestHypergeometricMGF:
     def test_overflow_is_infinite(self):
         # the value lies far beyond the float range: a vacuous bound, not a crash
         assert pri.hypergeometric_mgf(10**6, 5 * 10**5, 0.05) == math.inf
+
+
+def _draw_bits(draw):
+    """Every field of a PriorDraw, arrays as their bytes, so that two draws compare bit for bit."""
+    return [v.tobytes() if isinstance(v, np.ndarray) else repr(v) for v in vars(draw).values()]
+
+
+# per kind: two (n, constants) settings on the one PRIOR_CASES loading (p is its dimension, 40), and the
+# functions of priors that build the kind's per-loading constants
+MEMO_SETTINGS = {
+    "nu2": ([(500, {"c1": 0.05}), (50, {"c1": 0.2, "c2": 0.01})], ("top_norm",)),
+    "nu1": ([(400, {}), (300, {"tau": 0.01, "c4": 0.2})], ("nu1", "nu1_weights")),
+    "comp": ([(400, {}), (600, {"c8": 0.1, "c9": 0.001})], ("top_norm", "comp_prior_weights")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_SETTINGS))
+def test_warm_memo_draws_equal_fresh_loading_draws(kind, monkeypatch):
+    coords, k_u, fixed, _ = PRIOR_CASES[kind]
+    cases, builders = MEMO_SETTINGS[kind]
+    seeds = range(12)
+
+    def draw(xi, n, consts, seed):
+        return _draw_bits(pri.prior_sampler(kind, xi, k_u, n, 40, 5.0, **fixed, **consts)(seed))
+
+    fresh = [[draw(make_loading(coords), n, consts, s) for s in seeds] for n, consts in cases]
+    calls = []
+    for name in builders:  # the names priors calls them by (top_norm is profiles.top_norm)
+        monkeypatch.setattr(pri, name, lambda *a, fn=getattr(pri, name): calls.append(fn) or fn(*a))
+    warm = make_loading(coords)
+    for _ in range(2):  # alternate the settings: a key missing an input would serve one's constants to the other
+        for (n, consts), want in zip(cases, fresh):
+            assert [draw(warm, n, consts, s) for s in seeds] == want
+    # each setting's constants are built once, not once or twice per draw (48 draws here)
+    assert 0 < len(calls) <= 2 * len(cases)

@@ -294,6 +294,35 @@ def _max_rel_diff(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
 
+class TestStackedScoring:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        small_params(),
+        st.sampled_from(["null", "alt"]),
+        st.integers(0, 2**32),
+        st.sampled_from([0, scca.NULL_STREAMS, scca.ALT_STREAMS]),
+        st.integers(2, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3), st.integers(1, k - 1))),
+    )
+    def test_stacked_scoring_equals_the_per_draw_loop(self, params, hypothesis, seed, first, stacks):
+        # stacks of k draws, the last one partly full; each stack's row sets in blocks of p1
+        # (split wherever C(p1, s) > p1), against each draw scored alone
+        k, full, rest = stacks
+        reps = k * full + rest
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scca, "_SCAN_BLOCK", k * params.p1 * params.p2)
+            got = scca.stat_samples(params, hypothesis, seed, first, reps)
+        for i in range(reps):
+            r = scca.sample_cross_covariance(params, hypothesis, seed, first + i)
+            want = {
+                "scan": _scan_by_loop(r, params.s),
+                "entrywise": float(r.max()),
+                "max_col": float(r.sum(axis=0).max()) / params.s,
+                "max_row": float(r.sum(axis=1).max()) / params.s,
+                "global_sum": float(r.sum()) / r.size,
+            }
+            assert {key: got[key][i] for key in scca.STATISTICS} == want
+
+
 # scca outputs at master_seed = 7: the sweep at the bench's lower_bound instance, stats under the
 # alternative at n > p1 and under the null at n <= p1, and the row-drawing modes.
 GOLDEN_SCCA_CASES = {
