@@ -23,7 +23,7 @@ from adaptest.profiles import regime_and_cutoff
 n, p, k_u = 300, 200, 5
 beta = np.zeros(p)
 beta[:5] = 0.9
-theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
+theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
 data = generate_dataset(theta, n, seed=21)
 
 xi = make_loading(np.concatenate((np.linspace(2.0, 0.8, 10), 0.05 * np.ones(p - 10))))

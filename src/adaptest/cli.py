@@ -128,10 +128,12 @@ class SccaConfig(RunConfig):
 
 
 def _read_dataset(cfg: DataConfig):
-    """The dataset at cfg.data_csv, and cfg with p set to its width."""
+    """The dataset at cfg.data_csv (two rows or more, no all-zero column), and cfg with p set to its width."""
     try:
         with open(cfg.data_csv) as fh:
             data = dataset_from_csv(fh)
+        if data.n < 2 or not data.diag.all():
+            raise ValueError("the scaled lasso needs two rows or more and no all-zero x column")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read data_csv {cfg.data_csv}: {exc}") from exc
     if cfg.p is not None and cfg.p != data.p:
@@ -144,7 +146,7 @@ def cmd_profile(cfg: ProfileConfig):
     s = profiles.regime_and_cutoff(xi, cfg.k_u, cfg.n, cfg.p, cfg.degree)
     upper, lower = profiles.rate_bounds(xi, cfg.k_u, cfg.n, cfg.p)
     row = [s.zeta, s.lam, s.j1, s.nu1, s.nu2, s.k_eff, s.nu3, s.m_star, s.regime, upper, lower]
-    tgrid = np.unique(np.geomspace(1, xi.p, num=cfg.hcurve_points).round().astype(int))
+    tgrid = profiles.log_grid(xi.p, cfg.hcurve_points + 2)[1:]  # t = 0 dropped
     return cfg, "profile", {
         ".csv": csv_text("zeta,lambda,j1,nu1,nu2,k_eff,nu3,m_star,regime,upper,lower", [row]),
         "_hcurve.csv": csv_text("t,h", [(t, profiles.top_norm(xi, float(t))) for t in tgrid]),

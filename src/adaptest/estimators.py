@@ -24,6 +24,7 @@ from .errors import BudgetExceeded, ZeroResidualDegenerate
 from .model import Dataset, ModelParams, stream
 
 _log = logging.getLogger("adaptest")
+LASSO_ROUNDS = 500  # the scaled lasso's cap on alternation rounds
 
 
 @dataclass(frozen=True)
@@ -251,8 +252,9 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     certificate holds; the sigma-step from it then returns sigma to
     rounding.  Otherwise the rounds alternate the two steps from the
     new sigma.  Stops when sigma changes by less than 1e-8 (relative) or
-    after 500 rounds; converged is False if that never happened or if any
-    beta-step ran out of its budget of 2000 coordinate-descent passes.
+    after LASSO_ROUNDS rounds; converged is False if that never happened or if any
+    beta-step ran out of its budget of 2000 coordinate-descent passes, and then
+    the fit logs a WARNING on the adaptest logger, once, when it is computed.
 
     Memoised on the dataset by sigma_floor; the fit's beta_hat is read-only.
     """
@@ -273,7 +275,7 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     converged = False
     inner_ok = True
     it = 0
-    for it in range(1, 501):
+    for it in range(1, LASSO_ROUNDS + 1):
         if sigma <= 0.0:
             break
         kkt_tol = 1e-10 * max(1.0, sigma)
@@ -307,6 +309,8 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     beta.setflags(write=False)
     fit = ScaledLassoFit(beta_hat=beta, sigma_hat=max(sigma, sigma_floor), iterations=it,
                          converged=converged and inner_ok, objectives=tuple(objectives))
+    if not fit.converged:
+        _log.warning("the scaled lasso on %d x %d data did not converge in %d rounds", n, p, it)
     return data.memo.setdefault(key, fit)
 
 

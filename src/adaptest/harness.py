@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import CoordinateDataset
-from .inference import TEST_MODES, _lasso, mixed_ci, mixed_test, run_single_test
+from .estimators import CoordinateDataset, scaled_lasso
+from .inference import TEST_MODES, mixed_ci, mixed_test, run_single_test
 from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, make_loading
 from .priors import prior_sampler, valid_draws
 from .profiles import example_profiles, log_grid, regular_phase, regular_profile
@@ -413,7 +413,7 @@ def _length_sweep(cfg: ExperimentConfig):
 
     def worker(rep: int):
         data = CoordinateDataset(theta, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
-        fit = _lasso(data, 0.0)
+        fit = scaled_lasso(data)
         return [
             (f"radius/m={m}", rep, mixed_ci(data, fit, xi, m, cfg.k_u, cfg.alpha, cfg.eta).radius) for m in grid
         ]

@@ -11,12 +11,12 @@ the data-split ones half 2's.  Radius constants are fixed; sigma_floor
 (for the lasso fits) is the only value a caller sets.
 
 `run_single_test` runs any of the `TEST_MODES` on a dataset; the modes
-share one memoised lasso fit per dataset (on half 1 when data-split).
+share one memoised lasso fit per dataset (on half 1 when data-split), so
+an unconverged fit logs its WARNING once (`estimators.scaled_lasso`).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -36,32 +36,31 @@ C_BETA = 4.0
 C_XI = 2.0
 C_PI = 1.1 * C_BETA
 
-_log = logging.getLogger("adaptest")
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
     center: float
     radius: float
-    level: float
     budget: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.radius < 0.0:
             raise ValueError("radius must be nonnegative")
 
+    @property
+    def level(self) -> float:
+        return 1.0 - sum(self.budget.values())
+
     def __add__(self, other: "ConfidenceInterval") -> "ConfidenceInterval":
         """Minkowski sum: centers and radii add, error budgets add."""
         merged = dict(self.budget)
-        for k, v in other.budget.items():
-            key = k
+        for key, v in other.budget.items():
             while key in merged:
                 key += "'"
             merged[key] = v
         return ConfidenceInterval(
             center=self.center + other.center,
             radius=self.radius + other.radius,
-            level=1.0 - sum(merged.values()),
             budget=merged,
         )
 
@@ -86,15 +85,7 @@ def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, p: int,
     xi_inf = float(np.max(np.abs(xi_vec))) if xi_vec.size else 0.0
     radius = C_PI * fit.sigma_hat * xi_inf * k_u * math.sqrt(math.log(p) / n)
     center = float(xi_vec @ fit.beta_hat)
-    return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"plugin": alpha})
-
-
-def _lasso(data: Dataset, sigma_floor: float) -> ScaledLassoFit:
-    """The memoised scaled-lasso fit, logged as a WARNING if it did not converge."""
-    fit = scaled_lasso(data, sigma_floor=sigma_floor)
-    if not fit.converged:
-        _log.warning("the scaled lasso on %d x %d data did not converge in %d rounds", data.n, data.p, fit.iterations)
-    return fit
+    return ConfidenceInterval(center=center, radius=radius, budget={"plugin": alpha})
 
 
 def _corrected_center(data: Dataset, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
@@ -121,7 +112,7 @@ def debiased_ci(
         math.sqrt(max(proj.objective, 0.0) / n) * (NormalDist().inv_cdf(q) if q < 1.0 else math.inf)
         + C_BETA * C_XI * norm2 * k_u * math.log(p) / n
     )
-    return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"debiased": alpha})
+    return ConfidenceInterval(center=center, radius=radius, budget={"debiased": alpha})
 
 
 def mixed_ci(
@@ -167,7 +158,7 @@ def mixed_test(
     Everything after the fit reads `data.fork()`.
     """
     xi, k_u = problem.xi, problem.k_u
-    fit = _lasso(data, sigma_floor)
+    fit = scaled_lasso(data, sigma_floor=sigma_floor)
     data = data.fork()
 
     m_used = 0 if scan_all_m else cutoff_and_regime(k_u, data.n, data.p)[0]
@@ -209,9 +200,9 @@ def run_single_test(
         return mixed_test(data, problem, sigma_floor, scan_all_m)
     xi_vec, k_u, alpha = problem.xi.original(), problem.k_u, problem.alpha
     if mode == "plugin":
-        ci = plugin_ci(_lasso(data, sigma_floor), xi_vec, k_u, data.n, data.p, alpha)
+        ci = plugin_ci(scaled_lasso(data, sigma_floor=sigma_floor), xi_vec, k_u, data.n, data.p, alpha)
     elif mode == "debiased":
-        fit, view = _lasso(data, sigma_floor), data.fork()
+        fit, view = scaled_lasso(data, sigma_floor=sigma_floor), data.fork()
         ci = debiased_ci(view, fit, projection_direction(view, xi_vec, C_XI, data.n), xi_vec, k_u, alpha)
     elif mode == "known_sigma":
         ci = known_sigma_ci(data, np.ones(data.p), xi_vec, alpha, seed, sigma_floor)
@@ -248,7 +239,7 @@ def _split_half_center(data: Dataset, seed: int, sigma_floor: float, xi_vec: np.
     """(fit, center): the lasso fit on half 1 of split_half(data, seed), and the
     corrected center on half 2's Gram along direction(half1), both read on forks."""
     half1, half2 = split_half(data, seed)
-    fit = _lasso(half1, sigma_floor)
+    fit = scaled_lasso(half1, sigma_floor=sigma_floor)
     return fit, _corrected_center(half2.fork(), fit.beta_hat, xi_vec, direction(half1.fork()))
 
 
@@ -269,7 +260,7 @@ def known_sigma_ci(
     """
     fit, center = _split_half_center(data, seed, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
     radius = 2.2 * float(np.linalg.norm(xi_vec)) * fit.sigma_hat / math.sqrt(data.n // 2)
-    return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"known_sigma": alpha})
+    return ConfidenceInterval(center=center, radius=radius, budget={"known_sigma": alpha})
 
 
 def spiked_ci(
@@ -294,4 +285,4 @@ def spiked_ci(
     radius = fit.sigma_hat * (
         float(np.linalg.norm(xi_vec)) / math.sqrt(data.n) + top_norm(xi, k_u) * k_u * math.log(data.p) / data.n
     )
-    return ConfidenceInterval(center=center, radius=radius, level=1.0 - alpha, budget={"spiked": alpha})
+    return ConfidenceInterval(center=center, radius=radius, budget={"spiked": alpha})

@@ -100,11 +100,11 @@ def make_loading(raw) -> LoadingVector:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One model point theta = (beta, Sigma, sigma); sigma_cov is a p x p Sigma, None for I, or a
-    block (S, Sigma_SS), I outside S x S.  The regularity bounds are the constants M1 and M2."""
+    """One model point theta = (beta, Sigma, sigma); sigma_cov is None for Sigma = I, or a block
+    (S, Sigma_SS) with Sigma = I outside S x S.  The regularity bounds are the constants M1 and M2."""
 
     beta: np.ndarray
-    sigma_cov: np.ndarray | tuple[np.ndarray, np.ndarray] | None
+    sigma_cov: tuple[np.ndarray, np.ndarray] | None
     noise_sd: float
 
     @property
@@ -113,19 +113,9 @@ class ModelParams:
 
     @functools.cached_property
     def design_factor(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, L) with Sigma = I outside S x S and L the lower Cholesky factor of
-        Sigma_SS, computed once per model point; Sigma's factor is I outside S x S
-        and L inside.  S is empty for the identity: None, or an array equal to
-        np.eye(p), told without building eye.  An array's S is, ascending, every
-        coordinate whose row or column differs from I's.
-        """
-        sigma = self.sigma_cov
-        if isinstance(sigma, np.ndarray):
-            off = sigma != 0.0
-            np.fill_diagonal(off, sigma.diagonal() != 1.0)
-            idx = np.flatnonzero(off.any(axis=0) | off.any(axis=1))
-            sigma = (idx, sigma[np.ix_(idx, idx)])
-        idx, block = sigma or (np.zeros(0, dtype=int), np.zeros((0, 0)))
+        """(S, L) with L the lower Cholesky factor of Sigma_SS, computed once per model point;
+        Sigma's factor is I outside S x S and L inside.  S is empty for the identity (None)."""
+        idx, block = self.sigma_cov or (np.zeros(0, dtype=int), np.zeros((0, 0)))
         try:
             return idx, np.linalg.cholesky(block)
         except np.linalg.LinAlgError as exc:
@@ -190,8 +180,8 @@ class TestProblem:
 def h_map(sigma_z: np.ndarray) -> ModelParams:
     """Recover theta = (beta, Sigma, sigma) from the joint covariance of (y, x), y first.
 
-    beta = Sigma_xx^{-1} Sigma_xy, Sigma = Sigma_xx, and sigma^2 is the
-    Schur complement of the x-block.
+    beta = Sigma_xx^{-1} Sigma_xy, Sigma = Sigma_xx as the full block
+    (0..p-1, Sigma_xx), and sigma^2 is the Schur complement of the x-block.
     """
     xx = sigma_z[1:, 1:]
     xy = sigma_z[1:, 0]
@@ -199,22 +189,18 @@ def h_map(sigma_z: np.ndarray) -> ModelParams:
     schur = float(sigma_z[0, 0]) - float(xy @ beta)
     if schur <= 0.0:
         raise NotPositiveDefinite(f"Schur complement {schur!r} is not positive")
-    return ModelParams(beta=beta, sigma_cov=xx.copy(), noise_sd=float(np.sqrt(schur)))
+    return ModelParams(beta=beta, sigma_cov=(np.arange(xy.size), xx.copy()), noise_sd=float(np.sqrt(schur)))
 
 
 def h_inv(theta: ModelParams) -> np.ndarray:
-    """Joint covariance of (y, x), y first, induced by theta (sigma_cov None or a block included)."""
-    p, sigma = theta.p, theta.sigma_cov
-    if not isinstance(sigma, np.ndarray):
-        idx, block = sigma or ([], [])
-        sigma = np.eye(p)
-        sigma[np.ix_(idx, idx)] = block
-    sb = sigma @ theta.beta
-    sz = np.empty((p + 1, p + 1))
+    """Joint covariance of (y, x), y first, induced by theta: Sigma is I with theta's block
+    (S, Sigma_SS) embedded, or I itself for sigma_cov None."""
+    idx, block = theta.sigma_cov or ([], [])
+    sz = np.eye(theta.p + 1)
+    sz[1:, 1:][np.ix_(idx, idx)] = block
+    sb = sz[1:, 1:] @ theta.beta
+    sz[0, 1:] = sz[1:, 0] = sb
     sz[0, 0] = float(theta.beta @ sb) + theta.noise_sd**2
-    sz[0, 1:] = sb
-    sz[1:, 0] = sb
-    sz[1:, 1:] = sigma
     return sz
 
 
@@ -270,15 +256,18 @@ def dataset_to_csv(ds: Dataset, fh: io.TextIOBase) -> None:
 
 def _csv_body(fh: io.TextIOBase, what: str) -> np.ndarray:
     """The numbers under a CSV's header line.  A row whose width differs
-    from the header's, a cell that is not a number or a file without rows
-    is a ValueError."""
+    from the header's, a cell that is not a finite number or a file without
+    rows is a ValueError."""
     width = len(fh.readline().split(","))
     rows = [line.strip().split(",") for line in fh if line.strip()]
     if not rows:
         raise ValueError(f"{what} CSV has no rows")
     if any(len(row) != width for row in rows):
         raise ValueError(f"ragged {what} CSV")
-    return np.array([[float(v) for v in row] for row in rows])
+    body = np.array([[float(v) for v in row] for row in rows])
+    if not np.isfinite(body).all():
+        raise ValueError(f"{what} CSV has a non-finite cell")
+    return body
 
 
 def dataset_from_csv(fh: io.TextIOBase) -> Dataset:

@@ -68,7 +68,7 @@ def test_criterion_2_endpoint_recovery():
         beta = np.zeros(p)
         k = int(rng.integers(1, 5))
         beta[rng.choice(p, size=k, replace=False)] = rng.uniform(-2, 2, size=k)
-        theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, n, seed=1000 + trial)
         xi = make_loading(rng.standard_normal(p))
         fit = scaled_lasso(data)
@@ -406,7 +406,7 @@ def test_criterion_12_spiked_estimator_rate():
     v = np.zeros(p)
     v[:2] = 1.0 / math.sqrt(2)
     sigma = np.eye(p) + 0.5 * np.outer(v, v)
-    theta = ModelParams(beta=np.zeros(p), sigma_cov=sigma, noise_sd=1.0)
+    theta = ModelParams(beta=np.zeros(p), sigma_cov=(np.arange(2), sigma[:2, :2]), noise_sd=1.0)
     bound = 3.0 * math.sqrt(k_u * math.log(p) / n)
     rate_hits = 0
     for seed in range(50):

@@ -155,7 +155,7 @@ class TestScaledLasso:
 
     def test_objective_non_increasing(self):
         theta = ModelParams(
-            beta=np.concatenate(([5.0, -5.0], np.zeros(18))), sigma_cov=np.eye(20), noise_sd=1.0
+            beta=np.concatenate(([5.0, -5.0], np.zeros(18))), sigma_cov=None, noise_sd=1.0
         )
         for seed in range(5):
             fit = scaled_lasso(generate_dataset(theta, 400, seed))
@@ -166,7 +166,7 @@ class TestScaledLasso:
         # median error over 50 seeds against the l2 / noise envelopes
         n, p = 400, 20
         theta = ModelParams(
-            beta=np.concatenate(([5.0, -5.0], np.zeros(p - 2))), sigma_cov=np.eye(p), noise_sd=1.0
+            beta=np.concatenate(([5.0, -5.0], np.zeros(p - 2))), sigma_cov=None, noise_sd=1.0
         )
         errs, sig_errs = [], []
         for seed in range(50):
@@ -251,7 +251,7 @@ class TestScaledLassoFixedPoint:
             for level in (0.8, 2.8):
                 beta = np.zeros(p)
                 beta[:5] = level
-                data = generate_dataset(ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0), 300, seed)
+                data = generate_dataset(ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0), 300, seed)
                 fit = scaled_lasso(data)
                 want_beta, want_sigma = plain_alternation(data)
                 assert abs(fit.sigma_hat / want_sigma - 1.0) <= 1e-10
@@ -268,11 +268,12 @@ class TestGenerateDataset:
     def test_second_call_is_byte_identical(self, seed, rho):
         p = 6
         cov = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-        theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=cov, noise_sd=0.5)
+        block = None if rho == 0.0 else (np.arange(p), cov)  # rho^|i-j| is I at rho = 0, dense otherwise
+        theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=block, noise_sd=0.5)
         first = dataset_bits(generate_dataset(theta, 9, seed))
         factor = theta.design_factor
         second = dataset_bits(generate_dataset(theta, 9, seed))
-        fresh = ModelParams(beta=theta.beta, sigma_cov=cov.copy(), noise_sd=0.5)
+        fresh = ModelParams(beta=theta.beta, sigma_cov=None if rho == 0.0 else (np.arange(p), cov.copy()), noise_sd=0.5)
         assert theta.design_factor is factor
         assert first == second == dataset_bits(generate_dataset(fresh, 9, seed))
         idx, low = factor
@@ -284,7 +285,8 @@ class TestGenerateDataset:
     def test_identity_design_uses_the_draw_as_is(self, rho):
         n, p, seed = 300, 600, 17
         cov = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
-        theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=cov, noise_sd=0.5)
+        block = None if rho == 0.0 else (np.arange(p), cov)
+        theta = ModelParams(beta=np.linspace(-1.0, 1.0, p), sigma_cov=block, noise_sd=0.5)
         rng = stream(seed, 0)
         z = rng.standard_normal((n, p))
         eps = 0.5 * rng.standard_normal(n)
@@ -386,7 +388,7 @@ class TestCoordinateDataset:
         beta[list(support)] = rng.uniform(-2.0, 2.0, len(support))
         y = x @ beta + rng.standard_normal(n)
         for order in ([p - 1, 0, 3], range(p), range(p - 1, -1, -1)):
-            theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
+            theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
             gram = CoordinateDataset(theta, n, seed=0, source=RowSource(x, y))
             order = list(order)
             assert np.max(np.abs(gram.cols(order) - x.T @ x[:, order] / n)) <= 1e-12
@@ -419,7 +421,7 @@ class TestCoordinateDataset:
     @pytest.mark.parametrize("n, p", [(20, 6), (4, 7)], ids=["p<n", "p>n"])
     def test_law_of_the_drawn_gram(self, n, p):
         reps = 2000
-        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=2.0)
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=None, noise_sd=2.0)
         grams, yty = [], []
         for seed in range(reps):
             gram = CoordinateDataset(theta, n, seed)
@@ -439,7 +441,7 @@ class TestCoordinateDataset:
 
     def test_coordinate_dataset_holds_no_rows_and_forks_apart(self):
         p = 12
-        theta = ModelParams(beta=np.eye(p)[2], sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=np.eye(p)[2], sigma_cov=None, noise_sd=1.0)
         data = CoordinateDataset(theta, 30, 4)
         for rows in ("x", "y"):
             with pytest.raises(TypeError, match="no rows"):
@@ -570,7 +572,7 @@ class TestProjectionDirection:
         xi = example_profiles("subweibull", {"q": 2.0, "p": p}, 3)
         head, _ = xi.split(cutoff_and_regime(k_u, n, p)[0])
         assert self.radius(2.0, head, n) >= np.max(np.abs(head))
-        data = CoordinateDataset(ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=1.0), n, 3)
+        data = CoordinateDataset(ModelParams(beta=np.zeros(p), sigma_cov=None, noise_sd=1.0), n, 3)
         formed = len(data.columns)
         with caplog.at_level(logging.WARNING, logger="adaptest"):
             res = projection_direction(data, head, 2.0, n)
@@ -683,7 +685,7 @@ class TestSpikedCov:
         return np.eye(p) + lam * np.outer(v, v)
 
     def test_identity_data_picks_empty_support(self):
-        theta = ModelParams(beta=np.zeros(6), sigma_cov=np.eye(6), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(6), sigma_cov=None, noise_sd=1.0)
         fit = spiked_cov_estimate(generate_dataset(theta, 4000, 7), 2)
         assert fit.b_hat == ()
         assert not fit.fell_back_identity
@@ -691,7 +693,7 @@ class TestSpikedCov:
 
     def test_planted_spike_monte_carlo(self):
         sigma = self.planted()
-        theta = ModelParams(beta=np.zeros(6), sigma_cov=sigma, noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(6), sigma_cov=(np.arange(2), sigma[:2, :2]), noise_sd=1.0)
         rate_bound = 3.0 * math.sqrt(2 * math.log(6) / 2000)
         support_hits = rate_hits = 0
         for seed in range(50):
@@ -719,14 +721,14 @@ class TestSpikedCov:
         assert np.array_equal(gamma_block(a, ()), np.eye(5))
 
     def test_budget_exceeded(self):
-        theta = ModelParams(beta=np.zeros(10), sigma_cov=np.eye(10), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(10), sigma_cov=None, noise_sd=1.0)
         with pytest.raises(BudgetExceeded):
             spiked_cov_estimate(generate_dataset(theta, 100, 0), 3, comb_cap=10)
 
     def test_budget_checked_while_streaming_subsets(self):
         # the empty support alone has about 1.7M complement subsets at p = 80,
         # k_u = 4; none of them may be held at once
-        theta = ModelParams(beta=np.zeros(80), sigma_cov=np.eye(80), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(80), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 200, 3)
         tracemalloc.start()
         try:
@@ -757,7 +759,7 @@ class TestSpikedCov:
 
     def test_stacked_walk_calls_eigvalsh_per_stack(self, monkeypatch):
         # the per-block walk made one eigvalsh call per D: 60 + 1,770 + 34,220 = 36,050 for B = {}
-        theta = ModelParams(beta=np.zeros(60), sigma_cov=np.eye(60), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(60), sigma_cov=None, noise_sd=1.0)
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         assert spiked_cov_estimate(generate_dataset(theta, 75, 0), 3).b_hat == ()

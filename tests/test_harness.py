@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from adaptest import cli, harness, inference, priors, profiles
+from adaptest import cli, estimators, harness, inference, priors, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError, RegimeViolation
 from adaptest.estimators import CoordinateDataset, scaled_lasso, spiked_cov_estimate
@@ -495,11 +496,12 @@ class TestRunners:
             theta = draw.model_point(xi, cfg.t0)
             inv = np.argsort(xi.perm)
             sigma = draw.joint_covariance()[1:, 1:]
-            dense = ModelParams(beta=theta.beta, sigma_cov=sigma[np.ix_(inv, inv)], noise_sd=1.0)
             idx, block = theta.sigma_cov
-            assert idx.size == 4 and np.array_equal(idx, dense.design_factor[0])
-            assert np.array_equal(block, dense.sigma_cov[np.ix_(idx, idx)])
-            assert np.array_equal(theta.design_factor[1], dense.design_factor[1])
+            embedded = np.eye(cfg.p)
+            embedded[np.ix_(idx, idx)] = block
+            assert idx.size == 4 and np.array_equal(idx, np.sort(idx))
+            assert np.array_equal(embedded, sigma[np.ix_(inv, inv)])  # I outside S x S, the block inside
+            assert np.array_equal(theta.design_factor[1], np.linalg.cholesky(block))
 
     def test_identity_prior_null_stores_no_identity(self):
         cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu1", k_u=8, loading_k=30, p=60, n=150)
@@ -672,7 +674,7 @@ class TestRunners:
     def test_spiked_mode_splits_once(self, monkeypatch):
         p, k_u, seed = 8, 2, 9
         problem = Problem(xi=make_loading(np.ones(p)), t0=0.0, k_u=k_u, alpha=0.05, eta=0.05)
-        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=None, noise_sd=1.0)
         data, fresh = (generate_dataset(theta, 200, 31) for _ in "ab")
         splits, spiked_on, lasso_on = [], [], []
 
@@ -893,7 +895,7 @@ class TestCli:
 
         beta = np.zeros(30)
         beta[:2] = 1.0
-        theta = ModelParams(beta=beta, sigma_cov=np.eye(30), noise_sd=1.0)
+        theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
         ds = generate_dataset(theta, 150, 5)
         with open(tmp_path / "data.csv", "w") as fh:
             dataset_to_csv(ds, fh)
@@ -928,7 +930,7 @@ class TestCli:
 
         beta = np.zeros(p)
         beta[:2] = 1.0
-        ds = generate_dataset(ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0), 150, 5)
+        ds = generate_dataset(ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0), 150, 5)
         path = tmp_path / "data.csv"
         with open(path, "w") as fh:
             dataset_to_csv(ds, fh)
@@ -1253,6 +1255,45 @@ class TestCli:
     @pytest.mark.parametrize("body", ["xi\n", "xi,w\n1.0,2.0\n0.5,1.0\n"], ids=["header_only", "two_columns"])
     def test_loading_csv_without_one_column_of_rows_is_config_error(self, tmp_path, body, capsys):
         self._malformed(tmp_path, "profile", "loading_csv", body, "n = 1000\np = 2\nk_u = 1\n", capsys)
+
+    @pytest.mark.parametrize(
+        "command, body, extra",
+        [
+            ("fit", "y,x1,x2\n1.0,2.0,3.0\n0.5,nan,1.0\n", ""),
+            ("fit", "y,x1,x2\n1.0,2.0,3.0\n0.5,-inf,1.0\n", ""),
+            ("fit", "y,x1,x2\n1.0,2.0,3.0\n", ""),
+            ("test", "y,x1,x2\n1.0,0.0,3.0\n0.5,-0.0,1.0\n2.0,0,0.5\n", "mode = plugin\n"),
+        ],
+        ids=["fit-nan-cell", "fit-inf-cell", "fit-one-row", "test-plugin-all-zero-column"],
+    )
+    def test_data_csv_the_fit_cannot_use_is_config_error(self, tmp_path, command, body, extra, capsys):
+        self._malformed(tmp_path, command, "data_csv", body, f"k_u = 1\n{extra}", capsys)
+
+    def test_loading_csv_non_finite_cell_is_config_error(self, tmp_path, capsys):
+        self._malformed(tmp_path, "profile", "loading_csv", "xi\n1.0\nnan\n", "n = 1000\np = 2\nk_u = 1\n", capsys)
+
+    def test_unconverged_fit_logs_once_per_dataset(self, tmp_path, monkeypatch, caplog):
+        # the fit logs when it is computed: modes that share it, and the fit command, add no second WARNING
+        monkeypatch.setattr(estimators, "LASSO_ROUNDS", 0)  # no round runs, so no fit converges
+
+        def lasso_warnings(run):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="adaptest"):
+                run()
+            return [r for r in caplog.records if "scaled lasso" in r.getMessage()]
+
+        problem = Problem(xi=make_loading(np.ones(30)), t0=0.0, k_u=2, alpha=0.05, eta=0.05)
+        data = generate_dataset(ModelParams(beta=np.zeros(30), sigma_cov=None, noise_sd=1.0), 150, 5)
+        shared = lasso_warnings(
+            lambda: [inference.run_single_test(m, data, problem, seed=0) for m in ("mixed", "plugin", "debiased")]
+        )
+        assert [r.levelno for r in shared] == [logging.WARNING]
+        cfg = self._write(tmp_path, f"data_csv = {self._dataset(tmp_path)}\nk_u = 2\n")
+        fit = lasso_warnings(lambda: cli_main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]))
+        assert [r.levelno for r in fit] == [logging.WARNING]
+        # simulate: one null and one alternative dataset per replicate
+        cfg = dataclasses.replace(parse_config(SIZE_CFG), p=20, n=40, reps=2, modes="mixed,plugin,debiased")
+        assert len(lasso_warnings(lambda: run_experiment(cfg))) == 2 * 2
 
     def test_every_table_cell_follows_the_cell_rule(self, tmp_path):
         data = self._dataset(tmp_path)

@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 import math
 import os
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
 
+from adaptest import estimators
 from adaptest import inference as inf
 from adaptest.errors import OddSampleSize
 from adaptest.estimators import (
@@ -41,8 +41,8 @@ class TestConfidenceInterval:
     @given(finite, small_pos, finite, small_pos)
     @settings(max_examples=50, deadline=None)
     def test_minkowski_sum_exact_and_commutative(self, c1, r1, c2, r2):
-        a = inf.ConfidenceInterval(c1, r1, 0.99, {"a": 0.01})
-        b = inf.ConfidenceInterval(c2, r2, 0.98, {"b": 0.02})
+        a = inf.ConfidenceInterval(c1, r1, {"a": 0.01})
+        b = inf.ConfidenceInterval(c2, r2, {"b": 0.02})
         s = a + b
         assert s.center == c1 + c2
         assert s.radius == r1 + r2
@@ -51,7 +51,7 @@ class TestConfidenceInterval:
         assert t.center == s.center and t.radius == s.radius and t.level == s.level
 
     def test_budget_collision_kept(self):
-        a = inf.ConfidenceInterval(0, 1, 0.99, {"x": 0.01})
+        a = inf.ConfidenceInterval(0, 1, {"x": 0.01})
         s = a + a
         assert s.level == pytest.approx(0.98)
         assert len(s.budget) == 2
@@ -82,7 +82,7 @@ class TestPluginCI:
 
 class TestDebiasedCI:
     def test_zero_direction_radius(self):
-        theta = ModelParams(beta=np.zeros(30), sigma_cov=np.eye(30), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(30), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 60, 3)
         fit = scaled_lasso(data)
         from adaptest.estimators import ProjectionResult
@@ -125,7 +125,7 @@ class TestDebiasedCI:
         n, p, k = 500, 200, 3
         beta = np.zeros(p)
         beta[:k] = [1.0, -1.0, 0.5]
-        theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
         xi = make_loading(np.concatenate((np.ones(50), np.zeros(p - 50))))
         target = float(xi.original() @ beta)
         hits = 0
@@ -144,7 +144,7 @@ class TestMixedCI:
         rng = stream(seed, 0)
         beta = np.zeros(p)
         beta[:3] = rng.uniform(0.5, 2.0, 3)
-        theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, n, seed + 1)
         xi = make_loading(rng.standard_normal(p))
         fit = scaled_lasso(data)
@@ -248,14 +248,14 @@ class TestScanAllM:
 
 class TestKnownSigmaCI:
     def test_odd_sample_size(self):
-        theta = ModelParams(beta=np.zeros(10), sigma_cov=np.eye(10), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(10), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 31, 0)
         with pytest.raises(OddSampleSize):
             inf.known_sigma_ci(data, np.ones(10), np.ones(10), 0.05, seed=0)
 
     def test_radius_from_half1_fit(self):
         # 1.1 (c2 + c3) ||xi||_2 sigma_hat / sqrt(n2) at c2 = c3 = 1, sigma_hat from the half-1 lasso
-        theta = ModelParams(beta=np.zeros(20), sigma_cov=np.eye(20), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(20), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 80, 1)
         xi = np.linspace(-1.0, 2.0, 20)
         ci = inf.known_sigma_ci(data, np.ones(20), xi, 0.05, seed=3)
@@ -265,7 +265,7 @@ class TestKnownSigmaCI:
     def test_center_distribution(self):
         # beta = 0, Sigma = I: the center is nearly N(0, |xi|^2 sigma^2 / n2)
         n, p = 200, 40
-        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=None, noise_sd=1.0)
         xi = np.ones(p)
         centers = []
         for seed in range(2000):
@@ -281,7 +281,7 @@ class TestKnownSigmaCI:
         n, p, k = 600, 300, 3
         beta = np.zeros(p)
         beta[:k] = [0.9, -1.2, 0.6]
-        theta = ModelParams(beta=beta, sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
         xi = np.concatenate((np.ones(30), np.zeros(p - 30)))
         target = float(xi @ beta)
         hits = 0
@@ -296,7 +296,7 @@ class TestKnownSigmaCI:
         # Sigma0 = diag(d): the direction is Sigma0^{-1} xi = xi / d
         p = 20
         d = np.linspace(0.5, 2.0, p)
-        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.diag(d), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=(np.arange(p), np.diag(d)), noise_sd=1.0)
         data = generate_dataset(theta, 80, 4)
         xi = np.linspace(-1.0, 1.0, p)
         ci = inf.known_sigma_ci(data, d, xi, 0.05, seed=2)
@@ -309,7 +309,7 @@ class TestKnownSigmaCI:
 
 class TestSpikedCI:
     def test_identity_precision_matches_known_sigma(self):
-        theta = ModelParams(beta=np.zeros(12), sigma_cov=np.eye(12), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(12), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 100, 2)
         xi = make_loading(np.ones(12))
         assert spiked_cov_estimate(inf.split_half(data, 5)[0], 3).b_hat == ()  # so omega_hat = I
@@ -324,7 +324,8 @@ class TestSpikedCI:
         v[:2] = 1.0 / math.sqrt(2)
         beta = np.zeros(p)
         beta[:2] = [0.8, -0.4]
-        theta = ModelParams(beta=beta, sigma_cov=np.eye(p) + 2.0 * np.outer(v, v), noise_sd=1.0)
+        spike = np.eye(p) + 2.0 * np.outer(v, v)
+        theta = ModelParams(beta=beta, sigma_cov=(np.arange(2), spike[:2, :2]), noise_sd=1.0)
         data = generate_dataset(theta, 800, 6)
         xi = make_loading(np.linspace(-1.0, 1.5, p))
         ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=7)
@@ -357,7 +358,8 @@ class TestSpikedCI:
         )
 
         # pilot null calibration of the radius multiplier; at unit multipliers the radius is sigma_hat * unit
-        theta0 = ModelParams(beta=np.zeros(p), sigma_cov=sigma, noise_sd=1.0)
+        block = (np.arange(2), sigma[:2, :2])  # v lives on coordinates 0 and 1
+        theta0 = ModelParams(beta=np.zeros(p), sigma_cov=block, noise_sd=1.0)
         pilot = []
         for seed in range(200):
             data = generate_dataset(theta0, n, 50_000 + seed)
@@ -367,7 +369,7 @@ class TestSpikedCI:
 
         beta = np.zeros(p)
         beta[:2] = [0.8, -0.4]
-        theta = ModelParams(beta=beta, sigma_cov=sigma, noise_sd=1.0)
+        theta = ModelParams(beta=beta, sigma_cov=block, noise_sd=1.0)
         target = float(xi.original() @ beta)
         hits = 0
         reps = 1000
@@ -380,10 +382,9 @@ class TestSpikedCI:
 
 class TestRunSingleTest:
     def test_unconverged_lasso_is_logged(self, monkeypatch, caplog):
-        theta = ModelParams(beta=np.zeros(6), sigma_cov=np.eye(6), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(6), sigma_cov=None, noise_sd=1.0)
         problem = problem_of(xi=make_loading(np.ones(6)), t0=0.0, k_u=2, alpha=0.05, eta=0.05)
-        lasso = inf.scaled_lasso
-        monkeypatch.setattr(inf, "scaled_lasso", lambda *a, **kw: dataclasses.replace(lasso(*a, **kw), converged=False))
+        monkeypatch.setattr(estimators, "LASSO_ROUNDS", 0)  # no round runs, so no fit converges
         for mode in inf.TEST_MODES:
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="adaptest"):
@@ -392,7 +393,7 @@ class TestRunSingleTest:
             assert "did not converge" in caplog.records[0].getMessage()
 
     def test_unknown_mode_names_the_mode_and_the_modes(self):
-        theta = ModelParams(beta=np.zeros(6), sigma_cov=np.eye(6), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(6), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 40, 0)
         problem = problem_of(xi=make_loading(np.ones(6)), t0=0.0, k_u=2, alpha=0.05, eta=0.05)
         with pytest.raises(ValueError, match="'bogus'") as err:

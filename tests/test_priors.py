@@ -41,7 +41,7 @@ class TestNu2Prior:
         theta = h_map(d.joint_covariance())
         assert np.max(np.abs(theta.beta - d.beta)) < 1e-12
         assert abs(theta.noise_sd - d.noise_sd) < 1e-12
-        ev = np.linalg.eigvalsh(theta.sigma_cov)
+        ev = np.linalg.eigvalsh(theta.sigma_cov[1])
         assert ev[0] == pytest.approx(d.eig_min, abs=1e-12)
         assert ev[-1] == pytest.approx(d.eig_max, abs=1e-12)
 
