@@ -24,10 +24,10 @@ samplers = {
 print("=== one draw from each prior ===")
 d2 = samplers["nu2"](1)
 print(f"nu2:  kappa={d2.kappa:.5f} sparsity={d2.sparsity} eigs=[{d2.eig_min:.4f},{d2.eig_max:.4f}] "
-      f"residual={d2.constraint_residual(xi):.1e} valid={d2.valid}")
+      f"residual={d2.residual:.1e} valid={d2.valid}")
 d1 = samplers["nu1"](1)
 print(f"nu1:  kappa={d1.kappa:.5f} sparsity={d1.sparsity} Sigma=I "
-      f"residual={d1.constraint_residual(xi):.1e} valid={d1.valid}")
+      f"residual={d1.residual:.1e} valid={d1.valid}")
 dc = samplers["comp"](1)
 print(f"comp: kappa={dc.kappa:.5f} sparsity={dc.sparsity} eigs=[{dc.eig_min:.4f},{dc.eig_max:.4f}] "
       f"valid={dc.valid}")

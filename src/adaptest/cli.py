@@ -128,12 +128,15 @@ class SccaConfig(RunConfig):
 
 
 def _read_dataset(cfg: DataConfig):
-    """The dataset at cfg.data_csv (two rows or more, no all-zero column), and cfg with p set to its width."""
+    """The dataset at cfg.data_csv (two rows or more, no all-zero column and none whose mean square
+    overflows), and cfg with p set to its width."""
     try:
         with open(cfg.data_csv) as fh:
             data = dataset_from_csv(fh)
         if data.n < 2 or not data.diag.all():
             raise ValueError("the scaled lasso needs two rows or more and no all-zero x column")
+        if not np.isfinite(data.diag).all():
+            raise ValueError("an x column's mean square overflows the float range")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read data_csv {cfg.data_csv}: {exc}") from exc
     if cfg.p is not None and cfg.p != data.p:
@@ -191,11 +194,11 @@ def cmd_prior(cfg: PriorConfig):
         f.name: getattr(cfg, f.name) for f in fields(cfg) if cfg.kind in f.metadata.get("when", {}).get("kind", ())
     }
     sampler = prior_sampler(cfg.kind, xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, **consts)
-    rows = []
-    for i in range(cfg.draws):
-        d = sampler(cfg.master_seed + i)
-        residual = d.constraint_residual(xi)
-        rows.append([i, d.kappa, d.sparsity, d.eig_min, d.eig_max, residual, d.noise_sd, int(d.valid), d.reason])
+    draws = (sampler(cfg.master_seed + i) for i in range(cfg.draws))
+    rows = [
+        (i, d.kappa, d.sparsity, d.eig_min, d.eig_max, d.residual, d.noise_sd, int(d.valid), d.reason)
+        for i, d in enumerate(draws)
+    ]
     tables = {".csv": csv_text("draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason", rows)}
     if cfg.chi2_reps:
         est_se = chi2_mixture_mc(sampler, cfg.n, cfg.chi2_reps, cfg.master_seed + 10_000)

@@ -138,10 +138,12 @@ class CoordinateDataset(Dataset):
     def fork(self) -> "CoordinateDataset":
         """A copy whose later reads leave this one as it is: its own column dict,
         memo and coordinate buffer, and a shallow copy of the source with its
-        own rho and generator state, all a draw changes.  It shares the
-        memoised fits and halves; `inference` reads a half through its own fork."""
+        own rho and a keyed stream set to its generator's state, all a draw
+        changes.  It shares the memoised fits and halves; `inference` reads a
+        half through its own fork."""
         out, source = copy.copy(self), copy.copy(self.source)
-        source.rho, source.rng = source.rho.copy(), np.random.Generator(copy.copy(source.rng.bit_generator))
+        source.rho, source.rng = source.rho.copy(), stream(0)
+        source.rng.bit_generator.state = self.source.rng.bit_generator.state
         out.columns, out.source, out.memo = dict(self.columns), source, dict(self.memo)
         out.coords = self.coords.base.copy()[: len(self.coords)]
         return out

@@ -227,14 +227,18 @@ def parse_config(text: str, schema: type = ExperimentConfig):
 
 def format_config(cfg) -> str:
     """key = value lines for the keys cfg's tags read."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(cfg) if not _blocker(cfg, f.name)}
-    return "".join(f"{k} = {csv_cell(v)}\n" for k, v in values.items())
+    return "".join(f"{k} = {csv_cell(v)}\n" for k, v in config_values(cfg).items() if not _blocker(cfg, k))
+
+
+def config_values(cfg) -> dict:
+    """Each field of cfg by name; a config holds scalars and strings only, so nothing is copied."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def config_digest(cfg) -> str:
     """Stable hash of the semantic fields: thread budget and output path
     do not change what is computed, so they stay out of the digest."""
-    payload = dataclasses.asdict(cfg)
+    payload = config_values(cfg)
     payload.pop("threads", None)
     payload.pop("out", None)
     canon = json.dumps(payload, sort_keys=True)
@@ -250,7 +254,7 @@ def write_outputs(cfg, prefix: str, tables: dict[str, str]) -> Path:
     stem = f"{prefix}_{config_digest(cfg)}"
     for suffix, text in tables.items():
         (out / f"{stem}{suffix}").write_text(text)
-    (out / f"{stem}.json").write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
+    (out / f"{stem}.json").write_text(json.dumps(config_values(cfg), indent=2, sort_keys=True) + "\n")
     return out / f"{stem}{next(iter(tables))}"
 
 
@@ -264,7 +268,8 @@ class ResultRow:
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
-    return csv_text("digest,replicate,metric,value,se", map(dataclasses.astuple, rows))
+    cells = ((r.digest, r.replicate, r.metric, r.value, r.se) for r in rows)
+    return csv_text("digest,replicate,metric,value,se", cells)
 
 
 def build_loading(cfg: LoadingConfig) -> LoadingVector:

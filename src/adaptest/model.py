@@ -24,13 +24,33 @@ M2 = 10.0  # the noise level lies in (0, M2]
 
 
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based generator for logical stream (master_seed, index).
+    """Counter-based generator for logical stream (master_seed, index): Philox at counter 0 under
+    the key (master_seed mod 2^64, index mod 2^64).
 
     Parallel schedulers may hand replicates to workers in any order; the
-    stream key alone fixes the bits each replicate consumes.
+    stream key alone fixes the bits each replicate consumes.  The key is
+    handed to Philox as its seed sequence's state, so no OS entropy is read
+    and no SeedSequence hashed (Philox(key=...) pays for both, and folds a
+    key with one word at or above 2^63 and one below through float64).
     """
-    key = [int(master_seed) & _MASK64, int(index) & _MASK64]
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([int(master_seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_philox_key()(key)))
+
+
+@functools.cache
+def _philox_key():
+    """The ISeedSequence whose state is a given Philox key, defined on first use so that importing
+    this module leaves numpy.random unloaded."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return PhiloxKey
 
 
 def sign(x):

@@ -24,7 +24,7 @@ the exact yardstick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -71,6 +71,8 @@ class PriorDraw:
     valid: bool
     reason: str
     sigma_star: float
+    sparsity: int  # nonzero entries of beta
+    residual: float  # xi'beta - tau on the loading it was drawn for
 
     @property
     def split(self) -> int:
@@ -79,13 +81,6 @@ class PriorDraw:
     @property
     def p(self) -> int:
         return self.lead.size + self.trail.size
-
-    @property
-    def sparsity(self) -> int:
-        return int(np.count_nonzero(self.beta))
-
-    def constraint_residual(self, xi: LoadingVector) -> float:
-        return float(xi.coords @ self.beta) - self.tau
 
     def coupled_block(self, cols=slice(None)) -> np.ndarray:
         """I + lead t' + t lead' with t = trail[cols]: Sigma on the leading block and those trailing coordinates."""
@@ -130,7 +125,8 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
     """The draw with Cov(leading, trailing x-block) = lead trail' and
     Cov(y, trailing x-block) = kappa trail, where kappa solves xi'beta = tau,
     checked against the sparsity cap, the eigenvalue window, the noise
-    bound and the constraint residual.
+    bound and the constraint residual, each computed once and kept on the
+    draw (its sparsity and residual are the `prior` table's columns).
 
     lead_dot is xi'lead (computed when None); beta = kappa (-|trail|^2
     lead, trail) / (1 - |lead|^2 |trail|^2).  A draw outside the sampler's
@@ -157,22 +153,23 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
         beta[split:] = (kappa / denom) * trail
         var -= kappa**2 * tsq / denom
     cross = math.sqrt(lsq * tsq)
+    eig_min, eig_max = 1.0 - cross, 1.0 + cross
     noise_sd = math.sqrt(var) if var > 0 else 0.0
-    draw = PriorDraw(
-        kind=kind, lead=lead, trail=trail, kappa=kappa, tau=tau, beta=beta, noise_sd=noise_sd,
-        eig_min=1.0 - cross, eig_max=1.0 + cross, valid=reason == "ok", reason=reason, sigma_star=sigma_star,
+    sparsity, residual = int(np.count_nonzero(beta)), float(xi.coords @ beta) - tau
+    if reason == "ok":
+        checks = {
+            "kappa_out_of_range": 0.0 < kappa <= 1.0,
+            "sparsity_cap": sparsity <= cap,
+            "eigenvalue_window": 1.0 / M1 <= eig_min and eig_max <= M1,
+            "noise_bound": 0.0 < noise_sd <= M2,
+            "constraint_residual": not abs(residual) > 1e-10 * max(abs(tau), 1.0),
+        }
+        reason = next((why for why, ok in checks.items() if not ok), "ok")
+    return PriorDraw(
+        kind=kind, lead=lead, trail=trail, kappa=kappa, tau=tau, beta=beta, noise_sd=noise_sd, eig_min=eig_min,
+        eig_max=eig_max, valid=reason == "ok", reason=reason, sigma_star=sigma_star, sparsity=sparsity,
+        residual=residual,
     )
-    if not draw.valid:
-        return draw
-    checks = {
-        "kappa_out_of_range": 0.0 < kappa <= 1.0,
-        "sparsity_cap": draw.sparsity <= cap,
-        "eigenvalue_window": 1.0 / M1 <= draw.eig_min and draw.eig_max <= M1,
-        "noise_bound": 0.0 < noise_sd <= M2,
-        "constraint_residual": not abs(draw.constraint_residual(xi)) > 1e-10 * max(abs(tau), 1.0),
-    }
-    failed = [why for why, ok in checks.items() if not ok]
-    return replace(draw, valid=False, reason=failed[0]) if failed else draw
 
 
 def prior_sampler(kind: str, xi: LoadingVector, k_u: int, n: int, p: int, sigma_star: float, **consts):

@@ -5,13 +5,14 @@ An instance is n paired Gaussian rows (U1, U2); under the alternative a
 hidden s x s block of the cross-covariance carries the value lambda / s.
 Five statistics of the sample cross-covariance R_hat = U1'U2 / n are
 implemented with their thresholds and detection-boundary formulas.  They
-take R_hat alone, so for n > p1 sample_cross_covariance draws it from its
-exact law (a Bartlett factor of the Wishart U1'U1) in about
-p1 (p1 + 1) / 2 + p1 p2 normals; for n <= p1 it is gen_scca's own R_hat.
-Every statistic works on the last two axes: stat_values scores one matrix
-or a stack.  stat_samples, the one draw-and-score loop of null calibration
-and the power sweep, draws each R_hat on its own stream and scores the
-draws in stacks.  The reduction consumes rows two at a time and outputs a
+take R_hat alone, so for n > p1 sample_cross_covariances draws a stack of
+them from their exact law (a Bartlett factor of the Wishart U1'U1) in
+about p1 (p1 + 1) / 2 + p1 p2 normals each, read from each draw's own
+stream, then forms every factor and product with one batched operation per
+stack; for n <= p1 each is gen_scca's own R_hat.  Every statistic works on
+the last two axes: stat_values scores one matrix or a stack.  stat_samples,
+the one draw-and-score loop of null calibration and the power sweep, draws
+and scores in stacks.  The reduction consumes rows two at a time and outputs a
 regression sample whose null maps to a point alternative of the linear
 test (decision inversion: use one minus the linear test's decision).
 """
@@ -105,7 +106,8 @@ def gen_scca(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> 
 
 
 def _cross_from_factor(params: SccaParams, a: np.ndarray, g: np.ndarray, d1, d2) -> np.ndarray:
-    """R_hat = (A A' C + A G B') / n from a factor A of U1'U1 = A A' and G.
+    """R_hat = (A A' C + A G B') / n from a factor A of U1'U1 = A A' and G, for each draw of a stack
+    (the last two axes of a and g, the last axis of d1 and d2, hold one draw).
 
     gen_scca's joint Cholesky factor is [[I, 0], [C', B]] with
     C = lam d1 d2' and B = chol(I - C'C), so U2 = U1 C + E B' and
@@ -114,9 +116,9 @@ def _cross_from_factor(params: SccaParams, a: np.ndarray, g: np.ndarray, d1, d2)
     """
     if d1 is None:
         return a @ g / params.n
-    c = params.lam * np.outer(d1, d2)
-    b = np.linalg.cholesky(np.eye(params.p2) - c.T @ c)
-    return a @ (a.T @ c + g @ b.T) / params.n
+    c = params.lam * (d1[..., :, None] * d2[..., None, :])
+    b = np.linalg.cholesky(np.eye(params.p2) - np.swapaxes(c, -1, -2) @ c)
+    return a @ (np.swapaxes(a, -1, -2) @ c + g @ np.swapaxes(b, -1, -2)) / params.n
 
 
 # Stream indices under one master seed: the `stats` draw is index 0, null
@@ -126,24 +128,43 @@ def _cross_from_factor(params: SccaParams, a: np.ndarray, g: np.ndarray, d1, d2)
 NULL_STREAMS, ALT_STREAMS = 1 << 32, 2 << 32
 
 
-def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> np.ndarray:
-    """R_hat with exactly the law of gen_scca(params, hypothesis, seed, index).cross_covariance().
+def sample_cross_covariances(params: SccaParams, hypothesis: str, seed: int, indices) -> np.ndarray:
+    """The stack of R_hat, draw j with exactly the law of gen_scca(params, hypothesis, seed,
+    indices[j]).cross_covariance().
 
-    Drawn on stream(seed, index).  The planted d1, d2 are drawn first, as
-    gen_scca draws them, so a seed and index plant the same support.
-    For n > p1 the factor A of U1'U1 ~ Wishart_p1(n, I) is Bartlett's:
-    lower triangular with A_ii^2 ~ chi2(n - i + 1) (i = 1..p1) and
-    standard normals below the diagonal, p1 (p1 + 1) / 2 + p1 p2 draws in
-    all instead of n (p1 + p2); otherwise R_hat is gen_scca's own.
+    Draw j's numbers come from stream(seed, indices[j]): the planted d1, d2
+    first, as gen_scca draws them, so a seed and index plant the same
+    support.  For n > p1 the factor A of U1'U1 ~ Wishart_p1(n, I) is
+    Bartlett's: lower triangular with A_ii^2 ~ chi2(n - i + 1) (i = 1..p1)
+    and standard normals below the diagonal, row by row, then the p1 x p2
+    normals of G: p1 (p1 + 1) / 2 + p1 p2 draws in all instead of
+    n (p1 + p2).  The factors and products are then formed for the whole
+    stack at once.  For n <= p1, R_hat is gen_scca's own.
     """
-    n, p1, p2 = params.n, params.p1, params.p2
+    n, p1, p2, m = params.n, params.p1, params.p2, len(indices)
     if n <= p1:
-        return gen_scca(params, hypothesis, seed, index).cross_covariance()
-    rng = stream(seed, index)
-    d1, d2 = _planted(params, hypothesis, rng)
-    a = np.diag(np.sqrt(rng.chisquare(n - np.arange(p1))))
-    a[np.tri(p1, k=-1, dtype=bool)] = rng.standard_normal(p1 * (p1 - 1) // 2)  # strict lower triangle, row by row
-    return _cross_from_factor(params, a, rng.standard_normal((p1, p2)), d1, d2)
+        return np.array([gen_scca(params, hypothesis, seed, i).cross_covariance() for i in indices]).reshape(m, p1, p2)
+    chi, low, g = np.empty((m, p1)), np.empty((m, p1 * (p1 - 1) // 2)), np.empty((m, p1, p2))
+    d1, d2 = (np.zeros((m, p1)), np.zeros((m, p2))) if hypothesis == "alt" else (None, None)
+    df = n - np.arange(p1)
+    for j, i in enumerate(indices):
+        rng = stream(seed, i)
+        planted = _planted(params, hypothesis, rng)
+        if d1 is not None:
+            d1[j], d2[j] = planted
+        chi[j] = rng.chisquare(df)
+        rng.standard_normal(out=low[j])
+        rng.standard_normal(out=g[j])
+    a = np.zeros((m, p1, p1))
+    a[:, np.eye(p1, dtype=bool)] = np.sqrt(chi)
+    a[:, np.tri(p1, k=-1, dtype=bool)] = low  # strict lower triangle, row by row
+    return _cross_from_factor(params, a, g, d1, d2)
+
+
+def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> np.ndarray:
+    """R_hat with exactly the law of gen_scca(params, hypothesis, seed, index).cross_covariance(), drawn on
+    stream(seed, index): the stack of one of sample_cross_covariances."""
+    return sample_cross_covariances(params, hypothesis, seed, [index])[0]
 
 
 # --- test statistics ---------------------------------------------------------
@@ -301,12 +322,15 @@ def reduce_to_lt(
 
 
 def stat_samples(params: SccaParams, hypothesis: str, seed: int, first: int, reps: int) -> dict:
-    """Each statistic's values over reps draws of R_hat, draw i on stream(seed, first + i), scored in stacks."""
+    """Each statistic's values over reps draws of R_hat, draw i on stream(seed, first + i), drawn and scored in
+    stacks; a stack's arrays (its factors, and the alternative's p2 x p2 factors of I - C'C) hold at most
+    _SCAN_BLOCK entries."""
     samples = {k: np.empty(reps) for k in STATISTICS}
-    per = max(1, _SCAN_BLOCK // (params.p1 * params.p2))
+    p1, p2 = params.p1, params.p2
+    per = max(1, _SCAN_BLOCK // max(p1 * p1, p1 * p2, p2 * p2 if hypothesis == "alt" else 0))
     for start in range(0, reps, per):
         stop = min(start + per, reps)
-        stack = np.array([sample_cross_covariance(params, hypothesis, seed, first + i) for i in range(start, stop)])
+        stack = sample_cross_covariances(params, hypothesis, seed, range(first + start, first + stop))
         for k, v in stat_values(stack, params.s).items():
             samples[k][start:stop] = v
     return samples

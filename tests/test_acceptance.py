@@ -150,7 +150,7 @@ def test_criterion_5_prior_validity():
     def check(d, cap):
         assert 0.0 < d.kappa <= 1.0
         assert d.sparsity <= cap
-        assert abs(d.constraint_residual(xi)) <= 1e-10 * max(abs(d.tau), 1.0)
+        assert abs(float(xi.coords @ d.beta) - d.tau) <= 1e-10 * max(abs(d.tau), 1.0)
         assert 1.0 / m1 <= d.eig_min <= d.eig_max <= m1
         assert 0.0 < d.noise_sd <= m2
 

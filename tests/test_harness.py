@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -831,6 +832,14 @@ class TestRunners:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_importing_the_cli_loads_no_numpy_random(self):
+        # numpy.random loads on the first stream, not at import: the import cost of every CLI call
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, adaptest.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_phase_diagram_labels_and_monotone_power(self):
         cfg = parse_config(
             "kind = phase_diagram\np = 64\nreps = 30\nk = 2\n"
@@ -1268,6 +1277,17 @@ class TestCli:
     )
     def test_data_csv_the_fit_cannot_use_is_config_error(self, tmp_path, command, body, extra, capsys):
         self._malformed(tmp_path, command, "data_csv", body, f"k_u = 1\n{extra}", capsys)
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_data_csv_column_whose_squares_overflow_is_config_error(self, tmp_path, command, capsys):
+        # every cell is finite, but column 3's squares pass the float range, so the Gram diagonal is inf
+        x = stream(17, 0).standard_normal((40, 5))
+        x[:, 2] *= 1e200
+        rows = np.column_stack((x[:, 0] + x[:, 1], x))
+        body = "y,x1,x2,x3,x4,x5\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._malformed(tmp_path, command, "data_csv", body, "k_u = 1\n", capsys)
 
     def test_loading_csv_non_finite_cell_is_config_error(self, tmp_path, capsys):
         self._malformed(tmp_path, "profile", "loading_csv", "xi\n1.0\nnan\n", "n = 1000\np = 2\nk_u = 1\n", capsys)

@@ -79,6 +79,7 @@ def point_mass_draw(xi, sigma_star):
     return pri.PriorDraw(
         kind="nu1", lead=np.zeros(0), trail=np.zeros(xi.p), kappa=0.0, tau=0.0, beta=np.zeros(xi.p),
         noise_sd=sigma_star, eig_min=1.0, eig_max=1.0, valid=True, reason="point_mass", sigma_star=sigma_star,
+        sparsity=0, residual=0.0,
     )
 
 

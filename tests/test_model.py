@@ -9,6 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from adaptest.errors import AllZeroLoading, CholeskyFailure, NotPositiveDefinite
 from adaptest import model
+from adaptest.estimators import CoordinateDataset
+from adaptest.scca import ALT_STREAMS, NULL_STREAMS
 from adaptest.model import (
     Dataset,
     ModelParams,
@@ -231,3 +233,58 @@ class TestProblemInvariants:
     def test_dataset_shape_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((3, 2)), y=np.zeros(4))
+
+
+MASK64 = (1 << 64) - 1
+
+
+def philox_reference(seed: int, index: int) -> np.random.Generator:
+    # the key as an explicit uint64 array: a plain list with one word at or above 2^63 and one
+    # below goes through float64 in numpy (Philox(key=[2**64 - 5, 0]) gets the key [0, 0])
+    return np.random.Generator(np.random.Philox(key=np.array([seed & MASK64, index & MASK64], dtype=np.uint64)))
+
+
+def stream_bits(rng: np.random.Generator) -> list:
+    """What a draw reads from a generator: normals, gammas, a choice without replacement, chi-squares with an
+    array of degrees of freedom, and the state left behind."""
+    out = [
+        rng.standard_normal(37).tobytes(),
+        rng.standard_gamma(2.5, 11).tobytes(),
+        rng.choice(200, size=7, replace=False).tobytes(),
+        rng.chisquare(4000.0 - np.arange(10)).tobytes(),
+        rng.standard_normal((3, 5)).tobytes(),
+    ]
+    return out + [repr(rng.bit_generator.state)]
+
+
+class TestStream:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.integers(-(2**70), -1), st.just(2**64 - 1), st.integers(0, 2**64 - 1)),
+        st.one_of(
+            st.integers(0, 10**6).map(lambda i: NULL_STREAMS + i),
+            st.integers(0, 10**6).map(lambda i: ALT_STREAMS + i),
+            st.integers(0, 2**64 - 1),
+            st.just(2**64 - 1),
+        ),
+    )
+    def test_stream_is_philox_under_the_masked_key(self, seed, index):
+        assert repr(stream(seed, index).bit_generator.state) == repr(philox_reference(seed, index).bit_generator.state)
+        assert stream_bits(stream(seed, index)) == stream_bits(philox_reference(seed, index))
+
+    def test_negative_seeds_have_their_own_keys(self):
+        # -1 and -5 are the keys 2^64 - 1 and 2^64 - 5, not the key of seed 0
+        draws = {s: stream(s, 0).standard_normal(4).tobytes() for s in (0, -1, -5, 2**64 - 5)}
+        assert draws[-5] == draws[2**64 - 5]
+        assert len({draws[0], draws[-1], draws[-5]}) == 3
+
+    def test_fork_continues_the_same_bits_and_leaves_the_original(self):
+        theta = ModelParams(beta=np.array([1.0, 0.0, -0.5, 0.0]), sigma_cov=None, noise_sd=1.0)
+        data = CoordinateDataset(theta, 30, seed=9)
+        before = repr(data.source.rng.bit_generator.state)
+        fork = data.fork()
+        assert fork.source.rng is not data.source.rng
+        assert repr(fork.source.rng.bit_generator.state) == before
+        ahead = stream_bits(fork.source.rng)
+        assert repr(data.source.rng.bit_generator.state) == before
+        assert stream_bits(data.source.rng) == ahead

@@ -22,6 +22,7 @@ def point_mass_draw(xi, sigma_star):
     return pri.PriorDraw(
         kind="nu1", lead=np.zeros(0), trail=np.zeros(xi.p), kappa=0.0, tau=0.0, beta=np.zeros(xi.p),
         noise_sd=sigma_star, eig_min=1.0, eig_max=1.0, valid=True, reason="point_mass", sigma_star=sigma_star,
+        sparsity=0, residual=0.0,
     )
 
 
@@ -63,7 +64,7 @@ class TestNu2Prior:
             n_valid += 1
             assert d.sparsity <= 4
             assert 0.0 < d.kappa <= 1.0
-            worst = max(worst, abs(d.constraint_residual(self.xi)))
+            worst = max(worst, abs(d.residual))
         assert n_valid >= 990
         assert worst <= 1e-10
 
@@ -117,7 +118,7 @@ class TestNu1Prior:
             d = pri.sample_nu1_prior(self.xi, 10, 400, tau, seed=seed)
             if d.valid:
                 n_val += 1
-                assert abs(d.constraint_residual(self.xi)) <= 1e-10 * max(abs(tau), 1.0)
+                assert abs(d.residual) <= 1e-10 * max(abs(tau), 1.0)
                 assert d.sparsity <= 5
                 assert 0 < d.noise_sd <= 10.0
             else:
@@ -169,7 +170,7 @@ class TestCompPrior:
             if d.valid:
                 n_val += 1
                 assert d.sparsity <= k_u
-                assert abs(d.constraint_residual(xi)) <= 1e-10 * max(abs(d.tau), 1.0)
+                assert abs(d.residual) <= 1e-10 * max(abs(d.tau), 1.0)
                 assert 1.0 / 10 <= d.eig_min <= d.eig_max <= 10.0
         assert n_val >= 0.95 * 500
 

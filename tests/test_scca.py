@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -188,14 +189,14 @@ class TestCalibration:
             assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / reps)
 
     def test_sweeps_at_adjacent_master_seeds_share_no_draw(self, monkeypatch, tmp_path):
-        sampler, drawn = scca.sample_cross_covariance, []
+        sampler, drawn = scca.sample_cross_covariances, []
 
         def recorded(*args):
-            r = sampler(*args)
-            drawn.append(r.tobytes())
-            return r
+            stack = sampler(*args)
+            drawn.extend(r.tobytes() for r in stack)
+            return stack
 
-        monkeypatch.setattr(scca, "sample_cross_covariance", recorded)
+        monkeypatch.setattr(scca, "sample_cross_covariances", recorded)
         cfg = tmp_path / "sweep.txt"
         cfg.write_text("mode = sweep\nn = 200\ns = 2\np1 = 4\np2 = 6\nlam_grid = 0.3\ncalib_reps = 30\nreps = 20\n")
         for seed in (1, 2):
@@ -304,8 +305,9 @@ class TestStackedScoring:
         st.integers(2, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3), st.integers(1, k - 1))),
     )
     def test_stacked_scoring_equals_the_per_draw_loop(self, params, hypothesis, seed, first, stacks):
-        # stacks of k draws, the last one partly full; each stack's row sets in blocks of p1
-        # (split wherever C(p1, s) > p1), against each draw scored alone
+        # stacks of at most k draws (fewer where p1 or, under the alternative, p2 exceeds the other),
+        # the last one partly full; each stack's row sets in blocks of p1 or more
+        # (split wherever C(p1, s) exceeds the block), against each draw scored alone
         k, full, rest = stacks
         reps = k * full + rest
         with pytest.MonkeyPatch.context() as mp:
@@ -321,6 +323,72 @@ class TestStackedScoring:
                 "global_sum": float(r.sum()) / r.size,
             }
             assert {key: got[key][i] for key in scca.STATISTICS} == want
+
+
+def _one_draw_oracle(params, hypothesis, seed, index):
+    """R_hat by the one-draw arithmetic, written out: planted vectors, Bartlett factor, normals, products."""
+    n, p1, p2 = params.n, params.p1, params.p2
+    if n <= p1:
+        return scca.gen_scca(params, hypothesis, seed, index).cross_covariance()
+    rng = stream(seed, index)
+    d1, d2 = scca._planted(params, hypothesis, rng)
+    a = np.diag(np.sqrt(rng.chisquare(n - np.arange(p1))))
+    a[np.tri(p1, k=-1, dtype=bool)] = rng.standard_normal(p1 * (p1 - 1) // 2)
+    g = rng.standard_normal((p1, p2))
+    if d1 is None:
+        return a @ g / n
+    c = params.lam * np.outer(d1, d2)
+    b = np.linalg.cholesky(np.eye(p2) - c.T @ c)
+    return a @ (a.T @ c + g @ b.T) / n
+
+
+class TestStackedDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_params(),
+        st.sampled_from(["null", "alt"]),
+        st.integers(0, 2**32),
+        st.sampled_from([0, scca.NULL_STREAMS, scca.ALT_STREAMS]),
+        st.integers(1, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 2), st.integers(0, k - 1))),
+    )
+    @pytest.mark.parametrize("rows", ["n > p1", "n <= p1"])
+    def test_stacked_draws_equal_one_at_a_time_draws(self, rows, params, hypothesis, seed, first, stacks):
+        # stacks of k draws (k = 1 included), the last one full or part full, each matrix against the
+        # stack of one and the one-draw oracle, bit for bit
+        p1, p2 = params.p1, params.p2
+        params = dataclasses.replace(params, n=params.n + p1 if rows == "n > p1" else params.n % p1 + 1)
+        k, full, rest = stacks
+        reps, width = k * full + rest, max(p1 * p1, p1 * p2, p2 * p2 if hypothesis == "alt" else 0)
+        sampler, stacked = scca.sample_cross_covariances, []
+
+        def recorded(*args):
+            stacked.append(sampler(*args))
+            return stacked[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scca, "_SCAN_BLOCK", k * width)
+            mp.setattr(scca, "sample_cross_covariances", recorded)
+            scca.stat_samples(params, hypothesis, seed, first, reps)
+        assert [len(stack) for stack in stacked] == [k] * full + [rest] * (rest > 0)
+        drawn = [r for stack in stacked for r in stack]
+        for i, r in enumerate(drawn):
+            assert r.shape == (p1, p2)
+            assert r.tobytes() == scca.sample_cross_covariance(params, hypothesis, seed, first + i).tobytes()
+            assert r.tobytes() == _one_draw_oracle(params, hypothesis, seed, first + i).tobytes()
+
+    @pytest.mark.parametrize("hypothesis", ["null", "alt"])
+    def test_every_stacked_array_stays_within_the_block(self, hypothesis, monkeypatch):
+        # at p2 > p1 the alternative's p2 x p2 factors bound the stack: 65,536 // 1,600 = 40 draws, not 163
+        params = scca.SccaParams(n=4000, s=2, p1=10, p2=40, lam=0.1)
+        sampler, sizes = scca.sample_cross_covariances, []
+
+        def recorded(*args):
+            sizes.append(len(args[3]))
+            return sampler(*args)
+
+        monkeypatch.setattr(scca, "sample_cross_covariances", recorded)
+        scca.stat_samples(params, hypothesis, 3, scca.ALT_STREAMS, 170)
+        assert sizes == ([163, 7] if hypothesis == "null" else [40] * 4 + [10])
 
 
 # scca outputs at master_seed = 7: the sweep at the bench's lower_bound instance, stats under the
