@@ -13,8 +13,6 @@ from .model import (
     ModelParams,
     TestProblem,
     generate_dataset,
-    h_inv,
-    h_map,
     make_loading,
     stream,
 )

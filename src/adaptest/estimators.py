@@ -3,11 +3,11 @@ constrained debiasing direction, and the exhaustive sparse signed-spiked
 covariance estimator.
 
 The lasso and the direction program share one coordinate-descent core on
-a dataset's Gram (`model.Dataset`, columns formed on first touch): a
-vectorized KKT check picks a working set (the nonzero coordinates and the
-violators), and only that set is swept, in ascending index order, so
-results are deterministic.  The scaled-lasso fit is memoised on its
-dataset.  A dataset can be drawn as its Gram alone (`CoordinateDataset`).
+a dataset's Gram (`model.Dataset`, columns formed on first touch): a KKT
+check picks a working set (the nonzero coordinates and the violators),
+solved exactly where its predicted signs hold and else swept in ascending
+index order, so results are deterministic.  The scaled-lasso fit is
+memoised on its dataset.  A dataset can be its Gram alone (`CoordinateDataset`).
 """
 
 from __future__ import annotations
@@ -79,11 +79,12 @@ class GaussianSource:
         if self.d == self.n:
             return np.empty((0, self.rho.size))
         g = self.rng.standard_normal(self.rho.size)
-        u = g * g / (g * g + 2.0 * self.rng.standard_gamma((self.n - self.d - 1) / 2.0, self.rho.size))
+        g2, u = g * g, self.rng.standard_gamma((self.n - self.d - 1) / 2.0, self.rho.size)
+        u = np.divide(g2, np.add(g2, np.multiply(u, 2.0, out=u), out=u), out=u)  # g^2 / (g^2 + 2 gamma), in place
         if j is not None:
             u[j] = 1.0  # column j lies in the span from now on
-        row = np.copysign(np.sqrt(self.rho * u), g)
-        self.rho *= 1.0 - u
+        row = np.copysign(np.sqrt(np.multiply(self.rho, u, out=g2), out=g2), g, out=g)
+        self.rho *= np.subtract(1.0, u, out=u)
         self.d += 1
         return row
 
@@ -149,6 +150,19 @@ class CoordinateDataset(Dataset):
         return out
 
 
+def _signed_solve(gram_ws: np.ndarray, lin: np.ndarray, pen: np.ndarray, signs: np.ndarray):
+    """The working-set point with v_A = G[A, A]^{-1} (lin_A - pen_A s_A) on A = {s != 0} and 0 off A,
+    or None unless that solve is finite and keeps the signs s (a singular G[A, A] gives None)."""
+    a = signs.nonzero()[0]
+    try:
+        sol = np.linalg.solve(gram_ws[a][:, a], lin[a] - pen[a] * signs[a])
+    except np.linalg.LinAlgError:
+        return None
+    out = np.zeros(signs.size)
+    out[a] = sol
+    return out if all(0.0 < x < math.inf for x in (sol * signs[a]).tolist()) else None
+
+
 def _cd_quadratic_l1(
     gram: Dataset,
     lin: np.ndarray,
@@ -157,38 +171,48 @@ def _cd_quadratic_l1(
     kkt_tol: float,
     max_passes: int,
 ) -> tuple[np.ndarray, bool, int]:
-    """Minimize  v' G v / 2 - lin' v + sum_j pen_j |v_j|  by coordinate descent.
+    """Minimize  v' G v / 2 - lin' v + sum_j pen_j |v_j|  by working-set steps.
 
-    Each round stops if the KKT violation, checked over all coordinates
-    at once, is at most kkt_tol; otherwise it sweeps the working set
-    (nonzero coordinates and violators) on its principal submatrix until
-    no scaled step exceeds kkt_tol / 100, then updates the full gradient
-    once.  Each sweep is one pass.  Returns (v, converged, passes).
-    Coordinates with G_jj = 0 are held where they start.  G is the
-    dataset's Gram; only its diagonal and working-set columns are read.
+    A round stops if the KKT violation over all coordinates is at most kkt_tol, else predicts the
+    working set's signs s: sign(v_j), or sign((lin - Gv)_j) at v_j = 0.  The exact step (Osborne,
+    Presnell & Turlach 2000) solves G[A, A] v_A = lin_A - pen_A s_A on A = {s != 0}, taken if finite
+    and sign-keeping.  Else the set is swept in ascending order until no scaled step exceeds
+    kkt_tol / 100, and solved again once two sweeps in a row end on equal signs; a singular G[A, A]
+    leaves it to the sweeps, and no (set, signs) is solved twice.  Each solve and each sweep is one
+    pass, so max_passes bounds cycling steps.  Returns (v, converged, passes).  Coordinates with
+    G_jj = 0 are held where they start; only G's diagonal and working-set columns are read.
     """
     movable = gram.diag > 0.0
     v = beta0.copy()
-    nz = np.flatnonzero(v)
+    nz = v.nonzero()[0]
     g = gram.cols(nz) @ v[nz]
-    passes = 0
+    passes, tried = 0, set()
     while True:
         r = lin - g
-        viol = np.where(v != 0.0, np.abs(r - pen * np.sign(v)), np.abs(r) - pen)
+        viol = np.abs(r) - pen  # where v_j = 0; where not, |r_j - pen_j sign(v_j)|
+        viol[nz] = np.abs(r[nz] - pen[nz] * np.sign(v[nz]))
         viol[~movable] = 0.0
-        if np.max(viol, initial=0.0) <= kkt_tol:
+        if viol.max(initial=0.0) <= kkt_tol:
             return v, True, passes
         if passes >= max_passes:
             return v, False, passes
-        ws = np.flatnonzero(movable & ((v != 0.0) | (viol > kkt_tol)))
+        ws = (movable & ((v != 0.0) | (viol > kkt_tol))).nonzero()[0]
         ws_cols = gram.cols(ws)
         block = ws_cols[ws].T  # row i is column ws[i] on the working set
         g_ws = g[ws]
         v_old = v[ws]
         v_ws = v_old.tolist()
         lin_ws, pen_ws, d_ws = lin[ws].tolist(), pen[ws].tolist(), gram.diag[ws].tolist()
+        signs, last = np.sign(np.where(v_old != 0.0, v_old, r[ws])), None  # signs to solve on, None to sweep
         while passes < max_passes:
             passes += 1
+            if signs is not None and (key := (ws.tobytes(), signs.tobytes())) not in tried:
+                tried.add(key)
+                exact = _signed_solve(block.T, lin[ws], pen[ws], signs)
+                if exact is not None:
+                    v_ws = exact
+                    break
+                continue
             step_max = 0.0
             for i, d_i in enumerate(d_ws):
                 z = lin_ws[i] - float(g_ws[i]) + d_i * v_ws[i]
@@ -201,9 +225,12 @@ def _cd_quadratic_l1(
                     step_max = max(step_max, abs(step) * math.sqrt(d_i))
             if step_max <= 1e-2 * kkt_tol:
                 break
+            now = np.sign(v_ws)
+            signs, last = (now if np.array_equal(now, last) else None), now
         v_new = np.array(v_ws)
         g += ws_cols @ (v_new - v_old)
         v[ws] = v_new
+        nz = v.nonzero()[0]
 
 
 def _fixed_point_on_support(g: Dataset, beta: np.ndarray, pen0: np.ndarray, tol: float):
@@ -218,7 +245,7 @@ def _fixed_point_on_support(g: Dataset, beta: np.ndarray, pen0: np.ndarray, tol:
     meets |X_j'(Y - X beta*)/n| <= sigma* pen0_j + tol; it reads only the
     Gram columns of S.
     """
-    nz = np.flatnonzero(beta)
+    nz = beta.nonzero()[0]
     s = np.sign(beta[nz])
     cols = g.cols(nz)
     try:
@@ -286,7 +313,7 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
         fixed = _fixed_point_on_support(data, beta, lam0 * weights, kkt_tol)
         if fixed is not None:
             beta, sigma = fixed
-        nz = np.flatnonzero(beta)  # beta is sparse: form beta' G beta on its support
+        nz = beta.nonzero()[0]  # beta is sparse: form beta' G beta on its support
         res2 = max(data.yty - 2.0 * float(data.xty @ beta) + float(beta[nz] @ (data.cols(nz)[nz] @ beta[nz])), 0.0)
         sigma_new = math.sqrt(res2)
         objectives.append(
@@ -339,7 +366,7 @@ def projection_direction(
     radius = c_xi * norm2 * math.sqrt(math.log(p) / n)
     tol = 1e-9 * max(norm2, 1.0)
     v, ok, _ = _cd_quadratic_l1(data, xi_vec, np.full(p, radius), np.zeros(p), kkt_tol=tol, max_passes=5000)
-    nz = np.flatnonzero(v)
+    nz = v.nonzero()[0]
     s_v = data.cols(nz) @ v[nz]
     if not ok or np.max(np.abs(s_v - xi_vec)) > radius * (1.0 + 1e-8) + tol:
         _log.warning("no feasible projection direction (radius %.3g, converged %s): falling back to u = 0", radius, ok)

@@ -186,7 +186,7 @@ def _coerce(f: dataclasses.Field, raw: str):
 
 def _blocker(cfg, name: str) -> tuple[str, object] | None:
     """The (tag key, value) under which key `name` of cfg is not read, or None if it is read."""
-    for tag, allowed in {f.name: f for f in fields(cfg)}[name].metadata.get("when", {}).items():
+    for tag, allowed in type(cfg).__dataclass_fields__[name].metadata.get("when", {}).items():
         value = getattr(cfg, tag)
         found = _blocker(cfg, tag) or (None if value in allowed else (tag, value))
         if found:

@@ -91,7 +91,7 @@ def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, p: int,
 def _corrected_center(data: Dataset, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
     """xi'beta_hat + d'X'(Y - X beta_hat)/n along direction d, read from the
     Gram as X'Y/n - G[:, S] beta_hat_S on the support S of beta_hat."""
-    s = np.flatnonzero(beta_hat)
+    s = beta_hat.nonzero()[0]
     return float(xi_vec @ beta_hat) + float(direction @ (data.xty - data.cols(s) @ beta_hat[s]))
 
 
@@ -128,7 +128,7 @@ def mixed_ci(
         raise ValueError("cutoff m out of range")
     n, p = data.n, data.p
     a_comp = min(alpha, eta) / 4.0
-    head, tail = xi.split(m)
+    head, tail = xi.memoised(LoadingVector.split, m)
     proj = projection_direction(data, head, C_XI, n)
     ci_db = debiased_ci(data, fit, proj, head, k_u, a_comp)
     ci_pi = plugin_ci(fit, tail, k_u, n, p, a_comp)
@@ -140,6 +140,15 @@ def radius_floors(xi: LoadingVector, grid, sigma_hat: float, k_u: int, n: int) -
     head, tail = (prefix[grid] for prefix in cutoff_prefixes(xi))
     logp = math.log(xi.p)
     return sigma_hat * k_u * (1.1 * C_BETA * C_XI * head * logp / n + C_PI * tail * math.sqrt(logp / n))
+
+
+def _scan_plan(xi: LoadingVector, k_u: int, n: int) -> tuple[tuple, np.ndarray]:
+    """The scan's cutoffs, `log_grid(p, 32)` up to the first one >= k_xi (past it every interval repeats),
+    and the least `radius_floors` from each on at sigma_hat = 1: once per loading (`memoised`)."""
+    grid = log_grid(xi.p, 32)
+    grid = grid[: int(np.searchsorted(grid, xi.k_xi)) + 1]
+    rest = np.minimum.accumulate(radius_floors(xi, grid, 1.0, k_u, n)[::-1])[::-1]
+    return tuple(grid), rest
 
 
 def mixed_test(
@@ -163,12 +172,10 @@ def mixed_test(
 
     m_used = 0 if scan_all_m else cutoff_and_regime(k_u, data.n, data.p)[0]
     interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta)
-    if scan_all_m:  # past the first cutoff >= k_xi every head is xi and every interval repeats
-        grid = log_grid(data.p, 32)
-        grid = grid[: int(np.searchsorted(grid, xi.k_xi)) + 1]
-        rest = np.minimum.accumulate(radius_floors(xi, grid, fit.sigma_hat, k_u, data.n)[::-1])[::-1]
+    if scan_all_m:
+        grid, rest = xi.memoised(_scan_plan, k_u, data.n)
         for m, floor in zip(grid[1:], rest[1:]):  # grid[0] = 0
-            if floor > interval.radius * (1.0 + 1e-9):  # the margin absorbs rounding
+            if floor * fit.sigma_hat > interval.radius * (1.0 + 1e-9):  # the margin absorbs rounding
                 break
             ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta)
             if ci.radius < interval.radius:  # the first of equal radii

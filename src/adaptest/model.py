@@ -1,5 +1,4 @@
-"""Core data model: loading vectors, model points, datasets (each its own lazily formed Gram), and the map
-between regression parameters and the (p+1) x (p+1) covariance of (y, x).
+"""Core data model: loading vectors, model points and datasets (each its own lazily formed Gram).
 
 The observation model is Y = X beta + eps with Gaussian rows
 X_i ~ N(0, Sigma) and eps ~ N(0, sigma^2 I).  A model point is
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZeroLoading, CholeskyFailure, NotPositiveDefinite
+from .errors import AllZeroLoading, CholeskyFailure
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,8 +64,8 @@ class LoadingVector:
     coords holds the entries sorted by decreasing absolute value with
     stable ties; perm maps sorted position -> original index (0-based);
     k_xi counts the nonzero entries; memo holds what `memoised` computes
-    once per loading: the profile-equation root per k_u and the prior
-    samplers' constants, so a prior draw pays only for its random part.
+    once per loading: the profile-equation root per k_u, the constants of
+    the prior samplers and the mixed test's cutoff splits and scan plan.
     """
 
     coords: np.ndarray
@@ -75,10 +74,14 @@ class LoadingVector:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memoised(self, fn, *args):
-        """fn(self, *args), computed on first use and kept in memo (racing threads store equal values)."""
+        """fn(self, *args), computed once and kept in memo, arrays read-only (racing threads store equal values)."""
         key = (fn, *args)
         if key not in self.memo:
-            self.memo[key] = fn(self, *args)
+            value = fn(self, *args)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            self.memo[key] = value
         return self.memo[key]
 
     @property
@@ -195,33 +198,6 @@ class TestProblem:
             raise ValueError("k_u must be at least 1")
         if not 0.0 < self.alpha + self.eta < 1.0:
             raise ValueError("alpha + eta must lie in (0, 1)")
-
-
-def h_map(sigma_z: np.ndarray) -> ModelParams:
-    """Recover theta = (beta, Sigma, sigma) from the joint covariance of (y, x), y first.
-
-    beta = Sigma_xx^{-1} Sigma_xy, Sigma = Sigma_xx as the full block
-    (0..p-1, Sigma_xx), and sigma^2 is the Schur complement of the x-block.
-    """
-    xx = sigma_z[1:, 1:]
-    xy = sigma_z[1:, 0]
-    beta = np.linalg.solve(xx, xy)
-    schur = float(sigma_z[0, 0]) - float(xy @ beta)
-    if schur <= 0.0:
-        raise NotPositiveDefinite(f"Schur complement {schur!r} is not positive")
-    return ModelParams(beta=beta, sigma_cov=(np.arange(xy.size), xx.copy()), noise_sd=float(np.sqrt(schur)))
-
-
-def h_inv(theta: ModelParams) -> np.ndarray:
-    """Joint covariance of (y, x), y first, induced by theta: Sigma is I with theta's block
-    (S, Sigma_SS) embedded, or I itself for sigma_cov None."""
-    idx, block = theta.sigma_cov or ([], [])
-    sz = np.eye(theta.p + 1)
-    sz[1:, 1:][np.ix_(idx, idx)] = block
-    sb = sz[1:, 1:] @ theta.beta
-    sz[0, 1:] = sz[1:, 0] = sb
-    sz[0, 0] = float(theta.beta @ sb) + theta.noise_sd**2
-    return sz
 
 
 def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:

@@ -90,14 +90,6 @@ class PriorDraw:
         block[self.split :, : self.split] = block[: self.split, self.split :].T
         return block
 
-    def joint_covariance(self) -> np.ndarray:
-        """(p+1) x (p+1) covariance of (y, x) for this draw, y first."""
-        sz = np.zeros((self.p + 1, self.p + 1))
-        sz[0, 0] = self.sigma_star**2
-        sz[1:, 1:] = self.coupled_block()
-        sz[0, 1 + self.split :] = sz[1 + self.split :, 0] = self.kappa * self.trail
-        return sz
-
     def model_point(self, xi: LoadingVector, t0: float) -> ModelParams:
         """This draw, shifted on xi's largest coordinate to xi'beta = t0, in original coordinates.  An
         identity-design draw (split 0) gets sigma_cov None, a coupled one the block (S, Sigma_SS) of

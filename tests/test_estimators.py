@@ -87,6 +87,7 @@ class TestCoordinateDescentKKT:
         assert passes <= 100_000
         assert np.all(v[:dead] == 0.0)
         assert self.kkt_violation(gram.cols(range(p)), lin, pen, v) <= tol + 1e-12
+        return passes
 
     @given(**KKT_CASES)
     @settings(max_examples=60, deadline=None)
@@ -105,6 +106,59 @@ class TestCoordinateDescentKKT:
         v, converged, passes = _cd_quadratic_l1(gram, lin, np.full(10, 1e-3), np.zeros(10), 1e-12, 1)
         assert not converged
         assert passes == 1
+
+    def test_exact_step_and_sweep_fallback_both_certify(self, monkeypatch):
+        # every pass is a solve or a sweep: both kinds run, and the certificate holds either way
+        solves, counts = estimators._signed_solve, {"accepted": 0, "rejected": 0, "sweeps": 0}
+
+        def spy(*args):
+            out = solves(*args)
+            counts["accepted" if out is not None else "rejected"] += 1
+            return out
+
+        monkeypatch.setattr(estimators, "_signed_solve", spy)
+
+        @given(**KKT_CASES)
+        @settings(max_examples=60, deadline=None)
+        def certify(seed, p, n, dead, constant_pen, level):
+            before = counts["accepted"] + counts["rejected"]
+            passes = self.solve_and_certify(seed, p, n, dead, constant_pen, level, lazy=True)
+            counts["sweeps"] += passes - (counts["accepted"] + counts["rejected"] - before)
+
+        certify()
+        assert counts["accepted"] > 0 and counts["rejected"] > 0 and counts["sweeps"] > 0, counts
+
+    def test_singular_working_set_falls_back_to_sweeps(self, monkeypatch):
+        # columns 0 and 1 are equal, so every working set holding both is a singular block
+        x, rng = random_design(11, 50, 6, 0)
+        x[:, 1] = x[:, 0]
+        data = Dataset(x=x, y=np.zeros(50))
+        lin = x.T @ (x[:, 0] + 0.3 * rng.standard_normal(50)) / 50
+        solve, singular = np.linalg.solve, []
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        v, converged, passes = _cd_quadratic_l1(data, lin, np.full(6, 0.05), np.zeros(6), 1e-10, 10_000)
+        assert singular and converged and passes > len(singular)
+        assert v[0] != 0.0 and v[1] != 0.0
+        assert self.kkt_violation(data.cols(range(6)), lin, np.full(6, 0.05), v) <= 1e-10
+
+    @pytest.mark.parametrize("budget", [2, 7, 50])
+    def test_pass_budget_bounds_solves_and_sweeps(self, budget):
+        # solves and sweeps both spend the budget: a case that needs more passes stops unconverged within it
+        x, rng = random_design(0, 40, 10, 0)
+        gram = DenseGram(sample_cov(Dataset(x=x, y=np.zeros(40))))
+        lin = x.T @ rng.standard_normal(40) / 40
+        v, converged, passes = _cd_quadratic_l1(gram, lin, np.full(10, 1e-3), np.zeros(10), 1e-12, budget)
+        assert not converged and passes == budget
+        v, converged, passes = _cd_quadratic_l1(gram, lin, np.full(10, 1e-3), np.zeros(10), 1e-12, 100_000)
+        assert converged and passes > 50
 
     def test_scaled_lasso_reports_inner_budget(self, monkeypatch):
         core = estimators._cd_quadratic_l1
@@ -481,6 +535,36 @@ class TestCoordinateDataset:
         seen = fork.coords.copy()
         data.cols([0, 1])
         assert np.array_equal(fork.coords, seen) and not np.array_equal(data.coords[: len(seen)], seen)
+
+
+def criterion3_datasets():
+    """40 criterion-3 `CoordinateDataset`s (n = 300, p = 600): a null (five
+    coefficients 0.8) and an alternative (five at 2.8), at seeds 0..19 each."""
+    p = 600
+    for seed in range(20):
+        for level in (0.8, 2.8):
+            beta = np.zeros(p)
+            beta[[3, 50, 100, 250, 599]] = level
+            yield CoordinateDataset(ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0), 300, seed)
+
+
+class TestCriterion3Bits:
+    """Bits of the simulate hot loop, pinned: a change to the solver or the
+    sampler that moves a single bit of these shows here."""
+
+    def test_scaled_lasso_bits(self):
+        digest = hashlib.sha256()
+        for data in criterion3_datasets():
+            fit = scaled_lasso(data)
+            digest.update(fit.beta_hat.tobytes() + np.float64(fit.sigma_hat).tobytes())
+        assert digest.hexdigest() == "c779a0da4092e614d8cf93b3036199f3db6bb60332da14c5c39092e09c793ecb"
+
+    def test_coordinate_dataset_bits(self):
+        digest = hashlib.sha256()
+        for data in criterion3_datasets():
+            data.cols([7, 3, 599, 250, 1, 2, 400])
+            digest.update(data.coords.tobytes() + data.xty.tobytes() + np.float64(data.yty).tobytes())
+        assert digest.hexdigest() == "f9c7d14f2f392c4b1cf2c9cd0b0c60b39d4ac1d949c2dc64e92347d36507cef3"
 
 
 class TestProjectionDirection:

@@ -27,6 +27,7 @@ from adaptest.estimators import CoordinateDataset, scaled_lasso, spiked_cov_esti
 from adaptest.inference import mixed_test
 from adaptest.model import ModelParams, TestProblem as Problem, dataset_to_csv, generate_dataset, make_loading, stream
 from adaptest.profiles import solve_zeta
+from oracles import joint_covariance
 from adaptest.harness import (
     ExperimentConfig,
     config_digest,
@@ -379,12 +380,12 @@ GOLDEN_CASES["phase_diagram"] = (
     "kind = phase_diagram\np = 30\ngamma_xi_grid = 0.3,0.7\ngamma_tau_grid = 0.3,0.6\nreps = 3\nmaster_seed = 7\n"
 )
 GOLDEN_SHA256 = {
-    "point": "e05200147b3e15c7cbe8fa28b48d02f0c12a94d03ab08d61989063c3efe8c8f6",
-    "nu1": "657871e0806c2129608ad04ebd1f37daf0a7bb10e26fb1a6eeb52e16cba1e966",
+    "point": "5dc29e52d23faaa4858122101da46cc596ade716002c3a95ffb9b3d69a726496",
+    "nu1": "f6d3f8de46e0545e0a0c2ff68bfc46112e5acd42022a2cb47356347f2fe95b62",
     "nu2": "dfc59e2c58947bd1dc47484949b18ece85d3185d2236e9b91f406d42f86c40c9",
-    "quantile": "3a9f40f88f270095bd561770ad41e2299a765b12d1230365167981374417b231",
+    "quantile": "2cca9a72890da33069aeee358c3bcdecc1d4f6c8e7d57234f34b7b4cf41daf4e",
     "spiked": "037231deddfe69ee0c29e42e590b484e6a0bf36dfb5bba9c7d6edce1e72c2f51",
-    "length_sweep": "7e834e31debb8c5d7fae46e5f9bbcb22001650e5be3755fb84db6b1f66736847",
+    "length_sweep": "fa0c067e2a32993045f21e6704daa1e2df6958b85e21afc187cf60c386738cdc",
     "phase_diagram": "b02e99bd90a71bf3f831729f11be35f1a864df61abaacd00cf074f4f77a150ac",
 }
 # The other commands' tables at master_seed = 7: prior at each kind, with its chi-square table,
@@ -414,13 +415,13 @@ COMMAND_GOLDEN_SHA256 = {
     "prior_comp": "1cf23c12c188cc15da943967100dcdcf8a37c57f83acc9e827aac2be41753255",
     "lowdeg": "799d3e05e94b4011bd924febbc1ae6769ff045a8caa4d41350d31a2682590cb3",
     "profile": "32d707aded1b1d8dec7fc84421f3d0bdc87e03caa0da8549f069074eede8b1fb",
-    "fit": "beb9b0a476549f7145b4baecf179df304f3771751c51972a894f254d4fe5e225",
-    "test_mixed": "8812b82e6592699071ced25ba220599b2f1ee31c2c3dc8822142310edcc46136",
+    "fit": "d5d7ede876e4d5f8543617f4c6efafe452854376492c0072a6c4c7c802b8c8b6",
+    "test_mixed": "00771a6e7ca1ccba9d5a46b919bfd6c5b99e5d08869c149515cb69b1e7f8d270",
     "test_plugin": "325f69b30c398cada874b271f90f7f6c4940e27fee494256df1322a547c4b0df",
-    "test_debiased": "c5f197d323147524eb6ffd46b1efa65b32d9844b42eebb122cff22a3a3c72719",
+    "test_debiased": "0cd0fd0b3d3afb4a9372eed9952b8c83395b60d9f7d6f92ede46c9c5e332db9b",
     "test_known_sigma": "ff8d01c09f03c278d62f335c4319a53f1946358536199292f15d2419a59c5f71",
     "test_spiked": "633d1bfceed9f9b5066510381312f62e5898f984fcc820d1e08b5ae1bf431ea0",
-    "test_mixed_scan": "405af80c9826732fe9faf1e108f852d64d3dfea9a99c15da2315dcd1f178293c",
+    "test_mixed_scan": "86a43c0dc3ab332ef02a4a62531be8ce3655af0acb21b24ba6100a562e6b83e8",
 }
 
 
@@ -496,7 +497,7 @@ class TestRunners:
             draw = next(priors.valid_draws(lambda s: priors.sample_nu2_prior(xi, 8, 150, 60, 5.0, seed=s), seed))
             theta = draw.model_point(xi, cfg.t0)
             inv = np.argsort(xi.perm)
-            sigma = draw.joint_covariance()[1:, 1:]
+            sigma = joint_covariance(draw)[1:, 1:]
             idx, block = theta.sigma_cov
             embedded = np.eye(cfg.p)
             embedded[np.ix_(idx, idx)] = block

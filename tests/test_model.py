@@ -11,14 +11,13 @@ from adaptest.errors import AllZeroLoading, CholeskyFailure, NotPositiveDefinite
 from adaptest import model
 from adaptest.estimators import CoordinateDataset
 from adaptest.scca import ALT_STREAMS, NULL_STREAMS
+from oracles import h_inv, h_map
 from adaptest.model import (
     Dataset,
     ModelParams,
     dataset_from_csv,
     dataset_to_csv,
     generate_dataset,
-    h_inv,
-    h_map,
     make_loading,
     stream,
 )

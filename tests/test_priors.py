@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from adaptest import priors as pri
 from adaptest.errors import DivergentIntegral, RegimeViolation
-from adaptest.model import M1, M2, h_map, make_loading, stream
+from adaptest.model import M1, M2, make_loading, stream
 from adaptest.profiles import nu1 as nu1_value
+from oracles import h_map, joint_covariance
 
 
 def diag_reference(p, sigma_star):
@@ -39,7 +40,7 @@ class TestNu2Prior:
             xi = make_loading(np.concatenate((np.linspace(2.0, 0.5, 200), np.zeros(300))))
             d = pri.sample_comp_prior(xi, 32, 2000, 500, 1, seed=seed, sigma_star=5.0)
         assert d.valid and d.kind == kind
-        theta = h_map(d.joint_covariance())
+        theta = h_map(joint_covariance(d))
         assert np.max(np.abs(theta.beta - d.beta)) < 1e-12
         assert abs(theta.noise_sd - d.noise_sd) < 1e-12
         ev = np.linalg.eigvalsh(theta.sigma_cov[1])
@@ -86,7 +87,7 @@ class TestNu1Prior:
     def test_identity_design(self):
         tau = 0.0125 * nu1_value(self.xi, 10) / math.sqrt(400)
         d = pri.sample_nu1_prior(self.xi, 10, 400, tau, seed=0)
-        assert np.array_equal(d.joint_covariance()[1:, 1:], np.eye(200))
+        assert np.array_equal(joint_covariance(d)[1:, 1:], np.eye(200))
         assert d.eig_min == d.eig_max == 1.0
 
     @pytest.mark.parametrize("c4, c5", [(0.1, 0.5), (0.2, 0.3)])
@@ -264,8 +265,8 @@ class TestChi2Integral:
         d1 = pri.sample_nu2_prior(xi, 8, 300, 30, 5.0, seed=4)
         d2 = pri.sample_nu2_prior(xi, 8, 300, 30, 5.0, seed=5)
         ref = diag_reference(30, 5.0)
-        a = pri.chi2_pair_integral(d1.joint_covariance(), d2.joint_covariance(), ref, 6)
-        b = pri.chi2_pair_integral(d2.joint_covariance(), d1.joint_covariance(), ref, 6)
+        a = pri.chi2_pair_integral(joint_covariance(d1), joint_covariance(d2), ref, 6)
+        b = pri.chi2_pair_integral(joint_covariance(d2), joint_covariance(d1), ref, 6)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_divergence_detection(self):
@@ -401,7 +402,7 @@ class TestChi2Routing:
         sampler, p, n = _mixture_samplers()[kind]
         ref = diag_reference(p, 5.0)
         pairs = islice(pri.draw_pairs(pri.valid_draws(sampler, 7)), 100)
-        dense = np.array([pri.chi2_pair_integral(a.joint_covariance(), b.joint_covariance(), ref, n) for a, b in pairs])
+        dense = np.array([pri.chi2_pair_integral(joint_covariance(a), joint_covariance(b), ref, n) for a, b in pairs])
         oracle = (float(np.mean(dense)) - 1.0, float(np.std(dense, ddof=1) / math.sqrt(100)))
         calls, closed = [], pri.chi2_pair_closed_form
         monkeypatch.setattr(pri, "chi2_pair_closed_form", lambda *args: calls.append(1) or closed(*args))
