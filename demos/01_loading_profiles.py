@@ -20,8 +20,8 @@ profiles = {
     "sub-Weibull draw (q=2)": subweibull_profile(q=2.0, p=p, seed=7),
 }
 for name, xi in profiles.items():
-    s = regime_and_cutoff(xi, k_u, n, p, degree)
-    upper, lower = rate_bounds(xi, k_u, n, p)
+    s = regime_and_cutoff(xi, k_u, n, degree)
+    upper, lower = rate_bounds(xi, k_u, n)
     print(f"\n{name}")
     print(f"  regime={s.regime}  m*={s.m_star}  k_eff={s.k_eff}")
     print(f"  lambda={s.lam:.4f}  j1={s.j1}  nu1={s.nu1:.4f}  nu2={s.nu2:.4f}  nu3={s.nu3:.4f}")
@@ -30,7 +30,7 @@ for name, xi in profiles.items():
 
 print("\n=== flat closed form vs the bisection solver ===")
 xi = make_loading(np.concatenate((2.0 * np.ones(100), np.zeros(p - 100))))
-s = regime_and_cutoff(xi, 10, n, p, degree)
+s = regime_and_cutoff(xi, 10, n, degree)
 zc, lc, nc = flat_closed_form(100, 2.0, 10)
 print(f"solver:      zeta={s.zeta:.10f} lambda={s.lam:.10f} nu1={s.nu1:.10f}")
 print(f"closed form: zeta={zc:.10f} lambda={lc:.10f} nu1={nc:.10f}")

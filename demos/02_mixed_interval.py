@@ -37,7 +37,7 @@ for m in m_cutoff_grid(p, 10):
     marker = " covers" if ci.covers(target) else " MISSES"
     print(f"  m={m:4d}  center={ci.center:+.4f}  radius={ci.radius:.4f}{marker}")
 
-summary = regime_and_cutoff(xi, k_u, n, p, 1)
+summary = regime_and_cutoff(xi, k_u, n, 1)
 print(f"\nprofile cutoff m* = {summary.m_star} ({summary.regime})")
 
 problem = TestProblem(xi=xi, t0=target, k_u=k_u, alpha=0.05, eta=0.05)

@@ -16,9 +16,9 @@ sigma_star = 5.0
 xi = regular_profile(150, 1.0, p)
 tau1 = 0.0125 * nu1_value(xi, k_u) / math.sqrt(n)
 samplers = {
-    "nu2": prior_sampler("nu2", xi, k_u, n, p, sigma_star),
-    "nu1": prior_sampler("nu1", xi, k_u, n, p, sigma_star, tau=tau1),
-    "comp": prior_sampler("comp", xi, k_u, n, p, sigma_star, degree=1),
+    "nu2": prior_sampler("nu2", xi, k_u, n, sigma_star),
+    "nu1": prior_sampler("nu1", xi, k_u, n, sigma_star, tau=tau1),
+    "comp": prior_sampler("comp", xi, k_u, n, sigma_star, degree=1),
 }
 
 print("=== one draw from each prior ===")

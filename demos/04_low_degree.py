@@ -19,7 +19,7 @@ from adaptest.priors import chi2_pair_closed_form, draw_pairs, prior_sampler, ra
 
 n, p = 2, 3
 xi = make_loading([1.0, 0.9, 0.8])
-sampler = prior_sampler("comp", xi, 1, n, p, 1.0, degree=1, c8=0.4, c9=0.05, k_eff_override=2, s1_override=1)
+sampler = prior_sampler("comp", xi, 1, n, 1.0, degree=1, c8=0.4, c9=0.05, k_eff_override=2, s1_override=1)
 draws = list(islice(valid_draws(sampler, 0), 60))
 
 pairs = list(draw_pairs(draws))

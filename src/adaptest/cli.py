@@ -3,7 +3,7 @@
     adaptest {profile|fit|test|prior|lowdeg|scca|simulate} --config FILE
              [--seed N] [--out DIR] [--emit-plotdata]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (a key written twice, an unwritable out), 3 numerical failure.
 Every command reads a flat key = value config file into its dataclass
 below (`harness.parse_config`; schema in the README), writes CSV results
 into the output directory, and drops a JSON sidecar of the resolved
@@ -146,8 +146,8 @@ def _read_dataset(cfg: DataConfig):
 
 def cmd_profile(cfg: ProfileConfig):
     xi = build_loading(cfg)
-    s = profiles.regime_and_cutoff(xi, cfg.k_u, cfg.n, cfg.p, cfg.degree)
-    upper, lower = profiles.rate_bounds(xi, cfg.k_u, cfg.n, cfg.p)
+    s = profiles.regime_and_cutoff(xi, cfg.k_u, cfg.n, cfg.degree)
+    upper, lower = profiles.rate_bounds(xi, cfg.k_u, cfg.n)
     row = [s.zeta, s.lam, s.j1, s.nu1, s.nu2, s.k_eff, s.nu3, s.m_star, s.regime, upper, lower]
     tgrid = profiles.log_grid(xi.p, cfg.hcurve_points + 2)[1:]  # t = 0 dropped
     return cfg, "profile", {
@@ -193,7 +193,7 @@ def cmd_prior(cfg: PriorConfig):
     consts = {
         f.name: getattr(cfg, f.name) for f in fields(cfg) if cfg.kind in f.metadata.get("when", {}).get("kind", ())
     }
-    sampler = prior_sampler(cfg.kind, xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star, **consts)
+    sampler = prior_sampler(cfg.kind, xi, cfg.k_u, cfg.n, cfg.sigma_star, **consts)
     draws = (sampler(cfg.master_seed + i) for i in range(cfg.draws))
     rows = [
         (i, d.kappa, d.sparsity, d.eig_min, d.eig_max, d.residual, d.noise_sd, int(d.valid), d.reason)
@@ -210,7 +210,7 @@ def cmd_lowdeg(cfg: LowdegConfig):
     xi = build_loading(cfg)
     n, p = cfg.n, cfg.p
     sampler = prior_sampler(
-        "comp", xi, cfg.k_u, n, p, cfg.sigma_star, degree=1, c8=cfg.c8, c9=cfg.c9, k_eff_override=cfg.k_eff,
+        "comp", xi, cfg.k_u, n, cfg.sigma_star, degree=1, c8=cfg.c8, c9=cfg.c9, k_eff_override=cfg.k_eff,
         s1_override=cfg.s1,
     )
     draws = list(islice(valid_draws(sampler, cfg.master_seed), 2 * cfg.pairs))
@@ -279,16 +279,16 @@ _DISPATCH = {
     "scca": (SccaConfig, cmd_scca),
     "simulate": (ExperimentConfig, cmd_simulate),
 }
+_PARSER = argparse.ArgumentParser(prog="adaptest", description="adaptive linear-functional testing toolbox")
+_PARSER.add_argument("command", choices=sorted(_DISPATCH))
+_PARSER.add_argument("--config", required=True)
+_PARSER.add_argument("--seed", type=int, default=None)
+_PARSER.add_argument("--out", default=None)
+_PARSER.add_argument("--emit-plotdata", action="store_true")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="adaptest", description="adaptive linear-functional testing toolbox")
-    parser.add_argument("command", choices=sorted(_DISPATCH))
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--emit-plotdata", action="store_true")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     schema, command = _DISPATCH[args.command]
 
     try:

@@ -198,9 +198,9 @@ def parse_config(text: str, schema: type = ExperimentConfig):
     """Parse key = value lines into the dataclass `schema`, coercing each
     value to its field's annotated type; '#' starts a comment, blank lines
     are skipped, and a field without a default is a required key.  Tag keys
-    take one of their choices; a key that the tags leave unread is an error."""
+    take one of their choices; a key written twice or one that the tags leave unread is an error."""
     known = {f.name: f for f in fields(schema)}
-    values = {}
+    values, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -211,6 +211,8 @@ def parse_config(text: str, schema: type = ExperimentConfig):
         key = key.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if (first := seen.setdefault(key, lineno)) != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {first}")
         values[key] = _coerce(known[key], raw.strip())
         choices = known[key].metadata.get("choices")
         if choices and values[key] not in choices:
@@ -248,13 +250,16 @@ def config_digest(cfg) -> str:
 def write_outputs(cfg, prefix: str, tables: dict[str, str]) -> Path:
     """Write each table to <cfg.out>/<prefix>_<digest><suffix>, and the
     resolved config to the .json sidecar beside them; return the path of
-    the first table."""
+    the first table.  An OSError on the way is a ConfigError naming out."""
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     stem = f"{prefix}_{config_digest(cfg)}"
-    for suffix, text in tables.items():
-        (out / f"{stem}{suffix}").write_text(text)
-    (out / f"{stem}.json").write_text(json.dumps(config_values(cfg), indent=2, sort_keys=True) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for suffix, text in tables.items():
+            (out / f"{stem}{suffix}").write_text(text)
+        (out / f"{stem}.json").write_text(json.dumps(config_values(cfg), indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write out = {cfg.out}: {exc}") from exc
     return out / f"{stem}{next(iter(tables))}"
 
 
@@ -299,10 +304,10 @@ def build_loading(cfg: LoadingConfig) -> LoadingVector:
     return xi
 
 
-def null_point(xi: LoadingVector, k: int, target: float, p: int, noise_sd: float) -> ModelParams:
-    """Identity-design model point (sigma_cov None) with support on the k largest
+def null_point(xi: LoadingVector, k: int, target: float, noise_sd: float) -> ModelParams:
+    """Identity-design model point (sigma_cov None) in the loading's dimension with support on the k largest
     loading coordinates and xi'beta equal to target exactly (beta = 0 when target = 0)."""
-    beta = np.zeros(p)
+    beta = np.zeros(xi.p)
     if target != 0.0:
         denom = float(np.sum(xi.coords[:k]))
         if denom == 0.0:
@@ -319,8 +324,8 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     row raise RegimeViolation.
     """
     if cfg.null_source == "point":
-        return null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
-    sampler = prior_sampler(cfg.null_source, xi, cfg.k_u, cfg.n, cfg.p, cfg.sigma_star)
+        return null_point(xi, cfg.k, cfg.t0, cfg.noise_sd)
+    sampler = prior_sampler(cfg.null_source, xi, cfg.k_u, cfg.n, cfg.sigma_star)
     return next(valid_draws(sampler, replicate_seed(cfg.master_seed, rep, "prior"))).model_point(xi, cfg.t0)
 
 
@@ -375,7 +380,7 @@ def _size_power(cfg: ExperimentConfig):
     modes = cfg.mode_list()
     xi = build_loading(cfg)
     taus = float_list(cfg.tau_grid)
-    theta_alts = [null_point(xi, cfg.k, cfg.t0 + tau, cfg.p, cfg.noise_sd) for tau in taus]
+    theta_alts = [null_point(xi, cfg.k, cfg.t0 + tau, cfg.noise_sd) for tau in taus]
     theta_point = null_draw_theta(cfg, xi, 0) if cfg.null_source == "point" else None
     problem = TestProblem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
 
@@ -413,7 +418,7 @@ def m_cutoff_grid(p: int, size: int) -> list[int]:
 def _length_sweep(cfg: ExperimentConfig):
     """Plan of realized mixed-interval radii over a grid of cutoffs m."""
     xi = build_loading(cfg)
-    theta = null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
+    theta = null_point(xi, cfg.k, cfg.t0, cfg.noise_sd)
     grid = m_cutoff_grid(cfg.p, cfg.m_grid)
 
     def worker(rep: int):
@@ -443,7 +448,7 @@ def _phase_diagram(cfg: ExperimentConfig):
         for gtau in float_list(cfg.gamma_tau_grid):
             tau = p**gtau / math.sqrt(n)
             label, _ = regular_phase(gxi, cfg.gamma_u, cfg.gamma_n, gtau)
-            theta_alt = null_point(xi, min(cfg.k, k_u), cfg.t0 + tau, p, cfg.noise_sd)
+            theta_alt = null_point(xi, min(cfg.k, k_u), cfg.t0 + tau, cfg.noise_sd)
             cells.append((f"reject/gxi={csv_cell(gxi)}/gtau={csv_cell(gtau)}/label={label}", problem, theta_alt))
 
     def worker(item):

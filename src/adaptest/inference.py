@@ -75,15 +75,15 @@ class TestDecision:
     m_used: int
 
 
-def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, p: int, alpha: float) -> ConfidenceInterval:
+def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, alpha: float) -> ConfidenceInterval:
     """Interval centered at xi'beta_hat with the l1-bias radius.
 
-    The radius C_pi * sigma_hat * ||xi||_inf * k_u * sqrt(log p / n) has
+    The radius C_pi * sigma_hat * ||xi||_inf * k_u * sqrt(log p / n), p = xi_vec.size, has
     no quantile term: the whole alpha budget pays for the estimator
     error event.
     """
     xi_inf = float(np.max(np.abs(xi_vec))) if xi_vec.size else 0.0
-    radius = C_PI * fit.sigma_hat * xi_inf * k_u * math.sqrt(math.log(p) / n)
+    radius = C_PI * fit.sigma_hat * xi_inf * k_u * math.sqrt(math.log(xi_vec.size) / n)
     center = float(xi_vec @ fit.beta_hat)
     return ConfidenceInterval(center=center, radius=radius, budget={"plugin": alpha})
 
@@ -126,12 +126,12 @@ def mixed_ci(
     """
     if not 0 <= m <= xi.p:
         raise ValueError("cutoff m out of range")
-    n, p = data.n, data.p
+    n = data.n
     a_comp = min(alpha, eta) / 4.0
     head, tail = xi.memoised(LoadingVector.split, m)
     proj = projection_direction(data, head, C_XI, n)
     ci_db = debiased_ci(data, fit, proj, head, k_u, a_comp)
-    ci_pi = plugin_ci(fit, tail, k_u, n, p, a_comp)
+    ci_pi = plugin_ci(fit, tail, k_u, n, a_comp)
     return ci_db + ci_pi
 
 
@@ -207,7 +207,7 @@ def run_single_test(
         return mixed_test(data, problem, sigma_floor, scan_all_m)
     xi_vec, k_u, alpha = problem.xi.original(), problem.k_u, problem.alpha
     if mode == "plugin":
-        ci = plugin_ci(scaled_lasso(data, sigma_floor=sigma_floor), xi_vec, k_u, data.n, data.p, alpha)
+        ci = plugin_ci(scaled_lasso(data, sigma_floor=sigma_floor), xi_vec, k_u, data.n, alpha)
     elif mode == "debiased":
         fit, view = scaled_lasso(data, sigma_floor=sigma_floor), data.fork()
         ci = debiased_ci(view, fit, projection_direction(view, xi_vec, C_XI, data.n), xi_vec, k_u, alpha)

@@ -164,16 +164,16 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
     )
 
 
-def prior_sampler(kind: str, xi: LoadingVector, k_u: int, n: int, p: int, sigma_star: float, **consts):
-    """seed -> PriorDraw of the prior `kind` (nu2, nu1 or comp) at this problem; consts are the
-    sampler's keyword constants.  The sampler is looked up by name at each call, so a rebinding
+def prior_sampler(kind: str, xi: LoadingVector, k_u: int, n: int, sigma_star: float, **consts):
+    """seed -> PriorDraw of the prior `kind` (nu2, nu1 or comp) at this problem, in dimension xi.p; consts
+    are the sampler's keyword constants.  The sampler is looked up by name at each call, so a rebinding
     of the module attribute (a tracer or a test spy) sees every draw."""
     if kind == "nu2":
-        return lambda seed: sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=seed, **consts)
+        return lambda seed: sample_nu2_prior(xi, k_u, n, xi.p, sigma_star, seed=seed, **consts)
     if kind == "nu1":
         return lambda seed: sample_nu1_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
     if kind == "comp":
-        return lambda seed: sample_comp_prior(xi, k_u, n, p, seed=seed, sigma_star=sigma_star, **consts)
+        return lambda seed: sample_comp_prior(xi, k_u, n, xi.p, seed=seed, sigma_star=sigma_star, **consts)
     raise ValueError(f"unknown prior kind {kind!r}")
 
 

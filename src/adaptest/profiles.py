@@ -143,13 +143,13 @@ def cutoff_and_regime(k_u: int, n: int, p: int) -> tuple[int, str]:
     return min(int(math.ceil(n / lp)), p), MODERATELY_SPARSE
 
 
-def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, p: int, degree: int) -> ProfileSummary:
-    """All profile quantities for a concrete (xi, k_u, n, p, degree)."""
+def regime_and_cutoff(xi: LoadingVector, k_u: int, n: int, degree: int) -> ProfileSummary:
+    """All profile quantities for a concrete (xi, k_u, n, degree), at the loading's dimension p."""
     if degree < 1:
         raise ValueError("need degree >= 1")
-    m_star, regime = cutoff_and_regime(k_u, n, p)
+    m_star, regime = cutoff_and_regime(k_u, n, xi.p)
     zeta, lam = profile_root(xi, k_u)
-    k_eff = effective_sparsity(k_u, n, p, degree)
+    k_eff = effective_sparsity(k_u, n, xi.p, degree)
     return ProfileSummary(
         zeta=zeta,
         lam=lam,
@@ -177,23 +177,23 @@ def log_grid(p: int, size: int) -> list[int]:
     return sorted(pts)
 
 
-def upper_objective(xi: LoadingVector, k_u: int, n: int, p: int) -> np.ndarray:
+def upper_objective(xi: LoadingVector, k_u: int, n: int) -> np.ndarray:
     """The cutoff objective H(m)(1/sqrt(n) + k_u log p / n) + |xi_{m+1}| k_u sqrt(log p / n)
-    for every m in 0..p (`cutoff_prefixes`)."""
-    lp = math.log(p)
+    for every m in 0..p, p the loading's dimension (`cutoff_prefixes`)."""
+    lp = math.log(xi.p)
     h, tail = cutoff_prefixes(xi)
     return h * (1.0 / math.sqrt(n) + k_u * lp / n) + tail * k_u * math.sqrt(lp / n)
 
 
-def rate_bounds(xi: LoadingVector, k_u: int, n: int, p: int) -> tuple[float, float]:
-    """(upper, lower) separation-rate expressions with constant 1.
+def rate_bounds(xi: LoadingVector, k_u: int, n: int) -> tuple[float, float]:
+    """(upper, lower) separation-rate expressions with constant 1, p the loading's dimension.
 
     upper minimizes the cutoff objective by a linear scan (smallest
     optimal m); lower is max(nu1/sqrt(n), nu2 * k_u log p / n).
     """
-    obj = upper_objective(xi, k_u, n, p)
+    obj = upper_objective(xi, k_u, n)
     upper = float(obj.min())
-    lower = max(nu1(xi, k_u) / math.sqrt(n), nu2(xi, k_u) * k_u * math.log(p) / n)
+    lower = max(nu1(xi, k_u) / math.sqrt(n), nu2(xi, k_u) * k_u * math.log(xi.p) / n)
     return upper, lower
 
 

@@ -77,7 +77,7 @@ def test_criterion_2_endpoint_recovery():
         a_comp = min(alpha, eta) / 4.0
 
         m0 = inf.mixed_ci(data, fit, xi, 0, k_u, alpha, eta)
-        pi = inf.plugin_ci(fit, xi.original(), k_u, n, p, a_comp)
+        pi = inf.plugin_ci(fit, xi.original(), k_u, n, a_comp)
         assert abs(m0.center - pi.center) <= 1e-12
         assert abs(m0.radius - pi.radius) <= 1e-12
 

@@ -291,6 +291,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("n = lots")
 
+    def test_key_written_twice(self):
+        with pytest.raises(ConfigError, match="line 3: key 'n' is already set on line 1"):
+            parse_config("n = 100\nk_u = 4\nn = 200\n")
+        with pytest.raises(ConfigError, match="line 2: key 'n' is already set on line 1"):
+            parse_config("n = 100\nn = 100  # the same value twice\n")
+
+    def test_unwritable_table_is_config_error(self, tmp_path):
+        cfg = dataclasses.replace(parse_config(SIZE_CFG), out=str(tmp_path))
+        (tmp_path / f"simulate_{config_digest(cfg)}.csv").mkdir()  # a directory where the table goes
+        with pytest.raises(ConfigError, match=f"cannot write out = {re.escape(str(tmp_path))}: "):
+            harness.write_outputs(cfg, "simulate", {".csv": "a\n1\n"})
+
     def test_comments_and_blanks(self):
         cfg = parse_config("# header\n\nn = 50  # inline\n")
         assert cfg.n == 50
@@ -455,7 +467,7 @@ class TestRunners:
 
     def test_null_point_stores_no_identity(self):
         xi = make_loading(np.arange(6.0, 0.0, -1.0))
-        theta = harness.null_point(xi, 2, 1.5, 6, 1.0)
+        theta = harness.null_point(xi, 2, 1.5, 1.0)
         assert theta.sigma_cov is None and theta.design_factor[0].size == 0
         assert float(xi.original() @ theta.beta) == 1.5
 
@@ -647,7 +659,7 @@ class TestRunners:
         table = {(r.replicate, r.metric): repr(float(r.value)) for r in run_experiment(cfg)}
         xi = harness.build_loading(cfg)
         problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
-        theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
+        theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.noise_sd)
         for rep in range(cfg.reps):
             seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
             fresh, shared, primed = (CoordinateDataset(theta, cfg.n, seed=seed) for _ in "abc")
@@ -712,7 +724,7 @@ class TestRunners:
         # the whole interval, center included, on datasets where known_sigma ran first
         xi = harness.build_loading(cfg)
         problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
-        theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.p, cfg.noise_sd)
+        theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.noise_sd)
         for rep in range(cfg.reps):
             seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
             fresh, shared = (generate_dataset(theta, cfg.n, seed=seed) for _ in "ab")
@@ -865,7 +877,7 @@ class TestCli:
         return str(path)
 
     def test_simulate_ok_and_plotdata(self, tmp_path):
-        cfg = self._write(tmp_path, SIZE_CFG + "reps = 3\n")
+        cfg = self._write(tmp_path, SIZE_CFG.replace("reps = 10", "reps = 3"))
         rc = cli_main(["simulate", "--config", cfg, "--out", str(tmp_path), "--emit-plotdata"])
         assert rc == 0
         outs = list(tmp_path.glob("simulate_size_power_*.csv"))
@@ -1007,6 +1019,22 @@ class TestCli:
         # --out still wins over the config's out
         assert cli_main(["profile", "--config", cfg, "--out", str(tmp_path / "flag")]) == 0
         assert len(list((tmp_path / "flag").glob("profile_*.csv"))) == 2
+
+    def test_key_written_twice_exit_code(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "n = 100\np = 100\nk_u = 4\nn = 200\n")
+        assert cli_main(["profile", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "line 4: key 'n' is already set on line 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("profile_*"))
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["existing_file", "under_a_file"])
+    def test_unwritable_out_exit_code(self, tmp_path, below, capsys):
+        cfg = self._write(tmp_path, "n = 1000\np = 100\nk_u = 4\n")
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / below if below else taken
+        assert cli_main(["profile", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write out = {out}: ")
+        assert taken.read_text() == "keep\n"
 
     @pytest.mark.parametrize("command", ["profile", "fit", "test", "prior", "lowdeg", "scca", "simulate"])
     def test_unknown_key_rejected(self, tmp_path, command, capsys):

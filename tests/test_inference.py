@@ -58,7 +58,7 @@ class TestConfidenceInterval:
 
     def test_level_is_one_minus_total_budget(self):
         fit = ScaledLassoFit(beta_hat=np.zeros(10), sigma_hat=1.0, iterations=1, converged=True)
-        ci = inf.plugin_ci(fit, np.ones(10), 2, 50, 10, 0.07)
+        ci = inf.plugin_ci(fit, np.ones(10), 2, 50, 0.07)
         assert ci.level == pytest.approx(1 - sum(ci.budget.values()))
 
 
@@ -67,7 +67,7 @@ class TestPluginCI:
         fit = ScaledLassoFit(beta_hat=np.zeros(100), sigma_hat=1.0, iterations=1, converged=True)
         xi = np.zeros(100)
         xi[0] = 1.0
-        ci = inf.plugin_ci(fit, xi, 2, 100, 100, 0.05)
+        ci = inf.plugin_ci(fit, xi, 2, 100, 0.05)
         assert ci.radius == pytest.approx(4.4 * 2 * math.sqrt(math.log(100) / 100), rel=1e-12)
         assert ci.radius == pytest.approx(1.8884501, rel=1e-6)
 
@@ -75,8 +75,8 @@ class TestPluginCI:
         base = ScaledLassoFit(beta_hat=np.zeros(20), sigma_hat=1.0, iterations=1, converged=True)
         double = ScaledLassoFit(beta_hat=np.zeros(20), sigma_hat=2.0, iterations=1, converged=True)
         xi = np.ones(20)
-        r1 = inf.plugin_ci(base, xi, 3, 80, 20, 0.05).radius
-        r2 = inf.plugin_ci(double, xi, 3, 80, 20, 0.05).radius
+        r1 = inf.plugin_ci(base, xi, 3, 80, 0.05).radius
+        r2 = inf.plugin_ci(double, xi, 3, 80, 0.05).radius
         assert r2 == 2.0 * r1
 
 
@@ -156,7 +156,7 @@ class TestMixedCI:
             n, p, k_u = data.n, data.p, 4
             a_comp = min(0.05, 0.05) / 4.0
             m0 = inf.mixed_ci(data, fit, xi, 0, k_u, 0.05, 0.05)
-            pi = inf.plugin_ci(fit, xi.original(), k_u, n, p, a_comp)
+            pi = inf.plugin_ci(fit, xi.original(), k_u, n, a_comp)
             assert m0.center == pytest.approx(pi.center, abs=1e-12)
             assert m0.radius == pytest.approx(pi.radius, abs=1e-12)
             mp = inf.mixed_ci(data, fit, xi, p, k_u, 0.05, 0.05)
@@ -198,7 +198,7 @@ def scan_cases(draw):
     }
     xi = example_profiles(kind, params, seed)
     problem = problem_of(xi=xi, t0=0.0, k_u=k_u, alpha=0.05, eta=0.05)
-    return problem, null_point(xi, k_u, draw(st.sampled_from([0.0, 3.0])), p, 1.0), n, seed
+    return problem, null_point(xi, k_u, draw(st.sampled_from([0.0, 3.0])), 1.0), n, seed
 
 
 class TestScanAllM:
@@ -242,7 +242,7 @@ class TestScanAllM:
             xi = example_profiles("subweibull" if "q" in loading else "regular", {**loading, "p": p}, seed)
             problem = problem_of(xi=xi, t0=4.0, k_u=k_u, alpha=0.05, eta=0.05)
             calls.clear()
-            inf.mixed_test(CoordinateDataset(null_point(xi, 5, 4.0, p, 1.0), n, seed), problem, scan_all_m=True)
+            inf.mixed_test(CoordinateDataset(null_point(xi, 5, 4.0, 1.0), n, seed), problem, scan_all_m=True)
             assert 1 <= len(calls) <= most, calls
 
 
@@ -412,7 +412,7 @@ def test_coordinate_datasets_match_rows_in_law():
     xi = example_profiles("subweibull", {"q": 2.0, "p": p, "k_u": k_u}, 1)
     problem = problem_of(xi=xi, t0=8.0, k_u=k_u, alpha=0.05, eta=0.05)
     nu2 = next(valid_draws(lambda s: sample_nu2_prior(xi, 8, n, p, 5.0, seed=s), 0))
-    points = (null_point(xi, k_u, 8.0, p, 1.0), null_point(xi, k_u, 20.0, p, 1.0), nu2.model_point(xi, 8.0))
+    points = (null_point(xi, k_u, 8.0, 1.0), null_point(xi, k_u, 20.0, 1.0), nu2.model_point(xi, 8.0))
     assert [theta.design_factor[0].size for theta in points] == [0, 0, 4]
     for offset, theta in enumerate(points):
         idx = theta.design_factor[0]

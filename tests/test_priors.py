@@ -387,7 +387,7 @@ def test_every_valid_draw_has_rank_one_norm_below_one(kind, seed, sigma_star, da
         coords, k_u, fixed, strategies = PRIOR_CASES[kind]
         consts = {key: data.draw(strategy, label=key) for key, strategy in strategies.items()}
         n = consts.pop("n")
-        sampler = pri.prior_sampler(kind, make_loading(coords), k_u, n, 40, sigma_star, **fixed, **consts)
+        sampler = pri.prior_sampler(kind, make_loading(coords), k_u, n, sigma_star, **fixed, **consts)
         draws = [sampler(s) for s in range(seed, seed + 4)]
     for r, c in (d.rank_one_factors() for d in draws if d.valid):
         assert np.linalg.norm(r) * np.linalg.norm(c) < 1.0
@@ -469,7 +469,7 @@ def test_warm_memo_draws_equal_fresh_loading_draws(kind, monkeypatch):
     seeds = range(12)
 
     def draw(xi, n, consts, seed):
-        return _draw_bits(pri.prior_sampler(kind, xi, k_u, n, 40, 5.0, **fixed, **consts)(seed))
+        return _draw_bits(pri.prior_sampler(kind, xi, k_u, n, 5.0, **fixed, **consts)(seed))
 
     fresh = [[draw(make_loading(coords), n, consts, s) for s in seeds] for n, consts in cases]
     calls = []

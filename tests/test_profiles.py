@@ -126,20 +126,20 @@ class TestNuQuantities:
 
 class TestRegimeAndCutoff:
     def test_ultra_sparse_example(self):
-        xi = make_loading(np.ones(100))
-        s = regime_and_cutoff(xi, 10, 10**6, 10**4, 1)
+        xi = make_loading(np.concatenate((np.ones(100), np.zeros(10**4 - 100))))
+        s = regime_and_cutoff(xi, 10, 10**6, 1)
         assert s.regime == "ultra_sparse"
         assert s.m_star == 922
 
     def test_moderately_sparse_example(self):
-        xi = make_loading(np.ones(100))
-        s = regime_and_cutoff(xi, 500, 10**6, 10**4, 1)
+        xi = make_loading(np.concatenate((np.ones(100), np.zeros(10**4 - 100))))
+        s = regime_and_cutoff(xi, 500, 10**6, 1)
         assert s.regime == "moderately_sparse"
         assert s.m_star == 10**4
 
     def test_k_eff_example(self):
-        xi = make_loading(np.ones(100))
-        s = regime_and_cutoff(xi, 10, 10**6, 10**4, 1)
+        xi = make_loading(np.concatenate((np.ones(100), np.zeros(10**4 - 100))))
+        s = regime_and_cutoff(xi, 10, 10**6, 1)
         assert s.k_eff == 10
         assert s.nu3 == pytest.approx(top_norm(xi, 10))
 
@@ -148,7 +148,7 @@ class TestRegimeAndCutoff:
         for _ in range(20):
             xi = make_loading(rng.standard_normal(50))
             k_u = int(rng.integers(1, 20))
-            s = regime_and_cutoff(xi, k_u, 5000, 50, 2)
+            s = regime_and_cutoff(xi, k_u, 5000, 2)
             assert s.lam >= 0.0
             assert s.nu1 >= top_norm(xi, s.j1) - 1e-9
             assert s.nu2 == pytest.approx(top_norm(xi, k_u))
@@ -179,7 +179,7 @@ class TestRegimeAndCutoff:
             calls = []
             monkeypatch.setattr(profiles, "solve_zeta", lambda *a: calls.append(a) or solve_zeta(*a))
             # a fresh loading: xi's memo already holds the root nu1 solved above
-            got = regime_and_cutoff(make_loading(raw), k_u, n, p, degree)
+            got = regime_and_cutoff(make_loading(raw), k_u, n, degree)
             monkeypatch.undo()
             assert len(calls) == 1
             assert got == expect  # every field bit-identical to the separate solves
@@ -189,7 +189,7 @@ class TestRateBounds:
     def test_endpoints(self):
         xi = make_loading(np.linspace(3, 0.2, 10))
         n, p, k_u = 400, 10, 3
-        obj = upper_objective(xi, k_u, n, p)
+        obj = upper_objective(xi, k_u, n)
         lp = math.log(p)
         assert obj[0] == pytest.approx(abs(xi.coords[0]) * k_u * math.sqrt(lp / n))
         assert obj[p] == pytest.approx(float(np.linalg.norm(xi.coords)) * (1 / math.sqrt(n) + k_u * lp / n))
@@ -209,9 +209,9 @@ class TestRateBounds:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         raw = rng.standard_normal(25)
-        n, p, k_u = 900, 25, 4
-        u1, l1 = rate_bounds(make_loading(raw), k_u, n, p)
-        u2, l2 = rate_bounds(make_loading(raw[rng.permutation(25)]), k_u, n, p)
+        n, k_u = 900, 4
+        u1, l1 = rate_bounds(make_loading(raw), k_u, n)
+        u2, l2 = rate_bounds(make_loading(raw[rng.permutation(25)]), k_u, n)
         assert u1 == pytest.approx(u2, rel=1e-12)
         assert l1 == pytest.approx(l2, rel=1e-12)
 
@@ -226,8 +226,8 @@ class TestRateBounds:
         ]
         for xi in cases:
             for (n, k_u) in ((5000, 3), (2000, 8), (50_000, 5)):
-                s = regime_and_cutoff(xi, k_u, n, 200, 1)
-                obj = upper_objective(xi, k_u, n, 200)
+                s = regime_and_cutoff(xi, k_u, n, 1)
+                obj = upper_objective(xi, k_u, n)
                 assert obj[min(s.m_star, 200)] <= 3.0 * obj.min()
 
     def test_flat_ratio_window(self):
@@ -235,7 +235,7 @@ class TestRateBounds:
         n, p = 10**6, 10**4
         for (size, k_u) in ((25, 10), (64, 40), (100, 30), (9, 6)):
             xi = regular_profile(size, 1.3, p)
-            upper, lower = rate_bounds(xi, k_u, n, p)
+            upper, lower = rate_bounds(xi, k_u, n)
             assert 0.01 <= lower / upper <= 1.0
 
 
