@@ -3,7 +3,8 @@
     adaptest {profile|fit|test|prior|lowdeg|scca|simulate} --config FILE
              [--seed N] [--out DIR] [--emit-plotdata]
 
-Exit codes: 0 success, 2 configuration error (a key written twice, an unwritable out), 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (a key written twice, an unwritable out, refused before
+the command runs), 3 numerical failure.
 Every command reads a flat key = value config file into its dataclass
 below (`harness.parse_config`; schema in the README), writes CSV results
 into the output directory, and drops a JSON sidecar of the resolved
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from itertools import islice
@@ -142,6 +144,15 @@ def _read_dataset(cfg: DataConfig):
     if cfg.p is not None and cfg.p != data.p:
         raise ConfigError(f"p = {cfg.p} but {cfg.data_csv} has {data.p} columns")
     return data, replace(cfg, p=data.p)
+
+
+def _check_out(out: str) -> None:
+    """Refuse, creating nothing, an out that is not and cannot become a directory: its nearest existing
+    path (out itself or an ancestor) must be a writable directory."""
+    path = Path(out).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write out = {out}: {existing} is not a writable directory")
 
 
 def cmd_profile(cfg: ProfileConfig):
@@ -301,6 +312,7 @@ def main(argv=None) -> int:
         cfg = harness.parse_config(text, schema)
         flags = {"master_seed": args.seed, "out": args.out}
         cfg = replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+        _check_out(cfg.out)
         result = cmd_simulate(cfg, args.emit_plotdata) if command is cmd_simulate else command(cfg)
         print(f"wrote {harness.write_outputs(*result)}")
     except ConfigError as exc:

@@ -13,6 +13,7 @@ memoised on its dataset.  A dataset can be its Gram alone (`CoordinateDataset`).
 from __future__ import annotations
 
 import copy
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -59,32 +60,43 @@ def sample_cov(data: Dataset) -> np.ndarray:
 
 
 class GaussianSource:
-    """Coordinates of Z with iid N(0, 1) entries and of the noise N(0, sd^2 I_n),
-    one basis vector of R^n per call, from their exact law.  Outside the d
-    basis vectors an untouched column is isotropic with squared norm rho[j]
-    (chi2_n at the start), its direction independent of its norm (Muirhead
-    1982, ch. 3): its squared share on a new vector is u = g^2 / (g^2 + R),
-    g ~ N(0, 1), R ~ chi2_{n-d-1} (chi2_0 = 0)."""
+    """Coordinates of Z with iid N(0, 1) entries and of the noise N(0, sd^2 I_n), one basis vector
+    of R^n per call, from their exact law, in two phases (Bartlett's decomposition; Muirhead 1982,
+    ch. 3).  Until norms2 is first read, an untouched column's coordinate on a vector spanned by
+    others is plain N(0, 1) and the vector's own column has sqrt(chi2_{n-d}); sums of squares are
+    kept.  That read draws each untouched column's outside squared norm rho[j] ~ chi2_{n-d} (0 once
+    R^n is spanned); from then on its direction is isotropic and independent of rho[j], so its squared
+    share on a new vector is u = g^2 / (g^2 + R), g ~ N(0, 1), R ~ chi2_{n-d-1} (chi2_0 = 0)."""
 
     def __init__(self, theta: ModelParams, n: int, rng: np.random.Generator):
         self.n, self.d, self.rng, self.sd = n, 0, rng, theta.noise_sd
         self.support = np.flatnonzero(theta.beta)
         self.beta = theta.beta[self.support]
-        self.rho = rng.chisquare(n, theta.p)
-        self.norms2 = self.rho.copy()
+        self.rho, self.ss, self.open = None, np.zeros(theta.p), np.ones(theta.p)  # open: 1 while untouched
+
+    @functools.cached_property
+    def norms2(self) -> np.ndarray:
+        self.rho = self.open * (self.rng.chisquare(self.n - self.d, self.open.size) if self.d < self.n else 0.0)
+        return self.ss + self.rho
 
     def direction(self, j: int | None) -> np.ndarray:
         """Every column's coordinate on the next basis vector, column j's (the
         noise's if j is None) outside part: one row, none once R^n is spanned."""
         if self.d == self.n:
-            return np.empty((0, self.rho.size))
-        g = self.rng.standard_normal(self.rho.size)
-        g2, u = g * g, self.rng.standard_gamma((self.n - self.d - 1) / 2.0, self.rho.size)
-        u = np.divide(g2, np.add(g2, np.multiply(u, 2.0, out=u), out=u), out=u)  # g^2 / (g^2 + 2 gamma), in place
-        if j is not None:
-            u[j] = 1.0  # column j lies in the span from now on
-        row = np.copysign(np.sqrt(np.multiply(self.rho, u, out=g2), out=g2), g, out=g)
-        self.rho *= np.subtract(1.0, u, out=u)
+            return np.empty((0, self.open.size))
+        if self.rho is None:  # norms2 unread: Bartlett's normals, 0 for formed columns
+            row = np.multiply(self.rng.standard_normal(self.open.size), self.open)
+            if j is not None:
+                row[j], self.open[j] = math.sqrt(self.rng.chisquare(self.n - self.d)), 0.0
+            self.ss += row * row
+        else:
+            g = self.rng.standard_normal(self.rho.size)
+            g2, u = g * g, self.rng.standard_gamma((self.n - self.d - 1) / 2.0, self.rho.size)
+            u = np.divide(g2, np.add(g2, np.multiply(u, 2.0, out=u), out=u), out=u)  # g^2 / (g^2 + 2 gamma), in place
+            if j is not None:
+                u[j] = 1.0  # column j lies in the span from now on
+            row = np.copysign(np.sqrt(np.multiply(self.rho, u, out=g2), out=g2), g, out=g)
+            self.rho *= np.subtract(1.0, u, out=u)
         self.d += 1
         return row
 
@@ -102,19 +114,22 @@ class CoordinateDataset(Dataset):
     column's coordinate on the i-th vector of a basis of R^n grown in touch order:
     forming column j makes Z_j's outside part the next vector, whose Z-coordinates the
     source gives (a `GaussianSource` on stream(seed, index) by default) and L maps on S.
-    S is formed first, then beta's support, and the noise joins next, so y lies in the
-    span and diag, xty, yty and each formed column coords' coords[:, j] / n are exact."""
+    S is formed first, then beta's support, and the noise joins next, so y lies in the span
+    and xty, yty and each formed column coords' coords[:, j] / n are exact; only then is diag
+    read, from the source's norms2 (S's from its columns), so these eager vectors' coordinates
+    are plain normals (`GaussianSource`) and later ones split the norms that read fixed."""
 
     def __init__(self, theta: ModelParams, n: int, seed: int, index: int = 0, source=None):
         self.theta, self.n, self.p, self.seed, self.index, self.memo = theta, n, theta.p, seed, index, {}
         self.source = source or GaussianSource(theta, n, stream(seed, index))
         self.block, self.factor = theta.design_factor
-        self.diag, self.coords, self.columns = self.source.norms2 / n, np.empty((8, theta.p))[:0], {}
-        self.diag[self.block] = self.cols(self.block)[self.block, range(self.block.size)]  # S first, X's norms
-        self.cols(np.flatnonzero(theta.beta))
+        self.coords, self.columns = np.empty((8, theta.p))[:0], {}
+        self.cols(np.concatenate((self.block, np.flatnonzero(theta.beta))))  # S first, then beta's support
         y, row = self.source.response(self.coords)
         self._append(row)
         self.xty, self.yty = self.coords.T @ y / n, float(y @ y) / n
+        self.diag = self.source.norms2 / n
+        self.diag[self.block] = self.cols(self.block)[self.block, range(self.block.size)]  # X's norms on S
 
     @property
     def x(self):
@@ -152,15 +167,21 @@ class CoordinateDataset(Dataset):
 
 def _signed_solve(gram_ws: np.ndarray, lin: np.ndarray, pen: np.ndarray, signs: np.ndarray):
     """The working-set point with v_A = G[A, A]^{-1} (lin_A - pen_A s_A) on A = {s != 0} and 0 off A,
-    or None unless that solve is finite and keeps the signs s (a singular G[A, A] gives None)."""
+    or None unless that solve is finite and keeps the signs s (a singular G[A, A] raises LinAlgError)."""
     a = signs.nonzero()[0]
-    try:
-        sol = np.linalg.solve(gram_ws[a][:, a], lin[a] - pen[a] * signs[a])
-    except np.linalg.LinAlgError:
-        return None
+    sol = np.linalg.solve(gram_ws[a][:, a], lin[a] - pen[a] * signs[a])
     out = np.zeros(signs.size)
     out[a] = sol
     return out if all(0.0 < x < math.inf for x in (sol * signs[a]).tolist()) else None
+
+
+def _unbounded(cols: np.ndarray, lin: np.ndarray, pen: np.ndarray) -> bool:
+    """Whether d = e_a - e_b for two bitwise-equal columns a, b of cols = G[:, A] certifies the program
+    unbounded below: G[:, A] d == 0 exactly and |lin_A' d| > pen_A' |d|, so it falls without bound along d."""
+    equal = {}
+    for i, col in enumerate(cols.T):
+        equal.setdefault(col.tobytes(), []).append(i)
+    return any(abs(lin[a] - lin[b]) > pen[a] + pen[b] for same in equal.values() for a, b in combinations(same, 2))
 
 
 def _cd_quadratic_l1(
@@ -178,9 +199,11 @@ def _cd_quadratic_l1(
     Presnell & Turlach 2000) solves G[A, A] v_A = lin_A - pen_A s_A on A = {s != 0}, taken if finite
     and sign-keeping.  Else the set is swept in ascending order until no scaled step exceeds
     kkt_tol / 100, and solved again once two sweeps in a row end on equal signs; a singular G[A, A]
-    leaves it to the sweeps, and no (set, signs) is solved twice.  Each solve and each sweep is one
-    pass, so max_passes bounds cycling steps.  Returns (v, converged, passes).  Coordinates with
-    G_jj = 0 are held where they start; only G's diagonal and working-set columns are read.
+    leaves it to the sweeps unless two equal columns certify the program unbounded below
+    (`_unbounded`), which returns unconverged at once, and no (set, signs) is solved twice.  Each
+    solve and each sweep is one pass, so max_passes bounds cycling steps.  Returns (v, converged,
+    passes).  Coordinates with G_jj = 0 are held where they start; only G's diagonal and working-set
+    columns are read.
     """
     movable = gram.diag > 0.0
     v = beta0.copy()
@@ -208,7 +231,12 @@ def _cd_quadratic_l1(
             passes += 1
             if signs is not None and (key := (ws.tobytes(), signs.tobytes())) not in tried:
                 tried.add(key)
-                exact = _signed_solve(block.T, lin[ws], pen[ws], signs)
+                try:
+                    exact = _signed_solve(block.T, lin[ws], pen[ws], signs)
+                except np.linalg.LinAlgError:  # a singular G[A, A]: stop at once if certified unbounded, else sweep
+                    if _unbounded(ws_cols, lin[ws], pen[ws]):
+                        return v, False, passes
+                    continue
                 if exact is not None:
                     v_ws = exact
                     break

@@ -22,7 +22,9 @@ from adaptest.estimators import (
     scaled_lasso,
     spiked_cov_estimate,
 )
+from adaptest.harness import null_point
 from adaptest.model import Dataset, ModelParams, generate_dataset, make_loading, stream
+from adaptest.priors import sample_nu2_prior, valid_draws
 from adaptest.profiles import cutoff_and_regime, example_profiles
 
 
@@ -493,6 +495,45 @@ class TestCoordinateDataset:
         assert stats.kstest(n * grams[:, range(p), range(p)].ravel(), stats.chi2(n).cdf).pvalue > 1e-3
         assert stats.kstest(n * np.array(yty) / 4.0, stats.chi2(n).cdf).pvalue > 1e-3
 
+    def test_law_at_the_eager_lazy_boundary(self):
+        """Two-sample KS tests of Gram entries on each side of the source's norms2 read against
+        row datasets, 2000 datasets per sampler and model point: an eager column's (the first of
+        beta's support or the block, formed at construction) and a lazy column's diagonal, their
+        cross entry, the eager column's xty and yty.  The points are an identity null point with
+        3 coefficients at n = 20, a nu2 prior null mixing a block of 4 at n = 60, p = 120, and 6
+        coefficients at n = 4, p = 10, where the eager basis spans R^n before norms2 is read."""
+        reps = 2000
+        xi = example_profiles("subweibull", {"q": 2.0, "p": 120, "k_u": 3}, 1)
+        nu2 = next(valid_draws(lambda s: sample_nu2_prior(xi, 8, 60, 120, 5.0, seed=s), 0))
+        points = (
+            (null_point(make_loading(np.arange(8.0, 0.0, -1.0)), 3, 1.0, 1.5), 20),
+            (nu2.model_point(xi, 8.0), 60),
+            (null_point(make_loading(np.ones(10)), 6, 2.0, 1.0), 4),
+        )
+        for offset, (theta, n) in enumerate(points):
+            eager = np.concatenate((theta.design_factor[0], np.flatnonzero(theta.beta)))
+            lazy = int(np.setdiff1d(np.arange(theta.p), eager)[0])
+            arms = []
+            for draw, base in ((CoordinateDataset, 0), (generate_dataset, 10**6)):
+                rows = []
+                for seed in range(base + offset * reps, base + (offset + 1) * reps):
+                    data = draw(theta, n, seed)
+                    col = data.cols([lazy])[:, 0]
+                    rows.append((data.diag[eager[0]], data.diag[lazy], col[eager[0]], data.xty[eager[0]], data.yty))
+                arms.append(np.array(rows))
+            for k, name in enumerate(["diag[eager]", "diag[lazy]", "G[eager, lazy]", "xty[eager]", "yty"]):
+                assert stats.ks_2samp(arms[0][:, k], arms[1][:, k]).pvalue > 1e-3, (offset, name)
+
+    @pytest.mark.parametrize("k", [6, 10])
+    def test_eager_basis_that_spans_r_n(self, k):
+        # n = 4 < k: R^n is spanned before norms2 is read, so every column lies in the span and its
+        # outside squared norm is exactly 0 (chi2_0, which numpy's chisquare refuses)
+        theta = ModelParams(beta=np.r_[np.ones(k), np.zeros(10 - k)], sigma_cov=None, noise_sd=1.0)
+        for seed in range(20):
+            data = CoordinateDataset(theta, 4, seed)
+            assert len(data.coords) == 4 and np.all(data.source.rho == 0.0)
+            assert np.max(np.abs(data.diag - np.sum(data.coords**2, axis=0) / 4)) <= 1e-12
+
     def test_coordinate_dataset_holds_no_rows_and_forks_apart(self):
         p = 12
         theta = ModelParams(beta=np.eye(p)[2], sigma_cov=None, noise_sd=1.0)
@@ -550,21 +591,23 @@ def criterion3_datasets():
 
 class TestCriterion3Bits:
     """Bits of the simulate hot loop, pinned: a change to the solver or the
-    sampler that moves a single bit of these shows here."""
+    sampler that moves a single bit of these shows here.  The datasets are the
+    two-phase `GaussianSource`'s: plain normals on the eager basis (beta's
+    support and the noise), the column norms drawn after it, then Beta splits."""
 
     def test_scaled_lasso_bits(self):
         digest = hashlib.sha256()
         for data in criterion3_datasets():
             fit = scaled_lasso(data)
             digest.update(fit.beta_hat.tobytes() + np.float64(fit.sigma_hat).tobytes())
-        assert digest.hexdigest() == "c779a0da4092e614d8cf93b3036199f3db6bb60332da14c5c39092e09c793ecb"
+        assert digest.hexdigest() == "5a8b29d381633366eda3c2af70fa9b088f1e6dad8d41bc306a83664f21a47e52"
 
     def test_coordinate_dataset_bits(self):
         digest = hashlib.sha256()
         for data in criterion3_datasets():
             data.cols([7, 3, 599, 250, 1, 2, 400])
             digest.update(data.coords.tobytes() + data.xty.tobytes() + np.float64(data.yty).tobytes())
-        assert digest.hexdigest() == "f9c7d14f2f392c4b1cf2c9cd0b0c60b39d4ac1d949c2dc64e92347d36507cef3"
+        assert digest.hexdigest() == "5d4db36016ea906edc29db2bfe7845c04a9bb3b0229efa91556819ba3a13a485"
 
 
 class TestProjectionDirection:

@@ -392,12 +392,12 @@ GOLDEN_CASES["phase_diagram"] = (
     "kind = phase_diagram\np = 30\ngamma_xi_grid = 0.3,0.7\ngamma_tau_grid = 0.3,0.6\nreps = 3\nmaster_seed = 7\n"
 )
 GOLDEN_SHA256 = {
-    "point": "5dc29e52d23faaa4858122101da46cc596ade716002c3a95ffb9b3d69a726496",
-    "nu1": "f6d3f8de46e0545e0a0c2ff68bfc46112e5acd42022a2cb47356347f2fe95b62",
-    "nu2": "dfc59e2c58947bd1dc47484949b18ece85d3185d2236e9b91f406d42f86c40c9",
-    "quantile": "2cca9a72890da33069aeee358c3bcdecc1d4f6c8e7d57234f34b7b4cf41daf4e",
-    "spiked": "037231deddfe69ee0c29e42e590b484e6a0bf36dfb5bba9c7d6edce1e72c2f51",
-    "length_sweep": "fa0c067e2a32993045f21e6704daa1e2df6958b85e21afc187cf60c386738cdc",
+    "point": "64d102e96b56cf3fb426a6117e0ccc368fcc364ffd4d1eab104c703382d0588f",
+    "nu1": "59ce893b39df5a8d2ccf5363c065d212a1ac63af63af17a1eb15e2ad3189d423",
+    "nu2": "99f692659d62cd667068ca3fc47cc2db5fe42ba573008084d658d3e4975dc19a",
+    "quantile": "04c66e0eb4f17921a4e2ff2c34a935e6df4d7db0919ab938d1003ca6b2eef192",
+    "spiked": "7d357e4c5679d6a73f4f5700c3181e6dd33dd2f8417fd945bd2a6c33629021a1",
+    "length_sweep": "12fd1b949f8905f17f1a551ba4f58de5294aa536c35600671fe634059fae4460",
     "phase_diagram": "b02e99bd90a71bf3f831729f11be35f1a864df61abaacd00cf074f4f77a150ac",
 }
 # The other commands' tables at master_seed = 7: prior at each kind, with its chi-square table,
@@ -1035,6 +1035,42 @@ class TestCli:
         assert cli_main(["profile", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: cannot write out = {out}: ")
         assert taken.read_text() == "keep\n"
+
+    def test_unwritable_out_runs_no_replicate(self, tmp_path, monkeypatch, capsys):
+        cfg = self._write(tmp_path, SIZE_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        runs = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a: runs.append(a) or [])
+        assert cli_main(["simulate", "--config", cfg, "--out", str(taken)]) == 2
+        assert not runs and taken.read_text() == "keep\n"
+        assert capsys.readouterr().err.startswith(f"config error: cannot write out = {taken}: ")
+
+    def test_unbounded_projection_stops_at_once(self, tmp_path, monkeypatch, caplog):
+        # two equal signal columns: at the scan's cutoff m = 1 the head (1, 0, ...) tells the twins
+        # apart by more than 2 r, so e_0 - e_1 certifies the l1 program unbounded below
+        r = np.random.default_rng(3)
+        x = r.standard_normal((80, 10))
+        x[:, 1] = x[:, 0]
+        y = x[:, 0] + x[:, 1] + 0.5 * r.standard_normal(80)
+        header, twin = "y," + ",".join(f"x{j + 1}" for j in range(10)), tmp_path / "twin.csv"
+        np.savetxt(twin, np.column_stack((y, x)), delimiter=",", header=header, comments="")
+        core, calls = estimators._cd_quadratic_l1, []
+
+        def spy(gram, lin, *args, **kwargs):
+            out = core(gram, lin, *args, **kwargs)
+            calls.append((np.count_nonzero(lin), out[1], out[2]))
+            return out
+
+        monkeypatch.setattr(estimators, "_cd_quadratic_l1", spy)
+        cfg = self._write(tmp_path, f"data_csv = {twin}\nk_u = 2\nt0 = 0.5\nmode = mixed\nscan_all_m = 1\n")
+        with caplog.at_level(logging.WARNING, logger="adaptest"):
+            assert cli_main(["test", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert [(nnz, passes < 10) for nnz, ok, passes in calls if not ok] == [(1, True)]
+        assert "falling back to u = 0" in caplog.text
+        table = next((tmp_path / "out").glob("test_*.csv")).read_text()
+        row = "mixed,1,1.9305267936756498,0.46895194114455235,2,0.975,debiased:0.0125;plugin:0.0125"  # as after 5,000 passes
+        assert table.splitlines()[1] == row
 
     @pytest.mark.parametrize("command", ["profile", "fit", "test", "prior", "lowdeg", "scca", "simulate"])
     def test_unknown_key_rejected(self, tmp_path, command, capsys):
