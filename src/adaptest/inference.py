@@ -1,14 +1,15 @@
 """Confidence intervals and the inverted adaptive tests.
 
-Five interval constructions share one vocabulary: plug-in (bias bound
-through the l1 error of the lasso), debiased (residual correction along
-the inf-norm constrained direction), their Minkowski mixture split at a
-magnitude cutoff m, and the data-split variants for known or spiked
-design covariance.  Every interval carries an error-budget ledger; its
-nominal level is one minus the total budget.  Every interval reads data
-only through its Gram (`model.Dataset`): the debiased one the dataset's,
-the data-split ones half 2's.  Radius constants are fixed; sigma_floor
-(for the lasso fits) is the only value a caller sets.
+Five interval constructions share one vocabulary: plug-in (bias bound through
+the l1 error of the lasso), debiased (residual correction along the inf-norm
+constrained direction), mixed (a debiased part on the top-m coordinates plus a
+plug-in part on the rest), and the data-split variants for known or spiked
+design covariance.  Every interval carries an error-budget ledger; its nominal
+level is one minus the total budget.  Every interval reads data only through its
+Gram (`model.Dataset`): the debiased one the dataset's, the data-split ones half
+2's.  Radius constants are fixed, each in one expression (`_plugin_radius`,
+`_debiased_radius`) that `radius_floors` shares; sigma_floor (for the lasso
+fits) is the only value a caller sets.
 
 `run_single_test` runs any of the `TEST_MODES` on a dataset; the modes
 share one memoised lasso fit per dataset (on half 1 when data-split), so
@@ -51,19 +52,6 @@ class ConfidenceInterval:
     def level(self) -> float:
         return 1.0 - sum(self.budget.values())
 
-    def __add__(self, other: "ConfidenceInterval") -> "ConfidenceInterval":
-        """Minkowski sum: centers and radii add, error budgets add."""
-        merged = dict(self.budget)
-        for key, v in other.budget.items():
-            while key in merged:
-                key += "'"
-            merged[key] = v
-        return ConfidenceInterval(
-            center=self.center + other.center,
-            radius=self.radius + other.radius,
-            budget=merged,
-        )
-
     def covers(self, value: float) -> bool:
         return abs(value - self.center) <= self.radius
 
@@ -75,15 +63,23 @@ class TestDecision:
     m_used: int
 
 
-def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, alpha: float) -> ConfidenceInterval:
-    """Interval centered at xi'beta_hat with the l1-bias radius.
+def _plugin_radius(sigma_hat, xi_inf, k_u: int, n: int, p: int):
+    """C_pi sigma_hat ||xi||_inf k_u sqrt(log p / n), elementwise in sigma_hat and ||xi||_inf."""
+    return C_PI * sigma_hat * xi_inf * k_u * math.sqrt(math.log(p) / n)
 
-    The radius C_pi * sigma_hat * ||xi||_inf * k_u * sqrt(log p / n), p = xi_vec.size, has
-    no quantile term: the whole alpha budget pays for the estimator
-    error event.
-    """
-    xi_inf = float(np.max(np.abs(xi_vec))) if xi_vec.size else 0.0
-    radius = C_PI * fit.sigma_hat * xi_inf * k_u * math.sqrt(math.log(xi_vec.size) / n)
+
+def _debiased_radius(sigma_hat, norm2, k_u: int, n: int, p: int, usu: float = 0.0, alpha: float = 1.0):
+    """1.1 sigma_hat [sqrt(u'Su/n) z_{1-alpha/8} + C_beta C_xi ||xi||_2 k_u log p / n], z by AS241
+    (`statistics.NormalDist`), elementwise in sigma_hat and ||xi||_2; the default u'Su = 0 is a floor."""
+    q = 1.0 - alpha / 8.0  # rounds to 1 at alpha <= 2^-51, where z is inf
+    z = NormalDist().inv_cdf(q) if q < 1.0 else math.inf
+    return 1.1 * sigma_hat * (math.sqrt(max(usu, 0.0) / n) * z + C_BETA * C_XI * norm2 * k_u * math.log(p) / n)
+
+
+def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, alpha: float) -> ConfidenceInterval:
+    """Interval centered at xi'beta_hat with the l1-bias radius `_plugin_radius`, p = xi_vec.size: no
+    quantile term, as the whole alpha budget pays for the estimator error event."""
+    radius = _plugin_radius(fit.sigma_hat, float(np.max(np.abs(xi_vec))), k_u, n, xi_vec.size)
     center = float(xi_vec @ fit.beta_hat)
     return ConfidenceInterval(center=center, radius=radius, budget={"plugin": alpha})
 
@@ -98,48 +94,47 @@ def _corrected_center(data: Dataset, beta_hat: np.ndarray, xi_vec: np.ndarray, d
 def debiased_ci(
     data: Dataset, fit: ScaledLassoFit, proj: ProjectionResult, xi_vec: np.ndarray, k_u: int, alpha: float
 ) -> ConfidenceInterval:
-    """Residual-corrected interval along the projection direction.
-
-    Center: the corrected center along u_hat on the dataset's Gram.  Radius:
-    1.1 sigma_hat [ sqrt(u'Su/n) z_{1-alpha/8} + c_beta C_xi ||xi||_2 k_u log p / n ],
-    z by AS241 (`statistics.NormalDist`).  An infeasible projection degrades to u_hat = 0.
-    """
-    n, p = data.n, data.p
+    """Residual-corrected interval along the projection direction: the corrected center along u_hat on the
+    dataset's Gram, and `_debiased_radius` at u'Su = proj.objective.  An infeasible projection has u_hat = 0."""
     center = _corrected_center(data, fit.beta_hat, xi_vec, proj.u_hat)
     norm2 = float(np.linalg.norm(xi_vec))
-    q = 1.0 - alpha / 8.0  # rounds to 1 at alpha <= 2^-51, where z is inf
-    radius = 1.1 * fit.sigma_hat * (
-        math.sqrt(max(proj.objective, 0.0) / n) * (NormalDist().inv_cdf(q) if q < 1.0 else math.inf)
-        + C_BETA * C_XI * norm2 * k_u * math.log(p) / n
-    )
+    radius = _debiased_radius(fit.sigma_hat, norm2, k_u, data.n, data.p, proj.objective, alpha)
     return ConfidenceInterval(center=center, radius=radius, budget={"debiased": alpha})
 
 
 def mixed_ci(
     data: Dataset, fit: ScaledLassoFit, xi: LoadingVector, m: int, k_u: int, alpha: float, eta: float
 ) -> ConfidenceInterval:
-    """Minkowski sum of a debiased interval on the top-m coordinates of
-    xi and a plug-in interval on the rest, each at level 1 - alpha'/4
-    with alpha' = min(alpha, eta).
+    """One interval from a debiased part on the top-m coordinates of xi (head) and a plug-in part on
+    the rest (tail), each at level 1 - alpha'/4, alpha' = min(alpha, eta): the head's corrected center
+    plus tail'beta_hat, the two parts' radii summed, and a budget holding both parts' alpha'/4.
 
     m = 0 and m = p recover the plug-in and debiased intervals exactly.
     """
     if not 0 <= m <= xi.p:
         raise ValueError("cutoff m out of range")
-    n = data.n
+    n, p = data.n, data.p
     a_comp = min(alpha, eta) / 4.0
-    head, tail = xi.memoised(LoadingVector.split, m)
+    head, tail, head_l2, tail_inf = xi.memoised(_split_norms, m)
     proj = projection_direction(data, head, C_XI, n)
-    ci_db = debiased_ci(data, fit, proj, head, k_u, a_comp)
-    ci_pi = plugin_ci(fit, tail, k_u, n, a_comp)
-    return ci_db + ci_pi
+    return ConfidenceInterval(
+        center=_corrected_center(data, fit.beta_hat, head, proj.u_hat) + float(tail @ fit.beta_hat),
+        radius=_debiased_radius(fit.sigma_hat, head_l2, k_u, n, p, proj.objective, a_comp)
+        + _plugin_radius(fit.sigma_hat, tail_inf, k_u, n, p),
+        budget={"debiased": a_comp, "plugin": a_comp},
+    )
+
+
+def _split_norms(xi: LoadingVector, m: int) -> tuple:
+    """(head, tail, ||head||_2, ||tail||_inf) of `LoadingVector.split` at cutoff m: once per loading (`memoised`)."""
+    head, tail = xi.split(m)
+    return head, tail, float(np.linalg.norm(head)), float(np.max(np.abs(tail)))
 
 
 def radius_floors(xi: LoadingVector, grid, sigma_hat: float, k_u: int, n: int) -> np.ndarray:
     """Each grid cutoff's `mixed_ci` radius at u'Su = 0, a floor for it: u'Su >= 0, 0 in the fallback."""
     head, tail = (prefix[grid] for prefix in cutoff_prefixes(xi))
-    logp = math.log(xi.p)
-    return sigma_hat * k_u * (1.1 * C_BETA * C_XI * head * logp / n + C_PI * tail * math.sqrt(logp / n))
+    return _debiased_radius(sigma_hat, head, k_u, n, xi.p) + _plugin_radius(sigma_hat, tail, k_u, n, xi.p)
 
 
 def _scan_plan(xi: LoadingVector, k_u: int, n: int) -> tuple[tuple, np.ndarray]:

@@ -12,13 +12,14 @@ couplings in the joint covariance of (y, x):
 * the computational prior (kind "comp"): the same coupling mechanism
   with block sizes tied to the effective sparsity k_eff.
 
-Each draw enforces the null constraint xi'beta = tau exactly through the
-scalar kappa and records analytic validity checks (sparsity cap,
-eigenvalue window, noise bound).  Pairs of draws are scored in the O(p)
-rank-one closed form against the reference point beta = 0, Sigma = I,
-noise sigma_star; the dense determinant form, on (p+1) x (p+1) joint
-covariance arrays with y first, is its oracle, and the hypergeometric MGF
-the exact yardstick.
+Each sampler reads the dimension p off its loading, `xi.p` (`sample_nu2_prior`
+also takes a `p`, which must equal it).  Each draw enforces the null constraint
+xi'beta = tau exactly through the scalar kappa and records analytic validity
+checks (sparsity cap, eigenvalue window, noise bound).  Pairs of draws are
+scored in the O(p) rank-one closed form against the reference point beta = 0,
+Sigma = I, noise sigma_star; the dense determinant form, on (p+1) x (p+1) joint
+covariance arrays with y first, is its oracle, and the hypergeometric MGF the
+exact yardstick.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def prior_sampler(kind: str, xi: LoadingVector, k_u: int, n: int, sigma_star: fl
     if kind == "nu1":
         return lambda seed: sample_nu1_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
     if kind == "comp":
-        return lambda seed: sample_comp_prior(xi, k_u, n, xi.p, seed=seed, sigma_star=sigma_star, **consts)
+        return lambda seed: sample_comp_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
     raise ValueError(f"unknown prior kind {kind!r}")
 
 
@@ -310,7 +311,6 @@ def sample_comp_prior(
     xi: LoadingVector,
     k_u: int,
     n: int,
-    p: int,
     degree: int,
     c8: float = DEFAULT_C8,
     seed: int = 0,
@@ -319,7 +319,7 @@ def sample_comp_prior(
     k_eff_override: int | None = None,
     s1_override: int | None = None,
 ) -> PriorDraw:
-    """Computational prior targeting tau = c9 nu3 k_u log p / n.
+    """Computational prior targeting tau = c9 nu3 k_u log p / n, p = xi.p.
 
     lead lives on the band (k_u, k_eff] with Bernoulli support and
     entries -(sqrt(p5)/k_u) sign(xi_j); trail picks a uniform support of
@@ -329,7 +329,7 @@ def sample_comp_prior(
     only when k_eff follows from degree.
     """
     s1, entries, q, lead_entries, tau = xi.memoised(
-        _comp_constants, k_u, n, p, degree, c8, c9, k_eff_override, s1_override
+        _comp_constants, k_u, n, degree, c8, c9, k_eff_override, s1_override
     )
     rng = stream(seed, 0)
     trail = np.zeros(entries.size)
@@ -339,8 +339,9 @@ def sample_comp_prior(
     return _coupled_draw("comp", xi, k_u, lead, trail, tau, sigma_star)
 
 
-def _comp_constants(xi: LoadingVector, k_u, n, p, degree, c8, c9, k_eff_override, s1_override) -> tuple:
+def _comp_constants(xi: LoadingVector, k_u, n, degree, c8, c9, k_eff_override, s1_override) -> tuple:
     """(s1, the trail entry past k_eff, q, the lead entry before it, tau) of sample_comp_prior."""
+    p = xi.p
     k_eff = effective_sparsity(k_u, n, p, degree) if k_eff_override is None else int(k_eff_override)
     if k_eff_override is None and not 8 <= 2 * k_u < k_eff:
         raise RegimeViolation(f"need 8 <= 2 k_u < k_eff, got k_u={k_u}, k_eff={k_eff}")

@@ -163,7 +163,7 @@ def test_criterion_5_prior_validity():
         d = pri.sample_nu1_prior(xi, k_u, n, tau_nu1, seed=seed, sigma_star=5.0)
         if d.valid:
             check(d, k_u // 2)
-        d = pri.sample_comp_prior(xi, k_u, n, p, 1, seed=seed, sigma_star=5.0)
+        d = pri.sample_comp_prior(xi, k_u, n, 1, seed=seed, sigma_star=5.0)
         counts["comp"] = counts.get("comp", 0) + int(d.valid)
         if d.valid:
             check(d, k_u)
@@ -329,7 +329,7 @@ def test_criterion_9_ld_sandwich():
 
     def sampler(seed):
         return pri.sample_comp_prior(
-            xi, 1, n, p, 1, c8=0.4, c9=0.05, seed=seed, sigma_star=1.0,
+            xi, 1, n, 1, c8=0.4, c9=0.05, seed=seed, sigma_star=1.0,
             k_eff_override=2, s1_override=1,
         )
 

@@ -15,7 +15,7 @@ from adaptest.model import make_loading, stream
 
 def tiny_comp_sampler(xi, seed, c8=0.4, c9=0.05):
     return pri.sample_comp_prior(
-        xi, 1, 2, 3, 1,
+        xi, 1, 2, 1,
         c8=c8, c9=c9, seed=seed, sigma_star=1.0,
         k_eff_override=2, s1_override=1,
     )

@@ -38,7 +38,7 @@ class TestNu2Prior:
             d = pri.sample_nu2_prior(self.xi, 8, 500, 40, sigma_star=5.0, seed=seed)
         else:
             xi = make_loading(np.concatenate((np.linspace(2.0, 0.5, 200), np.zeros(300))))
-            d = pri.sample_comp_prior(xi, 32, 2000, 500, 1, seed=seed, sigma_star=5.0)
+            d = pri.sample_comp_prior(xi, 32, 2000, 1, seed=seed, sigma_star=5.0)
         assert d.valid and d.kind == kind
         theta = h_map(joint_covariance(d))
         assert np.max(np.abs(theta.beta - d.beta)) < 1e-12
@@ -151,8 +151,8 @@ class TestCompPrior:
     def test_delta1_overlap_identity(self):  # the paper's delta1 is the trailing factor
         p, k_u, n = 500, 32, 2000
         xi = make_loading(np.ones(p))
-        d1 = pri.sample_comp_prior(xi, k_u, n, p, 1, seed=0)
-        d2 = pri.sample_comp_prior(xi, k_u, n, p, 1, seed=1)
+        d1 = pri.sample_comp_prior(xi, k_u, n, 1, seed=0)
+        d2 = pri.sample_comp_prior(xi, k_u, n, 1, seed=1)
         overlap = np.sum((d1.trail != 0) & (d2.trail != 0))
         expect = 0.05**2 * (math.log(p) / n) * overlap
         assert float(d1.trail @ d2.trail) == pytest.approx(expect, rel=1e-12)
@@ -160,14 +160,14 @@ class TestCompPrior:
     def test_regime_violation(self):
         xi = make_loading(np.ones(100))
         with pytest.raises(RegimeViolation):
-            pri.sample_comp_prior(xi, 40, 200, 100, 4, seed=0)
+            pri.sample_comp_prior(xi, 40, 200, 4, seed=0)
 
     def test_validity_checks_on_valid_draws(self):
         p, k_u, n = 500, 32, 2000
         xi = make_loading(np.concatenate((np.ones(200), np.zeros(p - 200))))
         n_val = 0
         for seed in range(500):
-            d = pri.sample_comp_prior(xi, k_u, n, p, 1, seed=seed)
+            d = pri.sample_comp_prior(xi, k_u, n, 1, seed=seed)
             if d.valid:
                 n_val += 1
                 assert d.sparsity <= k_u
@@ -343,7 +343,7 @@ def _mixture_samplers():
     xic = make_loading(np.ones(40))
 
     def comp(s):
-        return pri.sample_comp_prior(xic, 16, 400, 40, 1, seed=s, k_eff_override=26, s1_override=3)
+        return pri.sample_comp_prior(xic, 16, 400, 1, seed=s, k_eff_override=26, s1_override=3)
 
     return {
         "nu2": (lambda s: pri.sample_nu2_prior(xi2, 8, 500, 40, 5.0, seed=s), 40, 500),

@@ -21,6 +21,7 @@ from adaptest.profiles import (
     multiscale_profile,
     nu1,
     nu2,
+    phase_boundaries,
     rate_bounds,
     regime_and_cutoff,
     regular_phase,
@@ -267,6 +268,23 @@ class TestRegularPhase:
         # between the curves in the moderately sparse gap region
         label, _ = regular_phase(0.4, 0.3, 0.5, gamma_tau=0.22)
         assert label == COMPUTATIONAL_GAP
+
+
+class TestPhaseBoundaries:
+    def test_moderately_sparse_hand_values(self):
+        # gamma_xi <= gamma_u: the statistical curve is the computational one, 0.3/2 + (0.5 - 0.8/2)
+        assert phase_boundaries(0.3, 0.5, 0.8) == pytest.approx((0.25, 0.25), abs=1e-12)
+        # gamma_xi >= 2 gamma_u: the statistical curve is gamma_u, and so is the capped computational one
+        assert phase_boundaries(0.9, 0.45, 0.8) == (0.45, 0.45)
+
+    def test_statistical_curve_never_above_computational(self):
+        # over the 21^3 exponent grid with gamma_u <= gamma_n; where gamma_u = gamma_n the two
+        # curves meet, and (3 gamma_u - gamma_n) / 2 may round one ulp above gamma_u
+        grid = [i / 20 for i in range(21)]
+        bounds = {(gx, gu, gn): phase_boundaries(gx, gu, gn) for gx in grid for gu in grid for gn in grid if gu <= gn}
+        assert len(bounds) == 21 * 21 * 22 // 2
+        bad = {cell: (stat, comp) for cell, (stat, comp) in bounds.items() if stat > comp + 1e-12}
+        assert not bad, bad
 
 
 class TestExampleProfiles:
