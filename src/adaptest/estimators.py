@@ -197,13 +197,14 @@ def _cd_quadratic_l1(
     A round stops if the KKT violation over all coordinates is at most kkt_tol, else predicts the
     working set's signs s: sign(v_j), or sign((lin - Gv)_j) at v_j = 0.  The exact step (Osborne,
     Presnell & Turlach 2000) solves G[A, A] v_A = lin_A - pen_A s_A on A = {s != 0}, taken if finite
-    and sign-keeping.  Else the set is swept in ascending order until no scaled step exceeds
-    kkt_tol / 100, and solved again once two sweeps in a row end on equal signs; a singular G[A, A]
-    leaves it to the sweeps unless two equal columns certify the program unbounded below
-    (`_unbounded`), which returns unconverged at once, and no (set, signs) is solved twice.  Each
-    solve and each sweep is one pass, so max_passes bounds cycling steps.  Returns (v, converged,
-    passes).  Coordinates with G_jj = 0 are held where they start; only G's diagonal and working-set
-    columns are read.
+    and sign-keeping, and tried only if |A| <= gram.n: rank G <= n makes a larger G[A, A] singular,
+    though a float solve may not raise on it.  Else the set is swept in ascending order until no
+    scaled step exceeds kkt_tol / 100, and solved again once two sweeps in a row end on equal signs;
+    a singular G[A, A] leaves it to the sweeps unless two equal columns certify the program unbounded
+    below (`_unbounded`), which returns unconverged at once, and no (set, signs) is solved twice.
+    Each solve and each sweep is one pass, so max_passes bounds cycling steps.  Returns (v,
+    converged, passes).  Coordinates with G_jj = 0 are held where they start; only G's diagonal and
+    working-set columns are read.
     """
     movable = gram.diag > 0.0
     v = beta0.copy()
@@ -229,7 +230,8 @@ def _cd_quadratic_l1(
         signs, last = np.sign(np.where(v_old != 0.0, v_old, r[ws])), None  # signs to solve on, None to sweep
         while passes < max_passes:
             passes += 1
-            if signs is not None and (key := (ws.tobytes(), signs.tobytes())) not in tried:
+            key = None if signs is None or np.count_nonzero(signs) > gram.n else (ws.tobytes(), signs.tobytes())
+            if key is not None and key not in tried:
                 tried.add(key)
                 try:
                     exact = _signed_solve(block.T, lin[ws], pen[ws], signs)

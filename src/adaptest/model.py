@@ -74,7 +74,7 @@ class LoadingVector:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memoised(self, fn, *args):
-        """fn(self, *args), computed once and kept in memo, arrays read-only (racing threads store equal values)."""
+        """fn(self, *args), computed once and kept in memo, arrays read-only."""
         key = (fn, *args)
         if key not in self.memo:
             value = fn(self, *args)

@@ -216,24 +216,28 @@ RATE_TAGS = {
 }
 
 
+def _region(gamma_xi: float, gamma_u: float, gamma_n: float) -> tuple[str, float, float]:
+    """(label, statistical, computational) at one cell: its gamma_tau-free region label and both
+    gamma_tau boundary exponents, one branch per region."""
+    if gamma_u <= gamma_n / 2.0:  # ultra-sparse: the two curves coincide
+        if gamma_xi <= 2.0 * gamma_u:
+            return EASY_L2, gamma_xi / 2.0, gamma_xi / 2.0
+        return EASY_LINF, gamma_u, gamma_u
+    comp = min(min(gamma_xi / 2.0, gamma_n / 2.0) + (gamma_u - gamma_n / 2.0), gamma_u)
+    if gamma_xi <= gamma_u:
+        return SPARSE_LOADING_L2_INFLATED, comp, comp
+    if gamma_xi < 2.0 * gamma_u:  # gamma_u - (gamma_n - gamma_u) / 2 is exactly gamma_u at gamma_u = gamma_n
+        return COMPUTATIONAL_GAP, max(gamma_xi / 2.0, gamma_u - (gamma_n - gamma_u) / 2.0), comp
+    return EASY_LINF, gamma_u, comp
+
+
 def phase_boundaries(gamma_xi: float, gamma_u: float, gamma_n: float) -> tuple[float, float]:
     """(statistical, computational) gamma_tau boundary exponents at gamma_xi.
 
     Exponents parameterize k_xi = p^{gamma_xi}, k_u = p^{gamma_u},
     n = p^{gamma_n}, and the rescaled shift sqrt(n) tau = |xi|_inf p^{gamma_tau}.
     """
-    if gamma_u <= gamma_n / 2.0:  # ultra-sparse: the two curves coincide
-        stat = min(gamma_xi / 2.0, gamma_u)
-        return stat, stat
-    lift = gamma_u - gamma_n / 2.0
-    comp = min(gamma_xi / 2.0, gamma_n / 2.0) + lift
-    if gamma_xi <= gamma_u:
-        stat = comp
-    elif gamma_xi < 2.0 * gamma_u:
-        stat = max(gamma_xi / 2.0, (3.0 * gamma_u - gamma_n) / 2.0)
-    else:
-        stat = gamma_u
-    return stat, min(comp, gamma_u)
+    return _region(gamma_xi, gamma_u, gamma_n)[1:]
 
 
 def regular_phase(
@@ -253,24 +257,14 @@ def regular_phase(
     for g in (gamma_xi, gamma_u, gamma_n):
         if not 0.0 <= g <= 1.0:
             raise ValueError("exponents must lie in [0, 1]")
-    ultra = gamma_u <= gamma_n / 2.0
-    if gamma_tau is not None:
-        stat, comp = phase_boundaries(gamma_xi, gamma_u, gamma_n)
-        if gamma_tau < stat:
-            return STATISTICALLY_IMPOSSIBLE, RATE_TAGS[EASY_L2 if ultra else SPARSE_LOADING_L2_INFLATED]
-        if gamma_tau < comp:
-            return COMPUTATIONAL_GAP, RATE_TAGS[COMPUTATIONAL_GAP]
-        label, tag = regular_phase(gamma_xi, gamma_u, gamma_n)
-        return (label if label != COMPUTATIONAL_GAP else EASY_LINF), tag
-    if ultra:
-        label = EASY_L2 if gamma_xi <= 2.0 * gamma_u else EASY_LINF
-    elif gamma_xi <= gamma_u:
-        label = SPARSE_LOADING_L2_INFLATED
-    elif gamma_xi < 2.0 * gamma_u:
-        label = COMPUTATIONAL_GAP
-    else:
-        label = EASY_LINF
-    return label, RATE_TAGS[label]
+    label, stat, comp = _region(gamma_xi, gamma_u, gamma_n)
+    if gamma_tau is None:
+        return label, RATE_TAGS[label]
+    if gamma_tau < stat:
+        return STATISTICALLY_IMPOSSIBLE, RATE_TAGS[EASY_L2 if gamma_u <= gamma_n / 2.0 else SPARSE_LOADING_L2_INFLATED]
+    if gamma_tau < comp:
+        return COMPUTATIONAL_GAP, RATE_TAGS[COMPUTATIONAL_GAP]
+    return (EASY_LINF if label == COMPUTATIONAL_GAP else label), RATE_TAGS[label]
 
 
 # --- named example profiles -------------------------------------------------

@@ -35,10 +35,10 @@ def orthonormal_design(n, p, seed):
 
 class DenseGram:
     """A dense symmetric matrix behind the part of the dataset interface the solvers read
-    on a Gram: its diagonal and its columns."""
+    on a Gram: its diagonal, its columns and the sample size n that bounds its rank."""
 
-    def __init__(self, g):
-        self.g, self.diag = g, np.diag(g)
+    def __init__(self, g, n):
+        self.g, self.diag, self.n = g, np.diag(g), n
 
     def cols(self, idx):
         return self.g[:, np.asarray(idx, dtype=int)]
@@ -79,7 +79,7 @@ class TestCoordinateDescentKKT:
         dead = min(dead, p)
         x, rng = random_design(seed, n, p, dead)
         data = Dataset(x=x, y=np.zeros(n))
-        gram = data if lazy else DenseGram(sample_cov(data))
+        gram = data if lazy else DenseGram(sample_cov(data), n)
         # lin in the row space of X keeps the objective bounded below
         lin = x.T @ rng.standard_normal(n) / n
         pen = np.full(p, level) if constant_pen else level * rng.uniform(0.1, 1.0, p)
@@ -92,18 +92,20 @@ class TestCoordinateDescentKKT:
         return passes
 
     @given(**KKT_CASES)
+    @example(seed=0, p=6, n=2, dead=0, constant_pen=False, level=0.01171875)  # a 5-column block at rank 2
     @settings(max_examples=60, deadline=None)
     def test_returned_point_satisfies_kkt(self, seed, p, n, dead, constant_pen, level):
         self.solve_and_certify(seed, p, n, dead, constant_pen, level, lazy=False)
 
     @given(**KKT_CASES)
+    @example(seed=0, p=6, n=2, dead=0, constant_pen=False, level=0.01171875)
     @settings(max_examples=60, deadline=None)
     def test_lazy_gram_point_satisfies_kkt(self, seed, p, n, dead, constant_pen, level):
         self.solve_and_certify(seed, p, n, dead, constant_pen, level, lazy=True)
 
     def test_pass_budget_exhausted_is_reported(self):
         x, rng = random_design(3, 40, 10, 0)
-        gram = DenseGram(sample_cov(Dataset(x=x, y=np.zeros(40))))
+        gram = DenseGram(sample_cov(Dataset(x=x, y=np.zeros(40))), 40)
         lin = x.T @ rng.standard_normal(40) / 40
         v, converged, passes = _cd_quadratic_l1(gram, lin, np.full(10, 1e-3), np.zeros(10), 1e-12, 1)
         assert not converged
@@ -155,7 +157,7 @@ class TestCoordinateDescentKKT:
     def test_pass_budget_bounds_solves_and_sweeps(self, budget):
         # solves and sweeps both spend the budget: a case that needs more passes stops unconverged within it
         x, rng = random_design(0, 40, 10, 0)
-        gram = DenseGram(sample_cov(Dataset(x=x, y=np.zeros(40))))
+        gram = DenseGram(sample_cov(Dataset(x=x, y=np.zeros(40))), 40)
         lin = x.T @ rng.standard_normal(40) / 40
         v, converged, passes = _cd_quadratic_l1(gram, lin, np.full(10, 1e-3), np.zeros(10), 1e-12, budget)
         assert not converged and passes == budget
@@ -624,7 +626,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(0.3, xi.original(), n)
-        res = projection_direction(DenseGram(np.eye(3)), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(np.eye(3), n), xi.original(), c_xi, n)
         assert res.feasible
         assert np.allclose(res.u_hat, [0.7, 0.0, 0.0], atol=1e-9)
 
@@ -632,7 +634,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(1.5, xi.original(), n)
-        res = projection_direction(DenseGram(np.eye(3)), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(np.eye(3), n), xi.original(), c_xi, n)
         assert res.feasible
         assert np.allclose(res.u_hat, 0.0)
         assert res.objective == 0.0
@@ -644,7 +646,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p)) @ np.linalg.cholesky(np.eye(p) + 0.3).T
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(DenseGram(s), xi.original(), 2.0, n)
+        res = projection_direction(DenseGram(s, n), xi.original(), 2.0, n)
         oracle = np.linalg.solve(s, xi.original())
         assert res.feasible
         assert res.objective <= float(oracle @ (s @ oracle)) + 1e-9
@@ -655,7 +657,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(DenseGram(s), xi.original(), 1.0, n)
+        res = projection_direction(DenseGram(s, n), xi.original(), 1.0, n)
         assert res.feasible
         slack = np.abs(s @ res.u_hat - xi.original())
         active = np.abs(res.u_hat) > 1e-8
@@ -675,7 +677,7 @@ class TestProjectionDirection:
         x, rng = random_design(seed, n, p, min(dead, p - 1))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(DenseGram(s), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(s, n), xi.original(), c_xi, n)
         if res.feasible:
             tol = 1e-9 * max(float(np.linalg.norm(xi.original())), 1.0)
             radius = self.radius(c_xi, xi.original(), n)
@@ -688,7 +690,7 @@ class TestProjectionDirection:
         v = np.array([1.0, 0.0, 0.0])
         s = np.outer(v, v)
         xi = make_loading([0.0, 1.0, 0.0])
-        res = projection_direction(DenseGram(s), xi.original(), 0.01, 10**6)
+        res = projection_direction(DenseGram(s, 10**6), xi.original(), 0.01, 10**6)
         assert not res.feasible
         assert np.allclose(res.u_hat, 0.0)
 
@@ -711,7 +713,7 @@ class TestProjectionDirection:
         # S_11 = 0 and |xi_1| = 1 > r: no direction meets the constraint
         s, xi = np.diag([1.0, 0.0, 2.0]), np.array([0.5, 1.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="adaptest"):
-            res = projection_direction(DenseGram(s), xi, 0.5, 400)
+            res = projection_direction(DenseGram(s, 400), xi, 0.5, 400)
         assert not res.feasible
         assert [(r.name, r.levelno) for r in caplog.records] == [("adaptest", logging.WARNING)]
         assert "u = 0" in caplog.records[0].getMessage()

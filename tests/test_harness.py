@@ -392,6 +392,13 @@ GOLDEN_CASES["length_sweep"] = (
 GOLDEN_CASES["phase_diagram"] = (
     "kind = phase_diagram\np = 30\ngamma_xi_grid = 0.3,0.7\ngamma_tau_grid = 1.5,2.0\nreps = 3\nmaster_seed = 7\n"
 )
+# That table's gamma_u = 0.3 <= gamma_n / 2 runs only the ultra-sparse branch.  This one is moderately
+# sparse: its six cells carry four labels (sparse_loading_l2_inflated, computational_gap,
+# statistically_impossible, easy_linf), with mean reject rates 0 and 1, and lie off both curves.
+GOLDEN_CASES["phase_diagram_moderate"] = (
+    "kind = phase_diagram\np = 30\ngamma_u = 0.5\ngamma_xi_grid = 0.3,0.7,1.0\ngamma_tau_grid = 0.4,2.0\n"
+    "reps = 3\nmaster_seed = 7\n"
+)
 GOLDEN_SHA256 = {
     "point": "64d102e96b56cf3fb426a6117e0ccc368fcc364ffd4d1eab104c703382d0588f",
     "nu1": "59ce893b39df5a8d2ccf5363c065d212a1ac63af63af17a1eb15e2ad3189d423",
@@ -400,6 +407,7 @@ GOLDEN_SHA256 = {
     "spiked": "7d357e4c5679d6a73f4f5700c3181e6dd33dd2f8417fd945bd2a6c33629021a1",
     "length_sweep": "12fd1b949f8905f17f1a551ba4f58de5294aa536c35600671fe634059fae4460",
     "phase_diagram": "819e9d27c0eb7f1463533f44de9ec04c086db4099e92fb84f5097b6546afb3ed",
+    "phase_diagram_moderate": "7d137a558e9ee697e43e8e413b8f68ad7cce0a9174682f393ddb892a744429c8",
 }
 # The other commands' tables at master_seed = 7: prior at each kind, with its chi-square table,
 # lowdeg on the criterion-9 instance ({xi} is its loading CSV), profile, and fit and test in every

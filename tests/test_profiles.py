@@ -269,6 +269,25 @@ class TestRegularPhase:
         label, _ = regular_phase(0.4, 0.3, 0.5, gamma_tau=0.22)
         assert label == COMPUTATIONAL_GAP
 
+    def test_labels_follow_the_region_conditions_and_both_curves(self):
+        # over the 21^3 exponent grid with gamma_u <= gamma_n, at every gamma_tau in {i / 20}
+        grid = [i / 20 for i in range(21)]
+        for gx, gu, gn in ((gx, gu, gn) for gx in grid for gu in grid for gn in grid if gu <= gn):
+            if gu <= gn / 2.0:
+                free = EASY_L2 if gx <= 2.0 * gu else EASY_LINF
+            else:
+                free = SPARSE_LOADING_L2_INFLATED if gx <= gu else COMPUTATIONAL_GAP if gx < 2.0 * gu else EASY_LINF
+            assert regular_phase(gx, gu, gn)[0] == free, (gx, gu, gn)
+            stat, comp = phase_boundaries(gx, gu, gn)
+            for gt in grid:
+                label = regular_phase(gx, gu, gn, gamma_tau=gt)[0]
+                if gt < stat:
+                    assert label == STATISTICALLY_IMPOSSIBLE, (gx, gu, gn, gt)
+                elif gt < comp:
+                    assert label == COMPUTATIONAL_GAP, (gx, gu, gn, gt)
+                else:
+                    assert label == (EASY_LINF if free == COMPUTATIONAL_GAP else free), (gx, gu, gn, gt)
+
 
 class TestPhaseBoundaries:
     def test_moderately_sparse_hand_values(self):
@@ -276,14 +295,17 @@ class TestPhaseBoundaries:
         assert phase_boundaries(0.3, 0.5, 0.8) == pytest.approx((0.25, 0.25), abs=1e-12)
         # gamma_xi >= 2 gamma_u: the statistical curve is gamma_u, and so is the capped computational one
         assert phase_boundaries(0.9, 0.45, 0.8) == (0.45, 0.45)
+        # gamma_u < gamma_xi < 2 gamma_u at gamma_u = gamma_n: both curves are exactly gamma_u, and
+        # gamma_tau on them is detectable
+        assert phase_boundaries(0.15, 0.1, 0.1) == (0.1, 0.1)
+        assert regular_phase(0.15, 0.1, 0.1, gamma_tau=0.1)[0] == EASY_LINF
 
     def test_statistical_curve_never_above_computational(self):
-        # over the 21^3 exponent grid with gamma_u <= gamma_n; where gamma_u = gamma_n the two
-        # curves meet, and (3 gamma_u - gamma_n) / 2 may round one ulp above gamma_u
+        # over the 21^3 exponent grid with gamma_u <= gamma_n, exactly: where gamma_u = gamma_n the two curves meet
         grid = [i / 20 for i in range(21)]
         bounds = {(gx, gu, gn): phase_boundaries(gx, gu, gn) for gx in grid for gu in grid for gn in grid if gu <= gn}
         assert len(bounds) == 21 * 21 * 22 // 2
-        bad = {cell: (stat, comp) for cell, (stat, comp) in bounds.items() if stat > comp + 1e-12}
+        bad = {cell: (stat, comp) for cell, (stat, comp) in bounds.items() if stat > comp}
         assert not bad, bad
 
 
