@@ -264,16 +264,18 @@ def _cd_quadratic_l1(
 
 
 def _fixed_point_on_support(g: Dataset, beta: np.ndarray, pen0: np.ndarray, tol: float):
-    """The scaled-lasso fixed point on beta's support and signs, or None.
+    """The scaled-lasso fixed point on beta's support and signs, and else the next signs to try.
 
     With support S, signs s, A = G[S, S], c = X'y/n on S and
     d = A^{-1}(pen0_S * s), the lasso at penalty sigma * pen0 with that
     support and those signs is beta_S(sigma) = A^{-1} c - sigma d, whose
     residual ||Y - X beta||^2 / n is y'y/n - c'A^{-1}c + sigma^2 d'Ad.  So
-    sigma*^2 = (y'y/n - c'A^{-1}c) / (1 - d'Ad).  (beta*, sigma*) is
-    returned only if it keeps the signs s and every coordinate outside S
-    meets |X_j'(Y - X beta*)/n| <= sigma* pen0_j + tol; it reads only the
-    Gram columns of S.
+    sigma*^2 = (y'y/n - c'A^{-1}c) / (1 - d'Ad).  Returns ((beta*, sigma*),
+    None) if that point keeps the signs s and every coordinate outside S
+    meets |X_j'(Y - X beta*)/n| <= sigma* pen0_j + tol (its certificate).
+    Else (None, signs): s without the coordinates whose sign flipped, plus
+    each violator outside S with its gradient's sign; or (None, None) if
+    A is singular, num <= 0 or den <= 0.  It reads only the Gram columns of S.
     """
     nz = beta.nonzero()[0]
     s = np.sign(beta[nz])
@@ -281,22 +283,23 @@ def _fixed_point_on_support(g: Dataset, beta: np.ndarray, pen0: np.ndarray, tol:
     try:
         sol = np.linalg.solve(cols[nz], np.column_stack((g.xty[nz], pen0[nz] * s)))
     except np.linalg.LinAlgError:
-        return None
+        return None, None
     num = g.yty - float(g.xty[nz] @ sol[:, 0])
     den = 1.0 - float(pen0[nz] * s @ sol[:, 1])
     if num <= 0.0 or den <= 0.0:
-        return None
+        return None, None
     sigma = math.sqrt(num / den)
     beta_s = sol[:, 0] - sigma * sol[:, 1]
-    if np.any(beta_s * s <= 0.0):
-        return None
+    kept = beta_s * s > 0.0
     grad = g.xty - cols @ beta_s
     grad[nz] = 0.0
-    if np.any(np.abs(grad) > sigma * pen0 + tol):
-        return None
+    viol = np.abs(grad) > sigma * pen0 + tol
     out = np.zeros_like(beta)
-    out[nz] = beta_s
-    return out, sigma
+    if kept.all() and not viol.any():
+        out[nz] = beta_s
+        return (out, sigma), None
+    out[nz[kept]], out[viol] = s[kept], np.sign(grad[viol])
+    return None, out
 
 
 def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
@@ -305,12 +308,17 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     For fixed sigma the beta-step is a lasso with per-column weights
     ||X_j||_2 / sqrt(n) and penalty level sigma * sqrt(2.01 log p / n);
     the sigma-step is the exact minimizer ||Y - X beta||_2 / sqrt(n).
-    After each beta-step the fixed point of the two steps is solved in
-    closed form on that step's support and signs, where the lasso is
-    affine in sigma (`_fixed_point_on_support`), and taken when its KKT
-    certificate holds; the sigma-step from it then returns sigma to
-    rounding.  Otherwise the rounds alternate the two steps from the
-    new sigma.  Stops when sigma changes by less than 1e-8 (relative) or
+    On a support and signs the lasso is affine in sigma, so the fixed point
+    of the two steps there has a closed form (`_fixed_point_on_support`),
+    taken when its KKT certificate holds; the sigma-step from it returns
+    sigma to rounding, and the fit depends only on that support and signs.
+    A search tries it first, on the coordinate-descent core's first working
+    set at (0, sqrt(y'y/n)) with the signs of X'y/n, then on the signs each
+    failed certificate names.  It gives up when a prediction repeats, the
+    closed form has no point (a singular block, num <= 0 or den <= 0) or
+    LASSO_ROUNDS tries fail; then rounds alternate the two steps from
+    (0, sqrt(y'y/n)), each beta-step followed by the closed form on its
+    support and signs.  Stops when sigma changes by less than 1e-8 (relative) or
     after LASSO_ROUNDS rounds; converged is False if that never happened or if any
     beta-step ran out of its budget of 2000 coordinate-descent passes, and then
     the fit logs a WARNING on the adaptest logger, once, when it is computed.
@@ -328,8 +336,14 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     if np.any(weights == 0.0):
         raise ValueError("columns of X must not be identically zero")
 
-    beta = np.zeros(p)
+    beta, pen0 = np.zeros(p), lam0 * weights
     sigma = math.sqrt(data.yty)
+    kkt_tol = 1e-10 * max(1.0, sigma)
+    # the search: predicted signs, from the CD core's first working set at (0, sigma) on (see the docstring)
+    signs, fixed, seen = np.sign(data.xty) * (np.abs(data.xty) - sigma * lam0 * weights > kkt_tol), None, set()
+    while signs is not None and len(seen) < LASSO_ROUNDS and signs.tobytes() not in seen:
+        seen.add(signs.tobytes())
+        fixed, signs = _fixed_point_on_support(data, signs, pen0, kkt_tol)
     objectives = []
     converged = False
     inner_ok = True
@@ -337,12 +351,13 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     for it in range(1, LASSO_ROUNDS + 1):
         if sigma <= 0.0:
             break
-        kkt_tol = 1e-10 * max(1.0, sigma)
-        beta, ok, _ = _cd_quadratic_l1(data, data.xty, sigma * lam0 * weights, beta, kkt_tol=kkt_tol, max_passes=2000)
-        inner_ok = inner_ok and ok
-        fixed = _fixed_point_on_support(data, beta, lam0 * weights, kkt_tol)
+        if fixed is None:
+            kkt_tol = 1e-10 * max(1.0, sigma)
+            beta, ok, _ = _cd_quadratic_l1(data, data.xty, sigma * lam0 * weights, beta, kkt_tol, max_passes=2000)
+            inner_ok = inner_ok and ok
+            fixed = _fixed_point_on_support(data, beta, pen0, kkt_tol)[0]
         if fixed is not None:
-            beta, sigma = fixed
+            (beta, sigma), fixed = fixed, None
         nz = beta.nonzero()[0]  # beta is sparse: form beta' G beta on its support
         res2 = max(data.yty - 2.0 * float(data.xty @ beta) + float(beta[nz] @ (data.cols(nz)[nz] @ beta[nz])), 0.0)
         sigma_new = math.sqrt(res2)

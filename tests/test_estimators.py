@@ -165,14 +165,15 @@ class TestCoordinateDescentKKT:
         assert converged and passes > 50
 
     def test_scaled_lasso_reports_inner_budget(self, monkeypatch):
-        core = estimators._cd_quadratic_l1
+        core, calls = estimators._cd_quadratic_l1, []
         monkeypatch.setattr(
-            estimators, "_cd_quadratic_l1", lambda *a, **kw: core(*a, **{**kw, "max_passes": 1})
+            estimators, "_cd_quadratic_l1", lambda *a, **kw: calls.append(1) or core(*a, **{**kw, "max_passes": 1})
         )
         x, rng = random_design(5, 60, 15, 0)
-        y = x[:, :3] @ np.array([2.0, -1.0, 1.0]) + rng.standard_normal(60)
+        x[:, 1] = x[:, 0]  # twin columns: the search meets a singular block and gives up to the alternation
+        y = x[:, :3] @ np.array([2.0, 1.0, 1.0]) + rng.standard_normal(60)
         fit = scaled_lasso(Dataset(x=x, y=y))
-        assert not fit.converged
+        assert calls and not fit.converged
 
 
 class TestScaledLasso:
@@ -247,6 +248,18 @@ def lars_design(seed, n, extra, mix, noise, b1, b2):
     return Dataset(x=x, y=b1 * x[:, 0] + b2 * x[:, 1] + noise * rng.standard_normal(n))
 
 
+LARS_CASES = dict(seed=st.integers(0, 10**6), n=st.integers(10, 60), extra=st.integers(0, 12),
+                  mix=st.one_of(st.just(0.0), st.floats(0.8, 0.99)), noise=st.floats(0.2, 1.0),
+                  b1=st.floats(0.5, 2.0), b2=st.floats(0.5, 2.0))
+
+
+def criterion3_rows(seed, level):
+    """A criterion-3 row dataset (n = 300, p = 600): five coefficients at `level`."""
+    beta = np.zeros(600)
+    beta[[3, 50, 100, 250, 599]] = level
+    return generate_dataset(ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0), 300, seed)
+
+
 def plain_alternation(data, rel=1e-14, rounds=500):
     """The scaled lasso by plain alternation of its two exact steps, until
     sigma changes by less than `rel` (relative)."""
@@ -268,26 +281,22 @@ class TestScaledLassoFixedPoint:
     sigma lam0 w on every column, and sigma^2 = ||y - X beta||^2 / n."""
 
     def test_certificate_on_both_paths(self, monkeypatch):
-        paths = {"closed_form": 0, "alternation": 0}
-        closed_form = estimators._fixed_point_on_support
+        paths = {"search": 0, "alternation": 0}
+        core, calls = estimators._cd_quadratic_l1, []
+        monkeypatch.setattr(estimators, "_cd_quadratic_l1", lambda *a, **kw: calls.append(1) or core(*a, **kw))
 
-        def spy(*args):
-            out = closed_form(*args)
-            paths["closed_form" if out is not None else "alternation"] += 1
-            return out
-
-        monkeypatch.setattr(estimators, "_fixed_point_on_support", spy)
-
-        @given(seed=st.integers(0, 10**6), n=st.integers(10, 60), extra=st.integers(0, 12),
-               mix=st.one_of(st.just(0.0), st.floats(0.8, 0.99)), noise=st.floats(0.2, 1.0),
-               b1=st.floats(0.5, 2.0), b2=st.floats(0.5, 2.0))
-        # the first support flips a sign here (seed 9) and is certified at once (seed 2)
+        @given(**LARS_CASES)
+        # the first support flips a sign here (seed 9) and is certified at once (seed 2); the search
+        # gives up and coordinate descent runs (seed 923745)
         @example(seed=9, n=31, extra=4, mix=0.8545, noise=0.6825, b1=1.666, b2=1.574)
         @example(seed=2, n=51, extra=1, mix=0.8567, noise=0.8514, b1=0.638, b2=1.400)
+        @example(seed=923745, n=18, extra=4, mix=0.9712, noise=0.4734, b1=0.858, b2=1.733)
         @settings(max_examples=80, deadline=None)
         def certify(seed, n, extra, mix, noise, b1, b2):
             data = lars_design(seed, n, extra, mix, noise, b1, b2)
+            calls.clear()
             fit = scaled_lasso(data)
+            paths["alternation" if calls else "search"] += 1
             assert fit.converged and len(fit.objectives) == fit.iterations
             assert np.all(np.diff(fit.objectives) <= 1e-12 * fit.objectives[0])
             beta, sigma = fit.beta_hat, fit.sigma_hat
@@ -300,7 +309,27 @@ class TestScaledLassoFixedPoint:
             assert np.max(viol) <= 1e-10 * max(1.0, sigma)
 
         certify()
-        assert paths["closed_form"] > 0 and paths["alternation"] > 0
+        assert paths["search"] > 0 and paths["alternation"] > 0
+
+    @given(data=st.one_of(st.builds(lars_design, **LARS_CASES), st.builds(criterion3_rows, st.integers(0, 10**6),
+                                                                            st.floats(0.0, 3.0))))
+    @settings(max_examples=60, deadline=None)
+    def test_search_matches_the_alternation_bits(self, data):
+        # with the search off (its first closed form gives up) the alternation runs from (0, sqrt(y'y/n));
+        # wherever its last closed form certifies on the search's support and signs, the bits agree
+        closed_form, last = estimators._fixed_point_on_support, []
+
+        def alternation_only(*args):
+            last.append(closed_form(*args) if last else (None, None))
+            return last[-1]
+
+        fit = scaled_lasso(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_fixed_point_on_support", alternation_only)
+            alone = scaled_lasso(Dataset(x=data.x, y=data.y))
+        same = np.array_equal(np.sign(fit.beta_hat), np.sign(alone.beta_hat))
+        if fit.converged and alone.converged and last[-1][0] is not None and same:
+            assert fit.beta_hat.tobytes() == alone.beta_hat.tobytes() and fit.sigma_hat == alone.sigma_hat
 
     def test_agrees_with_plain_alternation(self):
         # criterion-3 size: n = 300, p = 600, k = 5, null-like and alternative signal
@@ -603,6 +632,16 @@ class TestCriterion3Bits:
             fit = scaled_lasso(data)
             digest.update(fit.beta_hat.tobytes() + np.float64(fit.sigma_hat).tobytes())
         assert digest.hexdigest() == "5a8b29d381633366eda3c2af70fa9b088f1e6dad8d41bc306a83664f21a47e52"
+
+    def test_search_certifies_without_coordinate_descent(self, monkeypatch):
+        # the fits that the search certifies before any coordinate-descent call, pinned: all 40 of them
+        core, calls = estimators._cd_quadratic_l1, []
+        monkeypatch.setattr(estimators, "_cd_quadratic_l1", lambda *a, **kw: calls.append(1) or core(*a, **kw))
+        searched = 0
+        for data in criterion3_datasets():
+            calls.clear()
+            searched += scaled_lasso(data).converged and not calls
+        assert searched == 40
 
     def test_coordinate_dataset_bits(self):
         digest = hashlib.sha256()
