@@ -238,11 +238,11 @@ def split_half(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
 
 
 def _split_half_center(data: Dataset, seed: int, sigma_floor: float, xi_vec: np.ndarray, direction):
-    """(fit, center): the lasso fit on half 1 of split_half(data, seed), and the
-    corrected center on half 2's Gram along direction(half1), both read on forks."""
+    """(fit, center, half2): the lasso fit on half 1 of split_half(data, seed), the corrected
+    center on half 2's Gram along direction(half1), both read on forks, and half 2's fork."""
     half1, half2 = split_half(data, seed)
-    fit = scaled_lasso(half1, sigma_floor=sigma_floor)
-    return fit, _corrected_center(half2.fork(), fit.beta_hat, xi_vec, direction(half1.fork()))
+    fit, half2 = scaled_lasso(half1, sigma_floor=sigma_floor), half2.fork()
+    return fit, _corrected_center(half2, fit.beta_hat, xi_vec, direction(half1.fork())), half2
 
 
 def known_sigma_ci(
@@ -257,11 +257,19 @@ def known_sigma_ci(
 
     sigma0_diag is the diagonal of Sigma0, length p (the paper's known
     covariance is diagonal).  The correction on half 2 runs along the oracle
-    direction Sigma0^{-1} xi, so the radius needs no k_u term:
-    1.1 (c2 + c3) ||xi||_2 sigma_hat / sqrt(n2) with c2 = c3 = 1.
+    direction a = Sigma0^{-1} xi.  Given half 1 and d = beta_hat - beta, it
+    averages n2 iid terms of variance (a'Sigma a)(sigma^2 + d'Sigma d) + (a'Sigma d)^2
+    under Gaussian rows, so the radius is the z_{1-alpha/2} multiple of
+    sqrt((xi' Sigma0^{-1} xi RSS2 + (center - xi'beta_hat)^2) / n2), where RSS2 is
+    half 2's residual mean square at beta_hat, read from its Gram (y'y/n, X'y/n and
+    the columns of beta_hat's support), and z comes from `statistics.NormalDist`.
     """
-    fit, center = _split_half_center(data, seed, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
-    radius = 2.2 * float(np.linalg.norm(xi_vec)) * fit.sigma_hat / math.sqrt(data.n // 2)
+    fit, center, half2 = _split_half_center(data, seed, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
+    s = fit.beta_hat.nonzero()[0]
+    b = fit.beta_hat[s]
+    rss2 = max(half2.yty - 2.0 * float(half2.xty[s] @ b) + float(b @ (half2.cols(s)[s] @ b)), 0.0)
+    spread = float(xi_vec @ (xi_vec / sigma0_diag)) * rss2 + (center - float(xi_vec @ fit.beta_hat)) ** 2
+    radius = NormalDist().inv_cdf(1.0 - alpha / 2.0) * math.sqrt(spread / half2.n)
     return ConfidenceInterval(center=center, radius=radius, budget={"known_sigma": alpha})
 
 
@@ -281,7 +289,7 @@ def spiked_ci(
     sigma_hat [ ||xi||_2 / sqrt(n) + H(k_u) k_u log p / n ].
     """
     xi_vec = xi.original()
-    fit, center = _split_half_center(
+    fit, center, _ = _split_half_center(
         data, seed, sigma_floor, xi_vec, lambda half1: spiked_cov_estimate(half1, k_u).omega_hat @ xi_vec
     )
     radius = fit.sigma_hat * (

@@ -400,10 +400,10 @@ GOLDEN_CASES["phase_diagram_moderate"] = (
     "reps = 3\nmaster_seed = 7\n"
 )
 GOLDEN_SHA256 = {
-    "point": "64d102e96b56cf3fb426a6117e0ccc368fcc364ffd4d1eab104c703382d0588f",
-    "nu1": "59ce893b39df5a8d2ccf5363c065d212a1ac63af63af17a1eb15e2ad3189d423",
-    "nu2": "99f692659d62cd667068ca3fc47cc2db5fe42ba573008084d658d3e4975dc19a",
-    "quantile": "04c66e0eb4f17921a4e2ff2c34a935e6df4d7db0919ab938d1003ca6b2eef192",
+    "point": "11449db6bbb9d976acd5983fc17975af8f19d683b79142f547f25b22b25a5781",
+    "nu1": "3220c87839bf1bef06766e1ca67299f41062f1f6a5e23a257f879d7eb5fda315",
+    "nu2": "46b6492a083360ef814100679ae25c7393148710815d7ab6e6386856127124a4",
+    "quantile": "28d24a3e7286c7477979b242b0377dc7e9578f14c457f0ec6812b92d20769fda",
     "spiked": "7d357e4c5679d6a73f4f5700c3181e6dd33dd2f8417fd945bd2a6c33629021a1",
     "length_sweep": "12fd1b949f8905f17f1a551ba4f58de5294aa536c35600671fe634059fae4460",
     "phase_diagram": "819e9d27c0eb7f1463533f44de9ec04c086db4099e92fb84f5097b6546afb3ed",
@@ -440,7 +440,7 @@ COMMAND_GOLDEN_SHA256 = {
     "test_mixed": "00771a6e7ca1ccba9d5a46b919bfd6c5b99e5d08869c149515cb69b1e7f8d270",
     "test_plugin": "325f69b30c398cada874b271f90f7f6c4940e27fee494256df1322a547c4b0df",
     "test_debiased": "0cd0fd0b3d3afb4a9372eed9952b8c83395b60d9f7d6f92ede46c9c5e332db9b",
-    "test_known_sigma": "ff8d01c09f03c278d62f335c4319a53f1946358536199292f15d2419a59c5f71",
+    "test_known_sigma": "f13f15a8513d70c8d0fc4126f498eb5eb72a40492fd584d3099ab660b749efc8",
     "test_spiked": "633d1bfceed9f9b5066510381312f62e5898f984fcc820d1e08b5ae1bf431ea0",
     "test_mixed_scan": "86a43c0dc3ab332ef02a4a62531be8ce3655af0acb21b24ba6100a562e6b83e8",
 }

@@ -25,7 +25,7 @@ from adaptest.estimators import (
     spiked_cov_estimate,
 )
 from adaptest import model
-from adaptest.harness import null_point
+from adaptest.harness import null_point, parse_config, run_experiment
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
 from adaptest.priors import sample_nu2_prior, valid_draws
 from adaptest.profiles import example_profiles, log_grid
@@ -243,13 +243,41 @@ class TestKnownSigmaCI:
             inf.known_sigma_ci(data, np.ones(10), np.ones(10), 0.05, seed=0)
 
     def test_radius_from_half1_fit(self):
-        # 1.1 (c2 + c3) ||xi||_2 sigma_hat / sqrt(n2) at c2 = c3 = 1, sigma_hat from the half-1 lasso
-        theta = ModelParams(beta=np.zeros(20), sigma_cov=None, noise_sd=1.0)
+        # z_{1-alpha/2} sqrt((xi' Sigma0^{-1} xi RSS2 + (center - xi'beta_hat)^2) / n2), by hand from half 2's
+        # rows: RSS2 its residual mean square at the half-1 lasso's beta_hat, the center its corrected one
+        theta = ModelParams(beta=np.r_[1.5, -1.0, np.zeros(18)], sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 80, 1)
-        xi = np.linspace(-1.0, 2.0, 20)
-        ci = inf.known_sigma_ci(data, np.ones(20), xi, 0.05, seed=3)
-        fit = scaled_lasso(inf.split_half(data, 3)[0])
-        assert ci.radius == 2.2 * float(np.linalg.norm(xi)) * fit.sigma_hat / math.sqrt(40)
+        xi, d = np.linspace(-1.0, 2.0, 20), np.linspace(0.5, 2.0, 20)
+        ci = inf.known_sigma_ci(data, d, xi, 0.05, seed=3)
+        half1, half2 = inf.split_half(data, 3)
+        beta_hat = scaled_lasso(half1).beta_hat
+        resid = half2.y - half2.x @ beta_hat
+        correction = (xi / d) @ (half2.x.T @ resid) / 40
+        radius = ndtri(0.975) * math.sqrt(((xi / d) @ xi * (resid @ resid) / 40 + correction**2) / 40)
+        assert np.count_nonzero(beta_hat) and correction != 0.0
+        assert ci.center == pytest.approx(xi @ beta_hat + correction, rel=1e-12)
+        assert ci.radius == pytest.approx(radius, rel=1e-12)
+
+    def test_radius_grows_as_alpha_falls(self):
+        theta = ModelParams(beta=np.r_[1.0, np.zeros(29)], sigma_cov=None, noise_sd=1.0)
+        data = generate_dataset(theta, 100, 2)
+        cis = [inf.known_sigma_ci(data, np.ones(30), np.ones(30), alpha, seed=4) for alpha in (0.2, 0.05, 0.01, 0.001)]
+        assert len({ci.center for ci in cis}) == 1
+        assert all(a.radius < b.radius for a, b in zip(cis, cis[1:]))
+
+    @pytest.mark.parametrize("t0", [4.0, 0.0])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_size_at_stated_level(self, alpha, t0):
+        # the criterion-3 problem at master seed 13, 1,000 replicates; tau = 0 makes the alternative column
+        # a second null sample.  Each null rate is at most alpha plus 3 binomial standard errors.
+        cfg = parse_config(
+            "kind = size_power\nn = 300\np = 600\nk_u = 5\nk = 5\nloading = regular\nloading_k = 5\n"
+            f"modes = known_sigma\ntau_grid = 0.0\nreps = 1000\nmaster_seed = 13\nalpha = {alpha}\nt0 = {t0}\n"
+        )
+        rates = {r.metric: r.value for r in run_experiment(cfg) if r.metric.startswith("mean/reject/")}
+        assert sorted(rates) == ["mean/reject/alt/known_sigma/tau=0.0", "mean/reject/null/known_sigma"]
+        bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / 1000)
+        assert all(rate <= bound for rate in rates.values()), rates
 
     def test_center_distribution(self):
         # beta = 0, Sigma = I: the center is nearly N(0, |xi|^2 sigma^2 / n2)
