@@ -123,6 +123,7 @@ class TestCoordinateDescentKKT:
         monkeypatch.setattr(estimators, "_signed_solve", spy)
 
         @given(**KKT_CASES)
+        @example(seed=0, p=12, n=30, dead=0, constant_pen=False, level=0.05)  # runs all three kinds of pass
         @settings(max_examples=60, deadline=None)
         def certify(seed, p, n, dead, constant_pen, level):
             before = counts["accepted"] + counts["rejected"]
