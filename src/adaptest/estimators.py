@@ -302,6 +302,12 @@ def _fixed_point_on_support(g: Dataset, beta: np.ndarray, pen0: np.ndarray, tol:
     return None, out
 
 
+def residual_mean_square(data: Dataset, beta: np.ndarray) -> float:
+    """||Y - X beta||^2 / n from the Gram: y'y/n - 2 beta'X'y/n + beta_S' G[S, S] beta_S on beta's support S."""
+    nz = beta.nonzero()[0]
+    return max(data.yty - 2.0 * float(data.xty @ beta) + float(beta[nz] @ (data.cols(nz)[nz] @ beta[nz])), 0.0)
+
+
 def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     """Joint estimate of (beta, sigma): the scaled lasso's fixed point.
 
@@ -358,8 +364,7 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
             fixed = _fixed_point_on_support(data, beta, pen0, kkt_tol)[0]
         if fixed is not None:
             (beta, sigma), fixed = fixed, None
-        nz = beta.nonzero()[0]  # beta is sparse: form beta' G beta on its support
-        res2 = max(data.yty - 2.0 * float(data.xty @ beta) + float(beta[nz] @ (data.cols(nz)[nz] @ beta[nz])), 0.0)
+        res2 = residual_mean_square(data, beta)
         sigma_new = math.sqrt(res2)
         objectives.append(
             res2 / (2.0 * sigma_new) + sigma_new / 2.0 + lam0 * float(weights @ np.abs(beta))

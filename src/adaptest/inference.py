@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OddSampleSize
 from .estimators import CoordinateDataset, ProjectionResult, ScaledLassoFit, projection_direction, scaled_lasso
-from .estimators import spiked_cov_estimate
+from .estimators import residual_mean_square, spiked_cov_estimate
 from .model import Dataset, LoadingVector, TestProblem, stream
 from .profiles import cutoff_and_regime, cutoff_prefixes, log_grid, top_norm
 
@@ -261,13 +261,11 @@ def known_sigma_ci(
     averages n2 iid terms of variance (a'Sigma a)(sigma^2 + d'Sigma d) + (a'Sigma d)^2
     under Gaussian rows, so the radius is the z_{1-alpha/2} multiple of
     sqrt((xi' Sigma0^{-1} xi RSS2 + (center - xi'beta_hat)^2) / n2), where RSS2 is
-    half 2's residual mean square at beta_hat, read from its Gram (y'y/n, X'y/n and
-    the columns of beta_hat's support), and z comes from `statistics.NormalDist`.
+    half 2's residual mean square at beta_hat, read from its Gram
+    (`estimators.residual_mean_square`), and z comes from `statistics.NormalDist`.
     """
     fit, center, half2 = _split_half_center(data, seed, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
-    s = fit.beta_hat.nonzero()[0]
-    b = fit.beta_hat[s]
-    rss2 = max(half2.yty - 2.0 * float(half2.xty[s] @ b) + float(b @ (half2.cols(s)[s] @ b)), 0.0)
+    rss2 = residual_mean_square(half2, fit.beta_hat)
     spread = float(xi_vec @ (xi_vec / sigma0_diag)) * rss2 + (center - float(xi_vec @ fit.beta_hat)) ** 2
     radius = NormalDist().inv_cdf(1.0 - alpha / 2.0) * math.sqrt(spread / half2.n)
     return ConfidenceInterval(center=center, radius=radius, budget={"known_sigma": alpha})
