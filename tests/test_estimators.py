@@ -254,11 +254,19 @@ LARS_CASES = dict(seed=st.integers(0, 10**6), n=st.integers(10, 60), extra=st.in
                   b1=st.floats(0.5, 2.0), b2=st.floats(0.5, 2.0))
 
 
-def criterion3_rows(seed, level):
-    """A criterion-3 row dataset (n = 300, p = 600): five coefficients at `level`."""
+def criterion3_theta(level):
+    """The criterion-3 model point (p = 600, n = 300 in the tests): five coefficients at `level`."""
     beta = np.zeros(600)
     beta[[3, 50, 100, 250, 599]] = level
-    return generate_dataset(ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0), 300, seed)
+    return ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0)
+
+
+@pytest.fixture
+def cd_calls(monkeypatch):
+    """A list that gains an entry at each `_cd_quadratic_l1` call."""
+    core, calls = estimators._cd_quadratic_l1, []
+    monkeypatch.setattr(estimators, "_cd_quadratic_l1", lambda *a, **kw: calls.append(1) or core(*a, **kw))
+    return calls
 
 
 def plain_alternation(data, rel=1e-14, rounds=500):
@@ -281,10 +289,8 @@ class TestScaledLassoFixedPoint:
     """The fit is the exact fixed point: the lasso KKT conditions at penalty
     sigma lam0 w on every column, and sigma^2 = ||y - X beta||^2 / n."""
 
-    def test_certificate_on_both_paths(self, monkeypatch):
+    def test_certificate_on_both_paths(self, cd_calls):
         paths = {"search": 0, "alternation": 0}
-        core, calls = estimators._cd_quadratic_l1, []
-        monkeypatch.setattr(estimators, "_cd_quadratic_l1", lambda *a, **kw: calls.append(1) or core(*a, **kw))
 
         @given(**LARS_CASES)
         # the first support flips a sign here (seed 9) and is certified at once (seed 2); the search
@@ -295,9 +301,9 @@ class TestScaledLassoFixedPoint:
         @settings(max_examples=80, deadline=None)
         def certify(seed, n, extra, mix, noise, b1, b2):
             data = lars_design(seed, n, extra, mix, noise, b1, b2)
-            calls.clear()
+            cd_calls.clear()
             fit = scaled_lasso(data)
-            paths["alternation" if calls else "search"] += 1
+            paths["alternation" if cd_calls else "search"] += 1
             assert fit.converged and len(fit.objectives) == fit.iterations
             assert np.all(np.diff(fit.objectives) <= 1e-12 * fit.objectives[0])
             beta, sigma = fit.beta_hat, fit.sigma_hat
@@ -312,8 +318,11 @@ class TestScaledLassoFixedPoint:
         certify()
         assert paths["search"] > 0 and paths["alternation"] > 0
 
-    @given(data=st.one_of(st.builds(lars_design, **LARS_CASES), st.builds(criterion3_rows, st.integers(0, 10**6),
-                                                                            st.floats(0.0, 3.0))))
+    @given(data=st.one_of(
+        st.builds(lars_design, **LARS_CASES),
+        st.builds(lambda seed, level: generate_dataset(criterion3_theta(level), 300, seed),
+                  st.integers(0, 10**6), st.floats(0.0, 3.0)),
+    ))
     @settings(max_examples=60, deadline=None)
     def test_search_matches_the_alternation_bits(self, data):
         # with the search off (its first closed form gives up) the alternation runs from (0, sqrt(y'y/n));
@@ -613,12 +622,9 @@ class TestCoordinateDataset:
 def criterion3_datasets():
     """40 criterion-3 `CoordinateDataset`s (n = 300, p = 600): a null (five
     coefficients 0.8) and an alternative (five at 2.8), at seeds 0..19 each."""
-    p = 600
     for seed in range(20):
         for level in (0.8, 2.8):
-            beta = np.zeros(p)
-            beta[[3, 50, 100, 250, 599]] = level
-            yield CoordinateDataset(ModelParams(beta=beta, sigma_cov=None, noise_sd=1.0), 300, seed)
+            yield CoordinateDataset(criterion3_theta(level), 300, seed)
 
 
 class TestCriterion3Bits:
@@ -634,14 +640,12 @@ class TestCriterion3Bits:
             digest.update(fit.beta_hat.tobytes() + np.float64(fit.sigma_hat).tobytes())
         assert digest.hexdigest() == "5a8b29d381633366eda3c2af70fa9b088f1e6dad8d41bc306a83664f21a47e52"
 
-    def test_search_certifies_without_coordinate_descent(self, monkeypatch):
+    def test_search_certifies_without_coordinate_descent(self, cd_calls):
         # the fits that the search certifies before any coordinate-descent call, pinned: all 40 of them
-        core, calls = estimators._cd_quadratic_l1, []
-        monkeypatch.setattr(estimators, "_cd_quadratic_l1", lambda *a, **kw: calls.append(1) or core(*a, **kw))
         searched = 0
         for data in criterion3_datasets():
-            calls.clear()
-            searched += scaled_lasso(data).converged and not calls
+            cd_calls.clear()
+            searched += scaled_lasso(data).converged and not cd_calls
         assert searched == 40
 
     def test_coordinate_dataset_bits(self):
