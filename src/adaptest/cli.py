@@ -131,10 +131,10 @@ class SccaConfig(RunConfig):
 
 def _read_dataset(cfg: DataConfig):
     """The dataset at cfg.data_csv (two rows or more, no all-zero column and none whose mean square
-    overflows), and cfg with p set to its width."""
+    overflows), seeded by cfg.master_seed, and cfg with p set to its width."""
     try:
         with open(cfg.data_csv) as fh:
-            data = dataset_from_csv(fh)
+            data = dataset_from_csv(fh, cfg.master_seed)
         if data.n < 2 or not data.diag.all():
             raise ValueError("the scaled lasso needs two rows or more and no all-zero x column")
         if not np.isfinite(data.diag).all():
@@ -171,7 +171,7 @@ def cmd_fit(cfg: FitConfig):
     data, cfg = _read_dataset(cfg)
     xi = build_loading(cfg)
     fit = scaled_lasso(data, sigma_floor=cfg.sigma_floor)
-    proj = projection_direction(data, xi.original(), cfg.c_xi, data.n)
+    proj = projection_direction(data, xi.original(), cfg.c_xi)
     support = np.flatnonzero(fit.beta_hat)
     cols = {
         "sigma_hat": fit.sigma_hat,
@@ -192,7 +192,7 @@ def cmd_fit(cfg: FitConfig):
 def cmd_test(cfg: TestCmdConfig):
     data, cfg = _read_dataset(cfg)
     problem = TestProblem(xi=build_loading(cfg), t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
-    dec = run_single_test(cfg.mode, data, problem, cfg.master_seed, cfg.scan_all_m, cfg.sigma_floor)
+    dec = run_single_test(cfg.mode, data, problem, cfg.scan_all_m, cfg.sigma_floor)
     ci = dec.interval
     row = [cfg.mode, int(dec.reject), ci.center, ci.radius, dec.m_used, ci.level, ci.budget]
     return cfg, "test", {".csv": csv_text("mode,reject,center,radius,m_used,level,budget", [row])}

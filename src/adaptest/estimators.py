@@ -397,11 +397,10 @@ def projection_direction(
     data: Dataset,
     xi_vec: np.ndarray,
     c_xi: float,
-    n: int,
 ) -> ProjectionResult:
     """Solve  min u' S u  s.t.  ||S u - xi||_inf <= C_xi ||xi||_2 sqrt(log p / n).
 
-    S is the dataset's Gram and xi_vec the loading in original coordinates.
+    S is the dataset's Gram, n its sample count and xi_vec the loading in original coordinates.
     Solved through the equivalent l1-penalized quadratic
     min_v v'Sv/2 - xi'v + r ||v||_1, whose stationary points satisfy the
     constrained problem's KKT system.  The constraint is then checked on
@@ -413,7 +412,7 @@ def projection_direction(
     """
     p = xi_vec.size
     norm2 = float(np.linalg.norm(xi_vec))
-    radius = c_xi * norm2 * math.sqrt(math.log(p) / n)
+    radius = c_xi * norm2 * math.sqrt(math.log(p) / data.n)
     tol = 1e-9 * max(norm2, 1.0)
     v, ok, _ = _cd_quadratic_l1(data, xi_vec, np.full(p, radius), np.zeros(p), kkt_tol=tol, max_passes=5000)
     nz = v.nonzero()[0]

@@ -329,13 +329,13 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     return next(valid_draws(sampler, replicate_seed(cfg.master_seed, rep, "prior"))).model_point(xi, cfg.t0)
 
 
-_SEED_ROLES = ("null", "alt", "split", "prior")
+_SEED_ROLES = ("null", "alt", None, "prior")  # slot 2 is retired (a dataset splits by its own seed), so prior keeps 3
 
 
 def replicate_seed(master_seed: int, rep: int, role: str) -> int:
-    """Seed of replicate rep's null or alternative dataset, split-half
-    permutation or prior null draw: master_seed + ((4 rep + i + 1) << 32)
-    with i the role's index, distinct for all master seeds in [0, 2^32)."""
+    """Seed of replicate rep's null or alternative dataset or prior null draw:
+    master_seed + ((4 rep + i + 1) << 32) with i the role's index, distinct
+    for all master seeds in [0, 2^32)."""
     return master_seed + ((4 * rep + _SEED_ROLES.index(role) + 1) << 32)
 
 
@@ -386,17 +386,16 @@ def _size_power(cfg: ExperimentConfig):
 
     def worker(rep: int):
         out = []
-        split = replicate_seed(cfg.master_seed, rep, "split")
         theta_null = theta_point or null_draw_theta(cfg, xi, rep)
         data_null = CoordinateDataset(theta_null, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "null"))
         for mode in modes:
-            dec = run_single_test(mode, data_null, problem, seed=split, scan_all_m=cfg.scan_all_m)
+            dec = run_single_test(mode, data_null, problem, scan_all_m=cfg.scan_all_m)
             out.append((f"reject/null/{mode}", rep, float(dec.reject)))
             out.append((f"radius/null/{mode}", rep, float(dec.interval.radius)))
         for tau, theta_alt in zip(taus, theta_alts):
             data_alt = CoordinateDataset(theta_alt, cfg.n, seed=replicate_seed(cfg.master_seed, rep, "alt"))
             for mode in modes:
-                dec = run_single_test(mode, data_alt, problem, seed=split, scan_all_m=cfg.scan_all_m)
+                dec = run_single_test(mode, data_alt, problem, scan_all_m=cfg.scan_all_m)
                 out.append((f"reject/alt/{mode}/tau={csv_cell(tau)}", rep, float(dec.reject)))
         return out
 

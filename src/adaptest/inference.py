@@ -12,8 +12,9 @@ Gram (`model.Dataset`): the debiased one the dataset's, the data-split ones half
 fits) is the only value a caller sets.
 
 `run_single_test` runs any of the `TEST_MODES` on a dataset; the modes
-share one memoised lasso fit per dataset (on half 1 when data-split), so
-an unconverged fit logs its WARNING once (`estimators.scaled_lasso`).
+share one memoised lasso fit per dataset (on half 1 of its own
+`split_half` when data-split), so an unconverged fit logs its WARNING
+once (`estimators.scaled_lasso`); the mixed test reads its loading's plan.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def mixed_ci(
     n, p = data.n, data.p
     a_comp = min(alpha, eta) / 4.0
     head, tail, head_l2, tail_inf = xi.memoised(_split_norms, m)
-    proj = projection_direction(data, head, C_XI, n)
+    proj = projection_direction(data, head, C_XI)
     return ConfidenceInterval(
         center=_corrected_center(data, fit.beta_hat, head, proj.u_hat) + float(tail @ fit.beta_hat),
         radius=_debiased_radius(fit.sigma_hat, head_l2, k_u, n, p, proj.objective, a_comp)
@@ -131,18 +132,18 @@ def _split_norms(xi: LoadingVector, m: int) -> tuple:
     return head, tail, float(np.linalg.norm(head)), float(np.max(np.abs(tail)))
 
 
-def radius_floors(xi: LoadingVector, grid, sigma_hat: float, k_u: int, n: int) -> np.ndarray:
-    """Each grid cutoff's `mixed_ci` radius at u'Su = 0, a floor for it: u'Su >= 0, 0 in the fallback."""
+def radius_floors(xi: LoadingVector, grid, k_u: int, n: int) -> np.ndarray:
+    """Each grid cutoff's `mixed_ci` radius at u'Su = 0 and sigma_hat = 1: times sigma_hat, a floor for it."""
     head, tail = (prefix[grid] for prefix in cutoff_prefixes(xi))
-    return _debiased_radius(sigma_hat, head, k_u, n, xi.p) + _plugin_radius(sigma_hat, tail, k_u, n, xi.p)
+    return _debiased_radius(1.0, head, k_u, n, xi.p) + _plugin_radius(1.0, tail, k_u, n, xi.p)
 
 
-def _scan_plan(xi: LoadingVector, k_u: int, n: int) -> tuple[tuple, np.ndarray]:
-    """The scan's cutoffs, `log_grid(p, 32)` up to the first one >= k_xi (past it every interval repeats),
-    and the least `radius_floors` from each on at sigma_hat = 1: once per loading (`memoised`)."""
-    grid = log_grid(xi.p, 32)
+def _cutoff_plan(xi: LoadingVector, k_u: int, n: int, scan_all_m: bool) -> tuple[tuple, np.ndarray]:
+    """Cutoffs, (m_star,) or with scan_all_m `log_grid(p, 32)` up to the first one >= k_xi (past it every
+    interval repeats), and the least unit `radius_floors` from each on: once per loading (`memoised`)."""
+    grid = log_grid(xi.p, 32) if scan_all_m else [cutoff_and_regime(k_u, n, xi.p)[0]]
     grid = grid[: int(np.searchsorted(grid, xi.k_xi)) + 1]
-    rest = np.minimum.accumulate(radius_floors(xi, grid, 1.0, k_u, n)[::-1])[::-1]
+    rest = np.minimum.accumulate(radius_floors(xi, grid, k_u, n)[::-1])[::-1]
     return tuple(grid), rest
 
 
@@ -156,25 +157,23 @@ def mixed_test(
 
     With scan_all_m the cutoff minimizes the realized radius over a
     log-spaced grid of at most 32 cutoffs (endpoints included) instead of the
-    profile cutoff m_star.  The scan runs in ascending m up to the first
-    cutoff >= k_xi and stops once the `radius_floors` of all cutoffs left
-    exceed the best radius: bit-identical to the exhaustive scan.
-    Everything after the fit reads `data.fork()`.
+    profile cutoff m_star.  One loop runs the loading's `_cutoff_plan` in
+    ascending m and stops once sigma_hat times the `radius_floors` of all
+    cutoffs left exceeds the best radius: bit-identical to the exhaustive
+    scan.  Everything after the fit reads `data.fork()`.
     """
     xi, k_u = problem.xi, problem.k_u
     fit = scaled_lasso(data, sigma_floor=sigma_floor)
     data = data.fork()
 
-    m_used = 0 if scan_all_m else cutoff_and_regime(k_u, data.n, data.p)[0]
-    interval = mixed_ci(data, fit, xi, m_used, k_u, problem.alpha, problem.eta)
-    if scan_all_m:
-        grid, rest = xi.memoised(_scan_plan, k_u, data.n)
-        for m, floor in zip(grid[1:], rest[1:]):  # grid[0] = 0
-            if floor * fit.sigma_hat > interval.radius * (1.0 + 1e-9):  # the margin absorbs rounding
-                break
-            ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta)
-            if ci.radius < interval.radius:  # the first of equal radii
-                m_used, interval = m, ci
+    grid, rest = xi.memoised(_cutoff_plan, k_u, data.n, scan_all_m)
+    m_used, interval = grid[0], mixed_ci(data, fit, xi, grid[0], k_u, problem.alpha, problem.eta)
+    for m, floor in zip(grid[1:], rest[1:]):
+        if floor * fit.sigma_hat > interval.radius * (1.0 + 1e-9):  # the margin absorbs rounding
+            break
+        ci = mixed_ci(data, fit, xi, m, k_u, problem.alpha, problem.eta)
+        if ci.radius < interval.radius:  # the first of equal radii
+            m_used, interval = m, ci
     return TestDecision(reject=not interval.covers(problem.t0), interval=interval, m_used=m_used)
 
 
@@ -185,7 +184,6 @@ def run_single_test(
     mode: str,
     data: Dataset,
     problem: TestProblem,
-    seed: int,
     scan_all_m: bool = False,
     sigma_floor: float = 0.0,
 ) -> TestDecision:
@@ -193,8 +191,8 @@ def run_single_test(
 
     mixed is `mixed_test`; plugin and debiased are the two intervals it
     mixes, each at level 1 - alpha; known_sigma uses the identity design
-    covariance and spiked the exhaustive estimator, both on the halves
-    split_half(data, seed).  Each mode fits (or reuses) the one memoised
+    covariance and spiked the exhaustive estimator, both on the dataset's
+    own halves `split_half(data)`.  Each mode fits (or reuses) the one memoised
     lasso and reads everything else on a fork taken after it, so on a
     `CoordinateDataset` its result does not depend on the modes run before it.
     """
@@ -205,42 +203,42 @@ def run_single_test(
         ci = plugin_ci(scaled_lasso(data, sigma_floor=sigma_floor), xi_vec, k_u, data.n, alpha)
     elif mode == "debiased":
         fit, view = scaled_lasso(data, sigma_floor=sigma_floor), data.fork()
-        ci = debiased_ci(view, fit, projection_direction(view, xi_vec, C_XI, data.n), xi_vec, k_u, alpha)
+        ci = debiased_ci(view, fit, projection_direction(view, xi_vec, C_XI), xi_vec, k_u, alpha)
     elif mode == "known_sigma":
-        ci = known_sigma_ci(data, np.ones(data.p), xi_vec, alpha, seed, sigma_floor)
+        ci = known_sigma_ci(data, np.ones(data.p), xi_vec, alpha, sigma_floor)
     elif mode == "spiked":
-        ci = spiked_ci(data, problem.xi, k_u, alpha, seed, sigma_floor)
+        ci = spiked_ci(data, problem.xi, k_u, alpha, sigma_floor)
     else:
         raise ValueError(f"unknown test mode {mode!r}: expected one of {', '.join(TEST_MODES)}")
     return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=0 if mode == "plugin" else data.p)
 
 
-def split_half(data: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic random halves: parity positions of a seeded shuffle.
+def split_half(data: Dataset) -> tuple[Dataset, Dataset]:
+    """The dataset's own random halves: parity positions of a shuffle keyed by its seed.
 
-    Memoised on the dataset by seed, so every caller gets the same two
-    halves, and with them each half's Gram columns.  A `CoordinateDataset`
-    has no rows to split: its halves are two independent n/2-row draws from
-    its own seed, which with iid rows have the law of a seeded split.
+    Memoised on the dataset, so every caller gets the same two halves, and
+    with them each half's Gram columns.  A `CoordinateDataset` has no rows
+    to split: its halves are two independent n/2-row draws from its own
+    seed, which with iid rows have the law of a seeded split.
     """
-    halves = data.memo.get(("split_half", seed))
+    halves = data.memo.get("split_half")
     if halves is None:
         if data.n % 2 != 0:
             raise OddSampleSize("data splitting needs an even sample count")
         if isinstance(data, CoordinateDataset):
             halves = tuple(CoordinateDataset(data.theta, data.n // 2, data.seed, 2 * data.index + i) for i in (1, 2))
         else:
-            order = stream(seed, 1).permutation(data.n)
+            order = stream(data.seed, 1).permutation(data.n)
             first, second = order[0::2], order[1::2]
             halves = (Dataset(x=data.x[first], y=data.y[first]), Dataset(x=data.x[second], y=data.y[second]))
-        halves = data.memo.setdefault(("split_half", seed), halves)
+        halves = data.memo.setdefault("split_half", halves)
     return halves
 
 
-def _split_half_center(data: Dataset, seed: int, sigma_floor: float, xi_vec: np.ndarray, direction):
-    """(fit, center, half2): the lasso fit on half 1 of split_half(data, seed), the corrected
-    center on half 2's Gram along direction(half1), both read on forks, and half 2's fork."""
-    half1, half2 = split_half(data, seed)
+def _split_half_center(data: Dataset, sigma_floor: float, xi_vec: np.ndarray, direction):
+    """(fit, center, half2): the lasso fit on half 1 of the dataset's own split_half(data), the
+    corrected center on half 2's Gram along direction(half1), both read on forks, and half 2's fork."""
+    half1, half2 = split_half(data)
     fit, half2 = scaled_lasso(half1, sigma_floor=sigma_floor), half2.fork()
     return fit, _corrected_center(half2, fit.beta_hat, xi_vec, direction(half1.fork())), half2
 
@@ -250,7 +248,6 @@ def known_sigma_ci(
     sigma0_diag: np.ndarray,
     xi_vec: np.ndarray,
     alpha: float,
-    seed: int,
     sigma_floor: float = 0.0,
 ) -> ConfidenceInterval:
     """Data-split debiased interval using the known diagonal covariance Sigma0.
@@ -264,7 +261,7 @@ def known_sigma_ci(
     half 2's residual mean square at beta_hat, read from its Gram
     (`estimators.residual_mean_square`), and z comes from `statistics.NormalDist`.
     """
-    fit, center, half2 = _split_half_center(data, seed, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
+    fit, center, half2 = _split_half_center(data, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
     rss2 = residual_mean_square(half2, fit.beta_hat)
     spread = float(xi_vec @ (xi_vec / sigma0_diag)) * rss2 + (center - float(xi_vec @ fit.beta_hat)) ** 2
     radius = NormalDist().inv_cdf(1.0 - alpha / 2.0) * math.sqrt(spread / half2.n)
@@ -276,7 +273,6 @@ def spiked_ci(
     xi: LoadingVector,
     k_u: int,
     alpha: float,
-    seed: int,
     sigma_floor: float = 0.0,
 ) -> ConfidenceInterval:
     """Data-split debiased interval with the spiked precision estimate.
@@ -288,7 +284,7 @@ def spiked_ci(
     """
     xi_vec = xi.original()
     fit, center, _ = _split_half_center(
-        data, seed, sigma_floor, xi_vec, lambda half1: spiked_cov_estimate(half1, k_u).omega_hat @ xi_vec
+        data, sigma_floor, xi_vec, lambda half1: spiked_cov_estimate(half1, k_u).omega_hat @ xi_vec
     )
     radius = fit.sigma_hat * (
         float(np.linalg.norm(xi_vec)) / math.sqrt(data.n) + top_norm(xi, k_u) * k_u * math.log(data.p) / data.n

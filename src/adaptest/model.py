@@ -65,7 +65,7 @@ class LoadingVector:
     stable ties; perm maps sorted position -> original index (0-based);
     k_xi counts the nonzero entries; memo holds what `memoised` computes
     once per loading: the profile-equation root per k_u, the constants of
-    the prior samplers and the mixed test's cutoff splits and scan plan.
+    the prior samplers and the mixed test's cutoff splits and cutoff plan.
     """
 
     coords: np.ndarray
@@ -146,15 +146,15 @@ class ModelParams:
 
 
 class Dataset:
-    """n rows (x, y), read by the solvers only through its Gram G = X'X/n: column j
-    formed on first read as its own product X'X_j / n, so its bits never depend on the
-    columns formed before or beside it; diag, xty = X'y/n and yty = y'y/n on first read.
-    memo holds the fits and halves computed on it."""
+    """n rows (x, y), read by the solvers only through its Gram G = X'X/n: column j formed on first
+    read as its own product X'X_j / n, so its bits never depend on the columns formed before or beside
+    it; diag, xty = X'y/n and yty = y'y/n on first read.  seed keys the shuffle of its halves
+    (`inference.split_half`); memo holds the fits and halves computed on it."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, seed: int = 0):
         if x.shape[0] != y.shape[0]:
             raise ValueError("row counts of x and y disagree")
-        self.x, self.y, (self.n, self.p) = x, y, x.shape
+        self.x, self.y, self.seed, (self.n, self.p) = x, y, seed, x.shape
         self.memo, self.columns = {}, {}  # columns: j -> column j, once formed
 
     def fork(self) -> "Dataset":
@@ -204,11 +204,11 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     """Draw n rows X_i ~ N(0, Sigma) and Y = X beta + N(0, sigma^2 I).
 
     Bit-reproducible for fixed (seed, n, p): the design is drawn first,
-    then the noise, from a single counter-based stream.  X = Z L' with Z
-    standard and L theta's cached design_factor, so only the columns in its
-    block S are mixed (none for an identity design).  `simulate` draws every
-    dataset as its Gram (`estimators.CoordinateDataset`); the tests use rows
-    as the oracle.
+    then the noise, from a single counter-based stream, and seed is the
+    dataset's own.  X = Z L' with Z standard and L theta's cached
+    design_factor, so only the columns in its block S are mixed (none for
+    an identity design).  `simulate` draws every dataset as its Gram
+    (`estimators.CoordinateDataset`); the tests use rows as the oracle.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -217,7 +217,7 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     idx, factor = theta.design_factor
     x[:, idx] = x[:, idx] @ factor.T
     eps = theta.noise_sd * rng.standard_normal(n)
-    return Dataset(x=x, y=x @ theta.beta + eps)
+    return Dataset(x=x, y=x @ theta.beta + eps, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +266,6 @@ def _csv_body(fh: io.TextIOBase, what: str) -> np.ndarray:
     return body
 
 
-def dataset_from_csv(fh: io.TextIOBase) -> Dataset:
+def dataset_from_csv(fh: io.TextIOBase, seed: int = 0) -> Dataset:
     data = _csv_body(fh, "dataset")
-    return Dataset(x=data[:, 1:].copy(), y=data[:, 0].copy())
+    return Dataset(x=data[:, 1:].copy(), y=data[:, 0].copy(), seed=seed)

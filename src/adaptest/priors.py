@@ -13,7 +13,7 @@ couplings in the joint covariance of (y, x):
   with block sizes tied to the effective sparsity k_eff.
 
 Each sampler reads the dimension p off its loading, `xi.p` (`sample_nu2_prior`
-also takes a `p`, which must equal it).  Each draw enforces the null constraint
+also takes a `p`, and raises ValueError unless it equals xi.p).  Each draw enforces the null constraint
 xi'beta = tau exactly through the scalar kappa and records analytic validity
 checks (sparsity cap, eigenvalue window, noise bound).  Pairs of draws are
 scored in the O(p) rank-one closed form against the reference point beta = 0,
@@ -212,9 +212,11 @@ def sample_nu2_prior(
 
     lead is the fixed unit vector along the top-p1 loading block; trail
     picks a uniform size-p1 support in the complement with entries
-    c1 sign(xi) sqrt(log p / n); kappa solves the null constraint.
+    c1 sign(xi) sqrt(log p / n); kappa solves the null constraint.  p must be xi.p.
     """
-    lead, h_p1, entries, tau = xi.memoised(_nu2_constants, k_u, n, p, c1, c2)
+    if p != xi.p:
+        raise ValueError(f"p = {p} but the loading has p = {xi.p}")
+    lead, h_p1, entries, tau = xi.memoised(_nu2_constants, k_u, n, c1, c2)
     rng = stream(seed, 0)
     trail = np.zeros(entries.size)
     support = np.sort(rng.choice(entries.size, size=lead.size, replace=False))
@@ -224,17 +226,17 @@ def sample_nu2_prior(
     return _coupled_draw("nu2", xi, k_u // 2, lead.copy(), trail, tau, sigma_star, lead_dot=-h_p1)
 
 
-def _nu2_constants(xi: LoadingVector, k_u: int, n: int, p: int, c1: float, c2: float | None) -> tuple:
+def _nu2_constants(xi: LoadingVector, k_u: int, n: int, c1: float, c2: float | None) -> tuple:
     """(lead, H(p1), the trail entry at every complement coordinate, tau) of sample_nu2_prior."""
     if k_u < 4:
         raise RegimeViolation("nu2 prior needs k_u >= 4")
     p1 = k_u // 4
-    if p - p1 < p1:
+    if xi.p - p1 < p1:
         raise RegimeViolation("nu2 prior needs p - floor(k_u/4) >= floor(k_u/4)")
     c2 = default_c2(c1) if c2 is None else c2
     h_p1 = top_norm(xi, p1)
-    tau = c2 * top_norm(xi, k_u) * k_u * math.log(p) / n
-    return -xi.coords[:p1] / h_p1, h_p1, c1 * math.sqrt(math.log(p) / n) * sign(xi.coords[p1:p]), tau
+    tau = c2 * top_norm(xi, k_u) * k_u * math.log(xi.p) / n
+    return -xi.coords[:p1] / h_p1, h_p1, c1 * math.sqrt(math.log(xi.p) / n) * sign(xi.coords[p1:]), tau
 
 
 def nu1_weights(xi: LoadingVector, k_u: int, c4: float = DEFAULT_C4) -> tuple[np.ndarray, np.ndarray, float]:

@@ -448,7 +448,7 @@ class TestGram:
         scaled_lasso(ds)
         formed = dict(ds.columns)
         assert 0 < len(formed) < 6
-        projection_direction(ds, np.eye(6)[0], 2.0, 20)
+        projection_direction(ds, np.eye(6)[0], 2.0)
         assert all(ds.columns[j] is col for j, col in formed.items())
 
 
@@ -670,7 +670,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(0.3, xi.original(), n)
-        res = projection_direction(DenseGram(np.eye(3), n), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(np.eye(3), n), xi.original(), c_xi)
         assert res.feasible
         assert np.allclose(res.u_hat, [0.7, 0.0, 0.0], atol=1e-9)
 
@@ -678,7 +678,7 @@ class TestProjectionDirection:
         xi = make_loading([1.0, 0.2, 0.0])
         n = 50
         c_xi = self.radius_to_cxi(1.5, xi.original(), n)
-        res = projection_direction(DenseGram(np.eye(3), n), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(np.eye(3), n), xi.original(), c_xi)
         assert res.feasible
         assert np.allclose(res.u_hat, 0.0)
         assert res.objective == 0.0
@@ -690,7 +690,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p)) @ np.linalg.cholesky(np.eye(p) + 0.3).T
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(DenseGram(s, n), xi.original(), 2.0, n)
+        res = projection_direction(DenseGram(s, n), xi.original(), 2.0)
         oracle = np.linalg.solve(s, xi.original())
         assert res.feasible
         assert res.objective <= float(oracle @ (s @ oracle)) + 1e-9
@@ -701,7 +701,7 @@ class TestProjectionDirection:
         x = rng.standard_normal((n, p))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(DenseGram(s, n), xi.original(), 1.0, n)
+        res = projection_direction(DenseGram(s, n), xi.original(), 1.0)
         assert res.feasible
         slack = np.abs(s @ res.u_hat - xi.original())
         active = np.abs(res.u_hat) > 1e-8
@@ -721,7 +721,7 @@ class TestProjectionDirection:
         x, rng = random_design(seed, n, p, min(dead, p - 1))
         s = sample_cov(Dataset(x=x, y=np.zeros(n)))
         xi = make_loading(rng.standard_normal(p))
-        res = projection_direction(DenseGram(s, n), xi.original(), c_xi, n)
+        res = projection_direction(DenseGram(s, n), xi.original(), c_xi)
         if res.feasible:
             tol = 1e-9 * max(float(np.linalg.norm(xi.original())), 1.0)
             radius = self.radius(c_xi, xi.original(), n)
@@ -734,7 +734,7 @@ class TestProjectionDirection:
         v = np.array([1.0, 0.0, 0.0])
         s = np.outer(v, v)
         xi = make_loading([0.0, 1.0, 0.0])
-        res = projection_direction(DenseGram(s, 10**6), xi.original(), 0.01, 10**6)
+        res = projection_direction(DenseGram(s, 10**6), xi.original(), 0.01)
         assert not res.feasible
         assert np.allclose(res.u_hat, 0.0)
 
@@ -748,7 +748,7 @@ class TestProjectionDirection:
         data = CoordinateDataset(ModelParams(beta=np.zeros(p), sigma_cov=None, noise_sd=1.0), n, 3)
         formed = len(data.columns)
         with caplog.at_level(logging.WARNING, logger="adaptest"):
-            res = projection_direction(data, head, 2.0, n)
+            res = projection_direction(data, head, 2.0)
         assert res.feasible and res.objective == 0.0 and np.all(res.u_hat == 0.0)
         assert len(data.columns) == formed  # no coordinate-descent pass read a column
         assert caplog.records == []
@@ -757,7 +757,7 @@ class TestProjectionDirection:
         # S_11 = 0 and |xi_1| = 1 > r: no direction meets the constraint
         s, xi = np.diag([1.0, 0.0, 2.0]), np.array([0.5, 1.0, 0.0])
         with caplog.at_level(logging.WARNING, logger="adaptest"):
-            res = projection_direction(DenseGram(s, 400), xi, 0.5, 400)
+            res = projection_direction(DenseGram(s, 400), xi, 0.5)
         assert not res.feasible
         assert [(r.name, r.levelno) for r in caplog.records] == [("adaptest", logging.WARNING)]
         assert "u = 0" in caplog.records[0].getMessage()

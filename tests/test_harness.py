@@ -283,6 +283,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match=f"{key} = "):
                 parse_config(f"{key} = {2.0**-49!r}\n")
 
+    def test_readme_names_every_config_key(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = text.index("### Config keys by command")
+        section = text[start : text.index("\n## ", start)]
+        missing = {
+            command: [f.name for f in dataclasses.fields(schema) if f"`{f.name}`" not in section]
+            for command, (schema, _) in cli._DISPATCH.items()
+        }
+        assert missing == {command: [] for command in cli._DISPATCH}
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("bogus = 1")
@@ -595,14 +605,13 @@ class TestRunners:
             run_experiment(cfg)
 
     def test_replicate_seeds_differ_across_nearby_master_seeds(self, monkeypatch):
-        # every dataset, split and prior-null seed of four runs at master seeds s..s+3
+        # every dataset and prior-null seed of four runs at master seeds s..s+3
         seen = []
 
         def spy(fn):
             return lambda *args, seed, **kwargs: seen.append(seed) or fn(*args, seed=seed, **kwargs)
 
         monkeypatch.setattr(harness, "CoordinateDataset", spy(harness.CoordinateDataset))
-        monkeypatch.setattr(harness, "run_single_test", spy(harness.run_single_test))
         monkeypatch.setattr(priors, "sample_nu2_prior", spy(priors.sample_nu2_prior))
         cfg = dataclasses.replace(
             parse_config(SIZE_CFG), n=40, p=12, k_u=4, reps=4, null_source="nu2", tau_grid="1.0", modes="plugin"
@@ -610,9 +619,9 @@ class TestRunners:
         runs = []
         for s in range(5, 9):
             run_experiment(dataclasses.replace(cfg, master_seed=s))
-            runs.append(set(seen))  # the null and alternative tests of a replicate share its split
+            runs.append(set(seen))
             seen.clear()
-        assert [len(r) for r in runs] == [4 * 4] * 4 and len(set().union(*runs)) == 4 * 4 * 4
+        assert [len(r) for r in runs] == [3 * 4] * 4 and len(set().union(*runs)) == 4 * 3 * 4
 
     def test_length_sweep_contract(self):
         cfg = parse_config(
@@ -663,6 +672,14 @@ class TestRunners:
         assert len(formed) == 2 * 3
         assert max(formed) <= 32
 
+    def test_m_star_once_per_run(self, monkeypatch):
+        # three replicates, a null and an alternative dataset each: one cutoff plan on the run's loading
+        calls, cutoff = [], inference.cutoff_and_regime
+        monkeypatch.setattr(inference, "cutoff_and_regime", lambda *a: calls.append(a) or cutoff(*a))
+        rows = run_experiment(parse_config(CRITERION3_CFG))
+        assert sum(r.metric.startswith("reject/") for r in rows) == 2 * 3
+        assert calls == [(5, 300, 600)]
+
     def test_debiased_mode_does_not_depend_on_the_modes_before_it(self):
         cfg = dataclasses.replace(parse_config(CRITERION3_CFG + SPIKY + "modes = mixed,debiased\n"), k=1)
         table = {(r.replicate, r.metric): repr(float(r.value)) for r in run_experiment(cfg)}
@@ -670,18 +687,18 @@ class TestRunners:
         problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.noise_sd)
         for rep in range(cfg.reps):
-            seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
+            seed = harness.replicate_seed(cfg.master_seed, rep, "null")
             fresh, shared, primed = (CoordinateDataset(theta, cfg.n, seed=seed) for _ in "abc")
-            alone = inference.run_single_test("debiased", fresh, problem, seed=split)
+            alone = inference.run_single_test("debiased", fresh, problem)
             assert repr(float(alone.interval.radius)) == table[rep, "radius/null/debiased"]
             assert repr(float(alone.reject)) == table[rep, "reject/null/debiased"]
-            inference.run_single_test("mixed", shared, problem, seed=split)
-            after = inference.run_single_test("debiased", shared, problem, seed=split)
+            inference.run_single_test("mixed", shared, problem)
+            after = inference.run_single_test("debiased", shared, problem)
             assert after == alone
             # as if an earlier mode had read every column: on its own fork, taken after the shared fit
             scaled_lasso(primed)
             primed.fork().cols(range(cfg.p - 1, -1, -1))
-            assert inference.run_single_test("debiased", primed, problem, seed=split) == alone
+            assert inference.run_single_test("debiased", primed, problem) == alone
 
     def test_mixed_rows_do_not_depend_on_a_debiased_mode_before_them(self):
         cfg = dataclasses.replace(parse_config(CRITERION3_CFG + SPIKY), k=1)
@@ -699,6 +716,7 @@ class TestRunners:
         problem = Problem(xi=make_loading(np.ones(p)), t0=0.0, k_u=k_u, alpha=0.05, eta=0.05)
         theta = ModelParams(beta=np.zeros(p), sigma_cov=None, noise_sd=1.0)
         data, fresh = (generate_dataset(theta, 200, 31) for _ in "ab")
+        data.seed = fresh.seed = seed
         splits, spiked_on, lasso_on = [], [], []
 
         def counted_stream(master_seed, index=0):
@@ -711,13 +729,13 @@ class TestRunners:
         monkeypatch.setattr(inference, "stream", counted_stream)
         monkeypatch.setattr(inference, "spiked_cov_estimate", spy(spiked_cov_estimate, spiked_on))
         monkeypatch.setattr(inference, "scaled_lasso", spy(inference.scaled_lasso, lasso_on))
-        dec = inference.run_single_test("spiked", data, problem, seed=seed)
+        dec = inference.run_single_test("spiked", data, problem)
         assert splits == [(seed, 1)]
-        half1 = inference.split_half(data, seed)[0]
+        half1 = inference.split_half(data)[0]
         assert len(spiked_on) == len(lasso_on) == 1
         assert spiked_on[0] is half1 and lasso_on[0] is half1
         # the shared halves are the halves a fresh split makes
-        assert dec.interval == inference.spiked_ci(fresh, problem.xi, k_u, problem.alpha, seed)
+        assert dec.interval == inference.spiked_ci(fresh, problem.xi, k_u, problem.alpha)
 
     def test_spiked_rows_do_not_depend_on_known_sigma_before_them(self):
         # both split-half modes read half 2's memoised Gram; sharing it moves no spiked byte
@@ -735,11 +753,11 @@ class TestRunners:
         problem = Problem(xi=xi, t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
         theta = harness.null_point(xi, cfg.k, cfg.t0, cfg.noise_sd)
         for rep in range(cfg.reps):
-            seed, split = (harness.replicate_seed(cfg.master_seed, rep, role) for role in ("null", "split"))
+            seed = harness.replicate_seed(cfg.master_seed, rep, "null")
             fresh, shared = (generate_dataset(theta, cfg.n, seed=seed) for _ in "ab")
-            inference.run_single_test("known_sigma", shared, problem, seed=split)
-            after = inference.run_single_test("spiked", shared, problem, seed=split)
-            assert after == inference.run_single_test("spiked", fresh, problem, seed=split)
+            inference.run_single_test("known_sigma", shared, problem)
+            after = inference.run_single_test("spiked", shared, problem)
+            assert after == inference.run_single_test("spiked", fresh, problem)
 
     def test_one_lasso_fit_per_dataset_across_modes(self, monkeypatch):
         # mixed, plugin and debiased share the fit on the dataset, known_sigma and spiked the fit on half 1
@@ -1379,7 +1397,7 @@ class TestCli:
         problem = Problem(xi=make_loading(np.ones(30)), t0=0.0, k_u=2, alpha=0.05, eta=0.05)
         data = generate_dataset(ModelParams(beta=np.zeros(30), sigma_cov=None, noise_sd=1.0), 150, 5)
         shared = lasso_warnings(
-            lambda: [inference.run_single_test(m, data, problem, seed=0) for m in ("mixed", "plugin", "debiased")]
+            lambda: [inference.run_single_test(m, data, problem) for m in ("mixed", "plugin", "debiased")]
         )
         assert [r.levelno for r in shared] == [logging.WARNING]
         cfg = self._write(tmp_path, f"data_csv = {self._dataset(tmp_path)}\nk_u = 2\n")

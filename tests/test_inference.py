@@ -28,7 +28,7 @@ from adaptest import model
 from adaptest.harness import null_point, parse_config, run_experiment
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
 from adaptest.priors import sample_nu2_prior, valid_draws
-from adaptest.profiles import example_profiles, log_grid
+from adaptest.profiles import MODERATELY_SPARSE, ULTRA_SPARSE, cutoff_and_regime, example_profiles, log_grid
 
 # alias keeps pytest from trying to collect the imported dataclass
 problem_of = model.TestProblem
@@ -116,7 +116,7 @@ class TestDebiasedCI:
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
             fit = scaled_lasso(data)
-            proj = projection_direction(data, xi.original(), 2.0, n)
+            proj = projection_direction(data, xi.original(), 2.0)
             ci = inf.debiased_ci(data, fit, proj, xi.original(), 5, 0.05)
             hits += ci.covers(target)
         assert hits / reps >= 0.95 - 0.03
@@ -143,7 +143,7 @@ class TestMixedCI:
             assert m0.center == pytest.approx(pi.center, abs=1e-12)
             assert m0.radius == pytest.approx(pi.radius, abs=1e-12)
             mp = inf.mixed_ci(data, fit, xi, p, k_u, 0.05, 0.05)
-            proj = projection_direction(data, xi.original(), 2.0, n)
+            proj = projection_direction(data, xi.original(), 2.0)
             db = inf.debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
             assert mp.center == pytest.approx(db.center, abs=1e-12)
             assert mp.radius == pytest.approx(db.radius, abs=1e-12)
@@ -217,7 +217,7 @@ class TestScanAllM:
         problem, theta, n, seed = case
         data = CoordinateDataset(theta, n, seed)
         fit, cis, _ = self.exhaustive(data, problem)
-        floors = inf.radius_floors(problem.xi, [m for m, _ in cis], fit.sigma_hat, problem.k_u, n)
+        floors = fit.sigma_hat * inf.radius_floors(problem.xi, [m for m, _ in cis], problem.k_u, n)
         # where u = 0 the floor is the radius itself, summed in another order
         assert np.all(floors <= np.array([ci.radius for _, ci in cis]) * (1.0 + 1e-12))
 
@@ -234,22 +234,40 @@ class TestScanAllM:
             inf.mixed_test(CoordinateDataset(null_point(xi, 5, 4.0, 1.0), n, seed), problem, scan_all_m=True)
             assert 1 <= len(calls) <= most, calls
 
+    @pytest.mark.parametrize("n, p, k_u, regime", [(10_000, 200, 3, ULTRA_SPARSE), (300, 600, 5, MODERATELY_SPARSE)])
+    def test_plan_without_the_scan_is_m_star(self, n, p, k_u, regime):
+        m_star, found = cutoff_and_regime(k_u, n, p)
+        grid, rest = make_loading(np.linspace(2.0, 0.1, p)).memoised(inf._cutoff_plan, k_u, n, False)
+        assert found == regime and grid == (m_star,) and rest.shape == (1,)
+
+
+class TestSplitHalf:
+    def test_row_halves_follow_the_dataset_seed(self):
+        x = stream(4, 0).standard_normal((20, 3))
+
+        def halves(seed):
+            return [half.x.tobytes() + half.y.tobytes() for half in inf.split_half(model.Dataset(x, x[:, 0], seed))]
+
+        assert halves(7) == halves(7)
+        assert halves(7) != halves(8)
+
 
 class TestKnownSigmaCI:
     def test_odd_sample_size(self):
         theta = ModelParams(beta=np.zeros(10), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 31, 0)
         with pytest.raises(OddSampleSize):
-            inf.known_sigma_ci(data, np.ones(10), np.ones(10), 0.05, seed=0)
+            inf.known_sigma_ci(data, np.ones(10), np.ones(10), 0.05)
 
     def test_radius_from_half1_fit(self):
         # z_{1-alpha/2} sqrt((xi' Sigma0^{-1} xi RSS2 + (center - xi'beta_hat)^2) / n2), by hand from half 2's
         # rows: RSS2 its residual mean square at the half-1 lasso's beta_hat, the center its corrected one
         theta = ModelParams(beta=np.r_[1.5, -1.0, np.zeros(18)], sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 80, 1)
+        data.seed = 3
         xi, d = np.linspace(-1.0, 2.0, 20), np.linspace(0.5, 2.0, 20)
-        ci = inf.known_sigma_ci(data, d, xi, 0.05, seed=3)
-        half1, half2 = inf.split_half(data, 3)
+        ci = inf.known_sigma_ci(data, d, xi, 0.05)
+        half1, half2 = inf.split_half(data)
         beta_hat = scaled_lasso(half1).beta_hat
         resid = half2.y - half2.x @ beta_hat
         correction = (xi / d) @ (half2.x.T @ resid) / 40
@@ -261,7 +279,8 @@ class TestKnownSigmaCI:
     def test_radius_grows_as_alpha_falls(self):
         theta = ModelParams(beta=np.r_[1.0, np.zeros(29)], sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 100, 2)
-        cis = [inf.known_sigma_ci(data, np.ones(30), np.ones(30), alpha, seed=4) for alpha in (0.2, 0.05, 0.01, 0.001)]
+        data.seed = 4
+        cis = [inf.known_sigma_ci(data, np.ones(30), np.ones(30), alpha) for alpha in (0.2, 0.05, 0.01, 0.001)]
         assert len({ci.center for ci in cis}) == 1
         assert all(a.radius < b.radius for a, b in zip(cis, cis[1:]))
 
@@ -287,7 +306,7 @@ class TestKnownSigmaCI:
         centers = []
         for seed in range(2000):
             data = generate_dataset(theta, n, seed)
-            ci = inf.known_sigma_ci(data, np.ones(p), xi, 0.05, seed=seed)
+            ci = inf.known_sigma_ci(data, np.ones(p), xi, 0.05)
             centers.append(ci.center)
         target_sd = float(np.linalg.norm(xi)) / math.sqrt(n // 2)
         sd = float(np.std(centers))
@@ -305,7 +324,7 @@ class TestKnownSigmaCI:
         reps = 400
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
-            ci = inf.known_sigma_ci(data, np.ones(p), xi, 0.05, seed=seed)
+            ci = inf.known_sigma_ci(data, np.ones(p), xi, 0.05)
             hits += ci.covers(target)
         assert hits / reps >= 0.95 - 0.03
 
@@ -315,9 +334,10 @@ class TestKnownSigmaCI:
         d = np.linspace(0.5, 2.0, p)
         theta = ModelParams(beta=np.zeros(p), sigma_cov=(np.arange(p), np.diag(d)), noise_sd=1.0)
         data = generate_dataset(theta, 80, 4)
+        data.seed = 2
         xi = np.linspace(-1.0, 1.0, p)
-        ci = inf.known_sigma_ci(data, d, xi, 0.05, seed=2)
-        half1, half2 = inf.split_half(data, 2)
+        ci = inf.known_sigma_ci(data, d, xi, 0.05)
+        half1, half2 = inf.split_half(data)
         fit = scaled_lasso(half1)
         resid = half2.y - half2.x @ fit.beta_hat
         center = xi @ fit.beta_hat + np.linalg.solve(np.diag(d), xi) @ (half2.x.T @ resid) / half2.n
@@ -328,10 +348,11 @@ class TestSpikedCI:
     def test_identity_precision_matches_known_sigma(self):
         theta = ModelParams(beta=np.zeros(12), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 100, 2)
+        data.seed = 5
         xi = make_loading(np.ones(12))
-        assert spiked_cov_estimate(inf.split_half(data, 5)[0], 3).b_hat == ()  # so omega_hat = I
-        a = inf.spiked_ci(data, xi, 3, 0.05, seed=5)
-        b = inf.known_sigma_ci(data, np.ones(12), xi.original(), 0.05, seed=5)
+        assert spiked_cov_estimate(inf.split_half(data)[0], 3).b_hat == ()  # so omega_hat = I
+        a = inf.spiked_ci(data, xi, 3, 0.05)
+        b = inf.known_sigma_ci(data, np.ones(12), xi.original(), 0.05)
         assert a.center == pytest.approx(b.center, abs=1e-12)
 
     def test_center_matches_rows_formula(self):
@@ -344,9 +365,10 @@ class TestSpikedCI:
         spike = np.eye(p) + 2.0 * np.outer(v, v)
         theta = ModelParams(beta=beta, sigma_cov=(np.arange(2), spike[:2, :2]), noise_sd=1.0)
         data = generate_dataset(theta, 800, 6)
+        data.seed = 7
         xi = make_loading(np.linspace(-1.0, 1.5, p))
-        ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=7)
-        half1, half2 = inf.split_half(data, 7)
+        ci = inf.spiked_ci(data, xi, k_u, 0.05)
+        half1, half2 = inf.split_half(data)
         fit, spk = scaled_lasso(half1), spiked_cov_estimate(half1, k_u)
         assert spk.b_hat and np.any(fit.beta_hat)
         resid = half2.y - half2.x @ fit.beta_hat
@@ -380,7 +402,8 @@ class TestSpikedCI:
         pilot = []
         for seed in range(200):
             data = generate_dataset(theta0, n, 50_000 + seed)
-            ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=seed)
+            data.seed = seed
+            ci = inf.spiked_ci(data, xi, k_u, 0.05)
             pilot.append(abs(ci.center) / unit)
         c_cal = 1.15 * float(np.quantile(pilot, 0.975))
 
@@ -392,7 +415,7 @@ class TestSpikedCI:
         reps = 1000
         for seed in range(reps):
             data = generate_dataset(theta, n, seed)
-            ci = inf.spiked_ci(data, xi, k_u, 0.05, seed=seed)
+            ci = inf.spiked_ci(data, xi, k_u, 0.05)
             hits += abs(ci.center - target) <= c_cal * ci.radius
         assert hits / reps >= 0.95 - 0.05
 
@@ -405,7 +428,7 @@ class TestRunSingleTest:
         for mode in inf.TEST_MODES:
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="adaptest"):
-                inf.run_single_test(mode, generate_dataset(theta, 40, 0), problem, seed=0)
+                inf.run_single_test(mode, generate_dataset(theta, 40, 0), problem)
             assert [(r.name, r.levelno) for r in caplog.records] == [("adaptest", logging.WARNING)], mode
             assert "did not converge" in caplog.records[0].getMessage()
 
@@ -414,7 +437,7 @@ class TestRunSingleTest:
         data = generate_dataset(theta, 40, 0)
         problem = problem_of(xi=make_loading(np.ones(6)), t0=0.0, k_u=2, alpha=0.05, eta=0.05)
         with pytest.raises(ValueError, match="'bogus'") as err:
-            inf.run_single_test("bogus", data, problem, seed=0)
+            inf.run_single_test("bogus", data, problem)
         assert all(mode in str(err.value) for mode in inf.TEST_MODES)
 
 

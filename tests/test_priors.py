@@ -80,6 +80,10 @@ class TestNu2Prior:
         with pytest.raises(RegimeViolation):
             pri.sample_nu2_prior(self.xi, 3, 500, 40, 5.0, seed=0)
 
+    def test_p_must_be_the_loading_dimension(self):
+        with pytest.raises(ValueError, match="p = 41 but the loading has p = 40"):
+            pri.sample_nu2_prior(self.xi, 8, 500, 41, 5.0, seed=0)
+
 
 class TestNu1Prior:
     xi = make_loading(np.concatenate((np.ones(100), np.zeros(100))))
