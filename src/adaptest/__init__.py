@@ -37,11 +37,9 @@ from .estimators import (
 from .inference import (
     ConfidenceInterval,
     TestDecision,
-    debiased_ci,
     known_sigma_ci,
     mixed_ci,
     mixed_test,
-    plugin_ci,
     spiked_ci,
     split_half,
 )

@@ -1,12 +1,12 @@
 """Confidence intervals and the inverted adaptive tests.
 
-Five interval constructions share one vocabulary: plug-in (bias bound through
-the l1 error of the lasso), debiased (residual correction along the inf-norm
-constrained direction), mixed (a debiased part on the top-m coordinates plus a
-plug-in part on the rest), and the data-split variants for known or spiked
-design covariance.  Every interval carries an error-budget ledger; its nominal
-level is one minus the total budget.  Every interval reads data only through its
-Gram (`model.Dataset`): the debiased one the dataset's, the data-split ones half
+Three interval constructions share one vocabulary: mixed (a debiased part on the top-m
+coordinates plus a plug-in part on the rest), whose ends m = 0 and m = p are the plug-in
+interval (bias bound through the l1 error of the lasso) and the debiased one (residual
+correction along the inf-norm constrained direction), and the data-split variants for
+known or spiked design covariance.  Every interval carries an error-budget ledger; its
+nominal level is one minus the total budget.  Every interval reads data only through its
+Gram (`model.Dataset`): the mixed one the dataset's, the data-split ones half
 2's.  Radius constants are fixed, each in one expression (`_plugin_radius`,
 `_debiased_radius`) that `radius_floors` shares; sigma_floor (for the lasso
 fits) is the only value a caller sets.
@@ -26,7 +26,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import OddSampleSize
-from .estimators import CoordinateDataset, ProjectionResult, ScaledLassoFit, projection_direction, scaled_lasso
+from .estimators import CoordinateDataset, ScaledLassoFit, projection_direction, scaled_lasso
 from .estimators import residual_mean_square, spiked_cov_estimate
 from .model import Dataset, LoadingVector, TestProblem, stream
 from .profiles import cutoff_and_regime, cutoff_prefixes, log_grid, top_norm
@@ -77,14 +77,6 @@ def _debiased_radius(sigma_hat, norm2, k_u: int, n: int, p: int, usu: float = 0.
     return 1.1 * sigma_hat * (math.sqrt(max(usu, 0.0) / n) * z + C_BETA * C_XI * norm2 * k_u * math.log(p) / n)
 
 
-def plugin_ci(fit: ScaledLassoFit, xi_vec: np.ndarray, k_u: int, n: int, alpha: float) -> ConfidenceInterval:
-    """Interval centered at xi'beta_hat with the l1-bias radius `_plugin_radius`, p = xi_vec.size: no
-    quantile term, as the whole alpha budget pays for the estimator error event."""
-    radius = _plugin_radius(fit.sigma_hat, float(np.max(np.abs(xi_vec))), k_u, n, xi_vec.size)
-    center = float(xi_vec @ fit.beta_hat)
-    return ConfidenceInterval(center=center, radius=radius, budget={"plugin": alpha})
-
-
 def _corrected_center(data: Dataset, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
     """xi'beta_hat + d'X'(Y - X beta_hat)/n along direction d, read from the
     Gram as X'Y/n - G[:, S] beta_hat_S on the support S of beta_hat."""
@@ -92,38 +84,34 @@ def _corrected_center(data: Dataset, beta_hat: np.ndarray, xi_vec: np.ndarray, d
     return float(xi_vec @ beta_hat) + float(direction @ (data.xty - data.cols(s) @ beta_hat[s]))
 
 
-def debiased_ci(
-    data: Dataset, fit: ScaledLassoFit, proj: ProjectionResult, xi_vec: np.ndarray, k_u: int, alpha: float
-) -> ConfidenceInterval:
-    """Residual-corrected interval along the projection direction: the corrected center along u_hat on the
-    dataset's Gram, and `_debiased_radius` at u'Su = proj.objective.  An infeasible projection has u_hat = 0."""
-    center = _corrected_center(data, fit.beta_hat, xi_vec, proj.u_hat)
-    norm2 = float(np.linalg.norm(xi_vec))
-    radius = _debiased_radius(fit.sigma_hat, norm2, k_u, data.n, data.p, proj.objective, alpha)
-    return ConfidenceInterval(center=center, radius=radius, budget={"debiased": alpha})
+def _interval(data: Dataset, fit: ScaledLassoFit, xi: LoadingVector, m: int, k_u: int,
+              debiased: float | None = None, plugin: float | None = None) -> ConfidenceInterval:
+    """A debiased part on the top-m coordinates of xi (head) at level 1 - debiased and a plug-in part on the
+    rest (tail) at level 1 - plugin: the head's corrected center along its projection direction plus
+    tail'beta_hat, the parts' radii summed, and a budget of the levels given, debiased first.  A part
+    with no level must be empty (m = 0 or m = p), where it adds exactly 0 to the center and the radius."""
+    if not 0 <= m <= xi.p:
+        raise ValueError("cutoff m out of range")
+    if m > 0 and debiased is None or m < xi.p and plugin is None:
+        raise ValueError(f"a nonempty part of the interval at cutoff m = {m} has no level")
+    head, tail, head_l2, tail_inf = xi.memoised(_split_norms, m)
+    proj = projection_direction(data, head, C_XI)
+    z_level = 1.0 if debiased is None else debiased  # any level whose z is finite: 0 z adds 0
+    return ConfidenceInterval(
+        center=_corrected_center(data, fit.beta_hat, head, proj.u_hat) + float(tail @ fit.beta_hat),
+        radius=_debiased_radius(fit.sigma_hat, head_l2, k_u, data.n, data.p, proj.objective, z_level)
+        + _plugin_radius(fit.sigma_hat, tail_inf, k_u, data.n, data.p),
+        budget={part: a for part, a in (("debiased", debiased), ("plugin", plugin)) if a is not None},
+    )
 
 
 def mixed_ci(
     data: Dataset, fit: ScaledLassoFit, xi: LoadingVector, m: int, k_u: int, alpha: float, eta: float
 ) -> ConfidenceInterval:
-    """One interval from a debiased part on the top-m coordinates of xi (head) and a plug-in part on
-    the rest (tail), each at level 1 - alpha'/4, alpha' = min(alpha, eta): the head's corrected center
-    plus tail'beta_hat, the two parts' radii summed, and a budget holding both parts' alpha'/4.
-
-    m = 0 and m = p recover the plug-in and debiased intervals exactly.
-    """
-    if not 0 <= m <= xi.p:
-        raise ValueError("cutoff m out of range")
-    n, p = data.n, data.p
+    """The interval at cutoff m with both parts at level 1 - alpha'/4, alpha' = min(alpha, eta): at
+    m = 0 the plug-in interval, at m = p the debiased one."""
     a_comp = min(alpha, eta) / 4.0
-    head, tail, head_l2, tail_inf = xi.memoised(_split_norms, m)
-    proj = projection_direction(data, head, C_XI)
-    return ConfidenceInterval(
-        center=_corrected_center(data, fit.beta_hat, head, proj.u_hat) + float(tail @ fit.beta_hat),
-        radius=_debiased_radius(fit.sigma_hat, head_l2, k_u, n, p, proj.objective, a_comp)
-        + _plugin_radius(fit.sigma_hat, tail_inf, k_u, n, p),
-        budget={"debiased": a_comp, "plugin": a_comp},
-    )
+    return _interval(data, fit, xi, m, k_u, debiased=a_comp, plugin=a_comp)
 
 
 def _split_norms(xi: LoadingVector, m: int) -> tuple:
@@ -189,8 +177,8 @@ def run_single_test(
 ) -> TestDecision:
     """Invert the interval of one of the TEST_MODES on one dataset.
 
-    mixed is `mixed_test`; plugin and debiased are the two intervals it
-    mixes, each at level 1 - alpha; known_sigma uses the identity design
+    mixed is `mixed_test`; plugin and debiased are its interval at m = 0
+    and m = p, the one part at level 1 - alpha; known_sigma uses the identity design
     covariance and spiked the exhaustive estimator, both on the dataset's
     own halves `split_half(data)`.  Each mode fits (or reuses) the one memoised
     lasso and reads everything else on a fork taken after it, so on a
@@ -198,19 +186,17 @@ def run_single_test(
     """
     if mode == "mixed":
         return mixed_test(data, problem, sigma_floor, scan_all_m)
-    xi_vec, k_u, alpha = problem.xi.original(), problem.k_u, problem.alpha
-    if mode == "plugin":
-        ci = plugin_ci(scaled_lasso(data, sigma_floor=sigma_floor), xi_vec, k_u, data.n, alpha)
-    elif mode == "debiased":
-        fit, view = scaled_lasso(data, sigma_floor=sigma_floor), data.fork()
-        ci = debiased_ci(view, fit, projection_direction(view, xi_vec, C_XI), xi_vec, k_u, alpha)
+    k_u, alpha, m_used = problem.k_u, problem.alpha, data.p
+    if mode in ("plugin", "debiased"):
+        fit, m_used = scaled_lasso(data, sigma_floor=sigma_floor), 0 if mode == "plugin" else problem.xi.p
+        ci = _interval(data.fork(), fit, problem.xi, m_used, k_u, **{mode: alpha})
     elif mode == "known_sigma":
-        ci = known_sigma_ci(data, np.ones(data.p), xi_vec, alpha, sigma_floor)
+        ci = known_sigma_ci(data, np.ones(data.p), problem.xi.original(), alpha, sigma_floor)
     elif mode == "spiked":
         ci = spiked_ci(data, problem.xi, k_u, alpha, sigma_floor)
     else:
         raise ValueError(f"unknown test mode {mode!r}: expected one of {', '.join(TEST_MODES)}")
-    return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=0 if mode == "plugin" else data.p)
+    return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=m_used)
 
 
 def split_half(data: Dataset) -> tuple[Dataset, Dataset]:

@@ -23,7 +23,7 @@ from adaptest import scca
 from adaptest.estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from adaptest.harness import parse_config, run_experiment, rows_to_csv
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
-from oracles import joint_covariance
+from oracles import debiased_ci, joint_covariance, plugin_ci
 
 
 def _report(num, name, ok=True, extra=""):
@@ -77,13 +77,13 @@ def test_criterion_2_endpoint_recovery():
         a_comp = min(alpha, eta) / 4.0
 
         m0 = inf.mixed_ci(data, fit, xi, 0, k_u, alpha, eta)
-        pi = inf.plugin_ci(fit, xi.original(), k_u, n, a_comp)
+        pi = plugin_ci(fit, xi.original(), k_u, n, a_comp)
         assert abs(m0.center - pi.center) <= 1e-12
         assert abs(m0.radius - pi.radius) <= 1e-12
 
         mp = inf.mixed_ci(data, fit, xi, p, k_u, alpha, eta)
         proj = projection_direction(data, xi.original(), 2.0)
-        db = inf.debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
+        db = debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
         assert abs(mp.center - db.center) <= 1e-12
         assert abs(mp.radius - db.radius) <= 1e-12
     _report(2, "mixed interval endpoint recovery")

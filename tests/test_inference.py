@@ -18,8 +18,6 @@ from adaptest import inference as inf
 from adaptest.errors import OddSampleSize
 from adaptest.estimators import (
     CoordinateDataset,
-    ProjectionResult,
-    ScaledLassoFit,
     projection_direction,
     scaled_lasso,
     spiked_cov_estimate,
@@ -29,6 +27,10 @@ from adaptest.harness import null_point, parse_config, run_experiment
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
 from adaptest.priors import sample_nu2_prior, valid_draws
 from adaptest.profiles import MODERATELY_SPARSE, ULTRA_SPARSE, cutoff_and_regime, example_profiles, log_grid
+from adaptest.profiles import regular_profile
+from oracles import debiased_ci, plugin_ci
+from test_estimators import criterion3_theta
+from test_harness import golden_dataset
 
 # alias keeps pytest from trying to collect the imported dataclass
 problem_of = model.TestProblem
@@ -40,39 +42,35 @@ class TestConfidenceInterval:
             inf.ConfidenceInterval(0.0, -1e-300, {"x": 0.01})
 
     def test_level_is_one_minus_total_budget(self):
-        fit = ScaledLassoFit(beta_hat=np.zeros(10), sigma_hat=1.0, iterations=1, converged=True)
-        ci = inf.plugin_ci(fit, np.ones(10), 2, 50, 0.07)
+        data = generate_dataset(ModelParams(beta=np.zeros(10), sigma_cov=None, noise_sd=1.0), 50, 0)
+        problem = problem_of(xi=make_loading(np.ones(10)), t0=0.0, k_u=2, alpha=0.07, eta=0.05)
+        ci = inf.run_single_test("plugin", data, problem).interval
         assert ci.level == pytest.approx(1 - sum(ci.budget.values()))
 
 
 class TestPluginCI:
     def test_radius_arithmetic(self):
-        fit = ScaledLassoFit(beta_hat=np.zeros(100), sigma_hat=1.0, iterations=1, converged=True)
-        xi = np.zeros(100)
-        xi[0] = 1.0
-        ci = inf.plugin_ci(fit, xi, 2, 100, 0.05)
-        assert ci.radius == pytest.approx(4.4 * 2 * math.sqrt(math.log(100) / 100), rel=1e-12)
-        assert ci.radius == pytest.approx(1.8884501, rel=1e-6)
+        # sigma_hat = 1, ||xi||_inf = 1, k_u = 2, n = p = 100
+        radius = inf._plugin_radius(1.0, 1.0, 2, 100, 100)
+        assert radius == pytest.approx(4.4 * 2 * math.sqrt(math.log(100) / 100), rel=1e-12)
+        assert radius == pytest.approx(1.8884501, rel=1e-6)
 
     def test_radius_linear_in_sigma(self):
-        base = ScaledLassoFit(beta_hat=np.zeros(20), sigma_hat=1.0, iterations=1, converged=True)
-        double = ScaledLassoFit(beta_hat=np.zeros(20), sigma_hat=2.0, iterations=1, converged=True)
-        xi = np.ones(20)
-        r1 = inf.plugin_ci(base, xi, 3, 80, 0.05).radius
-        r2 = inf.plugin_ci(double, xi, 3, 80, 0.05).radius
+        # ||xi||_inf = 1, k_u = 3, n = 80, p = 20
+        r1 = inf._plugin_radius(1.0, 1.0, 3, 80, 20)
+        r2 = inf._plugin_radius(2.0, 1.0, 3, 80, 20)
         assert r2 == 2.0 * r1
 
 
 class TestDebiasedCI:
     def test_zero_direction_radius(self):
+        # the constraint radius C_xi ||xi||_2 sqrt(log p / n) = 2.6 exceeds ||xi||_inf = 1, so u = 0
         theta = ModelParams(beta=np.zeros(30), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 60, 3)
         fit = scaled_lasso(data)
-        from adaptest.estimators import ProjectionResult
-
-        proj = ProjectionResult(u_hat=np.zeros(30), feasible=False, objective=0.0)
         xi = np.ones(30)
-        ci = inf.debiased_ci(data, fit, proj, xi, 4, 0.05)
+        problem = problem_of(xi=make_loading(xi), t0=0.0, k_u=4, alpha=0.05, eta=0.05)
+        ci = inf.run_single_test("debiased", data, problem).interval
         expect = 1.1 * fit.sigma_hat * inf.C_BETA * inf.C_XI * math.sqrt(30.0) * 4 * math.log(30) / 60
         assert ci.radius == pytest.approx(expect, rel=1e-12)
         assert ci.center == pytest.approx(float(xi @ fit.beta_hat))
@@ -82,19 +80,27 @@ class TestDebiasedCI:
     @example(0.05)
     @example(0.05 / 4.0)
     def test_quantile_within_8_ulp_of_ndtri(self, alpha):
-        # debiased_ci's z_{1 - alpha/8}, by AS241 in the standard library, against scipy's Cephes ndtri;
+        # the debiased radius's z_{1 - alpha/8}, by AS241 in the standard library, against scipy's Cephes ndtri;
         # at alpha <= 2^-51, 1 - alpha/8 rounds to 1, which has no finite quantile
         q = 1.0 - alpha / 8.0
         ours, ref = NormalDist().inv_cdf(q), float(ndtri(q))
         assert abs(ours - ref) <= 8 * math.ulp(ref), (ours, ref)
 
     def test_quantile_of_one_is_infinite(self):
-        # at alpha <= 2^-51 the radius is infinite, as scipy's ndtri(1) = inf made it
+        # at alpha <= 2^-51 the radius is infinite, as scipy's ndtri(1) = inf made it; the loading
+        # e_1 has a constraint radius 2 sqrt(log p / n) = 0.48 below ||xi||_inf = 1, so u'Su > 0
+        # (0 z would be nan)
         theta = ModelParams(beta=np.zeros(30), sigma_cov=None, noise_sd=1.0)
         data = generate_dataset(theta, 60, 3)
-        proj = ProjectionResult(u_hat=np.ones(30), feasible=True, objective=1.0)
-        assert inf.debiased_ci(data, scaled_lasso(data), proj, np.ones(30), 4, 2.0**-51).radius == math.inf
-        assert math.isfinite(inf.debiased_ci(data, scaled_lasso(data), proj, np.ones(30), 4, 2.0**-49).radius)
+        xi = make_loading(np.eye(30)[0])
+        assert projection_direction(data, xi.original(), inf.C_XI).objective > 0.0
+
+        def radius(alpha):
+            problem = problem_of(xi=xi, t0=0.0, k_u=4, alpha=alpha, eta=0.05)
+            return inf.run_single_test("debiased", data, problem).interval.radius
+
+        assert radius(2.0**-51) == math.inf
+        assert math.isfinite(radius(2.0**-49))
 
     def test_importing_the_cli_loads_no_scipy(self):
         src = str(Path(inf.__file__).resolve().parents[1])
@@ -113,12 +119,9 @@ class TestDebiasedCI:
         target = float(xi.original() @ beta)
         hits = 0
         reps = 1000
+        problem = problem_of(xi=xi, t0=target, k_u=5, alpha=0.05, eta=0.05)
         for seed in range(reps):
-            data = generate_dataset(theta, n, seed)
-            fit = scaled_lasso(data)
-            proj = projection_direction(data, xi.original(), 2.0)
-            ci = inf.debiased_ci(data, fit, proj, xi.original(), 5, 0.05)
-            hits += ci.covers(target)
+            hits += inf.run_single_test("debiased", generate_dataset(theta, n, seed), problem).interval.covers(target)
         assert hits / reps >= 0.95 - 0.03
 
 
@@ -139,12 +142,12 @@ class TestMixedCI:
             n, p, k_u = data.n, data.p, 4
             a_comp = min(0.05, 0.05) / 4.0
             m0 = inf.mixed_ci(data, fit, xi, 0, k_u, 0.05, 0.05)
-            pi = inf.plugin_ci(fit, xi.original(), k_u, n, a_comp)
+            pi = plugin_ci(fit, xi.original(), k_u, n, a_comp)
             assert m0.center == pytest.approx(pi.center, abs=1e-12)
             assert m0.radius == pytest.approx(pi.radius, abs=1e-12)
             mp = inf.mixed_ci(data, fit, xi, p, k_u, 0.05, 0.05)
             proj = projection_direction(data, xi.original(), 2.0)
-            db = inf.debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
+            db = debiased_ci(data, fit, proj, xi.original(), k_u, a_comp)
             assert mp.center == pytest.approx(db.center, abs=1e-12)
             assert mp.radius == pytest.approx(db.radius, abs=1e-12)
 
@@ -172,6 +175,48 @@ class TestMixedCI:
             d2 = inf.mixed_test(data, problem_of(xi=xi2, t0=2 * t0, k_u=4, alpha=0.05, eta=0.05))
             assert d1.reject == d2.reject
             assert d2.interval.radius == pytest.approx(2 * d1.interval.radius, rel=1e-9)
+
+
+class TestEndpointModes:
+    """The plugin and debiased modes are the mixed interval's construction at m = 0 and m = p."""
+
+    @staticmethod
+    def cases(tmp_path):
+        """(data, xi, k_u): 50 criterion-3 `CoordinateDataset`s (five coefficients at 0.8 and at 2.8, seeds
+        0..24) with the regular loading of five equal entries, and the golden row dataset with a normal loading."""
+        cases = [(CoordinateDataset(criterion3_theta(level), 300, seed), regular_profile(5, 1.0, 600), 5)
+                 for seed in range(25) for level in (0.8, 2.8)]
+        with open(golden_dataset(tmp_path / "data.csv")) as fh:
+            return cases + [(model.dataset_from_csv(fh, 7), make_loading(stream(7).standard_normal(30)), 3)]
+
+    def test_modes_equal_the_written_out_intervals(self, tmp_path):
+        for data, xi, k_u in self.cases(tmp_path):
+            problem = problem_of(xi=xi, t0=0.0, k_u=k_u, alpha=0.05, eta=0.05)
+            plugin, debiased = (inf.run_single_test(mode, data, problem) for mode in ("plugin", "debiased"))
+            fit, view = scaled_lasso(data), data.fork()
+            proj = projection_direction(view, xi.original(), inf.C_XI)
+            for dec, ref, m in ((plugin, plugin_ci(fit, xi.original(), k_u, data.n, 0.05), 0),
+                                (debiased, debiased_ci(view, fit, proj, xi.original(), k_u, 0.05), data.p)):
+                ci = dec.interval
+                assert (ci.center, ci.radius, ci.budget, dec.m_used) == (ref.center, ref.radius, ref.budget, m)
+
+    def test_plugin_mode_forms_no_gram_column(self, tmp_path, monkeypatch):
+        cases = self.cases(tmp_path)
+        for data, xi, k_u in (cases[0], cases[1], cases[-1]):
+            scaled_lasso(data)
+            formed = []
+            for cls in (CoordinateDataset, model.Dataset):
+                monkeypatch.setattr(cls, "_column", lambda self, j, form=cls._column: formed.append(j) or form(self, j))
+            inf.run_single_test("plugin", data, problem_of(xi=xi, t0=0.0, k_u=k_u, alpha=0.05, eta=0.05))
+            monkeypatch.undo()
+            assert formed == []
+
+    @pytest.mark.parametrize("m, levels", [(1, {"plugin": 0.05}), (50, {"plugin": 0.05}), (0, {"debiased": 0.05}),
+                                           (49, {"debiased": 0.05}), (0, {}), (50, {})])
+    def test_a_nonempty_part_needs_a_level(self, m, levels):
+        data, xi, fit = TestMixedCI()._setup(0)
+        with pytest.raises(ValueError, match="has no level"):
+            inf._interval(data, fit, xi, m, 4, **levels)
 
 
 @st.composite
