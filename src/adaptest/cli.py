@@ -27,7 +27,7 @@ import numpy as np
 from . import harness, profiles, scca
 from .errors import AdaptestError, ConfigError
 from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
-from .harness import CORRELATION, FINITE, LEVEL, NONNEGATIVE, POSITIVE, UNIT, ExperimentConfig, LoadingConfig, RunConfig
+from .harness import CORRELATION, FINITE, LEVEL, POSITIVE, UNIT, ExperimentConfig, LoadingConfig, RunConfig
 from .harness import at_least, build_loading, float_list, setting
 from .inference import C_XI, TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
@@ -47,12 +47,10 @@ class ProfileConfig(LoadingConfig):
 class DataConfig(LoadingConfig):
     data_csv: str
     p: int | None = setting(None, domain=at_least(2))  # set from data_csv; a given p must agree with it
-    sigma_floor: float = setting(0.0, domain=NONNEGATIVE)
 
 
 @dataclass(kw_only=True)
 class FitConfig(DataConfig):
-    c_xi: float = setting(C_XI, domain=POSITIVE)
     gamma_star: float | None = setting(None, domain=POSITIVE)  # set: also run the spiked-covariance fit at it
 
 
@@ -170,8 +168,8 @@ def cmd_profile(cfg: ProfileConfig):
 def cmd_fit(cfg: FitConfig):
     data, cfg = _read_dataset(cfg)
     xi = build_loading(cfg)
-    fit = scaled_lasso(data, sigma_floor=cfg.sigma_floor)
-    proj = projection_direction(data, xi.original(), cfg.c_xi)
+    fit = scaled_lasso(data)
+    proj = projection_direction(data, xi.original(), C_XI)
     support = np.flatnonzero(fit.beta_hat)
     cols = {
         "sigma_hat": fit.sigma_hat,
@@ -192,7 +190,7 @@ def cmd_fit(cfg: FitConfig):
 def cmd_test(cfg: TestCmdConfig):
     data, cfg = _read_dataset(cfg)
     problem = TestProblem(xi=build_loading(cfg), t0=cfg.t0, k_u=cfg.k_u, alpha=cfg.alpha, eta=cfg.eta)
-    dec = run_single_test(cfg.mode, data, problem, cfg.scan_all_m, cfg.sigma_floor)
+    dec = run_single_test(cfg.mode, data, problem, cfg.scan_all_m)
     ci = dec.interval
     row = [cfg.mode, int(dec.reject), ci.center, ci.radius, dec.m_used, ci.level, ci.budget]
     return cfg, "test", {".csv": csv_text("mode,reject,center,radius,m_used,level,budget", [row])}

@@ -7,7 +7,8 @@ a dataset's Gram (`model.Dataset`, columns formed on first touch): a KKT
 check picks a working set (the nonzero coordinates and the violators),
 solved exactly where its predicted signs hold and else swept in ascending
 index order, so results are deterministic.  The scaled-lasso fit is
-memoised on its dataset.  A dataset can be its Gram alone (`CoordinateDataset`).
+memoised on its dataset, and its sigma_hat is the one it estimates: a zero
+residual raises.  A dataset can be its Gram alone (`CoordinateDataset`).
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ def residual_mean_square(data: Dataset, beta: np.ndarray) -> float:
     return max(data.yty - 2.0 * float(data.xty @ beta) + float(beta[nz] @ (data.cols(nz)[nz] @ beta[nz])), 0.0)
 
 
-def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
+def scaled_lasso(data: Dataset) -> ScaledLassoFit:
     """Joint estimate of (beta, sigma): the scaled lasso's fixed point.
 
     For fixed sigma the beta-step is a lasso with per-column weights
@@ -328,12 +329,13 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     after LASSO_ROUNDS rounds; converged is False if that never happened or if any
     beta-step ran out of its budget of 2000 coordinate-descent passes, and then
     the fit logs a WARNING on the adaptest logger, once, when it is computed.
+    A zero residual, at y'y = 0 or in a round, leaves sigma_hat undefined and
+    raises ZeroResidualDegenerate.
 
-    Memoised on the dataset by sigma_floor; the fit's beta_hat is read-only.
+    Memoised on the dataset; the fit's beta_hat is read-only.
     """
-    key = ("scaled_lasso", sigma_floor)
-    if key in data.memo:
-        return data.memo[key]
+    if "scaled_lasso" in data.memo:
+        return data.memo["scaled_lasso"]
     n, p = data.n, data.p
     if n < 2:
         raise ValueError("need at least two samples")
@@ -344,6 +346,8 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
 
     beta, pen0 = np.zeros(p), lam0 * weights
     sigma = math.sqrt(data.yty)
+    if sigma == 0.0:
+        raise ZeroResidualDegenerate("zero residual: sigma_hat is undefined")
     kkt_tol = 1e-10 * max(1.0, sigma)
     # the search: predicted signs, from the CD core's first working set at (0, sigma) on (see the docstring)
     signs, fixed, seen = np.sign(data.xty) * (np.abs(data.xty) - sigma * lam0 * weights > kkt_tol), None, set()
@@ -355,8 +359,6 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
     inner_ok = True
     it = 0
     for it in range(1, LASSO_ROUNDS + 1):
-        if sigma <= 0.0:
-            break
         if fixed is None:
             kkt_tol = 1e-10 * max(1.0, sigma)
             beta, ok, _ = _cd_quadratic_l1(data, data.xty, sigma * lam0 * weights, beta, kkt_tol, max_passes=2000)
@@ -366,31 +368,20 @@ def scaled_lasso(data: Dataset, *, sigma_floor: float = 0.0) -> ScaledLassoFit:
             (beta, sigma), fixed = fixed, None
         res2 = residual_mean_square(data, beta)
         sigma_new = math.sqrt(res2)
-        objectives.append(
-            res2 / (2.0 * sigma_new) + sigma_new / 2.0 + lam0 * float(weights @ np.abs(beta))
-            if sigma_new > 0.0
-            else math.inf
-        )
         if sigma_new == 0.0:
-            sigma = 0.0
-            break
+            raise ZeroResidualDegenerate("zero residual: sigma_hat is undefined")
+        objectives.append(res2 / (2.0 * sigma_new) + sigma_new / 2.0 + lam0 * float(weights @ np.abs(beta)))
         done = abs(sigma_new / sigma - 1.0) < 1e-8
         sigma = sigma_new
         if done:
             converged = True
             break
-    if sigma == 0.0:
-        if sigma_floor > 0.0:
-            sigma = sigma_floor
-            converged = True
-        else:
-            raise ZeroResidualDegenerate("zero residual: sigma_hat is undefined")
     beta.setflags(write=False)
-    fit = ScaledLassoFit(beta_hat=beta, sigma_hat=max(sigma, sigma_floor), iterations=it,
+    fit = ScaledLassoFit(beta_hat=beta, sigma_hat=sigma, iterations=it,
                          converged=converged and inner_ok, objectives=tuple(objectives))
     if not fit.converged:
         _log.warning("the scaled lasso on %d x %d data did not converge in %d rounds", n, p, it)
-    return data.memo.setdefault(key, fit)
+    return data.memo.setdefault("scaled_lasso", fit)
 
 
 def projection_direction(

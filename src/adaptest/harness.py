@@ -54,7 +54,6 @@ UNIT = "lie in (0, 1)", lambda v: 0.0 < v < 1.0
 # mixed_ci reads the normal quantile at 1 - v/32, which is infinite once that rounds to 1
 LEVEL = "lie in (0, 1) and leave 1 - v/32 below 1", lambda v: 0.0 < v < 1.0 and 1.0 - v / 32.0 < 1.0
 POSITIVE = "be positive and finite", lambda v: 0.0 < v < math.inf
-NONNEGATIVE = "be nonnegative and finite", lambda v: 0.0 <= v < math.inf
 NONZERO = "be finite and nonzero", lambda v: 0.0 < abs(v) < math.inf
 FINITE = "be finite", math.isfinite
 EXPONENT = "lie in [0, 1]", lambda v: 0.0 <= v <= 1.0  # as the exponents profiles.regular_phase takes do

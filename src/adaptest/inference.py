@@ -8,8 +8,8 @@ known or spiked design covariance.  Every interval carries an error-budget ledge
 nominal level is one minus the total budget.  Every interval reads data only through its
 Gram (`model.Dataset`): the mixed one the dataset's, the data-split ones half
 2's.  Radius constants are fixed, each in one expression (`_plugin_radius`,
-`_debiased_radius`) that `radius_floors` shares; sigma_floor (for the lasso
-fits) is the only value a caller sets.
+`_debiased_radius`) that `radius_floors` shares; no caller sets a radius value, and
+the lasso's sigma_hat is the one it estimates.
 
 `run_single_test` runs any of the `TEST_MODES` on a dataset; the modes
 share one memoised lasso fit per dataset (on half 1 of its own
@@ -46,7 +46,7 @@ class ConfidenceInterval:
     budget: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:
             raise ValueError("radius must be nonnegative")
 
     @property
@@ -69,12 +69,15 @@ def _plugin_radius(sigma_hat, xi_inf, k_u: int, n: int, p: int):
     return C_PI * sigma_hat * xi_inf * k_u * math.sqrt(math.log(p) / n)
 
 
-def _debiased_radius(sigma_hat, norm2, k_u: int, n: int, p: int, usu: float = 0.0, alpha: float = 1.0):
+def _debiased_radius(sigma_hat, norm2, k_u: int, n: int, p: int, usu: float = 0.0, alpha: float | None = None):
     """1.1 sigma_hat [sqrt(u'Su/n) z_{1-alpha/8} + C_beta C_xi ||xi||_2 k_u log p / n], z by AS241
-    (`statistics.NormalDist`), elementwise in sigma_hat and ||xi||_2; the default u'Su = 0 is a floor."""
-    q = 1.0 - alpha / 8.0  # rounds to 1 at alpha <= 2^-51, where z is inf
-    z = NormalDist().inv_cdf(q) if q < 1.0 else math.inf
-    return 1.1 * sigma_hat * (math.sqrt(max(usu, 0.0) / n) * z + C_BETA * C_XI * norm2 * k_u * math.log(p) / n)
+    (`statistics.NormalDist`), elementwise in sigma_hat and ||xi||_2.  The z term is read only where
+    u'Su > 0, as it is exactly 0 elsewhere; the default u'Su = 0 is a floor."""
+    bias = C_BETA * C_XI * norm2 * k_u * math.log(p) / n
+    if usu > 0.0:
+        q = 1.0 - alpha / 8.0  # rounds to 1 at alpha <= 2^-51, where z is inf
+        bias = math.sqrt(usu / n) * (NormalDist().inv_cdf(q) if q < 1.0 else math.inf) + bias
+    return 1.1 * sigma_hat * bias
 
 
 def _corrected_center(data: Dataset, beta_hat: np.ndarray, xi_vec: np.ndarray, direction: np.ndarray) -> float:
@@ -96,10 +99,9 @@ def _interval(data: Dataset, fit: ScaledLassoFit, xi: LoadingVector, m: int, k_u
         raise ValueError(f"a nonempty part of the interval at cutoff m = {m} has no level")
     head, tail, head_l2, tail_inf = xi.memoised(_split_norms, m)
     proj = projection_direction(data, head, C_XI)
-    z_level = 1.0 if debiased is None else debiased  # any level whose z is finite: 0 z adds 0
     return ConfidenceInterval(
         center=_corrected_center(data, fit.beta_hat, head, proj.u_hat) + float(tail @ fit.beta_hat),
-        radius=_debiased_radius(fit.sigma_hat, head_l2, k_u, data.n, data.p, proj.objective, z_level)
+        radius=_debiased_radius(fit.sigma_hat, head_l2, k_u, data.n, data.p, proj.objective, debiased)
         + _plugin_radius(fit.sigma_hat, tail_inf, k_u, data.n, data.p),
         budget={part: a for part, a in (("debiased", debiased), ("plugin", plugin)) if a is not None},
     )
@@ -138,7 +140,6 @@ def _cutoff_plan(xi: LoadingVector, k_u: int, n: int, scan_all_m: bool) -> tuple
 def mixed_test(
     data: Dataset,
     problem: TestProblem,
-    sigma_floor: float = 0.0,
     scan_all_m: bool = False,
 ) -> TestDecision:
     """Invert the mixed interval at the rate-optimal cutoff m_star.
@@ -151,7 +152,7 @@ def mixed_test(
     scan.  Everything after the fit reads `data.fork()`.
     """
     xi, k_u = problem.xi, problem.k_u
-    fit = scaled_lasso(data, sigma_floor=sigma_floor)
+    fit = scaled_lasso(data)
     data = data.fork()
 
     grid, rest = xi.memoised(_cutoff_plan, k_u, data.n, scan_all_m)
@@ -173,7 +174,6 @@ def run_single_test(
     data: Dataset,
     problem: TestProblem,
     scan_all_m: bool = False,
-    sigma_floor: float = 0.0,
 ) -> TestDecision:
     """Invert the interval of one of the TEST_MODES on one dataset.
 
@@ -185,15 +185,15 @@ def run_single_test(
     `CoordinateDataset` its result does not depend on the modes run before it.
     """
     if mode == "mixed":
-        return mixed_test(data, problem, sigma_floor, scan_all_m)
+        return mixed_test(data, problem, scan_all_m)
     k_u, alpha, m_used = problem.k_u, problem.alpha, data.p
     if mode in ("plugin", "debiased"):
-        fit, m_used = scaled_lasso(data, sigma_floor=sigma_floor), 0 if mode == "plugin" else problem.xi.p
+        fit, m_used = scaled_lasso(data), 0 if mode == "plugin" else problem.xi.p
         ci = _interval(data.fork(), fit, problem.xi, m_used, k_u, **{mode: alpha})
     elif mode == "known_sigma":
-        ci = known_sigma_ci(data, np.ones(data.p), problem.xi.original(), alpha, sigma_floor)
+        ci = known_sigma_ci(data, np.ones(data.p), problem.xi.original(), alpha)
     elif mode == "spiked":
-        ci = spiked_ci(data, problem.xi, k_u, alpha, sigma_floor)
+        ci = spiked_ci(data, problem.xi, k_u, alpha)
     else:
         raise ValueError(f"unknown test mode {mode!r}: expected one of {', '.join(TEST_MODES)}")
     return TestDecision(reject=not ci.covers(problem.t0), interval=ci, m_used=m_used)
@@ -221,11 +221,11 @@ def split_half(data: Dataset) -> tuple[Dataset, Dataset]:
     return halves
 
 
-def _split_half_center(data: Dataset, sigma_floor: float, xi_vec: np.ndarray, direction):
+def _split_half_center(data: Dataset, xi_vec: np.ndarray, direction):
     """(fit, center, half2): the lasso fit on half 1 of the dataset's own split_half(data), the
     corrected center on half 2's Gram along direction(half1), both read on forks, and half 2's fork."""
     half1, half2 = split_half(data)
-    fit, half2 = scaled_lasso(half1, sigma_floor=sigma_floor), half2.fork()
+    fit, half2 = scaled_lasso(half1), half2.fork()
     return fit, _corrected_center(half2, fit.beta_hat, xi_vec, direction(half1.fork())), half2
 
 
@@ -234,7 +234,6 @@ def known_sigma_ci(
     sigma0_diag: np.ndarray,
     xi_vec: np.ndarray,
     alpha: float,
-    sigma_floor: float = 0.0,
 ) -> ConfidenceInterval:
     """Data-split debiased interval using the known diagonal covariance Sigma0.
 
@@ -247,7 +246,7 @@ def known_sigma_ci(
     half 2's residual mean square at beta_hat, read from its Gram
     (`estimators.residual_mean_square`), and z comes from `statistics.NormalDist`.
     """
-    fit, center, half2 = _split_half_center(data, sigma_floor, xi_vec, lambda _: xi_vec / sigma0_diag)
+    fit, center, half2 = _split_half_center(data, xi_vec, lambda _: xi_vec / sigma0_diag)
     rss2 = residual_mean_square(half2, fit.beta_hat)
     spread = float(xi_vec @ (xi_vec / sigma0_diag)) * rss2 + (center - float(xi_vec @ fit.beta_hat)) ** 2
     radius = NormalDist().inv_cdf(1.0 - alpha / 2.0) * math.sqrt(spread / half2.n)
@@ -259,7 +258,6 @@ def spiked_ci(
     xi: LoadingVector,
     k_u: int,
     alpha: float,
-    sigma_floor: float = 0.0,
 ) -> ConfidenceInterval:
     """Data-split debiased interval with the spiked precision estimate.
 
@@ -269,9 +267,7 @@ def spiked_ci(
     sigma_hat [ ||xi||_2 / sqrt(n) + H(k_u) k_u log p / n ].
     """
     xi_vec = xi.original()
-    fit, center, _ = _split_half_center(
-        data, sigma_floor, xi_vec, lambda half1: spiked_cov_estimate(half1, k_u).omega_hat @ xi_vec
-    )
+    fit, center, _ = _split_half_center(data, xi_vec, lambda half1: spiked_cov_estimate(half1, k_u).omega_hat @ xi_vec)
     radius = fit.sigma_hat * (
         float(np.linalg.norm(xi_vec)) / math.sqrt(data.n) + top_norm(xi, k_u) * k_u * math.log(data.p) / data.n
     )

@@ -26,6 +26,7 @@ from adaptest.errors import ConfigError, RegimeViolation
 from adaptest.estimators import CoordinateDataset, scaled_lasso, spiked_cov_estimate
 from adaptest.inference import mixed_test
 from adaptest.model import ModelParams, TestProblem as Problem, dataset_to_csv, generate_dataset, make_loading, stream
+from adaptest.model import Dataset
 from adaptest.profiles import solve_zeta
 from oracles import joint_covariance
 from adaptest.harness import (
@@ -256,8 +257,8 @@ KEYS_READ = [
     (ExperimentConfig, {"kind": "size_power", "null_source": "nu1"}, 24),
     (ExperimentConfig, {"kind": "length_sweep"}, 20),
     (ExperimentConfig, {"kind": "phase_diagram"}, 15),
-    (cli.TestCmdConfig, {"mode": "mixed"}, 17),
-    (cli.TestCmdConfig, {"mode": "plugin"}, 15),
+    (cli.TestCmdConfig, {"mode": "mixed"}, 16),
+    (cli.TestCmdConfig, {"mode": "plugin"}, 14),
 ]
 
 
@@ -1106,6 +1107,36 @@ class TestCli:
         assert "bogus_key" in capsys.readouterr().err
         assert not list(tmp_path.glob(f"{command}_*"))
 
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            ("test", BASE["test"] + "sigma_floor = -1\n", "sigma_floor"),
+            ("fit", BASE["test"] + "sigma_floor = inf\n", "sigma_floor"),
+            ("fit", BASE["test"] + "c_xi = -1\n", "c_xi"),
+            ("fit", BASE["test"] + "c_xi = nan\n", "c_xi"),
+        ],
+        ids=["test-sigma_floor-negative", "fit-sigma_floor-inf", "fit-c_xi-negative", "fit-c_xi-nan"],
+    )
+    def test_removed_key_is_unknown(self, tmp_path, command, text, key, capsys):
+        # the scaled lasso's sigma_hat has no floor, and fit's direction uses the fixed C_XI
+        cfg = self._write(tmp_path, text)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra", [("fit", ""), *[("test", f"mode = {mode}\n") for mode in inference.TEST_MODES]]
+    )
+    def test_zero_response_is_a_numerical_failure(self, tmp_path, command, extra, capsys):
+        rng = stream(4, 0)
+        data = tmp_path / "zero.csv"
+        with open(data, "w") as fh:
+            dataset_to_csv(Dataset(x=rng.standard_normal((40, 6)), y=np.zeros(40)), fh)
+        cfg = self._write(tmp_path, f"data_csv = {data}\nk_u = 2\n{extra}")
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "numerical failure: zero residual" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob(f"{command}_*"))
+
     @pytest.mark.parametrize("command, tag, value, key", UNREAD_CASES, ids=lambda v: str(v))
     def test_unread_key_rejected(self, tmp_path, command, tag, value, key, capsys):
         f = {f.name: f for f in dataclasses.fields(cli._DISPATCH[command][0])}[key]
@@ -1255,10 +1286,6 @@ class TestCli:
             ("test", BASE["test"] + "t0 = nan\n", "t0"),
             ("test", BASE["test"] + "t0 = inf\n", "t0"),
             ("scca", "mode = reduce\n" + BASE["scca"] + "t0 = nan\n", "t0"),
-            ("test", BASE["test"] + "sigma_floor = -1\n", "sigma_floor"),
-            ("fit", BASE["test"] + "sigma_floor = inf\n", "sigma_floor"),
-            ("fit", BASE["test"] + "c_xi = -1\n", "c_xi"),
-            ("fit", BASE["test"] + "c_xi = nan\n", "c_xi"),
             ("fit", BASE["test"] + "gamma_star = -1\n", "gamma_star"),
             ("fit", BASE["test"] + "gamma_star = nan\n", "gamma_star"),
             ("scca", "mode = stats\n" + BASE["scca"] + "big_c = -1\n", "big_c"),
@@ -1298,8 +1325,7 @@ class TestCli:
             "scca-sweep-lam_grid-empty", "phase_diagram-gamma_xi_grid-empty", "phase_diagram-gamma_tau_grid-empty",
             "length_sweep-m_grid-2", "simulate-p-1", "simulate-p-0", "simulate-p-negative", "prior-comp-p-1",
             "test-p-1", "simulate-loading_k-above-p", "profile-loading_k-above-p", "test-t0-nan", "test-t0-inf",
-            "scca-reduce-t0-nan", "test-sigma_floor-negative", "fit-sigma_floor-inf", "fit-c_xi-negative",
-            "fit-c_xi-nan", "fit-gamma_star-negative", "fit-gamma_star-nan", "scca-stats-big_c-negative",
+            "scca-reduce-t0-nan", "fit-gamma_star-negative", "fit-gamma_star-nan", "scca-stats-big_c-negative",
             "profile-multiscale-loading_l-0", "prior-nu2-c1-nan", "prior-nu2-c2-negative", "prior-nu1-c4-0",
             "prior-nu1-c5-inf", "prior-comp-c8-negative", "prior-comp-c9-nan", "lowdeg-c8-negative", "lowdeg-c9-inf",
             "prior-nu2-k_u-3", "simulate-nu2-k_u-3", "profile-multiscale-loading_l-cubed-above-k_u",

@@ -41,6 +41,10 @@ class TestConfidenceInterval:
         with pytest.raises(ValueError, match="radius must be nonnegative"):
             inf.ConfidenceInterval(0.0, -1e-300, {"x": 0.01})
 
+    def test_nan_radius_refused(self):
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            inf.ConfidenceInterval(0.0, math.nan, {"x": 0.01})
+
     def test_level_is_one_minus_total_budget(self):
         data = generate_dataset(ModelParams(beta=np.zeros(10), sigma_cov=None, noise_sd=1.0), 50, 0)
         problem = problem_of(xi=make_loading(np.ones(10)), t0=0.0, k_u=2, alpha=0.07, eta=0.05)
@@ -101,6 +105,19 @@ class TestDebiasedCI:
 
         assert radius(2.0**-51) == math.inf
         assert math.isfinite(radius(2.0**-49))
+
+    def test_zero_direction_radius_at_quantile_of_one(self):
+        # the all-ones loading's u = 0 is exact, so u'Su = 0 and the z term is left out, not 0 inf = nan:
+        # the radius is the bias term alone at every level, and t0 at the center is not rejected
+        data = generate_dataset(ModelParams(beta=np.zeros(30), sigma_cov=None, noise_sd=1.0), 60, 3)
+        xi = make_loading(np.ones(30))
+        for mode, alpha in (("debiased", 2.0**-51), ("mixed", 2.0**-49)):
+            def decide(level, t0=0.0):
+                return inf.run_single_test(mode, data, problem_of(xi=xi, t0=t0, k_u=4, alpha=level, eta=level))
+
+            ci = decide(alpha).interval
+            assert ci.radius == decide(0.05).interval.radius
+            assert not decide(alpha, ci.center).reject
 
     def test_importing_the_cli_loads_no_scipy(self):
         src = str(Path(inf.__file__).resolve().parents[1])
