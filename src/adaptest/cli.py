@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import islice
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .inference import C_XI, TEST_MODES, run_single_test
 from .lowdeg import ld_norm, ld_uniform_bound
 from .model import TestProblem, csv_text, dataset_from_csv, dataset_to_csv
 from .priors import DEFAULT_C1, DEFAULT_C4, DEFAULT_C5, DEFAULT_C8, chi2_mixture_mc, chi2_pair_closed_form, draw_pairs
-from .priors import prior_sampler, valid_draws
+from .priors import prior_sampler, valid_rows
 
 
 @dataclass(kw_only=True)
@@ -203,11 +203,11 @@ def cmd_prior(cfg: PriorConfig):
         f.name: getattr(cfg, f.name) for f in fields(cfg) if cfg.kind in f.metadata.get("when", {}).get("kind", ())
     }
     sampler = prior_sampler(cfg.kind, xi, cfg.k_u, cfg.n, cfg.sigma_star, **consts)
-    draws = (sampler(cfg.master_seed + i) for i in range(cfg.draws))
-    rows = [
-        (i, d.kappa, d.sparsity, d.eig_min, d.eig_max, d.residual, d.noise_sd, int(d.valid), d.reason)
-        for i, d in enumerate(draws)
-    ]
+    rows = []  # draw i is the one at seed master_seed + i, read off stacks
+    while len(rows) < cfg.draws:
+        s = sampler.stack(cfg.master_seed + len(rows), cfg.draws - len(rows))
+        cols = (s.kappa, s.sparsity, s.eig_min, s.eig_max, s.residual, s.noise_sd, s.valid.astype(int), s.reason)
+        rows += zip(count(len(rows)), *(col.tolist() for col in cols))
     tables = {".csv": csv_text("draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason", rows)}
     if cfg.chi2_reps:
         est_se = chi2_mixture_mc(sampler, cfg.n, cfg.chi2_reps, cfg.master_seed + 10_000)
@@ -222,7 +222,7 @@ def cmd_lowdeg(cfg: LowdegConfig):
         "comp", xi, cfg.k_u, n, cfg.sigma_star, degree=1, c8=cfg.c8, c9=cfg.c9, k_eff_override=cfg.k_eff,
         s1_override=cfg.s1,
     )
-    draws = list(islice(valid_draws(sampler, cfg.master_seed), 2 * cfg.pairs))
+    draws = [stack.row(i) for stack, rows in valid_rows(sampler.stack, cfg.master_seed, 2 * cfg.pairs) for i in rows]
     chi2_ref = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in draw_pairs(draws)])) - 1.0
     rows = [
         (deg, ld_norm(draws, deg, n), chi2_ref, ld_uniform_bound(n, p, max(deg, 1)))

@@ -36,6 +36,17 @@ def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
+def streams(master_seeds, index: int = 0):
+    """stream(seed, index) for each seed in turn, at under half its cost: one generator whose Philox is
+    reset to each key at counter 0, so a caller is done with each before it takes the next."""
+    bits = np.random.Philox(_philox_key()(np.zeros(2, dtype=np.uint64)))
+    rng, state = np.random.Generator(bits), bits.state
+    for seed in master_seeds:
+        state["state"]["key"] = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+        bits.state = state
+        yield rng
+
+
 @functools.cache
 def _philox_key():
     """The ISeedSequence whose state is a given Philox key, defined on first use so that importing

@@ -12,26 +12,26 @@ couplings in the joint covariance of (y, x):
 * the computational prior (kind "comp"): the same coupling mechanism
   with block sizes tied to the effective sparsity k_eff.
 
-Each sampler reads the dimension p off its loading, `xi.p` (`sample_nu2_prior`
-also takes a `p`, and raises ValueError unless it equals xi.p).  Each draw enforces the null constraint
-xi'beta = tau exactly through the scalar kappa and records analytic validity
-checks (sparsity cap, eigenvalue window, noise bound).  Pairs of draws are
-scored in the O(p) rank-one closed form against the reference point beta = 0,
-Sigma = I, noise sigma_star; the dense determinant form, on (p+1) x (p+1) joint
-covariance arrays with y first, is its oracle, and the hypergeometric MGF the
-exact yardstick.
+Each sampler reads the dimension p off its loading, `xi.p` (`sample_nu2_prior` also takes a `p`, and
+raises ValueError unless it equals xi.p).  Draws come in stacks of at most _STACK_ENTRIES entries per
+(rows, p) array, one row per seed, and a single draw is row 0 of a stack of one: each seed runs only its
+stream's RNG calls, and each stack the coupling arithmetic, which enforces the null constraint
+xi'beta = tau exactly through the scalar kappa and records analytic validity checks (sparsity cap,
+eigenvalue window, noise bound).  Pairs of draws are scored in the O(p) rank-one closed form against the
+reference point beta = 0, Sigma = I, noise sigma_star; the dense determinant form, on (p+1) x (p+1)
+joint covariance arrays with y first, is its oracle, and the hypergeometric MGF the exact yardstick.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DivergentIntegral, RegimeViolation
-from .model import M1, M2, LoadingVector, ModelParams, sign, stream
+from .model import M1, M2, LoadingVector, ModelParams, sign, streams
 from .profiles import effective_sparsity, j1_index, nu1, profile_root, top_norm
 
 DEFAULT_C1 = 0.05
@@ -51,13 +51,18 @@ def default_c9(c8: float = DEFAULT_C8) -> float:
     return c8**2 / 150.0
 
 
+_STACK_ENTRIES = 1 << 17  # a stack's (rows, p) arrays hold at most this many entries each, or one row
+
+
 @dataclass(frozen=True)
 class PriorDraw:
-    """One sampled null parameter with its analytic validity evidence.
+    """One sampled null parameter with its analytic validity evidence, or a stack of them.
 
     The draw couples the leading x-block (width split) to the trailing
     one: Cov(leading, trailing x-block) = lead trail' and Cov(y, trailing
     x-block) = kappa trail.  The identity-design prior has an empty lead.
+    A stack holds the draws at consecutive seeds: each field of _PER_ROW has
+    a leading row axis, kind, tau and sigma_star are shared, and row(i) is a draw.
     """
 
     kind: str
@@ -77,11 +82,15 @@ class PriorDraw:
 
     @property
     def split(self) -> int:
-        return self.lead.size
+        return self.lead.shape[-1]
 
     @property
     def p(self) -> int:
-        return self.lead.size + self.trail.size
+        return self.lead.shape[-1] + self.trail.shape[-1]
+
+    def row(self, i: int) -> PriorDraw:
+        """Draw i of a stack, holding Python scalars and its own copies of the arrays."""
+        return replace(self, **{f: v.copy() if v.ndim else v.item() for f in _PER_ROW for v in [getattr(self, f)[i]]})
 
     def coupled_block(self, cols=slice(None)) -> np.ndarray:
         """I + lead t' + t lead' with t = trail[cols]: Sigma on the leading block and those trailing coordinates."""
@@ -106,90 +115,109 @@ class PriorDraw:
         return ModelParams(beta=beta_s[np.argsort(xi.perm)], sigma_cov=sigma, noise_sd=self.noise_sd)
 
     def rank_one_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r, c) with Cov(U, V) = r c' after rescaling y by sigma_star.
+        """(r, c) with Cov(U, V) = r c' after rescaling y by sigma_star, one row per draw of a stack.
 
         U stacks (y / sigma_star, leading x-block) and V is the trailing
         x-block; for the identity-design prior U is the scalar y alone.
         """
-        return np.concatenate(([self.kappa / self.sigma_star], self.lead)), self.trail
+        if self.lead.ndim == 1:
+            return np.concatenate(([self.kappa / self.sigma_star], self.lead)), self.trail
+        return np.column_stack((self.kappa / self.sigma_star, self.lead)), self.trail
+
+
+_PER_ROW = tuple(f for f in PriorDraw.__dataclass_fields__ if f not in ("kind", "tau", "sigma_star"))
+
+
+def _dots(a: np.ndarray, b: np.ndarray):
+    """a_i'b_i per row i (a 1-D a or b is every row's; both 1-D give a float), each by its own 1-D BLAS dot:
+    a blocked product sums in another order, and a row's bits would depend on its stack."""
+    if a.ndim == b.ndim == 1:
+        return float(a @ b)
+    return np.array([x.dot(y) for x, y in zip(*(v if v.ndim == 2 else repeat(v) for v in (a, b)))])
 
 
 def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, admissible=True) -> PriorDraw:
-    """The draw with Cov(leading, trailing x-block) = lead trail' and
-    Cov(y, trailing x-block) = kappa trail, where kappa solves xi'beta = tau,
-    checked against the sparsity cap, the eigenvalue window, the noise
-    bound and the constraint residual, each computed once and kept on the
-    draw (its sparsity and residual are the `prior` table's columns).
-
-    lead_dot is xi'lead (computed when None); beta = kappa (-|trail|^2
-    lead, trail) / (1 - |lead|^2 |trail|^2).  A draw outside the sampler's
-    admissible set gets kappa = 0 and is invalid.
-    """
-    split = lead.size
-    if lead_dot is None:
-        lead_dot = float(xi.coords[:split] @ lead)
-    lsq = float(lead @ lead)
-    tsq = float(trail @ trail)
+    """The stack of draws with Cov(leading, trailing x-block) = lead trail' and Cov(y, trailing x-block) =
+    kappa trail, one per row of trail (a 1-D lead is every row's), where kappa solves xi'beta = tau, and
+    beta = kappa (-|trail|^2 lead, trail) / (1 - |lead|^2 |trail|^2); lead_dot is xi'lead (computed when
+    None).  A row's reason is the first check it fails, and a row outside the sampler's admissible set
+    (a bool per row) gets kappa = 0.  Squares are Python float powers: x ** 2 is not always x * x."""
+    split = lead.shape[-1]
+    lead_dot = _dots(lead, xi.coords[:split]) if lead_dot is None else lead_dot
+    lsq, tsq = _dots(lead, lead), _dots(trail, trail)
     denom = 1.0 - tsq * lsq
-    coeff = (-tsq * lead_dot + float(xi.coords[split:] @ trail)) / denom
-    if not admissible:
-        kappa, reason = 0.0, "kappa_zero_degenerate"
-    elif coeff <= 1e-14:
-        kappa, reason = math.nan, "degenerate_constraint"
-    else:
-        kappa, reason = tau / coeff, "ok"
-
-    beta = np.zeros(split + trail.size)
-    var = sigma_star**2
-    if not math.isnan(kappa):  # kappa = 0 (outside the admissible set) gives beta = 0
-        beta[:split] = -(kappa * tsq / denom) * lead
-        beta[split:] = (kappa / denom) * trail
-        var -= kappa**2 * tsq / denom
-    cross = math.sqrt(lsq * tsq)
+    coeff = (-tsq * lead_dot + _dots(trail, xi.coords[split:])) / denom
+    kappa = np.where(admissible, tau / np.where(coeff > 1e-14, coeff, math.nan), 0.0)
+    k0 = np.where(np.isnan(kappa), 0.0, kappa)  # an unsolved kappa, and kappa = 0, give beta = 0
+    beta = np.empty((trail.shape[0], split + trail.shape[1]))
+    np.multiply(-(k0 * tsq / denom)[:, None], lead, out=beta[:, :split])
+    np.multiply((k0 / denom)[:, None], trail, out=beta[:, split:])
+    var = sigma_star**2 - np.array([k**2 for k in k0.tolist()]) * tsq / denom
+    cross = np.sqrt(lsq * tsq)
     eig_min, eig_max = 1.0 - cross, 1.0 + cross
-    noise_sd = math.sqrt(var) if var > 0 else 0.0
-    sparsity, residual = int(np.count_nonzero(beta)), float(xi.coords @ beta) - tau
-    if reason == "ok":
-        checks = {
-            "kappa_out_of_range": 0.0 < kappa <= 1.0,
-            "sparsity_cap": sparsity <= cap,
-            "eigenvalue_window": 1.0 / M1 <= eig_min and eig_max <= M1,
-            "noise_bound": 0.0 < noise_sd <= M2,
-            "constraint_residual": not abs(residual) > 1e-10 * max(abs(tau), 1.0),
-        }
-        reason = next((why for why, ok in checks.items() if not ok), "ok")
+    noise_sd = np.sqrt(np.where(var > 0, var, 0.0))
+    sparsity, residual = (beta != 0).sum(axis=1), _dots(beta, xi.coords) - tau
+    checks = {
+        "kappa_zero_degenerate": np.asarray(admissible),
+        "degenerate_constraint": ~(coeff <= 1e-14),
+        "kappa_out_of_range": (0.0 < kappa) & (kappa <= 1.0),
+        "sparsity_cap": sparsity <= cap,
+        "eigenvalue_window": (1.0 / M1 <= eig_min) & (eig_max <= M1),
+        "noise_bound": (0.0 < noise_sd) & (noise_sd <= M2),
+        "constraint_residual": ~(np.abs(residual) > 1e-10 * max(abs(tau), 1.0)),
+    }
+    reason = np.full(kappa.shape, "ok", dtype=f"<U{max(map(len, checks))}")
+    for why, ok in reversed(checks.items()):
+        reason[~ok] = why
     return PriorDraw(
-        kind=kind, lead=lead, trail=trail, kappa=kappa, tau=tau, beta=beta, noise_sd=noise_sd, eig_min=eig_min,
-        eig_max=eig_max, valid=reason == "ok", reason=reason, sigma_star=sigma_star, sparsity=sparsity,
-        residual=residual,
+        kind=kind, lead=np.broadcast_to(lead, (trail.shape[0], split)), trail=trail, kappa=kappa, tau=tau,
+        beta=beta, noise_sd=noise_sd, eig_min=eig_min, eig_max=eig_max, valid=reason == "ok", reason=reason,
+        sigma_star=sigma_star, sparsity=sparsity, residual=residual,
     )
 
 
 def prior_sampler(kind: str, xi: LoadingVector, k_u: int, n: int, sigma_star: float, **consts):
     """seed -> PriorDraw of the prior `kind` (nu2, nu1 or comp) at this problem, in dimension xi.p; consts
     are the sampler's keyword constants.  The sampler is looked up by name at each call, so a rebinding
-    of the module attribute (a tracer or a test spy) sees every draw."""
+    of the module attribute (a tracer or a test spy) sees every draw.  Its attribute stack(seed, rows) is the
+    stack of the draws at seed, seed + 1, ...: rows of them, or fewer (one at least) if rows x p > _STACK_ENTRIES."""
     if kind == "nu2":
-        return lambda seed: sample_nu2_prior(xi, k_u, n, xi.p, sigma_star, seed=seed, **consts)
-    if kind == "nu1":
-        return lambda seed: sample_nu1_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
-    if kind == "comp":
-        return lambda seed: sample_comp_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
-    raise ValueError(f"unknown prior kind {kind!r}")
+        sampler = lambda seed: sample_nu2_prior(xi, k_u, n, xi.p, sigma_star, seed=seed, **consts)
+    elif kind == "nu1":
+        sampler = lambda seed: sample_nu1_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
+    elif kind == "comp":
+        sampler = lambda seed: sample_comp_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
+    else:
+        raise ValueError(f"unknown prior kind {kind!r}")
+    build, most = {"nu2": _nu2_stack, "nu1": _nu1_stack, "comp": _comp_stack}[kind], max(1, _STACK_ENTRIES // xi.p)
+    sampler.stack = lambda seed, rows: build(xi, k_u, n, sigma_star, range(seed, seed + min(rows, most)), **consts)
+    return sampler
 
 
 def valid_draws(sampler, seed: int):
-    """The valid draws of sampler(seed), sampler(seed + 1), ... in order;
-    RegimeViolation, naming their most frequent reason, after 50 invalid draws in a row."""
+    """The valid draws of sampler(seed), sampler(seed + 1), ... in order: valid_rows, each draw a stack of one."""
+    return (draw for draw, rows in valid_rows(lambda s, _: sampler(s), seed, math.inf) if rows)
+
+
+def valid_rows(stacks, seed: int, wanted: float):
+    """(stack, its valid rows) for stacks(seed, wanted), then stacks of the seeds that follow, each asked for the
+    valid draws still wanted, until `wanted` are found, so no later seed is drawn (a single draw is a stack of
+    one).  RegimeViolation, naming their most frequent reason, at the 50th invalid draw in a row."""
     misses: list[str] = []
-    while len(misses) < 50:
-        draw = sampler(seed)
-        seed += 1
-        misses = [] if draw.valid else misses + [draw.reason]
-        if draw.valid:
-            yield draw
-    why = max(misses, key=misses.count)
-    raise RegimeViolation(f"rejection sampling found no valid draw: 50 invalid in a row, {misses.count(why)} {why}")
+    while wanted > 0:
+        stack = stacks(seed, wanted)
+        checked = list(zip(np.atleast_1d(stack.valid).tolist(), np.atleast_1d(stack.reason).tolist()))
+        seed, rows = seed + len(checked), []
+        for i, (ok, why) in enumerate(checked):
+            misses = [] if ok else [*misses, why]
+            if len(misses) == 50:
+                why = max(misses, key=misses.count)
+                raise RegimeViolation(
+                    f"rejection sampling found no valid draw: 50 invalid in a row, {misses.count(why)} {why}"
+                )
+            rows += [i] if ok else []
+        wanted -= len(rows)
+        yield stack, rows
 
 
 def draw_pairs(draws):
@@ -199,13 +227,7 @@ def draw_pairs(draws):
 
 
 def sample_nu2_prior(
-    xi: LoadingVector,
-    k_u: int,
-    n: int,
-    p: int,
-    sigma_star: float,
-    c1: float = DEFAULT_C1,
-    c2: float | None = None,
+    xi: LoadingVector, k_u: int, n: int, p: int, sigma_star: float, c1: float = DEFAULT_C1, c2: float | None = None,
     seed: int = 0,
 ) -> PriorDraw:
     """Covariance-perturbation prior targeting tau = c2 nu2 k_u log p / n.
@@ -216,14 +238,17 @@ def sample_nu2_prior(
     """
     if p != xi.p:
         raise ValueError(f"p = {p} but the loading has p = {xi.p}")
+    return _nu2_stack(xi, k_u, n, sigma_star, [seed], c1, c2).row(0)
+
+
+def _nu2_stack(xi: LoadingVector, k_u: int, n: int, sigma_star: float, seeds, c1=DEFAULT_C1, c2=None) -> PriorDraw:
+    """The stack of sample_nu2_prior's draws at seeds."""
     lead, h_p1, entries, tau = xi.memoised(_nu2_constants, k_u, n, c1, c2)
-    rng = stream(seed, 0)
-    trail = np.zeros(entries.size)
-    support = np.sort(rng.choice(entries.size, size=lead.size, replace=False))
-    trail[support] = entries[support]
-    # xi'lead = -h_p1 exactly in real arithmetic, as lead = -xi_{1..p1} / h_p1; each draw gets its own
-    # copy of the memoised lead, as of every other array it holds
-    return _coupled_draw("nu2", xi, k_u // 2, lead.copy(), trail, tau, sigma_star, lead_dot=-h_p1)
+    support = np.array([rng.choice(entries.size, size=lead.size, replace=False) for rng in streams(seeds)])
+    trail = np.zeros((len(seeds), entries.size))
+    np.put_along_axis(trail, support, entries[support], axis=1)
+    # xi'lead = -h_p1 exactly in real arithmetic, as lead = -xi_{1..p1} / h_p1
+    return _coupled_draw("nu2", xi, k_u // 2, lead, trail, tau, sigma_star, lead_dot=-h_p1)
 
 
 def _nu2_constants(xi: LoadingVector, k_u: int, n: int, c1: float, c2: float | None) -> tuple:
@@ -258,14 +283,8 @@ def nu1_weights(xi: LoadingVector, k_u: int, c4: float = DEFAULT_C4) -> tuple[np
 
 
 def sample_nu1_prior(
-    xi: LoadingVector,
-    k_u: int,
-    n: int,
-    tau: float | None = None,
-    c4: float = DEFAULT_C4,
-    c5: float = DEFAULT_C5,
-    seed: int = 0,
-    sigma_star: float = 5.0,
+    xi: LoadingVector, k_u: int, n: int, tau: float | None = None, c4: float = DEFAULT_C4, c5: float = DEFAULT_C5,
+    seed: int = 0, sigma_star: float = 5.0,
 ) -> PriorDraw:
     """Identity-design random-sparsity prior targeting xi'beta = tau.
 
@@ -274,23 +293,22 @@ def sample_nu1_prior(
     signal, sparsity within k_u/2, bounded length); otherwise kappa = 0
     and the draw is flagged degenerate.
     """
+    return _nu1_stack(xi, k_u, n, sigma_star, [seed], tau, c4, c5).row(0)
+
+
+def _nu1_stack(xi: LoadingVector, k_u: int, n: int, sigma_star: float, seeds, tau=None, c4=DEFAULT_C4, c5=DEFAULT_C5):
+    """The stack of sample_nu1_prior's draws at seeds."""
     if tau is None:
         tau = (c4 * c5 / 4.0) * xi.memoised(nu1, k_u) / math.sqrt(n)
     if tau <= 0:
         raise ValueError("tau must be positive")
-    rng = stream(seed, 0)
     q, gamma, _ = xi.memoised(nu1_weights, k_u, c4)
     k = xi.k_xi
-    bern = rng.random(k) < q
-    delta = np.zeros(xi.p)
-    delta[:k] = (c5 / math.sqrt(n)) * bern * gamma
-
-    xi_dot = float(xi.coords @ delta)
-    in_set = (
-        xi_dot >= tau
-        and np.count_nonzero(delta) <= k_u / 2
-        and float(delta @ delta) <= xi_dot**2 * sigma_star**2 / (2.0 * tau**2)
-    )
+    delta = np.zeros((len(seeds), xi.p))
+    delta[:, :k] = (c5 / math.sqrt(n)) * np.array([rng.random(k) < q for rng in streams(seeds)]) * gamma
+    xi_dot = _dots(delta, xi.coords)
+    in_set = (xi_dot >= tau) & ((delta != 0).sum(axis=1) <= k_u / 2)
+    in_set &= _dots(delta, delta) <= np.array([x**2 for x in xi_dot.tolist()]) * sigma_star**2 / (2.0 * tau**2)
     # with an empty lead, kappa = tau / (xi'delta) and beta = kappa delta exactly
     return _coupled_draw("nu1", xi, k_u // 2, np.zeros(0), delta, tau, sigma_star, admissible=in_set)
 
@@ -310,16 +328,8 @@ def comp_prior_weights(xi: LoadingVector, k_u: int, k_eff: int) -> np.ndarray:
 
 
 def sample_comp_prior(
-    xi: LoadingVector,
-    k_u: int,
-    n: int,
-    degree: int,
-    c8: float = DEFAULT_C8,
-    seed: int = 0,
-    c9: float | None = None,
-    sigma_star: float = 5.0,
-    k_eff_override: int | None = None,
-    s1_override: int | None = None,
+    xi: LoadingVector, k_u: int, n: int, degree: int, c8: float = DEFAULT_C8, seed: int = 0, c9: float | None = None,
+    sigma_star: float = 5.0, k_eff_override: int | None = None, s1_override: int | None = None,
 ) -> PriorDraw:
     """Computational prior targeting tau = c9 nu3 k_u log p / n, p = xi.p.
 
@@ -330,15 +340,19 @@ def sample_comp_prior(
     asymptotic regime condition cannot hold, so that condition is checked
     only when k_eff follows from degree.
     """
-    s1, entries, q, lead_entries, tau = xi.memoised(
-        _comp_constants, k_u, n, degree, c8, c9, k_eff_override, s1_override
-    )
-    rng = stream(seed, 0)
-    trail = np.zeros(entries.size)
-    support = np.sort(rng.choice(entries.size, size=s1, replace=False))
-    trail[support] = entries[support]
-    lead = lead_entries * (rng.random(q.size) < q)
-    return _coupled_draw("comp", xi, k_u, lead, trail, tau, sigma_star)
+    return _comp_stack(xi, k_u, n, sigma_star, [seed], degree, c8, c9, k_eff_override, s1_override).row(0)
+
+
+def _comp_stack(xi, k_u, n, sigma_star, seeds, degree, c8=DEFAULT_C8, c9=None, k_eff_override=None, s1_override=None):
+    """The stack of sample_comp_prior's draws at seeds."""
+    s1, entries, q, lead_at, tau = xi.memoised(_comp_constants, k_u, n, degree, c8, c9, k_eff_override, s1_override)
+    trail = np.zeros((len(seeds), entries.size))
+    heads = np.zeros((len(seeds), q.size), dtype=bool)
+    for row, rng in enumerate(streams(seeds)):
+        support = rng.choice(entries.size, size=s1, replace=False)
+        trail[row, support] = entries[support]
+        heads[row] = rng.random(q.size) < q
+    return _coupled_draw("comp", xi, k_u, lead_at * heads, trail, tau, sigma_star)
 
 
 def _comp_constants(xi: LoadingVector, k_u, n, degree, c8, c9, k_eff_override, s1_override) -> tuple:
@@ -381,14 +395,19 @@ def chi2_pair_integral(sz1, sz2, sz0, n: int) -> float:
 
 def rank_one_overlap(draw1: PriorDraw, draw2: PriorDraw) -> float:
     """x = (r1'r2)(c1'c2) from the two draws' rank-one coupling factors."""
-    r1, c1 = draw1.rank_one_factors()
-    r2, c2 = draw2.rank_one_factors()
+    return _overlap(*draw1.rank_one_factors(), *draw2.rank_one_factors())
+
+
+def _overlap(r1, c1, r2, c2) -> float:
     return float(r1 @ r2) * float(c1 @ c2)
 
 
 def chi2_pair_closed_form(draw1: PriorDraw, draw2: PriorDraw, n: int) -> float:
     """Rank-one closed form [1 - x]^{-n} in the rank-one overlap x."""
-    x = rank_one_overlap(draw1, draw2)
+    return _closed_form(rank_one_overlap(draw1, draw2), n)
+
+
+def _closed_form(x: float, n: int) -> float:
     if x >= 1.0:
         raise DivergentIntegral("rank-one overlap too large")
     return (1.0 - x) ** (-n)
@@ -396,14 +415,19 @@ def chi2_pair_closed_form(draw1: PriorDraw, draw2: PriorDraw, n: int) -> float:
 
 def chi2_mixture_mc(prior_sampler, n: int, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo chi-square divergence of the prior mixture from the reference point beta = 0,
-    Sigma = I, noise sigma_star: (estimate, se) of the mean of chi2_pair_closed_form, minus one,
-    over draw_pairs of valid_draws(prior_sampler, seed).  No pair needs the dense oracle
-    chi2_pair_integral: a valid draw has noise_sd > 0, which holds exactly when |r||c| < 1, so by
-    Cauchy-Schwarz every pair of one sampler's valid draws has overlap x < 1."""
+    Sigma = I, noise sigma_star: (estimate, se) of the mean of the closed form [1 - x]^{-n}, minus one,
+    over draw_pairs of the valid draws from seed on, read off valid_rows' stacks (prior_sampler.stack; a
+    sampler without one gives stacks of one draw).  Each pair's overlap x takes the two dot products of
+    rank_one_overlap on the stack's rows, so it has the bits of chi2_pair_closed_form.  No pair needs the
+    dense oracle chi2_pair_integral: a valid draw has noise_sd > 0, which holds exactly when |r||c| < 1,
+    so by Cauchy-Schwarz every pair of one sampler's valid draws has overlap x < 1."""
     if reps < 100:
         raise ValueError("need at least 100 pair replicates")
-    pairs = islice(draw_pairs(valid_draws(prior_sampler, seed)), reps)
-    values = np.array([chi2_pair_closed_form(d1, d2, n) for d1, d2 in pairs])
+    stacks = valid_rows(getattr(prior_sampler, "stack", lambda s, _: prior_sampler(s)), seed, 2 * reps)
+    factors = (
+        (r[i], c[i]) for stack, rows in stacks for r, c in [map(np.atleast_2d, stack.rank_one_factors())] for i in rows
+    )
+    values = np.array([_closed_form(_overlap(*f1, *f2), n) for f1, f2 in draw_pairs(factors)])
     est = float(np.mean(values)) - 1.0
     se = float(np.std(values, ddof=1) / math.sqrt(reps))
     return est, se

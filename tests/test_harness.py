@@ -520,6 +520,20 @@ class TestRunners:
         assert "_chi2.csv" in tables
         assert peak < 8 * 2**20  # 65.6 MiB with the dense reference; under 1 MiB without
 
+    def test_prior_at_p_100000_stays_small(self):
+        # the CI config at p = 100,000: a stack of draws holds at most _STACK_ENTRIES entries per array
+        # (one row here), so the chi-square estimate's 200 valid draws never sit in memory together
+        text = "kind = nu2\nn = 1000\np = 100000\nk_u = 16\nloading_k = 100000\ndraws = 1\nchi2_reps = 100\n"
+        cfg = parse_config(text, cli.PriorConfig)
+        tracemalloc.start()
+        try:
+            _, _, tables = cli.cmd_prior(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "_chi2.csv" in tables
+        assert peak <= 16 * 2**20  # 9.2 MiB measured; 200 draws of 0.8 MB each would be 160 MB
+
     def test_nu2_null_carries_its_block(self):
         # model_point's block is the dense covariance's, permuted to original coordinates
         cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu2", k_u=8, loading_k=60, p=60, n=150)
@@ -598,6 +612,21 @@ class TestRunners:
             assert (src == "nu1") == any(not d.valid for d in drawn)  # nu1 redraws here, nu2 never
             drawn.clear()
             nulls.clear()
+
+    def test_prior_nulls_draw_only_the_seeds_they_need(self, monkeypatch):
+        # each replicate draws from its prior seed on, one seed at a time, up to its first valid draw
+        seen = []
+        streams = priors.streams
+        monkeypatch.setattr(priors, "streams", lambda seeds, index=0: streams((seen.append(s) or s for s in seeds), index))
+        cfg = dataclasses.replace(
+            parse_config(SIZE_CFG), null_source="nu2", n=300, p=60, k_u=5, loading_k=20, reps=3, tau_grid="1.0",
+            modes="plugin",
+        )
+        run_experiment(cfg)
+        firsts = [harness.replicate_seed(cfg.master_seed, rep, "prior") for rep in range(3)]
+        offsets = [[s - first for s in seen if 0 <= s - first < 2**32] for first in firsts]
+        assert offsets == [[0], list(range(8)), [0, 1]]
+        assert len(seen) == 11
 
     def test_stalled_prior_null_is_a_numerical_failure(self):
         # at the criterion-3 problem 297 of 300 nu2 draws have kappa > 1
@@ -1017,6 +1046,15 @@ class TestCli:
             assert rc == 2
             assert "chi2_reps" in capsys.readouterr().err
             assert not list(tmp_path.glob("prior_*"))
+
+    def test_prior_stall_is_a_numerical_failure(self, tmp_path, capsys):
+        # at the criterion-3 problem almost every nu2 draw has kappa > 1: the chi-square estimate stalls on
+        # its 50th invalid draw in a row and the command writes no table, not even the draws it made
+        cfg = self._write(tmp_path, "kind = nu2\nn = 300\np = 600\nk_u = 5\nloading_k = 5\nchi2_reps = 100\n")
+        out = tmp_path / "out"
+        assert cli_main(["prior", "--config", cfg, "--out", str(out)]) == 3
+        assert "50 invalid in a row, 50 kappa_out_of_range" in capsys.readouterr().err
+        assert not list(out.glob("prior_*"))
 
     @pytest.mark.parametrize("command", ["fit", "test"])
     def test_wrong_length_loading_csv(self, tmp_path, command):

@@ -20,6 +20,7 @@ from adaptest.model import (
     generate_dataset,
     make_loading,
     stream,
+    streams,
 )
 
 
@@ -270,6 +271,18 @@ class TestStream:
     def test_stream_is_philox_under_the_masked_key(self, seed, index):
         assert repr(stream(seed, index).bit_generator.state) == repr(philox_reference(seed, index).bit_generator.state)
         assert stream_bits(stream(seed, index)) == stream_bits(philox_reference(seed, index))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-(2**70), 2**70), st.just(2**64 - 1)), min_size=1, max_size=5),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_streams_give_each_seed_its_stream(self, seeds, index):
+        # each generator streams yields has, from the state on, the bits of a fresh stream(seed, index),
+        # whatever the one before it read
+        for seed, rng in zip(seeds, streams(seeds, index)):
+            assert repr(rng.bit_generator.state) == repr(stream(seed, index).bit_generator.state)
+            assert stream_bits(rng) == stream_bits(stream(seed, index))
 
     def test_negative_seeds_have_their_own_keys(self):
         # -1 and -5 are the keys 2^64 - 1 and 2^64 - 5, not the key of seed 0

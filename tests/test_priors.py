@@ -218,9 +218,10 @@ class TestValidityBounds:
     xi = make_loading(np.full(4, 0.5))
 
     def draw(self, cross, sigma_star):
-        # |lead| = |trail| = sqrt(cross), so the spectrum is 1 -/+ cross and kappa = 0.1 (1 + cross) / (0.5 sqrt(cross))
+        # |lead| = |trail| = sqrt(cross), so the spectrum is 1 -/+ cross and kappa = 0.1 (1 + cross) / (0.5 sqrt(cross));
+        # the one draw is row 0 of a stack
         a = math.sqrt(cross)
-        return pri._coupled_draw("nu2", self.xi, 4, np.array([a]), np.array([a, 0.0, 0.0]), 0.1, sigma_star)
+        return pri._coupled_draw("nu2", self.xi, 4, np.array([[a]]), np.array([[a, 0.0, 0.0]]), 0.1, sigma_star).row(0)
 
     @pytest.mark.parametrize("side, reason", [(-1.0, "ok"), (1.0, "eigenvalue_window")])
     def test_eigenvalue_window(self, side, reason):
@@ -240,6 +241,17 @@ class TestValidityBounds:
         d = self.draw(0.25, math.sqrt(noise_var + explained))
         assert (d.noise_sd > M2) == (noise_var > M2**2) and (d.noise_sd == 0.0) == (noise_var < 0)
         assert (d.valid, d.reason) == (reason == "ok", reason)
+
+
+    def test_squares_are_python_float_powers(self):
+        # coeff = 0.25 here, so kappa = 4 tau = x exactly, and the noise level is the one-draw formula's with
+        # Python's x ** 2, which glibc's pow rounds one ulp off x * x at this x: a stack that multiplied
+        # would give another noise_sd
+        x, sigma_star = 0.7257718954826365, 0.4354631372895819
+        d = pri._coupled_draw("nu1", make_loading(np.full(4, 0.5)), 4, np.zeros(0), np.array([[0.5, 0, 0, 0]]), x / 4,
+                              sigma_star).row(0)
+        assert d.kappa == x and d.valid
+        assert d.noise_sd == math.sqrt(sigma_star**2 - x**2 * 0.25)
 
 
 class TestChi2Integral:
@@ -408,8 +420,9 @@ class TestChi2Routing:
         pairs = islice(pri.draw_pairs(pri.valid_draws(sampler, 7)), 100)
         dense = np.array([pri.chi2_pair_integral(joint_covariance(a), joint_covariance(b), ref, n) for a, b in pairs])
         oracle = (float(np.mean(dense)) - 1.0, float(np.std(dense, ddof=1) / math.sqrt(100)))
-        calls, closed = [], pri.chi2_pair_closed_form
-        monkeypatch.setattr(pri, "chi2_pair_closed_form", lambda *args: calls.append(1) or closed(*args))
+        # chi2_mixture_mc scores stack rows with the closed-form expression that chi2_pair_closed_form shares
+        calls, closed = [], pri._closed_form
+        monkeypatch.setattr(pri, "_closed_form", lambda *args: calls.append(1) or closed(*args))
         est = pri.chi2_mixture_mc(sampler, n, 100, seed=7)
         assert len(calls) == 100
         if kind == "point_mass":
@@ -485,3 +498,85 @@ def test_warm_memo_draws_equal_fresh_loading_draws(kind, monkeypatch):
             assert [draw(warm, n, consts, s) for s in seeds] == want
     # each setting's constants are built once, not once or twice per draw (48 draws here)
     assert 0 < len(calls) <= 2 * len(cases)
+
+
+@given(
+    kind=st.sampled_from(sorted(PRIOR_CASES)),
+    seed=st.integers(0, 10**6),
+    sigma_star=st.floats(0.5, 5.0),
+    rows=st.integers(1, 12),
+    cap_rows=st.integers(0, 6),
+    cap_extra=st.integers(0, 39),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_stacked_rows_equal_single_draws(kind, seed, sigma_star, rows, cap_rows, cap_extra, data):
+    # a stack of `rows` draws holds min(rows, cap // p) of them (at least one) and each row is, bit for bit,
+    # the single draw at its seed, on either side of the entry cap (p = 40 here)
+    coords, k_u, fixed, strategies = PRIOR_CASES[kind]
+    consts = {key: data.draw(strategy, label=key) for key, strategy in strategies.items()}
+    n = consts.pop("n")
+    with pytest.MonkeyPatch.context() as mp:  # the sampler reads the cap when it is made
+        mp.setattr(pri, "_STACK_ENTRIES", 40 * cap_rows + cap_extra)
+        sampler = pri.prior_sampler(kind, make_loading(coords), k_u, n, sigma_star, **fixed, **consts)
+    stack = sampler.stack(seed, rows)
+    assert stack.valid.shape == stack.reason.shape == (min(rows, max(cap_rows, 1)),)
+    assert stack.lead.shape[0] == stack.trail.shape[0] == stack.beta.shape[0] == stack.valid.size
+    for i in range(stack.valid.size):
+        assert _draw_bits(stack.row(i)) == _draw_bits(sampler(seed + i))
+
+
+def _reason_rows():
+    """(lead, trail, xi'lead passed, admissible, reason) per row of a stack on a flat loading of p = 6 with
+    tau = 0.1, sigma_star = 2 and the sparsity cap 4: one row per reason of the validity battery."""
+    lead = {"ok": 0.5, "degenerate_constraint": 0.5, "kappa_out_of_range": 0.001, "sparsity_cap": 0.1,
+            "eigenvalue_window": math.sqrt(0.9 * (1 + 1e-9)), "noise_bound": 0.001, "constraint_residual": 0.5,
+            "kappa_zero_degenerate": 0.5}
+    trail = {"degenerate_constraint": [0.0], "kappa_out_of_range": [2.1, -2.0], "sparsity_cap": [0.1] * 5,
+             "eigenvalue_window": [lead["eigenvalue_window"]], "noise_bound": [2.3, -2.0]}
+    out = []
+    for why, a in lead.items():
+        t = np.zeros(5)
+        vals = trail.get(why, [0.5])
+        t[: len(vals)] = vals
+        # the constraint row is handed twice its xi'lead, so kappa solves another equation than xi'beta = tau
+        out.append((a, t, 0.5 * a * (2.0 if why == "constraint_residual" else 1.0), why != "kappa_zero_degenerate", why))
+    return out
+
+
+@given(order=st.permutations(range(8)), size=st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_stack_rows_of_every_reason_equal_stacks_of_one(order, size):
+    xi = make_loading(np.full(6, 0.5))
+    picked = [_reason_rows()[i] for i in order[:size]]
+    lead, trail, lead_dot, admissible, reasons = (np.array(col) for col in zip(*picked))
+
+    def build(rows):
+        return pri._coupled_draw(
+            "nu2", xi, 4, lead[rows, None], trail[rows], 0.1, 2.0, lead_dot=lead_dot[rows], admissible=admissible[rows]
+        )
+
+    stack = build(slice(None))
+    assert stack.reason.tolist() == reasons.tolist()
+    for i in range(size):
+        assert _draw_bits(stack.row(i)) == _draw_bits(build(slice(i, i + 1)).row(0))
+
+
+def test_valid_rows_draw_no_seed_past_the_last_one_wanted():
+    # a third of these nu1 draws are invalid: each stack asks for the valid draws still wanted, the stacks
+    # cover consecutive seeds, and they end at the seed of the 30th valid draw
+    sampler = pri.prior_sampler("nu1", make_loading(np.r_[np.ones(20), np.zeros(20)]), 10, 400, 5.0)
+    valid_seeds = [s for s in range(100, 400) if sampler(s).valid][:30]
+    asked, found = [], []
+
+    def stacks(seed, wanted):
+        asked.append((seed, wanted))
+        return sampler.stack(seed, wanted)
+
+    for stack, rows in pri.valid_rows(stacks, 100, 30):
+        found += [asked[-1][0] + i for i in rows]
+        asked[-1] += (stack.valid.size,)
+    assert found == valid_seeds and len(asked) > 1
+    assert [wanted for _, wanted, _ in asked] == [30 - sum(s < seed for s in valid_seeds) for seed, _, _ in asked]
+    assert [seed for seed, _, _ in asked] == [100] + [seed + size for seed, _, size in asked[:-1]]
+    assert asked[-1][0] + asked[-1][2] - 1 == valid_seeds[-1]
