@@ -30,10 +30,10 @@ from .estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from .harness import CORRELATION, FINITE, LEVEL, POSITIVE, UNIT, ExperimentConfig, LoadingConfig, RunConfig
 from .harness import at_least, build_loading, float_list, setting
 from .inference import C_XI, TEST_MODES, run_single_test
-from .lowdeg import ld_norm, ld_uniform_bound
+from .lowdeg import ld_norms, ld_uniform_bound
 from .model import TestProblem, csv_text, dataset_from_csv, dataset_to_csv
-from .priors import DEFAULT_C1, DEFAULT_C4, DEFAULT_C5, DEFAULT_C8, chi2_mixture_mc, chi2_pair_closed_form, draw_pairs
-from .priors import prior_sampler, valid_rows
+from .priors import DEFAULT_C1, DEFAULT_C4, DEFAULT_C5, DEFAULT_C8, chi2_mixture_mc, closed_form, pair_overlaps
+from .priors import prior_sampler
 
 
 @dataclass(kw_only=True)
@@ -222,12 +222,10 @@ def cmd_lowdeg(cfg: LowdegConfig):
         "comp", xi, cfg.k_u, n, cfg.sigma_star, degree=1, c8=cfg.c8, c9=cfg.c9, k_eff_override=cfg.k_eff,
         s1_override=cfg.s1,
     )
-    draws = [stack.row(i) for stack, rows in valid_rows(sampler.stack, cfg.master_seed, 2 * cfg.pairs) for i in rows]
-    chi2_ref = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in draw_pairs(draws)])) - 1.0
-    rows = [
-        (deg, ld_norm(draws, deg, n), chi2_ref, ld_uniform_bound(n, p, max(deg, 1)))
-        for deg in range(cfg.degree_max + 1)
-    ]
+    x = pair_overlaps(sampler, cfg.master_seed, cfg.pairs)  # each pair's overlap, once for every degree
+    chi2_ref = float(np.mean([closed_form(v, n) for v in x])) - 1.0
+    lds = ld_norms(x, cfg.degree_max, n)
+    rows = [(deg, ld, chi2_ref, ld_uniform_bound(n, p, max(deg, 1))) for deg, ld in enumerate(lds)]
     return cfg, "lowdeg", {".csv": csv_text("degree,ld,chi2_ref,log_uniform_bound", rows)}
 
 

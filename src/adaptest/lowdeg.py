@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .priors import PriorDraw, draw_pairs, rank_one_overlap
+from .priors import draw_pairs, rank_one_overlap
 
 
 def hermite_moment(mu, nu, r, c) -> float:
@@ -49,28 +49,29 @@ def hermite_moment(mu, nu, r, c) -> float:
     return sgn * math.exp(log_mag)
 
 
-def ld_pair_value(draw1: PriorDraw, draw2: PriorDraw, degree: int, n: int) -> float:
-    """sum_{|alpha| <= degree} E_1[H_alpha] E_2[H_alpha] for one draw pair:
-    sum_{m <= degree/2} C(n+m-1, m) x^m with x the rank-one overlap, summed
-    in floats so no large binomial is formed."""
-    x = rank_one_overlap(draw1, draw2)
-    term = total = 1.0
-    for m in range(1, degree // 2 + 1):
-        term *= x * (n + m - 1) / m
-        total += term
-    return total
-
-
 def ld_norm(prior_draws, degree: int, n: int) -> float:
-    """Estimate LD(degree): average of ld_pair_value over the draw_pairs of prior_draws.
+    """Estimate LD(degree): the last of ld_norms over the overlaps of the draw_pairs of prior_draws.
 
     Draws must be rescaled to unit diagonal (their joint covariance has
     sigma_star on the y entry; the rank-one factors normalize it away).
     """
-    values = [ld_pair_value(a, b, degree, n) for a, b in draw_pairs(prior_draws)]
-    if not values:
+    overlaps = [rank_one_overlap(a, b) for a, b in draw_pairs(prior_draws)]
+    if not overlaps:
         raise ValueError("need at least two draws")
-    return float(np.mean(values))
+    return ld_norms(overlaps, degree, n)[-1]
+
+
+def ld_norms(overlaps, degree_max: int, n: int) -> list[float]:
+    """[LD(0), ..., LD(degree_max)], each the mean over draw pairs of sum_{m <= D/2} C(n+m-1, m) x^m in
+    the pair's rank-one overlap x, summed term by term in floats so no large binomial is formed."""
+    x = np.asarray(overlaps, dtype=float)
+    term, total, out = np.ones_like(x), np.ones_like(x), []
+    for degree in range(degree_max + 1):
+        if degree and degree % 2 == 0:
+            term = term * (x * (n + degree // 2 - 1) / (degree // 2))
+            total = total + term
+        out.append(float(np.mean(total)))
+    return out
 
 
 def ld_uniform_bound(n: int, p: int, degree: int) -> float:

@@ -36,15 +36,32 @@ def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_philox_key()(key)))
 
 
-def streams(master_seeds, index: int = 0):
-    """stream(seed, index) for each seed in turn, at under half its cost: one generator whose Philox is
-    reset to each key at counter 0, so a caller is done with each before it takes the next."""
+def streams(keys, index: int = 0):
+    """stream(seed, index) for each seed of keys, or stream(seed, i) for each key (seed, i), at under half its
+    cost: one generator whose Philox is reset to each key at counter 0, so a caller is done with each first."""
     bits = np.random.Philox(_philox_key()(np.zeros(2, dtype=np.uint64)))
     rng, state = np.random.Generator(bits), bits.state
-    for seed in master_seeds:
-        state["state"]["key"] = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
+    for key in keys:
+        seed, i = key if isinstance(key, tuple) else (key, index)
+        state["state"]["key"] = np.array([int(seed) & _MASK64, int(i) & _MASK64], dtype=np.uint64)
         bits.state = state
         yield rng
+
+
+def uniform_subsets(words: np.ndarray, n: int) -> np.ndarray:
+    """Row j: k distinct indices in 0..n-1 from words[j], k raw 64-bit words (k = words.shape[1] <= n < 2^32).
+    Pick i is the r_i-th smallest index not yet picked, r_i = floor(w_i (n - i) / 2^64) the multiply-shift rank
+    (Lemire, ACM TOMACS 2019) formed exactly from 32-bit halves: a bijection from rank tuples onto ordered
+    k-tuples.  For uniform words each r_i is uniform on 0..n-i-1 to within a relative n/2^64, so every k-subset
+    is equally likely to within a factor (1 +- n/2^64)^k.  A row's picks depend on its own words alone."""
+    k, half = words.shape[1], np.uint64(32)
+    if not k <= n < 1 << 32:
+        raise ValueError(f"need k = {k} <= n = {n} < 2^32")
+    m = np.arange(n, n - k, -1, dtype=np.uint64)
+    picks = (((words >> half) * m + ((words & np.uint64(_MASK64 >> 32)) * m >> half)) >> half).astype(np.intp)
+    for i in range(k - 2, -1, -1):  # picks i + 1.. rank what pick i leaves: each at or past it moves up one
+        picks[:, i + 1 :] += picks[:, i + 1 :] >= picks[:, i : i + 1]
+    return picks
 
 
 @functools.cache

@@ -15,11 +15,11 @@ couplings in the joint covariance of (y, x):
 Each sampler reads the dimension p off its loading, `xi.p` (`sample_nu2_prior` also takes a `p`, and
 raises ValueError unless it equals xi.p).  Draws come in stacks of at most _STACK_ENTRIES entries per
 (rows, p) array, one row per seed, and a single draw is row 0 of a stack of one: each seed runs only its
-stream's RNG calls, and each stack the coupling arithmetic, which enforces the null constraint
-xi'beta = tau exactly through the scalar kappa and records analytic validity checks (sparsity cap,
-eigenvalue window, noise bound).  Pairs of draws are scored in the O(p) rank-one closed form against the
-reference point beta = 0, Sigma = I, noise sigma_star; the dense determinant form, on (p+1) x (p+1)
-joint covariance arrays with y first, is its oracle, and the hypergeometric MGF the exact yardstick.
+stream's RNG calls, and each stack its supports' decoding and the coupling arithmetic, which enforces the
+null constraint xi'beta = tau exactly through the scalar kappa and records analytic validity checks
+(sparsity cap, eigenvalue window, noise bound).  Pairs of draws are scored in the O(p) rank-one closed form
+against the reference point beta = 0, Sigma = I, noise sigma_star; the dense determinant form, on (p+1) x
+(p+1) joint covariance arrays with y first, is its oracle, and the hypergeometric MGF the exact yardstick.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DivergentIntegral, RegimeViolation
-from .model import M1, M2, LoadingVector, ModelParams, sign, streams
+from .model import M1, M2, LoadingVector, ModelParams, sign, streams, uniform_subsets
 from .profiles import effective_sparsity, j1_index, nu1, profile_root, top_norm
 
 DEFAULT_C1 = 0.05
@@ -242,9 +242,11 @@ def sample_nu2_prior(
 
 
 def _nu2_stack(xi: LoadingVector, k_u: int, n: int, sigma_star: float, seeds, c1=DEFAULT_C1, c2=None) -> PriorDraw:
-    """The stack of sample_nu2_prior's draws at seeds."""
+    """The stack of sample_nu2_prior's draws at seeds, each seed's trail support picked by p1 raw words of its
+    stream, all rows' at once (`model.uniform_subsets`)."""
     lead, h_p1, entries, tau = xi.memoised(_nu2_constants, k_u, n, c1, c2)
-    support = np.array([rng.choice(entries.size, size=lead.size, replace=False) for rng in streams(seeds)])
+    words = np.array([rng.bit_generator.random_raw(lead.size) for rng in streams(seeds)])
+    support = uniform_subsets(words, entries.size)
     trail = np.zeros((len(seeds), entries.size))
     np.put_along_axis(trail, support, entries[support], axis=1)
     # xi'lead = -h_p1 exactly in real arithmetic, as lead = -xi_{1..p1} / h_p1
@@ -344,14 +346,14 @@ def sample_comp_prior(
 
 
 def _comp_stack(xi, k_u, n, sigma_star, seeds, degree, c8=DEFAULT_C8, c9=None, k_eff_override=None, s1_override=None):
-    """The stack of sample_comp_prior's draws at seeds."""
+    """The stack of sample_comp_prior's draws at seeds: each seed's stream gives the s1 raw words that pick its
+    trail support (`model.uniform_subsets`, all rows' at once), then the uniforms of its lead's heads."""
     s1, entries, q, lead_at, tau = xi.memoised(_comp_constants, k_u, n, degree, c8, c9, k_eff_override, s1_override)
+    reads = [(rng.bit_generator.random_raw(s1), rng.random(q.size) < q) for rng in streams(seeds)]
+    words, heads = map(np.array, zip(*reads))
+    support = uniform_subsets(words, entries.size)
     trail = np.zeros((len(seeds), entries.size))
-    heads = np.zeros((len(seeds), q.size), dtype=bool)
-    for row, rng in enumerate(streams(seeds)):
-        support = rng.choice(entries.size, size=s1, replace=False)
-        trail[row, support] = entries[support]
-        heads[row] = rng.random(q.size) < q
+    np.put_along_axis(trail, support, entries[support], axis=1)
     return _coupled_draw("comp", xi, k_u, lead_at * heads, trail, tau, sigma_star)
 
 
@@ -404,30 +406,33 @@ def _overlap(r1, c1, r2, c2) -> float:
 
 def chi2_pair_closed_form(draw1: PriorDraw, draw2: PriorDraw, n: int) -> float:
     """Rank-one closed form [1 - x]^{-n} in the rank-one overlap x."""
-    return _closed_form(rank_one_overlap(draw1, draw2), n)
+    return closed_form(rank_one_overlap(draw1, draw2), n)
 
 
-def _closed_form(x: float, n: int) -> float:
+def closed_form(x: float, n: int) -> float:
     if x >= 1.0:
         raise DivergentIntegral("rank-one overlap too large")
     return (1.0 - x) ** (-n)
 
 
-def chi2_mixture_mc(prior_sampler, n: int, reps: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo chi-square divergence of the prior mixture from the reference point beta = 0,
-    Sigma = I, noise sigma_star: (estimate, se) of the mean of the closed form [1 - x]^{-n}, minus one,
-    over draw_pairs of the valid draws from seed on, read off valid_rows' stacks (prior_sampler.stack; a
-    sampler without one gives stacks of one draw).  Each pair's overlap x takes the two dot products of
-    rank_one_overlap on the stack's rows, so it has the bits of chi2_pair_closed_form.  No pair needs the
-    dense oracle chi2_pair_integral: a valid draw has noise_sd > 0, which holds exactly when |r||c| < 1,
-    so by Cauchy-Schwarz every pair of one sampler's valid draws has overlap x < 1."""
-    if reps < 100:
-        raise ValueError("need at least 100 pair replicates")
-    stacks = valid_rows(getattr(prior_sampler, "stack", lambda s, _: prior_sampler(s)), seed, 2 * reps)
+def pair_overlaps(sampler, seed: int, pairs: int) -> list[float]:
+    """The overlaps x of `pairs` draw_pairs of the valid draws from seed on, read off valid_rows' stacks (sampler.stack,
+    or stacks of one draw), each by rank_one_overlap's two dot products on the stack's rows, so with its bits."""
+    stacks = valid_rows(getattr(sampler, "stack", lambda s, _: sampler(s)), seed, 2 * pairs)
     factors = (
         (r[i], c[i]) for stack, rows in stacks for r, c in [map(np.atleast_2d, stack.rank_one_factors())] for i in rows
     )
-    values = np.array([_closed_form(_overlap(*f1, *f2), n) for f1, f2 in draw_pairs(factors)])
+    return [_overlap(*f1, *f2) for f1, f2 in draw_pairs(factors)]
+
+
+def chi2_mixture_mc(prior_sampler, n: int, reps: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo chi-square divergence of the prior mixture from the reference point beta = 0, Sigma = I,
+    noise sigma_star: (estimate, se) of the mean of chi2_pair_closed_form's [1 - x]^{-n}, minus one, over the
+    pair_overlaps of reps pairs from seed on.  No pair needs the dense oracle chi2_pair_integral: a valid draw
+    has noise_sd > 0, exactly when |r||c| < 1, so by Cauchy-Schwarz every pair of valid draws has x < 1."""
+    if reps < 100:
+        raise ValueError("need at least 100 pair replicates")
+    values = np.array([closed_form(x, n) for x in pair_overlaps(prior_sampler, seed, reps)])
     est = float(np.mean(values)) - 1.0
     se = float(np.std(values, ddof=1) / math.sqrt(reps))
     return est, se

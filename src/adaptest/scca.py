@@ -8,10 +8,11 @@ implemented with their thresholds and detection-boundary formulas.  They
 take R_hat alone, so for n > p1 sample_cross_covariances draws a stack of
 them from their exact law (a Bartlett factor of the Wishart U1'U1) in
 about p1 (p1 + 1) / 2 + p1 p2 normals each, read from each draw's own
-stream, then forms every factor and product with one batched operation per
-stack; for n <= p1 each is gen_scca's own R_hat.  Every statistic works on
-the last two axes: stat_values scores one matrix or a stack.  stat_samples,
-the one draw-and-score loop of null calibration and the power sweep, draws
+stream (`model.streams`), then decodes every planted support and forms
+every factor and product with one batched operation per stack; for
+n <= p1 each is gen_scca's own R_hat.  Every statistic works on the last
+two axes: stat_values scores one matrix or a stack.  stat_samples, the
+one draw-and-score loop of null calibration and the power sweep, draws
 and scores in stacks.  The reduction consumes rows two at a time and outputs a
 regression sample whose null maps to a point alternative of the linear
 test (decision inversion: use one minus the linear test's decision).
@@ -26,7 +27,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import BudgetExceeded, NotPositiveDefinite, OddSampleSize
-from .model import Dataset, TestProblem, stream
+from .model import Dataset, TestProblem, stream, streams, uniform_subsets
 from .profiles import regular_profile
 
 STATISTICS = ("scan", "entrywise", "max_col", "max_row", "global_sum")
@@ -68,21 +69,23 @@ class StatReport:
     decisions: dict
 
 
-def _flat_support_vector(p: int, s: int, rng) -> np.ndarray:
-    v = np.zeros(p)
-    v[np.sort(rng.choice(p, size=s, replace=False))] = 1.0 / math.sqrt(s)
-    return v
-
-
-def _planted(params: SccaParams, hypothesis: str, rng) -> tuple:
-    """Check hypothesis and lam, then draw the planted (d1, d2) from rng; (None, None) under the null."""
+def _plants(params: SccaParams, hypothesis: str) -> bool:
+    """Check hypothesis and lam; True for the alternative, whose draws plant (d1, d2)."""
     if hypothesis not in ("null", "alt"):
         raise ValueError("hypothesis must be 'null' or 'alt'")
     if not -1.0 < params.lam < 1.0:
         raise NotPositiveDefinite("cross-correlation lambda must lie in (-1, 1)")
-    if hypothesis == "null":
-        return None, None
-    return _flat_support_vector(params.p1, params.s, rng), _flat_support_vector(params.p2, params.s, rng)
+    return hypothesis == "alt"
+
+
+def _planted(params: SccaParams, words: np.ndarray) -> tuple:
+    """The stacks of planted (d1, d2): row j has flat s^{-1/2} entries on the uniform s-subsets of 0..p1-1 and
+    0..p2-1 that the first and last s of words[j], 2 s raw words of its draw's stream, pick (`uniform_subsets`)."""
+    s, out = params.s, []
+    for p, part in ((params.p1, words[:, :s]), (params.p2, words[:, s:])):
+        out.append(np.zeros((len(words), p)))
+        np.put_along_axis(out[-1], uniform_subsets(part, p), 1.0 / math.sqrt(s), axis=1)
+    return tuple(out)
 
 
 def gen_scca(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> SccaInstance:
@@ -90,12 +93,14 @@ def gen_scca(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> 
 
     Null: independent standard normals, the stream's draws as they are
     (the identity is its own factor).  Alternative: planted directions
-    delta1, delta2 drawn uniformly with flat s^{-1/2} entries and joint
-    cross block lambda delta1 delta2'.
+    delta1, delta2 drawn uniformly by the stream's first 2 s raw words
+    (`_planted`), and joint cross block lambda delta1 delta2'.
     """
     rng = stream(seed, index)
     p1, p2 = params.p1, params.p2
-    d1, d2 = _planted(params, hypothesis, rng)
+    d1 = d2 = None
+    if _plants(params, hypothesis):
+        d1, d2 = (d[0] for d in _planted(params, rng.bit_generator.random_raw((1, 2 * params.s))))
     z = rng.standard_normal((params.n, p1 + p2))
     if d1 is not None:
         joint = np.eye(p1 + p2)
@@ -132,33 +137,31 @@ def sample_cross_covariances(params: SccaParams, hypothesis: str, seed: int, ind
     """The stack of R_hat, draw j with exactly the law of gen_scca(params, hypothesis, seed,
     indices[j]).cross_covariance().
 
-    Draw j's numbers come from stream(seed, indices[j]): the planted d1, d2
-    first, as gen_scca draws them, so a seed and index plant the same
-    support.  For n > p1 the factor A of U1'U1 ~ Wishart_p1(n, I) is
-    Bartlett's: lower triangular with A_ii^2 ~ chi2(n - i + 1) (i = 1..p1)
-    and standard normals below the diagonal, row by row, then the p1 x p2
-    normals of G: p1 (p1 + 1) / 2 + p1 p2 draws in all instead of
-    n (p1 + p2).  The factors and products are then formed for the whole
-    stack at once.  For n <= p1, R_hat is gen_scca's own.
+    Draw j's numbers come from stream(seed, indices[j]): the 2 s raw words of
+    the planted d1, d2 first, as gen_scca reads them, so a seed and index
+    plant the same support.  For n > p1 the factor A of U1'U1 ~
+    Wishart_p1(n, I) is Bartlett's: lower triangular with A_ii^2 ~
+    chi2(n - i + 1) (i = 1..p1) and standard normals below the diagonal,
+    row by row, then the p1 x p2 normals of G: p1 (p1 + 1) / 2 + p1 p2
+    draws in all instead of n (p1 + p2).  The factors and products are then
+    formed for the whole stack at once.  For n <= p1, R_hat is gen_scca's own.
     """
     n, p1, p2, m = params.n, params.p1, params.p2, len(indices)
     if n <= p1:
         return np.array([gen_scca(params, hypothesis, seed, i).cross_covariance() for i in indices]).reshape(m, p1, p2)
     chi, low, g = np.empty((m, p1)), np.empty((m, p1 * (p1 - 1) // 2)), np.empty((m, p1, p2))
-    d1, d2 = (np.zeros((m, p1)), np.zeros((m, p2))) if hypothesis == "alt" else (None, None)
+    plants, words = _plants(params, hypothesis), np.empty((m, 2 * params.s), dtype=np.uint64)
     df = n - np.arange(p1)
-    for j, i in enumerate(indices):
-        rng = stream(seed, i)
-        planted = _planted(params, hypothesis, rng)
-        if d1 is not None:
-            d1[j], d2[j] = planted
+    for j, rng in enumerate(streams((seed, i) for i in indices)):
+        if plants:
+            words[j] = rng.bit_generator.random_raw(2 * params.s)
         chi[j] = rng.chisquare(df)
         rng.standard_normal(out=low[j])
         rng.standard_normal(out=g[j])
     a = np.zeros((m, p1, p1))
     a[:, np.eye(p1, dtype=bool)] = np.sqrt(chi)
     a[:, np.tri(p1, k=-1, dtype=bool)] = low  # strict lower triangle, row by row
-    return _cross_from_factor(params, a, g, d1, d2)
+    return _cross_from_factor(params, a, g, *(_planted(params, words) if plants else (None, None)))
 
 
 def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> np.ndarray:

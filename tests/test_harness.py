@@ -413,9 +413,9 @@ GOLDEN_CASES["phase_diagram_moderate"] = (
 GOLDEN_SHA256 = {
     "point": "11449db6bbb9d976acd5983fc17975af8f19d683b79142f547f25b22b25a5781",
     "nu1": "3220c87839bf1bef06766e1ca67299f41062f1f6a5e23a257f879d7eb5fda315",
-    "nu2": "46b6492a083360ef814100679ae25c7393148710815d7ab6e6386856127124a4",
+    "nu2": "c32d232f91cf5d551af332273ce872b172de29bbda33daa9f0aea27af1978ffa",
     "quantile": "28d24a3e7286c7477979b242b0377dc7e9578f14c457f0ec6812b92d20769fda",
-    "spiked": "7d357e4c5679d6a73f4f5700c3181e6dd33dd2f8417fd945bd2a6c33629021a1",
+    "spiked": "d8b1231fa9d23fe4ef63421de8190494177086d4635fb63e20fb3cc5f5c392bc",
     "length_sweep": "12fd1b949f8905f17f1a551ba4f58de5294aa536c35600671fe634059fae4460",
     "phase_diagram": "819e9d27c0eb7f1463533f44de9ec04c086db4099e92fb84f5097b6546afb3ed",
     "phase_diagram_moderate": "7d137a558e9ee697e43e8e413b8f68ad7cce0a9174682f393ddb892a744429c8",
@@ -442,9 +442,9 @@ COMMAND_GOLDEN_CASES = {
     "test_mixed_scan": ("test", "data_csv = {data}\nk_u = 3\nt0 = 0.5\nmode = mixed\nscan_all_m = 1\n"),
 }
 COMMAND_GOLDEN_SHA256 = {
-    "prior_nu2": "b632fd1fad79ffd5171d6b5967c770f2dccbed748b46682358a860214209d81e",
+    "prior_nu2": "fb24fd61e4942a61bd8cc0cf0e4297e92f05d709cc5cf85cf25e67fe5b129949",
     "prior_nu1": "a8079c355d6c5ccee69f43132d2e8afcdd952cc1968dee8ae224de4fe05e7b7b",
-    "prior_comp": "1cf23c12c188cc15da943967100dcdcf8a37c57f83acc9e827aac2be41753255",
+    "prior_comp": "e8f96f872f573eaf699fefcf4d070f734e9703da8270920b3fb14a10613ab9b7",
     "lowdeg": "799d3e05e94b4011bd924febbc1ae6769ff045a8caa4d41350d31a2682590cb3",
     "profile": "32d707aded1b1d8dec7fc84421f3d0bdc87e03caa0da8549f069074eede8b1fb",
     "fit": "d5d7ede876e4d5f8543617f4c6efafe452854376492c0072a6c4c7c802b8c8b6",
@@ -625,8 +625,11 @@ class TestRunners:
         run_experiment(cfg)
         firsts = [harness.replicate_seed(cfg.master_seed, rep, "prior") for rep in range(3)]
         offsets = [[s - first for s in seen if 0 <= s - first < 2**32] for first in firsts]
-        assert offsets == [[0], list(range(8)), [0, 1]]
-        assert len(seen) == 11
+        assert offsets == [list(range(6)), list(range(4)), list(range(5))]
+        assert len(seen) == 15
+        sampler = priors.prior_sampler("nu2", harness.build_loading(cfg), cfg.k_u, cfg.n, cfg.sigma_star)
+        for first, drawn in zip(firsts, offsets):
+            assert [sampler(first + i).valid for i in drawn] == [False] * (len(drawn) - 1) + [True]
 
     def test_stalled_prior_null_is_a_numerical_failure(self):
         # at the criterion-3 problem 297 of 300 nu2 draws have kappa > 1

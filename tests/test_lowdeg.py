@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from adaptest import lowdeg as ld
 from adaptest import priors as pri
+from adaptest.cli import LowdegConfig, cmd_lowdeg
 from adaptest.cli import main as cli_main
-from adaptest.model import make_loading, stream
+from adaptest.harness import build_loading, parse_config
+from adaptest.model import csv_text, make_loading, stream
 
 
 def tiny_comp_sampler(xi, seed, c8=0.4, c9=0.05):
@@ -162,7 +164,7 @@ class TestLdNorm:
     @settings(max_examples=80, deadline=None)
     def test_closed_form_matches_hermite_enumeration(self, pair, n, degree):
         a, b = pair
-        fast = ld.ld_pair_value(a, b, degree, n)
+        fast = ld.ld_norms([pri.rank_one_overlap(a, b)], degree, n)[-1]
         slow = brute_force_ld_pair(a, b, degree, n)
         # relative to the series' absolute sum, which bounds |fast| and
         # stays the scale of the rounding when a negative overlap cancels
@@ -170,13 +172,62 @@ class TestLdNorm:
         scale = sum(math.comb(n + m - 1, m) * abs(x) ** m for m in range(degree // 2 + 1))
         assert abs(fast - slow) <= 1e-13 * scale
 
+    @given(
+        st.lists(st.floats(-0.99, 0.99), min_size=1, max_size=30), st.integers(1, 2000), st.integers(0, 12)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ld_norms_sum_each_series_as_the_scalar_loop(self, overlaps, n, degree_max):
+        # every degree's mean, bit for bit, over overlaps large enough that every term counts
+        got = ld.ld_norms(overlaps, degree_max, n)
+        assert got == [float(np.mean([series(x, d, n) for x in overlaps])) for d in range(degree_max + 1)]
+
     def test_odd_degree_adds_nothing(self):
         draws = valid_draws(self.xi, 8)
         for m in range(3):
             assert ld.ld_norm(draws, 2 * m + 1, 2) == ld.ld_norm(draws, 2 * m, 2)
 
 
+def series(x: float, degree: int, n: int) -> float:
+    """sum_{m <= degree/2} C(n+m-1, m) x^m for one pair, term by term in Python floats."""
+    term = total = 1.0
+    for m in range(1, degree // 2 + 1):
+        term *= x * (n + m - 1) / m
+        total += term
+    return total
+
+
+LOWDEG_CASES = {
+    "criterion_9": "n = 2\np = 3\nk_u = 1\nk_eff = 2\ns1 = 1\nc8 = 0.4\nc9 = 0.05\ndegree_max = 4\npairs = 40\n"
+    "loading_csv = {xi}\n",
+    "paper_size": "n = 1000\np = 200\nk_u = 16\nk_eff = 48\ns1 = 4\nloading_k = 100\ndegree_max = 6\npairs = 200\n",
+}
+
+
 class TestLowdegCli:
+    @pytest.mark.parametrize("case", sorted(LOWDEG_CASES))
+    def test_table_is_the_per_degree_loop_on_the_same_draws(self, case, tmp_path):
+        # the table takes each pair's overlap once, from the stacks; the per-degree loop on the row draws
+        # (each pair's series and chi2_pair_closed_form in Python floats, and ld_norm) gives the same bytes
+        (tmp_path / "xi.csv").write_text("xi\n1.0\n0.9\n0.8\n")
+        cfg = parse_config(LOWDEG_CASES[case].format(xi=tmp_path / "xi.csv") + "master_seed = 3\n", LowdegConfig)
+        _, _, tables = cmd_lowdeg(cfg)
+        sampler = pri.prior_sampler(
+            "comp", build_loading(cfg), cfg.k_u, cfg.n, cfg.sigma_star, degree=1, c8=cfg.c8, c9=cfg.c9,
+            k_eff_override=cfg.k_eff, s1_override=cfg.s1,
+        )
+        stacks = pri.valid_rows(sampler.stack, cfg.master_seed, 2 * cfg.pairs)
+        draws = [stack.row(i) for stack, rows in stacks for i in rows]
+        pairs = list(pri.draw_pairs(draws))
+        overlaps = [pri.rank_one_overlap(a, b) for a, b in pairs]
+        chi2_ref = float(np.mean([pri.chi2_pair_closed_form(a, b, cfg.n) for a, b in pairs])) - 1.0
+        rows = []
+        for deg in range(cfg.degree_max + 1):
+            value = float(np.mean([series(x, deg, cfg.n) for x in overlaps]))
+            assert ld.ld_norm(draws, deg, cfg.n) == value
+            rows.append((deg, value, chi2_ref, ld.ld_uniform_bound(cfg.n, cfg.p, max(deg, 1))))
+        assert tables[".csv"] == csv_text("degree,ld,chi2_ref,log_uniform_bound", rows)
+        assert len(pairs) == cfg.pairs and any(x != 0.0 for x in overlaps)
+
     def test_paper_size_instance(self, tmp_path):
         # the paper's sizes; at master_seed 1 some draw pairs' couplings
         # overlap (x > 0), so LD(2) > 1 and the series does real work

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from adaptest.model import (
     make_loading,
     stream,
     streams,
+    uniform_subsets,
 )
 
 
@@ -245,9 +247,10 @@ def philox_reference(seed: int, index: int) -> np.random.Generator:
 
 
 def stream_bits(rng: np.random.Generator) -> list:
-    """What a draw reads from a generator: normals, gammas, a choice without replacement, chi-squares with an
-    array of degrees of freedom, and the state left behind."""
+    """What a draw reads from a generator: raw words, normals, gammas, a choice without replacement,
+    chi-squares with an array of degrees of freedom, and the state left behind."""
     out = [
+        rng.bit_generator.random_raw(5).tobytes(),
         rng.standard_normal(37).tobytes(),
         rng.standard_gamma(2.5, 11).tobytes(),
         rng.choice(200, size=7, replace=False).tobytes(),
@@ -276,13 +279,18 @@ class TestStream:
     @given(
         st.lists(st.one_of(st.integers(-(2**70), 2**70), st.just(2**64 - 1)), min_size=1, max_size=5),
         st.integers(0, 2**64 - 1),
+        st.lists(st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 10**6).map(lambda i: ALT_STREAMS + i)), min_size=5),
     )
-    def test_streams_give_each_seed_its_stream(self, seeds, index):
+    def test_streams_give_each_seed_its_stream(self, seeds, index, indices):
         # each generator streams yields has, from the state on, the bits of a fresh stream(seed, index),
-        # whatever the one before it read
+        # whatever the one before it read; a key (seed, i) gets stream(seed, i), whatever index says
         for seed, rng in zip(seeds, streams(seeds, index)):
             assert repr(rng.bit_generator.state) == repr(stream(seed, index).bit_generator.state)
             assert stream_bits(rng) == stream_bits(stream(seed, index))
+        keys = list(zip(seeds, indices))
+        for (seed, i), rng in zip(keys, streams(keys, index)):
+            assert repr(rng.bit_generator.state) == repr(stream(seed, i).bit_generator.state)
+            assert stream_bits(rng) == stream_bits(stream(seed, i))
 
     def test_negative_seeds_have_their_own_keys(self):
         # -1 and -5 are the keys 2^64 - 1 and 2^64 - 5, not the key of seed 0
@@ -300,3 +308,52 @@ class TestStream:
         ahead = stream_bits(fork.source.rng)
         assert repr(data.source.rng.bit_generator.state) == before
         assert stream_bits(data.source.rng) == ahead
+
+
+def subset_words(ranks, n: int) -> list[int]:
+    """The least 64-bit words whose multiply-shift ranks against n, n - 1, ... are ranks."""
+    return [-(-r * 2**64 // (n - i)) for i, r in enumerate(ranks)]
+
+
+def ranks_of(picks) -> list[int]:
+    """Pick i's rank: how many indices below it were not picked before it."""
+    return [p - sum(q < p for q in picks[:i]) for i, p in enumerate(picks)]
+
+
+words64 = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([0, 1, 2**63, 2**64 - 1]))
+
+
+class TestUniformSubsets:
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 8) for k in range(1, min(n, 3) + 1)])
+    def test_rank_tuples_give_each_ordered_tuple_once(self, n, k):
+        ranks = list(itertools.product(*(range(n - i) for i in range(k))))
+        words = np.array([subset_words(r, n) for r in ranks], dtype=np.uint64)
+        picks = [tuple(row) for row in uniform_subsets(words, n).tolist()]
+        assert sorted(picks) == sorted(itertools.permutations(range(n), k))
+        assert [tuple(ranks_of(p)) for p in picks] == ranks
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 50), st.integers(1, 2**32 - 1), st.just(2**32 - 1)),
+        st.lists(st.lists(words64, min_size=6, max_size=6), min_size=1, max_size=4),
+        st.integers(1, 6),
+    )
+    def test_ranks_are_the_high_words_of_python_products(self, n, rows, k):
+        k = min(k, n)
+        words = np.array([row[:k] for row in rows], dtype=np.uint64)
+        for row, picks in zip(words.tolist(), uniform_subsets(words, n).tolist()):
+            assert len(set(picks)) == k and all(0 <= p < n for p in picks)
+            assert ranks_of(picks) == [(w * (n - i)) >> 64 for i, w in enumerate(row)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 1000), st.lists(st.lists(words64, min_size=3, max_size=3), min_size=1, max_size=9))
+    def test_stacked_row_equals_a_stack_of_one(self, n, rows):
+        words = np.array(rows, dtype=np.uint64)
+        stacked = uniform_subsets(words, n)
+        for j in range(len(rows)):
+            assert uniform_subsets(words[j : j + 1], n).tobytes() == stacked[j : j + 1].tobytes()
+
+    @pytest.mark.parametrize("n, k", [(2**32, 1), (2**40, 2), (2, 3)])
+    def test_refuses_words_it_cannot_rank_exactly(self, n, k):
+        with pytest.raises(ValueError):
+            uniform_subsets(np.zeros((1, k), dtype=np.uint64), n)

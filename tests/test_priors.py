@@ -421,8 +421,8 @@ class TestChi2Routing:
         dense = np.array([pri.chi2_pair_integral(joint_covariance(a), joint_covariance(b), ref, n) for a, b in pairs])
         oracle = (float(np.mean(dense)) - 1.0, float(np.std(dense, ddof=1) / math.sqrt(100)))
         # chi2_mixture_mc scores stack rows with the closed-form expression that chi2_pair_closed_form shares
-        calls, closed = [], pri._closed_form
-        monkeypatch.setattr(pri, "_closed_form", lambda *args: calls.append(1) or closed(*args))
+        calls, closed = [], pri.closed_form
+        monkeypatch.setattr(pri, "closed_form", lambda *args: calls.append(1) or closed(*args))
         est = pri.chi2_mixture_mc(sampler, n, 100, seed=7)
         assert len(calls) == 100
         if kind == "point_mass":

@@ -274,8 +274,7 @@ def _gen_scca_normals(params, hypothesis, seed):
     """The n x (p1 + p2) standard normals gen_scca multiplies by its joint factor."""
     rng = stream(seed, 0)
     if hypothesis == "alt":
-        scca._flat_support_vector(params.p1, params.s, rng)
-        scca._flat_support_vector(params.p2, params.s, rng)
+        rng.bit_generator.random_raw(2 * params.s)  # the planted supports' words
     return rng.standard_normal((params.n, params.p1 + params.p2))
 
 
@@ -331,7 +330,9 @@ def _one_draw_oracle(params, hypothesis, seed, index):
     if n <= p1:
         return scca.gen_scca(params, hypothesis, seed, index).cross_covariance()
     rng = stream(seed, index)
-    d1, d2 = scca._planted(params, hypothesis, rng)
+    d1 = d2 = None
+    if hypothesis == "alt":
+        d1, d2 = (d[0] for d in scca._planted(params, rng.bit_generator.random_raw((1, 2 * params.s))))
     a = np.diag(np.sqrt(rng.chisquare(n - np.arange(p1))))
     a[np.tri(p1, k=-1, dtype=bool)] = rng.standard_normal(p1 * (p1 - 1) // 2)
     g = rng.standard_normal((p1, p2))
@@ -401,11 +402,11 @@ GOLDEN_SCCA_CASES = {
     "reduce": "mode = reduce\nn = 40\ns = 2\np1 = 6\np2 = 9\nlam = 0.4\nhypothesis = alt\n",
 }
 GOLDEN_SCCA_SHA256 = {
-    "sweep": "4365b0b44a8c0147d7227e7f0ebc33d3608a7839c73cf8cab30e0904ad9a407f",
-    "stats_alt": "f2d208c4c7368a279d47d56c0536fdeccc0e7f95759b9cb1b96c860ba8180658",
+    "sweep": "84b04b34d39579471c1591de48428f988ac2f7ae276cb9ab4498eb1e12ceb58b",
+    "stats_alt": "8254199f6299737af73a29e11ec3842d12a7fbdf86f9ccf54bf4bf073710a081",
     "stats_null_few_rows": "d55e733638151783b481adc28bafa12ed3aa9245ea55a7acdd6cd1e4d60b420b",
-    "generate": "71173b1d9a256282c6fb6061a7af5d06e2d0e7786bed41ca35252d0b08112452",
-    "reduce": "9efe0ee249cda47506386583e2196a8b38664b95ef099037c3d3dcc804f2d470",
+    "generate": "513f32fb53f0df51355b4e39054a1fa1051e3f4548830524bb90efa2b7b223e5",
+    "reduce": "219207a3ec70f81127cec45ce5650c78f92e49361cea1c9017191f81228a15f8",
 }
 
 
@@ -475,13 +476,14 @@ class TestExactLawSampler:
 
     def test_plants_gen_scca_support(self, monkeypatch):
         params = scca.SccaParams(n=300, s=3, p1=8, p2=12, lam=0.4)
-        support, planted = scca._flat_support_vector, []
+        support, planted = scca._planted, []
 
-        def recorded(p, s, rng):
-            planted.append(support(p, s, rng))
-            return planted[-1]
+        def recorded(params, words):
+            stacks = support(params, words)
+            planted.extend(d[0] for d in stacks)
+            return stacks
 
-        monkeypatch.setattr(scca, "_flat_support_vector", recorded)
+        monkeypatch.setattr(scca, "_planted", recorded)
         for seed in range(5):
             planted.clear()
             scca.sample_cross_covariance(params, "alt", seed)
