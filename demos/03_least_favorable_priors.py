@@ -21,20 +21,24 @@ samplers = {
     "comp": prior_sampler("comp", xi, k_u, n, sigma_star, degree=1),
 }
 
+# a sampler maps (seed, rows) to the stack of the draws at seed, seed + 1, ...; row 0 of a stack of one is a draw
 print("=== one draw from each prior ===")
-d2 = samplers["nu2"](1)
+d2 = samplers["nu2"](1, 1).row(0)
 print(f"nu2:  kappa={d2.kappa:.5f} sparsity={d2.sparsity} eigs=[{d2.eig_min:.4f},{d2.eig_max:.4f}] "
       f"residual={d2.residual:.1e} valid={d2.valid}")
-d1 = samplers["nu1"](1)
+d1 = samplers["nu1"](1, 1).row(0)
 print(f"nu1:  kappa={d1.kappa:.5f} sparsity={d1.sparsity} Sigma=I "
       f"residual={d1.residual:.1e} valid={d1.valid}")
-dc = samplers["comp"](1)
+dc = samplers["comp"](1, 1).row(0)
 print(f"comp: kappa={dc.kappa:.5f} sparsity={dc.sparsity} eigs=[{dc.eig_min:.4f},{dc.eig_max:.4f}] "
       f"valid={dc.valid}")
 
 print("\n=== validity rates over 2000 draws ===")
 for name, sampler in samplers.items():
-    valid = sum(sampler(s).valid for s in range(2000))
+    valid = drawn = 0
+    while drawn < 2000:  # a stack holds at most 131,072 entries: 327 draws at p = 400
+        stack = sampler(drawn, 2000 - drawn)
+        valid, drawn = valid + int(stack.valid.sum()), drawn + stack.valid.size
     print(f"  {name}: {valid / 2000:.3f}")
 
 print("\n=== chi-square of the nu2 mixture vs the hypergeometric bound ===")

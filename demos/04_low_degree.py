@@ -9,20 +9,19 @@ ingredients of the closed form: the rank-one Hermite moments, which
 vanish unless degree-balanced and whose degree-1 products sum to x.
 """
 
-from itertools import islice
-
 import numpy as np
 
 from adaptest import make_loading
 from adaptest.lowdeg import hermite_moment, ld_norm, ld_uniform_bound
-from adaptest.priors import chi2_pair_closed_form, draw_pairs, prior_sampler, rank_one_overlap, valid_draws
+from adaptest.priors import chi2_pair_closed_form, pair_overlaps, prior_sampler, valid_rows
 
 n, p = 2, 3
 xi = make_loading([1.0, 0.9, 0.8])
+# (seed, rows) -> the stack of the draws at seed, seed + 1, ...; the first 60 valid draws are rows of such stacks
 sampler = prior_sampler("comp", xi, 1, n, 1.0, degree=1, c8=0.4, c9=0.05, k_eff_override=2, s1_override=1)
-draws = list(islice(valid_draws(sampler, 0), 60))
+draws = [stack.row(i) for stack, rows in valid_rows(sampler, 0, 60) for i in rows]
 
-pairs = list(draw_pairs(draws))
+pairs = list(zip(draws[::2], draws[1::2]))
 chi2 = float(np.mean([chi2_pair_closed_form(a, b, n) for a, b in pairs])) - 1.0
 print(f"reference 1 + chi^2 over {len(pairs)} pairs: {1 + chi2:.10f}")
 print(f"{'D':>3} {'LD(D)':>14} {'log uniform bound':>20}")
@@ -42,4 +41,4 @@ for mu in np.eye(r1.size, dtype=int):
     for nu in np.eye(c1.size, dtype=int):
         deg1 += hermite_moment(mu, nu, r1, c1) * hermite_moment(mu, nu, r2, c2)
 print(f"degree-1 moment products of the first pair sum to {deg1:+.6e};"
-      f" the overlap x is {rank_one_overlap(draws[0], draws[1]):+.6e}")
+      f" the overlap x is {pair_overlaps(sampler, 0, 1)[0]:+.6e}")

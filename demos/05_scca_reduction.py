@@ -9,8 +9,8 @@ test on it (with the decision inversion).
 
 import numpy as np
 
-from adaptest import gen_scca, mixed_test, reduce_to_lt, sample_cross_covariance
-from adaptest.scca import SccaParams, boundary_table, calibrate_thresholds, stat_report
+from adaptest import gen_scca, mixed_test, reduce_to_lt
+from adaptest.scca import SccaParams, boundary_table, calibrate_thresholds, sample_cross_covariances, stat_report
 
 n, s, p1, p2 = 4000, 2, 10, 40
 null_params = SccaParams(n=n, s=s, p1=p1, p2=p2, lam=0.0)
@@ -25,8 +25,10 @@ print(f"\nplanted cross-correlation lambda = {lam:.5f} (between scan and max-col
 
 hits = {k: 0 for k in thresholds}
 reps = 200
+alt_params = SccaParams(n=n, s=s, p1=p1, p2=p2, lam=lam)
 for i in range(reps):
-    r_hat = sample_cross_covariance(SccaParams(n=n, s=s, p1=p1, p2=p2, lam=lam), "alt", 1000 + i)
+    # the stack of one R_hat at seed 1000 + i and stream index 0
+    r_hat = sample_cross_covariances(alt_params, "alt", 1000 + i, [0])[0]
     rep = stat_report(r_hat, s, thresholds)
     for k in thresholds:
         hits[k] += int(rep.decisions[k])

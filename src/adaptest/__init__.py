@@ -50,7 +50,6 @@ from .priors import (
     chi2_pair_integral,
     hypergeometric_mgf,
     sample_comp_prior,
-    sample_nu1_prior,
     sample_nu2_prior,
 )
 from .lowdeg import hermite_moment, ld_norm, ld_uniform_bound
@@ -60,7 +59,6 @@ from .scca import (
     boundary_table,
     gen_scca,
     reduce_to_lt,
-    sample_cross_covariance,
     thresholds,
 )
 

@@ -205,7 +205,7 @@ def cmd_prior(cfg: PriorConfig):
     sampler = prior_sampler(cfg.kind, xi, cfg.k_u, cfg.n, cfg.sigma_star, **consts)
     rows = []  # draw i is the one at seed master_seed + i, read off stacks
     while len(rows) < cfg.draws:
-        s = sampler.stack(cfg.master_seed + len(rows), cfg.draws - len(rows))
+        s = sampler(cfg.master_seed + len(rows), cfg.draws - len(rows))
         cols = (s.kappa, s.sparsity, s.eig_min, s.eig_max, s.residual, s.noise_sd, s.valid.astype(int), s.reason)
         rows += zip(count(len(rows)), *(col.tolist() for col in cols))
     tables = {".csv": csv_text("draw,kappa,sparsity,eig_min,eig_max,residual,sigma,valid,reason", rows)}
@@ -251,7 +251,7 @@ def cmd_scca(cfg: SccaConfig):
         row = [problem.t0, problem.k_u, problem.xi.k_xi, tau_red, problem.alpha, problem.eta]
         tables["_problem.csv"] = csv_text("t0,k_u,k_xi,tau_red,alpha,eta", [row])
     elif cfg.mode == "stats":
-        r = scca.sample_cross_covariance(params, cfg.hypothesis, seed)
+        r = scca.sample_cross_covariances(params, cfg.hypothesis, seed, [0])[0]
         thr = scca.thresholds(params.n, params.s, params.p1, params.p2, cfg.big_c)
         rep = scca.stat_report(r, params.s, thr)
         rows = [(k, rep.values[k], rep.thresholds[k], int(rep.decisions[k])) for k in scca.STATISTICS]

@@ -1,8 +1,8 @@
 """Experiment orchestration: configuration parsing, Monte Carlo drivers
 for size/power, interval-length sweeps and phase diagrams, and result
 tables.  `inference` turns a dataset into a decision (`run_single_test`, or
-`mixed_test` and `mixed_ci` directly), and a prior null's model point comes from `priors` (`prior_sampler`,
-`valid_draws`, `PriorDraw.model_point`); this module builds the problems
+`mixed_test` and `mixed_ci` directly), and a prior null's model point comes from `priors` (`valid_rows` on a
+`prior_sampler`'s stacks of one, `PriorDraw.model_point`); this module builds the problems
 and datasets and collects the rows.  Every dataset is drawn as its Gram
 coordinates, from their exact law (`estimators.CoordinateDataset`); a nu2
 null's design mixes only its block.
@@ -33,7 +33,7 @@ from .errors import ConfigError
 from .estimators import CoordinateDataset, scaled_lasso
 from .inference import TEST_MODES, mixed_ci, mixed_test, run_single_test
 from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, make_loading
-from .priors import prior_sampler, valid_draws
+from .priors import prior_sampler, valid_rows
 from .profiles import example_profiles, log_grid, regular_phase, regular_profile
 
 
@@ -319,13 +319,14 @@ def null_draw_theta(cfg: ExperimentConfig, xi: LoadingVector, rep: int) -> Model
     """Null model point for one replicate, per cfg.null_source.
 
     Prior sources re-anchor to t0 the first valid draw of the restricted
-    prior from the replicate's seed (`valid_draws`); 50 invalid draws in a
-    row raise RegimeViolation.
+    prior from the replicate's seed on, one seed at a time (`valid_rows`
+    wanting one, whose last stack holds it); 50 invalid draws in a row raise RegimeViolation.
     """
     if cfg.null_source == "point":
         return null_point(xi, cfg.k, cfg.t0, cfg.noise_sd)
     sampler = prior_sampler(cfg.null_source, xi, cfg.k_u, cfg.n, cfg.sigma_star)
-    return next(valid_draws(sampler, replicate_seed(cfg.master_seed, rep, "prior"))).model_point(xi, cfg.t0)
+    *_, (stack, [row]) = valid_rows(sampler, replicate_seed(cfg.master_seed, rep, "prior"), 1)
+    return stack.row(row).model_point(xi, cfg.t0)
 
 
 _SEED_ROLES = ("null", "alt", None, "prior")  # slot 2 is retired (a dataset splits by its own seed), so prior keeps 3

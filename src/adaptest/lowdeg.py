@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .priors import draw_pairs, rank_one_overlap
+from .priors import _overlap
 
 
 def hermite_moment(mu, nu, r, c) -> float:
@@ -49,13 +49,13 @@ def hermite_moment(mu, nu, r, c) -> float:
     return sgn * math.exp(log_mag)
 
 
-def ld_norm(prior_draws, degree: int, n: int) -> float:
-    """Estimate LD(degree): the last of ld_norms over the overlaps of the draw_pairs of prior_draws.
+def ld_norm(draws: list, degree: int, n: int) -> float:
+    """Estimate LD(degree): the last of ld_norms over the overlaps of consecutive disjoint pairs of draws.
 
     Draws must be rescaled to unit diagonal (their joint covariance has
     sigma_star on the y entry; the rank-one factors normalize it away).
     """
-    overlaps = [rank_one_overlap(a, b) for a, b in draw_pairs(prior_draws)]
+    overlaps = [_overlap(*a.rank_one_factors(), *b.rank_one_factors()) for a, b in zip(draws[::2], draws[1::2])]
     if not overlaps:
         raise ValueError("need at least two draws")
     return ld_norms(overlaps, degree, n)[-1]

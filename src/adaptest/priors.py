@@ -1,6 +1,5 @@
-"""Least-favorable priors: `prior_sampler` picks a kind's sampler, `valid_draws`
-keeps its valid draws, `PriorDraw.model_point` turns one into a model point, and
-`draw_pairs` pairs them for the chi-square oracles below and `lowdeg`.
+"""Least-favorable priors: `prior_sampler` gives a kind's sampler, `valid_rows` its valid draws, `PriorDraw.model_point`
+the model point of one, and `pair_overlaps` the overlaps of their pairs for the chi-square oracles below and `lowdeg`.
 
 Three samplers produce null-constrained draws built from sparse rank-one
 couplings in the joint covariance of (y, x):
@@ -13,13 +12,13 @@ couplings in the joint covariance of (y, x):
   with block sizes tied to the effective sparsity k_eff.
 
 Each sampler reads the dimension p off its loading, `xi.p` (`sample_nu2_prior` also takes a `p`, and
-raises ValueError unless it equals xi.p).  Draws come in stacks of at most _STACK_ENTRIES entries per
-(rows, p) array, one row per seed, and a single draw is row 0 of a stack of one: each seed runs only its
-stream's RNG calls, and each stack its supports' decoding and the coupling arithmetic, which enforces the
-null constraint xi'beta = tau exactly through the scalar kappa and records analytic validity checks
-(sparsity cap, eigenvalue window, noise bound).  Pairs of draws are scored in the O(p) rank-one closed form
-against the reference point beta = 0, Sigma = I, noise sigma_star; the dense determinant form, on (p+1) x
-(p+1) joint covariance arrays with y first, is its oracle, and the hypergeometric MGF the exact yardstick.
+raises ValueError unless it equals xi.p).  A sampler is one thing: (seed, rows) -> the stack of the draws at seed,
+seed + 1, ..., at most _STACK_ENTRIES entries per (rows, p) array, one row per seed; a row has the bits of its stack
+of one.  Each seed runs only its stream's RNG calls, and each stack its supports' decoding and the coupling
+arithmetic, which enforces the null constraint xi'beta = tau exactly through the scalar kappa and records analytic
+validity checks (sparsity cap, eigenvalue window, noise bound).  Pairs of draws are scored in the O(p) rank-one
+closed form against the reference point beta = 0, Sigma = I, noise sigma_star; the dense determinant form, on
+(p+1) x (p+1) joint covariance arrays with y first, is its oracle, and the hypergeometric MGF the exact yardstick.
 """
 
 from __future__ import annotations
@@ -177,36 +176,23 @@ def _coupled_draw(kind, xi, cap, lead, trail, tau, sigma_star, lead_dot=None, ad
 
 
 def prior_sampler(kind: str, xi: LoadingVector, k_u: int, n: int, sigma_star: float, **consts):
-    """seed -> PriorDraw of the prior `kind` (nu2, nu1 or comp) at this problem, in dimension xi.p; consts
-    are the sampler's keyword constants.  The sampler is looked up by name at each call, so a rebinding
-    of the module attribute (a tracer or a test spy) sees every draw.  Its attribute stack(seed, rows) is the
-    stack of the draws at seed, seed + 1, ...: rows of them, or fewer (one at least) if rows x p > _STACK_ENTRIES."""
-    if kind == "nu2":
-        sampler = lambda seed: sample_nu2_prior(xi, k_u, n, xi.p, sigma_star, seed=seed, **consts)
-    elif kind == "nu1":
-        sampler = lambda seed: sample_nu1_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
-    elif kind == "comp":
-        sampler = lambda seed: sample_comp_prior(xi, k_u, n, seed=seed, sigma_star=sigma_star, **consts)
-    else:
+    """The sampler of the prior `kind` (nu2, nu1 or comp) at this problem, in dimension xi.p; consts are the kind's
+    keyword constants.  sampler(seed, rows) is the stack of the draws at seed, seed + 1, ...: rows of them, or fewer
+    (one at least) if rows x p > _STACK_ENTRIES.  The kind's stack builder is picked when the sampler is made."""
+    if kind not in ("nu2", "nu1", "comp"):
         raise ValueError(f"unknown prior kind {kind!r}")
     build, most = {"nu2": _nu2_stack, "nu1": _nu1_stack, "comp": _comp_stack}[kind], max(1, _STACK_ENTRIES // xi.p)
-    sampler.stack = lambda seed, rows: build(xi, k_u, n, sigma_star, range(seed, seed + min(rows, most)), **consts)
-    return sampler
+    return lambda seed, rows: build(xi, k_u, n, sigma_star, range(seed, seed + min(rows, most)), **consts)
 
 
-def valid_draws(sampler, seed: int):
-    """The valid draws of sampler(seed), sampler(seed + 1), ... in order: valid_rows, each draw a stack of one."""
-    return (draw for draw, rows in valid_rows(lambda s, _: sampler(s), seed, math.inf) if rows)
-
-
-def valid_rows(stacks, seed: int, wanted: float):
-    """(stack, its valid rows) for stacks(seed, wanted), then stacks of the seeds that follow, each asked for the
-    valid draws still wanted, until `wanted` are found, so no later seed is drawn (a single draw is a stack of
-    one).  RegimeViolation, naming their most frequent reason, at the 50th invalid draw in a row."""
+def valid_rows(sampler, seed: int, wanted: float):
+    """(stack, its valid rows) for sampler(seed, wanted), then stacks of the seeds that follow, each asked for the
+    valid draws still wanted, until `wanted` are found, so no later seed is drawn.  RegimeViolation, naming their most
+    frequent reason, at the 50th invalid draw in a row."""
     misses: list[str] = []
     while wanted > 0:
-        stack = stacks(seed, wanted)
-        checked = list(zip(np.atleast_1d(stack.valid).tolist(), np.atleast_1d(stack.reason).tolist()))
+        stack = sampler(seed, wanted)
+        checked = list(zip(stack.valid.tolist(), stack.reason.tolist()))
         seed, rows = seed + len(checked), []
         for i, (ok, why) in enumerate(checked):
             misses = [] if ok else [*misses, why]
@@ -220,12 +206,6 @@ def valid_rows(stacks, seed: int, wanted: float):
         yield stack, rows
 
 
-def draw_pairs(draws):
-    """Consecutive disjoint pairs (d0, d1), (d2, d3), ... of draws, taken lazily as valid_draws never ends."""
-    it = iter(draws)
-    return zip(it, it)
-
-
 def sample_nu2_prior(
     xi: LoadingVector, k_u: int, n: int, p: int, sigma_star: float, c1: float = DEFAULT_C1, c2: float | None = None,
     seed: int = 0,
@@ -235,6 +215,7 @@ def sample_nu2_prior(
     lead is the fixed unit vector along the top-p1 loading block; trail
     picks a uniform size-p1 support in the complement with entries
     c1 sign(xi) sqrt(log p / n); kappa solves the null constraint.  p must be xi.p.
+    The draw at seed, row 0 of its stack of one.
     """
     if p != xi.p:
         raise ValueError(f"p = {p} but the loading has p = {xi.p}")
@@ -284,22 +265,14 @@ def nu1_weights(xi: LoadingVector, k_u: int, c4: float = DEFAULT_C4) -> tuple[np
     return q, gamma, lam
 
 
-def sample_nu1_prior(
-    xi: LoadingVector, k_u: int, n: int, tau: float | None = None, c4: float = DEFAULT_C4, c5: float = DEFAULT_C5,
-    seed: int = 0, sigma_star: float = 5.0,
-) -> PriorDraw:
-    """Identity-design random-sparsity prior targeting xi'beta = tau.
+def _nu1_stack(xi: LoadingVector, k_u: int, n: int, sigma_star: float, seeds, tau=None, c4=DEFAULT_C4, c5=DEFAULT_C5):
+    """The stack of the identity-design random-sparsity prior's draws at seeds, targeting xi'beta = tau.
 
     tau = None means the default (c4 c5 / 4) nu1(xi) / sqrt(n).  kappa =
     tau / (xi'delta) when delta lands in the admissible set (enough
     signal, sparsity within k_u/2, bounded length); otherwise kappa = 0
     and the draw is flagged degenerate.
     """
-    return _nu1_stack(xi, k_u, n, sigma_star, [seed], tau, c4, c5).row(0)
-
-
-def _nu1_stack(xi: LoadingVector, k_u: int, n: int, sigma_star: float, seeds, tau=None, c4=DEFAULT_C4, c5=DEFAULT_C5):
-    """The stack of sample_nu1_prior's draws at seeds."""
     if tau is None:
         tau = (c4 * c5 / 4.0) * xi.memoised(nu1, k_u) / math.sqrt(n)
     if tau <= 0:
@@ -340,7 +313,7 @@ def sample_comp_prior(
     size floor(k_u/4) beyond k_eff with entries c8 sign(xi) sqrt(log p/n).
     The override knobs exist for desk-scale instances where the
     asymptotic regime condition cannot hold, so that condition is checked
-    only when k_eff follows from degree.
+    only when k_eff follows from degree.  The draw at seed, row 0 of its stack of one.
     """
     return _comp_stack(xi, k_u, n, sigma_star, [seed], degree, c8, c9, k_eff_override, s1_override).row(0)
 
@@ -395,18 +368,14 @@ def chi2_pair_integral(sz1, sz2, sz0, n: int) -> float:
     return math.exp(-0.5 * n * logdet)
 
 
-def rank_one_overlap(draw1: PriorDraw, draw2: PriorDraw) -> float:
-    """x = (r1'r2)(c1'c2) from the two draws' rank-one coupling factors."""
-    return _overlap(*draw1.rank_one_factors(), *draw2.rank_one_factors())
-
-
 def _overlap(r1, c1, r2, c2) -> float:
+    """x = (r1'r2)(c1'c2) from two draws' rank-one coupling factors."""
     return float(r1 @ r2) * float(c1 @ c2)
 
 
 def chi2_pair_closed_form(draw1: PriorDraw, draw2: PriorDraw, n: int) -> float:
-    """Rank-one closed form [1 - x]^{-n} in the rank-one overlap x."""
-    return closed_form(rank_one_overlap(draw1, draw2), n)
+    """Rank-one closed form [1 - x]^{-n} in the rank-one overlap x of the two draws."""
+    return closed_form(_overlap(*draw1.rank_one_factors(), *draw2.rank_one_factors()), n)
 
 
 def closed_form(x: float, n: int) -> float:
@@ -416,23 +385,21 @@ def closed_form(x: float, n: int) -> float:
 
 
 def pair_overlaps(sampler, seed: int, pairs: int) -> list[float]:
-    """The overlaps x of `pairs` draw_pairs of the valid draws from seed on, read off valid_rows' stacks (sampler.stack,
-    or stacks of one draw), each by rank_one_overlap's two dot products on the stack's rows, so with its bits."""
-    stacks = valid_rows(getattr(sampler, "stack", lambda s, _: sampler(s)), seed, 2 * pairs)
-    factors = (
-        (r[i], c[i]) for stack, rows in stacks for r, c in [map(np.atleast_2d, stack.rank_one_factors())] for i in rows
-    )
-    return [_overlap(*f1, *f2) for f1, f2 in draw_pairs(factors)]
+    """The overlaps x of `pairs` consecutive disjoint pairs of the valid draws from seed on, read off valid_rows'
+    stacks, each by chi2_pair_closed_form's two dot products on the stack's rows, so with its bits."""
+    stacks = valid_rows(sampler, seed, 2 * pairs)
+    factors = ((r[i], c[i]) for stack, rows in stacks for r, c in [stack.rank_one_factors()] for i in rows)
+    return [_overlap(*f1, *f2) for f1, f2 in zip(factors, factors)]
 
 
-def chi2_mixture_mc(prior_sampler, n: int, reps: int, seed: int) -> tuple[float, float]:
+def chi2_mixture_mc(sampler, n: int, reps: int, seed: int) -> tuple[float, float]:
     """Monte Carlo chi-square divergence of the prior mixture from the reference point beta = 0, Sigma = I,
     noise sigma_star: (estimate, se) of the mean of chi2_pair_closed_form's [1 - x]^{-n}, minus one, over the
     pair_overlaps of reps pairs from seed on.  No pair needs the dense oracle chi2_pair_integral: a valid draw
     has noise_sd > 0, exactly when |r||c| < 1, so by Cauchy-Schwarz every pair of valid draws has x < 1."""
     if reps < 100:
         raise ValueError("need at least 100 pair replicates")
-    values = np.array([closed_form(x, n) for x in pair_overlaps(prior_sampler, seed, reps)])
+    values = np.array([closed_form(x, n) for x in pair_overlaps(sampler, seed, reps)])
     est = float(np.mean(values)) - 1.0
     se = float(np.std(values, ddof=1) / math.sqrt(reps))
     return est, se

@@ -164,12 +164,6 @@ def sample_cross_covariances(params: SccaParams, hypothesis: str, seed: int, ind
     return _cross_from_factor(params, a, g, *(_planted(params, words) if plants else (None, None)))
 
 
-def sample_cross_covariance(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> np.ndarray:
-    """R_hat with exactly the law of gen_scca(params, hypothesis, seed, index).cross_covariance(), drawn on
-    stream(seed, index): the stack of one of sample_cross_covariances."""
-    return sample_cross_covariances(params, hypothesis, seed, [index])[0]
-
-
 # --- test statistics ---------------------------------------------------------
 
 _SCAN_BLOCK = 1 << 16  # entries of a stack of draws or a block of its column sums, read at each call

@@ -1,7 +1,8 @@
 """Dense oracles the tests check the library against: the map between a model point
 theta = (beta, Sigma, sigma) and the (p+1) x (p+1) covariance of (y, x), y first, a
 prior draw's joint covariance in that form, and the plug-in and debiased intervals
-written out, which the library builds only as the mixed interval at m = 0 and m = p."""
+written out, which the library builds only as the mixed interval at m = 0 and m = p;
+and `single`, the one draw of a stack of one."""
 
 import math
 from statistics import NormalDist
@@ -11,6 +12,15 @@ import numpy as np
 from adaptest.errors import NotPositiveDefinite
 from adaptest.inference import C_BETA, C_PI, C_XI, ConfidenceInterval
 from adaptest.model import ModelParams
+from adaptest.priors import PriorDraw
+
+
+def single(stack):
+    """The one draw of a stack of one: row 0 of a `priors.PriorDraw` stack (a prior sampler's
+    `sampler(seed, 1)`), or the matrix of `scca.sample_cross_covariances(..., [index])`."""
+    prior = isinstance(stack, PriorDraw)
+    assert (stack.valid.size if prior else len(stack)) == 1
+    return stack.row(0) if prior else stack[0]
 
 
 def h_map(sigma_z: np.ndarray) -> ModelParams:

@@ -10,7 +10,6 @@ import math
 import time
 from dataclasses import replace
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from adaptest import scca
 from adaptest.estimators import projection_direction, scaled_lasso, spiked_cov_estimate
 from adaptest.harness import parse_config, run_experiment, rows_to_csv
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
-from oracles import debiased_ci, joint_covariance, plugin_ci
+from oracles import debiased_ci, joint_covariance, plugin_ci, single
 
 
 def _report(num, name, ok=True, extra=""):
@@ -155,18 +154,21 @@ def test_criterion_5_prior_validity():
         assert 1.0 / m1 <= d.eig_min <= d.eig_max <= m1
         assert 0.0 < d.noise_sd <= m2
 
+    # each kind's draws at seeds 0..draws-1, read off its stacks (a row has the bits of its single draw)
+    samplers = {
+        "nu2": (pri.prior_sampler("nu2", xi, k_u, n, 5.0), k_u // 2),
+        "nu1": (pri.prior_sampler("nu1", xi, k_u, n, 5.0, tau=tau_nu1), k_u // 2),
+        "comp": (pri.prior_sampler("comp", xi, k_u, n, 5.0, degree=1), k_u),
+    }
     counts = {}
-    for seed in range(draws):
-        d = pri.sample_nu2_prior(xi, k_u, n, p, sigma_star=5.0, seed=seed)
-        if d.valid:
-            check(d, k_u // 2)
-        d = pri.sample_nu1_prior(xi, k_u, n, tau_nu1, seed=seed, sigma_star=5.0)
-        if d.valid:
-            check(d, k_u // 2)
-        d = pri.sample_comp_prior(xi, k_u, n, 1, seed=seed, sigma_star=5.0)
-        counts["comp"] = counts.get("comp", 0) + int(d.valid)
-        if d.valid:
-            check(d, k_u)
+    for kind, (sampler, cap) in samplers.items():
+        seed = counts[kind] = 0
+        while seed < draws:
+            stack = sampler(seed, draws - seed)
+            for i in np.flatnonzero(stack.valid):
+                check(stack.row(i), cap)
+            counts[kind] += int(stack.valid.sum())
+            seed += stack.valid.size
     comp_rate = counts["comp"] / draws
     assert comp_rate >= 0.95
     _report(5, "prior validity", extra=f"[comp validity={comp_rate:.3f}]")
@@ -191,7 +193,7 @@ def test_criterion_6_chi2_oracles():
     rng = stream(606, 0)
     grid = np.linspace(-6.0, 6.0, 60)
     step = grid[1] - grid[0]
-    xs = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    xs = np.column_stack([g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij")])
 
     def density(cov):
         inv = np.linalg.inv(cov)
@@ -327,15 +329,10 @@ def test_criterion_9_ld_sandwich():
     n, p = 2, 3
     xi = make_loading([1.0, 0.9, 0.8])
 
-    def sampler(seed):
-        return pri.sample_comp_prior(
-            xi, 1, n, 1, c8=0.4, c9=0.05, seed=seed, sigma_star=1.0,
-            k_eff_override=2, s1_override=1,
-        )
-
+    sampler = pri.prior_sampler("comp", xi, 1, n, 1.0, degree=1, c8=0.4, c9=0.05, k_eff_override=2, s1_override=1)
     for instance in range(5):
         base = 50_000 * (instance + 1)
-        draws = list(islice(pri.valid_draws(sampler, base), 40))
+        draws = [stack.row(i) for stack, rows in pri.valid_rows(sampler, base, 40) for i in rows]
         vals = {deg: ld.ld_norm(draws, deg, n) for deg in (0, 1, 2)}
         assert vals[0] == 1.0
         assert vals[0] <= vals[1] + 1e-13 <= vals[2] + 2e-13
@@ -383,7 +380,7 @@ def test_criterion_11_scca_statistic_ordering():
     hits = {"scan": 0, "max_col": 0}
     reps = 500
     for i in range(reps):
-        r = scca.sample_cross_covariance(alt_params, "alt", 60_000 + i)
+        r = single(scca.sample_cross_covariances(alt_params, "alt", 60_000 + i, [0]))
         rep = scca.stat_report(r, s, thresholds)
         hits["scan"] += int(rep.decisions["scan"])
         hits["max_col"] += int(rep.decisions["max_col"])

@@ -24,8 +24,9 @@ from adaptest.estimators import (
 )
 from adaptest.harness import null_point
 from adaptest.model import Dataset, ModelParams, generate_dataset, make_loading, stream
-from adaptest.priors import sample_nu2_prior, valid_draws
+from adaptest.priors import prior_sampler
 from adaptest.profiles import cutoff_and_regime, example_profiles
+from oracles import single
 
 
 def orthonormal_design(n, p, seed):
@@ -539,7 +540,8 @@ class TestCoordinateDataset:
         coefficients at n = 4, p = 10, where the eager basis spans R^n before norms2 is read."""
         reps = 2000
         xi = example_profiles("subweibull", {"q": 2.0, "p": 120, "k_u": 3}, 1)
-        nu2 = next(valid_draws(lambda s: sample_nu2_prior(xi, 8, 60, 120, 5.0, seed=s), 0))
+        sampler = prior_sampler("nu2", xi, 8, 60, 5.0)
+        nu2 = next(d for s in itertools.count() if (d := single(sampler(s, 1))).valid)
         points = (
             (null_point(make_loading(np.arange(8.0, 0.0, -1.0)), 3, 1.0, 1.5), 20),
             (nu2.model_point(xi, 8.0), 60),

@@ -2,6 +2,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -28,7 +29,7 @@ from adaptest.inference import mixed_test
 from adaptest.model import ModelParams, TestProblem as Problem, dataset_to_csv, generate_dataset, make_loading, stream
 from adaptest.model import Dataset
 from adaptest.profiles import solve_zeta
-from oracles import joint_covariance
+from oracles import joint_covariance, single
 from adaptest.harness import (
     ExperimentConfig,
     config_digest,
@@ -421,7 +422,9 @@ GOLDEN_SHA256 = {
     "phase_diagram_moderate": "7d137a558e9ee697e43e8e413b8f68ad7cce0a9174682f393ddb892a744429c8",
 }
 # The other commands' tables at master_seed = 7: prior at each kind, with its chi-square table,
-# lowdeg on the criterion-9 instance ({xi} is its loading CSV), profile, and fit and test in every
+# lowdeg on the criterion-9 instance ({xi} is its loading CSV), whose one valid draw pins no randomness,
+# and on a free support (p - k_eff = 10 trail coordinates for s1 = 4), whose LD(2) = 1.3158 and
+# chi2_ref = 0.446 pin every pair's overlap, profile, and fit and test in every
 # mode on one row dataset ({data}, `golden_dataset`).  A digest covers a
 # command's tables in the order it writes them; file names are left out, as theirs hash the config.
 COMMAND_GOLDEN_CASES = {
@@ -432,6 +435,10 @@ COMMAND_GOLDEN_CASES = {
         "lowdeg",
         "n = 2\np = 3\nk_u = 1\nk_eff = 2\ns1 = 1\nc8 = 0.4\nc9 = 0.05\nsigma_star = 1.0\ndegree_max = 4\n"
         "pairs = 40\nloading_csv = {xi}\n",
+    ),
+    "lowdeg_free": (
+        "lowdeg",
+        "n = 1000\np = 200\nk_u = 16\nk_eff = 190\ns1 = 4\nloading_k = 200\ndegree_max = 4\npairs = 100\n",
     ),
     "profile": ("profile", "n = 1000\np = 100\nk_u = 4\nloading = subweibull\n"),
     "fit": ("fit", "data_csv = {data}\nk_u = 2\ngamma_star = 3.0\n"),
@@ -446,6 +453,7 @@ COMMAND_GOLDEN_SHA256 = {
     "prior_nu1": "a8079c355d6c5ccee69f43132d2e8afcdd952cc1968dee8ae224de4fe05e7b7b",
     "prior_comp": "e8f96f872f573eaf699fefcf4d070f734e9703da8270920b3fb14a10613ab9b7",
     "lowdeg": "799d3e05e94b4011bd924febbc1ae6769ff045a8caa4d41350d31a2682590cb3",
+    "lowdeg_free": "babd24f10ebe2ed2979cd15b0e8c44c785ab93d67ea78f4cbf3232dfe924d45e",
     "profile": "32d707aded1b1d8dec7fc84421f3d0bdc87e03caa0da8549f069074eede8b1fb",
     "fit": "d5d7ede876e4d5f8543617f4c6efafe452854376492c0072a6c4c7c802b8c8b6",
     "test_mixed": "00771a6e7ca1ccba9d5a46b919bfd6c5b99e5d08869c149515cb69b1e7f8d270",
@@ -538,9 +546,10 @@ class TestRunners:
         # model_point's block is the dense covariance's, permuted to original coordinates
         cfg = dataclasses.replace(parse_config(SIZE_CFG), null_source="nu2", k_u=8, loading_k=60, p=60, n=150)
         xi = harness.build_loading(cfg)
+        sampler = priors.prior_sampler("nu2", xi, 8, 150, 5.0)
         for rep in range(3):
             seed = harness.replicate_seed(cfg.master_seed, rep, "prior")
-            draw = next(priors.valid_draws(lambda s: priors.sample_nu2_prior(xi, 8, 150, 60, 5.0, seed=s), seed))
+            draw = next(d for s in itertools.count(seed) if (d := single(sampler(s, 1))).valid)
             theta = draw.model_point(xi, cfg.t0)
             inv = np.argsort(xi.perm)
             sigma = joint_covariance(draw)[1:, 1:]
@@ -595,9 +604,13 @@ class TestRunners:
             assert any(r.metric == "mean/reject/null/mixed" for r in rows)
 
     def test_every_replicate_null_is_a_valid_draw(self, monkeypatch):
-        # each replicate's null is the first valid draw from its prior seed on, never the point null
+        # each replicate's null is the first valid draw from its prior seed on, never the point null; the
+        # replicates draw stacks of one, one seed at a time
+        def draw_bits(d):  # every field of a PriorDraw, arrays as their bytes
+            return [v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(d).values()]
+
         drawn, nulls = [], []
-        for name in ("sample_nu1_prior", "sample_nu2_prior"):
+        for name in ("_nu1_stack", "_nu2_stack"):
             fn = getattr(priors, name)
             monkeypatch.setattr(priors, name, lambda *a, fn=fn, **kw: drawn.append(fn(*a, **kw)) or drawn[-1])
         model_point = priors.PriorDraw.model_point
@@ -607,9 +620,10 @@ class TestRunners:
                 parse_config(SIZE_CFG), reps=6, null_source=src, k_u=8, loading_k=30, p=60, n=150
             )
             run_experiment(cfg)
+            rows = [single(stack) for stack in drawn]
             assert len(nulls) == cfg.reps and all(d.valid and d.kind == src for d in nulls)
-            assert [id(d) for d in drawn if d.valid] == list(map(id, nulls)) and drawn[-1].valid
-            assert (src == "nu1") == any(not d.valid for d in drawn)  # nu1 redraws here, nu2 never
+            assert [draw_bits(d) for d in rows if d.valid] == [draw_bits(d) for d in nulls] and rows[-1].valid
+            assert (src == "nu1") == any(not d.valid for d in rows)  # nu1 redraws here, nu2 never
             drawn.clear()
             nulls.clear()
 
@@ -629,7 +643,7 @@ class TestRunners:
         assert len(seen) == 15
         sampler = priors.prior_sampler("nu2", harness.build_loading(cfg), cfg.k_u, cfg.n, cfg.sigma_star)
         for first, drawn in zip(firsts, offsets):
-            assert [sampler(first + i).valid for i in drawn] == [False] * (len(drawn) - 1) + [True]
+            assert [single(sampler(first + i, 1)).valid for i in drawn] == [False] * (len(drawn) - 1) + [True]
 
     def test_stalled_prior_null_is_a_numerical_failure(self):
         # at the criterion-3 problem 297 of 300 nu2 draws have kappa > 1
@@ -645,7 +659,10 @@ class TestRunners:
             return lambda *args, seed, **kwargs: seen.append(seed) or fn(*args, seed=seed, **kwargs)
 
         monkeypatch.setattr(harness, "CoordinateDataset", spy(harness.CoordinateDataset))
-        monkeypatch.setattr(priors, "sample_nu2_prior", spy(priors.sample_nu2_prior))
+        nu2_stack = priors._nu2_stack  # a nu2 null's seeds, one stack of one per seed
+        monkeypatch.setattr(
+            priors, "_nu2_stack", lambda *args, **kwargs: seen.extend(args[4]) or nu2_stack(*args, **kwargs)
+        )
         cfg = dataclasses.replace(
             parse_config(SIZE_CFG), n=40, p=12, k_u=4, reps=4, null_source="nu2", tau_grid="1.0", modes="plugin"
         )

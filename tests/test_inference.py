@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import os
@@ -25,10 +26,10 @@ from adaptest.estimators import (
 from adaptest import model
 from adaptest.harness import null_point, parse_config, run_experiment
 from adaptest.model import ModelParams, generate_dataset, make_loading, stream
-from adaptest.priors import sample_nu2_prior, valid_draws
+from adaptest.priors import prior_sampler
 from adaptest.profiles import MODERATELY_SPARSE, ULTRA_SPARSE, cutoff_and_regime, example_profiles, log_grid
 from adaptest.profiles import regular_profile
-from oracles import debiased_ci, plugin_ci
+from oracles import debiased_ci, plugin_ci, single
 from test_estimators import criterion3_theta
 from test_harness import golden_dataset
 
@@ -513,7 +514,8 @@ def test_coordinate_datasets_match_rows_in_law():
     n, p, k_u, reps = 60, 120, 3, 500
     xi = example_profiles("subweibull", {"q": 2.0, "p": p, "k_u": k_u}, 1)
     problem = problem_of(xi=xi, t0=8.0, k_u=k_u, alpha=0.05, eta=0.05)
-    nu2 = next(valid_draws(lambda s: sample_nu2_prior(xi, 8, n, p, 5.0, seed=s), 0))
+    sampler = prior_sampler("nu2", xi, 8, n, 5.0)
+    nu2 = next(d for s in itertools.count() if (d := single(sampler(s, 1))).valid)
     points = (null_point(xi, k_u, 8.0, 1.0), null_point(xi, k_u, 20.0, 1.0), nu2.model_point(xi, 8.0))
     assert [theta.design_factor[0].size for theta in points] == [0, 0, 4]
     for offset, theta in enumerate(points):

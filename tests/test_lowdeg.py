@@ -1,6 +1,6 @@
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -15,12 +15,8 @@ from adaptest.harness import build_loading, parse_config
 from adaptest.model import csv_text, make_loading, stream
 
 
-def tiny_comp_sampler(xi, seed, c8=0.4, c9=0.05):
-    return pri.sample_comp_prior(
-        xi, 1, 2, 1,
-        c8=c8, c9=c9, seed=seed, sigma_star=1.0,
-        k_eff_override=2, s1_override=1,
-    )
+def tiny_comp_sampler(xi, c8=0.4, c9=0.05):
+    return pri.prior_sampler("comp", xi, 1, 2, 1.0, degree=1, c8=c8, c9=c9, k_eff_override=2, s1_override=1)
 
 
 def indices_up_to(width: int, degree: int):
@@ -72,8 +68,15 @@ def factor_pairs(draw):
     return Factors(vec(wu), vec(wv)), Factors(vec(wu), vec(wv))
 
 
-def valid_draws(xi, count, start=0):
-    return list(islice(pri.valid_draws(lambda s: tiny_comp_sampler(xi, s), start), count))
+def valid_tiny_draws(xi, count, start=0):
+    """The first `count` valid draws of the tiny comp prior from seed `start` on, as rows of its stacks."""
+    return [stack.row(i) for stack, rows in pri.valid_rows(tiny_comp_sampler(xi), start, count) for i in rows]
+
+
+def overlap(a, b):
+    """The rank-one overlap x = (r1'r2)(c1'c2) of two draws."""
+    (r1, c1), (r2, c2) = a.rank_one_factors(), b.rank_one_factors()
+    return float(r1 @ r2) * float(c1 @ c2)
 
 
 def point_mass_draw(xi, sigma_star):
@@ -128,7 +131,7 @@ class TestLdNorm:
     xi = make_loading([1.0, 0.9, 0.8])
 
     def test_degree_zero_is_one(self):
-        draws = valid_draws(self.xi, 6)
+        draws = valid_tiny_draws(self.xi, 6)
         assert ld.ld_norm(draws, 0, 2) == 1.0
 
     def test_point_mass_is_one(self):
@@ -137,7 +140,7 @@ class TestLdNorm:
             assert ld.ld_norm(draws, deg, 2) == 1.0
 
     def test_nondecreasing_in_degree_and_at_least_one(self):
-        draws = valid_draws(self.xi, 20)
+        draws = valid_tiny_draws(self.xi, 20)
         vals = [ld.ld_norm(draws, d, 2) for d in range(5)]
         assert vals[0] == 1.0
         for a, b in zip(vals, vals[1:]):
@@ -145,13 +148,13 @@ class TestLdNorm:
         assert all(v >= 1.0 for v in vals)
 
     def test_converges_to_closed_form(self):
-        draws = valid_draws(self.xi, 10)
+        draws = valid_tiny_draws(self.xi, 10)
         pairs = [(draws[i], draws[i + 1]) for i in range(0, 9, 2)]
         closed = float(np.mean([pri.chi2_pair_closed_form(a, b, 2) for a, b in pairs]))
         assert ld.ld_norm(draws, 8, 2) == pytest.approx(closed, rel=1e-9)
 
     def test_sign_alignment_per_index(self):
-        d1, d2 = valid_draws(self.xi, 2)
+        d1, d2 = valid_tiny_draws(self.xi, 2)
         r1, c1 = d1.rank_one_factors()
         r2, c2 = d2.rank_one_factors()
         for alpha in indices_up_to(r1.size + c1.size, 3):
@@ -164,11 +167,11 @@ class TestLdNorm:
     @settings(max_examples=80, deadline=None)
     def test_closed_form_matches_hermite_enumeration(self, pair, n, degree):
         a, b = pair
-        fast = ld.ld_norms([pri.rank_one_overlap(a, b)], degree, n)[-1]
+        fast = ld.ld_norm([a, b], degree, n)
         slow = brute_force_ld_pair(a, b, degree, n)
         # relative to the series' absolute sum, which bounds |fast| and
         # stays the scale of the rounding when a negative overlap cancels
-        x = pri.rank_one_overlap(a, b)
+        x = overlap(a, b)
         scale = sum(math.comb(n + m - 1, m) * abs(x) ** m for m in range(degree // 2 + 1))
         assert abs(fast - slow) <= 1e-13 * scale
 
@@ -182,7 +185,7 @@ class TestLdNorm:
         assert got == [float(np.mean([series(x, d, n) for x in overlaps])) for d in range(degree_max + 1)]
 
     def test_odd_degree_adds_nothing(self):
-        draws = valid_draws(self.xi, 8)
+        draws = valid_tiny_draws(self.xi, 8)
         for m in range(3):
             assert ld.ld_norm(draws, 2 * m + 1, 2) == ld.ld_norm(draws, 2 * m, 2)
 
@@ -215,10 +218,10 @@ class TestLowdegCli:
             "comp", build_loading(cfg), cfg.k_u, cfg.n, cfg.sigma_star, degree=1, c8=cfg.c8, c9=cfg.c9,
             k_eff_override=cfg.k_eff, s1_override=cfg.s1,
         )
-        stacks = pri.valid_rows(sampler.stack, cfg.master_seed, 2 * cfg.pairs)
+        stacks = pri.valid_rows(sampler, cfg.master_seed, 2 * cfg.pairs)
         draws = [stack.row(i) for stack, rows in stacks for i in rows]
-        pairs = list(pri.draw_pairs(draws))
-        overlaps = [pri.rank_one_overlap(a, b) for a, b in pairs]
+        pairs = list(zip(draws[::2], draws[1::2]))
+        overlaps = [overlap(a, b) for a, b in pairs]
         chi2_ref = float(np.mean([pri.chi2_pair_closed_form(a, b, cfg.n) for a, b in pairs])) - 1.0
         rows = []
         for deg in range(cfg.degree_max + 1):
@@ -275,6 +278,6 @@ class TestUniformBound:
 
     def test_dominates_tiny_instances(self):
         xi = make_loading([1.0, 0.9, 0.8])
-        draws = valid_draws(xi, 6)
+        draws = valid_tiny_draws(xi, 6)
         for deg in (1, 2):
             assert math.log(ld.ld_norm(draws, deg, 2)) <= ld.ld_uniform_bound(2, 3, deg)

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -11,19 +11,20 @@ from adaptest import priors as pri
 from adaptest.errors import DivergentIntegral, RegimeViolation
 from adaptest.model import M1, M2, make_loading, stream
 from adaptest.profiles import nu1 as nu1_value
-from oracles import h_map, joint_covariance
+from oracles import h_map, joint_covariance, single
 
 
 def diag_reference(p, sigma_star):
     return np.diag(np.concatenate(([sigma_star**2], np.ones(p))))
 
 
-def point_mass_draw(xi, sigma_star):
-    """The degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
+def point_mass(xi, sigma_star):
+    """The stack of one degenerate draw at the reference alternative (beta = 0, Sigma = I)."""
     return pri.PriorDraw(
-        kind="nu1", lead=np.zeros(0), trail=np.zeros(xi.p), kappa=0.0, tau=0.0, beta=np.zeros(xi.p),
-        noise_sd=sigma_star, eig_min=1.0, eig_max=1.0, valid=True, reason="point_mass", sigma_star=sigma_star,
-        sparsity=0, residual=0.0,
+        kind="nu1", lead=np.zeros((1, 0)), trail=np.zeros((1, xi.p)), kappa=np.zeros(1), tau=0.0,
+        beta=np.zeros((1, xi.p)), noise_sd=np.full(1, sigma_star), eig_min=np.ones(1), eig_max=np.ones(1),
+        valid=np.ones(1, dtype=bool), reason=np.array(["point_mass"]), sigma_star=sigma_star, sparsity=np.zeros(1, int),
+        residual=np.zeros(1),
     )
 
 
@@ -90,16 +91,17 @@ class TestNu1Prior:
 
     def test_identity_design(self):
         tau = 0.0125 * nu1_value(self.xi, 10) / math.sqrt(400)
-        d = pri.sample_nu1_prior(self.xi, 10, 400, tau, seed=0)
+        d = single(pri.prior_sampler("nu1", self.xi, 10, 400, 5.0, tau=tau)(0, 1))
         assert np.array_equal(joint_covariance(d)[1:, 1:], np.eye(200))
         assert d.eig_min == d.eig_max == 1.0
 
     @pytest.mark.parametrize("c4, c5", [(0.1, 0.5), (0.2, 0.3)])
     def test_unset_tau_is_the_default_formula(self, c4, c5):
         tau = (c4 * c5 / 4.0) * nu1_value(self.xi, 10) / math.sqrt(400)
+        unset = pri.prior_sampler("nu1", self.xi, 10, 400, 5.0, c4=c4, c5=c5)
+        given = pri.prior_sampler("nu1", self.xi, 10, 400, 5.0, tau=tau, c4=c4, c5=c5)
         for seed in range(5):
-            d = pri.sample_nu1_prior(self.xi, 10, 400, c4=c4, c5=c5, seed=seed)
-            e = pri.sample_nu1_prior(self.xi, 10, 400, tau, c4=c4, c5=c5, seed=seed)
+            d, e = single(unset(seed, 1)), single(given(seed, 1))
             assert d.tau == tau and np.array_equal(d.beta, e.beta) and d.valid == e.valid
 
     def test_bernoulli_rate_sum_at_positive_lambda(self):
@@ -116,11 +118,12 @@ class TestNu1Prior:
         expect = (c5 / math.sqrt(n)) * float(np.sum(np.maximum(np.abs(self.xi.coords[:k]), lam)))
         assert forced == pytest.approx(expect, rel=1e-12)
 
-    def test_valid_draws_satisfy_null_constraint(self):
+    def test_each_valid_draw_satisfies_null_constraint(self):
         tau = 0.0125 * nu1_value(self.xi, 10) / math.sqrt(400)
+        sampler = pri.prior_sampler("nu1", self.xi, 10, 400, 5.0, tau=tau)
         n_val = 0
         for seed in range(500):
-            d = pri.sample_nu1_prior(self.xi, 10, 400, tau, seed=seed)
+            d = single(sampler(seed, 1))
             if d.valid:
                 n_val += 1
                 assert abs(d.residual) <= 1e-10 * max(abs(tau), 1.0)
@@ -166,7 +169,7 @@ class TestCompPrior:
         with pytest.raises(RegimeViolation):
             pri.sample_comp_prior(xi, 40, 200, 4, seed=0)
 
-    def test_validity_checks_on_valid_draws(self):
+    def test_validity_checks_on_each_valid_draw(self):
         p, k_u, n = 500, 32, 2000
         xi = make_loading(np.concatenate((np.ones(200), np.zeros(p - 200))))
         n_val = 0
@@ -182,24 +185,25 @@ class TestCompPrior:
 
 class TestValidDraws:
     def test_seed_order_and_fifty_misses_in_a_row(self):
-        base = point_mass_draw(make_loading(np.ones(3)), 1.0)
+        base = point_mass(make_loading(np.ones(3)), 1.0)
 
-        def sampler(s):  # valid at even seeds below 10 and at 58: 49 misses, then 50
-            return dataclasses.replace(base, tau=float(s), valid=(s < 10 and s % 2 == 0) or s == 58)
+        def sampler(s, rows):  # stacks of one, valid at even seeds below 10 and at 58: 49 misses, then 50
+            return dataclasses.replace(base, tau=float(s), valid=np.array([(s < 10 and s % 2 == 0) or s == 58]))
 
-        draws = pri.valid_draws(sampler, 0)
+        draws = (stack.row(i) for stack, rows in pri.valid_rows(sampler, 0, math.inf) for i in rows)
         assert [next(draws).tau for _ in range(6)] == [0.0, 2.0, 4.0, 6.0, 8.0, 58.0]
         with pytest.raises(RegimeViolation):
             next(draws)
 
     def test_stall_names_the_most_frequent_reason(self):
-        base = point_mass_draw(make_loading(np.ones(3)), 1.0)
+        base = point_mass(make_loading(np.ones(3)), 1.0)
 
-        def sampler(s):  # valid at 3; of the 50 misses after it (seeds 4-53) 40 are noise_bound
+        def sampler(s, rows):  # stacks of one, valid at 3; of the 50 misses after it (seeds 4-53) 40 are noise_bound
             why = "eigenvalue_window" if s < 3 else "noise_bound" if s % 5 else "sparsity_cap"
-            return dataclasses.replace(base, valid=s == 3, reason="point_mass" if s == 3 else why)
+            reason = "point_mass" if s == 3 else why
+            return dataclasses.replace(base, valid=np.array([s == 3]), reason=np.array([reason]))
 
-        draws = pri.valid_draws(sampler, 0)
+        draws = (stack.row(i) for stack, rows in pri.valid_rows(sampler, 0, math.inf) for i in rows)
         assert next(draws).reason == "point_mass"
         with pytest.raises(RegimeViolation, match="50 invalid in a row, 40 noise_bound$"):
             next(draws)
@@ -297,7 +301,7 @@ class TestChi2Integral:
         rng = stream(21, 0)
         grid = np.linspace(-6.0, 6.0, 60)
         step = grid[1] - grid[0]
-        xs = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+        xs = np.column_stack([g.ravel() for g in np.meshgrid(grid, grid, grid, indexing="ij")])
 
         def density(cov):
             inv = np.linalg.inv(cov)
@@ -319,7 +323,7 @@ class TestChi2Integral:
 class TestChi2MixtureMC:
     def test_point_mass_is_zero(self):
         xi = make_loading(np.ones(10))
-        sampler = lambda s: point_mass_draw(xi, 5.0)
+        sampler = lambda s, rows: point_mass(xi, 5.0)
         est, se = pri.chi2_mixture_mc(sampler, 4, 100, seed=0)
         assert est == 0.0
         assert se == 0.0
@@ -328,7 +332,7 @@ class TestChi2MixtureMC:
         p, k_u, n = 200, 16, 400
         xi = make_loading(np.ones(p))
         sigma_star = 5.0
-        sampler = lambda s: pri.sample_nu2_prior(xi, k_u, n, p, sigma_star, seed=s)
+        sampler = pri.prior_sampler("nu2", xi, k_u, n, sigma_star)
         est, se = pri.chi2_mixture_mc(sampler, n, 150, seed=3)
         assert est <= 0.5
         c3 = 2.0 * (1.0 / sigma_star**2 + 1.0)
@@ -341,10 +345,10 @@ class TestChi2MixtureMC:
         n, k_u, c4, sigma_star = 400, 10, 0.1, 5.0
         tau = 0.0125 * nu1_value(xi, k_u) / math.sqrt(n)
         c7 = 2.0 / sigma_star**2
+        sampler = pri.prior_sampler("nu1", xi, k_u, n, sigma_star, tau=tau, c4=c4)
         vals = []
         for i in range(500):
-            d1 = pri.sample_nu1_prior(xi, k_u, n, tau, c4=c4, seed=2 * i, sigma_star=sigma_star)
-            d2 = pri.sample_nu1_prior(xi, k_u, n, tau, c4=c4, seed=2 * i + 1, sigma_star=sigma_star)
+            d1, d2 = single(sampler(2 * i, 1)), single(sampler(2 * i + 1, 1))
             vals.append(math.exp(c7 * n * float(d1.trail @ d2.trail)))
         mean = float(np.mean(vals))
         se = float(np.std(vals, ddof=1)) / math.sqrt(len(vals))
@@ -357,15 +361,12 @@ def _mixture_samplers():
     xi1 = make_loading(np.concatenate((np.ones(20), np.zeros(20))))
     tau = 0.0125 * nu1_value(xi1, 10) / math.sqrt(400)
     xic = make_loading(np.ones(40))
-
-    def comp(s):
-        return pri.sample_comp_prior(xic, 16, 400, 1, seed=s, k_eff_override=26, s1_override=3)
-
+    comp = pri.prior_sampler("comp", xic, 16, 400, 5.0, degree=1, k_eff_override=26, s1_override=3)
     return {
-        "nu2": (lambda s: pri.sample_nu2_prior(xi2, 8, 500, 40, 5.0, seed=s), 40, 500),
-        "nu1": (lambda s: pri.sample_nu1_prior(xi1, 10, 400, tau, seed=s, sigma_star=5.0), 40, 400),
+        "nu2": (pri.prior_sampler("nu2", xi2, 8, 500, 5.0), 40, 500),
+        "nu1": (pri.prior_sampler("nu1", xi1, 10, 400, 5.0, tau=tau), 40, 400),
         "comp": (comp, 40, 400),
-        "point_mass": (lambda s: point_mass_draw(make_loading(np.ones(10)), 5.0), 10, 4),
+        "point_mass": (lambda s, rows: point_mass(make_loading(np.ones(10)), 5.0), 10, 4),
     }
 
 
@@ -398,13 +399,13 @@ PRIOR_CASES = {
 def test_every_valid_draw_has_rank_one_norm_below_one(kind, seed, sigma_star, data):
     # |r||c| < 1 on each valid draw, so by Cauchy-Schwarz every pair of valid draws has overlap x < 1
     if kind == "point_mass":
-        draws = [point_mass_draw(make_loading(np.ones(10)), sigma_star)]
+        draws = [single(point_mass(make_loading(np.ones(10)), sigma_star))]
     else:
         coords, k_u, fixed, strategies = PRIOR_CASES[kind]
         consts = {key: data.draw(strategy, label=key) for key, strategy in strategies.items()}
         n = consts.pop("n")
         sampler = pri.prior_sampler(kind, make_loading(coords), k_u, n, sigma_star, **fixed, **consts)
-        draws = [sampler(s) for s in range(seed, seed + 4)]
+        draws = [single(sampler(s, 1)) for s in range(seed, seed + 4)]
     for r, c in (d.rank_one_factors() for d in draws if d.valid):
         assert np.linalg.norm(r) * np.linalg.norm(c) < 1.0
 
@@ -417,7 +418,8 @@ class TestChi2Routing:
     def test_routed_matches_dense_only(self, kind, monkeypatch):
         sampler, p, n = _mixture_samplers()[kind]
         ref = diag_reference(p, 5.0)
-        pairs = islice(pri.draw_pairs(pri.valid_draws(sampler, 7)), 100)
+        valid = (d for s in count(7) if (d := single(sampler(s, 1))).valid)
+        pairs = islice(zip(valid, valid), 100)  # consecutive disjoint pairs of the valid draws from seed 7 on
         dense = np.array([pri.chi2_pair_integral(joint_covariance(a), joint_covariance(b), ref, n) for a, b in pairs])
         oracle = (float(np.mean(dense)) - 1.0, float(np.std(dense, ddof=1) / math.sqrt(100)))
         # chi2_mixture_mc scores stack rows with the closed-form expression that chi2_pair_closed_form shares
@@ -434,9 +436,10 @@ class TestChi2Routing:
     @pytest.mark.parametrize("kappa", [1.0, 2.0])
     def test_closed_form_diverges_at_overlap_one(self, kappa):
         # r = (kappa / sigma_star) and c = e_1, so a draw's overlap with itself is kappa^2
-        base = point_mass_draw(make_loading(np.ones(4)), 1.0)
-        d = dataclasses.replace(base, kappa=kappa, trail=np.eye(4)[0])
-        assert pri.rank_one_overlap(d, d) == kappa**2
+        base = point_mass(make_loading(np.ones(4)), 1.0)
+        stack = dataclasses.replace(base, kappa=np.array([kappa]), trail=np.eye(4)[:1])
+        assert pri.pair_overlaps(lambda s, rows: stack, 0, 1) == [kappa**2]
+        d = single(stack)
         with pytest.raises(DivergentIntegral):
             pri.chi2_pair_closed_form(d, d, 3)
         below = dataclasses.replace(d, kappa=0.5)
@@ -486,7 +489,7 @@ def test_warm_memo_draws_equal_fresh_loading_draws(kind, monkeypatch):
     seeds = range(12)
 
     def draw(xi, n, consts, seed):
-        return _draw_bits(pri.prior_sampler(kind, xi, k_u, n, 5.0, **fixed, **consts)(seed))
+        return _draw_bits(single(pri.prior_sampler(kind, xi, k_u, n, 5.0, **fixed, **consts)(seed, 1)))
 
     fresh = [[draw(make_loading(coords), n, consts, s) for s in seeds] for n, consts in cases]
     calls = []
@@ -519,11 +522,11 @@ def test_stacked_rows_equal_single_draws(kind, seed, sigma_star, rows, cap_rows,
     with pytest.MonkeyPatch.context() as mp:  # the sampler reads the cap when it is made
         mp.setattr(pri, "_STACK_ENTRIES", 40 * cap_rows + cap_extra)
         sampler = pri.prior_sampler(kind, make_loading(coords), k_u, n, sigma_star, **fixed, **consts)
-    stack = sampler.stack(seed, rows)
+    stack = sampler(seed, rows)
     assert stack.valid.shape == stack.reason.shape == (min(rows, max(cap_rows, 1)),)
     assert stack.lead.shape[0] == stack.trail.shape[0] == stack.beta.shape[0] == stack.valid.size
     for i in range(stack.valid.size):
-        assert _draw_bits(stack.row(i)) == _draw_bits(sampler(seed + i))
+        assert _draw_bits(stack.row(i)) == _draw_bits(single(sampler(seed + i, 1)))
 
 
 def _reason_rows():
@@ -566,12 +569,12 @@ def test_valid_rows_draw_no_seed_past_the_last_one_wanted():
     # a third of these nu1 draws are invalid: each stack asks for the valid draws still wanted, the stacks
     # cover consecutive seeds, and they end at the seed of the 30th valid draw
     sampler = pri.prior_sampler("nu1", make_loading(np.r_[np.ones(20), np.zeros(20)]), 10, 400, 5.0)
-    valid_seeds = [s for s in range(100, 400) if sampler(s).valid][:30]
+    valid_seeds = [s for s in range(100, 400) if single(sampler(s, 1)).valid][:30]
     asked, found = [], []
 
     def stacks(seed, wanted):
         asked.append((seed, wanted))
-        return sampler.stack(seed, wanted)
+        return sampler(seed, wanted)
 
     for stack, rows in pri.valid_rows(stacks, 100, 30):
         found += [asked[-1][0] + i for i in rows]

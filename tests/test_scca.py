@@ -16,6 +16,7 @@ from adaptest.errors import BudgetExceeded, NotPositiveDefinite, OddSampleSize
 from adaptest.harness import parse_config
 from adaptest.inference import mixed_test
 from adaptest.model import stream
+from oracles import single
 
 
 class TestStatistics:
@@ -313,7 +314,7 @@ class TestStackedScoring:
             mp.setattr(scca, "_SCAN_BLOCK", k * params.p1 * params.p2)
             got = scca.stat_samples(params, hypothesis, seed, first, reps)
         for i in range(reps):
-            r = scca.sample_cross_covariance(params, hypothesis, seed, first + i)
+            r = single(scca.sample_cross_covariances(params, hypothesis, seed, [first + i]))
             want = {
                 "scan": _scan_by_loop(r, params.s),
                 "entrywise": float(r.max()),
@@ -374,7 +375,7 @@ class TestStackedDraws:
         drawn = [r for stack in stacked for r in stack]
         for i, r in enumerate(drawn):
             assert r.shape == (p1, p2)
-            assert r.tobytes() == scca.sample_cross_covariance(params, hypothesis, seed, first + i).tobytes()
+            assert r.tobytes() == single(scca.sample_cross_covariances(params, hypothesis, seed, [first + i])).tobytes()
             assert r.tobytes() == _one_draw_oracle(params, hypothesis, seed, first + i).tobytes()
 
     @pytest.mark.parametrize("hypothesis", ["null", "alt"])
@@ -436,7 +437,9 @@ class TestExactLawSampler:
         # B factor moves these laws well beyond the KS noise at 2,000 draws
         params = scca.SccaParams(n=12, s=2, p1=4, p2=6, lam=0.8)
         draws = 2000
-        ours = [scca.stat_values(scca.sample_cross_covariance(params, hypothesis, i), 2) for i in range(draws)]
+        ours = [
+            scca.stat_values(single(scca.sample_cross_covariances(params, hypothesis, i, [0])), 2) for i in range(draws)
+        ]
         rows = [
             scca.stat_values(scca.gen_scca(params, hypothesis, 50_000 + i).cross_covariance(), 2) for i in range(draws)
         ]
@@ -456,7 +459,7 @@ class TestExactLawSampler:
         # n <= p1 has no Bartlett factor: the sampler returns gen_scca's own R_hat, bit for bit
         index = base + i if base else 0
         want = scca.gen_scca(params, hypothesis, seed, index).cross_covariance()
-        assert np.array_equal(scca.sample_cross_covariance(params, hypothesis, seed, index), want)
+        assert np.array_equal(single(scca.sample_cross_covariances(params, hypothesis, seed, [index])), want)
 
     @pytest.mark.parametrize("hypothesis", ["null", "alt"])
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -465,14 +468,14 @@ class TestExactLawSampler:
         params = scca.SccaParams(n=n, s=2, p1=5, p2=7, lam=0.6)
         for seed in range(5):
             want = scca.gen_scca(params, hypothesis, seed).cross_covariance()
-            assert _max_rel_diff(scca.sample_cross_covariance(params, hypothesis, seed), want) <= 1e-12
+            assert _max_rel_diff(single(scca.sample_cross_covariances(params, hypothesis, seed, [0])), want) <= 1e-12
 
     @pytest.mark.parametrize("hypothesis", ["null", "alt"])
     def test_deterministic_per_seed(self, hypothesis):
         params = scca.SccaParams(n=300, s=2, p1=6, p2=9, lam=0.4)
-        a = scca.sample_cross_covariance(params, hypothesis, 21)
-        assert a.tobytes() == scca.sample_cross_covariance(params, hypothesis, 21).tobytes()
-        assert a.tobytes() != scca.sample_cross_covariance(params, hypothesis, 22).tobytes()
+        a = single(scca.sample_cross_covariances(params, hypothesis, 21, [0]))
+        assert a.tobytes() == single(scca.sample_cross_covariances(params, hypothesis, 21, [0])).tobytes()
+        assert a.tobytes() != single(scca.sample_cross_covariances(params, hypothesis, 22, [0])).tobytes()
 
     def test_plants_gen_scca_support(self, monkeypatch):
         params = scca.SccaParams(n=300, s=3, p1=8, p2=12, lam=0.4)
@@ -486,7 +489,7 @@ class TestExactLawSampler:
         monkeypatch.setattr(scca, "_planted", recorded)
         for seed in range(5):
             planted.clear()
-            scca.sample_cross_covariance(params, "alt", seed)
+            single(scca.sample_cross_covariances(params, "alt", seed, [0]))
             inst = scca.gen_scca(params, "alt", seed)
             assert len(planted) == 4
             assert np.array_equal(planted[0], inst.delta1) and np.array_equal(planted[1], inst.delta2)
@@ -494,6 +497,6 @@ class TestExactLawSampler:
 
     def test_same_checks_as_gen_scca(self):
         with pytest.raises(NotPositiveDefinite):
-            scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=1.0), "alt", 0)
+            single(scca.sample_cross_covariances(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=1.0), "alt", 0, [0]))
         with pytest.raises(ValueError):
-            scca.sample_cross_covariance(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=0.1), "planted", 0)
+            single(scca.sample_cross_covariances(scca.SccaParams(n=10, s=1, p1=2, p2=2, lam=0.1), "planted", 0, [0]))
