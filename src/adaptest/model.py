@@ -268,9 +268,11 @@ def csv_cell(v) -> str:
 
 
 def csv_text(header: str, rows) -> str:
-    """A table as CSV text: the comma-separated header line, then one line
-    per row of values, each cell written by `csv_cell`."""
-    return "".join([header, "\n"] + [",".join(map(csv_cell, row)) + "\n" for row in rows])
+    """A table as CSV text: the comma-separated header line, then one line per row of values, each cell written
+    by `csv_cell` (a cell of type exactly float, int or str by str(), the same text without the dispatch)."""
+    return "".join([header, "\n"] + [
+        ",".join([str(v) if type(v) in (float, int, str) else csv_cell(v) for v in row]) + "\n" for row in rows
+    ])
 
 
 def dataset_to_csv(ds: Dataset, fh: io.TextIOBase) -> None:

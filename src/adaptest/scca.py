@@ -2,15 +2,16 @@
 the pairwise reduction to linear-functional testing.
 
 An instance is n paired Gaussian rows (U1, U2); under the alternative a
-hidden s x s block of the cross-covariance carries the value lambda / s.
+hidden s x s block of the cross-covariance C carries the value lambda / s,
+and U2 = U1 C + E M with M the rank-one symmetric square root of I - C'C.
 Five statistics of the sample cross-covariance R_hat = U1'U2 / n are
 implemented with their thresholds and detection-boundary formulas.  They
 take R_hat alone, so for n > p1 sample_cross_covariances draws a stack of
 them from their exact law (a Bartlett factor of the Wishart U1'U1) in
 about p1 (p1 + 1) / 2 + p1 p2 normals each, read from each draw's own
 stream (`model.streams`), then decodes every planted support and forms
-every factor and product with one batched operation per stack; for
-n <= p1 each is gen_scca's own R_hat.  Every statistic works on the last
+every factor and product per stack, by batched mat-vecs and one batched
+product, never a p2 x p2 array; for n <= p1 each is gen_scca's own R_hat.  Every statistic works on the last
 two axes: stat_values scores one matrix or a stack.  stat_samples, the
 one draw-and-score loop of null calibration and the power sweep, draws
 and scores in stacks.  The reduction consumes rows two at a time and outputs a
@@ -88,42 +89,40 @@ def _planted(params: SccaParams, words: np.ndarray) -> tuple:
     return tuple(out)
 
 
-def gen_scca(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> SccaInstance:
-    """Sample an instance on stream(seed, index) by Cholesky of the joint (p1 + p2) covariance.
+def _second_block(params: SccaParams, u1: np.ndarray, e: np.ndarray, d1, d2) -> np.ndarray:
+    """U2 = U1 C + E M for C = lam d1 d2' and M = I - c d2 d2', the symmetric square root of I - C'C, so that iid
+    standard normal rows of (U1, E) give rows of (U1, U2) with covariance [[I, C], [C', I]].  M M = I - (2 c -
+    c^2 |d2|^2) d2 d2' and C'C = lam^2 |d1|^2 d2 d2', so c = lam^2 |d1|^2 / (1 + sqrt(1 - lam^2 |d1|^2 |d2|^2)),
+    the root written without cancellation.  By mat-vecs, with no p2 x p2 array, for each draw of a stack (the
+    last two axes of u1 and e, the last axis of d1 and d2, hold one draw); d1 = None is the null, U2 = E."""
+    if d1 is None:
+        return e
+    lam2_d1 = params.lam**2 * (d1 * d1).sum(axis=-1)
+    c = (lam2_d1 / (1.0 + np.sqrt(1.0 - lam2_d1 * (d2 * d2).sum(axis=-1))))[..., None, None]
+    return e + (params.lam * (u1 @ d1[..., :, None]) - c * (e @ d2[..., :, None])) * d2[..., None, :]
 
-    Null: independent standard normals, the stream's draws as they are
-    (the identity is its own factor).  Alternative: planted directions
-    delta1, delta2 drawn uniformly by the stream's first 2 s raw words
-    (`_planted`), and joint cross block lambda delta1 delta2'.
+
+def gen_scca(params: SccaParams, hypothesis: str, seed: int, index: int = 0) -> SccaInstance:
+    """Sample an instance on stream(seed, index): n rows of (U1, E), the stream's p1 + p2 standard normals each.
+
+    Null: U2 = E.  Alternative: planted directions delta1, delta2 drawn
+    uniformly by the stream's first 2 s raw words (`_planted`), cross block
+    C = lambda delta1 delta2' and U2 = U1 C + E M (`_second_block`).
     """
     rng = stream(seed, index)
-    p1, p2 = params.p1, params.p2
     d1 = d2 = None
     if _plants(params, hypothesis):
         d1, d2 = (d[0] for d in _planted(params, rng.bit_generator.random_raw((1, 2 * params.s))))
-    z = rng.standard_normal((params.n, p1 + p2))
-    if d1 is not None:
-        joint = np.eye(p1 + p2)
-        joint[:p1, p1:] = params.lam * np.outer(d1, d2)
-        joint[p1:, :p1] = joint[:p1, p1:].T
-        z = z @ np.linalg.cholesky(joint).T
-    return SccaInstance(params=params, u1=z[:, :p1], u2=z[:, p1:], delta1=d1, delta2=d2)
+    z = rng.standard_normal((params.n, params.p1 + params.p2))
+    u1 = z[:, : params.p1]
+    u2 = _second_block(params, u1, z[:, params.p1 :], d1, d2)
+    return SccaInstance(params=params, u1=u1, u2=u2, delta1=d1, delta2=d2)
 
 
 def _cross_from_factor(params: SccaParams, a: np.ndarray, g: np.ndarray, d1, d2) -> np.ndarray:
-    """R_hat = (A A' C + A G B') / n from a factor A of U1'U1 = A A' and G, for each draw of a stack
-    (the last two axes of a and g, the last axis of d1 and d2, hold one draw).
-
-    gen_scca's joint Cholesky factor is [[I, 0], [C', B]] with
-    C = lam d1 d2' and B = chol(I - C'C), so U2 = U1 C + E B' and
-    U1'U2 = U1'U1 C + U1'E B'; given U1, U1'E has the law of A G for
-    standard normal G.  d1 = d2 = None is the null: C = 0, B = I.
-    """
-    if d1 is None:
-        return a @ g / params.n
-    c = params.lam * (d1[..., :, None] * d2[..., None, :])
-    b = np.linalg.cholesky(np.eye(params.p2) - np.swapaxes(c, -1, -2) @ c)
-    return a @ (np.swapaxes(a, -1, -2) @ c + g @ np.swapaxes(b, -1, -2)) / params.n
+    """R_hat = A (G + (lam A'd1 - c G d2) d2') / n from a factor A of U1'U1 = A A' and G, for each draw of a stack:
+    gen_scca's U1'U2 = U1'U1 C + U1'E M, and given U1, U1'E has the law of A G for standard normal G."""
+    return a @ _second_block(params, np.swapaxes(a, -1, -2), g, d1, d2) / params.n
 
 
 # Stream indices under one master seed: the `stats` draw is index 0, null
@@ -142,25 +141,25 @@ def sample_cross_covariances(params: SccaParams, hypothesis: str, seed: int, ind
     plant the same support.  For n > p1 the factor A of U1'U1 ~
     Wishart_p1(n, I) is Bartlett's: lower triangular with A_ii^2 ~
     chi2(n - i + 1) (i = 1..p1) and standard normals below the diagonal,
-    row by row, then the p1 x p2 normals of G: p1 (p1 + 1) / 2 + p1 p2
-    draws in all instead of n (p1 + p2).  The factors and products are then
-    formed for the whole stack at once.  For n <= p1, R_hat is gen_scca's own.
+    row by row, then the p1 x p2 normals of G, by one call: p1 (p1 + 1) / 2 + p1 p2
+    draws in all instead of n (p1 + p2).  The stack's factors and products are then
+    formed at once, with no p2 x p2 array.  For n <= p1, R_hat is gen_scca's own.
     """
     n, p1, p2, m = params.n, params.p1, params.p2, len(indices)
     if n <= p1:
         return np.array([gen_scca(params, hypothesis, seed, i).cross_covariance() for i in indices]).reshape(m, p1, p2)
-    chi, low, g = np.empty((m, p1)), np.empty((m, p1 * (p1 - 1) // 2)), np.empty((m, p1, p2))
+    chi, normals = np.empty((m, p1)), np.empty((m, p1 * (p1 - 1) // 2 + p1 * p2))
     plants, words = _plants(params, hypothesis), np.empty((m, 2 * params.s), dtype=np.uint64)
     df = n - np.arange(p1)
     for j, rng in enumerate(streams((seed, i) for i in indices)):
         if plants:
             words[j] = rng.bit_generator.random_raw(2 * params.s)
         chi[j] = rng.chisquare(df)
-        rng.standard_normal(out=low[j])
-        rng.standard_normal(out=g[j])
+        rng.standard_normal(out=normals[j])
     a = np.zeros((m, p1, p1))
     a[:, np.eye(p1, dtype=bool)] = np.sqrt(chi)
-    a[:, np.tri(p1, k=-1, dtype=bool)] = low  # strict lower triangle, row by row
+    a[:, np.tri(p1, k=-1, dtype=bool)] = normals[:, : -p1 * p2]  # strict lower triangle, row by row
+    g = normals[:, -p1 * p2 :].reshape(m, p1, p2)
     return _cross_from_factor(params, a, g, *(_planted(params, words) if plants else (None, None)))
 
 
@@ -320,11 +319,10 @@ def reduce_to_lt(
 
 def stat_samples(params: SccaParams, hypothesis: str, seed: int, first: int, reps: int) -> dict:
     """Each statistic's values over reps draws of R_hat, draw i on stream(seed, first + i), drawn and scored in
-    stacks; a stack's arrays (its factors, and the alternative's p2 x p2 factors of I - C'C) hold at most
+    stacks; a stack's arrays (its p1 x p1 factors and p1 x p2 matrices, under either hypothesis) hold at most
     _SCAN_BLOCK entries."""
     samples = {k: np.empty(reps) for k in STATISTICS}
-    p1, p2 = params.p1, params.p2
-    per = max(1, _SCAN_BLOCK // max(p1 * p1, p1 * p2, p2 * p2 if hypothesis == "alt" else 0))
+    per = max(1, _SCAN_BLOCK // (params.p1 * max(params.p1, params.p2)))
     for start in range(0, reps, per):
         stop = min(start + per, reps)
         stack = sample_cross_covariances(params, hypothesis, seed, range(first + start, first + stop))

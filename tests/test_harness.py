@@ -431,6 +431,11 @@ COMMAND_GOLDEN_CASES = {
     "prior_nu2": ("prior", "kind = nu2\nn = 1000\np = 200\nk_u = 16\nloading_k = 100\ndraws = 20\nchi2_reps = 100\n"),
     "prior_nu1": ("prior", "kind = nu1\nn = 1000\np = 100\nk_u = 8\nloading_k = 30\ndraws = 20\nchi2_reps = 100\n"),
     "prior_comp": ("prior", "kind = comp\nn = 2000\np = 500\nk_u = 32\nloading_k = 200\ndraws = 20\nchi2_reps = 100\n"),
+    # every draw is valid and 76 of the 100 chi-square pairs overlap (x != 0), so this digest pins which
+    # valid draws pair_overlaps pairs; the three above survive a re-pairing of the valid rows
+    "prior_nu2_pairs": (
+        "prior", "kind = nu2\nn = 1000\np = 20\nk_u = 16\nloading_k = 20\ndraws = 20\nchi2_reps = 100\n"
+    ),
     "lowdeg": (
         "lowdeg",
         "n = 2\np = 3\nk_u = 1\nk_eff = 2\ns1 = 1\nc8 = 0.4\nc9 = 0.05\nsigma_star = 1.0\ndegree_max = 4\n"
@@ -452,6 +457,7 @@ COMMAND_GOLDEN_SHA256 = {
     "prior_nu2": "fb24fd61e4942a61bd8cc0cf0e4297e92f05d709cc5cf85cf25e67fe5b129949",
     "prior_nu1": "a8079c355d6c5ccee69f43132d2e8afcdd952cc1968dee8ae224de4fe05e7b7b",
     "prior_comp": "e8f96f872f573eaf699fefcf4d070f734e9703da8270920b3fb14a10613ab9b7",
+    "prior_nu2_pairs": "0c7e6a3d4775665834c9b87f591d8f75e69073cbc9c9a8f71e2d13d5bef9b598",
     "lowdeg": "799d3e05e94b4011bd924febbc1ae6769ff045a8caa4d41350d31a2682590cb3",
     "lowdeg_free": "babd24f10ebe2ed2979cd15b0e8c44c785ab93d67ea78f4cbf3232dfe924d45e",
     "profile": "32d707aded1b1d8dec7fc84421f3d0bdc87e03caa0da8549f069074eede8b1fb",

@@ -42,6 +42,21 @@ def random_theta(rng, p, m1=10.0, m2=10.0):
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308])
 FINITE_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
 
+# table cells of every type a CSV table is given, the float edge values among them
+CSV_FLOATS = st.one_of(EDGE_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf, 1e16, 1e-5]), st.floats())
+CSV_CELLS = st.one_of(
+    CSV_FLOATS,
+    st.integers(),
+    st.booleans(),
+    st.text(),
+    st.none(),
+    CSV_FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.tuples(CSV_FLOATS, st.integers()),
+    arrays(np.float64, st.integers(0, 3), elements=CSV_FLOATS),
+    st.dictionaries(st.text(), CSV_FLOATS, max_size=3),
+)
+
 
 @st.composite
 def datasets(draw):
@@ -222,6 +237,13 @@ class TestSerialization:
         back = dataset_from_csv(buf)
         assert_same_values(back.x, ds.x)
         assert_same_values(back.y, ds.y)
+
+    @given(st.lists(st.lists(CSV_CELLS, max_size=6), max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_text_is_the_csv_cell_join(self, rows):
+        # csv_text writes a float, int or str cell by str(), without csv_cell's dispatch: the same text
+        want = "".join(["h\n"] + [",".join(map(model.csv_cell, row)) + "\n" for row in rows])
+        assert model.csv_text("h", rows) == want
 
 
 class TestProblemInvariants:

@@ -305,7 +305,7 @@ class TestStackedScoring:
         st.integers(2, 3).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, 3), st.integers(1, k - 1))),
     )
     def test_stacked_scoring_equals_the_per_draw_loop(self, params, hypothesis, seed, first, stacks):
-        # stacks of at most k draws (fewer where p1 or, under the alternative, p2 exceeds the other),
+        # stacks of at most k draws (fewer where p1 exceeds p2),
         # the last one partly full; each stack's row sets in blocks of p1 or more
         # (split wherever C(p1, s) exceeds the block), against each draw scored alone
         k, full, rest = stacks
@@ -326,7 +326,8 @@ class TestStackedScoring:
 
 
 def _one_draw_oracle(params, hypothesis, seed, index):
-    """R_hat by the one-draw arithmetic, written out: planted vectors, Bartlett factor, normals, products."""
+    """R_hat by the one-draw arithmetic, written out: planted vectors, Bartlett factor, normals, the rank-one
+    root M = I - c d2 d2' of I - C'C, products."""
     n, p1, p2 = params.n, params.p1, params.p2
     if n <= p1:
         return scca.gen_scca(params, hypothesis, seed, index).cross_covariance()
@@ -339,9 +340,10 @@ def _one_draw_oracle(params, hypothesis, seed, index):
     g = rng.standard_normal((p1, p2))
     if d1 is None:
         return a @ g / n
-    c = params.lam * np.outer(d1, d2)
-    b = np.linalg.cholesky(np.eye(p2) - c.T @ c)
-    return a @ (a.T @ c + g @ b.T) / n
+    lam2_d1 = params.lam**2 * (d1 * d1).sum()
+    c = lam2_d1 / (1.0 + math.sqrt(1.0 - lam2_d1 * (d2 * d2).sum()))
+    u2 = g + (params.lam * (a.T @ d1[:, None]) - c * (g @ d2[:, None])) * d2  # A'C + G M at U1 = A'
+    return a @ u2 / n
 
 
 class TestStackedDraws:
@@ -360,7 +362,7 @@ class TestStackedDraws:
         p1, p2 = params.p1, params.p2
         params = dataclasses.replace(params, n=params.n + p1 if rows == "n > p1" else params.n % p1 + 1)
         k, full, rest = stacks
-        reps, width = k * full + rest, max(p1 * p1, p1 * p2, p2 * p2 if hypothesis == "alt" else 0)
+        reps, width = k * full + rest, max(p1 * p1, p1 * p2)
         sampler, stacked = scca.sample_cross_covariances, []
 
         def recorded(*args):
@@ -380,7 +382,7 @@ class TestStackedDraws:
 
     @pytest.mark.parametrize("hypothesis", ["null", "alt"])
     def test_every_stacked_array_stays_within_the_block(self, hypothesis, monkeypatch):
-        # at p2 > p1 the alternative's p2 x p2 factors bound the stack: 65,536 // 1,600 = 40 draws, not 163
+        # under either hypothesis the p1 x p2 matrices bound the stack: 65,536 // 400 = 163 draws
         params = scca.SccaParams(n=4000, s=2, p1=10, p2=40, lam=0.1)
         sampler, sizes = scca.sample_cross_covariances, []
 
@@ -390,7 +392,7 @@ class TestStackedDraws:
 
         monkeypatch.setattr(scca, "sample_cross_covariances", recorded)
         scca.stat_samples(params, hypothesis, 3, scca.ALT_STREAMS, 170)
-        assert sizes == ([163, 7] if hypothesis == "null" else [40] * 4 + [10])
+        assert sizes == [163, 7]
 
 
 # scca outputs at master_seed = 7: the sweep at the bench's lower_bound instance, stats under the
@@ -404,10 +406,10 @@ GOLDEN_SCCA_CASES = {
 }
 GOLDEN_SCCA_SHA256 = {
     "sweep": "84b04b34d39579471c1591de48428f988ac2f7ae276cb9ab4498eb1e12ceb58b",
-    "stats_alt": "8254199f6299737af73a29e11ec3842d12a7fbdf86f9ccf54bf4bf073710a081",
+    "stats_alt": "a330f22ef5162932e9baedf89f506a149aef5bc273fb30d4fcc0089582ada10e",
     "stats_null_few_rows": "d55e733638151783b481adc28bafa12ed3aa9245ea55a7acdd6cd1e4d60b420b",
-    "generate": "513f32fb53f0df51355b4e39054a1fa1051e3f4548830524bb90efa2b7b223e5",
-    "reduce": "219207a3ec70f81127cec45ce5650c78f92e49361cea1c9017191f81228a15f8",
+    "generate": "b70eded23b716765a045bd9bee95bff59fae23c990170ac10dd0f178922fbba6",
+    "reduce": "a3ea819bb79aff931faa254dced4c4ec8da782e956899564956d3094fc1a1157",
 }
 
 
@@ -446,6 +448,39 @@ class TestExactLawSampler:
         for k in scca.STATISTICS:
             pvalue = ks_2samp([v[k] for v in ours], [v[k] for v in rows]).pvalue
             assert pvalue >= 0.01, (k, pvalue)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_params(), st.lists(st.integers(0, 2**64 - 1), min_size=14, max_size=14))
+    def test_second_block_is_a_symmetric_root(self, params, words):
+        # at U1 = [I; 0] and E = [0; I] the second block is [C; M]: the cross block C = lam d1 d2' and a symmetric
+        # M with M M = I - C'C, so (U1, U2) has covariance [[I, C], [C', I]]
+        p1, p2 = params.p1, params.p2
+        d1, d2 = (d[0] for d in scca._planted(params, np.array([words[: 2 * params.s]], dtype=np.uint64)))
+        block = scca._second_block(params, np.eye(p1 + p2, p1), np.eye(p1 + p2, p2, -p1), d1, d2)
+        c, m = block[:p1], block[p1:]
+        assert np.array_equal(c, np.outer(params.lam * d1, d2))
+        assert np.array_equal(m, m.T)
+        assert np.abs(m @ m - (np.eye(p2) - c.T @ c)).max() <= 1e-12
+
+    def test_entries_have_the_alternative_moments(self, monkeypatch):
+        # under the alternative R_ab has mean C_ab and variance (1 + C_ab^2) / n for C = lam d1 d2', at any n;
+        # standardized, each draw's mean entry averages 0 and its mean square 1, within 4 se over the draws
+        params = scca.SccaParams(n=50, s=2, p1=4, p2=6, lam=0.8)
+        planted_by, planted = scca._planted, []  # the stack's (d1, d2), recorded as the sampler decodes them
+        monkeypatch.setattr(scca, "_planted", lambda *args: planted.append(planted_by(*args)) or planted[-1])
+        stacked = scca.sample_cross_covariances(params, "alt", 2026, range(20_000))
+        monkeypatch.undo()
+        insts = [scca.gen_scca(params, "alt", 2027, i) for i in range(3000)]
+        rows = (
+            np.array([inst.cross_covariance() for inst in insts]),
+            np.array([inst.delta1 for inst in insts]),
+            np.array([inst.delta2 for inst in insts]),
+        )
+        for r, d1, d2 in ((stacked, *planted[0]), rows):
+            c = params.lam * d1[:, :, None] * d2[:, None, :]
+            z = (r - c) / np.sqrt((1.0 + c * c) / params.n)
+            for moment, want in ((z.mean(axis=(1, 2)), 0.0), ((z * z).mean(axis=(1, 2)), 1.0)):
+                assert abs(moment.mean() - want) <= 4 * moment.std(ddof=1) / math.sqrt(len(moment))
 
     @settings(max_examples=100, deadline=None)
     @given(
