@@ -34,7 +34,11 @@ class BudgetExceeded(AdaptestError):
 
 
 class OddSampleSize(AdaptestError):
-    """An even row count is required."""
+    """An even row count is required: at least 4 to split, so that each half has two rows."""
+
+
+class DegenerateData(AdaptestError, ValueError):
+    """An estimator cannot fit its data: fewer than two rows, or an all-zero column of X."""
 
 
 class RegimeViolation(AdaptestError):

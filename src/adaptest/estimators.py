@@ -1,20 +1,17 @@
 """Point estimators: scaled lasso, sample covariance, the inf-norm
 constrained debiasing direction, and the exhaustive sparse signed-spiked
-covariance estimator.
+covariance estimator.  Each reads any dataset of `model` only through its Gram.
 
 The lasso and the direction program share one coordinate-descent core on
-a dataset's Gram (`model.Dataset`, columns formed on first touch): a KKT
-check picks a working set (the nonzero coordinates and the violators),
-solved exactly where its predicted signs hold and else swept in ascending
-index order, so results are deterministic.  The scaled-lasso fit is
-memoised on its dataset, and its sigma_hat is the one it estimates: a zero
-residual raises.  A dataset can be its Gram alone (`CoordinateDataset`).
+the Gram's columns, formed on first touch: a KKT check picks a working set
+(the nonzero coordinates and the violators), solved exactly where its
+predicted signs hold and else swept in ascending index order, so results are
+deterministic.  The scaled-lasso fit is memoised on its dataset, and its
+sigma_hat is the one it estimates: a zero residual raises.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,8 +19,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import BudgetExceeded, ZeroResidualDegenerate
-from .model import Dataset, ModelParams, stream
+from .errors import BudgetExceeded, DegenerateData, ZeroResidualDegenerate
+from .model import Dataset
 
 _log = logging.getLogger("adaptest")
 LASSO_ROUNDS = 500  # the scaled lasso's cap on alternation rounds
@@ -54,116 +51,9 @@ class SpikedCovFit:
 
 
 def sample_cov(data: Dataset) -> np.ndarray:
-    """n^{-1} X'X, symmetrized so the result is bitwise symmetric; a
-    `CoordinateDataset` reads every column from its coordinates."""
-    g = data.cols(range(data.p)) if isinstance(data, CoordinateDataset) else data.x.T @ data.x / data.n
+    """n^{-1} X'X from every column of the dataset's Gram, symmetrized so the result is bitwise symmetric."""
+    g = data.cols(range(data.p))
     return (g + g.T) / 2.0
-
-
-class GaussianSource:
-    """Coordinates of Z with iid N(0, 1) entries and of the noise N(0, sd^2 I_n), one basis vector
-    of R^n per call, from their exact law, in two phases (Bartlett's decomposition; Muirhead 1982,
-    ch. 3).  Until norms2 is first read, an untouched column's coordinate on a vector spanned by
-    others is plain N(0, 1) and the vector's own column has sqrt(chi2_{n-d}); sums of squares are
-    kept.  That read draws each untouched column's outside squared norm rho[j] ~ chi2_{n-d} (0 once
-    R^n is spanned); from then on its direction is isotropic and independent of rho[j], so its squared
-    share on a new vector is u = g^2 / (g^2 + R), g ~ N(0, 1), R ~ chi2_{n-d-1} (chi2_0 = 0)."""
-
-    def __init__(self, theta: ModelParams, n: int, rng: np.random.Generator):
-        self.n, self.d, self.rng, self.sd = n, 0, rng, theta.noise_sd
-        self.support = np.flatnonzero(theta.beta)
-        self.beta = theta.beta[self.support]
-        self.rho, self.ss, self.open = None, np.zeros(theta.p), np.ones(theta.p)  # open: 1 while untouched
-
-    @functools.cached_property
-    def norms2(self) -> np.ndarray:
-        self.rho = self.open * (self.rng.chisquare(self.n - self.d, self.open.size) if self.d < self.n else 0.0)
-        return self.ss + self.rho
-
-    def direction(self, j: int | None) -> np.ndarray:
-        """Every column's coordinate on the next basis vector, column j's (the
-        noise's if j is None) outside part: one row, none once R^n is spanned."""
-        if self.d == self.n:
-            return np.empty((0, self.open.size))
-        if self.rho is None:  # norms2 unread: Bartlett's normals, 0 for formed columns
-            row = np.multiply(self.rng.standard_normal(self.open.size), self.open)
-            if j is not None:
-                row[j], self.open[j] = math.sqrt(self.rng.chisquare(self.n - self.d)), 0.0
-            self.ss += row * row
-        else:
-            g = self.rng.standard_normal(self.rho.size)
-            g2, u = g * g, self.rng.standard_gamma((self.n - self.d - 1) / 2.0, self.rho.size)
-            u = np.divide(g2, np.add(g2, np.multiply(u, 2.0, out=u), out=u), out=u)  # g^2 / (g^2 + 2 gamma), in place
-            if j is not None:
-                u[j] = 1.0  # column j lies in the span from now on
-            row = np.copysign(np.sqrt(np.multiply(self.rho, u, out=g2), out=g2), g, out=g)
-            self.rho *= np.subtract(1.0, u, out=u)
-        self.d += 1
-        return row
-
-    def response(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y's coordinates from the design's coords, once the noise's outside part
-        (squared norm sd^2 chi2_{n-d}) joins the basis, and that `direction`."""
-        y = coords[:, self.support] @ self.beta + self.sd * self.rng.standard_normal(self.d)
-        outside = [self.sd * math.sqrt(self.rng.chisquare(self.n - self.d))] if self.d < self.n else []
-        return np.append(y, outside), self.direction(None)
-
-
-class CoordinateDataset(Dataset):
-    """n rows Y = X beta + eps, X = Z L' with Z standard and (S, L) theta's design_factor,
-    held only as their Gram, so reading x or y raises.  Row i of coords holds each X
-    column's coordinate on the i-th vector of a basis of R^n grown in touch order:
-    forming column j makes Z_j's outside part the next vector, whose Z-coordinates the
-    source gives (a `GaussianSource` on stream(seed, index) by default) and L maps on S.
-    S is formed first, then beta's support, and the noise joins next, so y lies in the span
-    and xty, yty and each formed column coords' coords[:, j] / n are exact; only then is diag
-    read, from the source's norms2 (S's from its columns), so these eager vectors' coordinates
-    are plain normals (`GaussianSource`) and later ones split the norms that read fixed."""
-
-    def __init__(self, theta: ModelParams, n: int, seed: int, index: int = 0, source=None):
-        self.theta, self.n, self.p, self.seed, self.index, self.memo = theta, n, theta.p, seed, index, {}
-        self.source = source or GaussianSource(theta, n, stream(seed, index))
-        self.block, self.factor = theta.design_factor
-        self.coords, self.columns = np.empty((8, theta.p))[:0], {}
-        self.cols(np.concatenate((self.block, np.flatnonzero(theta.beta))))  # S first, then beta's support
-        y, row = self.source.response(self.coords)
-        self._append(row)
-        self.xty, self.yty = self.coords.T @ y / n, float(y @ y) / n
-        self.diag = self.source.norms2 / n
-        self.diag[self.block] = self.cols(self.block)[self.block, range(self.block.size)]  # X's norms on S
-
-    @property
-    def x(self):
-        raise TypeError("a coordinate dataset holds no rows, only its Gram")
-
-    y = x
-
-    def _append(self, row: np.ndarray) -> None:
-        if not row.size:  # R^n is spanned
-            return
-        if self.block.size:  # Z's coordinates to X's
-            row[self.block] = row[self.block] @ self.factor.T
-        buf, d = self.coords.base, len(self.coords)  # coords: the first d rows of buf, doubled when full
-        buf = buf if d < len(buf) else np.concatenate((buf, np.empty_like(buf)))
-        buf[d] = row
-        self.coords = buf[: d + 1]
-
-    def _column(self, j: int) -> np.ndarray:
-        self._append(self.source.direction(j))
-        return self.coords.T @ self.coords[:, j] / self.n
-
-    def fork(self) -> "CoordinateDataset":
-        """A copy whose later reads leave this one as it is: its own column dict,
-        memo and coordinate buffer, and a shallow copy of the source with its
-        own rho and a keyed stream set to its generator's state, all a draw
-        changes.  It shares the memoised fits and halves; `inference` reads a
-        half through its own fork."""
-        out, source = copy.copy(self), copy.copy(self.source)
-        source.rho, source.rng = source.rho.copy(), stream(0)
-        source.rng.bit_generator.state = self.source.rng.bit_generator.state
-        out.columns, out.source, out.memo = dict(self.columns), source, dict(self.memo)
-        out.coords = self.coords.base.copy()[: len(self.coords)]
-        return out
 
 
 def _signed_solve(gram_ws: np.ndarray, lin: np.ndarray, pen: np.ndarray, signs: np.ndarray):
@@ -338,11 +228,11 @@ def scaled_lasso(data: Dataset) -> ScaledLassoFit:
         return data.memo["scaled_lasso"]
     n, p = data.n, data.p
     if n < 2:
-        raise ValueError("need at least two samples")
+        raise DegenerateData("need at least two samples")
     lam0 = math.sqrt(2.01 * math.log(p) / n)
     weights = np.sqrt(data.diag)
     if np.any(weights == 0.0):
-        raise ValueError("columns of X must not be identically zero")
+        raise DegenerateData("columns of X must not be identically zero")
 
     beta, pen0 = np.zeros(p), lam0 * weights
     sigma = math.sqrt(data.yty)
@@ -454,7 +344,7 @@ def spiked_cov_estimate(
     survives, the identity is returned with fell_back_identity = True.
     """
     if data.n < 2:
-        raise ValueError("need at least two samples")
+        raise DegenerateData("need at least two samples")
     n = data.n
     p = data.p
     s = sample_cov(data)

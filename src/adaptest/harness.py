@@ -3,9 +3,8 @@ for size/power, interval-length sweeps and phase diagrams, and result
 tables.  `inference` turns a dataset into a decision (`run_single_test`, or
 `mixed_test` and `mixed_ci` directly), and a prior null's model point comes from `priors` (`valid_rows` on a
 `prior_sampler`'s stacks of one, `PriorDraw.model_point`); this module builds the problems
-and datasets and collects the rows.  Every dataset is drawn as its Gram
-coordinates, from their exact law (`estimators.CoordinateDataset`); a nu2
-null's design mixes only its block.
+and datasets and collects the rows.  Every dataset is a `model.CoordinateDataset`, its Gram's
+coordinates drawn from their exact law; a nu2 null's design mixes only its block.
 
 Every command's configuration is a flat key = value text file, parsed
 into that command's dataclass by `parse_config`.  Results are rows
@@ -30,9 +29,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import CoordinateDataset, scaled_lasso
+from .estimators import scaled_lasso
 from .inference import TEST_MODES, mixed_ci, mixed_test, run_single_test
-from .model import LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text, make_loading
+from .model import CoordinateDataset, LoadingVector, ModelParams, TestProblem, _csv_body, csv_cell, csv_text
+from .model import make_loading
 from .priors import prior_sampler, valid_rows
 from .profiles import example_profiles, log_grid, regular_phase, regular_profile
 

@@ -5,16 +5,14 @@ coordinates plus a plug-in part on the rest), whose ends m = 0 and m = p are the
 interval (bias bound through the l1 error of the lasso) and the debiased one (residual
 correction along the inf-norm constrained direction), and the data-split variants for
 known or spiked design covariance.  Every interval carries an error-budget ledger; its
-nominal level is one minus the total budget.  Every interval reads data only through its
-Gram (`model.Dataset`): the mixed one the dataset's, the data-split ones half
-2's.  Radius constants are fixed, each in one expression (`_plugin_radius`,
-`_debiased_radius`) that `radius_floors` shares; no caller sets a radius value, and
-the lasso's sigma_hat is the one it estimates.
+nominal level is one minus the total budget.  Every interval reads data only through a
+Gram: the mixed one the dataset's, the data-split ones half 2's (`split_half`).  Radius
+constants are fixed, each in one expression (`_plugin_radius`, `_debiased_radius`) that
+`radius_floors` shares; no caller sets a radius value, and the lasso's sigma_hat is the
+one it estimates.
 
-`run_single_test` runs any of the `TEST_MODES` on a dataset; the modes
-share one memoised lasso fit per dataset (on half 1 of its own
-`split_half` when data-split), so an unconverged fit logs its WARNING
-once (`estimators.scaled_lasso`); the mixed test reads its loading's plan.
+`run_single_test` runs any of the `TEST_MODES` on a dataset, all on one memoised lasso fit
+(half 1's when data-split), so an unconverged fit logs its WARNING once (`estimators.scaled_lasso`).
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import OddSampleSize
-from .estimators import CoordinateDataset, ScaledLassoFit, projection_direction, scaled_lasso
+from .estimators import ScaledLassoFit, projection_direction, scaled_lasso
 from .estimators import residual_mean_square, spiked_cov_estimate
-from .model import Dataset, LoadingVector, TestProblem, stream
+from .model import Dataset, LoadingVector, TestProblem
 from .profiles import cutoff_and_regime, cutoff_prefixes, log_grid, top_norm
 
 
@@ -181,8 +179,8 @@ def run_single_test(
     and m = p, the one part at level 1 - alpha; known_sigma uses the identity design
     covariance and spiked the exhaustive estimator, both on the dataset's
     own halves `split_half(data)`.  Each mode fits (or reuses) the one memoised
-    lasso and reads everything else on a fork taken after it, so on a
-    `CoordinateDataset` its result does not depend on the modes run before it.
+    lasso and reads everything else on a fork taken after it, so its result
+    does not depend on the modes run before it.
     """
     if mode == "mixed":
         return mixed_test(data, problem, scan_all_m)
@@ -200,30 +198,17 @@ def run_single_test(
 
 
 def split_half(data: Dataset) -> tuple[Dataset, Dataset]:
-    """The dataset's own random halves: parity positions of a shuffle keyed by its seed.
-
-    Memoised on the dataset, so every caller gets the same two halves, and
-    with them each half's Gram columns.  A `CoordinateDataset` has no rows
-    to split: its halves are two independent n/2-row draws from its own
-    seed, which with iid rows have the law of a seeded split.
-    """
-    halves = data.memo.get("split_half")
-    if halves is None:
-        if data.n % 2 != 0:
-            raise OddSampleSize("data splitting needs an even sample count")
-        if isinstance(data, CoordinateDataset):
-            halves = tuple(CoordinateDataset(data.theta, data.n // 2, data.seed, 2 * data.index + i) for i in (1, 2))
-        else:
-            order = stream(data.seed, 1).permutation(data.n)
-            first, second = order[0::2], order[1::2]
-            halves = (Dataset(x=data.x[first], y=data.y[first]), Dataset(x=data.x[second], y=data.y[second]))
-        halves = data.memo.setdefault("split_half", halves)
-    return halves
+    """The dataset's own two halves (`data.halves()`), memoised on it, so every caller gets the same
+    two and with them each half's Gram columns.  An odd n or one below 4 raises OddSampleSize."""
+    if "split_half" not in data.memo:
+        if data.n % 2 or data.n < 4:
+            raise OddSampleSize(f"data splitting needs an even sample count of at least 4, not n = {data.n}")
+        data.memo["split_half"] = data.halves()
+    return data.memo["split_half"]
 
 
 def _split_half_center(data: Dataset, xi_vec: np.ndarray, direction):
-    """(fit, center, half2): the lasso fit on half 1 of the dataset's own split_half(data), the
-    corrected center on half 2's Gram along direction(half1), both read on forks, and half 2's fork."""
+    """(fit, center, half2): the half-1 lasso fit, the half-2 center along direction(half1), and half 2's fork."""
     half1, half2 = split_half(data)
     fit, half2 = scaled_lasso(half1), half2.fork()
     return fit, _corrected_center(half2, fit.beta_hat, xi_vec, direction(half1.fork())), half2

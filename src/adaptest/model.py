@@ -4,12 +4,19 @@ The observation model is Y = X beta + eps with Gaussian rows
 X_i ~ N(0, Sigma) and eps ~ N(0, sigma^2 I).  A model point is
 theta = (beta, Sigma, sigma); the parameter space bounds the spectrum of
 Sigma to [1/M1, M1] and the noise level to (0, M2].
+
+Each dataset class holds its draw, fork and halves: a `Dataset` draws rows from stream(seed, 0)
+(`generate_dataset`), is its own fork and halves at a stream(seed, 1) shuffle's parity positions;
+a `CoordinateDataset` draws its Gram's coordinates from stream(seed, index) (`GaussianSource`),
+forks by copying what a draw changes and halves into draws at indices 2 index + 1 and + 2.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,8 +183,8 @@ class ModelParams:
 class Dataset:
     """n rows (x, y), read by the solvers only through its Gram G = X'X/n: column j formed on first
     read as its own product X'X_j / n, so its bits never depend on the columns formed before or beside
-    it; diag, xty = X'y/n and yty = y'y/n on first read.  seed keys the shuffle of its halves
-    (`inference.split_half`); memo holds the fits and halves computed on it."""
+    it; diag, xty = X'y/n and yty = y'y/n on first read.  seed keys the shuffle of its `halves`;
+    memo holds the fits and halves computed on it (`inference.split_half`)."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, seed: int = 0):
         if x.shape[0] != y.shape[0]:
@@ -186,8 +193,13 @@ class Dataset:
         self.memo, self.columns = {}, {}  # columns: j -> column j, once formed
 
     def fork(self) -> "Dataset":
-        """Rows never change, so a row dataset is its own fork (`estimators.CoordinateDataset.fork`)."""
+        """Rows never change, so a row dataset is its own fork (`CoordinateDataset.fork`)."""
         return self
+
+    def halves(self) -> tuple["Dataset", "Dataset"]:
+        """The rows at the even and at the odd positions of the shuffle stream(seed, 1) makes."""
+        order = stream(self.seed, 1).permutation(self.n)
+        return tuple(Dataset(x=self.x[half], y=self.y[half]) for half in (order[0::2], order[1::2]))
 
     @functools.cached_property
     def diag(self) -> np.ndarray:
@@ -235,8 +247,7 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     then the noise, from a single counter-based stream, and seed is the
     dataset's own.  X = Z L' with Z standard and L theta's cached
     design_factor, so only the columns in its block S are mixed (none for
-    an identity design).  `simulate` draws every dataset as its Gram
-    (`estimators.CoordinateDataset`); the tests use rows as the oracle.
+    an identity design).  The tests use rows as the oracle of a `CoordinateDataset`.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -246,6 +257,116 @@ def generate_dataset(theta: ModelParams, n: int, seed: int) -> Dataset:
     x[:, idx] = x[:, idx] @ factor.T
     eps = theta.noise_sd * rng.standard_normal(n)
     return Dataset(x=x, y=x @ theta.beta + eps, seed=seed)
+
+
+class GaussianSource:
+    """Coordinates of Z with iid N(0, 1) entries and of the noise N(0, sd^2 I_n), one basis vector
+    of R^n per call, from their exact law, in two phases (Bartlett's decomposition; Muirhead 1982,
+    ch. 3).  Until norms2 is first read, an untouched column's coordinate on a vector spanned by
+    others is plain N(0, 1) and the vector's own column has sqrt(chi2_{n-d}); sums of squares are
+    kept.  That read draws each untouched column's outside squared norm rho[j] ~ chi2_{n-d} (0 once
+    R^n is spanned); from then on its direction is isotropic and independent of rho[j], so its squared
+    share on a new vector is u = g^2 / (g^2 + R), g ~ N(0, 1), R ~ chi2_{n-d-1} (chi2_0 = 0)."""
+
+    def __init__(self, theta: ModelParams, n: int, rng: np.random.Generator):
+        self.n, self.d, self.rng, self.sd = n, 0, rng, theta.noise_sd
+        self.support = np.flatnonzero(theta.beta)
+        self.beta = theta.beta[self.support]
+        self.rho, self.ss, self.open = None, np.zeros(theta.p), np.ones(theta.p)  # open: 1 while untouched
+
+    @functools.cached_property
+    def norms2(self) -> np.ndarray:
+        self.rho = self.open * (self.rng.chisquare(self.n - self.d, self.open.size) if self.d < self.n else 0.0)
+        return self.ss + self.rho
+
+    def direction(self, j: int | None) -> np.ndarray:
+        """Every column's coordinate on the next basis vector, column j's (the
+        noise's if j is None) outside part: one row, none once R^n is spanned."""
+        if self.d == self.n:
+            return np.empty((0, self.open.size))
+        if self.rho is None:  # norms2 unread: Bartlett's normals, 0 for formed columns
+            row = np.multiply(self.rng.standard_normal(self.open.size), self.open)
+            if j is not None:
+                row[j], self.open[j] = math.sqrt(self.rng.chisquare(self.n - self.d)), 0.0
+            self.ss += row * row
+        else:
+            g = self.rng.standard_normal(self.rho.size)
+            g2, u = g * g, self.rng.standard_gamma((self.n - self.d - 1) / 2.0, self.rho.size)
+            u = np.divide(g2, np.add(g2, np.multiply(u, 2.0, out=u), out=u), out=u)  # g^2 / (g^2 + 2 gamma), in place
+            if j is not None:
+                u[j] = 1.0  # column j lies in the span from now on
+            row = np.copysign(np.sqrt(np.multiply(self.rho, u, out=g2), out=g2), g, out=g)
+            self.rho *= np.subtract(1.0, u, out=u)
+        self.d += 1
+        return row
+
+    def response(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y's coordinates from the design's coords, once the noise's outside part
+        (squared norm sd^2 chi2_{n-d}) joins the basis, and that `direction`."""
+        y = coords[:, self.support] @ self.beta + self.sd * self.rng.standard_normal(self.d)
+        outside = [self.sd * math.sqrt(self.rng.chisquare(self.n - self.d))] if self.d < self.n else []
+        return np.append(y, outside), self.direction(None)
+
+
+class CoordinateDataset(Dataset):
+    """n rows Y = X beta + eps, X = Z L' with Z standard and (S, L) theta's design_factor,
+    held only as their Gram, so reading x or y raises.  Row i of coords holds each X
+    column's coordinate on the i-th vector of a basis of R^n grown in touch order:
+    forming column j makes Z_j's outside part the next vector, whose Z-coordinates the
+    source gives (a `GaussianSource` on stream(seed, index) by default) and L maps on S.
+    S is formed first, then beta's support, and the noise joins next, so y lies in the span
+    and xty, yty and each formed column coords' coords[:, j] / n are exact; only then is diag
+    read, from the source's norms2 (S's from its columns), so these eager vectors' coordinates
+    are plain normals (`GaussianSource`) and later ones split the norms that read fixed."""
+
+    def __init__(self, theta: ModelParams, n: int, seed: int, index: int = 0, source=None):
+        self.theta, self.n, self.p, self.seed, self.index, self.memo = theta, n, theta.p, seed, index, {}
+        self.source = source or GaussianSource(theta, n, stream(seed, index))
+        self.block, self.factor = theta.design_factor
+        self.coords, self.columns = np.empty((8, theta.p))[:0], {}
+        self.cols(np.concatenate((self.block, np.flatnonzero(theta.beta))))  # S first, then beta's support
+        y, row = self.source.response(self.coords)
+        self._append(row)
+        self.xty, self.yty = self.coords.T @ y / n, float(y @ y) / n
+        self.diag = self.source.norms2 / n
+        self.diag[self.block] = self.cols(self.block)[self.block, range(self.block.size)]  # X's norms on S
+
+    @property
+    def x(self):
+        raise TypeError("a coordinate dataset holds no rows, only its Gram")
+
+    y = x
+
+    def _append(self, row: np.ndarray) -> None:
+        if not row.size:  # R^n is spanned
+            return
+        if self.block.size:  # Z's coordinates to X's
+            row[self.block] = row[self.block] @ self.factor.T
+        buf, d = self.coords.base, len(self.coords)  # coords: the first d rows of buf, doubled when full
+        buf = buf if d < len(buf) else np.concatenate((buf, np.empty_like(buf)))
+        buf[d] = row
+        self.coords = buf[: d + 1]
+
+    def _column(self, j: int) -> np.ndarray:
+        self._append(self.source.direction(j))
+        return self.coords.T @ self.coords[:, j] / self.n
+
+    def fork(self) -> "CoordinateDataset":
+        """A copy whose later reads leave this one as it is: its own column dict,
+        memo and coordinate buffer, and a shallow copy of the source with its
+        own rho and a keyed stream set to its generator's state, all a draw
+        changes.  It shares the memoised fits and halves; `inference` reads a
+        half through its own fork."""
+        out, source = copy.copy(self), copy.copy(self.source)
+        source.rho, source.rng = source.rho.copy(), stream(0)
+        source.rng.bit_generator.state = self.source.rng.bit_generator.state
+        out.columns, out.source, out.memo = dict(self.columns), source, dict(self.memo)
+        out.coords = self.coords.base.copy()[: len(self.coords)]
+        return out
+
+    def halves(self) -> tuple["CoordinateDataset", "CoordinateDataset"]:
+        """Independent n/2-row draws at (seed, 2 index + 1) and (seed, 2 index + 2): a split's law, rows being iid."""
+        return tuple(CoordinateDataset(self.theta, self.n // 2, self.seed, 2 * self.index + i) for i in (1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from adaptest import estimators
-from adaptest.errors import BudgetExceeded, ZeroResidualDegenerate
+from adaptest.errors import AdaptestError, BudgetExceeded, DegenerateData, ZeroResidualDegenerate
 from adaptest.estimators import (
-    CoordinateDataset,
     SpikedCovFit,
     _cd_quadratic_l1,
     gamma_block,
@@ -23,7 +22,7 @@ from adaptest.estimators import (
     spiked_cov_estimate,
 )
 from adaptest.harness import null_point
-from adaptest.model import Dataset, ModelParams, generate_dataset, make_loading, stream
+from adaptest.model import CoordinateDataset, Dataset, ModelParams, generate_dataset, make_loading, stream
 from adaptest.priors import prior_sampler
 from adaptest.profiles import cutoff_and_regime, example_profiles
 from oracles import single
@@ -104,6 +103,19 @@ class TestCoordinateDescentKKT:
     def test_lazy_gram_point_satisfies_kkt(self, seed, p, n, dead, constant_pen, level):
         self.solve_and_certify(seed, p, n, dead, constant_pen, level, lazy=True)
 
+    @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+    @pytest.mark.xfail(strict=True, reason="the core cycles here: unconverged after 2,000 passes and after 20,000")
+    def test_rank_four_stall_converges(self, lazy):
+        # a hypothesis case of the tests above (n = 4, p = 11, one dead column) whose non-constant
+        # penalty stalls the core; with a constant penalty it converges in 736 passes
+        x, rng = random_design(163676, 4, 11, 1)
+        data = Dataset(x=x, y=np.zeros(4))
+        gram = data if lazy else DenseGram(sample_cov(data), 4)
+        lin = x.T @ rng.standard_normal(4) / 4
+        pen = 0.01094 * rng.uniform(0.1, 1.0, 11)
+        v, converged, passes = _cd_quadratic_l1(gram, lin, pen, np.zeros(11), kkt_tol=1e-9, max_passes=2000)
+        assert converged and self.kkt_violation(gram.cols(range(11)), lin, pen, v) <= 1e-9 + 1e-12
+
     def test_pass_budget_exhausted_is_reported(self):
         x, rng = random_design(3, 40, 10, 0)
         gram = DenseGram(sample_cov(Dataset(x=x, y=np.zeros(40))), 40)
@@ -183,6 +195,17 @@ class TestScaledLasso:
         x = orthonormal_design(40, 10, 0)
         with pytest.raises(ZeroResidualDegenerate):
             scaled_lasso(Dataset(x=x, y=np.zeros(40)))
+
+    @pytest.mark.parametrize("n, dead", [(1, 0), (40, 1)], ids=["one-row", "zero-column"])
+    def test_unfittable_data_is_a_numerical_failure(self, n, dead):
+        # an AdaptestError, so the CLI exits 3, and a ValueError, so callers that catch one still do
+        x, rng = random_design(2, n, 6, dead)
+        data = Dataset(x=x, y=rng.standard_normal(n))
+        fits = [scaled_lasso] + [lambda d: spiked_cov_estimate(d, 1)] * (n < 2)
+        for fit in fits:
+            with pytest.raises(DegenerateData) as err:
+                fit(data)
+            assert isinstance(err.value, AdaptestError) and isinstance(err.value, ValueError)
 
     def test_fit_memoised_per_floor_and_read_only(self):
         x, rng = random_design(7, 40, 10, 0)
@@ -416,7 +439,7 @@ class TestGram:
         x, rng = random_design(seed, n, p, min(dead, p))
         ds = Dataset(x=scale * x, y=rng.standard_normal(n))
         idx = data.draw(st.lists(st.integers(0, p - 1), max_size=2 * p))
-        full = sample_cov(ds)
+        full = ds.x.T @ ds.x / n
         bound = 1e-13 * float(np.max(np.sum(ds.x**2, axis=0))) / n
         assert ds.cols(idx).shape == (p, len(idx))
         assert np.all(np.abs(ds.cols(idx) - full[:, idx]) <= bound)

@@ -21,13 +21,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from adaptest import cli, estimators, harness, inference, priors, profiles
+from adaptest import cli, estimators, harness, inference, model, priors, profiles
 from adaptest.cli import ProfileConfig, main as cli_main
 from adaptest.errors import ConfigError, RegimeViolation
-from adaptest.estimators import CoordinateDataset, scaled_lasso, spiked_cov_estimate
+from adaptest.estimators import scaled_lasso, spiked_cov_estimate
 from adaptest.inference import mixed_test
 from adaptest.model import ModelParams, TestProblem as Problem, dataset_to_csv, generate_dataset, make_loading, stream
-from adaptest.model import Dataset
+from adaptest.model import CoordinateDataset, Dataset
 from adaptest.profiles import solve_zeta
 from oracles import joint_covariance, single
 from adaptest.harness import (
@@ -411,6 +411,12 @@ GOLDEN_CASES["phase_diagram_moderate"] = (
     "kind = phase_diagram\np = 30\ngamma_u = 0.5\ngamma_xi_grid = 0.3,0.7,1.0\ngamma_tau_grid = 0.4,2.0\n"
     "reps = 3\nmaster_seed = 7\n"
 )
+# Moderately sparse too, nearer the detection boundary: its four cells reject at mean rates 2/3, 1, 0 and
+# 2/3, so the table pins which draws `mixed_test` rejects, and it moves with master_seed.
+GOLDEN_CASES["phase_diagram_moderate_power"] = (
+    "kind = phase_diagram\np = 30\ngamma_u = 0.5\ngamma_xi_grid = 0.3,0.7\ngamma_tau_grid = 1.6,1.8\n"
+    "reps = 3\nmaster_seed = 7\n"
+)
 GOLDEN_SHA256 = {
     "point": "11449db6bbb9d976acd5983fc17975af8f19d683b79142f547f25b22b25a5781",
     "nu1": "3220c87839bf1bef06766e1ca67299f41062f1f6a5e23a257f879d7eb5fda315",
@@ -420,6 +426,7 @@ GOLDEN_SHA256 = {
     "length_sweep": "12fd1b949f8905f17f1a551ba4f58de5294aa536c35600671fe634059fae4460",
     "phase_diagram": "819e9d27c0eb7f1463533f44de9ec04c086db4099e92fb84f5097b6546afb3ed",
     "phase_diagram_moderate": "7d137a558e9ee697e43e8e413b8f68ad7cce0a9174682f393ddb892a744429c8",
+    "phase_diagram_moderate_power": "ee326dd7238303be3f0da1e99afd8246cae380596e17ce5df208bd391e7c7b11",
 }
 # The other commands' tables at master_seed = 7: prior at each kind, with its chi-square table,
 # lowdeg on the criterion-9 instance ({xi} is its loading CSV), whose one valid draw pins no randomness,
@@ -471,6 +478,53 @@ COMMAND_GOLDEN_SHA256 = {
 }
 
 
+# Golden cases whose tables do not move with master_seed.  The CSV commands that neither split their
+# dataset nor draw read no random stream; the other two pin no draw, for the reason given.
+SEED_FREE_CASES = {"fit", "test_mixed", "test_plugin", "test_debiased", "test_mixed_scan"}
+SEED_BLIND_CASES = {
+    "phase_diagram_moderate": "every cell rejects at mean rate 0 or 1, at either seed",
+    "lowdeg": "the criterion-9 instance forces every draw: its one valid draw pins no randomness",
+}
+
+
+def golden_table(case: str, shift: int, tmp_path: Path) -> str:
+    """A golden case's tables at its master_seed + shift: a simulate table without its config digest
+    column (the digest hashes the seed), a command's tables as `test_golden_command_tables` joins them."""
+    if case in GOLDEN_CASES:
+        seed = int(re.search(r"master_seed = (\d+)", GOLDEN_CASES[case])[1])
+        text = GOLDEN_CASES[case].replace(f"master_seed = {seed}", f"master_seed = {seed + shift}")
+        rows = rows_to_csv(run_experiment(parse_config(text))).splitlines()
+        return "".join(row.split(",", 1)[1] + "\n" for row in rows)
+    command, text = COMMAND_GOLDEN_CASES[case]
+    (tmp_path / "xi.csv").write_text("xi\n1.0\n0.9\n0.8\n")
+    files = {"xi": tmp_path / "xi.csv", "data": golden_dataset(tmp_path / "data.csv")}
+    schema, run = cli._DISPATCH[command]
+    _, _, tables = run(parse_config(text.format(**files) + f"master_seed = {7 + shift}\n", schema))
+    return "".join(f"{suffix}\n{table}" for suffix, table in tables.items())
+
+
+def dead_column_csv(path: Path) -> Path:
+    """Write a 40 x 6 Gaussian data CSV whose x3 is zero in every row but row 3.  The shuffle that
+    splits it puts row 3 in half 2 at seed 0 and in half 1 at seeds 1, 2 and 3."""
+    rng = stream(12, 0)
+    x = rng.standard_normal((40, 6))
+    x[np.arange(40) != 3, 2] = 0.0
+    with open(path, "w") as fh:
+        dataset_to_csv(Dataset(x=x, y=x[:, 0] - x[:, 2] + rng.standard_normal(40)), fh)
+    return path
+
+
+# The known_sigma and spiked test tables' rows on `dead_column_csv` at seeds 1-3 (k_u = 1, t0 = 0)
+DEAD_HALF_ROWS = {
+    ("known_sigma", 1): "known_sigma,1,0.8516813592978998,0.41340433505015717,6,0.95,known_sigma:0.05",
+    ("known_sigma", 2): "known_sigma,1,1.4034093002837498,0.7425466716119824,6,0.95,known_sigma:0.05",
+    ("known_sigma", 3): "known_sigma,1,1.1677312948503278,0.5036759452769037,6,0.95,known_sigma:0.05",
+    ("spiked", 1): "spiked,1,0.8516813592978998,0.15795843361922152,6,0.95,spiked:0.05",
+    ("spiked", 2): "spiked,1,1.4034093002837498,0.18911496362197816,6,0.95,spiked:0.05",
+    ("spiked", 3): "spiked,1,1.1677312948503278,0.20954278635942103,6,0.95,spiked:0.05",
+}
+
+
 def golden_dataset(path: Path) -> Path:
     """Write the golden fit and test cases' dataset: n = 120 rows (even, so known_sigma and spiked
     can split it), p = 30, beta on three coordinates, and a design mixed on coordinates 0 and 1."""
@@ -498,6 +552,13 @@ class TestRunners:
         _, _, tables = run(parse_config(text.format(**files) + "master_seed = 7\n", schema))
         body = "".join(f"{suffix}\n{table}" for suffix, table in tables.items())
         assert hashlib.sha256(body.encode()).hexdigest() == COMMAND_GOLDEN_SHA256[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES) + sorted(COMMAND_GOLDEN_CASES))
+    def test_golden_tables_move_with_the_seed(self, case, tmp_path):
+        # a golden digest pins the draws only if another seed draws another table
+        assert SEED_FREE_CASES | set(SEED_BLIND_CASES) <= set(COMMAND_GOLDEN_CASES) | set(GOLDEN_CASES)
+        same = golden_table(case, 0, tmp_path) == golden_table(case, 1, tmp_path)
+        assert same == (case in SEED_FREE_CASES or case in SEED_BLIND_CASES)
 
     def test_null_point_stores_no_identity(self):
         xi = make_loading(np.arange(6.0, 0.0, -1.0))
@@ -782,7 +843,7 @@ class TestRunners:
         def spy(fn, seen):
             return lambda d, *args, **kwargs: seen.append(d) or fn(d, *args, **kwargs)
 
-        monkeypatch.setattr(inference, "stream", counted_stream)
+        monkeypatch.setattr(model, "stream", counted_stream)
         monkeypatch.setattr(inference, "spiked_cov_estimate", spy(spiked_cov_estimate, spiked_on))
         monkeypatch.setattr(inference, "scaled_lasso", spy(inference.scaled_lasso, lasso_on))
         dec = inference.run_single_test("spiked", data, problem)
@@ -1200,6 +1261,36 @@ class TestCli:
         assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "numerical failure: zero residual" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob(f"{command}_*"))
+
+    def _unfittable_half(self, tmp_path, case, mode):
+        """(command, config) of a data-split run whose half 1 the lasso cannot fit: halves of one row,
+        from a 2-row CSV or a simulated n = 2, or at seed 0 a half 1 whose x3 is all zero."""
+        if case == "simulate_n_2":
+            text = f"n = 2\np = 10\nk_u = 1\nk = 1\nloading_k = 1\nreps = 2\nmodes = {mode}\n"
+            return "simulate", self._write(tmp_path, text)
+        data = tmp_path / "data.csv"
+        if case == "two_rows":
+            data.write_text("y,x1,x2\n1.0,0.5,0.2\n-1.0,0.3,-0.7\n")
+        else:
+            dead_column_csv(data)
+        return "test", self._write(tmp_path, f"data_csv = {data}\nk_u = 1\nmode = {mode}\n")
+
+    @pytest.mark.parametrize("case", ["two_rows", "simulate_n_2", "dead_half"])
+    @pytest.mark.parametrize("mode", ["known_sigma", "spiked"])
+    def test_unfittable_half_is_a_numerical_failure(self, tmp_path, case, mode, capsys):
+        command, cfg = self._unfittable_half(tmp_path, case, mode)
+        assert cli_main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "0"]) == 3
+        assert "numerical failure:" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob(f"{command}_*"))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["known_sigma", "spiked"])
+    def test_dead_column_in_half_2_only(self, tmp_path, seed, mode):
+        # at these seeds x3's one nonzero row lands in half 1, so the lasso fits it and the table stands
+        _, cfg = self._unfittable_half(tmp_path, "dead_half", mode)
+        assert cli_main(["test", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", str(seed)]) == 0
+        (table,) = (tmp_path / "out").glob("test_*.csv")
+        assert table.read_text().splitlines()[1] == DEAD_HALF_ROWS[mode, seed]
 
     @pytest.mark.parametrize("command, tag, value, key", UNREAD_CASES, ids=lambda v: str(v))
     def test_unread_key_rejected(self, tmp_path, command, tag, value, key, capsys):

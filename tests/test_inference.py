@@ -18,14 +18,13 @@ from adaptest import estimators
 from adaptest import inference as inf
 from adaptest.errors import OddSampleSize
 from adaptest.estimators import (
-    CoordinateDataset,
     projection_direction,
     scaled_lasso,
     spiked_cov_estimate,
 )
 from adaptest import model
 from adaptest.harness import null_point, parse_config, run_experiment
-from adaptest.model import ModelParams, generate_dataset, make_loading, stream
+from adaptest.model import CoordinateDataset, ModelParams, generate_dataset, make_loading, stream
 from adaptest.priors import prior_sampler
 from adaptest.profiles import MODERATELY_SPARSE, ULTRA_SPARSE, cutoff_and_regime, example_profiles, log_grid
 from adaptest.profiles import regular_profile
@@ -321,6 +320,14 @@ class TestKnownSigmaCI:
         data = generate_dataset(theta, 31, 0)
         with pytest.raises(OddSampleSize):
             inf.known_sigma_ci(data, np.ones(10), np.ones(10), 0.05)
+
+    @pytest.mark.parametrize("draw", [generate_dataset, CoordinateDataset], ids=["rows", "coordinates"])
+    def test_two_rows_do_not_split(self, draw):
+        # halves of one row leave the lasso nothing to fit: refused before either half is drawn
+        data = draw(ModelParams(beta=np.zeros(10), sigma_cov=None, noise_sd=1.0), 2, 0)
+        with pytest.raises(OddSampleSize, match="at least 4"):
+            inf.split_half(data)
+        assert "split_half" not in data.memo
 
     def test_radius_from_half1_fit(self):
         # z_{1-alpha/2} sqrt((xi' Sigma0^{-1} xi RSS2 + (center - xi'beta_hat)^2) / n2), by hand from half 2's

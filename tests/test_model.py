@@ -10,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from adaptest.errors import AllZeroLoading, CholeskyFailure, NotPositiveDefinite
 from adaptest import model
-from adaptest.estimators import CoordinateDataset
 from adaptest.scca import ALT_STREAMS, NULL_STREAMS
 from oracles import h_inv, h_map
 from adaptest.model import (
+    CoordinateDataset,
     Dataset,
     ModelParams,
     dataset_from_csv,
